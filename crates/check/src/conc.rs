@@ -51,6 +51,7 @@ use crate::scan::{
 pub const CONC_FILES: &[&str] = &[
     "crates/mdbs/src/shard.rs",
     "crates/mdbs/src/threaded.rs",
+    "crates/runtime/src/node.rs",
     "crates/net/src/tcp.rs",
     "crates/net/src/cluster.rs",
     "crates/ldbs/src/lock.rs",

@@ -35,17 +35,18 @@
 //!   orders ([`mdbs_histories::commit_order_graph`]) has no cycle;
 //! - **completion** — every transaction settles before the step limit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use mdbs_consensus::{acceptor_count, PaxosCommit};
-use mdbs_dtm::{AgentConfig, AgentInput, CertifierMode, CoordMutation, GlobalOutcome, Message};
+use mdbs_dtm::{AgentConfig, CertifierMode, CoordMutation, GlobalOutcome, Message};
 use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
 use mdbs_ldbs::{Command, KeySpec, Ldbs, SiteProfile, Store};
 use mdbs_runtime::TraceEvent;
 use mdbs_runtime::{
-    message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime, CtrlMsg, RuntimeError,
-    RuntimeHost, SiteRuntime, TimeSource, Timer, Transport, ACCEPTOR_BASE, CENTRAL, COORD_BASE,
+    lowest_live_coordinator, message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime,
+    CtrlMsg, NodeEvent, NodeSet, RuntimeError, RuntimeHost, SiteRuntime, TimeSource, Timer,
+    Transport, ACCEPTOR_BASE, COORD_BASE,
 };
 use mdbs_simkit::SimTime;
 
@@ -399,23 +400,15 @@ impl fmt::Display for Violation {
 // The schedulable host
 // ---------------------------------------------------------------------
 
-/// A pending event in a lane.
+/// A pending event in a lane: what to hand to which node. Timers carry
+/// their deadline; messages use deadline 0, so the default schedule drains
+/// the network before firing any timer (timeouts are "late", as on a
+/// healthy network).
 #[derive(Debug, Clone)]
-enum Pending {
-    Msg {
-        to: u32,
-        msg: Message,
-    },
-    Ctrl {
-        from: u32,
-        to: u32,
-        ctrl: CtrlMsg,
-    },
-    Timer {
-        node: u32,
-        deadline: u64,
-        timer: Timer,
-    },
+struct Pending {
+    to: u32,
+    deadline: u64,
+    event: NodeEvent,
 }
 
 /// One FIFO lane. Messages between a `(from, to)` pair share a lane (the
@@ -438,7 +431,7 @@ struct ExploreHost {
     seq: u64,
     lanes: BTreeMap<LaneKey, VecDeque<(u64, Pending)>>,
     ops: Vec<Op>,
-    pending_finished: Vec<(u32, GlobalTxnId, GlobalOutcome)>,
+    pending_finished: Vec<(GlobalTxnId, GlobalOutcome)>,
     /// Admissions observed this step: `(site, gtxn)`.
     just_prepared: Vec<(SiteId, GlobalTxnId)>,
 }
@@ -455,10 +448,14 @@ impl ExploreHost {
         }
     }
 
-    fn push(&mut self, key: LaneKey, p: Pending) {
+    fn push(&mut self, key: LaneKey, to: u32, deadline: u64, event: NodeEvent) {
         self.seq += 1;
-        let seq = self.seq;
-        self.lanes.entry(key).or_default().push_back((seq, p));
+        let p = Pending {
+            to,
+            deadline,
+            event,
+        };
+        self.lanes.entry(key).or_default().push_back((self.seq, p));
     }
 }
 
@@ -475,23 +472,18 @@ impl TimeSource for ExploreHost {
 
 impl Transport for ExploreHost {
     fn send(&mut self, from: u32, to: u32, msg: Message) {
-        self.push(LaneKey::Link { from, to }, Pending::Msg { to, msg });
+        self.push(LaneKey::Link { from, to }, to, 0, NodeEvent::Net(msg));
     }
 
     fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
-        self.push(LaneKey::Link { from, to }, Pending::Ctrl { from, to, ctrl });
+        let event = NodeEvent::Ctrl { from, ctrl };
+        self.push(LaneKey::Link { from, to }, to, 0, event);
     }
 
     fn set_timer(&mut self, node: u32, after_us: u64, timer: Timer) {
         let deadline = self.lamport.saturating_add(after_us);
-        self.push(
-            LaneKey::Timers { node },
-            Pending::Timer {
-                node,
-                deadline,
-                timer,
-            },
-        );
+        let event = NodeEvent::Timer(timer);
+        self.push(LaneKey::Timers { node }, node, deadline, event);
     }
 }
 
@@ -512,8 +504,8 @@ impl RuntimeHost for ExploreHost {
 
     fn local_settled(&mut self, _site: SiteId, _committed: bool) {}
 
-    fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        self.pending_finished.push((cnode, gtxn, outcome));
+    fn global_finished(&mut self, _cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        self.pending_finished.push((gtxn, outcome));
     }
 }
 
@@ -555,15 +547,12 @@ struct RunResult {
 }
 
 struct World {
-    sites: BTreeMap<SiteId, SiteRuntime>,
-    coords: BTreeMap<u32, CoordinatorRuntime>,
-    central: CentralRuntime,
-    acceptors: BTreeMap<u32, AcceptorRuntime>,
+    /// Every runtime, plus the crash-stopped coordinators (whatever is
+    /// addressed to them is dropped on the dead node's floor).
+    nodes: NodeSet,
     host: ExploreHost,
     outcomes: BTreeMap<GlobalTxnId, GlobalOutcome>,
     crashed: Vec<SiteId>,
-    crashed_coords: Vec<u32>,
-    cgm: bool,
 }
 
 impl World {
@@ -612,15 +601,16 @@ impl World {
             .map(|&node| (node, AcceptorRuntime::new(node)))
             .collect();
         World {
-            sites,
-            coords,
-            central: CentralRuntime::new(),
-            acceptors,
+            nodes: NodeSet {
+                sites,
+                coords,
+                central: CentralRuntime::new(),
+                acceptors,
+                dead: BTreeSet::new(),
+            },
             host: ExploreHost::new(),
             outcomes: BTreeMap::new(),
             crashed: Vec::new(),
-            crashed_coords: Vec::new(),
-            cgm: cfg.cgm,
         }
     }
 
@@ -633,14 +623,13 @@ impl World {
     fn begin_all(&mut self, cfg: &ExploreConfig) -> Result<(), RuntimeError> {
         for (i, program) in cfg.programs.iter().enumerate() {
             let gtxn = GlobalTxnId(i as u32 + 1);
-            let cnode = World::cnode_of(cfg, gtxn);
-            let Some(coord) = self.coords.get_mut(&cnode) else {
-                return Err(RuntimeError::MissingState {
-                    node: cnode,
-                    context: "coordinator for an exploration transaction",
-                });
+            let start = NodeEvent::Start {
+                gtxn,
+                program: program.clone(),
             };
-            coord.begin(gtxn, program.clone(), &mut self.host)?;
+            let _ = self
+                .nodes
+                .on_event(World::cnode_of(cfg, gtxn), start, &mut self.host)?;
         }
         Ok(())
     }
@@ -649,7 +638,7 @@ impl World {
     /// simulation driver's `drain_finished`.
     fn drain_finished(&mut self) -> Result<(), Violation> {
         while !self.host.pending_finished.is_empty() {
-            let (cnode, gtxn, outcome) = self.host.pending_finished.remove(0);
+            let (gtxn, outcome) = self.host.pending_finished.remove(0);
             if let Some(&first) = self.outcomes.get(&gtxn) {
                 if first != outcome {
                     return Err(Violation::ConflictingOutcome {
@@ -661,13 +650,6 @@ impl World {
                 continue;
             }
             self.outcomes.insert(gtxn, outcome);
-            if self.cgm {
-                if let Some(coord) = self.coords.get_mut(&cnode) {
-                    coord.cgm_cleanup(gtxn);
-                }
-                self.host
-                    .send_ctrl(cnode, CENTRAL, CtrlMsg::CgmFinished { gtxn });
-            }
         }
         Ok(())
     }
@@ -675,7 +657,7 @@ impl World {
     /// Drop timer-lane entries whose transaction the agent no longer
     /// tracks: firing them is a no-op that only widens the step space.
     fn prune_dead_timers(&mut self) {
-        let sites = &self.sites;
+        let sites = &self.nodes.sites;
         for (key, lane) in self.host.lanes.iter_mut() {
             let LaneKey::Timers { node } = *key else {
                 continue;
@@ -683,29 +665,24 @@ impl World {
             let Some(rt) = sites.get(&SiteId(node)) else {
                 continue;
             };
-            lane.retain(|(_, p)| match p {
-                Pending::Timer {
-                    timer: Timer::Alive { gtxn } | Timer::CommitRetry { gtxn },
-                    ..
-                } => rt.agent().has_subtxn(*gtxn),
+            lane.retain(|(_, p)| match &p.event {
+                NodeEvent::Timer(Timer::Alive { gtxn } | Timer::CommitRetry { gtxn }) => {
+                    rt.agent().has_subtxn(*gtxn)
+                }
                 _ => true,
             });
         }
         self.host.lanes.retain(|_, lane| !lane.is_empty());
     }
 
-    /// The deliverable head of a lane: FIFO head for links, the entry with
-    /// the smallest `(deadline, seq)` for timer lanes. Returns the sort
-    /// key `(deadline, seq)`; messages use deadline 0, so the default
-    /// schedule drains the network before firing any timer (timeouts are
-    /// "late", as on a healthy network).
-    fn head_key(lane: &VecDeque<(u64, Pending)>) -> Option<(u64, u64)> {
+    /// The deliverable head of a lane — the entry with the smallest
+    /// `(deadline, seq)`: the FIFO head for links (every deadline is 0),
+    /// the earliest timer for timer lanes. Returns its index and sort key.
+    fn head(lane: &VecDeque<(u64, Pending)>) -> Option<(usize, (u64, u64))> {
         lane.iter()
-            .map(|(seq, p)| match p {
-                Pending::Timer { deadline, .. } => (*deadline, *seq),
-                _ => (0, *seq),
-            })
-            .min()
+            .enumerate()
+            .map(|(i, (seq, p))| (i, (p.deadline, *seq)))
+            .min_by_key(|&(_, key)| key)
     }
 
     /// All enabled actions, default first. Deliveries are ordered by the
@@ -716,8 +693,8 @@ impl World {
         self.prune_dead_timers();
         // Messages addressed to a crashed coordinator are lost; pruning
         // their lanes keeps the step space free of no-op deliveries.
-        if !self.crashed_coords.is_empty() {
-            let crashed = &self.crashed_coords;
+        if !self.nodes.dead.is_empty() {
+            let crashed = &self.nodes.dead;
             self.host.lanes.retain(|key, _| match key {
                 LaneKey::Link { to, .. } => !crashed.contains(to),
                 LaneKey::Timers { .. } => true,
@@ -727,7 +704,7 @@ impl World {
             .host
             .lanes
             .iter()
-            .filter_map(|(key, lane)| World::head_key(lane).map(|k| (k, *key)))
+            .filter_map(|(key, lane)| World::head(lane).map(|(_, k)| (k, *key)))
             .collect();
         deliveries.sort();
         if deliveries.is_empty() {
@@ -736,7 +713,7 @@ impl World {
         let mut actions: Vec<(Action, Cost)> = Vec::new();
         actions.push((Action::Deliver(deliveries[0].1), Cost::Delay));
         if cfg.fault_budget > 0 {
-            for (site, rt) in &self.sites {
+            for (site, rt) in &self.nodes.sites {
                 for entry in rt.agent().prepared_table() {
                     if !entry.alive || entry.commit_pending {
                         continue;
@@ -752,7 +729,7 @@ impl World {
             }
         }
         if cfg.crash_budget > 0 {
-            for site in self.sites.keys() {
+            for site in self.nodes.sites.keys() {
                 if !self.crashed.contains(site) {
                     actions.push((Action::Crash(*site), Cost::Crash));
                 }
@@ -763,22 +740,16 @@ impl World {
             // pending delivery at it — the window between a site's vote
             // and the decision broadcast — and only while a backup
             // survives to take over.
-            let live = self.coords.len() - self.crashed_coords.len();
+            let live = self.nodes.coords.len() - self.nodes.dead.len();
             if live >= 2 {
-                for &cnode in self.coords.keys() {
-                    if self.crashed_coords.contains(&cnode) {
+                for &cnode in self.nodes.coords.keys() {
+                    if self.nodes.dead.contains(&cnode) {
                         continue;
                     }
                     let ready_pending = self.host.lanes.iter().any(|(key, lane)| {
                         matches!(key, LaneKey::Link { to, .. } if *to == cnode)
                             && lane.front().is_some_and(|(_, p)| {
-                                matches!(
-                                    p,
-                                    Pending::Msg {
-                                        msg: Message::Ready { .. },
-                                        ..
-                                    }
-                                )
+                                matches!(p.event, NodeEvent::Net(Message::Ready { .. }))
                             })
                     });
                     if ready_pending {
@@ -793,75 +764,13 @@ impl World {
         actions
     }
 
-    /// Dispatch one pending event exactly as the simulation driver would.
+    /// Dispatch one pending event through the same `on_event` every host
+    /// drives. No crash hook is armed here (coordinator crashes are
+    /// explicit [`Action::CrashCoord`] steps), so the flow verdict is moot.
     fn deliver(&mut self, p: Pending) -> Result<(), RuntimeError> {
-        match p {
-            Pending::Msg { to, msg } => {
-                if to >= COORD_BASE {
-                    if self.crashed_coords.contains(&to) {
-                        return Ok(()); // dropped on the dead node's floor
-                    }
-                    match self.coords.get_mut(&to) {
-                        Some(c) => c.on_message(msg, &mut self.host),
-                        None => Err(RuntimeError::MissingState {
-                            node: to,
-                            context: "message for an unknown coordinator",
-                        }),
-                    }
-                } else {
-                    match self.sites.get_mut(&SiteId(to)) {
-                        Some(s) => s.agent_input(AgentInput::Deliver(msg), &mut self.host),
-                        None => Err(RuntimeError::MissingState {
-                            node: to,
-                            context: "message for an unknown site",
-                        }),
-                    }
-                }
-            }
-            Pending::Ctrl { from, to, ctrl } => {
-                if to >= ACCEPTOR_BASE {
-                    match self.acceptors.get_mut(&to) {
-                        Some(a) => a.on_ctrl(ctrl, &mut self.host),
-                        None => Err(RuntimeError::MissingState {
-                            node: to,
-                            context: "control message for an unknown acceptor",
-                        }),
-                    }
-                } else if to == CENTRAL {
-                    self.central.on_ctrl(from, ctrl, &mut self.host)
-                } else {
-                    if self.crashed_coords.contains(&to) {
-                        return Ok(());
-                    }
-                    match self.coords.get_mut(&to) {
-                        Some(c) => c.on_ctrl(ctrl, &mut self.host),
-                        None => Err(RuntimeError::MissingState {
-                            node: to,
-                            context: "control message for an unknown coordinator",
-                        }),
-                    }
-                }
-            }
-            Pending::Timer { node, timer, .. } => {
-                let Some(rt) = self.sites.get_mut(&SiteId(node)) else {
-                    return Err(RuntimeError::MissingState {
-                        node,
-                        context: "timer for an unknown site",
-                    });
-                };
-                match timer {
-                    Timer::Alive { gtxn } => {
-                        rt.agent_input(AgentInput::AliveTimer { gtxn }, &mut self.host)
-                    }
-                    Timer::CommitRetry { gtxn } => {
-                        rt.agent_input(AgentInput::CommitRetryTimer { gtxn }, &mut self.host)
-                    }
-                    Timer::LtmExec { instance, command } => {
-                        rt.ltm_exec(instance, command, &mut self.host)
-                    }
-                }
-            }
-        }
+        self.nodes
+            .on_event(p.to, p.event, &mut self.host)
+            .map(|_flow| ())
     }
 
     /// Crash-stop a coordinator. Control traffic it already handed to the
@@ -872,48 +781,27 @@ impl World {
     /// lowest surviving coordinator takes over (the failover timer, folded
     /// into the crash step to keep the search space small).
     fn crash_coord(&mut self, cnode: u32) -> Result<(), RuntimeError> {
-        let acceptor_nodes: Vec<u32> = self.acceptors.keys().copied().collect();
+        let acceptor_nodes: Vec<u32> = self.nodes.acceptors.keys().copied().collect();
         for &a in &acceptor_nodes {
             let key = LaneKey::Link { from: cnode, to: a };
             while let Some(p) = self.pop(key) {
                 self.deliver(p)?;
             }
         }
-        self.crashed_coords.push(cnode);
-        let backup = self
-            .coords
-            .keys()
-            .copied()
-            .find(|n| !self.crashed_coords.contains(n));
-        if let Some(backup) = backup {
-            if let Some(rt) = self.coords.get_mut(&backup) {
-                rt.take_over(&mut self.host)?;
-            }
+        self.nodes.kill(cnode);
+        let coordinators = self.nodes.coords.len() as u32;
+        if let Some(backup) = lowest_live_coordinator(coordinators, &self.nodes.dead) {
+            let _ = self
+                .nodes
+                .on_event(backup, NodeEvent::TakeOver, &mut self.host)?;
         }
         Ok(())
     }
 
-    /// Pop the deliverable entry of a lane (see [`World::head_key`]).
+    /// Pop the deliverable entry of a lane (see [`World::head`]).
     fn pop(&mut self, key: LaneKey) -> Option<Pending> {
         let lane = self.host.lanes.get_mut(&key)?;
-        let at = match key {
-            LaneKey::Link { .. } => 0,
-            LaneKey::Timers { .. } => {
-                let mut best = 0usize;
-                let mut best_key = (u64::MAX, u64::MAX);
-                for (i, (seq, p)) in lane.iter().enumerate() {
-                    let k = match p {
-                        Pending::Timer { deadline, .. } => (*deadline, *seq),
-                        _ => (0, *seq),
-                    };
-                    if k < best_key {
-                        best_key = k;
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
+        let (at, _) = World::head(lane)?;
         let (_, p) = lane.remove(at)?;
         if lane.is_empty() {
             self.host.lanes.remove(&key);
@@ -930,15 +818,12 @@ impl World {
         cfg: &ExploreConfig,
         trace: &mut Vec<String>,
     ) -> Result<(), RuntimeError> {
-        let site_ids: Vec<SiteId> = self.sites.keys().copied().collect();
-        for site in &site_ids {
-            if let Some(rt) = self.sites.get_mut(site) {
-                rt.kill_local_deadlocks(&mut self.host)?;
-            }
+        for rt in self.nodes.sites.values_mut() {
+            rt.kill_local_deadlocks(&mut self.host)?;
         }
         let now = self.host.now();
         let mut expired: Vec<(Instance, SiteId)> = Vec::new();
-        for (site, rt) in &self.sites {
+        for (site, rt) in &self.nodes.sites {
             for (instance, since) in rt.blocked() {
                 if now.since(since) > mdbs_simkit::SimDuration::from_micros(cfg.wait_timeout_ticks)
                 {
@@ -949,7 +834,7 @@ impl World {
         expired.sort_by_key(|(i, _)| *i);
         for (instance, site) in expired {
             trace.push(format!("timeout-abort {instance} at site {site}"));
-            if let Some(rt) = self.sites.get_mut(&site) {
+            if let Some(rt) = self.nodes.sites.get_mut(&site) {
                 rt.abort_on_timeout(instance, &mut self.host)?;
             }
         }
@@ -963,7 +848,7 @@ impl World {
     fn check_admissions(&mut self) -> Result<(), Violation> {
         let admissions = std::mem::take(&mut self.host.just_prepared);
         for (site, gtxn) in admissions {
-            let Some(rt) = self.sites.get(&site) else {
+            let Some(rt) = self.nodes.sites.get(&site) else {
                 continue;
             };
             let table = rt.agent().prepared_table();
@@ -1070,11 +955,11 @@ impl World {
                     from: *from,
                     to: *to,
                 }) {
-                    Some(lane) => match lane.front() {
-                        Some((_, Pending::Msg { msg, .. })) => {
+                    Some(lane) => match lane.front().map(|(_, p)| &p.event) {
+                        Some(NodeEvent::Net(msg)) => {
                             format!("deliver {} {} -> {}", message_kind(msg), from, to)
                         }
-                        Some((_, Pending::Ctrl { ctrl, .. })) => {
+                        Some(NodeEvent::Ctrl { ctrl, .. }) => {
                             format!("deliver ctrl {} {} -> {}", ctrl.variant_name(), from, to)
                         }
                         _ => format!("deliver {} -> {}", from, to),
@@ -1191,13 +1076,13 @@ fn run_schedule(cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
                 Some(p) => world.deliver(p),
                 None => Ok(()),
             },
-            Action::Inject(site, instance) => match world.sites.get_mut(site) {
+            Action::Inject(site, instance) => match world.nodes.sites.get_mut(site) {
                 Some(rt) => rt.inject_abort(*instance, &mut world.host),
                 None => Ok(()),
             },
             Action::Crash(site) => {
                 world.crashed.push(*site);
-                match world.sites.get_mut(site) {
+                match world.nodes.sites.get_mut(site) {
                     Some(rt) => rt.crash(&mut world.host),
                     None => Ok(()),
                 }

@@ -87,14 +87,16 @@ pub const HOT_PATHS: &[(&str, &[(&str, HotKind)])] = &[
         "crates/mdbs/src/sim.rs",
         &[("run", LoopDriver), ("dispatch", Handler)],
     ),
+    // The one node loop and the dispatch every host steps.
+    (
+        "crates/runtime/src/node.rs",
+        &[("run_node", LoopDriver), ("on_event", Handler)],
+    ),
+    // The threaded and TCP hosts' ports: what the node loop calls per
+    // event.
     (
         "crates/mdbs/src/threaded.rs",
-        &[
-            ("site_loop", LoopDriver),
-            ("coord_loop", LoopDriver),
-            ("central_loop", LoopDriver),
-            ("acceptor_loop", LoopDriver),
-        ],
+        &[("recv", Handler), ("try_recv", Handler), ("send", Handler)],
     ),
     (
         "crates/net/src/tcp.rs",
@@ -109,11 +111,10 @@ pub const HOT_PATHS: &[(&str, &[(&str, HotKind)])] = &[
     (
         "crates/net/src/node.rs",
         &[
-            ("run_site", LoopDriver),
-            ("run_coordinator", LoopDriver),
-            ("run_central", LoopDriver),
-            ("run_acceptor", LoopDriver),
-            ("run_driver", LoopDriver),
+            ("recv", Handler),
+            ("try_recv", Handler),
+            ("flush", Handler),
+            ("global_finished", Handler),
         ],
     ),
     (
@@ -150,6 +151,7 @@ const DRAIN_METHODS: &[&str] = &[
     "pop_last",
     "pop_front",
     "pop_back",
+    "pop_due",
     "drain",
     "clear",
     "retain",

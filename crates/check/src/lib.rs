@@ -8,7 +8,8 @@
 //!   [`scan`]. Self-contained: no parser dependency, runs offline.
 //! - [`explore`] — a bounded model checker that drives the real
 //!   `SiteRuntime`/`CoordinatorRuntime`/`CentralRuntime` state machines
-//!   through every delivery schedule of a tiny configuration (within
+//!   — through the same `NodeRuntime::on_event` dispatch every driver
+//!   uses — over every delivery schedule of a tiny configuration (within
 //!   delay/fault/crash budgets) and checks global atomicity, the §4
 //!   prepared-set alive-interval invariant, and commit-order acyclicity
 //!   on every step of every run.
@@ -25,9 +26,10 @@
 //! - [`proto`] — a static protocol-conformance pass over the 2PC/certify
 //!   message flow: per node kind, a checked-in `PROTOCOL` table declares
 //!   the handled message arms, allowed emissions, required duplicate
-//!   guards, and required timers, and a `PARITY` table pins the dispatch
-//!   vocabulary the sim/threaded/TCP drivers must share. Suppressions
-//!   require a written justification.
+//!   guards, and required timers, anchored at each runtime's single
+//!   `on_event` entry. (Cross-driver dispatch parity needs no rule: every
+//!   driver goes through that one entry.) Suppressions require a written
+//!   justification.
 //! - [`mutate`] — the certifier mutation kill matrix: a catalog of
 //!   deliberate protocol deviations (each breaking one §4/§5/Appendix
 //!   mechanism) run against every checker; the matrix fails if any mutant

@@ -16,11 +16,16 @@
 //! contract is a checked-in table: [`PROTOCOL`] declares, per node kind,
 //! the implementation surface (files + entry functions), the handled
 //! message arms with their allowed emissions / required guards / required
-//! timers, and [`PARITY`] declares the dispatch vocabulary each of the
-//! three drivers (sim, threaded, TCP) must wire for that node kind. The
-//! analysis is token-level over [`crate::scan`]'s blanked source model and
-//! uses [`FileSet`] to follow handler arms across crate boundaries
-//! (runtime dispatch → core handler → consensus role).
+//! timers. The analysis is token-level over [`crate::scan`]'s blanked
+//! source model and uses [`FileSet`] to follow handler arms across crate
+//! boundaries (runtime dispatch → core handler → consensus role).
+//!
+//! There is deliberately no cross-driver rule. Every host — simulation,
+//! model checker, threaded runner, TCP node — reaches the runtimes through
+//! the one `NodeRuntime::on_event` per node kind (the entry point pinned
+//! below), so a driver cannot wire a different vocabulary than another:
+//! the former `proto-driver-parity` rule and its `PARITY` table policed a
+//! divergence that can no longer be written.
 //!
 //! Rules:
 //! - `proto-unhandled` — a variant the table says peers send to this node
@@ -32,8 +37,6 @@
 //!   token sequences in its closure.
 //! - `proto-no-timeout` — an arm that enters a blocking wait has none of
 //!   its declared timer tokens in its closure.
-//! - `proto-driver-parity` — a driver's dispatch closure is missing a
-//!   vocabulary token another driver wires for the same node kind.
 //! - `proto-config` — the table itself drifted from the source (stale
 //!   file/entry/enum vocabulary), or a suppression lacks a justification.
 //!
@@ -52,7 +55,6 @@ pub const RULE_UNHANDLED: &str = "proto-unhandled";
 pub const RULE_UNEXPECTED_SEND: &str = "proto-unexpected-send";
 pub const RULE_DUP_GUARD: &str = "proto-missing-dup-guard";
 pub const RULE_NO_TIMEOUT: &str = "proto-no-timeout";
-pub const RULE_PARITY: &str = "proto-driver-parity";
 pub const RULE_CONFIG: &str = "proto-config";
 
 /// One handled message arm of a node kind.
@@ -85,21 +87,6 @@ pub struct HandlerSpec {
     pub free_sends: &'static [(&'static str, &'static str)],
 }
 
-/// One driver's dispatch surface for a node kind.
-pub struct DriverSpec {
-    pub driver: &'static str,
-    pub file: &'static str,
-    pub entries: &'static [&'static str],
-}
-
-/// Cross-driver dispatch parity for one node kind: each driver's entry
-/// closure must contain every vocabulary token.
-pub struct ParitySpec {
-    pub node: &'static str,
-    pub vocab: &'static [&'static str],
-    pub drivers: &'static [DriverSpec],
-}
-
 const AGENT: &str = "crates/core/src/agent.rs";
 const COORD: &str = "crates/core/src/coordinator.rs";
 const RT_SITE: &str = "crates/runtime/src/site.rs";
@@ -109,9 +96,6 @@ const RT_ACCEPTOR: &str = "crates/runtime/src/acceptor.rs";
 const CONS_LIB: &str = "crates/consensus/src/lib.rs";
 const CONS_LEADER: &str = "crates/consensus/src/leader.rs";
 const CONS_ACCEPTOR: &str = "crates/consensus/src/acceptor.rs";
-const SIM: &str = "crates/mdbs/src/sim.rs";
-const THREADED: &str = "crates/mdbs/src/threaded.rs";
-const TCP_NODE: &str = "crates/net/src/node.rs";
 
 /// The protocol enums whose declared vocabulary the table pins, with the
 /// file declaring each. `run_proto` cross-checks these against the real
@@ -171,9 +155,12 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     HandlerSpec {
         node: "site",
         files: &[RT_SITE, AGENT],
+        // `on_event`/`tick` are the node-loop surface; the rest is what
+        // the multiplexing hosts (simulation, model checker) call for
+        // work they schedule themselves.
         entries: &[
-            "agent_input",
-            "ltm_exec",
+            "on_event",
+            "tick",
             "start_local",
             "inject_abort",
             "kill_local_deadlocks",
@@ -258,7 +245,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     HandlerSpec {
         node: "coordinator",
         files: &[RT_COORD, COORD, CONS_LIB, CONS_LEADER],
-        entries: &["begin", "on_message", "on_ctrl", "take_over", "cgm_cleanup"],
+        entries: &["on_event"],
         arms: &[
             ArmSpec {
                 enum_name: "Message",
@@ -320,12 +307,15 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 variant: "CgmAdmitted",
                 // Admission releases the held `begin`: BEGIN + first DML
                 // (§5.3). The closure shares `begin` with the CGM request
-                // path, so its control messages are reachable too.
+                // path, so its control messages are reachable too — and,
+                // like every arm that interprets coordinator actions, the
+                // `Finished` action's release of the CGM site locks.
                 sends: &[
                     ("Message", "Begin"),
                     ("Message", "Dml"),
                     ("CtrlMsg", "CgmRequest"),
                     ("CtrlMsg", "CgmVote"),
+                    ("CtrlMsg", "CgmFinished"),
                     ("PaxosMsg", "Begin"),
                 ],
                 dup_guard: &[],
@@ -334,7 +324,11 @@ pub const PROTOCOL: &[HandlerSpec] = &[
             ArmSpec {
                 enum_name: "CtrlMsg",
                 variant: "CgmVoteResult",
-                sends: &[("Message", "Rollback"), ("CtrlMsg", "CgmVote")],
+                sends: &[
+                    ("Message", "Rollback"),
+                    ("CtrlMsg", "CgmVote"),
+                    ("CtrlMsg", "CgmFinished"),
+                ],
                 dup_guard: &[],
                 timeout: &[],
             },
@@ -344,6 +338,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 sends: &[
                     ("CtrlMsg", "Paxos"),
                     ("CtrlMsg", "CgmVote"),
+                    ("CtrlMsg", "CgmFinished"),
                     ("Message", "Commit"),
                     ("Message", "Rollback"),
                     ("Message", "NewCoord"),
@@ -380,7 +375,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     HandlerSpec {
         node: "central",
         files: &[RT_CENTRAL],
-        entries: &["on_ctrl"],
+        entries: &["on_event"],
         arms: &[
             ArmSpec {
                 enum_name: "CtrlMsg",
@@ -413,7 +408,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     HandlerSpec {
         node: "acceptor",
         files: &[RT_ACCEPTOR, CONS_ACCEPTOR],
-        entries: &["on_ctrl"],
+        entries: &["on_event"],
         arms: &[ArmSpec {
             enum_name: "CtrlMsg",
             variant: "Paxos",
@@ -428,106 +423,6 @@ pub const PROTOCOL: &[HandlerSpec] = &[
             timeout: &[],
         }],
         free_sends: &[],
-    },
-];
-
-/// Per node kind, the dispatch vocabulary every driver must wire. Tokens
-/// are runtime entry-point names and timer-input variants; a driver whose
-/// dispatch closure lacks one silently drops that input kind.
-pub const PARITY: &[ParitySpec] = &[
-    ParitySpec {
-        node: "site",
-        vocab: &[
-            "agent_input",
-            "ltm_exec",
-            "abort_on_timeout",
-            "kill_local_deadlocks",
-            "AliveTimer",
-            "CommitRetryTimer",
-            "LtmExec",
-        ],
-        drivers: &[
-            DriverSpec {
-                driver: "sim",
-                file: SIM,
-                entries: &["dispatch"],
-            },
-            DriverSpec {
-                driver: "threaded",
-                file: THREADED,
-                entries: &["site_loop"],
-            },
-            DriverSpec {
-                driver: "tcp",
-                file: TCP_NODE,
-                entries: &["run_site"],
-            },
-        ],
-    },
-    ParitySpec {
-        node: "coordinator",
-        vocab: &["on_message", "on_ctrl", "begin", "take_over"],
-        drivers: &[
-            DriverSpec {
-                driver: "sim",
-                file: SIM,
-                entries: &["dispatch"],
-            },
-            DriverSpec {
-                driver: "threaded",
-                file: THREADED,
-                entries: &["coord_loop"],
-            },
-            // The TCP driver node hosts coord:0 itself, so its takeover
-            // and dispatch surface is split across both loops.
-            DriverSpec {
-                driver: "tcp",
-                file: TCP_NODE,
-                entries: &["run_coordinator", "run_driver"],
-            },
-        ],
-    },
-    ParitySpec {
-        node: "central",
-        vocab: &["on_ctrl"],
-        drivers: &[
-            DriverSpec {
-                driver: "sim",
-                file: SIM,
-                entries: &["dispatch"],
-            },
-            DriverSpec {
-                driver: "threaded",
-                file: THREADED,
-                entries: &["central_loop"],
-            },
-            DriverSpec {
-                driver: "tcp",
-                file: TCP_NODE,
-                entries: &["run_central"],
-            },
-        ],
-    },
-    ParitySpec {
-        node: "acceptor",
-        vocab: &["on_ctrl"],
-        drivers: &[
-            DriverSpec {
-                driver: "sim",
-                file: SIM,
-                entries: &["dispatch"],
-            },
-            DriverSpec {
-                driver: "threaded",
-                file: THREADED,
-                entries: &["acceptor_loop"],
-            },
-            DriverSpec {
-                driver: "tcp",
-                file: TCP_NODE,
-                entries: &["run_acceptor"],
-            },
-        ],
     },
 ];
 
@@ -580,18 +475,6 @@ pub fn run_proto_with(
         }
         let fs = FileSet::from_files(files);
         check_set(&fs, spec, &mut findings);
-    }
-
-    for spec in PARITY {
-        let mut sets = Vec::new();
-        for d in spec.drivers {
-            sets.push(FileSet::from_files(vec![load_file(
-                root,
-                d.file,
-                override_of,
-            )?]));
-        }
-        check_parity(&sets, spec, &mut findings);
     }
 
     findings.sort_by(|a, b| {
@@ -1115,111 +998,6 @@ fn guard_names(alts: &[&[&str]]) -> String {
         .map(|alt| format!("`{}`", alt.concat()))
         .collect();
     names.join(" or ")
-}
-
-// ---------------------------------------------------------------------------
-// Driver parity.
-// ---------------------------------------------------------------------------
-
-/// Check one node kind's cross-driver dispatch parity. `sets[i]` is the
-/// scanned file set for `spec.drivers[i]` (single file each). Public so
-/// fixture tests can drive it with synthetic sources.
-pub fn check_parity(sets: &[FileSet], spec: &ParitySpec, findings: &mut Vec<Finding>) {
-    let mut present: Vec<BTreeSet<&str>> = Vec::new();
-    let mut anchors: Vec<(String, usize)> = Vec::new();
-    let mut allowed_per: Vec<Vec<BTreeSet<String>>> = Vec::new();
-    for (d, fs) in spec.drivers.iter().zip(sets) {
-        let src = fs.file(0);
-        let (sets_a, bad) = proto_suppressions(src);
-        findings.extend(bad);
-        allowed_per.push(sets_a);
-        let (refs, missing) = fs.closure_of_names(0, d.entries);
-        for name in &missing {
-            findings.push(Finding {
-                rule: RULE_CONFIG,
-                file: src.rel.clone(),
-                line: 1,
-                msg: format!(
-                    "node `{}`: driver `{}` entry fn `{name}` not found (stale PARITY table)",
-                    spec.node, d.driver,
-                ),
-            });
-        }
-        let anchor_off = fs
-            .fns(0)
-            .iter()
-            .find(|f| d.entries.contains(&f.name.as_str()))
-            .map(|f| f.body.0)
-            .unwrap_or(0);
-        anchors.push((src.rel.clone(), src.line_of(anchor_off)));
-        let mut have = BTreeSet::new();
-        for token in spec.vocab {
-            let hit = refs.iter().any(|&r| {
-                let body = fs.fn_info(r).body;
-                scan::idents_in(&src.code, token, body)
-                    .iter()
-                    .any(|&occ| !src.in_test(occ))
-            });
-            if hit {
-                have.insert(*token);
-            }
-        }
-        present.push(have);
-    }
-    for token in spec.vocab {
-        let havers: Vec<&str> = spec
-            .drivers
-            .iter()
-            .zip(&present)
-            .filter(|(_, have)| have.contains(token))
-            .map(|(d, _)| d.driver)
-            .collect();
-        if havers.is_empty() {
-            findings.push(Finding {
-                rule: RULE_CONFIG,
-                file: anchors[0].0.clone(),
-                line: 1,
-                msg: format!(
-                    "node `{}`: vocabulary token `{token}` is dispatched by no driver (stale PARITY table)",
-                    spec.node,
-                ),
-            });
-            continue;
-        }
-        for (i, d) in spec.drivers.iter().enumerate() {
-            if present[i].contains(token) {
-                continue;
-            }
-            let (file, line) = &anchors[i];
-            if suppressed_at(&allowed_per[i], RULE_PARITY, *line) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: RULE_PARITY,
-                file: file.clone(),
-                line: *line,
-                msg: format!(
-                    "node `{}`: driver `{}` does not dispatch `{token}` but {} — the three drivers must share one handled vocabulary",
-                    spec.node,
-                    d.driver,
-                    list_does(&havers),
-                ),
-            });
-        }
-    }
-}
-
-fn list_does(havers: &[&str]) -> String {
-    match havers {
-        [one] => format!("`{one}` does"),
-        many => format!(
-            "{} do",
-            many.iter()
-                .map(|h| format!("`{h}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    }
 }
 
 // ---------------------------------------------------------------------------

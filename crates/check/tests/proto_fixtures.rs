@@ -7,9 +7,7 @@
 use std::path::Path;
 
 use mdbs_check::lint::Finding;
-use mdbs_check::proto::{
-    check_parity, check_set, run_proto, ArmSpec, DriverSpec, HandlerSpec, ParitySpec,
-};
+use mdbs_check::proto::{check_set, run_proto, ArmSpec, HandlerSpec};
 use mdbs_check::scan::{FileSet, SourceFile};
 
 fn workspace_root() -> &'static Path {
@@ -334,77 +332,6 @@ fn no_timeout_fires_when_the_blocking_arm_schedules_no_timer() {
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "proto-no-timeout");
     assert_eq!(f[0].line, line_of(raw, "Message::Prepare"));
-}
-
-// ---------------------------------------------------------------------------
-// proto-driver-parity
-// ---------------------------------------------------------------------------
-
-static PARITY_FIXTURE: ParitySpec = ParitySpec {
-    node: "fixture",
-    vocab: &["agent_input"],
-    drivers: &[
-        DriverSpec {
-            driver: "sim",
-            file: "sim.rs",
-            entries: &["dispatch"],
-        },
-        DriverSpec {
-            driver: "tcp",
-            file: "node.rs",
-            entries: &["run_site"],
-        },
-    ],
-};
-
-fn parity(files: &[(&str, &str)]) -> Vec<Finding> {
-    let sets: Vec<FileSet> = files
-        .iter()
-        .map(|&(rel, raw)| fileset(&[(rel, raw)]))
-        .collect();
-    let mut findings = Vec::new();
-    check_parity(&sets, &PARITY_FIXTURE, &mut findings);
-    findings
-}
-
-#[test]
-fn driver_parity_fires_on_the_lagging_driver() {
-    let sim = "fn dispatch(s: &mut S) {\n    s.agent_input(1);\n}\n";
-    let tcp = "fn run_site(s: &mut S) {\n    s.other();\n}\n";
-    let f = parity(&[("sim.rs", sim), ("node.rs", tcp)]);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].rule, "proto-driver-parity");
-    assert_eq!(f[0].file, "node.rs");
-    assert_eq!(f[0].line, line_of(tcp, "fn run_site"));
-    assert!(f[0].msg.contains("agent_input"), "{}", f[0].msg);
-}
-
-#[test]
-fn driver_parity_is_silent_when_all_drivers_dispatch_the_vocabulary() {
-    let sim = "fn dispatch(s: &mut S) {\n    s.agent_input(1);\n}\n";
-    let tcp = "fn run_site(s: &mut S) {\n    s.agent_input(2);\n}\n";
-    let f = parity(&[("sim.rs", sim), ("node.rs", tcp)]);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn driver_parity_follows_the_dispatch_closure() {
-    // The token may live in a helper the entry calls, same file.
-    let sim = "fn dispatch(s: &mut S) {\n    s.agent_input(1);\n}\n";
-    let tcp = "fn run_site(s: &mut S) {\n    pump(s);\n}\n\
-               fn pump(s: &mut S) {\n    s.agent_input(2);\n}\n";
-    let f = parity(&[("sim.rs", sim), ("node.rs", tcp)]);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn a_vocabulary_token_no_driver_dispatches_is_a_config_finding() {
-    let sim = "fn dispatch(s: &mut S) {\n    s.other();\n}\n";
-    let tcp = "fn run_site(s: &mut S) {\n    s.other();\n}\n";
-    let f = parity(&[("sim.rs", sim), ("node.rs", tcp)]);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].rule, "proto-config");
-    assert!(f[0].msg.contains("stale PARITY table"), "{}", f[0].msg);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@
 //! [`mdbs_runtime::CentralRuntime`] scheduler. [`Simulation`] is the
 //! deterministic *driver*: it owns the event queue, the FIFO network, the
 //! per-node drifting clocks, the workload generator and failure injector,
-//! and implements the runtimes' host traits on top of them.
+//! and implements the runtimes' host traits on top of them. It keeps its
+//! own scheduler — the event queue *is* the experiment — but every
+//! delivery, timer, admission and takeover reaches a runtime through the
+//! same [`mdbs_runtime::NodeRuntime::on_event`] the other hosts drive.
 //!
 //! The run is fully deterministic: a `SimConfig` (which embeds the seed)
 //! maps to exactly one history.
@@ -15,14 +18,15 @@
 //! Node numbering: site agents live at node = site id; coordinators at
 //! `COORD_BASE + i`; the CGM central scheduler at [`CENTRAL`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use mdbs_consensus::PaxosCommit;
-use mdbs_dtm::{AgentConfig, AgentInput, GlobalOutcome, Message};
+use mdbs_dtm::{AgentConfig, GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, Instance, Op, SiteId};
-use mdbs_ldbs::{Command, Ldbs, SiteProfile, Store};
+use mdbs_ldbs::{Ldbs, SiteProfile, Store};
 use mdbs_runtime::{
-    message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime, CtrlMsg, RuntimeHost,
+    lowest_live_coordinator, message_kind, or_die, AbortInjector, AcceptorRuntime, AdmissionWindow,
+    CentralRuntime, CoordinatorRuntime, CtrlMsg, Flow, NodeEvent, NodeSet, RuntimeHost,
     SiteRuntime, TimeSource, Timer, Transport,
 };
 use mdbs_simkit::{
@@ -42,14 +46,13 @@ enum Ev {
     Deliver { from: u32, to: u32, msg: Message },
     /// Network delivery of a CGM control message.
     Ctrl { from: u32, to: u32, ctrl: CtrlMsg },
-    /// A node-local timer fired (alive check, commit retry, LTM service).
+    /// A node-local timer fired (alive check, commit retry, LTM service,
+    /// injected unilateral abort).
     Timer { node: u32, timer: Timer },
     /// Next global transaction arrival.
     GlobalArrival,
     /// Next local transaction arrival at a site.
     LocalArrival { site: SiteId },
-    /// An injected unilateral abort strikes.
-    InjectAbort { site: SiteId, instance: Instance },
     /// Periodic deadlock / wait-timeout scan.
     DeadlockScan,
     /// A whole-site crash: collective abort + agent recovery from its log.
@@ -59,15 +62,6 @@ enum Ev {
     /// The failover delay elapsed: a backup coordinator reads the acceptor
     /// quorum and completes the crashed coordinators' transactions.
     CoordTakeover { backup: u32 },
-}
-
-/// Driver policy for runtime-internal failures: inside the deterministic
-/// simulation an engine/protocol disagreement is a bug in this repo, so
-/// dying loudly (with the error's context) beats corrupting a history.
-pub(crate) fn or_die(r: Result<(), mdbs_runtime::RuntimeError>) {
-    if let Err(e) = r {
-        panic!("runtime invariant violated: {e}");
-    }
 }
 
 /// The deterministic host: event queue, network, clocks, sinks, and the
@@ -80,16 +74,14 @@ struct SimHost {
     history: Vec<Op>,
     observer: Option<Observer>,
     gen: WorkloadGen,
-    inject_rng: DetRng,
-    burst_rng: DetRng,
-    abort_delay_max_us: u64,
+    injector: AbortInjector,
     committed: u64,
     aborted: u64,
     local_committed: u64,
     local_aborted: u64,
     /// Terminal outcomes reported by coordinators during the current
     /// event, processed by the driver once the action batch unwinds.
-    pending_finished: Vec<(u32, GlobalTxnId, GlobalOutcome)>,
+    pending_finished: Vec<(GlobalTxnId, GlobalOutcome)>,
 }
 
 impl SimHost {
@@ -197,28 +189,15 @@ impl RuntimeHost for SimHost {
     fn prepared(&mut self, site: SiteId, gtxn: GlobalTxnId, incarnation: u32) {
         // The workload's own draw always happens first so a fault plan's
         // abort bursts never perturb the baseline injection stream.
-        let mut strike = self.gen.draw_unilateral_abort();
-        if !strike {
-            let boost = self.net.plan().abort_boost(self.queue.now().as_micros());
-            if boost > 0.0 && self.burst_rng.chance(boost) {
-                strike = true;
-                self.metrics.inc("fault_abort_bursts");
-            }
-        }
-        if !strike {
-            return;
-        }
-        self.metrics.inc("injections_scheduled");
+        let struck = self.gen.draw_unilateral_abort();
+        let boost = self.net.plan().abort_boost(self.queue.now().as_micros());
         let instance = Instance::global(gtxn.0, site, incarnation);
-        let delay = if self.abort_delay_max_us == 0 {
-            0
-        } else {
-            self.inject_rng.uniform_u64(0, self.abort_delay_max_us)
-        };
-        self.queue.schedule_after(
-            SimDuration::from_micros(delay),
-            Ev::InjectAbort { site, instance },
-        );
+        if let Some((after_us, timer)) =
+            self.injector
+                .on_prepared(struck, boost, instance, &mut self.metrics)
+        {
+            self.set_timer(site.0, after_us, timer);
+        }
     }
 
     fn local_settled(&mut self, _site: SiteId, committed: bool) {
@@ -231,35 +210,25 @@ impl RuntimeHost for SimHost {
         }
     }
 
-    fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        self.pending_finished.push((cnode, gtxn, outcome));
+    fn global_finished(&mut self, _cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        self.pending_finished.push((gtxn, outcome));
     }
 }
 
 /// The simulation world: runtimes composed over the deterministic host.
 pub struct Simulation {
     cfg: SimConfig,
-    sites: BTreeMap<SiteId, SiteRuntime>,
-    coords: BTreeMap<u32, CoordinatorRuntime>,
-    central: CentralRuntime,
-    acceptors: BTreeMap<u32, AcceptorRuntime>,
-    /// Coordinator nodes that have crashed: every message addressed to
-    /// them is silently dropped, as a dead process would drop it.
-    crashed_coords: std::collections::BTreeSet<u32>,
-    /// The `coord_crash_after_ready` hook, resolved to `(node, k)`.
-    ready_crash: Option<(u32, u32)>,
-    ready_seen: u32,
+    /// Every runtime, by node id, plus the crashed-coordinator set.
+    nodes: NodeSet,
     host: SimHost,
 
-    // Global transaction admission. `programs` holds arrived-but-not-yet-
-    // started work only: admission hands the program to the coordinator by
-    // `remove`, so the map is bounded by the ready queue, not run length.
-    programs: BTreeMap<GlobalTxnId, Vec<(SiteId, Command)>>,
+    // Global transaction admission: arrived-but-not-yet-started programs
+    // wait in the window, so it is bounded by the ready queue, not run
+    // length.
+    window: AdmissionWindow,
     start_time: BTreeMap<GlobalTxnId, SimTime>,
     arrivals_emitted: u32,
     next_gtxn: u32,
-    ready_queue: VecDeque<GlobalTxnId>,
-    in_flight: u32,
 
     // Local transaction admission.
     local_emitted: BTreeMap<SiteId, u32>,
@@ -320,50 +289,25 @@ impl Simulation {
         clocks.insert(CENTRAL, draw_clock(&mut clock_rng));
         // Acceptor clocks are drawn last, and only when acceptors exist:
         // at F=0 the RNG streams stay bit-for-bit what they always were.
-        let acceptor_nodes: Vec<u32> = if cfg.consensus_f > 0 {
-            (0..mdbs_consensus::acceptor_count(cfg.consensus_f))
-                .map(|a| ACCEPTOR_BASE + a)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for &a in &acceptor_nodes {
+        let acceptors = acceptor_nodes(&cfg);
+        for &a in &acceptors {
             clocks.insert(a, draw_clock(&mut clock_rng));
         }
 
-        let agent_cfg = effective_agent_cfg(&cfg);
-
-        let mut sites = BTreeMap::new();
-        for s in 0..spec.sites {
-            let site = SiteId(s);
-            let mut engine = Ldbs::new(
-                site,
-                SiteProfile::for_site(s),
-                Store::with_rows(spec.items_per_site, spec.initial_value),
-            );
-            engine.set_enforce_dlu(spec.enforce_dlu);
-            let mut rt = SiteRuntime::new(site, agent_cfg, engine, cfg.ltm_service_us);
-            rt.set_acceptors(acceptor_nodes.clone());
-            sites.insert(site, rt);
-        }
-        let cgm = matches!(cfg.protocol, Protocol::Cgm);
-        let mut coords = BTreeMap::new();
-        for c in 0..cfg.coordinators {
-            let node = COORD_BASE + c;
-            let mut rt = CoordinatorRuntime::new(node, cgm);
-            if cfg.consensus_f > 0 {
-                rt.set_consensus(Box::new(PaxosCommit::new(
-                    node,
-                    cfg.consensus_f,
-                    acceptor_nodes.clone(),
-                )));
-            }
-            coords.insert(node, rt);
-        }
-        let acceptors: BTreeMap<u32, AcceptorRuntime> = acceptor_nodes
-            .iter()
-            .map(|&a| (a, AcceptorRuntime::new(a)))
-            .collect();
+        let nodes = NodeSet {
+            sites: (0..spec.sites)
+                .map(|s| (SiteId(s), site_runtime(&cfg, s)))
+                .collect(),
+            coords: (0..cfg.coordinators)
+                .map(|c| (COORD_BASE + c, coordinator_runtime(&cfg, c)))
+                .collect(),
+            central: CentralRuntime::new(),
+            acceptors: acceptors
+                .iter()
+                .map(|&a| (a, AcceptorRuntime::new(a)))
+                .collect(),
+            dead: BTreeSet::new(),
+        };
 
         let mut queue = EventQueue::new();
         queue.schedule_at(SimTime::from_micros(1), Ev::GlobalArrival);
@@ -408,10 +352,13 @@ impl Simulation {
             metrics: Metrics::new(),
             history: Vec::new(),
             observer: None,
+            injector: AbortInjector::new(
+                root.substream("inject"),
+                root.substream("fault-burst"),
+                spec.unilateral_abort_prob,
+                cfg.abort_delay_max_us,
+            ),
             gen: WorkloadGen::new(spec),
-            inject_rng: root.substream("inject"),
-            burst_rng: root.substream("fault-burst"),
-            abort_delay_max_us: cfg.abort_delay_max_us,
             committed: 0,
             aborted: 0,
             local_committed: 0,
@@ -419,25 +366,14 @@ impl Simulation {
             pending_finished: Vec::new(),
         };
 
-        let ready_crash = cfg
-            .coord_crash_after_ready
-            .map(|(c, k)| (COORD_BASE + c, k));
         Simulation {
+            window: AdmissionWindow::new(cfg.workload.mpl, cfg.coordinators),
             cfg,
-            sites,
-            coords,
-            central: CentralRuntime::new(),
-            acceptors,
-            crashed_coords: std::collections::BTreeSet::new(),
-            ready_crash,
-            ready_seen: 0,
+            nodes,
             host,
-            programs: BTreeMap::new(),
             start_time: BTreeMap::new(),
             arrivals_emitted: 0,
             next_gtxn: 1,
-            ready_queue: VecDeque::new(),
-            in_flight: 0,
             local_emitted: BTreeMap::new(),
             next_local_n: 1,
             predrawn: None,
@@ -463,12 +399,10 @@ impl Simulation {
 
     fn all_work_done(&self) -> bool {
         let spec = self.host.gen.spec();
-        let globals_done = self.arrivals_emitted >= spec.global_txns
-            && self.in_flight == 0
-            && self.ready_queue.is_empty();
+        let globals_done = self.arrivals_emitted >= spec.global_txns && self.window.idle();
         let locals_done = (0..spec.sites).all(|s| {
             self.local_emitted.get(&SiteId(s)).copied().unwrap_or(0) >= spec.local_txns_per_site
-        }) && self.sites.values().all(|rt| !rt.has_local_work());
+        }) && self.nodes.sites.values().all(|rt| !rt.has_local_work());
         globals_done && locals_done
     }
 
@@ -484,7 +418,7 @@ impl Simulation {
         let history = mdbs_histories::History::from_ops(self.host.history.iter().copied());
         let checks = CorrectnessReport::analyze(&history, self.host.gen.spec().sites);
         let mut metrics = self.host.metrics;
-        for rt in self.sites.values() {
+        for rt in self.nodes.sites.values() {
             let st = rt.agent().stats();
             metrics.add("prepares_accepted", st.prepares_accepted);
             metrics.add("refused_sn_out_of_order", st.refused_sn_out_of_order);
@@ -514,95 +448,16 @@ impl Simulation {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Deliver { from: _, to, msg } => {
-                if to >= COORD_BASE {
-                    // One crash-set lookup serves both the hook guard and
-                    // the drop-at-dead-node check below.
-                    let crashed = self.crashed_coords.contains(&to);
-                    // The crash hook fires on receipt of the k-th READY,
-                    // *before* processing it: the coordinator dies having
-                    // collected votes but not broadcast a decision.
-                    if let Some((crash_node, k)) = self.ready_crash {
-                        if to == crash_node && matches!(msg, Message::Ready { .. }) && !crashed {
-                            self.ready_seen += 1;
-                            if self.ready_seen == k {
-                                self.crash_coord(to);
-                                return;
-                            }
-                        }
-                    }
-                    if crashed {
-                        return;
-                    }
-                    or_die(
-                        self.coords
-                            .get_mut(&to)
-                            .expect("coordinator node")
-                            .on_message(msg, &mut self.host),
-                    );
-                } else {
-                    let site = SiteId(to);
-                    or_die(
-                        self.sites
-                            .get_mut(&site)
-                            .expect("site")
-                            .agent_input(AgentInput::Deliver(msg), &mut self.host),
-                    );
-                }
-            }
-            Ev::Ctrl { from, to, ctrl } => {
-                if to == CENTRAL {
-                    or_die(self.central.on_ctrl(from, ctrl, &mut self.host));
-                } else if to >= ACCEPTOR_BASE {
-                    or_die(
-                        self.acceptors
-                            .get_mut(&to)
-                            .expect("acceptor node")
-                            .on_ctrl(ctrl, &mut self.host),
-                    );
-                } else {
-                    // mdbs-check: allow(hot-repeated-lookup, "Deliver and Ctrl are mutually exclusive event arms; one crash-set lookup runs per dispatched event")
-                    if self.crashed_coords.contains(&to) {
-                        return;
-                    }
-                    or_die(
-                        self.coords
-                            // mdbs-check: allow(hot-repeated-lookup, "the Deliver-arm lookup and this one are in mutually exclusive event arms; one runs per event")
-                            .get_mut(&to)
-                            .expect("coordinator node")
-                            .on_ctrl(ctrl, &mut self.host),
-                    );
-                }
-            }
-            Ev::Timer { node, timer } => {
-                let rt = self.sites.get_mut(&SiteId(node)).expect("site");
-                or_die(match timer {
-                    Timer::Alive { gtxn } => {
-                        rt.agent_input(AgentInput::AliveTimer { gtxn }, &mut self.host)
-                    }
-                    Timer::CommitRetry { gtxn } => {
-                        rt.agent_input(AgentInput::CommitRetryTimer { gtxn }, &mut self.host)
-                    }
-                    Timer::LtmExec { instance, command } => {
-                        rt.ltm_exec(instance, command, &mut self.host)
-                    }
-                });
-            }
+            Ev::Deliver { from: _, to, msg } => self.deliver(to, NodeEvent::Net(msg)),
+            Ev::Ctrl { from, to, ctrl } => self.deliver(to, NodeEvent::Ctrl { from, ctrl }),
+            Ev::Timer { node, timer } => self.deliver(node, NodeEvent::Timer(timer)),
             Ev::GlobalArrival => self.on_global_arrival(),
             Ev::LocalArrival { site } => self.on_local_arrival(site),
-            Ev::InjectAbort { site, instance } => {
-                or_die(
-                    self.sites
-                        // mdbs-check: allow(hot-repeated-lookup, "the site lookups sit in mutually exclusive event arms (Deliver, InjectAbort, SiteCrash); one runs per dispatched event")
-                        .get_mut(&site)
-                        .expect("site")
-                        .inject_abort(instance, &mut self.host),
-                );
-            }
             Ev::DeadlockScan => self.on_deadlock_scan(),
             Ev::SiteCrash { site } => {
                 or_die(
-                    self.sites
+                    self.nodes
+                        .sites
                         .get_mut(&site)
                         .expect("site")
                         .crash(&mut self.host),
@@ -610,17 +465,22 @@ impl Simulation {
             }
             Ev::CoordCrash { coord } => self.crash_coord(coord),
             Ev::CoordTakeover { backup } => {
-                if self.crashed_coords.contains(&backup) {
+                if self.nodes.dead.contains(&backup) {
                     return;
                 }
                 self.host.metrics.inc("coord_takeovers");
-                or_die(
-                    self.coords
-                        .get_mut(&backup)
-                        .expect("coordinator node")
-                        .take_over(&mut self.host),
-                );
+                self.deliver(backup, NodeEvent::TakeOver);
             }
+        }
+    }
+
+    /// Hand one event to its node — the same `on_event` every host drives.
+    /// A coordinator answering [`Flow::Crash`] (the
+    /// `coord_crash_after_ready` hook) dies here: marked dead, takeover
+    /// scheduled.
+    fn deliver(&mut self, to: u32, event: NodeEvent) {
+        if or_die(self.nodes.on_event(to, event, &mut self.host)) == Flow::Crash {
+            self.crash_coord(to);
         }
     }
 
@@ -629,17 +489,11 @@ impl Simulation {
     /// drain window: in-flight BEGIN/DML from the dead coordinator reach
     /// the agents before the backup's ROLLBACK/COMMIT can race past them.
     fn crash_coord(&mut self, coord: u32) {
-        // mdbs-check: allow(hot-unbounded-growth, "bounded by the coordinator count: crashes are permanent within a run, so the set never exceeds cfg.coordinators entries")
-        if !self.crashed_coords.insert(coord) {
+        if !self.nodes.kill(coord) {
             return;
         }
         self.host.metrics.inc("coord_crashes");
-        let backup = self
-            .coords
-            .keys()
-            .copied()
-            .find(|c| !self.crashed_coords.contains(c));
-        if let Some(backup) = backup {
+        if let Some(backup) = lowest_live_coordinator(self.cfg.coordinators, &self.nodes.dead) {
             self.host.queue.schedule_after(
                 SimDuration::from_micros(self.cfg.failover_delay_us),
                 Ev::CoordTakeover { backup },
@@ -652,12 +506,12 @@ impl Simulation {
     /// so handling it here preserves the pre-refactor event order.
     fn drain_finished(&mut self) {
         while !self.host.pending_finished.is_empty() {
-            let (cnode, gtxn, outcome) = self.host.pending_finished.remove(0);
-            self.finish_global(cnode, gtxn, outcome);
+            let (gtxn, outcome) = self.host.pending_finished.remove(0);
+            self.finish_global(gtxn, outcome);
         }
     }
 
-    fn finish_global(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+    fn finish_global(&mut self, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
         let at = self.host.queue.now();
         self.host.emit(TraceEvent::Finished {
             at,
@@ -683,15 +537,7 @@ impl Simulation {
                     .observe("committed_latency_ms", latency_ms);
             }
         }
-        self.in_flight -= 1;
-        if matches!(self.cfg.protocol, Protocol::Cgm) {
-            self.coords
-                .get_mut(&cnode)
-                .expect("coordinator node")
-                .cgm_cleanup(gtxn);
-            self.host
-                .send_ctrl(cnode, CENTRAL, CtrlMsg::CgmFinished { gtxn });
-        }
+        self.window.settled();
         self.try_start_ready();
     }
 
@@ -715,8 +561,7 @@ impl Simulation {
             }
             None => self.host.gen.global_program(),
         };
-        self.programs.insert(gtxn, program);
-        self.ready_queue.push_back(gtxn);
+        self.window.arrive(gtxn, program);
         if self.arrivals_emitted < self.host.gen.spec().global_txns {
             let gap = self.host.gen.global_gap_us();
             self.host
@@ -727,30 +572,9 @@ impl Simulation {
     }
 
     fn try_start_ready(&mut self) {
-        while self.in_flight < self.host.gen.spec().mpl {
-            let Some(gtxn) = self.ready_queue.pop_front() else {
-                return;
-            };
-            self.in_flight += 1;
+        while let Some((cnode, gtxn, program)) = self.window.admit(&self.nodes.dead) {
             self.start_time.insert(gtxn, self.host.queue.now());
-            let mut cnode = COORD_BASE + (gtxn.0 % self.cfg.coordinators);
-            if self.crashed_coords.contains(&cnode) {
-                cnode = self
-                    .coords
-                    .keys()
-                    .copied()
-                    .find(|c| !self.crashed_coords.contains(c))
-                    .expect("a live coordinator to admit work");
-            }
-            let program = self
-                .programs
-                .remove(&gtxn)
-                .expect("program enqueued at arrival");
-            or_die(self.coords.get_mut(&cnode).expect("coordinator").begin(
-                gtxn,
-                program,
-                &mut self.host,
-            ));
+            self.deliver(cnode, NodeEvent::Start { gtxn, program });
         }
     }
 
@@ -779,12 +603,11 @@ impl Simulation {
                 (n, self.host.gen.local_program(site))
             }
         };
-        or_die(
-            self.sites
-                .get_mut(&site)
-                .expect("site")
-                .start_local(n, commands, &mut self.host),
-        );
+        or_die(self.nodes.sites.get_mut(&site).expect("site").start_local(
+            n,
+            commands,
+            &mut self.host,
+        ));
 
         if more {
             let gap = self.host.gen.local_gap_us();
@@ -799,22 +622,16 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_deadlock_scan(&mut self) {
-        let site_ids: Vec<SiteId> = self.sites.keys().copied().collect();
-        for site in site_ids {
+        for rt in self.nodes.sites.values_mut() {
             // Local waits-for cycles.
-            or_die(
-                self.sites
-                    .get_mut(&site)
-                    .expect("site")
-                    .kill_local_deadlocks(&mut self.host),
-            );
+            or_die(rt.kill_local_deadlocks(&mut self.host));
         }
         // Wait timeouts (covers DLU holds and cross-site waits the local
         // graphs cannot see — the paper's timeout-based resolution, §6).
         let timeout = SimDuration::from_micros(self.cfg.wait_timeout_us);
         let now = self.host.queue.now();
         let mut blocked: Vec<(Instance, SimTime)> = Vec::new();
-        for rt in self.sites.values() {
+        for rt in self.nodes.sites.values() {
             blocked.extend(rt.blocked());
         }
         // Txn-major order, matching the single global map the scan used
@@ -823,7 +640,8 @@ impl Simulation {
         for (instance, since) in blocked {
             if now.since(since) > timeout {
                 or_die(
-                    self.sites
+                    self.nodes
+                        .sites
                         .get_mut(&instance.site)
                         .expect("site")
                         .abort_on_timeout(instance, &mut self.host),
@@ -851,6 +669,52 @@ pub fn effective_agent_cfg(cfg: &SimConfig) -> AgentConfig {
         agent_cfg.max_commit_retries = agent_cfg.max_commit_retries.min(200);
     }
     agent_cfg
+}
+
+/// The Paxos Commit acceptor nodes of a scenario (none at `F=0`).
+pub fn acceptor_nodes(cfg: &SimConfig) -> Vec<u32> {
+    let n = match cfg.consensus_f {
+        0 => 0,
+        f => mdbs_consensus::acceptor_count(f),
+    };
+    (0..n).map(|a| ACCEPTOR_BASE + a).collect()
+}
+
+/// Site `s`'s runtime as every driver builds it: a fresh engine over the
+/// scenario's store, the effective agent configuration, and the vote
+/// fan-out to the scenario's acceptors.
+pub fn site_runtime(cfg: &SimConfig, s: u32) -> SiteRuntime {
+    let spec = &cfg.workload;
+    let mut engine = Ldbs::new(
+        SiteId(s),
+        SiteProfile::for_site(s),
+        Store::with_rows(spec.items_per_site, spec.initial_value),
+    );
+    engine.set_enforce_dlu(spec.enforce_dlu);
+    let mut rt = SiteRuntime::new(
+        SiteId(s),
+        effective_agent_cfg(cfg),
+        engine,
+        cfg.ltm_service_us,
+    );
+    rt.set_acceptors(acceptor_nodes(cfg));
+    rt
+}
+
+/// Coordinator `c`'s runtime as every driver builds it: CGM handshake or
+/// not, Paxos Commit at `F>0`, and the `coord_crash_after_ready` hook.
+pub fn coordinator_runtime(cfg: &SimConfig, c: u32) -> CoordinatorRuntime {
+    let node = COORD_BASE + c;
+    let mut rt = CoordinatorRuntime::new(node, matches!(cfg.protocol, Protocol::Cgm));
+    if cfg.consensus_f > 0 {
+        rt.set_consensus(Box::new(PaxosCommit::new(
+            node,
+            cfg.consensus_f,
+            acceptor_nodes(cfg),
+        )));
+    }
+    rt.set_crash_after_ready(cfg.coord_crash_after_ready);
+    rt
 }
 
 #[cfg(test)]

@@ -6,9 +6,11 @@
 //! [`mdbs_runtime::SiteRuntime`] and [`mdbs_runtime::CoordinatorRuntime`]
 //! onto one virtual event queue, [`ThreadedRunner`] gives each site, each
 //! coordinator, and (for CGM) the central scheduler a dedicated thread.
-//! The driver thread pre-draws the whole workload from the seeded
-//! generator, enforces the multiprogramming level, and collects terminal
-//! notices.
+//! Every node thread is the shared node loop ([`mdbs_runtime::run_node`])
+//! over the node's runtime and a `ThreadHost`; this file holds the host,
+//! its port, and the driver. The driver thread pre-draws the whole
+//! workload from the seeded generator, enforces the multiprogramming
+//! level, and collects terminal notices.
 //!
 //! The runner is *not* deterministic — thread scheduling and wall-clock
 //! timers interleave operations differently on every run — but every
@@ -18,19 +20,19 @@
 //! unilateral-abort injection works (each site draws from its own seeded
 //! substream).
 
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use mdbs_consensus::{acceptor_count, PaxosCommit};
-use mdbs_dtm::{AgentInput, AgentStats, GlobalOutcome, Message};
+use crossbeam::thread::Scope;
+use mdbs_dtm::{AgentStats, GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, Instance, Op, SiteId};
-use mdbs_ldbs::{Command, Ldbs, SiteProfile, Store};
 use mdbs_runtime::{
-    message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime, CtrlMsg, RuntimeHost,
-    SiteRuntime, TimeSource, Timer, TraceEvent, Transport, ACCEPTOR_BASE, CENTRAL, COORD_BASE,
+    lowest_live_coordinator, message_kind, run_node, AbortInjector, AcceptorRuntime,
+    AdmissionWindow, CentralRuntime, CtrlMsg, NodeEvent, NodePort, NodeRuntime, RuntimeHost,
+    TimeSource, Timer, TimerHeap, TraceEvent, Transport, ACCEPTOR_BASE, CENTRAL, COORD_BASE,
 };
 use mdbs_simkit::{DetRng, FaultPlan, Metrics, SimTime};
 use mdbs_workload::predraw;
@@ -38,31 +40,7 @@ use mdbs_workload::predraw;
 use crate::config::{Protocol, SimConfig};
 use crate::report::{CorrectnessReport, SimReport};
 use crate::shard::ShardedBuffer;
-use crate::sim::{effective_agent_cfg, or_die};
-
-/// How many already-queued messages one wake-up of a site loop delivers
-/// after its blocking receive returns. Bounded so a deep backlog never
-/// starves due timers or injections.
-const RECV_BATCH: usize = 64;
-
-/// What one node thread receives.
-enum NodeMsg {
-    /// A 2PC protocol message.
-    Net(Message),
-    /// A CGM control message, tagged with the sending node.
-    Ctrl { from: u32, ctrl: CtrlMsg },
-    /// Driver → coordinator: start this global transaction.
-    StartGlobal {
-        gtxn: GlobalTxnId,
-        program: Vec<(SiteId, Command)>,
-    },
-    /// Driver → backup coordinator: a coordinator crash-stopped; adopt its
-    /// in-flight transactions through the acceptor quorum (Paxos Commit
-    /// failover).
-    TakeOver,
-    /// Drain and exit.
-    Shutdown,
-}
+use crate::sim::{acceptor_nodes, coordinator_runtime, site_runtime};
 
 /// What the driver hears back.
 enum Notice {
@@ -96,35 +74,10 @@ impl Drop for ExitGuard {
     }
 }
 
-/// A timer waiting to fire inside one node thread, ordered by deadline.
-struct TimerEntry {
-    at_us: u64,
-    seq: u64,
-    timer: Timer,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-deadline-first.
-        (other.at_us, other.seq).cmp(&(self.at_us, self.seq))
-    }
-}
-
 /// Everything shared by all node threads.
 struct SharedWorld {
-    /// One sender per node (sites, coordinators, central).
-    senders: BTreeMap<u32, Sender<NodeMsg>>,
+    /// One sender per node (sites, coordinators, central, acceptors).
+    senders: BTreeMap<u32, Sender<NodeEvent>>,
     /// Terminal notices back to the driver.
     notices: Sender<Notice>,
     /// The runner's epoch; all node clocks read elapsed time from it.
@@ -138,20 +91,29 @@ struct SharedWorld {
     messages: AtomicU64,
 }
 
-/// The per-thread [`RuntimeHost`]: real channels, the wall clock, and
-/// thread-local timer/injection queues the node's event loop drains.
+/// Work a node thread holds until its wall-clock deadline.
+enum Due {
+    /// A timer the runtime set.
+    Timer(Timer),
+    /// A send the fault plan delayed or duplicated.
+    Send { to: u32, msg: Message },
+}
+
+/// The per-thread [`RuntimeHost`] and [`NodePort`]: real channels, the
+/// wall clock, and a thread-local deadline heap the node loop drains.
 struct ThreadHost {
     shared: Arc<SharedWorld>,
+    /// This node's inbox.
+    rx: Receiver<NodeEvent>,
     /// This node's slot in the shared history buffer.
     slot: usize,
     metrics: Metrics,
-    timers: BinaryHeap<TimerEntry>,
-    timer_seq: u64,
-    /// Pending unilateral-abort injections at this site.
-    injections: Vec<(u64, Instance)>,
-    inject_rng: DetRng,
-    unilateral_abort_prob: f64,
-    abort_delay_max_us: u64,
+    /// Pending timers (including injected unilateral aborts) and delayed
+    /// / duplicated sends. Later direct sends on the same link can
+    /// overtake a held message — in the threaded driver a delay spike
+    /// also breaks FIFO, unlike the simulation's clamped queue.
+    due: TimerHeap<Due>,
+    injector: AbortInjector,
     /// The shared fault plan; windows are elapsed wall-clock µs. Empty =
     /// no interposition.
     fault_plan: Arc<FaultPlan>,
@@ -159,107 +121,31 @@ struct ThreadHost {
     /// at this node. Thread scheduling already makes the runner
     /// non-deterministic, so per-node substreams are only for independence.
     fault_rng: DetRng,
-    /// Delayed / duplicated sends awaiting their wall-clock deadline,
-    /// flushed by this node's event loop.
-    outbox: Vec<(u64, u32, Message)>,
-    /// Set when a local transaction settled, so the site loop can admit
-    /// the next one from its queue.
-    local_done: bool,
-    /// Terminal outcomes reported by the coordinator running on this
-    /// thread, drained by its loop after each action batch.
-    pending_finished: Vec<(u32, GlobalTxnId, GlobalOutcome)>,
+    /// The run's wall-clock safety valve.
+    deadline: Instant,
 }
 
 impl ThreadHost {
-    fn new(
-        shared: Arc<SharedWorld>,
-        slot: usize,
-        inject_rng: DetRng,
-        cfg: &SimConfig,
-        fault_plan: Arc<FaultPlan>,
-        fault_rng: DetRng,
-    ) -> Self {
-        ThreadHost {
-            shared,
-            slot,
-            metrics: Metrics::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
-            injections: Vec::new(),
-            inject_rng,
-            unilateral_abort_prob: cfg.workload.unilateral_abort_prob,
-            abort_delay_max_us: cfg.abort_delay_max_us,
-            fault_plan,
-            fault_rng,
-            outbox: Vec::new(),
-            local_done: false,
-            pending_finished: Vec::new(),
-        }
-    }
-
     fn elapsed_us(&self) -> u64 {
         self.shared.epoch.elapsed().as_micros() as u64
     }
 
-    /// Pop every timer due at or before `now_us`.
-    fn take_due_timers(&mut self, now_us: u64) -> Vec<Timer> {
-        let mut due = Vec::new();
-        while self.timers.peek().is_some_and(|t| t.at_us <= now_us) {
-            if let Some(t) = self.timers.pop() {
-                due.push(t.timer);
+    fn deliver(&self, to: u32, event: NodeEvent) {
+        if let Some(tx) = self.shared.senders.get(&to) {
+            // A send after shutdown (receiver gone) is harmless.
+            let _ = tx.send(event);
+        }
+    }
+
+    /// The next due timer; due held sends go out on the way.
+    fn pop_due(&mut self) -> Option<NodeEvent> {
+        while let Some(due) = self.due.pop_due(self.elapsed_us()) {
+            match due {
+                Due::Timer(timer) => return Some(NodeEvent::Timer(timer)),
+                Due::Send { to, msg } => self.deliver(to, NodeEvent::Net(msg)),
             }
         }
-        due
-    }
-
-    /// Pop every injection due at or before `now_us`.
-    fn take_due_injections(&mut self, now_us: u64) -> Vec<Instance> {
-        let mut due = Vec::new();
-        self.injections.retain(|&(at, instance)| {
-            if at <= now_us {
-                due.push(instance);
-                false
-            } else {
-                true
-            }
-        });
-        due
-    }
-
-    /// Earliest pending deadline (timer, injection, or delayed send).
-    fn next_deadline_us(&self) -> Option<u64> {
-        let t = self.timers.peek().map(|t| t.at_us);
-        let i = self.injections.iter().map(|&(at, _)| at).min();
-        let o = self.next_outbox_deadline();
-        [t, i, o].into_iter().flatten().min()
-    }
-
-    /// Earliest delayed/duplicated send awaiting delivery, if any.
-    fn next_outbox_deadline(&self) -> Option<u64> {
-        self.outbox.iter().map(|e| e.0).min()
-    }
-
-    /// Hand every outbox entry due at or before `now_us` to its channel,
-    /// earliest deadline first.
-    fn flush_outbox(&mut self, now_us: u64) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        let mut due: Vec<(u64, u32, Message)> = Vec::new();
-        self.outbox.retain(|entry| {
-            if entry.0 <= now_us {
-                due.push(entry.clone());
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|&(at, _, _)| at);
-        for (_, to, msg) in due {
-            if let Some(tx) = self.shared.senders.get(&to) {
-                let _ = tx.send(NodeMsg::Net(msg));
-            }
-        }
+        None
     }
 }
 
@@ -299,37 +185,24 @@ impl Transport for ThreadHost {
         if let Some(gap) = self.fault_plan.duplicate_gap_us(from, to, now_us) {
             self.metrics.inc("faults_duplicated");
             let dup_at = deliver_at + self.fault_rng.uniform_u64_incl(1, gap.max(1));
-            self.outbox.push((dup_at, to, msg.clone()));
+            let msg = msg.clone();
+            self.due.push(dup_at, Due::Send { to, msg });
         }
         if extra == 0 && jitter == 0 {
-            if let Some(tx) = self.shared.senders.get(&to) {
-                // A send after shutdown (receiver gone) is harmless.
-                let _ = tx.send(NodeMsg::Net(msg));
-            }
+            self.deliver(to, NodeEvent::Net(msg));
         } else {
-            // Held in the sender's outbox until the deadline. Later direct
-            // sends on the same link can overtake a held message — in the
-            // threaded driver a delay spike also breaks FIFO, unlike the
-            // simulation's clamped queue.
-            self.outbox.push((deliver_at, to, msg));
+            self.due.push(deliver_at, Due::Send { to, msg });
         }
     }
 
     fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
         self.shared.messages.fetch_add(1, Ordering::Relaxed);
-        if let Some(tx) = self.shared.senders.get(&to) {
-            let _ = tx.send(NodeMsg::Ctrl { from, ctrl });
-        }
+        self.deliver(to, NodeEvent::Ctrl { from, ctrl });
     }
 
     fn set_timer(&mut self, _node: u32, after_us: u64, timer: Timer) {
         let at_us = self.elapsed_us() + after_us;
-        self.timer_seq += 1;
-        self.timers.push(TimerEntry {
-            at_us,
-            seq: self.timer_seq,
-            timer,
-        });
+        self.due.push(at_us, Due::Timer(timer));
     }
 }
 
@@ -351,25 +224,15 @@ impl RuntimeHost for ThreadHost {
     }
 
     fn prepared(&mut self, site: SiteId, gtxn: GlobalTxnId, incarnation: u32) {
-        let mut strike = self.inject_rng.chance(self.unilateral_abort_prob);
-        if !strike {
-            let boost = self.fault_plan.abort_boost(self.elapsed_us());
-            if boost > 0.0 && self.fault_rng.chance(boost) {
-                strike = true;
-                self.metrics.inc("fault_abort_bursts");
-            }
-        }
-        if !strike {
-            return;
-        }
-        self.metrics.inc("injections_scheduled");
+        let struck = self.injector.strikes();
+        let boost = self.fault_plan.abort_boost(self.elapsed_us());
         let instance = Instance::global(gtxn.0, site, incarnation);
-        let delay = if self.abort_delay_max_us == 0 {
-            0
-        } else {
-            self.inject_rng.uniform_u64(0, self.abort_delay_max_us)
-        };
-        self.injections.push((self.elapsed_us() + delay, instance));
+        if let Some((after_us, timer)) =
+            self.injector
+                .on_prepared(struck, boost, instance, &mut self.metrics)
+        {
+            self.set_timer(site.0, after_us, timer);
+        }
     }
 
     fn local_settled(&mut self, _site: SiteId, committed: bool) {
@@ -378,13 +241,62 @@ impl RuntimeHost for ThreadHost {
         } else {
             self.metrics.inc("local_aborted");
         }
-        self.local_done = true;
         let _ = self.shared.notices.send(Notice::LocalSettled { committed });
     }
 
-    fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        self.pending_finished.push((cnode, gtxn, outcome));
+    fn global_finished(&mut self, _cnode: u32, _gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        let _ = self.shared.notices.send(Notice::GlobalFinished { outcome });
     }
+}
+
+impl NodePort for ThreadHost {
+    /// Coordinators, the scheduler and acceptors set no timers, so with no
+    /// `wait_us` and nothing held this blocks until a message arrives.
+    fn recv(&mut self, wait_us: Option<u64>) -> Option<NodeEvent> {
+        if let Some(ev) = self.pop_due() {
+            return Some(ev);
+        }
+        let until_due = self
+            .due
+            .next_deadline_us()
+            .map(|at| at.saturating_sub(self.elapsed_us()));
+        let received = match [wait_us, until_due].into_iter().flatten().min() {
+            Some(us) => self.rx.recv_timeout(Duration::from_micros(us.max(1))),
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match received {
+            Ok(ev) => Some(ev),
+            Err(RecvTimeoutError::Timeout) => self.pop_due(),
+            Err(RecvTimeoutError::Disconnected) => Some(NodeEvent::Shutdown),
+        }
+    }
+
+    /// Within a burst, queued messages go before due timers — a timeout is
+    /// "late" on a healthy network: a commit-retry timer that fires ahead
+    /// of the already-delivered COMMIT it is waiting for only re-arms
+    /// itself. `recv` opens every burst with a due timer, so timers are
+    /// never starved by a deep inbox.
+    fn try_recv(&mut self) -> Option<NodeEvent> {
+        match self.rx.try_recv() {
+            Ok(ev) => Some(ev),
+            Err(TryRecvError::Empty) => self.pop_due(),
+            Err(TryRecvError::Disconnected) => Some(NodeEvent::Shutdown),
+        }
+    }
+
+    /// Sends go straight to the peer's channel; nothing is staged.
+    fn flush(&mut self) {}
+
+    fn expired(&self) -> bool {
+        Instant::now() >= self.deadline
+    }
+
+    /// The threaded driver never drains: every thread shares the history
+    /// buffer and is joined instead.
+    fn report(&mut self) {}
+
+    /// Crash-stop is leaving the loop; the [`ExitGuard`] tells the driver.
+    fn crash_stop(&mut self) {}
 }
 
 /// Runs a [`SimConfig`] workload on real threads — one per site, one per
@@ -394,6 +306,10 @@ pub struct ThreadedRunner {
     cfg: SimConfig,
     panic_node: Option<u32>,
 }
+
+/// What joining a node thread yields: its metrics and, for a site, the
+/// agent's end-of-run statistics.
+type NodeResult = (Metrics, Option<AgentStats>);
 
 impl ThreadedRunner {
     /// Build a runner for the configuration. `cfg.crashes` is ignored
@@ -431,51 +347,31 @@ impl ThreadedRunner {
         // Pre-draw the entire workload in the canonical cross-driver order
         // so the thread race never touches the draw order.
         let drawn = predraw(&spec);
-        let globals = drawn.globals;
         let mut locals = drawn.locals;
 
+        // Node order fixes the history slot layout: sites 0..S,
+        // coordinators S..S+C, central S+C, then acceptors (which never
+        // record ops, but each host owns a slot).
         let cgm = matches!(cfg.protocol, Protocol::Cgm);
-        let agent_cfg = effective_agent_cfg(&cfg);
+        let mut node_ids: Vec<u32> = (0..spec.sites).collect();
+        node_ids.extend((0..cfg.coordinators).map(|c| COORD_BASE + c));
+        node_ids.extend(cgm.then_some(CENTRAL));
+        node_ids.extend(acceptor_nodes(&cfg));
 
         let mut senders = BTreeMap::new();
-        let mut receivers: BTreeMap<u32, Receiver<NodeMsg>> = BTreeMap::new();
-        let mut register = |node: u32| {
+        let mut receivers: BTreeMap<u32, Receiver<NodeEvent>> = BTreeMap::new();
+        for &node in &node_ids {
             let (tx, rx) = unbounded();
             senders.insert(node, tx);
             receivers.insert(node, rx);
-        };
-        for s in 0..spec.sites {
-            register(s);
         }
-        for c in 0..cfg.coordinators {
-            register(COORD_BASE + c);
-        }
-        if cgm {
-            register(CENTRAL);
-        }
-        let acceptors = if cfg.consensus_f > 0 {
-            acceptor_count(cfg.consensus_f)
-        } else {
-            0
-        };
-        for a in 0..acceptors {
-            register(ACCEPTOR_BASE + a);
-        }
-        let acceptor_nodes: Vec<u32> = (0..acceptors).map(|a| ACCEPTOR_BASE + a).collect();
-
-        // Slot layout: sites 0..S, coordinators S..S+C, central S+C, then
-        // acceptors (which never record ops, but each host owns a slot).
-        let coord_slot0 = spec.sites as usize;
-        let central_slot = coord_slot0 + cfg.coordinators as usize;
-        let acceptor_slot0 = central_slot + usize::from(cgm);
-        let slots = acceptor_slot0 + acceptors as usize;
 
         let (notice_tx, notice_rx) = unbounded();
         let shared = Arc::new(SharedWorld {
             senders,
             notices: notice_tx,
             epoch: Instant::now(),
-            history: ShardedBuffer::new(slots),
+            history: ShardedBuffer::new(node_ids.len()),
             messages: AtomicU64::new(0),
         });
 
@@ -485,143 +381,59 @@ impl ThreadedRunner {
 
         let scope_result = crossbeam::thread::scope(|scope| {
             let cfg = &cfg;
-            let mut site_handles = Vec::new();
-            for s in 0..spec.sites {
-                let site = SiteId(s);
-                let mut engine = Ldbs::new(
-                    site,
-                    SiteProfile::for_site(s),
-                    Store::with_rows(spec.items_per_site, spec.initial_value),
-                );
-                engine.set_enforce_dlu(spec.enforce_dlu);
-                let mut rt = SiteRuntime::new(site, agent_cfg, engine, cfg.ltm_service_us);
-                if cfg.consensus_f > 0 {
-                    rt.set_acceptors(acceptor_nodes.clone());
-                }
-                let rx = receivers[&s].clone();
-                let host = ThreadHost::new(
-                    Arc::clone(&shared),
-                    s as usize,
-                    root.substream_n("inject", s as u64),
-                    cfg,
-                    Arc::clone(&fault_plan),
-                    root.substream_n("netfault", s as u64),
-                );
-                let local_queue = locals.remove(&site).unwrap_or_default();
-                let guard = ExitGuard {
-                    node: s,
-                    notices: shared.notices.clone(),
+            let mut handles = Vec::new();
+            for (slot, &node) in node_ids.iter().enumerate() {
+                let host = ThreadHost {
+                    shared: Arc::clone(&shared),
+                    rx: receivers[&node].clone(),
+                    slot,
+                    metrics: Metrics::new(),
+                    due: TimerHeap::default(),
+                    injector: AbortInjector::new(
+                        root.substream_n("inject", node as u64),
+                        root.substream_n("fault-burst", node as u64),
+                        spec.unilateral_abort_prob,
+                        cfg.abort_delay_max_us,
+                    ),
+                    fault_plan: Arc::clone(&fault_plan),
+                    fault_rng: root.substream_n("netfault", node as u64),
+                    deadline,
                 };
-                site_handles.push(scope.spawn(move |_| {
-                    let _guard = guard;
-                    if panic_node == Some(s) {
-                        // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
-                        panic!("injected test panic at node {s}");
-                    }
-                    site_loop(rt, host, rx, local_queue, cfg, deadline)
-                }));
-            }
-            let mut coord_handles = Vec::new();
-            for c in 0..cfg.coordinators {
-                let node = COORD_BASE + c;
-                let mut rt = CoordinatorRuntime::new(node, cgm);
-                if cfg.consensus_f > 0 {
-                    rt.set_consensus(Box::new(PaxosCommit::new(
+                handles.push(if node >= ACCEPTOR_BASE {
+                    spawn_node(
+                        scope,
+                        panic_node,
                         node,
-                        cfg.consensus_f,
-                        acceptor_nodes.clone(),
-                    )));
-                }
-                // Crash-stop knob: this coordinator exits its loop cleanly
-                // just before processing its k-th READY (same semantics as
-                // the simulation and TCP drivers).
-                let ready_crash = cfg
-                    .coord_crash_after_ready
-                    .and_then(|(cc, k)| (cc == c).then_some(k));
-                let rx = receivers[&node].clone();
-                let host = ThreadHost::new(
-                    Arc::clone(&shared),
-                    coord_slot0 + c as usize,
-                    root.substream("unused"),
-                    cfg,
-                    Arc::clone(&fault_plan),
-                    root.substream_n("netfault", node as u64),
-                );
-                let guard = ExitGuard {
-                    node,
-                    notices: shared.notices.clone(),
-                };
-                coord_handles.push(scope.spawn(move |_| {
-                    let _guard = guard;
-                    if panic_node == Some(node) {
-                        // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
-                        panic!("injected test panic at node {node}");
-                    }
-                    coord_loop(rt, host, rx, cgm, ready_crash)
-                }));
+                        AcceptorRuntime::new(node),
+                        host,
+                        |_| None,
+                    )
+                } else if node == CENTRAL {
+                    spawn_node(scope, panic_node, node, CentralRuntime::new(), host, |_| {
+                        None
+                    })
+                } else if node >= COORD_BASE {
+                    let rt = coordinator_runtime(cfg, node - COORD_BASE);
+                    spawn_node(scope, panic_node, node, rt, host, |_| None)
+                } else {
+                    let mut rt = site_runtime(cfg, node);
+                    rt.set_housekeeping(
+                        locals.remove(&SiteId(node)).unwrap_or_default(),
+                        cfg.deadlock_scan_us,
+                        cfg.wait_timeout_us,
+                    );
+                    spawn_node(scope, panic_node, node, rt, host, |rt| {
+                        Some(*rt.agent().stats())
+                    })
+                });
             }
-            let mut acceptor_handles = Vec::new();
-            for a in 0..acceptors {
-                let node = ACCEPTOR_BASE + a;
-                let rt = AcceptorRuntime::new(node);
-                let rx = receivers[&node].clone();
-                // Acceptors only ever see control traffic, which is never
-                // faulted, and they record no ops.
-                let host = ThreadHost::new(
-                    Arc::clone(&shared),
-                    acceptor_slot0 + a as usize,
-                    root.substream("unused"),
-                    cfg,
-                    Arc::clone(&fault_plan),
-                    root.substream_n("netfault", node as u64),
-                );
-                let guard = ExitGuard {
-                    node,
-                    notices: shared.notices.clone(),
-                };
-                acceptor_handles.push(scope.spawn(move |_| {
-                    let _guard = guard;
-                    if panic_node == Some(node) {
-                        // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
-                        panic!("injected test panic at node {node}");
-                    }
-                    acceptor_loop(rt, host, rx)
-                }));
-            }
-            let central_handle = if cgm {
-                let rt = CentralRuntime::new();
-                let rx = receivers[&CENTRAL].clone();
-                // The central scheduler only ever sends control traffic,
-                // which is never faulted.
-                let host = ThreadHost::new(
-                    Arc::clone(&shared),
-                    central_slot,
-                    root.substream("unused"),
-                    cfg,
-                    Arc::clone(&fault_plan),
-                    root.substream_n("netfault", CENTRAL as u64),
-                );
-                let guard = ExitGuard {
-                    node: CENTRAL,
-                    notices: shared.notices.clone(),
-                };
-                Some(scope.spawn(move |_| {
-                    let _guard = guard;
-                    if panic_node == Some(CENTRAL) {
-                        // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
-                        panic!("injected test panic at node {CENTRAL}");
-                    }
-                    central_loop(rt, host, rx)
-                }))
-            } else {
-                None
-            };
 
             // ---------------- Driver ----------------
             let total_locals = spec.sites as u64 * spec.local_txns_per_site as u64;
-            let mut ready: VecDeque<(GlobalTxnId, Vec<(SiteId, Command)>)> =
-                globals.into_iter().collect();
-            let mut in_flight = 0u32;
+            let mut window = AdmissionWindow::new(spec.mpl, cfg.coordinators);
+            for (gtxn, program) in drawn.globals {
+                window.arrive(gtxn, program);
+            }
             let mut settled_globals = 0u64;
             let mut settled_locals = 0u64;
             let mut committed = 0u64;
@@ -635,29 +447,14 @@ impl ThreadedRunner {
                 .coord_crash_after_ready
                 .map(|(cc, _)| COORD_BASE + cc)
                 .filter(|_| cfg.consensus_f > 0);
-            let mut crashed: Option<u32> = None;
+            let mut dead: BTreeSet<u32> = BTreeSet::new();
 
-            let admit = |in_flight: &mut u32,
-                         ready: &mut VecDeque<(GlobalTxnId, Vec<(SiteId, Command)>)>,
-                         crashed: Option<u32>| {
-                while *in_flight < spec.mpl {
-                    let Some((gtxn, program)) = ready.pop_front() else {
-                        return;
-                    };
-                    *in_flight += 1;
-                    let mut cnode = COORD_BASE + (gtxn.0 % cfg.coordinators);
-                    if Some(cnode) == crashed {
-                        // The home coordinator is dead; route to the
-                        // lowest live one (the backup that took over).
-                        cnode = (0..cfg.coordinators)
-                            .map(|c| COORD_BASE + c)
-                            .find(|&n| Some(n) != crashed)
-                            .unwrap_or(cnode);
-                    }
-                    let _ = shared.senders[&cnode].send(NodeMsg::StartGlobal { gtxn, program });
+            let admit = |window: &mut AdmissionWindow, dead: &BTreeSet<u32>| {
+                while let Some((cnode, gtxn, program)) = window.admit(dead) {
+                    let _ = shared.senders[&cnode].send(NodeEvent::Start { gtxn, program });
                 }
             };
-            admit(&mut in_flight, &mut ready, crashed);
+            admit(&mut window, &dead);
 
             while settled_globals < spec.global_txns as u64 || settled_locals < total_locals {
                 if Instant::now() >= deadline {
@@ -666,12 +463,12 @@ impl ThreadedRunner {
                 match notice_rx.recv_timeout(Duration::from_millis(50)) {
                     Ok(Notice::GlobalFinished { outcome }) => {
                         settled_globals += 1;
-                        in_flight -= 1;
+                        window.settled();
                         match outcome {
                             GlobalOutcome::Committed => committed += 1,
                             GlobalOutcome::Aborted => aborted += 1,
                         }
-                        admit(&mut in_flight, &mut ready, crashed);
+                        admit(&mut window, &dead);
                     }
                     Ok(Notice::LocalSettled { committed: ok }) => {
                         settled_locals += 1;
@@ -682,34 +479,30 @@ impl ThreadedRunner {
                         }
                     }
                     Ok(Notice::NodeExited { node, panicked }) => {
-                        if !panicked && expected_crash == Some(node) && crashed.is_none() {
+                        if !panicked && expected_crash == Some(node) && dead.is_empty() {
                             // The configured crash-stop fired: promote the
                             // lowest live coordinator, which reads the
                             // acceptor quorum and adopts the dead
                             // coordinator's in-flight transactions.
-                            crashed = Some(node);
+                            dead.insert(node);
                             metrics.inc("coord_crashes");
-                            if let Some(backup) = (0..cfg.coordinators)
-                                .map(|c| COORD_BASE + c)
-                                .find(|&n| Some(n) != crashed)
-                            {
+                            if let Some(backup) = lowest_live_coordinator(cfg.coordinators, &dead) {
                                 metrics.inc("coord_takeovers");
-                                let _ = shared.senders[&backup].send(NodeMsg::TakeOver);
+                                let _ = shared.senders[&backup].send(NodeEvent::TakeOver);
                                 // The dead coordinator's channel may hold
-                                // StartGlobals it never processed (no Begin
-                                // was ever sent, so the takeover cannot
-                                // adopt them); the driver still owns a
-                                // receiver clone, so replay them at the
-                                // backup behind the TakeOver. No more can
-                                // arrive: admission reroutes from here on.
+                                // Starts it never processed (no Begin was
+                                // ever sent, so the takeover cannot adopt
+                                // them); the driver still owns a receiver
+                                // clone, so replay them at the backup
+                                // behind the TakeOver. No more can arrive:
+                                // admission reroutes from here on.
                                 while let Ok(m) = receivers[&node].try_recv() {
-                                    if let NodeMsg::StartGlobal { gtxn, program } = m {
-                                        let _ = shared.senders[&backup]
-                                            .send(NodeMsg::StartGlobal { gtxn, program });
+                                    if matches!(m, NodeEvent::Start { .. }) {
+                                        let _ = shared.senders[&backup].send(m);
                                     }
                                 }
                             }
-                            admit(&mut in_flight, &mut ready, crashed);
+                            admit(&mut window, &dead);
                             continue;
                         }
                         // A node died mid-run (panic or premature exit).
@@ -734,33 +527,15 @@ impl ThreadedRunner {
             // only then re-raise any panic — so one dead node never leaves
             // the rest detached and mid-protocol.
             for tx in shared.senders.values() {
-                let _ = tx.send(NodeMsg::Shutdown);
+                let _ = tx.send(NodeEvent::Shutdown);
             }
             let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-            for h in site_handles {
+            for h in handles {
                 match h.join() {
                     Ok((m, st)) => {
                         metrics.merge(&m);
-                        site_stats.push(st);
+                        site_stats.extend(st);
                     }
-                    Err(p) => panics.push(p),
-                }
-            }
-            for h in coord_handles {
-                match h.join() {
-                    Ok(m) => metrics.merge(&m),
-                    Err(p) => panics.push(p),
-                }
-            }
-            for h in acceptor_handles {
-                match h.join() {
-                    Ok(m) => metrics.merge(&m),
-                    Err(p) => panics.push(p),
-                }
-            }
-            if let Some(h) = central_handle {
-                match h.join() {
-                    Ok(m) => metrics.merge(&m),
                     Err(p) => panics.push(p),
                 }
             }
@@ -804,204 +579,28 @@ impl ThreadedRunner {
     }
 }
 
-/// One site's event loop: deliver messages, fire timers and injections,
-/// run queued local transactions one at a time, and scan for deadlocks.
-fn site_loop(
-    mut rt: SiteRuntime,
+/// Put one node on its own thread: the shared [`run_node`] loop over the
+/// node's runtime and its [`ThreadHost`]. `stats` reads what the driver
+/// wants from the runtime once the loop has ended.
+fn spawn_node<'scope, R: NodeRuntime + Send + 'scope>(
+    scope: &Scope<'scope, '_>,
+    panic_node: Option<u32>,
+    node: u32,
+    mut rt: R,
     mut host: ThreadHost,
-    rx: Receiver<NodeMsg>,
-    mut local_queue: VecDeque<(u32, Vec<Command>)>,
-    cfg: &SimConfig,
-    deadline: Instant,
-) -> (Metrics, AgentStats) {
-    let mut local_active = false;
-    let mut next_scan_us = cfg.deadlock_scan_us;
-    loop {
-        let now_us = host.elapsed_us();
-
-        // Fire everything due; firing can schedule more due work (e.g.
-        // zero-delay LTM service), so loop until quiescent.
-        loop {
-            let due_timers = host.take_due_timers(now_us);
-            let due_injections = host.take_due_injections(now_us);
-            if due_timers.is_empty() && due_injections.is_empty() {
-                break;
-            }
-            for timer in due_timers {
-                or_die(match timer {
-                    Timer::Alive { gtxn } => {
-                        rt.agent_input(AgentInput::AliveTimer { gtxn }, &mut host)
-                    }
-                    Timer::CommitRetry { gtxn } => {
-                        rt.agent_input(AgentInput::CommitRetryTimer { gtxn }, &mut host)
-                    }
-                    Timer::LtmExec { instance, command } => {
-                        rt.ltm_exec(instance, command, &mut host)
-                    }
-                });
-            }
-            for instance in due_injections {
-                or_die(rt.inject_abort(instance, &mut host));
-            }
+    stats: fn(&R) -> Option<AgentStats>,
+) -> std::thread::ScopedJoinHandle<'scope, NodeResult> {
+    let guard = ExitGuard {
+        node,
+        notices: host.shared.notices.clone(),
+    };
+    scope.spawn(move |_| {
+        let _guard = guard;
+        if panic_node == Some(node) {
+            // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
+            panic!("injected test panic at node {node}");
         }
-        host.flush_outbox(now_us);
-
-        if now_us >= next_scan_us {
-            next_scan_us = now_us + cfg.deadlock_scan_us;
-            or_die(rt.kill_local_deadlocks(&mut host));
-            let timeout = mdbs_simkit::SimDuration::from_micros(cfg.wait_timeout_us);
-            let now = host.now();
-            let expired: Vec<Instance> = rt
-                .blocked()
-                .filter(|&(_, since)| now.since(since) > timeout)
-                .map(|(i, _)| i)
-                .collect();
-            for instance in expired {
-                or_die(rt.abort_on_timeout(instance, &mut host));
-            }
-        }
-
-        // Admit the next queued local once the previous one settled.
-        if host.local_done {
-            host.local_done = false;
-            local_active = false;
-        }
-        if !local_active {
-            if let Some((n, commands)) = local_queue.pop_front() {
-                local_active = true;
-                or_die(rt.start_local(n, commands, &mut host));
-                continue; // the start may already have settled it
-            }
-        }
-
-        if Instant::now() >= deadline {
-            break;
-        }
-        let wait_us = host
-            .next_deadline_us()
-            .map(|at| at.saturating_sub(host.elapsed_us()))
-            .unwrap_or(u64::MAX)
-            .min(cfg.deadlock_scan_us.max(1))
-            .max(1);
-        let mut shutdown = false;
-        match rx.recv_timeout(Duration::from_micros(wait_us)) {
-            Ok(NodeMsg::Net(msg)) => {
-                or_die(rt.agent_input(AgentInput::Deliver(msg), &mut host));
-                // Messages already queued behind the first one are
-                // delivered in the same wake-up, up to RECV_BATCH, before
-                // deadlines are recomputed.
-                for _ in 1..RECV_BATCH {
-                    match rx.try_recv() {
-                        Ok(NodeMsg::Net(msg)) => {
-                            or_die(rt.agent_input(AgentInput::Deliver(msg), &mut host))
-                        }
-                        Ok(NodeMsg::Shutdown) | Err(TryRecvError::Disconnected) => {
-                            shutdown = true;
-                            break;
-                        }
-                        Ok(NodeMsg::Ctrl { .. })
-                        | Ok(NodeMsg::StartGlobal { .. })
-                        | Ok(NodeMsg::TakeOver) => {
-                            // mdbs-check: allow(conc-panic-in-thread) -- routing invariant: the driver only ever sends Net to site nodes
-                            unreachable!("sites receive no control traffic")
-                        }
-                        Err(TryRecvError::Empty) => break,
-                    }
-                }
-            }
-            Ok(NodeMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Ok(NodeMsg::Ctrl { .. }) | Ok(NodeMsg::StartGlobal { .. }) | Ok(NodeMsg::TakeOver) => {
-                // mdbs-check: allow(conc-panic-in-thread) -- routing invariant: the driver only ever sends Net to site nodes
-                unreachable!("sites receive no control traffic")
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        if shutdown {
-            break;
-        }
-    }
-    (host.metrics, *rt.agent().stats())
-}
-
-/// One coordinator's event loop. Coordinators are purely reactive — no
-/// timers — so a blocking receive suffices until a fault holds a send in
-/// the outbox, after which the loop polls with the outbox deadline.
-fn coord_loop(
-    mut rt: CoordinatorRuntime,
-    mut host: ThreadHost,
-    rx: Receiver<NodeMsg>,
-    cgm: bool,
-    ready_crash: Option<u32>,
-) -> Metrics {
-    let mut ready_seen = 0u32;
-    loop {
-        host.flush_outbox(host.elapsed_us());
-        let received = if let Some(at) = host.next_outbox_deadline() {
-            let wait_us = at.saturating_sub(host.elapsed_us()).max(1);
-            match rx.recv_timeout(Duration::from_micros(wait_us)) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        };
-        match received {
-            NodeMsg::Net(msg) => {
-                if ready_crash.is_some() && matches!(msg, Message::Ready { .. }) {
-                    ready_seen += 1;
-                    if Some(ready_seen) >= ready_crash {
-                        // Crash-stop: exit without processing the k-th
-                        // READY — between vote collection and the decision
-                        // broadcast. The ExitGuard tells the driver.
-                        break;
-                    }
-                }
-                or_die(rt.on_message(msg, &mut host))
-            }
-            NodeMsg::Ctrl { from: _, ctrl } => or_die(rt.on_ctrl(ctrl, &mut host)),
-            NodeMsg::StartGlobal { gtxn, program } => or_die(rt.begin(gtxn, program, &mut host)),
-            NodeMsg::TakeOver => or_die(rt.take_over(&mut host)),
-            NodeMsg::Shutdown => break,
-        }
-        // Finished is always the tail of a batch; settle it now.
-        for (cnode, gtxn, outcome) in std::mem::take(&mut host.pending_finished) {
-            if cgm {
-                rt.cgm_cleanup(gtxn);
-                host.send_ctrl(cnode, CENTRAL, CtrlMsg::CgmFinished { gtxn });
-            }
-            let _ = host.shared.notices.send(Notice::GlobalFinished { outcome });
-        }
-    }
-    host.metrics
-}
-
-/// The CGM central scheduler's event loop.
-fn central_loop(mut rt: CentralRuntime, mut host: ThreadHost, rx: Receiver<NodeMsg>) -> Metrics {
-    loop {
-        match rx.recv() {
-            Ok(NodeMsg::Ctrl { from, ctrl }) => or_die(rt.on_ctrl(from, ctrl, &mut host)),
-            Ok(NodeMsg::Shutdown) | Err(_) => break,
-            // mdbs-check: allow(conc-panic-in-thread) -- routing invariant: coordinators address the central node with Ctrl only
-            Ok(_) => unreachable!("central receives only control traffic"),
-        }
-    }
-    host.metrics
-}
-
-/// One Paxos Commit acceptor's event loop: durable ballot/vote log, driven
-/// entirely by control traffic from sites and coordinators.
-fn acceptor_loop(mut rt: AcceptorRuntime, mut host: ThreadHost, rx: Receiver<NodeMsg>) -> Metrics {
-    loop {
-        match rx.recv() {
-            Ok(NodeMsg::Ctrl { from: _, ctrl }) => or_die(rt.on_ctrl(ctrl, &mut host)),
-            Ok(NodeMsg::Shutdown) | Err(_) => break,
-            // mdbs-check: allow(conc-panic-in-thread) -- routing invariant: sites and coordinators address acceptors with Ctrl only
-            Ok(_) => unreachable!("acceptors receive only control traffic"),
-        }
-    }
-    host.metrics
+        run_node(&mut rt, &mut host);
+        (host.metrics, stats(&rt))
+    })
 }

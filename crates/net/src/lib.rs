@@ -20,13 +20,17 @@
 //!   retransmission of the in-flight frame after a reconnect. Delivery is
 //!   at-least-once; the 2PC agents are duplicate-hardened, so retransmits
 //!   are safe where it matters.
-//! * [`node`] — the `mdbs-node` process runtime: every process reads the
-//!   same cluster file, pre-draws the same seeded workload
+//! * [`node`] — the `mdbs-node` process host: every role is the shared
+//!   node loop ([`mdbs_runtime::run_node`]) over its runtime and a
+//!   `NodeHost` — the TCP transport as a [`mdbs_runtime::NodePort`] — so
+//!   this crate holds no loop of its own. Every process reads the same
+//!   cluster file, pre-draws the same seeded workload
 //!   ([`mdbs_workload::predraw`]) and takes its own slice, so no workload
-//!   bytes ever cross the wire; the driver (coordinator 0) admits global
-//!   transactions under the configured multiprogramming level, collects
-//!   per-node history reports after a drain barrier, and prints
-//!   timing-independent outcome digests comparable with the simulation's.
+//!   bytes ever cross the wire; the driver (state inside coordinator 0's
+//!   host) admits global transactions under the configured
+//!   multiprogramming level, collects per-node history reports after a
+//!   drain barrier, and prints timing-independent outcome digests
+//!   comparable with the simulation's.
 //! * [`cluster`] — spawns one `mdbs-node` process per role on loopback and
 //!   harvests the digests (the integration-test and smoke harness).
 

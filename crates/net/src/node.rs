@@ -14,37 +14,42 @@
 //! checkers, and prints timing-independent outcome digests comparable
 //! with a simulation run of the same scenario.
 //!
+//! Every role runs the one node loop, [`mdbs_runtime::run_node`], over
+//! its runtime and a `NodeHost` — the TCP transport as a
+//! [`NodePort`]. The driver is not a second loop: it is state inside
+//! coordinator 0's host (`Driver`) that consumes the envelopes addressed
+//! to it (`Finished`, `NodeReport`) as the port translates them and feeds
+//! the loop the events it decides on (`TakeOver`, `Shutdown`).
+//!
 //! Retransmission hardening: the transport is at-least-once, so the
 //! cluster-control envelope is deduplicated here — a coordinator begins
-//! each `StartGlobal` once, the driver settles each `Finished` once and
-//! keeps the first `NodeReport` per node. The 2PC messages themselves
-//! need no help: the agents are duplicate-hardened by design.
+//! each `StartGlobal` once and finishes each transaction once, the driver
+//! settles each `Finished` once and keeps the first `NodeReport` per
+//! node. The 2PC messages themselves need no help: the agents are
+//! duplicate-hardened by design.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::time::{Duration, Instant, SystemTime};
 
-use mdbs_consensus::PaxosCommit;
-use mdbs_dtm::{AgentInput, GlobalOutcome, Message};
+use mdbs_dtm::{GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, History, Instance, Op, SiteId};
-use mdbs_ldbs::{Command, Ldbs, SiteProfile, Store};
 use mdbs_runtime::{
-    message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime, CtrlMsg, RuntimeHost,
-    SiteRuntime, TimeSource, Timer, TraceEvent, Transport, ACCEPTOR_BASE, CENTRAL, COORD_BASE,
+    message_kind, AbortInjector, AcceptorRuntime, AdmissionWindow, CentralRuntime, CtrlMsg,
+    NodeEvent, NodePort, RuntimeHost, TimeSource, Timer, TraceEvent, Transport, COORD_BASE,
 };
 use mdbs_sim::report::{outcome_digest, site_verdict_digest, CorrectnessReport};
-use mdbs_sim::sim::effective_agent_cfg;
-use mdbs_sim::{ClusterConfig, NodeRole, Protocol};
+use mdbs_sim::sim::{coordinator_runtime, effective_agent_cfg, site_runtime};
+use mdbs_sim::{ClusterConfig, NodeRole};
 use mdbs_simkit::{DetRng, Metrics, SimTime};
 use mdbs_workload::predraw;
 
 use crate::tcp::{NetEvent, TcpTransport, TcpTransportConfig, TransportStats};
 use crate::wire::WireMsg;
 
-/// How many already-queued events one wake-up of a site loop handles after
-/// its blocking poll returns. Bounded so a deep backlog never starves the
-/// injection and deadlock-scan schedule.
-const RECV_BATCH: usize = 64;
+/// The longest one blocking poll may last, µs: every loop re-checks its
+/// deadline (and the driver its stall detector) at least this often.
+const POLL_CAP_US: u64 = 20_000;
 
 /// What a finished node hands back to its caller: the stdout lines the
 /// cluster harness parses (digests from the driver, stats from everyone).
@@ -56,9 +61,42 @@ pub struct NodeOutput {
     pub lines: Vec<String>,
 }
 
-/// The per-process [`RuntimeHost`]: the TCP transport plus local history,
-/// injection and settlement state.
+/// The cluster driver, hosted by coordinator 0's [`NodeHost`]: admission
+/// under the multiprogramming level, the failover stall detector, the
+/// drain barrier and report collection.
+struct Driver {
+    window: AdmissionWindow,
+    total_globals: usize,
+    settled: BTreeSet<GlobalTxnId>,
+    committed: u64,
+    aborted: u64,
+    /// Every node of the cluster, in canonical order.
+    all_nodes: Vec<u32>,
+    /// First NodeReport per node wins (retransmission dedup).
+    reports: BTreeMap<u32, (Vec<Op>, u64, u64)>,
+    /// A coordinator configured to crash-stop never reports: exempt it
+    /// from the drain barrier and the history merge (the driver itself —
+    /// coordinator 0 — cannot crash; the simulation covers that case).
+    crash_exempt: Option<u32>,
+    /// Coordinators admission routes around: the configured crash node,
+    /// from the first time the stall detector fires.
+    dead: BTreeSet<u32>,
+    /// Every global settled and `Drain` went out.
+    draining: bool,
+    /// Failover stall detector: with fault tolerance on (`Some`), a
+    /// settlement gap this long means a coordinator likely died — take
+    /// over its in-flight transactions through the acceptor quorum.
+    /// Re-fires each window (every takeover runs a fresh, higher ballot,
+    /// so repeats are safe).
+    stall: Option<Duration>,
+    last_progress: Instant,
+    last_settled: usize,
+}
+
+/// The per-process [`RuntimeHost`] and [`NodePort`]: the TCP transport
+/// plus local history, injection and settlement state.
 struct NodeHost {
+    node: u32,
     transport: TcpTransport,
     /// Group-commit buffer: everything a burst of input produces is
     /// staged per destination and handed to the transport as one
@@ -70,37 +108,81 @@ struct NodeHost {
     metrics: Metrics,
     /// This node's history slice, in local order.
     ops: Vec<Op>,
-    /// Pending unilateral-abort injections (sites only).
-    injections: Vec<(u64, Instance)>,
-    inject_rng: DetRng,
-    unilateral_abort_prob: f64,
-    abort_delay_max_us: u64,
-    local_done: bool,
+    injector: AbortInjector,
     local_committed: u64,
     local_aborted: u64,
-    /// Terminal outcomes reported by the coordinator on this process,
-    /// drained after each input batch.
-    pending_finished: Vec<(u32, GlobalTxnId, GlobalOutcome)>,
+    /// Duplicate screens for retransmitted StartGlobal and re-decided
+    /// finishes. With `done_cap` set they are compacted in lockstep
+    /// (oldest finished id evicted from both) so sustained load holds
+    /// them at O(cap). Cap 0 (default) keeps every id, bit-for-bit the
+    /// pre-knob behavior.
+    started: BTreeSet<GlobalTxnId>,
+    finished: BTreeSet<GlobalTxnId>,
+    done_cap: usize,
     epoch: Instant,
+    /// The scenario's wall-clock safety valve.
+    deadline: Instant,
+    /// Coordinator 0 only.
+    driver: Option<Driver>,
 }
 
 impl NodeHost {
-    fn new(transport: TcpTransport, inject_rng: DetRng, cfg: &ClusterConfig) -> NodeHost {
-        NodeHost {
-            transport,
+    fn new(cfg: &ClusterConfig, node: u32) -> io::Result<NodeHost> {
+        let scenario = &cfg.scenario;
+        let root = DetRng::new(scenario.workload.seed);
+        let epoch = Instant::now();
+        Ok(NodeHost {
+            node,
+            transport: start_transport(cfg, node)?,
             outgoing: BTreeMap::new(),
             metrics: Metrics::new(),
             ops: Vec::new(),
-            injections: Vec::new(),
-            inject_rng,
-            unilateral_abort_prob: cfg.scenario.workload.unilateral_abort_prob,
-            abort_delay_max_us: cfg.scenario.abort_delay_max_us,
-            local_done: false,
+            injector: AbortInjector::new(
+                root.substream_n("inject", node as u64),
+                root.substream_n("fault-burst", node as u64),
+                scenario.workload.unilateral_abort_prob,
+                scenario.abort_delay_max_us,
+            ),
             local_committed: 0,
             local_aborted: 0,
-            pending_finished: Vec::new(),
-            epoch: Instant::now(),
+            started: BTreeSet::new(),
+            finished: BTreeSet::new(),
+            done_cap: effective_agent_cfg(scenario).done_cap,
+            epoch,
+            deadline: epoch + Duration::from_secs_f64(scenario.time_limit.as_secs_f64()),
+            driver: None,
+        })
+    }
+
+    /// Turn this host into the cluster driver and open the admission
+    /// window.
+    fn start_driver(&mut self, cfg: &ClusterConfig) {
+        let scenario = &cfg.scenario;
+        let mut window = AdmissionWindow::new(scenario.workload.mpl, scenario.coordinators);
+        for (gtxn, program) in predraw(&scenario.workload).globals {
+            window.arrive(gtxn, program);
         }
+        self.driver = Some(Driver {
+            window,
+            total_globals: scenario.workload.global_txns as usize,
+            settled: BTreeSet::new(),
+            committed: 0,
+            aborted: 0,
+            all_nodes: cfg.node_ids(),
+            reports: BTreeMap::new(),
+            crash_exempt: scenario
+                .coord_crash_after_ready
+                .map(|(c, _)| COORD_BASE + c)
+                .filter(|&n| n != self.node),
+            dead: BTreeSet::new(),
+            draining: false,
+            stall: (scenario.consensus_f > 0).then(|| {
+                Duration::from_micros(scenario.failover_delay_us).max(Duration::from_millis(500))
+            }),
+            last_progress: Instant::now(),
+            last_settled: 0,
+        });
+        self.admit();
     }
 
     fn elapsed_us(&self) -> u64 {
@@ -114,36 +196,118 @@ impl NodeHost {
         self.outgoing.entry(to).or_default().push(msg);
     }
 
-    /// Hand every staged group to the transport, one group per link.
-    fn flush_outgoing(&mut self) {
-        while let Some((to, msgs)) = self.outgoing.pop_first() {
-            self.transport.send_wire_group(to, msgs);
+    /// Stage a bare envelope for every other node of the cluster (driver
+    /// only).
+    fn broadcast(&mut self, envelope: fn() -> WireMsg) {
+        let Some(d) = self.driver.as_ref() else {
+            return;
+        };
+        for &id in d.all_nodes.iter().filter(|&&id| id != self.node) {
+            self.outgoing.entry(id).or_default().push(envelope());
         }
     }
 
-    fn take_due_injections(&mut self, now_us: u64) -> Vec<Instance> {
-        let mut due = Vec::new();
-        self.injections.retain(|&(at, instance)| {
-            if at <= now_us {
-                due.push(instance);
-                false
-            } else {
-                true
+    /// Driver: fill the admission window, then — once every global has
+    /// settled — open the drain barrier: everyone finishes local work and
+    /// reports.
+    fn admit(&mut self) {
+        let Some(d) = self.driver.as_mut() else {
+            return;
+        };
+        while let Some((cnode, gtxn, program)) = d.window.admit(&d.dead) {
+            let start = WireMsg::StartGlobal { gtxn, program };
+            self.outgoing.entry(cnode).or_default().push(start);
+        }
+        if !d.draining && d.settled.len() >= d.total_globals {
+            d.draining = true;
+            self.broadcast(|| WireMsg::Drain);
+        }
+    }
+
+    /// Driver: a global transaction reached its terminal outcome (at this
+    /// coordinator or, via `Finished`, at another one).
+    fn settle(&mut self, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        let Some(d) = self.driver.as_mut() else {
+            return;
+        };
+        if d.settled.insert(gtxn) {
+            d.window.settled();
+            match outcome {
+                GlobalOutcome::Committed => d.committed += 1,
+                GlobalOutcome::Aborted => d.aborted += 1,
             }
-        });
-        due
+            self.admit();
+        }
     }
 
-    fn next_injection_us(&self) -> Option<u64> {
-        self.injections.iter().map(|&(at, _)| at).min()
+    /// Driver: the event the driver itself is due to feed the loop, if
+    /// any — `Shutdown` once every expected report is in, `TakeOver` when
+    /// the stall detector fires.
+    fn driver_due(&mut self) -> Option<NodeEvent> {
+        let d = self.driver.as_mut()?;
+        if d.draining {
+            let expected = d.all_nodes.len() - 1 - usize::from(d.crash_exempt.is_some());
+            return (d.reports.len() >= expected).then_some(NodeEvent::Shutdown);
+        }
+        if d.settled.len() != d.last_settled {
+            d.last_settled = d.settled.len();
+            d.last_progress = Instant::now();
+        } else if d
+            .stall
+            .is_some_and(|stall| d.last_progress.elapsed() >= stall)
+        {
+            d.last_progress = Instant::now();
+            // The configured crash node is presumed dead from here on:
+            // admission routes around it, as in the other drivers.
+            d.dead.extend(d.crash_exempt);
+            return Some(NodeEvent::TakeOver);
+        }
+        None
     }
 
-    fn stats_line(&self, node: u32, role: &NodeRole) -> String {
+    /// Map one transport event onto the node vocabulary. Envelopes
+    /// addressed to the driver are consumed here; anything else this node
+    /// has no use for (e.g. a retransmitted duplicate) is dropped.
+    fn translate(&mut self, ev: NetEvent) -> Option<NodeEvent> {
+        match ev {
+            NetEvent::Timer { timer, .. } => Some(NodeEvent::Timer(timer)),
+            NetEvent::Msg(WireMsg::Net { msg, .. }) => Some(NodeEvent::Net(msg)),
+            NetEvent::Msg(WireMsg::Ctrl { from, ctrl, .. }) => Some(NodeEvent::Ctrl { from, ctrl }),
+            // The transport may retransmit across a reconnect; begin each
+            // transaction exactly once.
+            NetEvent::Msg(WireMsg::StartGlobal { gtxn, program }) => {
+                (!self.finished.contains(&gtxn) && self.started.insert(gtxn))
+                    .then_some(NodeEvent::Start { gtxn, program })
+            }
+            NetEvent::Msg(WireMsg::Drain) => Some(NodeEvent::Drain),
+            NetEvent::Msg(WireMsg::Shutdown) => Some(NodeEvent::Shutdown),
+            NetEvent::Msg(WireMsg::Finished { gtxn, outcome }) => {
+                self.settle(gtxn, outcome);
+                None
+            }
+            NetEvent::Msg(WireMsg::NodeReport {
+                node,
+                ops,
+                local_committed,
+                local_aborted,
+            }) => {
+                if let Some(d) = self.driver.as_mut() {
+                    d.reports
+                        .entry(node)
+                        .or_insert((ops, local_committed, local_aborted));
+                }
+                None
+            }
+            NetEvent::Msg(_) => None,
+        }
+    }
+
+    fn stats_line(&self, role: &NodeRole) -> String {
         use std::sync::atomic::Ordering::Relaxed;
         let s: &TransportStats = self.transport.stats();
         format!(
             "mdbs-node stats node={} role={} frames_sent={} frames_received={} msgs_sent={} msgs_received={} batches_sent={} connects={} decode_errors={} test_drops={}",
-            node,
+            self.node,
             role.key(),
             s.frames_sent.load(Relaxed),
             s.frames_received.load(Relaxed),
@@ -154,6 +318,54 @@ impl NodeHost {
             s.decode_errors.load(Relaxed),
             s.test_drops.load(Relaxed),
         )
+    }
+
+    /// Driver, after the loop: merge the slices in ascending node order,
+    /// certify, and render the digest lines.
+    fn driver_lines(&mut self, sites: u32) -> Vec<String> {
+        let Some(d) = self.driver.as_ref() else {
+            return Vec::new();
+        };
+        let mut lines = Vec::new();
+        let mut local_committed = 0u64;
+        let mut local_aborted = 0u64;
+        let mut merged: Vec<Op> = Vec::new();
+        for &id in &d.all_nodes {
+            if id == self.node {
+                merged.extend(self.ops.iter().cloned());
+                continue;
+            }
+            match d.reports.get(&id) {
+                Some((ops, lc, la)) => {
+                    merged.extend(ops.iter().cloned());
+                    local_committed += lc;
+                    local_aborted += la;
+                }
+                // The crash-stopped coordinator's slice died with it, by
+                // design; everyone else missing is worth reporting.
+                None if Some(id) == d.crash_exempt => {}
+                None => lines.push(format!("mdbs-node missing-report node={id}")),
+            }
+        }
+        let history = History::from_ops(merged);
+        let checks = CorrectnessReport::analyze(&history, sites);
+        lines.push(format!(
+            "mdbs-node outcome digest={:#018x}",
+            outcome_digest(&history, &checks)
+        ));
+        for s in 0..sites {
+            lines.push(format!(
+                "mdbs-node site-verdict site={s} digest={:#018x}",
+                site_verdict_digest(&history, SiteId(s))
+            ));
+        }
+        lines.push(format!(
+            "mdbs-node summary committed={} aborted={} local_committed={local_committed} local_aborted={local_aborted} checks_passed={}",
+            d.committed,
+            d.aborted,
+            checks.passed()
+        ));
+        lines
     }
 }
 
@@ -203,17 +415,14 @@ impl RuntimeHost for NodeHost {
     fn trace(&mut self, _event: TraceEvent) {}
 
     fn prepared(&mut self, site: SiteId, gtxn: GlobalTxnId, incarnation: u32) {
-        if !self.inject_rng.chance(self.unilateral_abort_prob) {
-            return;
-        }
-        self.metrics.inc("injections_scheduled");
+        let struck = self.injector.strikes();
         let instance = Instance::global(gtxn.0, site, incarnation);
-        let delay = if self.abort_delay_max_us == 0 {
-            0
-        } else {
-            self.inject_rng.uniform_u64(0, self.abort_delay_max_us)
-        };
-        self.injections.push((self.elapsed_us() + delay, instance));
+        if let Some((after_us, timer)) =
+            self.injector
+                .on_prepared(struck, 0.0, instance, &mut self.metrics)
+        {
+            self.set_timer(site.0, after_us, timer);
+        }
     }
 
     fn local_settled(&mut self, _site: SiteId, committed: bool) {
@@ -222,25 +431,77 @@ impl RuntimeHost for NodeHost {
         } else {
             self.local_aborted += 1;
         }
-        self.local_done = true;
     }
 
-    fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        self.pending_finished.push((cnode, gtxn, outcome));
+    fn global_finished(&mut self, _cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        // A repeated takeover re-decides (to the same value) what it
+        // already finished; report each transaction once.
+        if !self.finished.insert(gtxn) {
+            return;
+        }
+        if self.done_cap > 0 {
+            while self.finished.len() > self.done_cap {
+                if let Some(old) = self.finished.pop_first() {
+                    self.started.remove(&old);
+                }
+            }
+        }
+        if self.driver.is_some() {
+            self.settle(gtxn, outcome);
+        } else {
+            self.queue_wire(COORD_BASE, WireMsg::Finished { gtxn, outcome });
+        }
     }
 }
 
-/// Driver policy for runtime-internal failures: in a cluster process an
-/// engine/protocol disagreement is a bug in this repo, so dying loudly
-/// (the harness surfaces the exit) beats shipping a corrupt history slice.
-fn or_die(r: Result<(), mdbs_runtime::RuntimeError>) {
-    if let Err(e) = r {
-        panic!("runtime invariant violated: {e}");
+impl NodePort for NodeHost {
+    /// One blocking poll of at most [`POLL_CAP_US`]; due timers pop out of
+    /// the transport ahead of queued messages.
+    fn recv(&mut self, wait_us: Option<u64>) -> Option<NodeEvent> {
+        if let Some(ev) = self.driver_due() {
+            return Some(ev);
+        }
+        let wait = Duration::from_micros(wait_us.map_or(POLL_CAP_US, |us| us.min(POLL_CAP_US)));
+        let ev = self.transport.poll(wait)?;
+        self.translate(ev).or_else(|| self.try_recv())
     }
-}
 
-fn wall_deadline(cfg: &ClusterConfig) -> Instant {
-    Instant::now() + Duration::from_secs_f64(cfg.scenario.time_limit.as_secs_f64())
+    fn try_recv(&mut self) -> Option<NodeEvent> {
+        loop {
+            let ev = self.transport.try_poll()?;
+            if let Some(ev) = self.translate(ev) {
+                return Some(ev);
+            }
+        }
+    }
+
+    /// Hand every staged group to the transport, one group per link.
+    fn flush(&mut self) {
+        while let Some((to, msgs)) = self.outgoing.pop_first() {
+            self.transport.send_wire_group(to, msgs);
+        }
+    }
+
+    fn expired(&self) -> bool {
+        Instant::now() >= self.deadline
+    }
+
+    fn report(&mut self) {
+        let report = WireMsg::NodeReport {
+            node: self.node,
+            ops: std::mem::take(&mut self.ops),
+            local_committed: self.local_committed,
+            local_aborted: self.local_aborted,
+        };
+        self.queue_wire(COORD_BASE, report);
+    }
+
+    /// Crash-stop: no flush, no report — staged output and runtime state
+    /// vanish with the process, which exits cleanly so the harness reads
+    /// it as a crash-stop, not a bug.
+    fn crash_stop(&mut self) {
+        std::process::exit(0);
+    }
 }
 
 fn start_transport(cfg: &ClusterConfig, node: u32) -> io::Result<TcpTransport> {
@@ -286,597 +547,37 @@ fn start_transport(cfg: &ClusterConfig, node: u32) -> io::Result<TcpTransport> {
 
 /// Run one cluster role to completion. Blocks until the driver's
 /// [`WireMsg::Shutdown`] arrives (or the scenario's wall-clock time limit
-/// passes) and returns the lines to print.
+/// passes) and returns the lines to print. Coordinator 0 is also the
+/// cluster driver: its host admits the workload, and after the loop it
+/// certifies the merged history and releases the cluster.
 pub fn run_node(cfg: &ClusterConfig, role: NodeRole) -> io::Result<NodeOutput> {
+    let scenario = &cfg.scenario;
+    let node = role.node_id();
+    let mut host = NodeHost::new(cfg, node)?;
     match role {
-        NodeRole::Site(s) => run_site(cfg, s),
-        NodeRole::Coordinator(0) => run_driver(cfg),
-        NodeRole::Coordinator(c) => run_coordinator(cfg, c),
-        NodeRole::Central => run_central(cfg),
-        NodeRole::Acceptor(a) => run_acceptor(cfg, a),
+        NodeRole::Site(s) => {
+            let mut rt = site_runtime(scenario, s);
+            let mut locals = predraw(&scenario.workload).locals;
+            rt.set_housekeeping(
+                locals.remove(&SiteId(s)).unwrap_or_default(),
+                scenario.deadlock_scan_us,
+                scenario.wait_timeout_us,
+            );
+            mdbs_runtime::run_node(&mut rt, &mut host);
+        }
+        NodeRole::Coordinator(c) => {
+            if c == 0 {
+                host.start_driver(cfg);
+            }
+            mdbs_runtime::run_node(&mut coordinator_runtime(scenario, c), &mut host);
+        }
+        NodeRole::Central => mdbs_runtime::run_node(&mut CentralRuntime::new(), &mut host),
+        NodeRole::Acceptor(_) => mdbs_runtime::run_node(&mut AcceptorRuntime::new(node), &mut host),
     }
-}
-
-fn run_site(cfg: &ClusterConfig, s: u32) -> io::Result<NodeOutput> {
-    let scenario = &cfg.scenario;
-    let spec = &scenario.workload;
-    let site = SiteId(s);
-    let mut engine = Ldbs::new(
-        site,
-        SiteProfile::for_site(s),
-        Store::with_rows(spec.items_per_site, spec.initial_value),
-    );
-    engine.set_enforce_dlu(spec.enforce_dlu);
-    let mut rt = SiteRuntime::new(
-        site,
-        effective_agent_cfg(scenario),
-        engine,
-        scenario.ltm_service_us,
-    );
-    if scenario.consensus_f > 0 {
-        // Paxos Commit fast path: vote replies double as ballot-0
-        // phase-2a messages fanned to every acceptor.
-        rt.set_acceptors(cfg.acceptor_nodes());
-    }
-
-    let root = DetRng::new(spec.seed);
-    let mut drawn = predraw(spec);
-    let mut local_queue: VecDeque<(u32, Vec<Command>)> =
-        drawn.locals.remove(&site).unwrap_or_default();
-
-    let transport = start_transport(cfg, s)?;
-    let mut host = NodeHost::new(transport, root.substream_n("inject", s as u64), cfg);
-    let deadline = wall_deadline(cfg);
-    let mut local_active = false;
-    let mut draining = false;
-    let mut reported = false;
-    let mut next_scan_us = scenario.deadlock_scan_us;
-
-    loop {
-        let now_us = host.elapsed_us();
-        for instance in host.take_due_injections(now_us) {
-            or_die(rt.inject_abort(instance, &mut host));
-        }
-        if now_us >= next_scan_us {
-            next_scan_us = now_us + scenario.deadlock_scan_us;
-            or_die(rt.kill_local_deadlocks(&mut host));
-            let timeout = mdbs_simkit::SimDuration::from_micros(scenario.wait_timeout_us);
-            let now = host.now();
-            let expired: Vec<Instance> = rt
-                .blocked()
-                .filter(|&(_, since)| now.since(since) > timeout)
-                .map(|(i, _)| i)
-                .collect();
-            for instance in expired {
-                or_die(rt.abort_on_timeout(instance, &mut host));
-            }
-        }
-        if host.local_done {
-            host.local_done = false;
-            local_active = false;
-        }
-        if !local_active {
-            if let Some((n, commands)) = local_queue.pop_front() {
-                local_active = true;
-                or_die(rt.start_local(n, commands, &mut host));
-                continue; // the start may already have settled it
-            }
-        }
-        if draining && !reported && !local_active && local_queue.is_empty() && rt.quiesced() {
-            reported = true;
-            let report = WireMsg::NodeReport {
-                node: s,
-                ops: std::mem::take(&mut host.ops),
-                local_committed: host.local_committed,
-                local_aborted: host.local_aborted,
-            };
-            host.queue_wire(COORD_BASE, report);
-        }
-        if Instant::now() >= deadline {
-            break; // wall-clock safety valve
-        }
-        let wait_us = host
-            .next_injection_us()
-            .map(|at| at.saturating_sub(host.elapsed_us()))
-            .unwrap_or(u64::MAX)
-            .min(next_scan_us.saturating_sub(host.elapsed_us()).max(1))
-            .clamp(1, 20_000);
-        // Group-commit flush: everything the last burst produced leaves
-        // as one group per link before this loop blocks.
-        host.flush_outgoing();
-        // One blocking poll, then drain what is already queued (with a
-        // budget so injections and deadlock scans still run on schedule).
-        let mut event = host.transport.poll(Duration::from_micros(wait_us));
-        let mut budget = RECV_BATCH;
-        let mut shutdown = false;
-        while let Some(ev) = event.take() {
-            match ev {
-                NetEvent::Msg(WireMsg::Net { msg, .. }) => {
-                    or_die(rt.agent_input(AgentInput::Deliver(msg), &mut host))
-                }
-                NetEvent::Msg(WireMsg::Drain) => draining = true,
-                NetEvent::Msg(WireMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                NetEvent::Msg(_) => {} // not site traffic; ignore
-                NetEvent::Timer { timer, .. } => or_die(match timer {
-                    Timer::Alive { gtxn } => {
-                        rt.agent_input(AgentInput::AliveTimer { gtxn }, &mut host)
-                    }
-                    Timer::CommitRetry { gtxn } => {
-                        rt.agent_input(AgentInput::CommitRetryTimer { gtxn }, &mut host)
-                    }
-                    Timer::LtmExec { instance, command } => {
-                        rt.ltm_exec(instance, command, &mut host)
-                    }
-                }),
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            event = host.transport.try_poll();
-        }
-        if shutdown {
-            break;
-        }
-    }
-
-    host.flush_outgoing();
-    let lines = vec![host.stats_line(s, &NodeRole::Site(s))];
-    host.transport.shutdown();
-    Ok(NodeOutput { node: s, lines })
-}
-
-fn run_coordinator(cfg: &ClusterConfig, c: u32) -> io::Result<NodeOutput> {
-    let node = COORD_BASE + c;
-    let cgm = matches!(cfg.scenario.protocol, Protocol::Cgm);
-    let mut rt = CoordinatorRuntime::new(node, cgm);
-    if cfg.scenario.consensus_f > 0 {
-        rt.set_consensus(Box::new(PaxosCommit::new(
-            node,
-            cfg.scenario.consensus_f,
-            cfg.acceptor_nodes(),
-        )));
-    }
-    let root = DetRng::new(cfg.scenario.workload.seed);
-    let transport = start_transport(cfg, node)?;
-    let mut host = NodeHost::new(transport, root.substream("unused"), cfg);
-    let deadline = wall_deadline(cfg);
-    // Duplicate screens for retransmitted StartGlobal and re-decided
-    // finishes. With `done_cap` set they are compacted in lockstep
-    // (oldest finished id evicted from both) so sustained load holds
-    // them at O(cap); the monotone counters keep the drain condition
-    // exact either way. Cap 0 (default) keeps every id, bit-for-bit
-    // the pre-knob behavior.
-    let done_cap = effective_agent_cfg(&cfg.scenario).done_cap;
-    let mut started: BTreeSet<GlobalTxnId> = BTreeSet::new();
-    let mut finished: BTreeSet<GlobalTxnId> = BTreeSet::new();
-    let mut started_n = 0usize;
-    let mut finished_n = 0usize;
-    let mut draining = false;
-    let mut reported = false;
-    // Forced-crash hook (failover tests): die without processing the k-th
-    // READY, exactly where the simulation's hook lands. The process exits
-    // cleanly so the harness reads it as a crash-stop, not a bug.
-    let ready_crash: Option<u32> = match cfg.scenario.coord_crash_after_ready {
-        Some((crash_c, k)) if crash_c == c => Some(k),
-        _ => None,
-    };
-    let mut ready_seen = 0u32;
-
-    loop {
-        if draining && !reported && started_n == finished_n {
-            reported = true;
-            let report = WireMsg::NodeReport {
-                node,
-                ops: std::mem::take(&mut host.ops),
-                local_committed: 0,
-                local_aborted: 0,
-            };
-            host.queue_wire(COORD_BASE, report);
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        host.flush_outgoing();
-        // One blocking poll, then a bounded burst of whatever is already
-        // queued: the COMMITs/ROLLBACKs the burst produces coalesce into
-        // one frame per link at the flush above.
-        let mut event = host.transport.poll(Duration::from_millis(20));
-        let mut budget = RECV_BATCH;
-        let mut shutdown = false;
-        while let Some(ev) = event.take() {
-            match ev {
-                NetEvent::Msg(WireMsg::Net { msg, .. }) => {
-                    if ready_crash.is_some() && matches!(msg, Message::Ready { .. }) {
-                        ready_seen += 1;
-                        if Some(ready_seen) >= ready_crash {
-                            // Crash-stop: no flush, no report — staged
-                            // output and runtime state vanish with us.
-                            std::process::exit(0);
-                        }
-                    }
-                    or_die(rt.on_message(msg, &mut host))
-                }
-                NetEvent::Msg(WireMsg::Ctrl { ctrl, .. }) => or_die(rt.on_ctrl(ctrl, &mut host)),
-                // The transport may retransmit across a reconnect; begin
-                // each transaction exactly once.
-                NetEvent::Msg(WireMsg::StartGlobal { gtxn, program }) => {
-                    if !finished.contains(&gtxn) && started.insert(gtxn) {
-                        started_n += 1;
-                        or_die(rt.begin(gtxn, program, &mut host));
-                    }
-                }
-                NetEvent::Msg(WireMsg::Drain) => draining = true,
-                NetEvent::Msg(WireMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                NetEvent::Msg(_) => {}
-                NetEvent::Timer { .. } => {} // coordinators set no timers
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            event = host.transport.try_poll();
-        }
-        for (cnode, gtxn, outcome) in std::mem::take(&mut host.pending_finished) {
-            if finished.insert(gtxn) {
-                finished_n += 1;
-                if cgm {
-                    rt.cgm_cleanup(gtxn);
-                    host.send_ctrl(cnode, CENTRAL, CtrlMsg::CgmFinished { gtxn });
-                }
-                host.queue_wire(COORD_BASE, WireMsg::Finished { gtxn, outcome });
-                if done_cap > 0 {
-                    while finished.len() > done_cap {
-                        if let Some(old) = finished.pop_first() {
-                            started.remove(&old);
-                        }
-                    }
-                }
-            }
-        }
-        if shutdown {
-            break;
-        }
-    }
-
-    host.flush_outgoing();
-    let lines = vec![host.stats_line(node, &NodeRole::Coordinator(c))];
-    host.transport.shutdown();
-    Ok(NodeOutput { node, lines })
-}
-
-fn run_central(cfg: &ClusterConfig) -> io::Result<NodeOutput> {
-    let mut rt = CentralRuntime::new();
-    let root = DetRng::new(cfg.scenario.workload.seed);
-    let transport = start_transport(cfg, CENTRAL)?;
-    let mut host = NodeHost::new(transport, root.substream("unused"), cfg);
-    let deadline = wall_deadline(cfg);
-    let mut reported = false;
-
-    loop {
-        if Instant::now() >= deadline {
-            break;
-        }
-        host.flush_outgoing();
-        // The certifier's votes for a burst of concurrent CERTIFY
-        // requests leave as one frame per coordinator.
-        let mut event = host.transport.poll(Duration::from_millis(20));
-        let mut budget = RECV_BATCH;
-        let mut shutdown = false;
-        while let Some(ev) = event.take() {
-            match ev {
-                NetEvent::Msg(WireMsg::Ctrl { from, ctrl, .. }) => {
-                    or_die(rt.on_ctrl(from, ctrl, &mut host))
-                }
-                NetEvent::Msg(WireMsg::Drain) if !reported => {
-                    reported = true;
-                    let report = WireMsg::NodeReport {
-                        node: CENTRAL,
-                        ops: std::mem::take(&mut host.ops),
-                        local_committed: 0,
-                        local_aborted: 0,
-                    };
-                    host.queue_wire(COORD_BASE, report);
-                }
-                NetEvent::Msg(WireMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                _ => {}
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            event = host.transport.try_poll();
-        }
-        if shutdown {
-            break;
-        }
-    }
-
-    host.flush_outgoing();
-    let lines = vec![host.stats_line(CENTRAL, &NodeRole::Central)];
-    host.transport.shutdown();
-    Ok(NodeOutput {
-        node: CENTRAL,
-        lines,
-    })
-}
-
-/// One Paxos Commit acceptor: answers control-plane traffic only, and
-/// reports an empty history slice at the drain barrier (acceptors record
-/// no ops — the vote log is protocol state, not history).
-fn run_acceptor(cfg: &ClusterConfig, a: u32) -> io::Result<NodeOutput> {
-    let node = ACCEPTOR_BASE + a;
-    let mut rt = AcceptorRuntime::new(node);
-    let root = DetRng::new(cfg.scenario.workload.seed);
-    let transport = start_transport(cfg, node)?;
-    let mut host = NodeHost::new(transport, root.substream("unused"), cfg);
-    let deadline = wall_deadline(cfg);
-    let mut reported = false;
-
-    loop {
-        if Instant::now() >= deadline {
-            break;
-        }
-        host.flush_outgoing();
-        let mut event = host.transport.poll(Duration::from_millis(20));
-        let mut budget = RECV_BATCH;
-        let mut shutdown = false;
-        while let Some(ev) = event.take() {
-            match ev {
-                NetEvent::Msg(WireMsg::Ctrl { ctrl, .. }) => or_die(rt.on_ctrl(ctrl, &mut host)),
-                NetEvent::Msg(WireMsg::Drain) if !reported => {
-                    reported = true;
-                    host.queue_wire(
-                        COORD_BASE,
-                        WireMsg::NodeReport {
-                            node,
-                            // mdbs-check: allow(hot-alloc-in-loop, "the report is built once per process (guarded by `reported`), and an empty Vec::new() does not allocate")
-                            ops: Vec::new(),
-                            local_committed: 0,
-                            local_aborted: 0,
-                        },
-                    );
-                }
-                NetEvent::Msg(WireMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                _ => {}
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            event = host.transport.try_poll();
-        }
-        if shutdown {
-            break;
-        }
-    }
-
-    host.flush_outgoing();
-    let lines = vec![host.stats_line(node, &NodeRole::Acceptor(a))];
-    host.transport.shutdown();
-    Ok(NodeOutput { node, lines })
-}
-
-/// Coordinator 0: runs its own [`CoordinatorRuntime`] *and* the cluster
-/// driver — admission, the drain barrier, report collection, digests.
-fn run_driver(cfg: &ClusterConfig) -> io::Result<NodeOutput> {
-    let node = COORD_BASE;
-    let scenario = &cfg.scenario;
-    let spec = &scenario.workload;
-    let cgm = matches!(scenario.protocol, Protocol::Cgm);
-    let mut rt = CoordinatorRuntime::new(node, cgm);
-    if scenario.consensus_f > 0 {
-        rt.set_consensus(Box::new(PaxosCommit::new(
-            node,
-            scenario.consensus_f,
-            cfg.acceptor_nodes(),
-        )));
-    }
-    let root = DetRng::new(spec.seed);
-    let transport = start_transport(cfg, node)?;
-    let mut host = NodeHost::new(transport, root.substream("unused"), cfg);
-    let deadline = wall_deadline(cfg);
-
-    let drawn = predraw(spec);
-    let mut ready: VecDeque<(GlobalTxnId, Vec<(SiteId, Command)>)> =
-        drawn.globals.into_iter().collect();
-    let total_globals = spec.global_txns as u64;
-    let mut in_flight = 0u32;
-    let mut settled: BTreeSet<GlobalTxnId> = BTreeSet::new();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut started: BTreeSet<GlobalTxnId> = BTreeSet::new();
-    let mut finished_here: BTreeSet<GlobalTxnId> = BTreeSet::new();
-    // First NodeReport per node wins (retransmission dedup).
-    let mut reports: BTreeMap<u32, (Vec<Op>, u64, u64)> = BTreeMap::new();
-
-    let all_nodes = cfg.node_ids();
-    // A coordinator configured to crash-stop never reports: exempt it
-    // from the drain barrier and the history merge (the driver itself —
-    // coordinator 0 — cannot crash; the simulation covers that case).
-    let crash_exempt: Option<u32> = scenario
-        .coord_crash_after_ready
-        .map(|(c, _)| COORD_BASE + c)
-        .filter(|&n| n != node);
-    let expected_reports = all_nodes.len() - 1 - usize::from(crash_exempt.is_some());
-
-    macro_rules! admit {
-        () => {
-            while in_flight < spec.mpl {
-                let Some((gtxn, program)) = ready.pop_front() else {
-                    break;
-                };
-                in_flight += 1;
-                let cnode = COORD_BASE + (gtxn.0 % scenario.coordinators);
-                host.queue_wire(cnode, WireMsg::StartGlobal { gtxn, program });
-            }
-        };
-    }
-    macro_rules! settle {
-        ($gtxn:expr, $outcome:expr) => {
-            if settled.insert($gtxn) {
-                in_flight = in_flight.saturating_sub(1);
-                match $outcome {
-                    GlobalOutcome::Committed => committed += 1,
-                    GlobalOutcome::Aborted => aborted += 1,
-                }
-                admit!();
-            }
-        };
-    }
-
-    admit!();
-
-    // Failover stall detector: with fault tolerance on, a settlement gap
-    // this long means a coordinator likely died — take over its in-flight
-    // transactions through the acceptor quorum. Re-fires each window
-    // (every takeover runs a fresh, higher ballot, so repeats are safe).
-    let stall = Duration::from_micros(scenario.failover_delay_us).max(Duration::from_millis(500));
-    let mut last_progress = Instant::now();
-    let mut last_settled = 0usize;
-
-    // Phase 1: drive every global transaction to its terminal outcome.
-    while (settled.len() as u64) < total_globals && Instant::now() < deadline {
-        host.flush_outgoing();
-        let mut event = host.transport.poll(Duration::from_millis(20));
-        let mut budget = RECV_BATCH;
-        while let Some(ev) = event.take() {
-            match ev {
-                NetEvent::Msg(WireMsg::Net { msg, .. }) => or_die(rt.on_message(msg, &mut host)),
-                NetEvent::Msg(WireMsg::Ctrl { ctrl, .. }) => or_die(rt.on_ctrl(ctrl, &mut host)),
-                // This driver's own slice, looped back through the inbox
-                // (retransmitted dups are screened by `started`).
-                // mdbs-check: allow(hot-unbounded-growth, "bounded by the pre-drawn workload: ids are drawn from a fixed set whose size is the phase-1 termination condition")
-                NetEvent::Msg(WireMsg::StartGlobal { gtxn, program }) if started.insert(gtxn) => {
-                    or_die(rt.begin(gtxn, program, &mut host));
-                }
-                NetEvent::Msg(WireMsg::Finished { gtxn, outcome }) => settle!(gtxn, outcome),
-                NetEvent::Msg(WireMsg::NodeReport {
-                    node: n,
-                    ops,
-                    local_committed,
-                    local_aborted,
-                }) => {
-                    reports
-                        .entry(n)
-                        .or_insert((ops, local_committed, local_aborted));
-                }
-                _ => {}
-            }
-            budget -= 1;
-            if budget == 0 {
-                break;
-            }
-            event = host.transport.try_poll();
-        }
-        for (cnode, gtxn, outcome) in std::mem::take(&mut host.pending_finished) {
-            // mdbs-check: allow(hot-unbounded-growth, "bounded by the pre-drawn workload: at most one entry per global transaction, and `settled` must retain them all for the termination count")
-            if finished_here.insert(gtxn) {
-                if cgm {
-                    rt.cgm_cleanup(gtxn);
-                    host.send_ctrl(cnode, CENTRAL, CtrlMsg::CgmFinished { gtxn });
-                }
-                settle!(gtxn, outcome);
-            }
-        }
-        if settled.len() != last_settled {
-            last_settled = settled.len();
-            last_progress = Instant::now();
-        } else if scenario.consensus_f > 0 && last_progress.elapsed() >= stall {
-            last_progress = Instant::now();
-            or_die(rt.take_over(&mut host));
-        }
-    }
-
-    // Phase 2: drain barrier — everyone finishes local work and reports.
-    for &id in &all_nodes {
-        if id != node {
-            host.queue_wire(id, WireMsg::Drain);
-        }
-    }
-    while reports.len() < expected_reports && Instant::now() < deadline {
-        host.flush_outgoing();
-        match host.transport.poll(Duration::from_millis(20)) {
-            Some(NetEvent::Msg(WireMsg::NodeReport {
-                node: n,
-                ops,
-                local_committed,
-                local_aborted,
-            })) => {
-                reports
-                    .entry(n)
-                    .or_insert((ops, local_committed, local_aborted));
-            }
-            // Late protocol stragglers (duplicates after reconnect) still
-            // reach the runtime, which is hardened against them.
-            Some(NetEvent::Msg(WireMsg::Net { msg, .. })) => or_die(rt.on_message(msg, &mut host)),
-            Some(NetEvent::Msg(WireMsg::Ctrl { ctrl, .. })) => or_die(rt.on_ctrl(ctrl, &mut host)),
-            Some(_) => {}
-            None => {}
-        }
-    }
-
-    // Phase 3: merge the slices in ascending node order and certify.
-    let mut lines = Vec::new();
-    let mut local_committed = 0u64;
-    let mut local_aborted = 0u64;
-    let mut merged: Vec<Op> = Vec::new();
-    for &id in &all_nodes {
-        if id == node {
-            merged.extend(host.ops.iter().cloned());
-            continue;
-        }
-        match reports.get(&id) {
-            Some((ops, lc, la)) => {
-                merged.extend(ops.iter().cloned());
-                local_committed += lc;
-                local_aborted += la;
-            }
-            // The crash-stopped coordinator's slice died with it, by
-            // design; everyone else missing is worth reporting.
-            None if Some(id) == crash_exempt => {}
-            // mdbs-check: allow(hot-alloc-in-loop, "phase-3 report assembly runs once per cluster run, after the hot loop has exited")
-            None => lines.push(format!("mdbs-node missing-report node={id}")),
-        }
-    }
-    let history = History::from_ops(merged);
-    let checks = CorrectnessReport::analyze(&history, spec.sites);
-    lines.push(format!(
-        "mdbs-node outcome digest={:#018x}",
-        outcome_digest(&history, &checks)
-    ));
-    for s in 0..spec.sites {
-        // mdbs-check: allow(hot-alloc-in-loop, "phase-3 digest lines are emitted once per cluster run, after the hot loop has exited")
-        lines.push(format!(
-            "mdbs-node site-verdict site={s} digest={:#018x}",
-            site_verdict_digest(&history, SiteId(s))
-        ));
-    }
-    lines.push(format!(
-        "mdbs-node summary committed={committed} aborted={aborted} local_committed={local_committed} local_aborted={local_aborted} checks_passed={}",
-        checks.passed()
-    ));
-    lines.push(host.stats_line(node, &NodeRole::Coordinator(0)));
-
-    // Phase 4: release the cluster.
-    for &id in &all_nodes {
-        if id != node {
-            host.queue_wire(id, WireMsg::Shutdown);
-        }
-    }
-    host.flush_outgoing();
+    let mut lines = host.driver_lines(scenario.workload.sites);
+    lines.push(host.stats_line(&role));
+    host.broadcast(|| WireMsg::Shutdown);
+    host.flush();
     host.transport.shutdown();
     Ok(NodeOutput { node, lines })
 }

@@ -33,10 +33,9 @@
 //! and retransmit.
 //!
 //! Timers ([`Transport::set_timer`]) never touch the network: they sit in
-//! a local min-heap keyed by wall-clock deadline and pop out of
+//! a local [`TimerHeap`] keyed by wall-clock deadline and pop out of
 //! [`TcpTransport::poll`] interleaved with received messages.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -47,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use mdbs_dtm::Message;
-use mdbs_runtime::{CtrlMsg, Timer, Transport};
+use mdbs_runtime::{CtrlMsg, Timer, TimerHeap, Transport};
 
 use crate::frame::{encode_batch_frame_into, encode_frame, encode_frame_into, FrameDecoder};
 use crate::wire::{decode_frame_payload, encode_msg, Wire, WireMsg};
@@ -136,30 +135,6 @@ pub enum NetEvent {
     },
 }
 
-struct TimerEntry {
-    deadline: Instant,
-    seq: u64,
-    node: u32,
-    timer: Timer,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
-
 /// The real-network transport. See the module docs for the thread model.
 pub struct TcpTransport {
     node: u32,
@@ -174,8 +149,9 @@ pub struct TcpTransport {
     /// Scratch for the non-blocking inbound drain in `pop_ready`; reused
     /// across polls so the hot poll loop does not allocate per call.
     drain_scratch: Vec<Vec<WireMsg>>,
-    timers: std::collections::BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
+    /// Pending timers as `(node, timer)`, by µs since `epoch`.
+    timers: TimerHeap<(u32, Timer)>,
+    epoch: Instant,
     stop: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
     handles: Vec<JoinHandle<()>>,
@@ -241,8 +217,8 @@ impl TcpTransport {
             inbound,
             ready: VecDeque::new(),
             drain_scratch: Vec::new(),
-            timers: std::collections::BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerHeap::default(),
+            epoch: Instant::now(),
             stop,
             stats,
             handles,
@@ -303,20 +279,14 @@ impl TcpTransport {
         }
     }
 
-    /// Pop the head timer if it is due at `now`.
-    fn pop_due_timer(&mut self, now: Instant) -> Option<NetEvent> {
-        if self
-            .timers
-            .peek()
-            .is_none_or(|Reverse(head)| head.deadline > now)
-        {
-            return None;
-        }
-        let Reverse(e) = self.timers.pop()?;
-        Some(NetEvent::Timer {
-            node: e.node,
-            timer: e.timer,
-        })
+    fn elapsed_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// Pop the head timer if it is due now.
+    fn pop_due_timer(&mut self) -> Option<NetEvent> {
+        let (node, timer) = self.timers.pop_due(self.elapsed_us())?;
+        Some(NetEvent::Timer { node, timer })
     }
 
     /// Pop the next message already handed out of the inbound channel, or
@@ -325,7 +295,11 @@ impl TcpTransport {
         if let Some(msg) = self.ready.pop_front() {
             return Some(msg);
         }
-        if self.inbound.try_recv_many(&mut self.drain_scratch, OUTBOX_DRAIN) > 0 {
+        if self
+            .inbound
+            .try_recv_many(&mut self.drain_scratch, OUTBOX_DRAIN)
+            > 0
+        {
             for g in self.drain_scratch.drain(..) {
                 self.ready.extend(g);
             }
@@ -336,15 +310,14 @@ impl TcpTransport {
 
     /// Wait up to `max_wait` for the next message or due timer.
     pub fn poll(&mut self, max_wait: Duration) -> Option<NetEvent> {
-        let now = Instant::now();
-        if let Some(due) = self.pop_due_timer(now) {
+        if let Some(due) = self.pop_due_timer() {
             return Some(due);
         }
         if let Some(msg) = self.pop_ready() {
             return Some(NetEvent::Msg(msg));
         }
-        let wait = match self.timers.peek() {
-            Some(Reverse(head)) => max_wait.min(head.deadline - now),
+        let wait = match self.timers.next_deadline_us() {
+            Some(at) => max_wait.min(Duration::from_micros(at.saturating_sub(self.elapsed_us()))),
             None => max_wait,
         };
         match self.inbound.recv_timeout(wait) {
@@ -352,7 +325,7 @@ impl TcpTransport {
                 self.ready.extend(group);
                 self.ready.pop_front().map(NetEvent::Msg)
             }
-            Err(RecvTimeoutError::Timeout) => self.pop_due_timer(Instant::now()),
+            Err(RecvTimeoutError::Timeout) => self.pop_due_timer(),
             Err(RecvTimeoutError::Disconnected) => None,
         }
     }
@@ -362,7 +335,7 @@ impl TcpTransport {
     /// drain a backlog in one wake-up instead of paying one blocking
     /// receive per frame.
     pub fn try_poll(&mut self) -> Option<NetEvent> {
-        if let Some(due) = self.pop_due_timer(Instant::now()) {
+        if let Some(due) = self.pop_due_timer() {
             return Some(due);
         }
         self.pop_ready().map(NetEvent::Msg)
@@ -392,13 +365,8 @@ impl Transport for TcpTransport {
     }
 
     fn set_timer(&mut self, node: u32, after_us: u64, timer: Timer) {
-        self.timer_seq += 1;
-        self.timers.push(Reverse(TimerEntry {
-            deadline: Instant::now() + Duration::from_micros(after_us),
-            seq: self.timer_seq,
-            node,
-            timer,
-        }));
+        self.timers
+            .push(self.elapsed_us() + after_us, (node, timer));
     }
 }
 

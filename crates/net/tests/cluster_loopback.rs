@@ -178,6 +178,45 @@ fn loopback_coordinator_crash_fails_over_and_matches_the_sim() {
     );
 }
 
+/// Admission must route around the crash-stopped coordinator, as the sim
+/// and threaded drivers do. Four serialized globals: gtxn 1 dies with
+/// coordinator 1 and is adopted, gtxn 2 and 4 are coordinator 0's anyway,
+/// and gtxn 3's home is the dead process — before the drivers shared one
+/// admission window the TCP driver sent it there and it never settled.
+#[test]
+fn loopback_admission_reroutes_around_the_crashed_coordinator() {
+    let mut scenario = failover_scenario();
+    scenario.workload.global_txns = 4;
+
+    let mut sim = Simulation::new(scenario.clone());
+    sim.use_predrawn_workload();
+    let sim = sim.run();
+    assert_eq!(sim.metrics.counter("coord_crashes"), 1, "{}", sim.metrics);
+    assert_eq!(sim.committed, 4, "metrics:\n{}", sim.metrics);
+    assert!(sim.checks.passed(), "{:?}", sim.checks);
+
+    let cfg = loopback_cluster(scenario).expect("reserve loopback addrs");
+    let runner = ClusterRunner::new(env!("CARGO_BIN_EXE_mdbs-node"), cfg);
+    let cluster = runner.run(Duration::from_secs(120)).expect("cluster run");
+
+    assert_eq!(cluster.committed, 4, "every global must settle");
+    assert_eq!(cluster.aborted, 0);
+    assert!(cluster.checks_passed, "cluster history must pass checkers");
+    assert_eq!(
+        cluster.outcome_digest,
+        outcome_digest(&sim.history, &sim.checks),
+        "post-failover verdicts must match the sim"
+    );
+    for s in 0..2 {
+        assert_eq!(
+            cluster.site_verdicts.get(&s).copied(),
+            Some(site_verdict_digest(&sim.history, SiteId(s))),
+            "site {s} certifier verdicts must match the sim"
+        );
+    }
+    assert_eq!(cluster.missing_reports, Vec::<u32>::new());
+}
+
 #[test]
 fn loopback_cgm_cluster_with_central_scheduler_matches_the_sim() {
     let sim = sim_reference(Protocol::Cgm);

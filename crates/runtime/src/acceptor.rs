@@ -10,6 +10,7 @@
 use mdbs_consensus::Acceptor;
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost};
+use crate::node::{Flow, NodeEvent, NodeRuntime};
 
 /// Wraps one [`Acceptor`] vote log and moves its messages.
 #[derive(Debug)]
@@ -44,11 +45,7 @@ impl AcceptorRuntime {
     }
 
     /// A control message arrived.
-    pub fn on_ctrl<H: RuntimeHost>(
-        &mut self,
-        ctrl: CtrlMsg,
-        host: &mut H,
-    ) -> Result<(), RuntimeError> {
+    fn on_ctrl<H: RuntimeHost>(&mut self, ctrl: CtrlMsg, host: &mut H) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::Paxos { msg } => {
                 for (to, reply) in self.inner.handle(msg) {
@@ -61,6 +58,21 @@ impl AcceptorRuntime {
                 ctrl: other,
             }),
         }
+    }
+}
+
+impl NodeRuntime for AcceptorRuntime {
+    fn on_event<H: RuntimeHost>(
+        &mut self,
+        event: NodeEvent,
+        host: &mut H,
+    ) -> Result<Flow, RuntimeError> {
+        match event {
+            NodeEvent::Ctrl { ctrl, .. } => self.on_ctrl(ctrl, host)?,
+            // Acceptors speak the control plane only.
+            _ => host.inc("misrouted_events"),
+        }
+        Ok(Flow::Continue)
     }
 }
 

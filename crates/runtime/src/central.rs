@@ -6,6 +6,7 @@ use mdbs_baselines::{CommitGraph, GlobalLockManager};
 use mdbs_histories::GlobalTxnId;
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost};
+use crate::node::{Flow, NodeEvent, NodeRuntime};
 use crate::CENTRAL;
 
 /// The Commit Graph Method's central scheduler: site-granularity global
@@ -30,7 +31,7 @@ impl CentralRuntime {
     }
 
     /// A control message from coordinator `from` arrived.
-    pub fn on_ctrl<H: RuntimeHost>(
+    fn on_ctrl<H: RuntimeHost>(
         &mut self,
         from: u32,
         ctrl: CtrlMsg,
@@ -78,5 +79,20 @@ impl CentralRuntime {
                 ctrl: other,
             }),
         }
+    }
+}
+
+impl NodeRuntime for CentralRuntime {
+    fn on_event<H: RuntimeHost>(
+        &mut self,
+        event: NodeEvent,
+        host: &mut H,
+    ) -> Result<Flow, RuntimeError> {
+        match event {
+            NodeEvent::Ctrl { from, ctrl } => self.on_ctrl(from, ctrl, host)?,
+            // The scheduler speaks the control plane only.
+            _ => host.inc("misrouted_events"),
+        }
+        Ok(Flow::Continue)
     }
 }

@@ -9,6 +9,7 @@ use mdbs_histories::{GlobalTxnId, Op, SiteId};
 use mdbs_ldbs::Command;
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost};
+use crate::node::{Flow, NodeEvent, NodeRuntime, ReadyCrash};
 use crate::CENTRAL;
 
 /// CGM bookkeeping for one global transaction at its coordinator.
@@ -35,6 +36,8 @@ pub struct CoordinatorRuntime {
     /// paper's direct 2PC decision with zero extra traffic; `PaxosCommit`
     /// replicates the decision through the acceptor quorum.
     consensus: Box<dyn CommitConsensus>,
+    /// The `coord_crash_after_ready` hook; inert unless armed.
+    ready_crash: ReadyCrash,
 }
 
 impl CoordinatorRuntime {
@@ -47,6 +50,7 @@ impl CoordinatorRuntime {
             inner: Coordinator::new(node),
             cgm_txns: BTreeMap::new(),
             consensus: Box::new(DirectCommit),
+            ready_crash: ReadyCrash::default(),
         }
     }
 
@@ -63,10 +67,18 @@ impl CoordinatorRuntime {
         self.consensus = consensus;
     }
 
+    /// Arm the crash-stop hook from the scenario's
+    /// `coord_crash_after_ready = (c, k)`: if `c` is this coordinator,
+    /// [`NodeRuntime::on_event`] answers its `k`-th READY with
+    /// [`Flow::Crash`] instead of processing it.
+    pub fn set_crash_after_ready(&mut self, hook: Option<(u32, u32)>) {
+        self.ready_crash = ReadyCrash::for_node(hook, self.node);
+    }
+
     /// Assume leadership over crashed coordinators' in-flight transactions
     /// (Paxos Commit failover): runs the consensus layer's whole-log
     /// phase 1. A no-op under [`DirectCommit`].
-    pub fn take_over<H: RuntimeHost>(&mut self, host: &mut H) -> Result<(), RuntimeError> {
+    fn take_over<H: RuntimeHost>(&mut self, host: &mut H) -> Result<(), RuntimeError> {
         let out = self.consensus.take_over();
         self.send_paxos(out, host);
         Ok(())
@@ -87,7 +99,7 @@ impl CoordinatorRuntime {
 
     /// Start a transaction. Under 2CM this begins 2PC right away; under
     /// CGM it first requests admission from the central scheduler.
-    pub fn begin<H: RuntimeHost>(
+    fn begin<H: RuntimeHost>(
         &mut self,
         gtxn: GlobalTxnId,
         program: Vec<(SiteId, Command)>,
@@ -133,7 +145,7 @@ impl CoordinatorRuntime {
     }
 
     /// A 2PC message from a site agent arrived.
-    pub fn on_message<H: RuntimeHost>(
+    fn on_message<H: RuntimeHost>(
         &mut self,
         msg: Message,
         host: &mut H,
@@ -144,11 +156,7 @@ impl CoordinatorRuntime {
     }
 
     /// A control message from the central scheduler arrived.
-    pub fn on_ctrl<H: RuntimeHost>(
-        &mut self,
-        ctrl: CtrlMsg,
-        host: &mut H,
-    ) -> Result<(), RuntimeError> {
+    fn on_ctrl<H: RuntimeHost>(&mut self, ctrl: CtrlMsg, host: &mut H) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::CgmAdmitted { gtxn } => {
                 let Some(entry) = self.cgm_txns.get(&gtxn) else {
@@ -203,11 +211,6 @@ impl CoordinatorRuntime {
         }
     }
 
-    /// Drop the CGM bookkeeping of a finished transaction.
-    pub fn cgm_cleanup(&mut self, gtxn: GlobalTxnId) {
-        self.cgm_txns.remove(&gtxn);
-    }
-
     fn run_actions<H: RuntimeHost>(
         &mut self,
         actions: Vec<CoordAction>,
@@ -250,10 +253,44 @@ impl CoordinatorRuntime {
                     // (empty under DirectCommit) before the driver reacts.
                     let out = self.consensus.on_finished(gtxn);
                     self.send_paxos(out, host);
+                    if self.cgm {
+                        // Drop the CGM bookkeeping and release the
+                        // transaction's site locks at the scheduler.
+                        self.cgm_txns.remove(&gtxn);
+                        host.send_ctrl(self.node, CENTRAL, CtrlMsg::CgmFinished { gtxn });
+                    }
                     host.global_finished(self.node, gtxn, outcome);
                 }
             }
         }
         Ok(())
+    }
+}
+
+impl NodeRuntime for CoordinatorRuntime {
+    fn on_event<H: RuntimeHost>(
+        &mut self,
+        event: NodeEvent,
+        host: &mut H,
+    ) -> Result<Flow, RuntimeError> {
+        match event {
+            NodeEvent::Net(msg) => {
+                if self.ready_crash.strikes(&msg) {
+                    return Ok(Flow::Crash);
+                }
+                self.on_message(msg, host)?
+            }
+            NodeEvent::Ctrl { ctrl, .. } => self.on_ctrl(ctrl, host)?,
+            NodeEvent::Start { gtxn, program } => self.begin(gtxn, program, host)?,
+            NodeEvent::TakeOver => self.take_over(host)?,
+            // Coordinators set no timers.
+            _ => host.inc("misrouted_events"),
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// Every transaction begun or adopted here has finished.
+    fn quiesced(&self) -> bool {
+        self.inner.in_flight() == 0 && self.cgm_txns.is_empty()
     }
 }

@@ -49,6 +49,12 @@ pub enum Timer {
         /// The command to submit.
         command: Command,
     },
+    /// An injected unilateral abort strikes (failure injection; see
+    /// [`crate::node::AbortInjector`]).
+    InjectAbort {
+        /// The struck instance.
+        instance: Instance,
+    },
 }
 
 /// CGM control-plane traffic between coordinators and the central
@@ -237,17 +243,19 @@ pub trait RuntimeHost: Transport + TimeSource {
 
     /// A subtransaction just entered the prepared state. The driver owns
     /// failure injection and may schedule a unilateral abort against
-    /// `Instance::global(gtxn, site, incarnation)`.
+    /// `Instance::global(gtxn, site, incarnation)` by setting a
+    /// [`Timer::InjectAbort`] (see [`crate::node::AbortInjector`]).
     fn prepared(&mut self, site: SiteId, gtxn: GlobalTxnId, incarnation: u32);
 
     /// A local transaction settled (committed or aborted) at `site`.
     fn local_settled(&mut self, site: SiteId, committed: bool);
 
     /// A global transaction reached its terminal outcome at coordinator
-    /// `cnode`. Drivers defer the heavy lifting (admission of queued work,
-    /// latency accounting, CGM lock release) until the current action
-    /// batch has fully unwound — `Finished` is always the last action a
-    /// coordinator emits, so the deferral preserves event order.
+    /// `cnode`; the coordinator runtime has already released its CGM
+    /// locks. Drivers that react by re-entering a coordinator (admission
+    /// of queued work) defer that until the current action batch has
+    /// fully unwound — `Finished` is always the last action a coordinator
+    /// emits, so the deferral preserves event order.
     fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome);
 }
 
@@ -383,6 +391,9 @@ mod tests {
                 instance: Instance::global(4, SiteId(1), 0),
                 command: Command::Select(KeySpec::Key(9)),
             },
+            Timer::InjectAbort {
+                instance: Instance::global(4, SiteId(1), 0),
+            },
         ]
     }
 
@@ -437,7 +448,7 @@ mod tests {
         let ctrl: Vec<CtrlMsg> = recorder.ctrl.iter().map(|(_, _, m)| m.clone()).collect();
         assert_eq!(ctrl, all_ctrl_msgs());
 
-        assert_eq!(recorder.timers.len(), 3);
+        assert_eq!(recorder.timers.len(), 4);
         assert_eq!(
             recorder.timers[2],
             (

@@ -15,10 +15,14 @@
 //! Runtimes never touch a network, a clock, or an event queue directly.
 //! Every effect goes through the [`Transport`] / [`TimeSource`] trait pair
 //! (bundled, with the metric/history/lifecycle sinks, into
-//! [`RuntimeHost`]). Two drivers exist today: the deterministic
+//! [`RuntimeHost`]), and every input arrives as a [`NodeEvent`] through
+//! [`NodeRuntime::on_event`] — see [`node`] for that layer and for
+//! [`run_node`], the one node loop. Four hosts exist: the deterministic
 //! discrete-event simulation in `mdbs-sim` (bit-for-bit reproducible per
-//! seed) and its threaded runner (one OS thread per node, real channels
-//! and clocks).
+//! seed) and the bounded model checker in `mdbs-check`, which keep their
+//! own schedulers and step `on_event`; and the threaded runner (one OS
+//! thread per node) and the `mdbs-node` TCP process, which instantiate
+//! `run_node` over their [`NodePort`].
 //!
 //! Node numbering is shared by every driver: site agents live at
 //! `node = site id`, coordinators at [`COORD_BASE`]` + i`, the CGM central
@@ -31,6 +35,7 @@ pub mod acceptor;
 pub mod central;
 pub mod coordinator;
 pub mod host;
+pub mod node;
 pub mod site;
 pub mod trace;
 
@@ -38,6 +43,10 @@ pub use acceptor::AcceptorRuntime;
 pub use central::CentralRuntime;
 pub use coordinator::CoordinatorRuntime;
 pub use host::{message_kind, CtrlMsg, RuntimeError, RuntimeHost, TimeSource, Timer, Transport};
+pub use node::{
+    lowest_live_coordinator, or_die, run_node, AbortInjector, AdmissionWindow, Flow, NodeEvent,
+    NodePort, NodeRuntime, NodeSet, Program, ReadyCrash, TimerHeap, RECV_BATCH,
+};
 pub use site::SiteRuntime;
 pub use trace::{Observer, TraceEvent};
 

@@ -1,15 +1,16 @@
 //! One site's runtime: the 2PC Agent, its LDBS engine, and the runners of
 //! purely local transactions, driven through a [`RuntimeHost`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use mdbs_consensus::{PaxosMsg, Vote};
 use mdbs_dtm::{Agent, AgentAction, AgentConfig, AgentInput, Message};
 use mdbs_histories::{Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, EngineError, ExecStep, Ldbs, ResumedExec};
-use mdbs_simkit::SimTime;
+use mdbs_simkit::{SimDuration, SimTime};
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost, Timer};
+use crate::node::{Flow, NodeEvent, NodeRuntime};
 use crate::trace::TraceEvent;
 
 /// A local transaction being driven directly against its LTM.
@@ -49,6 +50,14 @@ pub struct SiteRuntime {
     /// fast path that closes the only-the-coordinator-knows window. Empty
     /// (the `F=0` default): no extra traffic.
     acceptors: Vec<u32>,
+    /// Local transactions waiting their turn; [`NodeRuntime::tick`] runs
+    /// them one at a time. Empty under a host that starts locals itself.
+    local_queue: VecDeque<(u32, Vec<Command>)>,
+    /// `(period, wait timeout)` of the deadlock / wait-timeout scan
+    /// [`NodeRuntime::tick`] runs, µs; `None` under a host that scans
+    /// across sites itself.
+    scan: Option<(u64, u64)>,
+    next_scan_us: u64,
 }
 
 impl SiteRuntime {
@@ -63,6 +72,9 @@ impl SiteRuntime {
             local_runners: BTreeMap::new(),
             blocked_since: BTreeMap::new(),
             acceptors: Vec::new(),
+            local_queue: VecDeque::new(),
+            scan: None,
+            next_scan_us: 0,
         }
     }
 
@@ -75,6 +87,21 @@ impl SiteRuntime {
     /// configuration). Votes fan out to these nodes from then on.
     pub fn set_acceptors(&mut self, acceptors: Vec<u32>) {
         self.acceptors = acceptors;
+    }
+
+    /// Install the housekeeping a one-node-per-loop host leaves to
+    /// [`NodeRuntime::tick`]: the site's local transactions, run one at a
+    /// time in queue order, and a deadlock / wait-timeout scan every
+    /// `scan_us`.
+    pub fn set_housekeeping(
+        &mut self,
+        local_queue: VecDeque<(u32, Vec<Command>)>,
+        scan_us: u64,
+        wait_timeout_us: u64,
+    ) {
+        self.local_queue = local_queue;
+        self.scan = Some((scan_us, wait_timeout_us));
+        self.next_scan_us = scan_us;
     }
 
     /// Read access to the agent (for end-of-run statistics and the model
@@ -98,18 +125,6 @@ impl SiteRuntime {
     /// Snapshot of the currently blocked instances and since when.
     pub fn blocked(&self) -> impl Iterator<Item = (Instance, SimTime)> + '_ {
         self.blocked_since.iter().map(|(i, t)| (*i, *t))
-    }
-
-    /// Whether the site has drained: no local transaction running, no
-    /// blocked instance, and no subtransaction still in the agent's
-    /// prepared table. Drivers use this as the drain barrier — a node may
-    /// only report results and exit once it holds *and* the driver has
-    /// confirmed every global transaction settled (an idle instant between
-    /// two conversations also looks quiesced).
-    pub fn quiesced(&self) -> bool {
-        self.local_runners.is_empty()
-            && self.blocked_since.is_empty()
-            && self.agent.table_len() == 0
     }
 
     fn engine_err(&self, context: &'static str, source: EngineError) -> RuntimeError {
@@ -245,7 +260,7 @@ impl SiteRuntime {
 
     /// A [`Timer::LtmExec`] fired: the service delay elapsed, submit the
     /// command to the engine.
-    pub fn ltm_exec<H: RuntimeHost>(
+    fn ltm_exec<H: RuntimeHost>(
         &mut self,
         instance: Instance,
         command: Command,
@@ -492,5 +507,76 @@ impl SiteRuntime {
         host.add("commit_retries", st.commit_retries);
         host.add("commit_cert_overrides", st.commit_cert_overrides);
         self.run_agent_actions(actions, host)
+    }
+}
+
+impl NodeRuntime for SiteRuntime {
+    fn on_event<H: RuntimeHost>(
+        &mut self,
+        event: NodeEvent,
+        host: &mut H,
+    ) -> Result<Flow, RuntimeError> {
+        match event {
+            NodeEvent::Net(msg) => self.agent_input(AgentInput::Deliver(msg), host)?,
+            NodeEvent::Timer(Timer::Alive { gtxn }) => {
+                self.agent_input(AgentInput::AliveTimer { gtxn }, host)?
+            }
+            NodeEvent::Timer(Timer::CommitRetry { gtxn }) => {
+                self.agent_input(AgentInput::CommitRetryTimer { gtxn }, host)?
+            }
+            NodeEvent::Timer(Timer::LtmExec { instance, command }) => {
+                self.ltm_exec(instance, command, host)?
+            }
+            NodeEvent::Timer(Timer::InjectAbort { instance }) => {
+                self.inject_abort(instance, host)?
+            }
+            // Sites speak 2PC only: control traffic and driver envelopes
+            // have no handler here.
+            _ => host.inc("misrouted_events"),
+        }
+        Ok(Flow::Continue)
+    }
+
+    fn tick<H: RuntimeHost>(&mut self, host: &mut H) -> Result<(), RuntimeError> {
+        let now = host.now();
+        if let Some((scan_us, wait_timeout_us)) = self.scan {
+            if now.as_micros() >= self.next_scan_us {
+                self.next_scan_us = now.as_micros() + scan_us;
+                self.kill_local_deadlocks(host)?;
+                let timeout = SimDuration::from_micros(wait_timeout_us);
+                let expired: Vec<Instance> = self
+                    .blocked()
+                    .filter(|&(_, since)| now.since(since) > timeout)
+                    .map(|(i, _)| i)
+                    .collect();
+                for instance in expired {
+                    self.abort_on_timeout(instance, host)?;
+                }
+            }
+        }
+        // Admit the next queued local once the previous one settled.
+        if self.local_runners.is_empty() {
+            if let Some((n, commands)) = self.local_queue.pop_front() {
+                self.start_local(n, commands, host)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn next_tick_us(&self) -> Option<u64> {
+        self.scan.map(|_| self.next_scan_us)
+    }
+
+    /// Whether the site has drained: no local transaction running or
+    /// queued, no blocked instance, and no subtransaction still in the
+    /// agent's prepared table. This is the drain barrier — a node may only
+    /// report results and exit once it holds *and* the driver has
+    /// confirmed every global transaction settled (an idle instant between
+    /// two conversations also looks quiesced).
+    fn quiesced(&self) -> bool {
+        self.local_runners.is_empty()
+            && self.local_queue.is_empty()
+            && self.blocked_since.is_empty()
+            && self.agent.table_len() == 0
     }
 }
