@@ -11,8 +11,16 @@
 //! parallel fraction, so on a multicore host the threaded runner should
 //! exceed 1× speedup from about 4 sites up. The JSON records the host's
 //! core count — on a single-core container the threaded runner only pays
-//! its channel and context-switch overhead and the speedup stays below 1.
+//! its channel and context-switch overhead and the speedup stays below 1 —
+//! and the commit it was measured at.
+//!
+//! Per-site work is constant here, so the sim's settled txn/s should be
+//! about flat in the site count. The run fails if the 8-site figure falls
+//! below half the 1-site one: that is what a super-linear step in history
+//! collection or the post-hoc checker looks like (0.18 before the checker
+//! was made near-linear), and a same-run ratio needs no host calibration.
 
+use std::process::Command;
 use std::time::Instant;
 
 use mdbs_sim::{SimConfig, SimReport, Simulation, ThreadedRunner};
@@ -55,11 +63,25 @@ fn measure<F: Fn() -> SimReport>(k: u32, run: F) -> f64 {
     best
 }
 
+/// `git describe --always --dirty` of the checkout the bench was built from.
+fn commit() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut samples = Vec::new();
     for sites in [1u32, 2, 4, 8] {
-        let sim = measure(3, || Simulation::new(workload(sites)).run());
+        // A sim run is 1–10 ms here: ten tries keep a host hiccup out of
+        // either end of the ratio asserted below.
+        let sim = measure(10, || Simulation::new(workload(sites)).run());
         let threaded = measure(3, || ThreadedRunner::new(workload(sites)).run());
         println!(
             "sites={sites}: sim {sim:.0} txn/s, threaded {threaded:.0} txn/s, \
@@ -88,11 +110,25 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"runner_throughput\",\n  \"host_cores\": {cores},\n  \
+         \"commit\": \"{}\",\n  \
          \"workload\": \"failure-free, 150 locals/site + 4 globals/site, ltm_service_us=0\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
+        commit(),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
     std::fs::write(path, &json).expect("write BENCH_runtime.json");
     println!("wrote {path}");
+
+    let (one, eight) = (&samples[0], &samples[samples.len() - 1]);
+    let ratio = eight.sim_txn_per_s / one.sim_txn_per_s;
+    assert!(
+        ratio >= 0.5,
+        "sim throughput decays with the site count: {:.0} txn/s at {} sites is {ratio:.2} of \
+         {:.0} txn/s at {} — something per run is super-linear again",
+        eight.sim_txn_per_s,
+        eight.sites,
+        one.sim_txn_per_s,
+        one.sites
+    );
 }

@@ -9,18 +9,30 @@
 //! cyclic; if it is acyclic, then it can be topologically sorted" and the
 //! sort order yields a view-equivalent serial history (given CI, SRS, DLU).
 //! The commit certification's entire job is to keep this graph acyclic.
+//!
+//! Each site's commits are totally ordered, so the paper's arcs from one
+//! site are the transitive closure of that site's commit *chain*. The graph
+//! stored here keeps only the chains — every site's covering relation: an
+//! arc `T_k → T_i` of the paper's CG exists iff `T_i` is reachable from
+//! `T_k` along one site's chain. Reachability, and with it acyclicity and
+//! the key-ordered topological sort, are those of the paper's graph, at
+//! `Σ_s (n_s − 1)` arcs instead of `Σ_s n_s²/2`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::DiGraph;
 use crate::history::History;
 use crate::ids::{SiteId, Txn};
-use crate::op::OpKind;
+use crate::op::{Op, OpKind};
 
 /// The commit-order graph with its analysis results.
 #[derive(Debug, Clone)]
 pub struct CgReport {
-    /// The graph itself (nodes: transactions with ≥1 local commit).
+    /// The graph (nodes: transactions with ≥1 local commit), stored as each
+    /// site's covering relation of the §5.1 order: an arc joins two
+    /// transactions whose local commits are *consecutive* at some site, and
+    /// the paper's arc `T_k → T_i` exists iff `T_i` is reachable from `T_k`
+    /// along one site's chain.
     pub graph: DiGraph<Txn>,
     /// Whether the graph is acyclic.
     pub acyclic: bool,
@@ -31,43 +43,43 @@ pub struct CgReport {
     pub topo_order: Option<Vec<Txn>>,
 }
 
+/// Each site's commit chain: its transactions in the order of their *first*
+/// local commit there. (A transaction commits at most one incarnation per
+/// site; a repeated `LocalCommit` is ignored.)
+fn commit_chains(h: &History) -> BTreeMap<SiteId, Vec<Txn>> {
+    let mut chains: BTreeMap<SiteId, Vec<Txn>> = BTreeMap::new();
+    let mut seen = BTreeSet::new();
+    for op in h.ops() {
+        if let OpKind::LocalCommit(s) = op.kind {
+            if seen.insert((s, op.txn)) {
+                chains.entry(s).or_default().push(op.txn);
+            }
+        }
+    }
+    chains
+}
+
 /// Build `CG(H)` and analyze it.
 pub fn commit_order_graph(h: &History) -> CgReport {
-    // Collect local-commit positions per (site, txn): the position of the
-    // *first* local commit of that transaction at that site. (A transaction
-    // commits at most one incarnation per site; first occurrence is it.)
-    let mut commits_per_site: BTreeMap<SiteId, Vec<(usize, Txn)>> = BTreeMap::new();
-    for (p, op) in h.ops().iter().enumerate() {
-        if let OpKind::LocalCommit(s) = op.kind {
-            let v = commits_per_site.entry(s).or_default();
-            if !v.iter().any(|&(_, t)| t == op.txn) {
-                v.push((p, op.txn));
-            }
-        }
-    }
-
     let mut graph = DiGraph::new();
-    for v in commits_per_site.values() {
-        for &(_, t) in v {
-            graph.add_node(t);
-        }
-    }
-    // Arc T_k -> T_i iff at some site, T_k's local commit precedes T_i's.
-    for v in commits_per_site.values() {
-        for i in 0..v.len() {
-            for j in (i + 1)..v.len() {
-                // v is in position order already (pushed in scan order).
-                graph.add_edge(v[i].1, v[j].1);
-            }
+    for chain in commit_chains(h).values() {
+        graph.add_node(chain[0]);
+        for pair in chain.windows(2) {
+            graph.add_edge(pair[0], pair[1]);
         }
     }
 
-    let cycle = graph.find_cycle();
-    let acyclic = cycle.is_none();
-    let topo_order = if acyclic { graph.topo_sort() } else { None };
+    // Kahn's sort succeeds iff the graph is acyclic; only a failure needs
+    // the search for a witness.
+    let topo_order = graph.topo_sort();
+    let cycle = if topo_order.is_none() {
+        graph.find_cycle()
+    } else {
+        None
+    };
     CgReport {
         graph,
-        acyclic,
+        acyclic: topo_order.is_some(),
         cycle,
         topo_order,
     }
@@ -78,22 +90,18 @@ pub fn commit_order_graph(h: &History) -> CgReport {
 /// serial yardstick `H_s`. Transactions without local commits (absent from
 /// CG) are appended at the end in first-appearance order.
 pub fn serial_by_commit_order(h: &History) -> Option<History> {
-    let report = commit_order_graph(h);
-    let order = report.topo_order?;
-    let mut serial = History::new();
-    for t in &order {
-        for op in h.txn_projection(*t).ops() {
-            serial.push(*op);
-        }
+    let order = commit_order_graph(h).topo_order?;
+    let mut by_txn: BTreeMap<Txn, Vec<Op>> = BTreeMap::new();
+    for op in h.ops() {
+        by_txn.entry(op.txn).or_default().push(*op);
     }
-    for t in h.txns() {
-        if !order.contains(&t) {
-            for op in h.txn_projection(t).ops() {
-                serial.push(*op);
-            }
-        }
+    // Committed transactions first, each bucket leaving the map as it is
+    // emitted; what `h.txns()` still finds there afterwards is commit-less.
+    let mut serial = Vec::with_capacity(h.len());
+    for t in order.into_iter().chain(h.txns()) {
+        serial.extend(by_txn.remove(&t).unwrap_or_default());
     }
-    Some(serial)
+    Some(History::from_ops(serial))
 }
 
 #[cfg(test)]
@@ -154,6 +162,33 @@ mod tests {
         assert!(r.acyclic);
         assert!(r.graph.has_edge(&Txn::global(1), &Txn::global(2)));
         assert!(!r.graph.has_edge(&Txn::global(1), &Txn::global(1)));
+    }
+
+    #[test]
+    fn arcs_grow_with_commits_not_with_their_square() {
+        // 8 sites × 2 000 commits each; every tenth transaction is a global
+        // one committing everywhere. The closure would hold 8 × 2 000²/2
+        // arcs; the chains hold one per commit after a site's first.
+        let (sites, per_site) = (8u32, 2_000u32);
+        let mut h = History::new();
+        for n in 0..per_site {
+            for s in (0..sites).map(SiteId) {
+                h.push(if n % 10 == 0 {
+                    Op::local_commit_g(n, 0, s)
+                } else {
+                    Op::local_commit_l(n, s)
+                });
+            }
+        }
+        let r = commit_order_graph(&h);
+        assert!(r.graph.edge_count() <= (sites * (per_site - 1)) as usize);
+        assert!(r.acyclic);
+        let order = r.topo_order.expect("acyclic");
+        assert_eq!(order.len(), r.graph.node_count());
+        // Every global precedes the next one, as at every site.
+        let globals: Vec<Txn> = order.into_iter().filter(Txn::is_global).collect();
+        assert!(globals.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(globals.len(), per_site as usize / 10);
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!   acyclicity, is the ultimate correctness criterion.
 //! * [`serialization_graph_instances`] — nodes are local-level
 //!   [`Instance`]s, the LTM's view; used for checking *local*
-//!   serializability of single-site projections.
+//!   serializability of single-site projections. Only its reachability is
+//!   ever asked for, so it is stored as per-item conflict chains.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::DiGraph;
 use crate::history::History;
-use crate::ids::{Instance, Txn};
-use crate::op::Op;
+use crate::ids::{Instance, Item, Txn};
+use crate::op::{Op, OpKind};
 
 /// Whether two operations conflict (same item, different transaction at the
 /// global level, at least one write).
@@ -70,23 +73,40 @@ pub fn serialization_graph(h: &History) -> DiGraph<Txn> {
     g
 }
 
-/// Build the serialization graph over local-level instances.
+/// Build the serialization graph over local-level instances, stored as its
+/// per-item *conflict chains*: each access gets an arc from the item's last
+/// writer, and each write one from every instance that read the item since.
+/// Every arc is a conflict, and a conflict between two accesses further
+/// apart is a path through the writes between them — so reachability, and
+/// with it acyclicity, are those of the all-pairs graph, at one arc per
+/// access instead of one per conflicting pair.
 pub fn serialization_graph_instances(h: &History) -> DiGraph<Instance> {
-    let mut g = DiGraph::new();
-    for inst in h.instances() {
-        g.add_node(inst);
+    #[derive(Default)]
+    struct Chain {
+        last_writer: Option<Instance>,
+        readers_since: BTreeSet<Instance>,
     }
-    let ops = h.ops();
-    for i in 0..ops.len() {
-        if ops[i].item().is_none() {
-            continue;
-        }
-        for j in (i + 1)..ops.len() {
-            if ops_conflict_instances(&ops[i], &ops[j]) {
-                if let (Some(a), Some(b)) = (ops[i].instance(), ops[j].instance()) {
-                    g.add_edge(a, b);
+    let mut g = DiGraph::new();
+    let mut chains: BTreeMap<Item, Chain> = BTreeMap::new();
+    for op in h.ops() {
+        let Some(inst) = op.instance() else { continue };
+        g.add_node(inst);
+        let Some(item) = op.item() else { continue };
+        let chain = chains.entry(item).or_default();
+        if matches!(op.kind, OpKind::Read(_)) {
+            if chain.readers_since.insert(inst) {
+                if let Some(writer) = chain.last_writer.filter(|&w| w != inst) {
+                    g.add_edge(writer, inst);
                 }
             }
+        } else {
+            let readers = std::mem::take(&mut chain.readers_since);
+            for earlier in chain.last_writer.into_iter().chain(readers) {
+                if earlier != inst {
+                    g.add_edge(earlier, inst);
+                }
+            }
+            chain.last_writer = Some(inst);
         }
     }
     g

@@ -12,11 +12,14 @@
 //! cyclic `CG(C(H))`; the definitive test is view-serializability failure
 //! of `C(H)` that is not already a global view distortion.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use serde::{Deserialize, Serialize};
 
 use crate::cg::commit_order_graph;
 use crate::history::History;
 use crate::ids::{GlobalTxnId, Instance, Item, SiteId, Txn};
+use crate::op::OpKind;
 use crate::replay::Replay;
 use crate::view::{view_serializable_capped, DEFAULT_MAX_TXNS};
 
@@ -73,68 +76,69 @@ pub enum Distortion {
 /// intervene inside `T_k`'s block.
 pub fn detect_global_view_distortion(h: &History) -> Option<Distortion> {
     let replay = Replay::of(h);
-    let by_instance = h.data_ops_by_instance();
 
-    // An incarnation is *known complete* (all its DML fully executed) if it
-    // locally committed, or if the site's prepare operation follows all of
-    // its data operations (a subtransaction is only moved to the prepared
-    // state once every command has executed). Replay incarnations killed
-    // mid-way are incomplete: their operation sequence is a legitimate
-    // prefix of the full decomposition, not a distortion.
-    let is_complete = |g: crate::ids::GlobalTxnId, site: SiteId, inst: Instance| -> bool {
-        let committed = h.ops().iter().any(|o| {
-            o.instance() == Some(inst) && matches!(o.kind, crate::op::OpKind::LocalCommit(_))
-        });
-        if committed {
-            return true;
+    // One pre-pass indexes what the scan asks about each incarnation
+    // `T^s_kj` that has data operations.
+    #[derive(Default)]
+    struct Incarnation {
+        /// The decomposition: the elementary sequence as (is_write, item).
+        ops: Vec<(bool, Item)>,
+        last_data_pos: usize,
+    }
+    let mut subtxns: BTreeMap<(GlobalTxnId, SiteId), BTreeMap<u32, Incarnation>> = BTreeMap::new();
+    let mut prepared_at: BTreeMap<(GlobalTxnId, SiteId), usize> = BTreeMap::new();
+    let mut committed: BTreeSet<Instance> = BTreeSet::new();
+    for (p, op) in h.ops().iter().enumerate() {
+        let (Txn::Global(g), Some(site)) = (op.txn, op.site()) else {
+            continue;
+        };
+        match op.kind {
+            OpKind::Read(item) | OpKind::Write(item) => {
+                let inc = subtxns
+                    .entry((g, site))
+                    .or_default()
+                    .entry(op.incarnation)
+                    .or_default();
+                inc.ops.push((matches!(op.kind, OpKind::Write(_)), item));
+                inc.last_data_pos = p;
+            }
+            OpKind::Prepare(_) => {
+                prepared_at.entry((g, site)).or_insert(p);
+            }
+            OpKind::LocalCommit(_) => {
+                committed.insert(Instance::global(g.0, site, op.incarnation));
+            }
+            _ => {}
         }
-        let prepare_pos = h
-            .ops()
-            .iter()
-            .position(|o| o.txn == Txn::Global(g) && o.kind == crate::op::OpKind::Prepare(site));
-        let last_op_pos = h
-            .ops()
-            .iter()
-            .rposition(|o| o.instance() == Some(inst) && o.kind.is_data_op());
-        match (prepare_pos, last_op_pos) {
-            (Some(p), Some(l)) => l < p,
-            _ => false,
-        }
-    };
+    }
 
     for g in h.global_txns() {
-        for &site in &h.sites_of(Txn::Global(g)) {
-            let incs = h.incarnations_at(g, site);
-            for a in 0..incs.len() {
-                for b in (a + 1)..incs.len() {
-                    let (j0, j1) = (incs[a], incs[b]);
-                    let i0 = Instance::global(g.0, site, j0);
-                    let i1 = Instance::global(g.0, site, j1);
-                    let d0 = by_instance.get(&i0).map_or(&[][..], |v| v.as_slice());
-                    let d1 = by_instance.get(&i1).map_or(&[][..], |v| v.as_slice());
-
+        let sites = subtxns.range((g, SiteId(0))..=(g, SiteId(u32::MAX)));
+        for (&(_, site), incs) in sites {
+            // An incarnation is *known complete* (all its DML fully
+            // executed) if it locally committed, or if the site's prepare
+            // operation follows all of its data operations (a
+            // subtransaction is only moved to the prepared state once every
+            // command has executed). Replay incarnations killed mid-way are
+            // incomplete: their operation sequence is a legitimate prefix
+            // of the full decomposition, not a distortion.
+            let prepared = prepared_at.get(&(g, site));
+            let is_complete = |j: u32, inc: &Incarnation| {
+                committed.contains(&Instance::global(g.0, site, j))
+                    || prepared.is_some_and(|&p| inc.last_data_pos < p)
+            };
+            let incs: Vec<(u32, &Incarnation)> = incs.iter().map(|(&j, inc)| (j, inc)).collect();
+            for (a, &(j0, inc0)) in incs.iter().enumerate() {
+                for &(j1, inc1) in &incs[a + 1..] {
                     // (a) decomposition comparison: two *complete*
                     // incarnations must have identical elementary sequences;
                     // an incomplete (killed mid-replay) incarnation must be
                     // a prefix of the other.
-                    let sig = |ops: &[crate::op::Op]| -> Vec<(bool, Item)> {
-                        ops.iter()
-                            .map(|o| {
-                                (
-                                    matches!(o.kind, crate::op::OpKind::Write(_)),
-                                    o.item().expect("data op"),
-                                )
-                            })
-                            .collect()
-                    };
-                    let s0 = sig(d0);
-                    let s1 = sig(d1);
-                    let both_complete = is_complete(g, site, i0) && is_complete(g, site, i1);
-                    let mismatch = if both_complete {
-                        s0 != s1
+                    let mismatch = if is_complete(j0, inc0) && is_complete(j1, inc1) {
+                        inc0.ops != inc1.ops
                     } else {
-                        let n = s0.len().min(s1.len());
-                        s0[..n] != s1[..n]
+                        let n = inc0.ops.len().min(inc1.ops.len());
+                        inc0.ops[..n] != inc1.ops[..n]
                     };
                     if mismatch {
                         return Some(Distortion::Decomposition {
@@ -146,8 +150,8 @@ pub fn detect_global_view_distortion(h: &History) -> Option<Distortion> {
                     }
 
                     // (b) view comparison at the transaction level.
-                    let v0 = replay.txn_view_of(i0);
-                    let v1 = replay.txn_view_of(i1);
+                    let v0 = replay.txn_view_of(Instance::global(g.0, site, j0));
+                    let v1 = replay.txn_view_of(Instance::global(g.0, site, j1));
                     for (&(it0, w0), &(it1, w1)) in v0.iter().zip(v1.iter()) {
                         debug_assert_eq!(it0, it1, "same decomposition");
                         // Reading from T_k itself is reading one's own

@@ -3,9 +3,8 @@
 //! diagnostics, and topological sorting (the paper's §5.1 uses a topological
 //! sort of the commit-order graph to exhibit the equivalent serial history).
 
-use std::collections::BTreeMap;
-use std::fmt::Debug;
-use std::hash::Hash;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A directed graph over arbitrary ordered node keys.
 ///
@@ -16,7 +15,7 @@ pub struct DiGraph<N: Ord + Clone> {
     adj: BTreeMap<N, Vec<N>>,
 }
 
-impl<N: Ord + Clone + Hash + Debug> DiGraph<N> {
+impl<N: Ord + Clone> DiGraph<N> {
     /// An empty graph.
     pub fn new() -> Self {
         DiGraph {
@@ -70,6 +69,21 @@ impl<N: Ord + Clone + Hash + Debug> DiGraph<N> {
         out
     }
 
+    /// The graph over dense ids: node `i` is the `i`-th key in key order
+    /// (so id order *is* key order), with its successors resolved to ids in
+    /// insertion order. Built once per traversal so that following an edge
+    /// is an index, not a search.
+    fn dense(&self) -> (Vec<&N>, Vec<Vec<usize>>) {
+        let keys: Vec<&N> = self.adj.keys().collect();
+        let id: BTreeMap<&N, usize> = keys.iter().enumerate().map(|(i, k)| (*k, i)).collect();
+        let succ = self
+            .adj
+            .values()
+            .map(|s| s.iter().map(|to| id[to]).collect())
+            .collect();
+        (keys, succ)
+    }
+
     /// Find a directed cycle, if any, returned as a node sequence
     /// `v0 → v1 → … → vk → v0` (without repeating `v0` at the end).
     pub fn find_cycle(&self) -> Option<Vec<N>> {
@@ -79,42 +93,41 @@ impl<N: Ord + Clone + Hash + Debug> DiGraph<N> {
             Gray,
             Black,
         }
-        let mut color: BTreeMap<&N, Color> = self.adj.keys().map(|n| (n, Color::White)).collect();
-        let mut parent: BTreeMap<&N, &N> = BTreeMap::new();
+        let (keys, succ) = self.dense();
+        let mut color = vec![Color::White; keys.len()];
+        let mut parent = vec![usize::MAX; keys.len()];
 
-        for start in self.adj.keys() {
+        for start in 0..keys.len() {
             if color[start] != Color::White {
                 continue;
             }
             // Iterative DFS with an explicit stack of (node, child index).
-            let mut stack: Vec<(&N, usize)> = vec![(start, 0)];
-            color.insert(start, Color::Gray);
+            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            color[start] = Color::Gray;
             while let Some((node, idx)) = stack.pop() {
-                let succ = &self.adj[node];
-                if idx < succ.len() {
-                    stack.push((node, idx + 1));
-                    let next = self.adj.keys().find(|k| **k == succ[idx]).expect("node");
-                    match color[next] {
-                        Color::White => {
-                            parent.insert(next, node);
-                            color.insert(next, Color::Gray);
-                            stack.push((next, 0));
-                        }
-                        Color::Gray => {
-                            // Found a back edge node → next: reconstruct.
-                            let mut cycle = vec![node.clone()];
-                            let mut cur = node;
-                            while *cur != *next {
-                                cur = parent[cur];
-                                cycle.push(cur.clone());
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
-                        Color::Black => {}
+                let Some(&next) = succ[node].get(idx) else {
+                    color[node] = Color::Black;
+                    continue;
+                };
+                stack.push((node, idx + 1));
+                match color[next] {
+                    Color::White => {
+                        parent[next] = node;
+                        color[next] = Color::Gray;
+                        stack.push((next, 0));
                     }
-                } else {
-                    color.insert(node, Color::Black);
+                    Color::Gray => {
+                        // Found a back edge node → next: reconstruct.
+                        let mut cycle = vec![keys[node].clone()];
+                        let mut cur = node;
+                        while cur != next {
+                            cur = parent[cur];
+                            cycle.push(keys[cur].clone());
+                        }
+                        cycle.reverse();
+                        return Some(cycle);
+                    }
+                    Color::Black => {}
                 }
             }
         }
@@ -129,38 +142,27 @@ impl<N: Ord + Clone + Hash + Debug> DiGraph<N> {
     /// Kahn topological sort; `None` if the graph has a cycle. Ties are
     /// broken by node key order, so the result is deterministic.
     pub fn topo_sort(&self) -> Option<Vec<N>> {
-        let mut indeg: BTreeMap<&N, usize> = self.adj.keys().map(|n| (n, 0)).collect();
-        for succ in self.adj.values() {
-            for to in succ {
-                let key = self.adj.keys().find(|k| *k == to).expect("node");
-                *indeg.get_mut(key).unwrap() += 1;
-            }
+        let (keys, succ) = self.dense();
+        let mut indeg = vec![0usize; keys.len()];
+        for &to in succ.iter().flatten() {
+            indeg[to] += 1;
         }
-        let mut ready: Vec<&N> = indeg
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(n, _)| *n)
+        // Min-heap on id = min-heap on key.
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..keys.len())
+            .filter(|&n| indeg[n] == 0)
+            .map(Reverse)
             .collect();
-        let mut out = Vec::with_capacity(self.adj.len());
-        while let Some(&n) = ready.first() {
-            ready.remove(0);
-            out.push(n.clone());
-            for to in &self.adj[n] {
-                let key = self.adj.keys().find(|k| **k == *to).expect("node");
-                let d = indeg.get_mut(key).unwrap();
-                *d -= 1;
-                if *d == 0 {
-                    // Insert keeping `ready` sorted for determinism.
-                    let pos = ready.partition_point(|m| *m < key);
-                    ready.insert(pos, key);
+        let mut out = Vec::with_capacity(keys.len());
+        while let Some(Reverse(n)) = ready.pop() {
+            out.push(keys[n].clone());
+            for &to in &succ[n] {
+                indeg[to] -= 1;
+                if indeg[to] == 0 {
+                    ready.push(Reverse(to));
                 }
             }
         }
-        if out.len() == self.adj.len() {
-            Some(out)
-        } else {
-            None
-        }
+        (out.len() == keys.len()).then_some(out)
     }
 }
 

@@ -182,13 +182,40 @@ impl History {
     /// transaction, and every operation of each committed local transaction.
     /// All other transactions' operations are dropped.
     pub fn committed_projection(&self) -> History {
-        let keep: BTreeSet<Txn> = self
-            .txns()
+        // One pass collects, per transaction, what `is_globally_committed`,
+        // `is_complete` and `local_txn_committed` each ask of the history.
+        #[derive(Default)]
+        struct Fate {
+            globally_committed: bool,
+            sites: BTreeSet<SiteId>,
+            committed_at: BTreeSet<SiteId>,
+        }
+        let mut fates: BTreeMap<Txn, Fate> = BTreeMap::new();
+        for op in &self.ops {
+            let fate = fates.entry(op.txn).or_default();
+            match op.kind {
+                OpKind::GlobalCommit => fate.globally_committed = true,
+                OpKind::LocalCommit(s) => {
+                    fate.committed_at.insert(s);
+                }
+                _ => {}
+            }
+            if let Some(s) = op.site() {
+                fate.sites.insert(s);
+            }
+        }
+        let keep: BTreeSet<Txn> = fates
             .into_iter()
-            .filter(|t| match *t {
-                Txn::Global(g) => self.is_globally_committed(g) && self.is_complete(g),
-                Txn::Local(l) => self.local_txn_committed(l),
+            .filter(|(t, fate)| match *t {
+                // `committed_at ⊆ sites`, so equality is "at every site".
+                Txn::Global(_) => {
+                    fate.globally_committed
+                        && !fate.sites.is_empty()
+                        && fate.committed_at == fate.sites
+                }
+                Txn::Local(l) => fate.committed_at.contains(&l.site),
             })
+            .map(|(t, _)| t)
             .collect();
         History::from_ops(self.ops.iter().copied().filter(|o| keep.contains(&o.txn)))
     }

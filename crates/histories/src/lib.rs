@@ -41,6 +41,8 @@ pub mod graph;
 pub mod history;
 pub mod ids;
 pub mod op;
+#[cfg(test)]
+mod oracle;
 pub mod paper;
 pub mod parse;
 pub mod replay;

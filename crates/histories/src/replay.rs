@@ -11,7 +11,7 @@
 //! Final writers follow the paper's view-equivalence convention: "only
 //! committed writes are taken into account as final writes".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::history::History;
 use crate::ids::{Instance, Item, Txn};
@@ -36,73 +36,59 @@ impl Replay {
     pub fn of(h: &History) -> Replay {
         let ops = h.ops();
 
-        // Terminal fate of each instance: position of its local commit /
-        // local abort, if any.
-        let mut commit_pos: BTreeMap<Instance, usize> = BTreeMap::new();
-        let mut abort_pos: BTreeMap<Instance, usize> = BTreeMap::new();
-        for (p, op) in ops.iter().enumerate() {
-            if let Some(inst) = op.instance() {
-                match op.kind {
-                    OpKind::LocalCommit(_) => {
-                        commit_pos.entry(inst).or_insert(p);
-                    }
-                    OpKind::LocalAbort(_) => {
-                        abort_pos.entry(inst).or_insert(p);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let aborted_between = |inst: Instance, after: usize, before: usize| -> bool {
-            abort_pos
-                .get(&inst)
-                .is_some_and(|&a| a > after && a < before)
-        };
+        // One forward pass. `visible` holds, per item, the writes a read
+        // would currently see (position → writer; the last entry is the
+        // value in place): an instance's *first* local abort rolls back
+        // every write it has made so far, exposing what those replaced.
+        // Writes made after that abort stay — there is no second rollback.
+        let mut visible: BTreeMap<Item, BTreeMap<usize, Instance>> = BTreeMap::new();
+        let mut writes_of: BTreeMap<Instance, Vec<(Item, usize)>> = BTreeMap::new();
+        let mut committed: BTreeSet<Instance> = BTreeSet::new();
+        let mut aborted: BTreeSet<Instance> = BTreeSet::new();
 
         let mut reads_from = BTreeMap::new();
         let mut views: BTreeMap<Instance, Vec<(Item, Option<Instance>)>> = BTreeMap::new();
-
-        for (p, op) in ops.iter().enumerate() {
-            let item = match op.kind {
-                OpKind::Read(it) => it,
-                _ => continue,
-            };
-            let reader = op.instance().expect("reads are site-bound");
-            // Scan backwards for the latest surviving write of `item`.
-            let mut writer: Option<Instance> = None;
-            for q in (0..p).rev() {
-                let prev = &ops[q];
-                if prev.kind != OpKind::Write(item) {
-                    continue;
-                }
-                let w = prev.instance().expect("writes are site-bound");
-                // A write rolled back before the read is invisible.
-                if aborted_between(w, q, p) {
-                    continue;
-                }
-                writer = Some(w);
-                break;
-            }
-            reads_from.insert(p, writer);
-            views.entry(reader).or_default().push((item, writer));
-        }
-
-        // Final writers: last committed, never-aborted write per item.
         let mut final_writers: BTreeMap<Item, Option<Instance>> = BTreeMap::new();
-        for it in h.items() {
-            final_writers.insert(it, None);
-        }
+
         for (p, op) in ops.iter().enumerate() {
+            let Some(inst) = op.instance() else { continue };
+            if let Some(item) = op.item() {
+                final_writers.entry(item).or_insert(None);
+            }
+            match op.kind {
+                OpKind::Read(item) => {
+                    let writer = visible
+                        .get(&item)
+                        .and_then(|writes| writes.last_key_value().map(|(_, w)| *w));
+                    reads_from.insert(p, writer);
+                    views.entry(inst).or_default().push((item, writer));
+                }
+                OpKind::Write(item) => {
+                    visible.entry(item).or_default().insert(p, inst);
+                    writes_of.entry(inst).or_default().push((item, p));
+                }
+                OpKind::LocalCommit(_) => {
+                    committed.insert(inst);
+                }
+                OpKind::LocalAbort(_) if aborted.insert(inst) => {
+                    for (item, q) in writes_of.remove(&inst).unwrap_or_default() {
+                        if let Some(writes) = visible.get_mut(&item) {
+                            writes.remove(&q);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // Final writers: last write per item by an instance that committed
+        // and never aborted — anywhere in the history, hence a second pass.
+        // Any other write leaves the previous committed write final.
+        for op in ops {
             if let OpKind::Write(it) = op.kind {
                 let w = op.instance().expect("writes are site-bound");
-                if commit_pos.contains_key(&w) && !abort_pos.contains_key(&w) {
+                if committed.contains(&w) && !aborted.contains(&w) {
                     final_writers.insert(it, Some(w));
-                } else {
-                    // An aborted (or never-committed) write does not count as
-                    // final; the previous committed write remains final, so
-                    // leave the entry untouched.
-                    let _ = p;
                 }
             }
         }

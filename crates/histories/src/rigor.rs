@@ -12,11 +12,14 @@
 //! every resubmission is an independent transaction) and are meant to be
 //! applied to single-site projections.
 
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+
 use serde::{Deserialize, Serialize};
 
 use crate::conflict::conflict_serializable_instances;
 use crate::history::History;
-use crate::ids::Instance;
+use crate::ids::{Instance, Item};
 use crate::op::OpKind;
 use crate::replay::Replay;
 
@@ -33,80 +36,107 @@ pub struct RigorViolation {
     pub position: usize,
 }
 
-/// Position of the terminal operation (local commit or abort) of each
-/// instance.
-fn terminal_positions(h: &History) -> impl Fn(Instance) -> Option<usize> + '_ {
-    move |inst: Instance| {
-        h.ops().iter().enumerate().find_map(|(p, o)| {
-            (o.instance() == Some(inst)
-                && matches!(o.kind, OpKind::LocalCommit(_) | OpKind::LocalAbort(_)))
-            .then_some(p)
-        })
+/// The accesses of one kind (reads, or writes) that are still *open*: made
+/// by an instance that has not terminated since. Per item and instance only
+/// the earliest open access is kept — it decides who a later conflicting
+/// operation should have waited for first.
+#[derive(Default)]
+struct OpenAccesses {
+    /// Per item: position of the access → the instance that made it.
+    by_item: BTreeMap<Item, BTreeMap<usize, Instance>>,
+    /// Per instance: where its entry sits in each item's map.
+    by_instance: BTreeMap<Instance, BTreeMap<Item, usize>>,
+}
+
+impl OpenAccesses {
+    fn open(&mut self, inst: Instance, item: Item, pos: usize) {
+        if let Entry::Vacant(slot) = self.by_instance.entry(inst).or_default().entry(item) {
+            slot.insert(pos);
+            self.by_item.entry(item).or_default().insert(pos, inst);
+        }
     }
+
+    /// The instance terminated: everything it has open so far is closed.
+    fn close(&mut self, inst: Instance) {
+        for (item, pos) in self.by_instance.remove(&inst).unwrap_or_default() {
+            if let Some(open) = self.by_item.get_mut(&item) {
+                open.remove(&pos);
+            }
+        }
+    }
+
+    /// The earliest open access to `item` by an instance other than `me`
+    /// (each instance has one entry, so this looks at two at most).
+    fn earliest_other(&self, item: Item, me: Instance) -> Option<Instance> {
+        self.by_item
+            .get(&item)?
+            .values()
+            .copied()
+            .find(|&inst| inst != me)
+    }
+}
+
+/// One forward sweep for both lock-discipline rules.
+///
+/// **Strictness**: whenever `W_j[x]` precedes `O_i[x]` (i ≠ j), the
+/// termination of `j` lies between them. The **rigorous** extra condition:
+/// whenever `R_j[x]` precedes `W_i[x]` (i ≠ j), the termination of `j` lies
+/// between them. An instance terminates at its *first* local commit or
+/// abort; whatever it accesses after that is never closed again (such input
+/// is malformed, and stays "never terminated").
+///
+/// Returns the first strictness violation and — as far as the sweep got,
+/// which is the whole history if there is none — the first
+/// write-under-reader violation: each the earliest offending operation,
+/// against the earliest open conflicting access.
+fn lock_discipline(h: &History) -> (Option<RigorViolation>, Option<RigorViolation>) {
+    let mut writes = OpenAccesses::default();
+    let mut reads = OpenAccesses::default();
+    let mut terminated: BTreeSet<Instance> = BTreeSet::new();
+    let mut under_reader = None;
+    for (p, op) in h.ops().iter().enumerate() {
+        let Some(inst) = op.instance() else { continue };
+        match op.kind {
+            OpKind::Read(item) | OpKind::Write(item) => {
+                if let Some(victim) = writes.earliest_other(item, inst) {
+                    let strict = RigorViolation {
+                        rule: "strict: accessed data written by an unterminated transaction",
+                        offender: inst,
+                        victim,
+                        position: p,
+                    };
+                    return (Some(strict), under_reader);
+                }
+                if matches!(op.kind, OpKind::Read(_)) {
+                    reads.open(inst, item, p);
+                    continue;
+                }
+                if under_reader.is_none() {
+                    under_reader = reads
+                        .earliest_other(item, inst)
+                        .map(|victim| RigorViolation {
+                            rule: "rigorous: wrote data read by an unterminated transaction",
+                            offender: inst,
+                            victim,
+                            position: p,
+                        });
+                }
+                writes.open(inst, item, p);
+            }
+            OpKind::LocalCommit(_) | OpKind::LocalAbort(_) if terminated.insert(inst) => {
+                writes.close(inst);
+                reads.close(inst);
+            }
+            _ => {}
+        }
+    }
+    (None, under_reader)
 }
 
 /// Check **strictness**: whenever `W_j[x]` precedes `O_i[x]` (i ≠ j), the
 /// termination of `j` precedes `O_i[x]`.
 pub fn check_strict(h: &History) -> Option<RigorViolation> {
-    let term = terminal_positions(h);
-    let ops = h.ops();
-    for (p, op) in ops.iter().enumerate() {
-        let (item, offender) = match (op.kind, op.instance()) {
-            (OpKind::Read(it), Some(i)) | (OpKind::Write(it), Some(i)) => (it, i),
-            _ => continue,
-        };
-        for (q, prev) in ops.iter().enumerate().take(p) {
-            if prev.kind != OpKind::Write(item) {
-                continue;
-            }
-            let victim = prev.instance().expect("writes are site-bound");
-            if victim == offender {
-                continue;
-            }
-            let terminated_before = term(victim).is_some_and(|t| t > q && t < p);
-            if !terminated_before {
-                return Some(RigorViolation {
-                    rule: "strict: accessed data written by an unterminated transaction",
-                    offender,
-                    victim,
-                    position: p,
-                });
-            }
-        }
-    }
-    None
-}
-
-/// Check the **rigorous** extra condition: whenever `R_j[x]` precedes
-/// `W_i[x]` (i ≠ j), the termination of `j` precedes `W_i[x]`.
-fn check_no_write_under_reader(h: &History) -> Option<RigorViolation> {
-    let term = terminal_positions(h);
-    let ops = h.ops();
-    for (p, op) in ops.iter().enumerate() {
-        let (item, offender) = match (op.kind, op.instance()) {
-            (OpKind::Write(it), Some(i)) => (it, i),
-            _ => continue,
-        };
-        for (q, prev) in ops.iter().enumerate().take(p) {
-            if prev.kind != OpKind::Read(item) {
-                continue;
-            }
-            let victim = prev.instance().expect("reads are site-bound");
-            if victim == offender {
-                continue;
-            }
-            let terminated_before = term(victim).is_some_and(|t| t > q && t < p);
-            if !terminated_before {
-                return Some(RigorViolation {
-                    rule: "rigorous: wrote data read by an unterminated transaction",
-                    offender,
-                    victim,
-                    position: p,
-                });
-            }
-        }
-    }
-    None
+    lock_discipline(h).0
 }
 
 /// Whether the history is **recoverable**: every instance that reads from
@@ -115,67 +145,47 @@ pub fn is_recoverable(h: &History) -> bool {
     recoverability_violation(h).is_none()
 }
 
-fn recoverability_violation(h: &History) -> Option<RigorViolation> {
-    let replay = Replay::of(h);
-    let term = terminal_positions(h);
-    let ops = h.ops();
-    for (p, op) in ops.iter().enumerate() {
-        if !matches!(op.kind, OpKind::Read(_)) {
-            continue;
+/// Position of each instance's first local commit.
+fn first_commits(h: &History) -> BTreeMap<Instance, usize> {
+    let mut at = BTreeMap::new();
+    for (p, op) in h.ops().iter().enumerate() {
+        if let (OpKind::LocalCommit(_), Some(inst)) = (op.kind, op.instance()) {
+            at.entry(inst).or_insert(p);
         }
-        let reader = op.instance().expect("reads are site-bound");
-        let Some(Some(writer)) = replay.reads_from_at(p) else {
-            continue;
-        };
-        if writer == reader {
-            continue;
-        }
-        // If the reader commits, the writer must have committed first.
-        let reader_commit = ops.iter().enumerate().find_map(|(rp, o)| {
-            (o.instance() == Some(reader) && matches!(o.kind, OpKind::LocalCommit(_))).then_some(rp)
-        });
-        let Some(rc) = reader_commit else { continue };
-        let writer_commit = ops.iter().enumerate().find_map(|(wp, o)| {
-            (o.instance() == Some(writer) && matches!(o.kind, OpKind::LocalCommit(_))).then_some(wp)
-        });
-        let ok = writer_commit.is_some_and(|wc| wc < rc);
-        if !ok {
-            return Some(RigorViolation {
-                rule: "recoverable: committed before (or without) its writer committing",
-                offender: reader,
-                victim: writer,
-                position: p,
-            });
-        }
-        let _ = &term;
     }
-    None
+    at
+}
+
+/// Every read of another instance's write, as `(position, reader, writer)`.
+fn foreign_reads(h: &History) -> impl Iterator<Item = (usize, Instance, Instance)> + '_ {
+    let replay = Replay::of(h);
+    h.ops().iter().enumerate().filter_map(move |(p, op)| {
+        let writer = replay.reads_from_at(p)??;
+        let reader = op.instance().expect("reads are site-bound");
+        (writer != reader).then_some((p, reader, writer))
+    })
+}
+
+fn recoverability_violation(h: &History) -> Option<RigorViolation> {
+    let commit = first_commits(h);
+    foreign_reads(h).find_map(|(p, reader, writer)| {
+        // If the reader commits, the writer must have committed first.
+        let rc = commit.get(&reader)?;
+        let ok = commit.get(&writer).is_some_and(|wc| wc < rc);
+        (!ok).then_some(RigorViolation {
+            rule: "recoverable: committed before (or without) its writer committing",
+            offender: reader,
+            victim: writer,
+            position: p,
+        })
+    })
 }
 
 /// Whether the history **avoids cascading aborts** (ACA): every read (from
 /// another instance) observes only committed data.
 pub fn is_aca(h: &History) -> bool {
-    let replay = Replay::of(h);
-    let ops = h.ops();
-    for (p, op) in ops.iter().enumerate() {
-        if !matches!(op.kind, OpKind::Read(_)) {
-            continue;
-        }
-        let reader = op.instance().expect("reads are site-bound");
-        let Some(Some(writer)) = replay.reads_from_at(p) else {
-            continue;
-        };
-        if writer == reader {
-            continue;
-        }
-        let committed_before = ops[..p]
-            .iter()
-            .any(|o| o.instance() == Some(writer) && matches!(o.kind, OpKind::LocalCommit(_)));
-        if !committed_before {
-            return false;
-        }
-    }
-    true
+    let commit = first_commits(h);
+    foreign_reads(h).all(|(p, _, writer)| commit.get(&writer).is_some_and(|&wc| wc < p))
 }
 
 /// Whether the history is **strict**.
@@ -187,10 +197,8 @@ pub fn is_strict(h: &History) -> bool {
 /// instance level, strict, and no item is written while an instance that
 /// read it is still alive. Returns the first violation for diagnostics.
 pub fn rigor_violation(h: &History) -> Option<RigorViolation> {
-    if let Some(v) = check_strict(h) {
-        return Some(v);
-    }
-    if let Some(v) = check_no_write_under_reader(h) {
+    let (strict, under_reader) = lock_discipline(h);
+    if let Some(v) = strict.or(under_reader) {
         return Some(v);
     }
     if !conflict_serializable_instances(h) {
