@@ -158,7 +158,7 @@ fn measure_linear(prepared: u64, admissions: u64) -> f64 {
         now += 3;
         lin.refresh(now);
         assert!(
-            !lin.disjoint(begin, 0),
+            !lin.disjoint(begin),
             "every staged entry is alive, so every candidate must be admitted"
         );
         lin.insert(

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use mdbs_consensus::{acceptor_count, PaxosCommit};
-use mdbs_dtm::{AgentConfig, CertifierMode, CoordMutation, GlobalOutcome, Message};
+use mdbs_dtm::{AgentConfig, CertifierMode, GlobalOutcome, Message};
 use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
 use mdbs_ldbs::{Command, KeySpec, Ldbs, SiteProfile, Store};
 use mdbs_runtime::TraceEvent;
@@ -91,12 +91,9 @@ pub struct ExploreConfig {
     /// it (the §6 timeout-based deadlock resolution, in logical time).
     pub wait_timeout_ticks: u64,
     /// Whether to assert the §4.2 interval-intersection property at every
-    /// admission. On for every preset; a flag so the mutation smoke test
-    /// can demonstrate it is this check (not atomicity) that fires.
+    /// admission. On for every preset; a flag so the §4.2 smoke test can
+    /// demonstrate it is this check (not atomicity) that fires.
     pub check_intervals: bool,
-    /// Deliberate coordinator deviation under test (`CoordMutation::None`
-    /// outside the mutation kill matrix).
-    pub coord_mutation: CoordMutation,
 }
 
 impl ExploreConfig {
@@ -117,7 +114,6 @@ impl ExploreConfig {
             max_runs: 20_000,
             wait_timeout_ticks: 400,
             check_intervals: true,
-            coord_mutation: CoordMutation::None,
         }
     }
 
@@ -175,17 +171,18 @@ impl ExploreConfig {
         cfg
     }
 
-    /// The mutation smoke configuration: `BrokenBasicCert` skips the §4.2
-    /// alive-interval check, so there is a schedule — one injected abort
-    /// freezing T1's interval at site a, plus one delayed delivery pushing
-    /// T2's work at site a past the freeze — whose admission violates the
-    /// interval-intersection invariant. The explorer must find it; under
-    /// `Full` the same world must exhaust clean.
+    /// The §4.2 world: there is a schedule — one injected abort freezing
+    /// T1's interval at site a, plus one delayed delivery pushing T2's work
+    /// at site a past the freeze — in which T2's candidate interval is
+    /// disjoint from T1's stored one. `Full` refuses that PREPARE and the
+    /// world exhausts clean; a certifier that skips the alive-interval
+    /// check (`NoCertification`, or the kill matrix's `broken-basic-cert`
+    /// mutant) admits it, violating the interval-intersection invariant.
     pub fn mutation_interval() -> Self {
         let s0 = SiteId(0);
         let s1 = SiteId(1);
         let mut cfg = ExploreConfig::base(
-            CertifierMode::BrokenBasicCert,
+            CertifierMode::Full,
             false,
             vec![
                 vec![
@@ -202,6 +199,7 @@ impl ExploreConfig {
         cfg.delay_budget = 2;
         cfg.fault_budget = 1;
         cfg.max_steps = 800;
+        cfg.max_runs = 30_000; // exhausts at 27 201 schedules
         cfg
     }
 
@@ -586,7 +584,6 @@ impl World {
         let mut coords = BTreeMap::new();
         for c in 0..cfg.coordinators {
             let mut rt = CoordinatorRuntime::new(COORD_BASE + c, cfg.cgm);
-            rt.set_coord_mutation(cfg.coord_mutation);
             if cfg.consensus_f > 0 {
                 rt.set_consensus(Box::new(PaxosCommit::new(
                     COORD_BASE + c,

@@ -31,9 +31,15 @@
 //!   driver goes through that one entry.) Suppressions require a written
 //!   justification.
 //! - [`mutate`] — the certifier mutation kill matrix: a catalog of
-//!   deliberate protocol deviations (each breaking one §4/§5/Appendix
-//!   mechanism) run against every checker; the matrix fails if any mutant
-//!   survives everything or the real protocol fails anything.
+//!   deliberate protocol deviations, each a source edit (file, anchor,
+//!   replacement) against the shipped agent, certifier index, coordinator
+//!   or consensus leader that breaks one §4/§5/Appendix/2PC/Paxos Commit
+//!   mechanism. Each mutant is compiled in a scratch copy of the workspace
+//!   and run against the checkers — the ordinary tests of
+//!   `tests/checkers.rs` (probes, exploration, one simulation, the `proto`
+//!   pass); the matrix fails if any mutant passes them all or the real
+//!   tree fails any, and errors out if an edit no longer applies or no
+//!   longer compiles.
 
 #![forbid(unsafe_code)]
 

@@ -1,65 +1,44 @@
 //! The certifier mutation kill matrix.
 //!
-//! Mutation testing turned on the protocol itself: the catalog below lists
-//! deliberate, `doc(hidden)` deviations of the certifier, the 2PC
-//! coordinator, and the Paxos Commit leader — each breaking exactly one
-//! mechanism of §§4–5, the Appendix algorithms, or the consensus layer's
-//! safety argument — and [`run_matrix`] runs every checker in the
-//! project against every mutant. A mutant that survives *all* checkers
-//! marks a hole in the test net: some paper mechanism nobody would notice
-//! us dropping. The matrix fails if any mutant survives, and also if the
-//! real protocol ([`CertifierMode::Full`], [`CoordMutation::None`]) fails
-//! anything — the checkers must be discriminating, not merely trigger-happy.
+//! Mutation testing turned on the protocol itself. A mutant is a *source
+//! edit* against the shipped tree — one or more `(file, anchor,
+//! replacement)` triples, each breaking exactly one mechanism of §§4–5, the
+//! Appendix algorithms, 2PC, or the Paxos Commit safety argument — never a
+//! flag inside the protocol. [`run_matrix`] keeps one scratch copy of the
+//! workspace under `target/mutants/`, and for the real tree and then each
+//! mutant in turn writes the edited files there, builds and runs
+//! `crates/check/tests/checkers.rs` with cargo, reads the failing test
+//! names as the row's killers, and restores the files.
 //!
-//! Three checker families, all deterministic:
-//!
-//! - **Probes** (`probe-*`) — unit-level drives of the [`Agent`] /
-//!   [`Coordinator`] state machines through the exact scenario the targeted
-//!   mechanism exists for, asserting the protocol-mandated reaction.
-//! - **Exploration** (`explore-*`) — the bounded model checker of
-//!   [`crate::explore`] on the mutation-interval and conflict worlds, with
-//!   the mutant installed; a kill is a found violation.
-//! - **Simulation** (`sim-conflict`) — one contended, unilateral-abort-heavy
-//!   discrete-event run; a kill is a failed end-to-end correctness report
-//!   (or a runtime panic). Agent-side mutants only: the simulator has no
-//!   coordinator-mutation knob, and growing one is not worth weakening the
-//!   goldens' "defaults untouched" guarantee.
-//! - **Static analysis** (`proto-static`) — [`crate::proto`]'s protocol
-//!   pass run over an in-memory mutated source tree: a [`ProtoMutation`]
-//!   is a textual edit that deletes a table obligation (a dup guard, a
-//!   timer), and the kill is the named rule firing at *lint* time — no
-//!   execution at all, the matrix's first lint-time kills.
-//!
-//! Every mutant is off by default and unreachable from configuration files,
-//! so shipping the catalog changes no golden digest.
+//! A mutant that survives *all* checkers marks a hole in the test net: some
+//! paper mechanism nobody would notice us dropping. The matrix fails if any
+//! mutant survives, and also if the real tree fails anything — the checkers
+//! must be discriminating, not merely trigger-happy. An edit whose anchor
+//! does not occur exactly once in its file, or whose mutant does not
+//! compile, is a harness error ([`run_matrix`] returns `Err`): never a
+//! kill, never a survivor.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::Instant;
 
-use mdbs_consensus::{Acceptor, Ballot, Decision, Leader, LeaderMutation, PaxosMsg, Vote};
-use mdbs_dtm::{
-    Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, CoordAction, CoordMutation,
-    Coordinator, Message, RefuseReason, SerialNumber,
-};
-use mdbs_histories::{GlobalTxnId, Instance, SiteId};
-use mdbs_ldbs::{Command, CommandResult, KeySpec};
-use mdbs_sim::{Protocol, SimConfig, Simulation};
-use mdbs_workload::WorkloadSpec;
+const AGENT: &str = "crates/core/src/agent.rs";
+const CERTIFIER: &str = "crates/core/src/certifier.rs";
+const COORD: &str = "crates/core/src/coordinator.rs";
+const LEADER: &str = "crates/consensus/src/leader.rs";
 
-use crate::explore::{explore, ExploreConfig, ExploreOutcome};
-use crate::proto::{run_proto_with, ProtoMutation};
-
-/// One deliberate protocol deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MutantSpec {
-    /// An agent-side certifier deviation.
-    Agent(CertifierMode),
-    /// A coordinator-side 2PC deviation.
-    Coord(CoordMutation),
-    /// A Paxos Commit leader deviation.
-    Consensus(LeaderMutation),
-    /// A source-level protocol deviation, applied in memory and killed
-    /// statically by `mdbs-check proto` — never installed in a runtime.
-    Proto(ProtoMutation),
+/// One textual edit: `anchor` must occur exactly once in `file`
+/// (workspace-relative) and is replaced by `replacement`.
+#[derive(Debug, Clone, Copy)]
+pub struct Edit {
+    /// Workspace-relative path of the file to edit.
+    pub file: &'static str,
+    /// The text to replace; must occur exactly once.
+    pub anchor: &'static str,
+    /// What replaces it; the edited tree must still compile.
+    pub replacement: &'static str,
 }
 
 /// A catalog entry: the deviation plus the paper mechanism it breaks.
@@ -67,12 +46,12 @@ pub enum MutantSpec {
 pub struct Mutant {
     /// Stable identifier used in reports and the pinned matrix test.
     pub id: &'static str,
-    /// What to install.
-    pub spec: MutantSpec,
     /// The paper mechanism this deviation disables or inverts.
     pub mechanism: &'static str,
     /// One-line description of the deviation.
     pub summary: &'static str,
+    /// The source edits that install it.
+    pub edits: &'static [Edit],
 }
 
 /// The full mutant catalog. Every entry must be killed by at least one
@@ -82,149 +61,269 @@ pub fn catalog() -> Vec<Mutant> {
     vec![
         Mutant {
             id: "broken-basic-cert",
-            spec: MutantSpec::Agent(CertifierMode::BrokenBasicCert),
             mechanism: "§4.2 basic prepare certification",
             summary: "skips the alive-interval intersection check entirely",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "if self.config.mode.prepare_certification() {",
+                replacement: "if false {",
+            }],
         },
         Mutant {
             id: "interval-boundary",
-            spec: MutantSpec::Agent(CertifierMode::MutIntervalBoundary),
             mechanism: "§4.2 basic prepare certification (boundary)",
             summary: "off-by-one: treats an interval ending just before the candidate as intersecting",
+            edits: &[Edit {
+                file: CERTIFIER,
+                anchor: "if end < candidate_begin {",
+                replacement: "if end + 1 < candidate_begin {",
+            }],
         },
         Mutant {
             id: "stale-refresh",
-            spec: MutantSpec::Agent(CertifierMode::MutStaleRefresh),
             mechanism: "§4.2 alive-interval maintenance",
             summary: "skips the inline refresh of alive entries' intervals at PREPARE",
+            // Without the refresh the index's alive-entries-always-intersect
+            // shortcut does not hold, so the mutant certifies against the
+            // raw stored intervals with the original linear scan.
+            edits: &[
+                Edit {
+                    file: AGENT,
+                    anchor: "self.idx.note_refresh(now, self.seq);",
+                    replacement: "",
+                },
+                Edit {
+                    file: AGENT,
+                    anchor: "self.idx.disjoint(now, candidate_begin, &st.touched)",
+                    replacement: "self.subtxns.iter().any(|(g, o)| {
+                *g != gtxn
+                    && o.in_table()
+                    && !o.intervals.iter().any(|&(_, end)| end >= candidate_begin)
+            })",
+                },
+            ],
         },
         Mutant {
             id: "no-prepare-extension",
-            spec: MutantSpec::Agent(CertifierMode::MutNoPrepareExtension),
             mechanism: "§5.3 extended prepare certification",
             summary: "never refuses a PREPARE whose sn is below the largest committed sn",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "if self.config.mode.prepare_extension() {",
+                replacement: "if false {",
+            }],
         },
         Mutant {
             id: "sn-check-flip",
-            spec: MutantSpec::Agent(CertifierMode::MutSnCheckFlip),
             mechanism: "§5.3 extended prepare certification",
             summary: "inverts the §5.3 comparison: refuses sn above the largest committed sn",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "self.max_committed_sn {\n                if sn < max_sn {",
+                replacement: "self.max_committed_sn {\n                if sn > max_sn {",
+            }],
         },
         Mutant {
             id: "stale-max-sn",
-            spec: MutantSpec::Agent(CertifierMode::MutStaleMaxSn),
             mechanism: "§5.3 extended prepare certification (state)",
             summary: "local commits never advance the largest-committed-sn watermark",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "self.max_committed_sn = Some(sn);",
+                replacement: "",
+            }],
         },
         Mutant {
             id: "skip-replay",
-            spec: MutantSpec::Agent(CertifierMode::MutSkipReplay),
             mechanism: "Appendix A resubmission",
             summary: "resubmission opens a fresh incarnation but replays none of the logged commands",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "if let Some(&command) = st.commands.first() {",
+                replacement: "if let Some(&command) = st.commands.first().filter(|_| false) {",
+            }],
         },
         Mutant {
             id: "drop-resubmission",
-            spec: MutantSpec::Agent(CertifierMode::MutDropResubmission),
             mechanism: "Appendix A alive check",
             summary: "the alive check detects a unilateral abort but never resubmits",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "// Unilaterally aborted: resubmit commands from the Agent log.
+            actions.extend(self.start_resubmission(gtxn));",
+                replacement: "",
+            }],
         },
         Mutant {
             id: "commit-edge-flip",
-            spec: MutantSpec::Agent(CertifierMode::MutCommitEdgeFlip),
             mechanism: "Appendix C commit certification",
             summary: "inverts the sn-order wait: commits while a *larger*-sn entry is in the table",
+            edits: &[Edit {
+                file: CERTIFIER,
+                anchor: ".iter()
+            .find(|(_, g)| *g != gtxn)
+            .is_some_and(|&(sn, _)| sn <= my_sn)",
+                replacement: ".iter()
+            .rev()
+            .find(|(_, g)| *g != gtxn)
+            .is_some_and(|&(sn, _)| sn >= my_sn)",
+            }],
         },
         Mutant {
             id: "commit-pending-only",
-            spec: MutantSpec::Agent(CertifierMode::MutCommitPendingOnly),
             mechanism: "Appendix C commit certification",
             summary: "commit certification ignores merely-prepared entries, waiting only on commit-pending ones",
+            // The phase filter needs per-entry state the index does not
+            // keep, so the mutant carries the original linear scan.
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "!self.idx.commit_blocked(gtxn, my_sn)",
+                replacement: "self.subtxns.iter().all(|(g, o)| {
+                    *g == gtxn
+                        || o.phase != Phase::CommitPending
+                        || o.sn.is_none_or(|s| s > my_sn)
+                })",
+            }],
         },
         Mutant {
             id: "keep-rollback-in-table",
-            spec: MutantSpec::Agent(CertifierMode::MutKeepRollbackInTable),
             mechanism: "§4.2 alive-interval table eviction",
             summary: "ROLLBACK acknowledges but leaves the entry in the alive-interval table",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "self.subtxns.remove(&gtxn);\n        self.idx.remove(gtxn);",
+                replacement: "",
+            }],
         },
         Mutant {
             id: "agent-done-cap-ignored",
-            spec: MutantSpec::Agent(CertifierMode::MutIgnoreDoneCap),
             mechanism: "done-set compaction bound (hotpath growth fix)",
             summary: "note_done ignores the configured done_cap: terminated-transaction ids accumulate without bound",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "if self.config.done_cap > 0 {",
+                replacement: "if false {",
+            }],
         },
         Mutant {
             id: "drop-dup-ready-retransmit",
-            spec: MutantSpec::Coord(CoordMutation::DropDupReadyRetransmit),
             mechanism: "§2 2PC decision retransmission",
             summary: "a duplicate READY while committing is ignored instead of answered with COMMIT",
+            edits: &[Edit {
+                file: COORD,
+                anchor: "retransmit the decision (2PC recovery).
+            return vec![CoordAction::ToAgent {
+                site,
+                msg: Message::Commit { gtxn },
+            }];",
+                replacement: "retransmit the decision (2PC recovery).
+            return vec![];",
+            }],
         },
         Mutant {
             id: "skip-commit-record",
-            spec: MutantSpec::Coord(CoordMutation::SkipCommitRecord),
             mechanism: "§3 global commit record (C_k)",
             summary: "unanimous READY sends COMMITs without durably recording the decision",
+            edits: &[Edit {
+                file: COORD,
+                anchor: "// Unanimous READY: record the commit decision, then COMMIT.
+        txn.phase = TxnPhase::Committing;
+        let mut actions = vec![CoordAction::RecordGlobalCommit(gtxn)];",
+                replacement: "txn.phase = TxnPhase::Committing;
+        let mut actions = vec![];",
+            }],
         },
         Mutant {
             id: "quorum-shortcut",
-            spec: MutantSpec::Consensus(LeaderMutation::QuorumShortcut),
             mechanism: "Paxos Commit per-instance quorum coverage",
             summary: "commits once any F+1 acceptances arrive, without covering every participant",
+            edits: &[Edit {
+                file: LEADER,
+                anchor: "let decided = t
+            .participants
+            .iter()
+            .all(|s| t.ready_acks.get(s).is_some_and(|a| a.len() >= q));",
+                replacement: "let decided = t.ready_acks.values().map(BTreeSet::len).sum::<usize>() >= q;",
+            }],
         },
         Mutant {
             id: "stale-ballot-replay",
-            spec: MutantSpec::Consensus(LeaderMutation::StaleBallotReplay),
             mechanism: "Paxos Commit phase-1 promise adoption",
             summary: "failover ignores the quorum's accepted votes and proposes from its stale view",
+            edits: &[Edit {
+                file: LEADER,
+                anchor: ".map(|&(_, v)| v)",
+                replacement: ".map(|_| Vote::Abort)",
+            }],
         },
         Mutant {
             id: "ready-dup-guard-dropped",
-            spec: MutantSpec::Proto(ProtoMutation::DropReadyDupGuard),
             mechanism: "§2 duplicate-READY phase guard (source-level)",
             summary: "textually removes the coordinator's committing-phase test on a duplicate READY",
+            // Without the test, any READY outside the voting phase — a late
+            // one after an abort decision too — is answered with COMMIT.
+            edits: &[Edit {
+                file: COORD,
+                anchor: "if txn.phase == TxnPhase::Committing {",
+                replacement: "if txn.phase != TxnPhase::Preparing {",
+            }],
         },
         Mutant {
             id: "alive-timer-skipped",
-            spec: MutantSpec::Proto(ProtoMutation::SkipAliveTimer),
             mechanism: "§2 blocked-agent alive timer (source-level)",
             summary: "textually removes the alive-timer action armed with the READY vote",
+            edits: &[Edit {
+                file: AGENT,
+                anchor: "            AgentAction::StartAliveTimer {
+                gtxn,
+                after_us: self.config.alive_check_interval_us,
+            },\n",
+                replacement: "",
+            }],
         },
     ]
 }
 
-/// The certifier mode a spec installs at the agents.
-fn agent_mode(spec: MutantSpec) -> CertifierMode {
-    match spec {
-        MutantSpec::Agent(m) => m,
-        MutantSpec::Coord(_) | MutantSpec::Consensus(_) | MutantSpec::Proto(_) => {
-            CertifierMode::Full
+impl Mutant {
+    /// The mutated text of every file this mutant edits, keyed by
+    /// workspace-relative path, read from the tree at `root`. `Err` names
+    /// the edit whose anchor is missing or ambiguous.
+    fn mutated_files(&self, root: &Path) -> Result<BTreeMap<&'static str, String>, String> {
+        let mut files = BTreeMap::new();
+        for e in self.edits {
+            let text = match files.entry(e.file) {
+                Entry::Occupied(seen) => seen.into_mut(),
+                Entry::Vacant(new) => new.insert(
+                    fs::read_to_string(root.join(e.file))
+                        .map_err(|err| format!("{}: cannot read {}: {err}", self.id, e.file))?,
+                ),
+            };
+            match text.matches(e.anchor).count() {
+                1 => *text = text.replacen(e.anchor, e.replacement, 1),
+                0 => {
+                    return Err(format!(
+                        "{}: anchor not found in {}:\n{}",
+                        self.id, e.file, e.anchor
+                    ))
+                }
+                n => {
+                    return Err(format!(
+                        "{}: anchor occurs {n} times in {}, must be unique:\n{}",
+                        self.id, e.file, e.anchor
+                    ))
+                }
+            }
         }
+        Ok(files)
     }
 }
 
-/// The coordinator mutation a spec installs.
-fn coord_mutation(spec: MutantSpec) -> CoordMutation {
-    match spec {
-        MutantSpec::Agent(_) | MutantSpec::Consensus(_) | MutantSpec::Proto(_) => {
-            CoordMutation::None
-        }
-        MutantSpec::Coord(c) => c,
-    }
-}
-
-/// The consensus-leader mutation a spec installs.
-fn leader_mutation(spec: MutantSpec) -> LeaderMutation {
-    match spec {
-        MutantSpec::Agent(_) | MutantSpec::Coord(_) | MutantSpec::Proto(_) => LeaderMutation::None,
-        MutantSpec::Consensus(m) => m,
-    }
-}
-
-/// One checker's verdict on one spec.
+/// One checker's verdict on one tree.
 #[derive(Debug, Clone)]
 pub struct CheckerResult {
-    /// Checker name (`probe-*`, `explore-*`, `sim-*`).
-    pub checker: &'static str,
-    /// Whether the checker rejected the spec (a *kill* for mutants, a
+    /// Checker name (`probe-*`, `explore-*`, `sim-*`, `proto-*`).
+    pub checker: String,
+    /// Whether the checker rejected the tree (a *kill* for mutants, a
     /// *failure* for the real protocol).
     pub killed: bool,
     /// What happened, one line.
@@ -238,17 +337,21 @@ pub struct MatrixRow {
     pub id: &'static str,
     /// The broken mechanism (empty for `"full"`).
     pub mechanism: &'static str,
-    /// Every checker's verdict, in checker order.
+    /// Every checker's verdict, in checker-name order.
     pub results: Vec<CheckerResult>,
+    /// Seconds cargo took to build the checkers against this tree.
+    pub build_s: f64,
+    /// Seconds the checkers took to run.
+    pub check_s: f64,
 }
 
 impl MatrixRow {
     /// Names of the checkers that killed this row.
-    pub fn killers(&self) -> Vec<&'static str> {
+    pub fn killers(&self) -> Vec<&str> {
         self.results
             .iter()
             .filter(|r| r.killed)
-            .map(|r| r.checker)
+            .map(|r| r.checker.as_str())
             .collect()
     }
 
@@ -270,7 +373,7 @@ pub struct Matrix {
 impl Matrix {
     /// Whether the real protocol passed every checker.
     pub fn full_clean(&self) -> bool {
-        self.full.results.iter().all(|r| !r.killed)
+        self.full.survived()
     }
 
     /// Ids of mutants no checker killed.
@@ -288,798 +391,191 @@ impl Matrix {
     }
 }
 
-/// Caps for the expensive checkers. [`Quick`] trims the exploration run
-/// caps for interactive use; [`Pinned`] is what the pinned matrix test and
-/// CI run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Budget {
-    /// Exploration capped at 2 000 runs per world.
-    Quick,
-    /// Exploration capped at 30 000 runs per world (exhausts both worlds).
-    Pinned,
+/// Run the checkers against the workspace at `root` and against each of
+/// `mutants` applied to it. `Err` is a harness error — an anchor that is
+/// missing or not unique (found before anything is built), a mutant that
+/// does not compile, cargo not running — and says nothing about kills.
+pub fn run_matrix(root: &Path, mutants: &[Mutant]) -> Result<Matrix, String> {
+    let mut edited = Vec::new();
+    for m in mutants {
+        edited.push(m.mutated_files(root)?);
+    }
+    let scratch = Scratch::open(root)?;
+    let full = scratch.run_row("full", "", &BTreeMap::new())?;
+    let mut rows = Vec::new();
+    for (m, files) in mutants.iter().zip(&edited) {
+        rows.push(scratch.run_row(m.id, m.mechanism, files)?);
+    }
+    Ok(Matrix { full, rows })
 }
 
-impl Budget {
-    fn explore_runs(self) -> usize {
-        match self {
-            Budget::Quick => 2_000,
-            Budget::Pinned => 30_000,
+/// What a workspace copy needs for `cargo test -p mdbs-check` to resolve.
+const WORKSPACE_ENTRIES: &[&str] = &["Cargo.toml", "Cargo.lock", "src", "crates", "vendor"];
+
+/// The scratch copy of the workspace at `<root>/target/mutants`, holding
+/// its own cargo `target/`. Kept between runs so only the first one pays
+/// for a cold build; the lock file makes concurrent users take turns.
+struct Scratch {
+    dir: PathBuf,
+    _lock: fs::File,
+}
+
+impl Scratch {
+    /// Lock the scratch copy and bring it in line with the tree at `root`,
+    /// rewriting only files whose content differs (cargo rebuilds by
+    /// mtime) — which also restores anything a killed run left mutated.
+    fn open(root: &Path) -> Result<Scratch, String> {
+        let dir = root.join("target/mutants");
+        let io = |what: &str, e: std::io::Error| format!("{what} {}: {e}", dir.display());
+        fs::create_dir_all(&dir).map_err(|e| io("cannot create", e))?;
+        let lock = fs::File::create(dir.join(".lock")).map_err(|e| io("cannot lock", e))?;
+        lock.lock().map_err(|e| io("cannot lock", e))?;
+        for entry in WORKSPACE_ENTRIES {
+            sync_tree(&root.join(entry), &dir.join(entry)).map_err(|e| io("cannot sync", e))?;
         }
+        Ok(Scratch { dir, _lock: lock })
     }
-}
 
-/// Run every checker against the real protocol and every catalog mutant.
-pub fn run_matrix(budget: Budget) -> Matrix {
-    let full = run_row("full", "", MutantSpec::Agent(CertifierMode::Full), budget);
-    let rows = catalog()
-        .into_iter()
-        .map(|m| run_row(m.id, m.mechanism, m.spec, budget))
-        .collect();
-    Matrix { full, rows }
-}
-
-/// One checker: `Ok(())` accepts the spec, `Err` rejects (kills) it.
-type Checker = fn(MutantSpec, Budget) -> Result<(), String>;
-
-/// The checkers, in column order.
-const CHECKERS: &[(&str, Checker)] = &[
-    ("probe-basic-cert", |s, _| probe_basic_cert(agent_mode(s))),
-    ("probe-interval-boundary", |s, _| {
-        probe_interval_boundary(agent_mode(s))
-    }),
-    ("probe-prepare-refresh", |s, _| {
-        probe_prepare_refresh(agent_mode(s))
-    }),
-    ("probe-sn-extension", |s, _| {
-        probe_sn_extension(agent_mode(s))
-    }),
-    ("probe-resubmission", |s, _| {
-        probe_resubmission(agent_mode(s))
-    }),
-    ("probe-commit-order", |s, _| {
-        probe_commit_order(agent_mode(s))
-    }),
-    ("probe-rollback-evict", |s, _| {
-        probe_rollback_evict(agent_mode(s))
-    }),
-    ("probe-done-bound", |s, _| probe_done_bound(agent_mode(s))),
-    ("probe-dup-ready", |s, _| probe_dup_ready(coord_mutation(s))),
-    ("probe-commit-record", |s, _| {
-        probe_commit_record(coord_mutation(s))
-    }),
-    ("probe-consensus-quorum", |s, _| {
-        probe_consensus_quorum(leader_mutation(s))
-    }),
-    ("probe-consensus-takeover", |s, _| {
-        probe_consensus_takeover(leader_mutation(s))
-    }),
-    ("explore-interval", |s, b| {
-        explore_world(ExploreConfig::mutation_interval(), s, b)
-    }),
-    ("explore-conflict", |s, b| {
-        explore_world(ExploreConfig::conflict(), s, b)
-    }),
-    ("sim-conflict", |s, _| sim_conflict(s)),
-    ("proto-static", |s, _| proto_static(s)),
-];
-
-fn run_row(
-    id: &'static str,
-    mechanism: &'static str,
-    spec: MutantSpec,
-    budget: Budget,
-) -> MatrixRow {
-    let results = CHECKERS
-        .iter()
-        .map(|(name, run)| match run(spec, budget) {
-            Ok(()) => CheckerResult {
-                checker: name,
-                killed: false,
-                detail: "pass".to_string(),
-            },
-            Err(detail) => CheckerResult {
-                checker: name,
-                killed: true,
-                detail,
-            },
-        })
-        .collect();
-    MatrixRow {
-        id,
-        mechanism,
-        results,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Probe scaffolding: drive the pure state machines directly.
-// ---------------------------------------------------------------------------
-
-const SITE: SiteId = SiteId(0);
-const SITE_B: SiteId = SiteId(1);
-const COORD: u32 = 1_000_000;
-
-fn sn(t: u64) -> SerialNumber {
-    SerialNumber {
-        ticks: t,
-        node: COORD,
-        seq: 0,
-    }
-}
-
-fn g(k: u32) -> GlobalTxnId {
-    GlobalTxnId(k)
-}
-
-fn agent(mode: CertifierMode) -> Agent {
-    let cfg = AgentConfig {
-        mode,
-        ..AgentConfig::default()
-    };
-    Agent::new(SITE, cfg)
-}
-
-fn cmd() -> Command {
-    Command::Update(KeySpec::Key(0), 1)
-}
-
-fn result(keys: &[u64]) -> CommandResult {
-    CommandResult {
-        rows: keys.iter().map(|&k| (k, 0)).collect(),
-        wrote: keys.to_vec(),
-    }
-}
-
-/// Drive transaction `k` to the prepared state: BEGIN, one DML, its LTM
-/// completion at `t_done`, then PREPARE at `t_prepare` carrying `sn_ticks`.
-/// Returns the PREPARE's actions (the READY/REFUSE decision).
-fn prepare_one(
-    a: &mut Agent,
-    k: u32,
-    t_done: u64,
-    t_prepare: u64,
-    sn_ticks: u64,
-) -> Vec<AgentAction> {
-    a.handle(
-        t_done,
-        AgentInput::Deliver(Message::Begin {
-            gtxn: g(k),
-            coord: COORD,
-        }),
-    );
-    a.handle(
-        t_done,
-        AgentInput::Deliver(Message::Dml {
-            gtxn: g(k),
-            step: 0,
-            command: cmd(),
-        }),
-    );
-    a.handle(
-        t_done,
-        AgentInput::LtmDone {
-            gtxn: g(k),
-            result: result(&[k as u64]),
-        },
-    );
-    a.handle(
-        t_prepare,
-        AgentInput::Deliver(Message::Prepare {
-            gtxn: g(k),
-            sn: sn(sn_ticks),
-        }),
-    )
-}
-
-fn has_ready(actions: &[AgentAction]) -> bool {
-    actions.iter().any(|a| {
-        matches!(
-            a,
-            AgentAction::Reply {
-                msg: Message::Ready { .. },
-                ..
-            }
-        )
-    })
-}
-
-fn refuse_reason(actions: &[AgentAction]) -> Option<RefuseReason> {
-    actions.iter().find_map(|a| match a {
-        AgentAction::Reply {
-            msg: Message::Refuse { reason, .. },
-            ..
-        } => Some(*reason),
-        _ => None,
-    })
-}
-
-fn has_ltm_commit(actions: &[AgentAction]) -> bool {
-    actions
-        .iter()
-        .any(|a| matches!(a, AgentAction::LtmCommit(..)))
-}
-
-fn has_ltm_begin(actions: &[AgentAction]) -> bool {
-    actions
-        .iter()
-        .any(|a| matches!(a, AgentAction::LtmBegin(..)))
-}
-
-fn has_ltm_submit(actions: &[AgentAction]) -> bool {
-    actions
-        .iter()
-        .any(|a| matches!(a, AgentAction::LtmSubmit { .. }))
-}
-
-/// Expect a READY, with a mechanism-specific message otherwise.
-fn expect_ready(actions: &[AgentAction], what: &str) -> Result<(), String> {
-    if has_ready(actions) {
-        Ok(())
-    } else {
-        Err(format!(
-            "{what}: expected READY, got {:?}",
-            refuse_reason(actions)
+    /// `cargo test -p mdbs-check --test checkers` in the scratch copy with
+    /// `extra` appended; returns (succeeded, stdout, stderr, seconds).
+    fn cargo_test(&self, extra: &[&str]) -> Result<(bool, String, String, f64), String> {
+        let started = Instant::now();
+        let out = Command::new("cargo")
+            .args(["test", "--offline", "--color", "never"])
+            .args(["--target-dir", "target", "-p", "mdbs-check"])
+            .args(["--test", "checkers"])
+            .args(extra)
+            .current_dir(&self.dir)
+            .output()
+            .map_err(|e| format!("cannot run cargo: {e}"))?;
+        Ok((
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+            started.elapsed().as_secs_f64(),
         ))
     }
-}
 
-/// Expect a REFUSE with the given reason.
-fn expect_refuse(actions: &[AgentAction], reason: RefuseReason, what: &str) -> Result<(), String> {
-    match refuse_reason(actions) {
-        Some(r) if r == reason => Ok(()),
-        other => Err(format!(
-            "{what}: expected REFUSE({reason:?}), got {}",
-            match (&other, has_ready(actions)) {
-                (Some(r), _) => format!("REFUSE({r:?})"),
-                (None, true) => "READY".to_string(),
-                (None, false) => "no vote".to_string(),
-            }
-        )),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Agent probes (§4.2, §5.3, Appendices A and C).
-// ---------------------------------------------------------------------------
-
-/// §4.2: a PREPARE whose candidate interval is disjoint from a stored
-/// (frozen) interval must be refused; an intersecting one must be admitted.
-fn probe_basic_cert(mode: CertifierMode) -> Result<(), String> {
-    // Disjoint: T1 prepares at t=100, then its LTM unilaterally aborts it —
-    // the stored interval is frozen at [_, 100]. T2's work completes at
-    // t=300, so its candidate interval starts at 300: no intersection.
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    a.handle(
-        110,
-        AgentInput::Uan {
-            instance: Instance::global(1, SITE, 0),
-        },
-    );
-    let acts = prepare_one(&mut a, 2, 300, 300, 200);
-    expect_refuse(
-        &acts,
-        RefuseReason::AliveIntervalDisjoint,
-        "§4.2: candidate interval disjoint from T1's frozen interval",
-    )?;
-
-    // Intersecting: both transactions alive and overlapping — must admit.
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    let acts = prepare_one(&mut a, 2, 100, 100, 200);
-    expect_ready(&acts, "§4.2: intersecting candidate must be admitted")
-}
-
-/// §4.2 boundary: an interval ending strictly before the candidate begins
-/// (by one tick) is disjoint; one touching it exactly intersects.
-fn probe_interval_boundary(mode: CertifierMode) -> Result<(), String> {
-    // T1's interval frozen at [_, 100]; T2's candidate begins at 101.
-    let mut a = agent(mode);
-    prepare_one(&mut a, 1, 100, 100, 100);
-    a.handle(
-        100,
-        AgentInput::Uan {
-            instance: Instance::global(1, SITE, 0),
-        },
-    );
-    let acts = prepare_one(&mut a, 2, 101, 101, 200);
-    expect_refuse(
-        &acts,
-        RefuseReason::AliveIntervalDisjoint,
-        "§4.2 boundary: frozen end 100 < candidate begin 101 is disjoint",
-    )?;
-
-    // Frozen end == candidate begin: the intervals touch, so they intersect.
-    let mut a = agent(mode);
-    prepare_one(&mut a, 1, 100, 100, 100);
-    a.handle(
-        100,
-        AgentInput::Uan {
-            instance: Instance::global(1, SITE, 0),
-        },
-    );
-    let acts = prepare_one(&mut a, 2, 100, 100, 200);
-    expect_ready(&acts, "§4.2 boundary: touching intervals intersect")
-}
-
-/// §4.2 maintenance: PREPARE refreshes the stored intervals of entries that
-/// are still alive, so a candidate arriving much later than an alive entry's
-/// last refresh still intersects it.
-fn probe_prepare_refresh(mode: CertifierMode) -> Result<(), String> {
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    // T1 stays alive. T2 completes at t=300 — admissible only because the
-    // certifier extends T1's interval to now before intersecting.
-    let acts = prepare_one(&mut a, 2, 300, 300, 200);
-    expect_ready(
-        &acts,
-        "§4.2: candidate must intersect an alive entry after refresh",
-    )
-}
-
-/// §5.3: refuse a PREPARE whose sn is below the largest locally committed
-/// sn; admit one above it.
-fn probe_sn_extension(mode: CertifierMode) -> Result<(), String> {
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    let acts = a.handle(110, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
-    if !has_ltm_commit(&acts) {
-        return Err("lone COMMIT did not reach the LTM".to_string());
-    }
-    // sn 50 < committed 100: the §5.3 extension must refuse.
-    let acts = prepare_one(&mut a, 2, 200, 200, 50);
-    expect_refuse(
-        &acts,
-        RefuseReason::SnOutOfOrder,
-        "§5.3: PREPARE with sn below the largest committed sn",
-    )?;
-    // sn 500 > committed 100: must be admitted.
-    let acts = prepare_one(&mut a, 3, 300, 300, 500);
-    expect_ready(
-        &acts,
-        "§5.3: PREPARE with sn above the largest committed sn",
-    )
-}
-
-/// Appendix A: after a unilateral abort of a prepared subtransaction, the
-/// alive-check timer must open a fresh incarnation *and* replay the logged
-/// commands.
-fn probe_resubmission(mode: CertifierMode) -> Result<(), String> {
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    a.handle(
-        110,
-        AgentInput::Uan {
-            instance: Instance::global(1, SITE, 0),
-        },
-    );
-    let acts = a.handle(120, AgentInput::AliveTimer { gtxn: g(1) });
-    if !has_ltm_begin(&acts) {
-        return Err(
-            "Appendix A: alive check saw the unilateral abort but opened no new incarnation"
-                .to_string(),
-        );
-    }
-    if !has_ltm_submit(&acts) {
-        return Err(
-            "Appendix A: resubmission opened an incarnation but replayed no logged command"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
-/// Appendix C: local commits happen in sn order — a COMMIT for the
-/// larger-sn transaction waits (with retry) while a smaller-sn entry is in
-/// the table, and proceeds once it leaves.
-fn probe_commit_order(mode: CertifierMode) -> Result<(), String> {
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    let acts = prepare_one(&mut a, 2, 110, 110, 200);
-    expect_ready(&acts, "clean second PREPARE")?;
-    // T2 (sn 200) is told to commit while T1 (sn 100) is still prepared:
-    // commit certification must hold it back.
-    let acts = a.handle(120, AgentInput::Deliver(Message::Commit { gtxn: g(2) }));
-    if has_ltm_commit(&acts) {
-        return Err("Appendix C: committed sn 200 while sn 100 was still in the table".to_string());
-    }
-    let retries = acts
-        .iter()
-        .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. }));
-    if !retries {
-        return Err("Appendix C: held-back COMMIT armed no retry timer".to_string());
-    }
-    // T1 commits; the retry for T2 must now go through.
-    let acts = a.handle(130, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
-    if !has_ltm_commit(&acts) {
-        return Err("Appendix C: smallest-sn COMMIT did not proceed".to_string());
-    }
-    let acts = a.handle(140, AgentInput::CommitRetryTimer { gtxn: g(2) });
-    if !has_ltm_commit(&acts) {
-        return Err("Appendix C: retry after the blocker left still did not commit".to_string());
-    }
-    Ok(())
-}
-
-/// §4.2 eviction: ROLLBACK removes the entry from the alive-interval table.
-fn probe_rollback_evict(mode: CertifierMode) -> Result<(), String> {
-    let mut a = agent(mode);
-    let acts = prepare_one(&mut a, 1, 100, 100, 100);
-    expect_ready(&acts, "clean first PREPARE")?;
-    a.handle(110, AgentInput::Deliver(Message::Rollback { gtxn: g(1) }));
-    if a.has_subtxn(g(1)) {
-        return Err(
-            "§4.2: rolled-back subtransaction still occupies the alive-interval table".to_string(),
-        );
-    }
-    Ok(())
-}
-
-/// Drive ten transactions to terminal outcomes at an agent whose done-set
-/// is capped at four, then check the cap held. Terminal outcomes insert
-/// into the duplicate-detection done-set regardless of whether the
-/// PREPARE was admitted or refused, so every certifier mode grows the set
-/// at the same rate and only a compaction defect can breach the bound —
-/// the hotpath pass's `hot-unbounded-growth` concern made executable.
-fn probe_done_bound(mode: CertifierMode) -> Result<(), String> {
-    const CAP: usize = 4;
-    let mut a = Agent::new(
-        SITE,
-        AgentConfig {
-            mode,
-            done_cap: CAP,
-            ..AgentConfig::default()
-        },
-    );
-    for k in 1..=10u32 {
-        let t = k as u64 * 100;
-        let _ = prepare_one(&mut a, k, t, t, t);
-        a.handle(
-            t + 10,
-            AgentInput::Deliver(Message::Rollback { gtxn: g(k) }),
-        );
-    }
-    if a.done_len() > CAP {
-        return Err(format!(
-            "done-set compaction bound ignored: {} terminated ids retained, cap {CAP}",
-            a.done_len()
-        ));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator probes (§2 / §3).
-// ---------------------------------------------------------------------------
-
-/// Drive a two-site transaction at a coordinator through unanimous READY;
-/// returns (the unanimous-READY actions, the coordinator).
-fn coordinator_to_commit(mutation: CoordMutation) -> (Vec<CoordAction>, Coordinator) {
-    let mut c = Coordinator::new(COORD);
-    c.set_mutation(mutation);
-    c.begin(g(1), vec![(SITE, cmd()), (SITE_B, cmd())]);
-    c.on_message(
-        10,
-        Message::DmlResult {
-            gtxn: g(1),
-            site: SITE,
-            step: 0,
-            result: result(&[0]),
-        },
-    );
-    c.on_message(
-        20,
-        Message::DmlResult {
-            gtxn: g(1),
-            site: SITE_B,
-            step: 1,
-            result: result(&[0]),
-        },
-    );
-    c.on_message(
-        30,
-        Message::Ready {
-            gtxn: g(1),
-            site: SITE,
-        },
-    );
-    let decision = c.on_message(
-        40,
-        Message::Ready {
-            gtxn: g(1),
-            site: SITE_B,
-        },
-    );
-    (decision, c)
-}
-
-/// §2: a duplicate READY arriving while the coordinator is committing must
-/// be answered with a retransmitted COMMIT (the recovered voter depends on
-/// it).
-fn probe_dup_ready(mutation: CoordMutation) -> Result<(), String> {
-    let (decision, mut c) = coordinator_to_commit(mutation);
-    if !decision.iter().any(|a| {
-        matches!(
-            a,
-            CoordAction::ToAgent {
-                msg: Message::Commit { .. },
-                ..
-            }
-        )
-    }) {
-        return Err("unanimous READY produced no COMMIT".to_string());
-    }
-    let acts = c.on_message(
-        50,
-        Message::Ready {
-            gtxn: g(1),
-            site: SITE,
-        },
-    );
-    if !acts.iter().any(|a| {
-        matches!(
-            a,
-            CoordAction::ToAgent {
-                msg: Message::Commit { .. },
-                ..
-            }
-        )
-    }) {
-        return Err(
-            "§2: duplicate READY while committing was not answered with a retransmitted COMMIT"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
-/// §3: unanimous READY durably records the global commit decision (the
-/// `C_k` record) before the COMMITs go out.
-fn probe_commit_record(mutation: CoordMutation) -> Result<(), String> {
-    let (decision, _) = coordinator_to_commit(mutation);
-    if !decision
-        .iter()
-        .any(|a| matches!(a, CoordAction::RecordGlobalCommit(..)))
-    {
-        return Err(
-            "§3: unanimous READY sent COMMITs without recording the global commit decision"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Consensus probes (Paxos Commit leader safety).
-// ---------------------------------------------------------------------------
-
-const CRASHED_COORD: u32 = 1_000_001;
-const ACCEPTORS: [u32; 3] = [3_000_000, 3_000_001, 3_000_002];
-
-fn consensus_leader(node: u32, mutation: LeaderMutation) -> Leader {
-    let mut l = Leader::new(node, 1, ACCEPTORS.to_vec());
-    l.set_mutation(mutation);
-    l
-}
-
-/// Per-instance quorum coverage: a commit decision needs an F+1 quorum of
-/// acceptances for *every* participant's instance — acceptances piling up
-/// on one instance must not decide while another participant never voted.
-fn probe_consensus_quorum(mutation: LeaderMutation) -> Result<(), String> {
-    let mut l = consensus_leader(COORD, mutation);
-    l.register(g(1), BTreeSet::from([SITE, SITE_B]));
-    let accepted = |site, acceptor| PaxosMsg::Accepted {
-        gtxn: g(1),
-        site,
-        ballot: Ballot::ZERO,
-        vote: Vote::Ready,
-        acceptor,
-    };
-    // A quorum of acceptances, all for SITE's instance; SITE_B never voted.
-    for acc in [ACCEPTORS[0], ACCEPTORS[1]] {
-        let (_, decisions) = l.on_msg(accepted(SITE, acc));
-        if !decisions.is_empty() {
-            return Err(
-                "committed with a participant whose instance never reached a quorum".to_string(),
-            );
+    /// Build the checkers against the copy as it stands, then run them.
+    fn build_and_check(
+        &self,
+        id: &'static str,
+        mechanism: &'static str,
+    ) -> Result<MatrixRow, String> {
+        let (built, _, errors, build_s) = self.cargo_test(&["--no-run"])?;
+        if !built {
+            return Err(format!("the mutant does not build:\n{errors}"));
         }
-    }
-    // SITE_B's instance reaches F+1 too: now (and only now) commit.
-    l.on_msg(accepted(SITE_B, ACCEPTORS[0]));
-    let (_, decisions) = l.on_msg(accepted(SITE_B, ACCEPTORS[1]));
-    if decisions != vec![Decision::Commit { gtxn: g(1) }] {
-        return Err(format!(
-            "full per-instance coverage must decide commit, got {decisions:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// Promise adoption: a failover must complete a transaction whose READY
-/// votes a quorum already accepted — the phase-1b promises carry those
-/// votes precisely so the backup cannot decide from its stale view.
-fn probe_consensus_takeover(mutation: LeaderMutation) -> Result<(), String> {
-    let mut accs: Vec<Acceptor> = ACCEPTORS.iter().map(|&n| Acceptor::new(n)).collect();
-    // The crashed coordinator got every vote replicated before dying.
-    for acc in &mut accs {
-        acc.handle(PaxosMsg::Begin {
-            gtxn: g(1),
-            coord: CRASHED_COORD,
-            participants: BTreeSet::from([SITE, SITE_B]),
-        });
-        for site in [SITE, SITE_B] {
-            acc.handle(PaxosMsg::Vote2a {
-                gtxn: g(1),
-                site,
-                coord: CRASHED_COORD,
-                vote: Vote::Ready,
-            });
+        let (_, stdout, stderr, check_s) = self.cargo_test(&["--", "--color", "never"])?;
+        let results = parse_libtest(&stdout);
+        if results.is_empty() || !stdout.contains("\ntest result:") {
+            return Err(format!(
+                "the checkers did not run to completion:\n{stdout}{stderr}"
+            ));
         }
+        Ok(MatrixRow {
+            id,
+            mechanism,
+            results,
+            build_s,
+            check_s,
+        })
     }
-    let mut backup = consensus_leader(COORD, mutation);
-    // Deliver every message between the backup and the acceptors until
-    // quiescent.
-    let mut inbox = backup.take_over();
-    let mut decisions = Vec::new();
-    let mut hops = 0;
-    while !inbox.is_empty() {
-        hops += 1;
-        if hops >= 100 {
-            return Err("takeover message storm".to_string());
-        }
-        let mut next = Vec::new();
-        for (to, msg) in inbox {
-            if to == COORD {
-                let (out, ds) = backup.on_msg(msg);
-                next.extend(out);
-                decisions.extend(ds);
-            } else if let Some(acc) = accs.iter_mut().find(|a| a.node() == to) {
-                next.extend(acc.handle(msg));
-            }
-        }
-        inbox = next;
-    }
-    let expected = vec![Decision::Adopted {
-        gtxn: g(1),
-        participants: BTreeSet::from([SITE, SITE_B]),
-        commit: true,
-    }];
-    if decisions != expected {
-        return Err(format!(
-            "a fully-voted orphan must be adopted and committed, got {decisions:?}"
-        ));
-    }
-    Ok(())
-}
 
-// ---------------------------------------------------------------------------
-// Exploration and simulation checkers.
-// ---------------------------------------------------------------------------
-
-/// Run a bounded-exploration world with the mutant installed; a found
-/// violation is a kill.
-fn explore_world(mut cfg: ExploreConfig, spec: MutantSpec, budget: Budget) -> Result<(), String> {
-    cfg.mode = agent_mode(spec);
-    cfg.coord_mutation = coord_mutation(spec);
-    cfg.max_runs = budget.explore_runs();
-    match explore(&cfg) {
-        ExploreOutcome::Violation(cx) => Err(format!(
-            "{} after {} runs ({} deviation(s))",
-            cx.violation,
-            cx.runs_explored,
-            cx.deviations.len()
-        )),
-        ExploreOutcome::Exhausted { .. } | ExploreOutcome::RunCapped { .. } => Ok(()),
+    /// Write `files` (workspace-relative path → mutated text) into the
+    /// copy, build and run the checkers, and restore the copy.
+    fn run_row(
+        &self,
+        id: &'static str,
+        mechanism: &'static str,
+        files: &BTreeMap<&'static str, String>,
+    ) -> Result<MatrixRow, String> {
+        let mut pristine = Vec::new();
+        for (rel, mutated) in files {
+            let path = self.dir.join(rel);
+            let io = |e: std::io::Error| format!("{id}: {}: {e}", path.display());
+            pristine.push((path.clone(), fs::read(&path).map_err(io)?));
+            fs::write(&path, mutated).map_err(io)?;
+        }
+        let row = self.build_and_check(id, mechanism);
+        for (path, text) in pristine {
+            fs::write(&path, text).map_err(|e| format!("{id}: {}: {e}", path.display()))?;
+        }
+        row.map_err(|e| format!("{id}: {e}"))
     }
 }
 
-/// One contended, unilateral-abort-heavy simulation run; a failed
-/// correctness report (or a panic inside the simulator) is a kill.
-/// Coordinator mutants pass vacuously: the simulator has no
-/// coordinator-mutation knob.
-fn sim_conflict(spec: MutantSpec) -> Result<(), String> {
-    let MutantSpec::Agent(mode) = spec else {
+/// Make `to` a copy of `from` (a file or a directory tree), touching only
+/// files whose content differs and deleting what `from` no longer has.
+/// Nested cargo `target/` directories are not source and are skipped.
+fn sync_tree(from: &Path, to: &Path) -> std::io::Result<()> {
+    if !from.is_dir() {
+        let want = fs::read(from)?;
+        if fs::read(to).ok().as_ref() != Some(&want) {
+            fs::write(to, want)?;
+        }
         return Ok(());
-    };
-    let cfg = SimConfig {
-        workload: WorkloadSpec {
-            seed: 7,
-            sites: 2,
-            items_per_site: 8,
-            global_txns: 24,
-            mpl: 4,
-            local_txns_per_site: 10,
-            unilateral_abort_prob: 0.2,
-            ..WorkloadSpec::default()
-        },
-        protocol: Protocol::TwoCm(mode),
-        ..SimConfig::default()
-    };
-    let outcome =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| Simulation::new(cfg).run()));
-    match outcome {
-        Err(_) => Err("the simulation panicked".to_string()),
-        Ok(report) => {
-            let c = &report.checks;
-            if c.passed() {
-                Ok(())
+    }
+    fs::create_dir_all(to)?;
+    let mut names = Vec::new();
+    for entry in fs::read_dir(from)? {
+        let name = entry?.file_name();
+        if name != "target" {
+            sync_tree(&from.join(&name), &to.join(&name))?;
+            names.push(name);
+        }
+    }
+    for entry in fs::read_dir(to)? {
+        let entry = entry?;
+        if !names.contains(&entry.file_name()) {
+            if entry.file_type()?.is_dir() {
+                fs::remove_dir_all(entry.path())?;
             } else {
-                let mut why = Vec::new();
-                if c.rigor_violation.is_some() {
-                    why.push("rigorousness violated");
-                }
-                if !c.cg_acyclic {
-                    why.push("commit-order graph cyclic");
-                }
-                if c.global_distortion.is_some() {
-                    why.push("global view distortion");
-                }
-                if c.view_serializable_exact == Some(false) {
-                    why.push("not view serializable");
-                }
-                Err(why.join("; "))
+                fs::remove_file(entry.path())?;
             }
         }
     }
+    Ok(())
 }
 
-/// The `proto-static` checker: run `mdbs-check proto` over the source
-/// tree with the mutant's textual edit applied in memory. The kill is the
-/// edit's named rule firing — a lint-time kill, no runtime involved. For
-/// the real protocol (and for runtime-level mutants, whose source is the
-/// real tree) the pass must come back clean.
-fn proto_static(spec: MutantSpec) -> Result<(), String> {
-    // Compile-time workspace root: mutate.rs lives in crates/check.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mutation = match spec {
-        MutantSpec::Proto(m) => Some(m),
-        _ => None,
-    };
-    let findings = run_proto_with(&root, &|rel| {
-        let (file, anchor, replacement, _) = mutation?.edit();
-        if rel != file {
-            return None;
-        }
-        let raw = std::fs::read_to_string(root.join(rel)).ok()?;
-        // An absent anchor means the mutant no longer applies; returning
-        // the pristine text makes the row survive and the matrix fail
-        // loudly instead of passing vacuously.
-        Some(raw.replace(anchor, replacement))
-    })
-    .map_err(|e| format!("proto pass failed to run: {e}"))?;
-    match mutation {
-        Some(m) => {
-            let (_, _, _, expected) = m.edit();
-            if findings.iter().any(|f| f.rule == expected) {
-                Err(format!(
-                    "static kill: `{expected}` fired on the mutated source"
-                ))
-            } else {
-                Ok(())
-            }
-        }
-        None => {
-            if findings.is_empty() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "the real protocol has {} proto finding(s): {}",
-                    findings.len(),
-                    findings[0]
-                ))
-            }
-        }
+/// Per-test verdicts from libtest's output, sorted by checker name (the
+/// test name with `_` read as `-`). A failed test's detail is the first
+/// line of its captured output.
+fn parse_libtest(stdout: &str) -> Vec<CheckerResult> {
+    let mut results = Vec::new();
+    for line in stdout.lines() {
+        let Some((name, verdict)) = line
+            .strip_prefix("test ")
+            .and_then(|rest| rest.split_once(" ... "))
+        else {
+            continue;
+        };
+        let killed = match verdict {
+            "ok" => false,
+            "FAILED" => true,
+            _ => continue,
+        };
+        let detail = if killed {
+            stdout
+                .split_once(&format!("---- {name} stdout ----\n"))
+                .and_then(|(_, after)| after.lines().next())
+                .unwrap_or("failed")
+                .to_string()
+        } else {
+            "pass".to_string()
+        };
+        results.push(CheckerResult {
+            checker: name.replace('_', "-"),
+            killed,
+            detail,
+        });
     }
+    results.sort_by(|a, b| a.checker.cmp(&b.checker));
+    results
 }
 
 /// Render the matrix as an aligned text table (mutants × checkers, `X` for
-/// a kill).
+/// a kill), with each row's build and check seconds.
 pub fn render(matrix: &Matrix) -> String {
     let mut out = String::new();
     let id_w = matrix
@@ -1089,19 +585,67 @@ pub fn render(matrix: &Matrix) -> String {
         .chain([matrix.full.id.len()])
         .max()
         .unwrap_or(4);
-    let cols: Vec<&str> = matrix.full.results.iter().map(|r| r.checker).collect();
     out.push_str(&format!("{:id_w$}", ""));
-    for c in &cols {
-        out.push_str(&format!("  {c}"));
+    for r in &matrix.full.results {
+        out.push_str(&format!("  {}", r.checker));
     }
-    out.push('\n');
+    out.push_str("  build_s  check_s\n");
     for row in std::iter::once(&matrix.full).chain(&matrix.rows) {
         out.push_str(&format!("{:id_w$}", row.id));
         for r in &row.results {
             let mark = if r.killed { "X" } else { "." };
             out.push_str(&format!("  {mark:^w$}", w = r.checker.len()));
         }
-        out.push('\n');
+        out.push_str(&format!("  {:7.1}  {:7.1}\n", row.build_s, row.check_s));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// Every catalog edit's anchor must occur exactly once in its target
+    /// file — a refactor that moves or duplicates one is caught here, in
+    /// milliseconds, with the anchor named.
+    #[test]
+    fn mutation_anchors_exist() {
+        for m in catalog() {
+            let files = m
+                .mutated_files(&workspace_root())
+                .unwrap_or_else(|e| panic!("{e}"));
+            for (rel, mutated) in files {
+                let raw = fs::read_to_string(workspace_root().join(rel)).expect("read target");
+                assert_ne!(mutated, raw, "{}: the edit changes nothing in {rel}", m.id);
+            }
+        }
+    }
+
+    #[test]
+    fn libtest_lines_become_checker_results() {
+        let stdout = "\nrunning 3 tests\ntest probe_b ... FAILED\ntest explore_a ... ok\n\
+                      test sim_c has been running for over 60 seconds\ntest sim_c ... ok\n\n\
+                      failures:\n\n---- probe_b stdout ----\nError: \"§4.2: boom\"\n\n\
+                      failures:\n    probe_b\n\ntest result: FAILED. 2 passed; 1 failed\n";
+        let got: Vec<(String, bool, String)> = parse_libtest(stdout)
+            .into_iter()
+            .map(|r| (r.checker, r.killed, r.detail))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("explore-a".to_string(), false, "pass".to_string()),
+                (
+                    "probe-b".to_string(),
+                    true,
+                    "Error: \"§4.2: boom\"".to_string()
+                ),
+                ("sim-c".to_string(), false, "pass".to_string()),
+            ]
+        );
+    }
 }

@@ -428,22 +428,11 @@ pub const PROTOCOL: &[HandlerSpec] = &[
 
 /// Run the protocol pass over the workspace at `root`.
 pub fn run_proto(root: &Path) -> Result<Vec<Finding>, String> {
-    run_proto_with(root, &|_| None)
-}
-
-/// Like [`run_proto`], with a source override hook: `override_of(rel)`
-/// may return replacement raw text for a workspace-relative path. The
-/// mutation kill matrix uses this to run the pass over a mutated source
-/// tree without touching the working copy.
-pub fn run_proto_with(
-    root: &Path,
-    override_of: &dyn Fn(&str) -> Option<String>,
-) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
 
     // The declared enum vocabulary must match the real declarations.
     for &(name, rel, variants) in ENUM_DECLS {
-        let f = load_file(root, rel, override_of)?;
+        let f = SourceFile::read(&root.join(rel), rel.to_string())?;
         match scan::enum_variants(&f.code, name) {
             Some(real) => {
                 if real != variants {
@@ -469,11 +458,7 @@ pub fn run_proto_with(
     }
 
     for spec in PROTOCOL {
-        let mut files = Vec::new();
-        for rel in spec.files {
-            files.push(load_file(root, rel, override_of)?);
-        }
-        let fs = FileSet::from_files(files);
+        let fs = FileSet::load(root, spec.files)?;
         check_set(&fs, spec, &mut findings);
     }
 
@@ -488,17 +473,6 @@ pub fn run_proto_with(
     findings
         .dedup_by(|a, b| (a.rule, &a.file, a.line, &a.msg) == (b.rule, &b.file, b.line, &b.msg));
     Ok(findings)
-}
-
-fn load_file(
-    root: &Path,
-    rel: &str,
-    override_of: &dyn Fn(&str) -> Option<String>,
-) -> Result<SourceFile, String> {
-    match override_of(rel) {
-        Some(raw) => Ok(SourceFile::parse(raw, rel.to_string())),
-        None => SourceFile::read(&root.join(rel), rel.to_string()),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -998,69 +972,4 @@ fn guard_names(alts: &[&[&str]]) -> String {
         .map(|alt| format!("`{}`", alt.concat()))
         .collect();
     names.join(" or ")
-}
-
-// ---------------------------------------------------------------------------
-// Static protocol mutants (the kill matrix's lint-time kills).
-// ---------------------------------------------------------------------------
-
-/// A deliberate textual protocol deviation, applied in memory via
-/// [`run_proto_with`] — never to the working copy. Each edit removes a
-/// table obligation and names the rule that must catch it.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoMutation {
-    /// Remove the committing-phase duplicate-READY branch from the
-    /// coordinator (the 2PC recovery retransmit): `proto-missing-dup-guard`.
-    DropReadyDupGuard,
-    /// Remove the alive-timer action armed with the READY vote:
-    /// `proto-no-timeout`.
-    SkipAliveTimer,
-}
-
-impl ProtoMutation {
-    /// (file, anchor text, replacement, expected rule).
-    pub fn edit(self) -> (&'static str, &'static str, &'static str, &'static str) {
-        match self {
-            // Blank the phase test so the arm keeps compiling-shaped
-            // tokens but loses the `TxnPhase::Committing` guard.
-            ProtoMutation::DropReadyDupGuard => (
-                COORD,
-                "if txn.phase == TxnPhase::Committing {",
-                "if txn.phase_is_committing_unchecked() {",
-                RULE_DUP_GUARD,
-            ),
-            ProtoMutation::SkipAliveTimer => (
-                AGENT,
-                "AgentAction::StartAliveTimer {\n                gtxn,\n                after_us: self.config.alive_check_interval_us,\n            },",
-                "AgentAction::Bind {\n                keys: vec![],\n                owner: Txn::Global(gtxn),\n            },",
-                RULE_NO_TIMEOUT,
-            ),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Every mutant's anchor text must exist in its target file — a
-    /// refactor that moves the anchor would otherwise silently turn the
-    /// mutant into a no-op (the kill matrix would then fail loudly, but
-    /// this pins the cause to the anchor).
-    #[test]
-    fn mutation_anchors_exist() {
-        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-        for m in [
-            ProtoMutation::DropReadyDupGuard,
-            ProtoMutation::SkipAliveTimer,
-        ] {
-            let (rel, anchor, _, _) = m.edit();
-            let raw = std::fs::read_to_string(root.join(rel)).expect("read target");
-            assert!(
-                raw.contains(anchor),
-                "{m:?}: anchor not found in {rel}:\n{anchor}"
-            );
-        }
-    }
 }

@@ -925,7 +925,7 @@ impl FileSet {
         Ok(FileSet::from_files(files))
     }
 
-    /// Build from already-scanned files (tests and mutated-source runs).
+    /// Build from already-scanned files.
     pub fn from_files(files: Vec<SourceFile>) -> FileSet {
         let fns = files.iter().map(|f| discover_fns(&f.code)).collect();
         FileSet { files, fns }

@@ -4,10 +4,10 @@
 //!   warning-free under its own tooling);
 //! - the bounded explorer exhausts the failure-free smoke worlds with
 //!   zero violations, under both 2CM and CGM;
-//! - the mutation smoke test: with the §4.2 alive-interval certification
-//!   deliberately disabled (`BrokenBasicCert`), the explorer finds a
-//!   schedule violating the interval-intersection invariant and produces
-//!   a minimized trace — and the identical world under `Full` is clean.
+//! - the §4.2 smoke test: without alive-interval certification (the
+//!   `NoCertification` baseline), the explorer finds a schedule violating
+//!   the interval-intersection invariant and produces a minimized trace —
+//!   and the identical world under `Full` is clean.
 
 use std::path::Path;
 
@@ -64,10 +64,11 @@ fn explorer_exhausts_the_conflict_world_clean() {
 }
 
 #[test]
-fn explorer_finds_the_interval_violation_in_the_broken_certifier() {
-    let cfg = ExploreConfig::mutation_interval();
+fn explorer_finds_the_interval_violation_without_certification() {
+    let mut cfg = ExploreConfig::mutation_interval();
+    cfg.mode = mdbs_dtm::CertifierMode::NoCertification;
     let ExploreOutcome::Violation(cex) = explore(&cfg) else {
-        panic!("the broken certifier must admit a §4.2 interval violation");
+        panic!("an uncertified agent must admit a §4.2 interval violation");
     };
     assert!(
         matches!(cex.violation, Violation::IntervalDisjoint { .. }),
@@ -136,7 +137,6 @@ fn explorer_finds_the_blocked_agent_under_direct_commit() {
 #[test]
 fn the_full_certifier_is_clean_on_the_mutation_world() {
     let mut cfg = ExploreConfig::mutation_interval();
-    cfg.mode = mdbs_dtm::CertifierMode::Full;
     // The same budgets exhaust at ~27k schedules; leave headroom.
     cfg.max_runs = 100_000;
     match explore(&cfg) {

@@ -1,63 +1,65 @@
 //! Pinned certifier-mutation kill matrix.
 //!
-//! The catalog in `mdbs_check::mutate` enumerates doc(hidden) deviations of
-//! the §4/§5/Appendix mechanisms; each must be *killed* (rejected) by at
-//! least one checker while the real protocol stays clean. This test pins
-//! the full mutant×checker outcome table under `Budget::Quick` so that:
+//! The catalog in `mdbs_check::mutate` lists source edits against the
+//! shipped §4/§5/Appendix, 2PC and Paxos Commit code; each must be *killed*
+//! (some test of `checkers.rs` fails on the edited tree) while the real
+//! tree stays clean. This test pins the full mutant×checker outcome table
+//! so that:
 //!
 //! - adding a catalog mutant without extending the pin fails (row-set
 //!   mismatch),
 //! - a checker regression that loses a kill fails (killer-set mismatch),
-//! - a mutant surviving every checker fails outright.
+//! - a mutant surviving every checker fails outright,
+//! - an edit that no longer applies, or no longer compiles, fails as a
+//!   harness error rather than passing as a survivor or a kill.
 //!
-//! A separate test asserts that `CertifierMode::Full` *exhausts* both
-//! exploration worlds clean at the pinned budget — not merely that it
-//! survives a capped search.
+//! The checkers cap exploration at 2 000 schedules per world; a separate
+//! test asserts that the real protocol *exhausts* both exploration worlds
+//! clean at 30 000 — not merely that it survives a capped search.
 
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
-use mdbs_check::mutate::{catalog, run_matrix, Budget, Matrix};
+use mdbs_check::mutate::{catalog, run_matrix, Edit, Matrix, Mutant};
 use mdbs_dtm::CertifierMode;
 
-/// Matrix column order. Every row reports these checkers, in this order.
+/// Matrix column order: the tests of `checkers.rs` by name. Every row
+/// reports these checkers, in this order.
 const CHECKERS: &[&str] = &[
+    "explore-conflict",
+    "explore-interval",
     "probe-basic-cert",
-    "probe-interval-boundary",
-    "probe-prepare-refresh",
-    "probe-sn-extension",
-    "probe-resubmission",
     "probe-commit-order",
-    "probe-rollback-evict",
-    "probe-done-bound",
-    "probe-dup-ready",
     "probe-commit-record",
     "probe-consensus-quorum",
     "probe-consensus-takeover",
-    "explore-interval",
-    "explore-conflict",
-    "sim-conflict",
+    "probe-done-bound",
+    "probe-dup-ready",
+    "probe-interval-boundary",
+    "probe-prepare-refresh",
+    "probe-resubmission",
+    "probe-rollback-evict",
+    "probe-sn-extension",
     "proto-static",
+    "sim-conflict",
 ];
 
-/// Expected killers per mutant under `Budget::Quick`, in catalog order.
-/// (`Budget::Pinned` additionally lets `explore-interval` kill
-/// `interval-boundary`; the quick table is what ties this test's runtime
-/// down.)
+/// Expected killers per mutant, in catalog order.
 const PINNED: &[(&str, &[&str])] = &[
     (
         "broken-basic-cert",
         &[
+            "explore-interval",
             "probe-basic-cert",
             "probe-interval-boundary",
-            "explore-interval",
             "sim-conflict",
         ],
     ),
     ("interval-boundary", &["probe-interval-boundary"]),
     (
         "stale-refresh",
-        &["probe-prepare-refresh", "probe-commit-order"],
+        &["probe-commit-order", "probe-prepare-refresh"],
     ),
     ("no-prepare-extension", &["probe-sn-extension"]),
     ("sn-check-flip", &["probe-sn-extension"]),
@@ -66,7 +68,7 @@ const PINNED: &[(&str, &[&str])] = &[
     ("drop-resubmission", &["probe-resubmission"]),
     (
         "commit-edge-flip",
-        &["probe-commit-order", "explore-interval", "sim-conflict"],
+        &["explore-interval", "probe-commit-order", "sim-conflict"],
     ),
     (
         "commit-pending-only",
@@ -74,34 +76,32 @@ const PINNED: &[(&str, &[&str])] = &[
     ),
     (
         "keep-rollback-in-table",
-        &["probe-rollback-evict", "explore-interval", "sim-conflict"],
+        &["explore-interval", "probe-rollback-evict", "sim-conflict"],
     ),
     ("agent-done-cap-ignored", &["probe-done-bound"]),
     ("drop-dup-ready-retransmit", &["probe-dup-ready"]),
     ("skip-commit-record", &["probe-commit-record"]),
     ("quorum-shortcut", &["probe-consensus-quorum"]),
     ("stale-ballot-replay", &["probe-consensus-takeover"]),
-    // The two source-level mutants are killed at lint time by the proto
-    // pass alone — no runtime checker ever sees them (their spec installs
-    // the unmutated protocol everywhere else).
     ("ready-dup-guard-dropped", &["proto-static"]),
     ("alive-timer-skipped", &["proto-static"]),
 ];
 
-/// The quick-budget matrix, computed once and shared across tests.
-fn quick_matrix() -> &'static Matrix {
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The matrix, computed once and shared across tests.
+fn matrix() -> &'static Matrix {
     static MATRIX: OnceLock<Matrix> = OnceLock::new();
-    MATRIX.get_or_init(|| run_matrix(Budget::Quick))
+    MATRIX.get_or_init(|| {
+        run_matrix(&workspace_root(), &catalog()).unwrap_or_else(|e| panic!("harness error: {e}"))
+    })
 }
 
 #[test]
 fn catalog_is_pinned() {
     let cat = catalog();
-    assert!(
-        cat.len() >= 10,
-        "the issue requires at least 10 mutants, catalog has {}",
-        cat.len()
-    );
     let ids: Vec<&str> = cat.iter().map(|m| m.id).collect();
     let pinned: Vec<&str> = PINNED.iter().map(|(id, _)| *id).collect();
     assert_eq!(
@@ -115,23 +115,22 @@ fn catalog_is_pinned() {
             m.id
         );
         assert!(!m.summary.is_empty(), "{}: summary missing", m.id);
+        assert!(!m.edits.is_empty(), "{}: a mutant needs an edit", m.id);
     }
 }
 
 #[test]
 fn matrix_shape_is_pinned() {
-    let matrix = quick_matrix();
-    let cols: Vec<&str> = matrix.full.results.iter().map(|r| r.checker).collect();
-    assert_eq!(cols, CHECKERS, "checker column set or order changed");
-    for row in &matrix.rows {
-        let cols: Vec<&str> = row.results.iter().map(|r| r.checker).collect();
-        assert_eq!(cols, CHECKERS, "{}: ragged row", row.id);
+    let matrix = matrix();
+    for row in std::iter::once(&matrix.full).chain(&matrix.rows) {
+        let cols: Vec<&str> = row.results.iter().map(|r| r.checker.as_str()).collect();
+        assert_eq!(cols, CHECKERS, "{}: checker column set changed", row.id);
     }
 }
 
 #[test]
 fn every_mutant_is_killed_and_full_is_clean() {
-    let matrix = quick_matrix();
+    let matrix = matrix();
     for r in &matrix.full.results {
         assert!(
             !r.killed,
@@ -149,7 +148,7 @@ fn every_mutant_is_killed_and_full_is_clean() {
 
 #[test]
 fn kill_matrix_matches_pin() {
-    let matrix = quick_matrix();
+    let matrix = matrix();
     assert_eq!(matrix.rows.len(), PINNED.len());
     for (row, (id, killers)) in matrix.rows.iter().zip(PINNED) {
         assert_eq!(row.id, *id);
@@ -160,6 +159,56 @@ fn kill_matrix_matches_pin() {
             row.id
         );
     }
+}
+
+const AGENT_RS: &str = "crates/core/src/agent.rs";
+
+/// Run the matrix over one fixture mutant; it must come back as a harness
+/// error, whose text is returned.
+fn harness_error(edits: &'static [Edit]) -> String {
+    let fixture = Mutant {
+        id: "fixture",
+        mechanism: "none",
+        summary: "harness-error fixture",
+        edits,
+    };
+    match run_matrix(&workspace_root(), &[fixture]) {
+        Err(e) => e,
+        Ok(m) => panic!(
+            "expected a harness error, got a matrix with survivors {:?}",
+            m.survivors()
+        ),
+    }
+}
+
+#[test]
+fn a_missing_anchor_is_a_harness_error() {
+    let e = harness_error(&[Edit {
+        file: AGENT_RS,
+        anchor: "this text is not in the agent",
+        replacement: "",
+    }]);
+    assert!(e.contains("fixture: anchor not found"), "{e}");
+}
+
+#[test]
+fn an_ambiguous_anchor_is_a_harness_error() {
+    let e = harness_error(&[Edit {
+        file: AGENT_RS,
+        anchor: "fn ",
+        replacement: "fn ",
+    }]);
+    assert!(e.contains("times in crates/core/src/agent.rs"), "{e}");
+}
+
+#[test]
+fn a_mutant_that_does_not_build_is_a_harness_error() {
+    let e = harness_error(&[Edit {
+        file: AGENT_RS,
+        anchor: "pub struct Agent {",
+        replacement: "pub struct Agent { oops",
+    }]);
+    assert!(e.contains("fixture: the mutant does not build"), "{e}");
 }
 
 /// The §4.2 and conflict worlds must be *exhausted* clean by the real

@@ -41,26 +41,6 @@ pub enum Decision {
     },
 }
 
-/// Deliberate leader deviations for the `mdbs-check mutate` kill matrix.
-/// `None` (the default) is the real protocol; the others each break one
-/// consensus safety mechanism and exist only as mutation targets.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LeaderMutation {
-    /// The real leader.
-    #[default]
-    None,
-    /// Decides commit once *any* quorum of acceptances arrives, without
-    /// requiring every participant's instance to be covered — a
-    /// transaction commits with a participant that never voted READY.
-    QuorumShortcut,
-    /// Failover ignores the accepted votes reported in phase 1b and
-    /// proposes from its stale (empty) pre-crash view: every orphaned
-    /// instance is proposed Abort, even where a quorum already accepted
-    /// READY — the exact stale-knowledge bug the promise exists to stop.
-    StaleBallotReplay,
-}
-
 /// Normal-case tracking of one transaction led at ballot 0.
 #[derive(Debug)]
 struct Tracker {
@@ -101,7 +81,6 @@ pub struct Leader {
     ballot: Ballot,
     txns: BTreeMap<GlobalTxnId, Tracker>,
     takeover: Option<Takeover>,
-    mutation: LeaderMutation,
 }
 
 impl Leader {
@@ -114,14 +93,7 @@ impl Leader {
             ballot: Ballot::ZERO,
             txns: BTreeMap::new(),
             takeover: None,
-            mutation: LeaderMutation::None,
         }
-    }
-
-    /// Select a deliberate deviation (mutation kill matrix only).
-    #[doc(hidden)]
-    pub fn set_mutation(&mut self, mutation: LeaderMutation) {
-        self.mutation = mutation;
     }
 
     /// Transactions currently tracked at ballot 0 (test observation).
@@ -241,15 +213,10 @@ impl Leader {
             return Vec::new();
         }
         t.ready_acks.entry(site).or_default().insert(acceptor);
-        let decided = if self.mutation == LeaderMutation::QuorumShortcut {
-            // Mutant: any quorum of acceptances decides, with no
-            // per-participant coverage check.
-            t.ready_acks.values().map(BTreeSet::len).sum::<usize>() >= q
-        } else {
-            t.participants
-                .iter()
-                .all(|s| t.ready_acks.get(s).is_some_and(|a| a.len() >= q))
-        };
+        let decided = t
+            .participants
+            .iter()
+            .all(|s| t.ready_acks.get(s).is_some_and(|a| a.len() >= q));
         if !decided {
             return Vec::new();
         }
@@ -302,7 +269,6 @@ impl Leader {
         let q = quorum(self.f);
         let node = self.node;
         let ballot = self.ballot;
-        let mutation = self.mutation;
         let Some(t) = self.takeover.as_mut() else {
             return Vec::new();
         };
@@ -336,16 +302,10 @@ impl Leader {
             // mdbs-check: allow(hot-alloc-in-loop, "one proposal map per orphan transaction, built once per takeover — a failover event, not a message-rate path")
             let mut proposal: BTreeMap<SiteId, Vote> = BTreeMap::new();
             for &site in &participants {
-                let vote = if mutation == LeaderMutation::StaleBallotReplay {
-                    // Mutant: ignore the quorum's accepted votes and
-                    // propose from the stale (empty) view.
-                    Vote::Abort
-                } else {
-                    votes
-                        .get(&(gtxn, site))
-                        .map(|&(_, v)| v)
-                        .unwrap_or(Vote::Abort)
-                };
+                let vote = votes
+                    .get(&(gtxn, site))
+                    .map(|&(_, v)| v)
+                    .unwrap_or(Vote::Abort);
                 proposal.insert(site, vote);
                 for &a in &self.acceptors {
                     out.push((
@@ -421,18 +381,6 @@ mod tests {
         assert!(l.on_msg(accepted(B, ACCS[1])).1.is_empty());
     }
 
-    #[test]
-    fn quorum_shortcut_mutant_decides_without_covering_every_participant() {
-        let mut l = leader(COORD);
-        l.set_mutation(LeaderMutation::QuorumShortcut);
-        l.register(G, BTreeSet::from([A, B]));
-        assert!(l.on_msg(accepted(A, ACCS[0])).1.is_empty());
-        // Second acceptance — for A again. B never voted; the mutant
-        // commits anyway.
-        let (_, decisions) = l.on_msg(accepted(A, ACCS[1]));
-        assert_eq!(decisions, vec![Decision::Commit { gtxn: G }]);
-    }
-
     /// Full failover against real acceptors: the crashed coordinator had
     /// both votes accepted; the backup must adopt and commit.
     #[test]
@@ -492,35 +440,6 @@ mod tests {
                 gtxn: G,
                 participants: BTreeSet::from([A, B]),
                 commit: false,
-            }]
-        );
-    }
-
-    #[test]
-    fn stale_ballot_replay_mutant_aborts_a_fully_voted_transaction() {
-        let mut accs: Vec<Acceptor> = ACCS.iter().map(|&n| Acceptor::new(n)).collect();
-        for acc in &mut accs {
-            acc.handle(PaxosMsg::Begin {
-                gtxn: G,
-                coord: COORD,
-                participants: BTreeSet::from([A]),
-            });
-            acc.handle(PaxosMsg::Vote2a {
-                gtxn: G,
-                site: A,
-                coord: COORD,
-                vote: Vote::Ready,
-            });
-        }
-        let mut backup = leader(BACKUP);
-        backup.set_mutation(LeaderMutation::StaleBallotReplay);
-        let decisions = drive(&mut backup, &mut accs);
-        assert_eq!(
-            decisions,
-            vec![Decision::Adopted {
-                gtxn: G,
-                participants: BTreeSet::from([A]),
-                commit: false, // WRONG: a quorum had accepted READY
             }]
         );
     }

@@ -37,7 +37,7 @@ pub mod leader;
 pub mod msg;
 
 pub use acceptor::Acceptor;
-pub use leader::{Decision, Leader, LeaderMutation};
+pub use leader::{Decision, Leader};
 pub use msg::{AcceptedVote, PaxosMsg, Registration};
 
 use std::collections::BTreeSet;
@@ -157,12 +157,6 @@ impl PaxosCommit {
     /// The wrapped leader (test observation).
     pub fn leader(&self) -> &Leader {
         &self.leader
-    }
-
-    /// Select a deliberate leader deviation (mutation kill matrix only).
-    #[doc(hidden)]
-    pub fn set_mutation(&mut self, mutation: LeaderMutation) {
-        self.leader.set_mutation(mutation);
     }
 }
 

@@ -248,17 +248,6 @@ impl SubTxn {
         }
     }
 
-    /// Whether a candidate interval starting at `begin` intersects any
-    /// stored interval (candidate end = "now" ≥ every stored begin, so
-    /// the test reduces to `begin <= some stored end`). `slack` is 0 under
-    /// every real mode; the boundary mutant passes 1, admitting a candidate
-    /// that begins one tick after the stored interval ended.
-    fn intersects_candidate(&self, candidate_begin: u64, slack: u64) -> bool {
-        self.intervals
-            .iter()
-            .any(|&(_, end)| end.saturating_add(slack) >= candidate_begin)
-    }
-
     /// Alive right now: all commands executed, current incarnation neither
     /// aborted nor mid-resubmission.
     fn alive(&self) -> bool {
@@ -683,9 +672,7 @@ impl Agent {
         // alive entry as extended to `now` without walking the table; the
         // extension is materialized into the stored intervals when an entry
         // freezes (UAN) and when the table is snapshotted.
-        if !self.config.mode.skips_prepare_refresh() {
-            self.idx.note_refresh(now, self.seq);
-        }
+        self.idx.note_refresh(now, self.seq);
 
         let Some(st) = self.subtxns.get(&gtxn) else {
             // Reachable race: a held/delayed PREPARE crossing a ROLLBACK we
@@ -707,12 +694,7 @@ impl Agent {
         // §5.3 extension: an "older" transaction already committed here?
         if self.config.mode.prepare_extension() {
             if let Some(max_sn) = self.max_committed_sn {
-                let out_of_order = if self.config.mode.sn_extension_flipped() {
-                    sn > max_sn
-                } else {
-                    sn < max_sn
-                };
-                if out_of_order {
+                if sn < max_sn {
                     self.stats.refused_sn_out_of_order += 1;
                     return self.refuse(gtxn, coord, RefuseReason::SnOutOfOrder);
                 }
@@ -732,22 +714,9 @@ impl Agent {
 
         // §4.2 basic certification: candidate interval vs. table intervals.
         if self.config.mode.prepare_certification() {
-            let slack = self.config.mode.interval_boundary_slack();
-            let disjoint = if self.config.mode.skips_prepare_refresh() {
-                // Stale-refresh mutant: without the inline refresh the
-                // index's alive-entries-always-intersect shortcut does not
-                // hold, so scan the raw stored intervals like the original
-                // implementation did.
-                self.subtxns
-                    .iter()
-                    .filter(|(g, other)| **g != gtxn && other.in_table())
-                    .any(|(_, other)| !other.intersects_candidate(candidate_begin, slack))
-            } else {
-                // The candidate itself is still in the active phase, so it
-                // is not registered and needs no self-exclusion.
-                self.idx.disjoint(now, candidate_begin, slack, &st.touched)
-            };
-            if disjoint {
+            // The candidate itself is still in the active phase, so it is
+            // not registered and needs no self-exclusion.
+            if self.idx.disjoint(now, candidate_begin, &st.touched) {
                 self.stats.refused_interval_disjoint += 1;
                 return self.refuse(gtxn, coord, RefuseReason::AliveIntervalDisjoint);
             }
@@ -810,7 +779,7 @@ impl Agent {
     /// `pop_first` discards the ids least likely to be replayed.
     fn note_done(&mut self, gtxn: GlobalTxnId) {
         self.done.insert(gtxn);
-        if self.config.done_cap > 0 && !self.config.mode.ignores_done_cap() {
+        if self.config.done_cap > 0 {
             while self.done.len() > self.config.done_cap {
                 self.done.pop_first();
             }
@@ -961,7 +930,7 @@ impl Agent {
         } else if !st.aborted {
             // Alive: extend the stored interval.
             st.extend_interval(now);
-        } else if !self.config.mode.drops_resubmission() {
+        } else {
             // Unilaterally aborted: resubmit commands from the Agent log.
             actions.extend(self.start_resubmission(gtxn));
         }
@@ -983,14 +952,6 @@ impl Agent {
         self.stats.resubmissions += 1;
         let inst = Instance::global(gtxn.0, self.site, st.incarnation);
         let mut actions = vec![AgentAction::LtmBegin(inst)];
-        if self.config.mode.skips_resubmit_replay() {
-            // Mutant: declare the fresh incarnation alive without replaying
-            // the logged commands — the re-executed writes are lost.
-            st.resubmit_next = None;
-            st.alive_since_seq = self.seq;
-            self.idx.unfreeze(gtxn, &st.touched);
-            return actions;
-        }
         if let Some(&command) = st.commands.first() {
             st.resubmit_next = Some(1);
             st.executing = true;
@@ -1033,24 +994,9 @@ impl Agent {
         // Certification: every other table entry must be "younger".
         let passes = if self.config.mode.sn_commit_certification() {
             match st.sn {
-                Some(my_sn) => {
-                    let flipped = self.config.mode.commit_edge_flipped();
-                    if self.config.mode.commit_cert_pending_only() {
-                        // Mutant: the phase filter needs per-entry state the
-                        // index does not keep — scan like the original.
-                        self.subtxns
-                            .iter()
-                            .filter(|(g, o)| **g != gtxn && o.phase == Phase::CommitPending)
-                            .all(|(_, o)| {
-                                o.sn.map(|s| if flipped { s < my_sn } else { s > my_sn })
-                                    .unwrap_or(true)
-                            })
-                    } else {
-                        // Appendix C via the index: the extreme serial
-                        // number among the other entries decides.
-                        !self.idx.commit_blocked(gtxn, my_sn, flipped)
-                    }
-                }
+                // Appendix C via the index: the smallest serial number
+                // among the other entries decides.
+                Some(my_sn) => !self.idx.commit_blocked(gtxn, my_sn),
                 // A commit-pending entry always carries the serial number
                 // from its PREPARE; pass vacuously if it is missing.
                 None => true,
@@ -1077,8 +1023,8 @@ impl Agent {
                     after_us: self.config.commit_retry_interval_us,
                 }];
             }
-            // Safety valve: fall through and commit out of order. Only
-            // reachable in the anomaly-baseline modes.
+            // Safety valve: fall through and commit out of order (see
+            // `AgentConfig::max_commit_retries` for when this is reachable).
             self.stats.commit_cert_overrides += 1;
         }
 
@@ -1089,11 +1035,9 @@ impl Agent {
         };
         self.idx.remove(gtxn);
         self.note_done(gtxn);
-        if !self.config.mode.skips_max_committed_update() {
-            if let Some(sn) = st.sn {
-                if self.max_committed_sn.is_none_or(|m| sn > m) {
-                    self.max_committed_sn = Some(sn);
-                }
+        if let Some(sn) = st.sn {
+            if self.max_committed_sn.is_none_or(|m| sn > m) {
+                self.max_committed_sn = Some(sn);
             }
         }
         self.stats.local_commits += 1;
@@ -1145,10 +1089,8 @@ impl Agent {
             return vec![];
         };
         let (coord, aborted, incarnation) = (st.coord, st.aborted, st.incarnation);
-        if !self.config.mode.keeps_rollback_in_table() {
-            self.subtxns.remove(&gtxn);
-            self.idx.remove(gtxn);
-        }
+        self.subtxns.remove(&gtxn);
+        self.idx.remove(gtxn);
         let mut actions = Vec::new();
         if !aborted {
             actions.push(AgentAction::LtmAbort(Instance::global(

@@ -19,7 +19,7 @@
 //!   clock the host feeds `Agent::handle` being monotone, which every
 //!   driver (simulation clock, threaded/TCP elapsed time) guarantees.
 //! * **Frozen entries** (unilaterally aborted, or mid-resubmission) have a
-//!   fixed end: the candidate intersects iff `end + slack ≥ b`. Only the
+//!   fixed end: the candidate intersects iff `end ≥ b`. Only the
 //!   *minimum* frozen end per shard matters, held in a sorted set.
 //!
 //! Commit certification (Appendix C) similarly reduces to an ordered-set
@@ -240,22 +240,16 @@ impl CertIndex {
     /// refreshed linear scan: alive entries have effective end ≥ the floor
     /// (`now`, recorded by [`CertIndex::note_refresh`] this same PREPARE),
     /// frozen ones their materialized end.
-    pub fn disjoint(
-        &self,
-        now: u64,
-        candidate_begin: u64,
-        slack: u64,
-        touched: &BTreeSet<u64>,
-    ) -> bool {
+    pub fn disjoint(&self, now: u64, candidate_begin: u64, touched: &BTreeSet<u64>) -> bool {
         for sid in self.shard_ids(touched) {
             let Some(sh) = self.shards.get(sid) else {
                 continue;
             };
-            if sh.alive > 0 && now.saturating_add(slack) < candidate_begin {
+            if sh.alive > 0 && now < candidate_begin {
                 return true;
             }
             if let Some(&(end, _)) = sh.frozen.first() {
-                if end.saturating_add(slack) < candidate_begin {
+                if end < candidate_begin {
                     return true;
                 }
             }
@@ -264,27 +258,14 @@ impl CertIndex {
     }
 
     /// Appendix C commit certification: is the COMMIT of (`gtxn`, `my_sn`)
-    /// blocked by another table entry? Under the paper's rule an entry with
-    /// `sn ≤ my_sn` blocks (local commits happen in serial-number order);
-    /// `flipped` inverts the edge for the `MutCommitEdgeFlip` mutant, where
-    /// an entry with `sn ≥ my_sn` blocks instead.
-    pub fn commit_blocked(&self, gtxn: GlobalTxnId, my_sn: SerialNumber, flipped: bool) -> bool {
-        if flipped {
-            // All others must be strictly older: the largest other sn
-            // must be < my_sn.
-            self.sns
-                .iter()
-                .rev()
-                .find(|(_, g)| *g != gtxn)
-                .is_some_and(|&(sn, _)| sn >= my_sn)
-        } else {
-            // All others must be strictly younger: the smallest other sn
-            // must be > my_sn.
-            self.sns
-                .iter()
-                .find(|(_, g)| *g != gtxn)
-                .is_some_and(|&(sn, _)| sn <= my_sn)
-        }
+    /// blocked by another table entry? An entry with `sn ≤ my_sn` blocks
+    /// (local commits happen in serial-number order): all others must be
+    /// strictly younger, i.e. the smallest other sn must be > my_sn.
+    pub fn commit_blocked(&self, gtxn: GlobalTxnId, my_sn: SerialNumber) -> bool {
+        self.sns
+            .iter()
+            .find(|(_, g)| *g != gtxn)
+            .is_some_and(|&(sn, _)| sn <= my_sn)
     }
 }
 
@@ -383,24 +364,19 @@ impl LinearReference {
     }
 
     /// The original O(n) disjointness scan over refreshed intervals.
-    pub fn disjoint(&self, candidate_begin: u64, slack: u64) -> bool {
-        self.entries.values().any(|e| {
-            !e.intervals
-                .iter()
-                .any(|&(_, end)| end.saturating_add(slack) >= candidate_begin)
-        })
+    pub fn disjoint(&self, candidate_begin: u64) -> bool {
+        self.entries
+            .values()
+            .any(|e| !e.intervals.iter().any(|&(_, end)| end >= candidate_begin))
     }
 
     /// The original O(n) commit-certification scan.
-    pub fn commit_blocked(&self, gtxn: GlobalTxnId, my_sn: SerialNumber, flipped: bool) -> bool {
+    pub fn commit_blocked(&self, gtxn: GlobalTxnId, my_sn: SerialNumber) -> bool {
         !self
             .entries
             .iter()
             .filter(|(g, _)| **g != gtxn)
-            .all(|(_, e)| {
-                e.sn.map(|s| if flipped { s < my_sn } else { s > my_sn })
-                    .unwrap_or(true)
-            })
+            .all(|(_, e)| e.sn.is_none_or(|s| s > my_sn))
     }
 
     /// The entries, for assertions.
@@ -434,8 +410,8 @@ mod tests {
     #[test]
     fn empty_table_is_never_disjoint() {
         let idx = CertIndex::new(1);
-        assert!(!idx.disjoint(100, 50, 0, &keys(&[1])));
-        assert!(!idx.disjoint(100, 200, 0, &keys(&[])));
+        assert!(!idx.disjoint(100, 50, &keys(&[1])));
+        assert!(!idx.disjoint(100, 200, &keys(&[])));
     }
 
     #[test]
@@ -445,12 +421,9 @@ mod tests {
         idx.register(g(2), &keys(&[2]), Some(sn(2)));
         idx.freeze(g(1), 40);
         // Candidate starting at 30 still overlaps the frozen end 40.
-        assert!(!idx.disjoint(100, 30, 0, &keys(&[7])));
+        assert!(!idx.disjoint(100, 30, &keys(&[7])));
         // Candidate starting at 41 misses it.
-        assert!(idx.disjoint(100, 41, 0, &keys(&[7])));
-        // Boundary-slack mutant admits begin = end + 1.
-        assert!(!idx.disjoint(100, 41, 1, &keys(&[7])));
-        assert!(idx.disjoint(100, 42, 1, &keys(&[7])));
+        assert!(idx.disjoint(100, 41, &keys(&[7])));
     }
 
     #[test]
@@ -458,9 +431,9 @@ mod tests {
         let mut idx = CertIndex::new(1);
         idx.register(g(1), &keys(&[1]), None);
         idx.freeze(g(1), 40);
-        assert!(idx.disjoint(100, 41, 0, &keys(&[])));
+        assert!(idx.disjoint(100, 41, &keys(&[])));
         idx.unfreeze(g(1), &keys(&[1, 9]));
-        assert!(!idx.disjoint(100, 41, 0, &keys(&[])));
+        assert!(!idx.disjoint(100, 41, &keys(&[])));
     }
 
     #[test]
@@ -472,8 +445,8 @@ mod tests {
         idx.remove(g(1));
         idx.remove(g(2));
         assert!(idx.is_empty());
-        assert!(!idx.disjoint(100, 99, 0, &keys(&[])));
-        assert!(!idx.commit_blocked(g(3), sn(0), false));
+        assert!(!idx.disjoint(100, 99, &keys(&[])));
+        assert!(!idx.commit_blocked(g(3), sn(0)));
     }
 
     #[test]
@@ -481,8 +454,8 @@ mod tests {
         let mut idx = CertIndex::new(1);
         idx.register_frozen(g(1), &keys(&[1]), Some(sn(1)), 0);
         // Any candidate beginning after tick 0 is disjoint from (0, 0).
-        assert!(idx.disjoint(100, 1, 0, &keys(&[5])));
-        assert!(!idx.disjoint(100, 0, 0, &keys(&[5])));
+        assert!(idx.disjoint(100, 1, &keys(&[5])));
+        assert!(!idx.disjoint(100, 0, &keys(&[5])));
     }
 
     #[test]
@@ -491,11 +464,11 @@ mod tests {
         idx.register(g(1), &keys(&[0]), None); // shard 0
         idx.freeze(g(1), 10);
         // Candidate on shard 1 never consults shard 0's frozen entry.
-        assert!(!idx.disjoint(100, 50, 0, &keys(&[1])));
+        assert!(!idx.disjoint(100, 50, &keys(&[1])));
         // Candidate on shard 0 does.
-        assert!(idx.disjoint(100, 50, 0, &keys(&[0, 1])));
+        assert!(idx.disjoint(100, 50, &keys(&[0, 1])));
         // Empty key set consults nothing under sharding.
-        assert!(!idx.disjoint(100, 50, 0, &keys(&[])));
+        assert!(!idx.disjoint(100, 50, &keys(&[])));
     }
 
     #[test]
@@ -503,7 +476,7 @@ mod tests {
         let mut idx = CertIndex::new(1);
         idx.register(g(1), &keys(&[]), None);
         idx.freeze(g(1), 10);
-        assert!(idx.disjoint(100, 50, 0, &keys(&[])));
+        assert!(idx.disjoint(100, 50, &keys(&[])));
     }
 
     #[test]
@@ -512,20 +485,17 @@ mod tests {
         idx.register(g(1), &keys(&[1]), Some(sn(5)));
         idx.register(g(2), &keys(&[2]), Some(sn(9)));
         // sn 5 is the oldest: not blocked. sn 9 is blocked by sn 5.
-        assert!(!idx.commit_blocked(g(1), sn(5), false));
-        assert!(idx.commit_blocked(g(2), sn(9), false));
-        // Flipped edge: the youngest commits first.
-        assert!(idx.commit_blocked(g(1), sn(5), true));
-        assert!(!idx.commit_blocked(g(2), sn(9), true));
+        assert!(!idx.commit_blocked(g(1), sn(5)));
+        assert!(idx.commit_blocked(g(2), sn(9)));
     }
 
     #[test]
-    fn equal_serial_numbers_block_both_ways() {
+    fn equal_serial_numbers_block_each_other() {
         let mut idx = CertIndex::new(1);
         idx.register(g(1), &keys(&[1]), Some(sn(5)));
         idx.register(g(2), &keys(&[2]), Some(sn(5)));
-        assert!(idx.commit_blocked(g(1), sn(5), false));
-        assert!(idx.commit_blocked(g(1), sn(5), true));
+        assert!(idx.commit_blocked(g(1), sn(5)));
+        assert!(idx.commit_blocked(g(2), sn(5)));
     }
 
     /// One random transition script applied to both implementations.
@@ -553,7 +523,6 @@ mod tests {
         },
         CommitQuery {
             k: u32,
-            flipped: bool,
         },
     }
 
@@ -566,7 +535,7 @@ mod tests {
             (0u32..12).prop_map(|k| Step::Remove { k }),
             (0u32..1).prop_map(|_| Step::Refresh),
             (0u32..12, 0u64..30).prop_map(|(k, begin_back)| Step::Prepare { k, begin_back }),
-            (0u32..12, any::<bool>()).prop_map(|(k, flipped)| Step::CommitQuery { k, flipped }),
+            (0u32..12).prop_map(|k| Step::CommitQuery { k }),
         ]
     }
 
@@ -580,7 +549,6 @@ mod tests {
         fn index_matches_linear_reference(
             steps in pvec(step_strategy(), 1..60),
             cap in any::<bool>().prop_map(|b| if b { 3usize } else { 1usize }),
-            slack in any::<bool>().prop_map(u64::from),
         ) {
             let mut idx = CertIndex::new(1);
             let mut lin = LinearReference::new();
@@ -656,15 +624,15 @@ mod tests {
                         idx.note_refresh(now, seq);
                         lin.refresh(now);
                         let begin = now.saturating_sub(begin_back);
-                        let got = idx.disjoint(now, begin, slack, &keys(&[k as u64]));
-                        let want = lin.disjoint(begin, slack);
+                        let got = idx.disjoint(now, begin, &keys(&[k as u64]));
+                        let want = lin.disjoint(begin);
                         prop_assert_eq!(got, want, "prepare divergence at begin {}", begin);
                     }
-                    Step::CommitQuery { k, flipped } => {
+                    Step::CommitQuery { k } => {
                         let gtxn = g(k);
                         let my_sn = sn(u64::from(k) * 3 % 40);
-                        let got = idx.commit_blocked(gtxn, my_sn, flipped);
-                        let want = lin.commit_blocked(gtxn, my_sn, flipped);
+                        let got = idx.commit_blocked(gtxn, my_sn);
+                        let want = lin.commit_blocked(gtxn, my_sn);
                         prop_assert_eq!(got, want, "commit divergence for {:?}", gtxn);
                     }
                 }
@@ -723,7 +691,7 @@ mod tests {
                 let eff_end = if *frozen { *end } else { now };
                 shares && eff_end < begin
             });
-            let got = idx.disjoint(now, begin, 0, &cand_keys);
+            let got = idx.disjoint(now, begin, &cand_keys);
             prop_assert_eq!(got, want);
         }
     }

@@ -8,10 +8,6 @@ use serde::{Deserialize, Serialize};
 /// used by the anomaly replays and benchmarks: each one re-admits a specific
 /// anomaly class, demonstrating why the corresponding mechanism exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-// The doc(hidden) mutation variant below is constructible on purpose (the
-// model checker's smoke test selects it); this is not the non_exhaustive
-// idiom.
-#[allow(clippy::manual_non_exhaustive)]
 pub enum CertifierMode {
     /// Extended prepare certification + basic prepare certification +
     /// serial-number commit certification (§§4–5, the Appendix algorithms).
@@ -37,63 +33,6 @@ pub enum CertifierMode {
     /// serial number *ever prepared* at this agent, and commits follow
     /// serial-number order. No alive-interval certification.
     TicketOrder,
-    /// Deliberately broken [`CertifierMode::Full`]: identical in every way
-    /// except the §4.2 basic (alive-interval) prepare certification is
-    /// skipped. Exists solely as the mutation target for `mdbs-check
-    /// explore`'s smoke test — the explorer must find an execution where a
-    /// PREPARE is admitted against a disjoint alive interval. Never a
-    /// production or benchmark mode.
-    #[doc(hidden)]
-    BrokenBasicCert,
-    /// Mutant: §4.2 interval intersection off by one — a candidate interval
-    /// beginning exactly one tick after a stored interval ends is admitted.
-    /// Breaks the Conflict Detection Basis at its boundary.
-    #[doc(hidden)]
-    MutIntervalBoundary,
-    /// Mutant: the §5.3 extension (refuse a PREPARE whose serial number is
-    /// below the largest locally *committed* one) is skipped entirely.
-    #[doc(hidden)]
-    MutNoPrepareExtension,
-    /// Mutant: the §5.3 extension comparison is flipped — PREPAREs *newer*
-    /// than the largest committed serial number are refused, stale ones
-    /// admitted.
-    #[doc(hidden)]
-    MutSnCheckFlip,
-    /// Mutant: Appendix A resubmission skips the Agent-log replay — the new
-    /// incarnation is declared alive without re-executing any command.
-    #[doc(hidden)]
-    MutSkipReplay,
-    /// Mutant: Appendix A alive check never starts a resubmission — a
-    /// unilaterally aborted prepared subtransaction is left wedged.
-    #[doc(hidden)]
-    MutDropResubmission,
-    /// Mutant: Appendix C commit certification with the edge direction
-    /// flipped — a COMMIT proceeds while an *older* (smaller-SN)
-    /// subtransaction is still in the table.
-    #[doc(hidden)]
-    MutCommitEdgeFlip,
-    /// Mutant: Appendix C commit certification only checks entries that are
-    /// already commit-pending, ignoring merely-prepared older ones.
-    #[doc(hidden)]
-    MutCommitPendingOnly,
-    /// Mutant: a coordinator ROLLBACK does not evict the prepared entry
-    /// from the alive-interval table (§4.2 eviction on abort omitted).
-    #[doc(hidden)]
-    MutKeepRollbackInTable,
-    /// Mutant: the inline alive-interval refresh at PREPARE time (§6's
-    /// assumption that certification sees current intervals) is skipped.
-    #[doc(hidden)]
-    MutStaleRefresh,
-    /// Mutant: a local commit does not advance `max_committed_sn`, so the
-    /// §5.3 extension certifies against stale state.
-    #[doc(hidden)]
-    MutStaleMaxSn,
-    /// Mutant: `note_done` ignores the configured [`AgentConfig::done_cap`]
-    /// — terminated-transaction ids accumulate without bound, the exact
-    /// defect the hotpath pass's `hot-unbounded-growth` rule exists to
-    /// prevent.
-    #[doc(hidden)]
-    MutIgnoreDoneCap,
 }
 
 impl CertifierMode {
@@ -101,9 +40,7 @@ impl CertifierMode {
     pub fn prepare_certification(&self) -> bool {
         !matches!(
             self,
-            CertifierMode::NoCertification
-                | CertifierMode::TicketOrder
-                | CertifierMode::BrokenBasicCert
+            CertifierMode::NoCertification | CertifierMode::TicketOrder
         )
     }
 
@@ -115,7 +52,6 @@ impl CertifierMode {
                 | CertifierMode::PrepareCertOnly
                 | CertifierMode::PrepareOrder
                 | CertifierMode::TicketOrder
-                | CertifierMode::MutNoPrepareExtension
         )
     }
 
@@ -139,71 +75,6 @@ impl CertifierMode {
     pub fn ticket_prepare_check(&self) -> bool {
         matches!(self, CertifierMode::TicketOrder)
     }
-
-    // ---- Mutation-catalog deviations (`mdbs-check mutate`). Each hook is
-    // dead unless the corresponding doc(hidden) mutant variant is selected,
-    // so the default `Full` pipeline is untouched.
-
-    /// Extra slack ticks the §4.2 intersection test tolerates (off-by-one
-    /// boundary mutant; 0 under every real mode).
-    #[doc(hidden)]
-    pub fn interval_boundary_slack(&self) -> u64 {
-        u64::from(matches!(self, CertifierMode::MutIntervalBoundary))
-    }
-
-    /// Whether the §5.3 extension comparison direction is flipped.
-    #[doc(hidden)]
-    pub fn sn_extension_flipped(&self) -> bool {
-        matches!(self, CertifierMode::MutSnCheckFlip)
-    }
-
-    /// Whether resubmission skips replaying the Agent log.
-    #[doc(hidden)]
-    pub fn skips_resubmit_replay(&self) -> bool {
-        matches!(self, CertifierMode::MutSkipReplay)
-    }
-
-    /// Whether the alive check drops resubmission of aborted entries.
-    #[doc(hidden)]
-    pub fn drops_resubmission(&self) -> bool {
-        matches!(self, CertifierMode::MutDropResubmission)
-    }
-
-    /// Whether the commit-certification comparison direction is flipped.
-    #[doc(hidden)]
-    pub fn commit_edge_flipped(&self) -> bool {
-        matches!(self, CertifierMode::MutCommitEdgeFlip)
-    }
-
-    /// Whether commit certification ignores merely-prepared entries.
-    #[doc(hidden)]
-    pub fn commit_cert_pending_only(&self) -> bool {
-        matches!(self, CertifierMode::MutCommitPendingOnly)
-    }
-
-    /// Whether a ROLLBACK leaves the prepared entry in the table.
-    #[doc(hidden)]
-    pub fn keeps_rollback_in_table(&self) -> bool {
-        matches!(self, CertifierMode::MutKeepRollbackInTable)
-    }
-
-    /// Whether the inline interval refresh at PREPARE time is skipped.
-    #[doc(hidden)]
-    pub fn skips_prepare_refresh(&self) -> bool {
-        matches!(self, CertifierMode::MutStaleRefresh)
-    }
-
-    /// Whether a local commit fails to advance `max_committed_sn`.
-    #[doc(hidden)]
-    pub fn skips_max_committed_update(&self) -> bool {
-        matches!(self, CertifierMode::MutStaleMaxSn)
-    }
-
-    /// Whether the done-set compaction bound is ignored.
-    #[doc(hidden)]
-    pub fn ignores_done_cap(&self) -> bool {
-        matches!(self, CertifierMode::MutIgnoreDoneCap)
-    }
 }
 
 /// Timing and policy knobs of one 2PC Agent. Durations are in microseconds
@@ -226,10 +97,14 @@ pub struct AgentConfig {
     /// overlapped an earlier life of a since-resubmitted entry.
     pub stored_intervals: usize,
     /// Safety valve: after this many failed commit certifications the agent
-    /// commits anyway. Unreachable under the full protocol (the serial
-    /// numbers form a total order, so certification always makes progress);
-    /// the in-family anomaly baselines can livelock without it, and a
-    /// forced commit surfaces exactly the anomaly the run measures.
+    /// commits anyway. The in-family anomaly baselines can livelock without
+    /// it, and a forced commit surfaces exactly the anomaly the run
+    /// measures. Under the full protocol the serial numbers form a total
+    /// order, so certification alone always makes progress — but the valve
+    /// is *not* unreachable there: with exclusive locks plus unilateral
+    /// aborts a held-back COMMIT and a lock-blocked resubmission can wait on
+    /// each other and retry without bound (ROADMAP open item 6: `sim-hot`
+    /// with `unilateral_abort_prob = 0.1`, workload seed `1000633`).
     pub max_commit_retries: u32,
     /// Key-range shards of the certifier's prepared table. With 1 (the
     /// default) a PREPARE certifies against *every* table entry — the

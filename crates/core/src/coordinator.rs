@@ -87,31 +87,12 @@ struct GlobalTxn {
     results: Vec<CommandResult>,
 }
 
-/// Deliberate coordinator deviations for the `mdbs-check mutate` kill
-/// matrix. `None` (the default) is the paper's protocol; the others each
-/// break one 2PC mechanism and exist only as mutation targets.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoordMutation {
-    /// The real coordinator.
-    #[default]
-    None,
-    /// A duplicate READY arriving while committing is ignored instead of
-    /// answered with a retransmitted COMMIT (the 2PC recovery rule a
-    /// crashed-and-recovered voter depends on).
-    DropDupReadyRetransmit,
-    /// Unanimous READY skips the durable `RecordGlobalCommit` — COMMITs go
-    /// out with no `C_k` in the global history.
-    SkipCommitRecord,
-}
-
 /// A 2PC coordinator hosted at one node.
 #[derive(Debug)]
 pub struct Coordinator {
     node: u32,
     sn_gen: SnGenerator,
     txns: BTreeMap<GlobalTxnId, GlobalTxn>,
-    mutation: CoordMutation,
     /// Paxos Commit gating: when set, unanimous READY does *not* decide —
     /// the consensus layer calls [`Coordinator::commit_decided`] once the
     /// acceptor quorum holds every participant's vote. False (`F=0`)
@@ -126,7 +107,6 @@ impl Coordinator {
             node,
             sn_gen: SnGenerator::new(node),
             txns: BTreeMap::new(),
-            mutation: CoordMutation::None,
             gate_commit: false,
         }
     }
@@ -138,12 +118,6 @@ impl Coordinator {
     /// Ready at the acceptors).
     pub fn set_gate_commit(&mut self, gate: bool) {
         self.gate_commit = gate;
-    }
-
-    /// Select a deliberate deviation (mutation kill matrix only).
-    #[doc(hidden)]
-    pub fn set_mutation(&mut self, mutation: CoordMutation) {
-        self.mutation = mutation;
     }
 
     /// This coordinator's node id.
@@ -291,11 +265,6 @@ impl Coordinator {
             return vec![];
         };
         if txn.phase == TxnPhase::Committing {
-            if self.mutation == CoordMutation::DropDupReadyRetransmit {
-                // Mutant: swallow the duplicate vote; the recovered site
-                // never learns the decision.
-                return vec![];
-            }
             // A duplicate READY from a site that crashed and recovered
             // after voting: retransmit the decision (2PC recovery).
             return vec![CoordAction::ToAgent {
@@ -318,12 +287,7 @@ impl Coordinator {
         }
         // Unanimous READY: record the commit decision, then COMMIT.
         txn.phase = TxnPhase::Committing;
-        let mut actions = if self.mutation == CoordMutation::SkipCommitRecord {
-            // Mutant: no durable decision record before the COMMITs.
-            vec![]
-        } else {
-            vec![CoordAction::RecordGlobalCommit(gtxn)]
-        };
+        let mut actions = vec![CoordAction::RecordGlobalCommit(gtxn)];
         actions.extend(txn.participants.iter().map(|&site| CoordAction::ToAgent {
             site,
             msg: Message::Commit { gtxn },

@@ -44,6 +44,6 @@ pub mod sn;
 pub use agent::{Agent, AgentAction, AgentInput, AgentStats, PreparedEntry, RefuseReason};
 pub use agent_log::{AgentLog, LogRecord, RecoveredTxn};
 pub use config::{AgentConfig, CertifierMode};
-pub use coordinator::{CoordAction, CoordMutation, Coordinator, GlobalOutcome, GlobalProgram};
+pub use coordinator::{CoordAction, Coordinator, GlobalOutcome, GlobalProgram};
 pub use msg::Message;
 pub use sn::{SerialNumber, SnGenerator};

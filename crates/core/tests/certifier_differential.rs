@@ -13,15 +13,12 @@
 //!   bit-for-bit what the eager implementation would have produced.
 //!
 //! Covered per the paper: `stored_intervals = 1` (§4.2's basic "store the
-//! last interval" variant) and > 1, the `MutStaleRefresh` linear fallback,
-//! and the frozen `(0, 0)` crash-recovery entry (collective abort).
+//! last interval" variant) and > 1, and the frozen `(0, 0)` crash-recovery entry (collective abort).
 
 use std::collections::BTreeMap;
 
 use mdbs_dtm::certifier::{LinearEntry, LinearReference};
-use mdbs_dtm::{
-    Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, Message, RefuseReason, SerialNumber,
-};
+use mdbs_dtm::{Agent, AgentAction, AgentConfig, AgentInput, Message, RefuseReason, SerialNumber};
 use mdbs_histories::{GlobalTxnId, Instance, SiteId};
 use mdbs_ldbs::{Command, CommandResult, KeySpec};
 use proptest::collection::vec as pvec;
@@ -167,14 +164,8 @@ fn assert_table_matches(agent: &Agent, lin: &LinearReference, ctx: &str) {
 
 /// Run one schedule against one config; returns the number of
 /// interval-disjoint refusals both sides agreed on.
-fn run_schedule(steps: &[Step], cap: usize, stale_refresh: bool) -> u64 {
-    let mode = if stale_refresh {
-        CertifierMode::MutStaleRefresh
-    } else {
-        CertifierMode::Full
-    };
+fn run_schedule(steps: &[Step], cap: usize) -> u64 {
     let config = AgentConfig {
-        mode,
         stored_intervals: cap,
         ..AgentConfig::default()
     };
@@ -188,7 +179,7 @@ fn run_schedule(steps: &[Step], cap: usize, stale_refresh: bool) -> u64 {
 
     for (i, step) in steps.iter().enumerate() {
         now += 3;
-        let ctx = format!("step {i} ({step:?}, cap {cap}, stale {stale_refresh})");
+        let ctx = format!("step {i} ({step:?}, cap {cap})");
         match step {
             Step::Lifecycle { commands, sn_ticks } => {
                 let gtxn = g(next_id);
@@ -223,13 +214,10 @@ fn run_schedule(steps: &[Step], cap: usize, stale_refresh: bool) -> u64 {
                 let snv = sn(*sn_ticks);
                 // Predict the full decision before asking the agent. The
                 // PREPARE-time refresh runs first in either implementation
-                // (and not at all under the stale-refresh mutant).
-                if !stale_refresh {
-                    lin.refresh(now);
-                }
+                lin.refresh(now);
                 let expected = if max_committed.is_some_and(|m| snv < m) {
                     Some(RefuseReason::SnOutOfOrder)
-                } else if lin.disjoint(last_op_done, 0) {
+                } else if lin.disjoint(last_op_done) {
                     Some(RefuseReason::AliveIntervalDisjoint)
                 } else {
                     None
@@ -431,7 +419,7 @@ proptest! {
     fn indexed_agent_matches_linear_oracle_cap1(
         steps in pvec(step_strategy(), 1..50),
     ) {
-        run_schedule(&steps, 1, false);
+        run_schedule(&steps, 1);
     }
 
     /// The §4.2 optimization: several stored intervals per entry.
@@ -439,16 +427,7 @@ proptest! {
     fn indexed_agent_matches_linear_oracle_cap3(
         steps in pvec(step_strategy(), 1..50),
     ) {
-        run_schedule(&steps, 3, false);
-    }
-
-    /// The stale-refresh mutant takes the linear fallback path; decisions
-    /// and tables must still match the eager shadow run without refreshes.
-    #[test]
-    fn stale_refresh_fallback_matches_linear_oracle(
-        steps in pvec(step_strategy(), 1..50),
-    ) {
-        run_schedule(&steps, 1, true);
+        run_schedule(&steps, 3);
     }
 }
 
@@ -538,10 +517,7 @@ fn recovered_zero_interval_refuses_until_resubmitted() {
         },
     );
     lin.refresh(103);
-    assert!(
-        lin.disjoint(102, 0),
-        "oracle agrees the candidate is disjoint"
-    );
+    assert!(lin.disjoint(102), "oracle agrees the candidate is disjoint");
     let acts = agent.handle(
         103,
         AgentInput::Deliver(Message::Prepare { gtxn, sn: sn(50) }),

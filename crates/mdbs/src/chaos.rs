@@ -496,13 +496,6 @@ fn protocol_expr(p: Protocol) -> &'static str {
         Protocol::TwoCm(CertifierMode::TicketOrder) => {
             "Protocol::TwoCm(CertifierMode::TicketOrder)"
         }
-        Protocol::TwoCm(CertifierMode::BrokenBasicCert) => {
-            "Protocol::TwoCm(CertifierMode::BrokenBasicCert)"
-        }
-        // Mutation-catalog modes never reach the chaos sweep's reproducer
-        // codegen; name the family so a hand-driven run still compiles into
-        // *something* greppable.
-        Protocol::TwoCm(_) => "Protocol::TwoCm(/* mutation-catalog mode */ CertifierMode::Full)",
         Protocol::Cgm => "Protocol::Cgm",
     }
 }

@@ -41,10 +41,6 @@ impl Protocol {
             Protocol::TwoCm(CertifierMode::PrepareCertOnly) => "2CM-prep-only",
             Protocol::TwoCm(CertifierMode::PrepareOrder) => "2CM-prep-order",
             Protocol::TwoCm(CertifierMode::TicketOrder) => "Ticket",
-            Protocol::TwoCm(CertifierMode::BrokenBasicCert) => "2CM-broken-cert",
-            // The doc(hidden) mutation-catalog modes (`mdbs-check mutate`)
-            // share one label; they are never configured from a file.
-            Protocol::TwoCm(_) => "2CM-mutant",
             Protocol::Cgm => "CGM",
         }
     }
@@ -62,18 +58,21 @@ impl Protocol {
         self.label().to_ascii_lowercase()
     }
 
+    /// Every protocol, i.e. every value [`Self::parse`] can return.
+    pub const ALL: [Protocol; 6] = [
+        Protocol::TwoCm(CertifierMode::Full),
+        Protocol::TwoCm(CertifierMode::NoCertification),
+        Protocol::TwoCm(CertifierMode::PrepareCertOnly),
+        Protocol::TwoCm(CertifierMode::PrepareOrder),
+        Protocol::TwoCm(CertifierMode::TicketOrder),
+        Protocol::Cgm,
+    ];
+
     /// Parse a config-file protocol key (case-insensitive label).
     pub fn parse(s: &str) -> Result<Protocol, ConfigError> {
-        let all = [
-            Protocol::TwoCm(CertifierMode::Full),
-            Protocol::TwoCm(CertifierMode::NoCertification),
-            Protocol::TwoCm(CertifierMode::PrepareCertOnly),
-            Protocol::TwoCm(CertifierMode::PrepareOrder),
-            Protocol::TwoCm(CertifierMode::TicketOrder),
-            Protocol::Cgm,
-        ];
         let want = s.to_ascii_lowercase();
-        all.into_iter()
+        Protocol::ALL
+            .into_iter()
             .find(|p| p.key() == want)
             .ok_or_else(|| ConfigError(format!("unknown protocol {s:?} (try 2cm, cgm, naive)")))
     }
@@ -840,15 +839,20 @@ mod tests {
 
     #[test]
     fn protocol_keys_round_trip() {
-        for p in [
-            Protocol::TwoCm(CertifierMode::Full),
-            Protocol::TwoCm(CertifierMode::NoCertification),
-            Protocol::TwoCm(CertifierMode::PrepareCertOnly),
-            Protocol::TwoCm(CertifierMode::PrepareOrder),
-            Protocol::TwoCm(CertifierMode::TicketOrder),
-            Protocol::Cgm,
-        ] {
+        for p in Protocol::ALL {
             assert_eq!(Protocol::parse(&p.key()).unwrap(), p);
+            // Exhaustive on purpose: a new mode stops compiling here until
+            // it is listed in `Protocol::ALL` (and so round-trips above).
+            match p {
+                Protocol::TwoCm(
+                    CertifierMode::Full
+                    | CertifierMode::NoCertification
+                    | CertifierMode::PrepareCertOnly
+                    | CertifierMode::PrepareOrder
+                    | CertifierMode::TicketOrder,
+                )
+                | Protocol::Cgm => {}
+            }
         }
         assert!(Protocol::parse("three-phase").is_err());
     }

@@ -90,13 +90,6 @@ impl CoordinatorRuntime {
         }
     }
 
-    /// Select a deliberate coordinator deviation (mutation kill matrix
-    /// only; [`mdbs_dtm::CoordMutation::None`] is the real protocol).
-    #[doc(hidden)]
-    pub fn set_coord_mutation(&mut self, mutation: mdbs_dtm::CoordMutation) {
-        self.inner.set_mutation(mutation);
-    }
-
     /// Start a transaction. Under 2CM this begins 2PC right away; under
     /// CGM it first requests admission from the central scheduler.
     fn begin<H: RuntimeHost>(

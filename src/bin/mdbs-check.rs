@@ -9,7 +9,7 @@
 //! mdbs-check explore [--preset <name>] [--mode <certifier>] [--cgm]
 //!                    [--delays N] [--faults N] [--crashes N]
 //!                    [--max-steps N] [--max-runs N] [--no-interval-check]
-//! mdbs-check mutate [--quick] [--json]
+//! mdbs-check mutate [--json]
 //! ```
 //!
 //! `lint` runs the project-specific source lints (determinism,
@@ -27,9 +27,12 @@
 //! annotations (`--github`). `explore` runs the bounded model checker on
 //! a preset world and exits 1 with a minimized trace if a schedule
 //! violates atomicity, the §4.2 interval invariant, or commit-order
-//! acyclicity. `mutate` runs the certifier mutation kill matrix and exits
-//! 1 if any cataloged mutant survives every checker — or if the real
-//! protocol fails one.
+//! acyclicity. `mutate`, run from the workspace root, runs the certifier
+//! mutation kill matrix — each cataloged source edit applied to a scratch
+//! copy of the workspace under `target/mutants/`, built, and run against
+//! `crates/check/tests/checkers.rs` — and exits 1 if any mutant survives
+//! every checker or the real protocol fails one, 2 if a mutant's edit no
+//! longer applies or no longer compiles.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,7 +41,7 @@ use mdbs_check::conc::run_conc;
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
 use mdbs_check::hotpath::run_hotpath;
 use mdbs_check::lint::{run_lint, Finding};
-use mdbs_check::mutate::{render, run_matrix, Budget};
+use mdbs_check::mutate::{catalog, render, run_matrix};
 use mdbs_check::proto::run_proto;
 use mdbs_dtm::CertifierMode;
 
@@ -51,10 +54,10 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "       mdbs-check explore [--preset smoke-2cm|smoke-cgm|conflict|mutation-interval|coord-failover|coord-crash-direct]"
     );
-    eprintln!("                          [--mode full|no-certification|prepare-cert-only|prepare-order|ticket-order|broken-basic-cert]");
+    eprintln!("                          [--mode full|no-certification|prepare-cert-only|prepare-order|ticket-order]");
     eprintln!("                          [--cgm] [--delays N] [--faults N] [--crashes N]");
     eprintln!("                          [--max-steps N] [--max-runs N] [--no-interval-check]");
-    eprintln!("       mdbs-check mutate [--quick] [--json]");
+    eprintln!("       mdbs-check mutate [--json]");
     ExitCode::from(2)
 }
 
@@ -153,7 +156,6 @@ fn parse_mode(text: &str) -> Option<CertifierMode> {
         "prepare-cert-only" => Some(CertifierMode::PrepareCertOnly),
         "prepare-order" => Some(CertifierMode::PrepareOrder),
         "ticket-order" => Some(CertifierMode::TicketOrder),
-        "broken-basic-cert" => Some(CertifierMode::BrokenBasicCert),
         _ => None,
     }
 }
@@ -241,16 +243,20 @@ fn run_explore_cmd(mut args: std::env::Args) -> ExitCode {
 }
 
 fn run_mutate_cmd(args: std::env::Args) -> ExitCode {
-    let mut budget = Budget::Pinned;
     let mut json = false;
     for arg in args {
         match arg.as_str() {
-            "--quick" => budget = Budget::Quick,
             "--json" => json = true,
             other => return usage(&format!("unknown mutate argument {other:?}")),
         }
     }
-    let matrix = run_matrix(budget);
+    let matrix = match run_matrix(std::path::Path::new("."), &catalog()) {
+        Ok(matrix) => matrix,
+        Err(e) => {
+            eprintln!("mdbs-check mutate: harness error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if json {
         for row in std::iter::once(&matrix.full).chain(&matrix.rows) {
             let cells: Vec<String> = row
@@ -259,16 +265,18 @@ fn run_mutate_cmd(args: std::env::Args) -> ExitCode {
                 .map(|r| {
                     format!(
                         "{{\"checker\":{},\"killed\":{},\"detail\":{}}}",
-                        json_str(r.checker),
+                        json_str(&r.checker),
                         r.killed,
                         json_str(&r.detail)
                     )
                 })
                 .collect();
             println!(
-                "{{\"mutant\":{},\"mechanism\":{},\"results\":[{}]}}",
+                "{{\"mutant\":{},\"mechanism\":{},\"build_s\":{:.1},\"check_s\":{:.1},\"results\":[{}]}}",
                 json_str(row.id),
                 json_str(row.mechanism),
+                row.build_s,
+                row.check_s,
                 cells.join(",")
             );
         }
