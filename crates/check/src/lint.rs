@@ -1,46 +1,56 @@
 //! The invariant lints: project-specific rules the stock toolchain cannot
-//! express, run over the workspace's own sources.
+//! express, as bodies for [`crate::engine`].
 //!
-//! | rule | scope | what it catches |
+//! Four rules are the same question — "does this token occur in these
+//! files?" — and are rows of one table, [`FORBIDDEN`]:
+//!
+//! | rule | files | what it catches |
 //! |------|-------|-----------------|
 //! | `determinism-wall-clock` | deterministic crates | `Instant`, `SystemTime`, `thread_rng`, `from_entropy` — wall clocks and entropy-seeded RNG inside code that must replay bit-for-bit per seed |
-//! | `determinism-hash-order` | deterministic crates + digest paths | `HashMap`/`HashSet` — iteration order is randomized per process, so any use that feeds histories or digests breaks reproducibility; keyed-lookup-only maps carry an explicit suppression |
+//! | `determinism-hash-order` | deterministic crates + digest paths | `HashMap`/`HashSet` — iteration order is randomized per process, so any use that feeds histories or digests breaks reproducibility |
 //! | `panic-freedom` | wire/frame decode paths and the protocol state machines + runtimes | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` and direct index expressions — hostile bytes or internal inconsistency must surface as errors, not process death |
-//! | `vocabulary` | message enums | every `Message`/`CtrlMsg`/`WireMsg` variant must have a wire encode arm, a wire decode arm, and a handler arm; `Command`/`OpKind` must have codec arms; the compiled `specimens()` lists must match the source enums |
+//! | `conc-panic-in-thread` | the threaded files ([`crate::conc::CONC_FILES`]) | `.unwrap()`/`.expect()` and the four panicking macros: a panic on a worker thread does not crash the process, it silently wedges the protocol |
 //!
-//! Suppression: a `// mdbs-check: allow(rule-name)` comment silences that
-//! rule on its own line and the following line. `#[cfg(test)]` items are
-//! exempt from every rule.
+//! The fifth, `vocabulary`, cross-checks the message enums: every
+//! `Message`/`CtrlMsg`/`WireMsg` variant must have a wire encode arm, a
+//! wire decode arm, and a handler arm; `Command`/`OpKind` must have codec
+//! arms; the compiled `specimens()` lists must match the source enums.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeSet;
+use std::path::Path;
 
 use mdbs_dtm::Message;
 use mdbs_net::wire::WireMsg;
 use mdbs_runtime::CtrlMsg;
 
-use crate::scan::{enum_variants, find_token_seq, fn_body, impl_body, index_sites, SourceFile};
+use crate::conc::CONC_FILES;
+use crate::engine::{group_of, Group, Sink};
+use crate::scan::{
+    enum_variants, find_token_seq, fn_body, impl_body, index_sites, next_nonws, prev_nonws_at,
+    FileSet, SourceFile,
+};
 
-/// One lint hit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// The rule that fired.
-    pub rule: &'static str,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Human-readable explanation.
-    pub msg: String,
+/// How a forbidden token must occur to count.
+pub(crate) enum Shape {
+    /// Anywhere as a whole identifier.
+    Ident,
+    /// As a method: `.token`.
+    Method,
+    /// As a macro: `token!`.
+    Macro,
+    /// No token: every direct index expression `x[i]`.
+    Index,
 }
 
-impl std::fmt::Display for Finding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.msg
-        )
-    }
+/// One forbidden-token row. `files` entries are workspace-relative files,
+/// or directories standing for every `.rs` file below them; `{}` in `msg`
+/// is the token.
+pub(crate) struct Forbidden {
+    pub(crate) rule: &'static str,
+    files: &'static [&'static str],
+    tokens: &'static [&'static str],
+    shape: Shape,
+    msg: &'static str,
 }
 
 /// Crates whose code must replay bit-for-bit per seed: the protocol state
@@ -70,115 +80,162 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/runtime/src/central.rs",
 ];
 
-const WALL_CLOCK_TOKENS: &[&str] = &["Instant", "SystemTime", "thread_rng", "from_entropy"];
+const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
 const HASH_TOKENS: &[&str] = &["HashMap", "HashSet"];
-const PANIC_TOKENS: &[&str] = &[
-    "unwrap",
-    "expect",
-    "panic",
-    "unreachable",
-    "todo",
-    "unimplemented",
+const HASH_ORDER: &str = "`{}` iteration order is nondeterministic; use BTreeMap/BTreeSet or sort \
+     explicitly (a keyed-lookup-only map may carry a justified allow)";
+const PANIC_FREEDOM: &str = "`{}` in a decode/handler path: corrupt input or inconsistent \
+     state must return an error (WireError, FrameError, RuntimeError), not kill the process";
+
+pub(crate) const FORBIDDEN: &[Forbidden] = &[
+    Forbidden {
+        rule: "determinism-wall-clock",
+        files: DETERMINISTIC_CRATES,
+        tokens: &["Instant", "SystemTime", "thread_rng", "from_entropy"],
+        shape: Shape::Ident,
+        msg: "`{}` in a deterministic crate: simulation state may only advance through the \
+         seeded clock/RNG (SimTime, DetRng)",
+    },
+    Forbidden {
+        rule: "determinism-hash-order",
+        files: DETERMINISTIC_CRATES,
+        tokens: HASH_TOKENS,
+        shape: Shape::Ident,
+        msg: HASH_ORDER,
+    },
+    Forbidden {
+        rule: "determinism-hash-order",
+        files: DIGEST_FILES,
+        tokens: HASH_TOKENS,
+        shape: Shape::Ident,
+        msg: HASH_ORDER,
+    },
+    Forbidden {
+        rule: "panic-freedom",
+        files: PANIC_FREE_FILES,
+        tokens: PANIC_METHODS,
+        shape: Shape::Ident,
+        msg: PANIC_FREEDOM,
+    },
+    Forbidden {
+        rule: "panic-freedom",
+        files: PANIC_FREE_FILES,
+        tokens: PANIC_MACROS,
+        shape: Shape::Ident,
+        msg: PANIC_FREEDOM,
+    },
+    Forbidden {
+        rule: "panic-freedom",
+        files: PANIC_FREE_FILES,
+        tokens: &[],
+        shape: Shape::Index,
+        msg: "direct index expression in a decode/handler path can panic on a hostile \
+         length; use `.get()` and handle the miss",
+    },
+    Forbidden {
+        rule: "conc-panic-in-thread",
+        files: CONC_FILES,
+        tokens: PANIC_METHODS,
+        shape: Shape::Method,
+        msg: "`.{}(…)` on a worker thread: a panic here does not crash the process, it \
+         silently wedges the protocol — return an error or handle the case",
+    },
+    Forbidden {
+        rule: "conc-panic-in-thread",
+        files: CONC_FILES,
+        tokens: PANIC_MACROS,
+        shape: Shape::Macro,
+        msg: "`{}!` on a worker thread: a panic here does not crash the process, it silently \
+         wedges the protocol",
+    },
 ];
 
-/// Run every rule over the workspace at `root`.
-pub fn run_lint(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    for dir in DETERMINISTIC_CRATES {
-        for file in rs_files(&root.join(dir))? {
-            let rel = rel_of(root, &file);
-            let src = SourceFile::read(&file, rel)?;
-            lint_determinism(&src, &mut findings);
-        }
-    }
-    for path in DIGEST_FILES {
-        let src = SourceFile::read(&root.join(path), (*path).to_string())?;
-        lint_hash_order(&src, &mut findings);
-    }
-    for path in PANIC_FREE_FILES {
-        let src = SourceFile::read(&root.join(path), (*path).to_string())?;
-        lint_panic_freedom(&src, &mut findings);
-    }
-    lint_vocabulary(root, &mut findings)?;
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(findings)
-}
-
-fn lint_determinism(src: &SourceFile, findings: &mut Vec<Finding>) {
-    for token in WALL_CLOCK_TOKENS {
-        for off in src.idents(token) {
-            if src.in_test(off) || src.is_suppressed("determinism-wall-clock", off) {
-                continue;
+/// Report `rule`'s forbidden tokens in `src`, for the rows whose files
+/// cover it.
+pub(crate) fn forbidden(rule: &'static str, src: &SourceFile, sink: &mut Sink) {
+    let covers = |files: &[&str]| {
+        files.iter().any(|f| {
+            src.rel == *f
+                || src
+                    .rel
+                    .strip_prefix(f)
+                    .is_some_and(|rest| rest.starts_with('/'))
+        })
+    };
+    let code = &src.code;
+    for row in FORBIDDEN
+        .iter()
+        .filter(|r| r.rule == rule && covers(r.files))
+    {
+        if let Shape::Index = row.shape {
+            for off in index_sites(code) {
+                sink.report(src, rule, off, row.msg.to_string());
             }
-            findings.push(Finding {
-                rule: "determinism-wall-clock",
-                file: src.rel.clone(),
-                line: src.line_of(off),
-                msg: format!(
-                    "`{token}` in a deterministic crate: simulation state may only \
-                     advance through the seeded clock/RNG (SimTime, DetRng)"
-                ),
-            });
         }
-    }
-    lint_hash_order(src, findings);
-}
-
-fn lint_hash_order(src: &SourceFile, findings: &mut Vec<Finding>) {
-    for token in HASH_TOKENS {
-        for off in src.idents(token) {
-            if src.in_test(off) || src.is_suppressed("determinism-hash-order", off) {
-                continue;
+        for token in row.tokens {
+            for off in src.idents(token) {
+                let hit = match row.shape {
+                    Shape::Ident => true,
+                    Shape::Method => {
+                        prev_nonws_at(code, off).map(|p| code.as_bytes()[p]) == Some(b'.')
+                    }
+                    Shape::Macro => next_nonws(code, off + token.len()) == Some(b'!'),
+                    Shape::Index => false,
+                };
+                if hit {
+                    sink.report(src, rule, off, row.msg.replace("{}", token));
+                }
             }
-            findings.push(Finding {
-                rule: "determinism-hash-order",
-                file: src.rel.clone(),
-                line: src.line_of(off),
-                msg: format!(
-                    "`{token}` iteration order is nondeterministic; use BTreeMap/BTreeSet \
-                     or sort explicitly (suppress with `// mdbs-check: \
-                     allow(determinism-hash-order)` if the map is keyed-lookup-only)"
-                ),
-            });
         }
     }
 }
 
-fn lint_panic_freedom(src: &SourceFile, findings: &mut Vec<Finding>) {
-    for token in PANIC_TOKENS {
-        for off in src.idents(token) {
-            if src.in_test(off) || src.is_suppressed("panic-freedom", off) {
-                continue;
-            }
-            // `expect`/`panic` as a plain identifier in a path like
-            // `#[should_panic]` lives in tests; here any occurrence in
-            // live code is a finding.
-            findings.push(Finding {
-                rule: "panic-freedom",
-                file: src.rel.clone(),
-                line: src.line_of(off),
-                msg: format!(
-                    "`{token}` in a decode/handler path: corrupt input or inconsistent \
-                     state must return an error (WireError, FrameError, RuntimeError), \
-                     not kill the process"
-                ),
-            });
-        }
-    }
-    for off in index_sites(&src.code) {
-        if src.in_test(off) || src.is_suppressed("panic-freedom", off) {
+/// Every file the forbidden-token rules of `group` name — a directory
+/// standing for every `.rs` file below it — in path order.
+pub(crate) fn forbidden_files(root: &Path, group: Group) -> Result<BTreeSet<String>, String> {
+    let rows = FORBIDDEN.iter().filter(|r| group_of(r.rule) == Some(group));
+    let mut stack: Vec<String> = rows
+        .flat_map(|r| r.files.iter().map(|f| f.to_string()))
+        .collect();
+    let mut out = BTreeSet::new();
+    while let Some(rel) = stack.pop() {
+        let path = root.join(&rel);
+        if !path.is_dir() {
+            out.insert(rel);
             continue;
         }
-        findings.push(Finding {
-            rule: "panic-freedom",
-            file: src.rel.clone(),
-            line: src.line_of(off),
-            msg: "direct index expression in a decode/handler path can panic on a \
-                  hostile length; use `.get()` and handle the miss"
-                .to_string(),
-        });
+        let list = |e: std::io::Error| format!("read_dir {rel}: {e}");
+        for entry in std::fs::read_dir(&path).map_err(list)? {
+            let entry = entry.map_err(list)?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if entry.path().is_dir() || name.ends_with(".rs") {
+                stack.push(format!("{rel}/{name}"));
+            }
+        }
     }
+    Ok(out)
 }
+
+const WIRE: &str = "crates/net/src/wire.rs";
+
+/// Everything the vocabulary rule reads: the wire codec, the five enum
+/// declarations, and the handler files.
+pub(crate) const VOCABULARY_FILES: &[&str] = &[
+    WIRE,
+    "crates/core/src/msg.rs",
+    "crates/runtime/src/host.rs",
+    "crates/ldbs/src/command.rs",
+    "crates/histories/src/op.rs",
+    "crates/core/src/agent.rs",
+    "crates/core/src/coordinator.rs",
+    "crates/runtime/src/central.rs",
+    "crates/runtime/src/coordinator.rs",
+    "crates/net/src/node.rs",
+    "crates/net/src/tcp.rs",
+    "crates/net/src/cluster.rs",
+];
 
 /// One message enum's cross-check spec.
 struct Vocab {
@@ -188,35 +245,28 @@ struct Vocab {
     /// Variants from the *compiled* `specimens()` (None: codec-only enums
     /// have no specimens; source parse is the only inventory).
     compiled: Option<Vec<&'static str>>,
-    /// Files in which every variant must appear as `Enum::Variant` for a
+    /// Files of which at least one must mention `Enum::Variant` for a
     /// handler arm (empty: codec-only).
-    handler_files: Vec<&'static str>,
-    /// Per-variant override of handler files (e.g. CtrlMsg routing).
-    handler_of: fn(&str) -> Option<Vec<&'static str>>,
-}
-
-fn no_override(_: &str) -> Option<Vec<&'static str>> {
-    None
+    handlers: fn(&str) -> Vec<&'static str>,
 }
 
 /// CtrlMsg variants route by direction: coordinator→central variants must
 /// be handled by the central runtime, the rest by the coordinator runtime.
-fn ctrl_handler(variant: &str) -> Option<Vec<&'static str>> {
+fn ctrl_handler(variant: &str) -> Vec<&'static str> {
     let to_central = CtrlMsg::specimens()
         .iter()
         .find(|m| m.variant_name() == variant)
-        .map(CtrlMsg::is_to_central)?;
-    Some(if to_central {
-        vec!["crates/runtime/src/central.rs"]
-    } else {
-        vec!["crates/runtime/src/coordinator.rs"]
-    })
+        .map(CtrlMsg::is_to_central);
+    match to_central {
+        Some(true) => vec!["crates/runtime/src/central.rs"],
+        Some(false) => vec!["crates/runtime/src/coordinator.rs"],
+        None => vec![],
+    }
 }
 
-fn lint_vocabulary(root: &Path, findings: &mut Vec<Finding>) -> Result<(), String> {
-    let wire_rel = "crates/net/src/wire.rs";
-    let wire = SourceFile::read(&root.join(wire_rel), wire_rel.to_string())?;
-
+/// The `vocabulary` rule, over [`VOCABULARY_FILES`].
+pub(crate) fn vocabulary(fs: &FileSet, sink: &mut Sink) {
+    const RULE: &str = "vocabulary";
     let specs = [
         Vocab {
             enum_name: "Message",
@@ -230,8 +280,7 @@ fn lint_vocabulary(root: &Path, findings: &mut Vec<Finding>) -> Result<(), Strin
             // Downstream variants are handled by the agent, upstream by
             // the coordinator; requiring presence in the union still
             // catches a variant nobody handles.
-            handler_files: vec!["crates/core/src/agent.rs", "crates/core/src/coordinator.rs"],
-            handler_of: no_override,
+            handlers: |_| vec!["crates/core/src/agent.rs", "crates/core/src/coordinator.rs"],
         },
         Vocab {
             enum_name: "CtrlMsg",
@@ -242,235 +291,106 @@ fn lint_vocabulary(root: &Path, findings: &mut Vec<Finding>) -> Result<(), Strin
                     .map(|m| m.variant_name())
                     .collect(),
             ),
-            handler_files: vec![],
-            handler_of: ctrl_handler,
+            handlers: ctrl_handler,
         },
         Vocab {
             enum_name: "WireMsg",
-            decl: "crates/net/src/wire.rs",
+            decl: WIRE,
             compiled: Some(
                 WireMsg::specimens()
                     .iter()
                     .map(|m| m.variant_name())
                     .collect(),
             ),
-            handler_files: vec![
-                "crates/net/src/node.rs",
-                "crates/net/src/tcp.rs",
-                "crates/net/src/cluster.rs",
-            ],
-            handler_of: no_override,
+            handlers: |_| {
+                vec![
+                    "crates/net/src/node.rs",
+                    "crates/net/src/tcp.rs",
+                    "crates/net/src/cluster.rs",
+                ]
+            },
         },
         Vocab {
             enum_name: "Command",
             decl: "crates/ldbs/src/command.rs",
             compiled: None,
-            handler_files: vec![],
-            handler_of: no_override,
+            handlers: |_| vec![],
         },
         Vocab {
             enum_name: "OpKind",
             decl: "crates/histories/src/op.rs",
             compiled: None,
-            handler_files: vec![],
-            handler_of: no_override,
+            handlers: |_| vec![],
         },
     ];
+    let Some(wire) = fs.by_rel(WIRE) else {
+        return;
+    };
 
     for spec in specs {
-        let decl = SourceFile::read(&root.join(spec.decl), spec.decl.to_string())?;
-        let Some(variants) = enum_variants(&decl.code, spec.enum_name) else {
-            findings.push(Finding {
-                rule: "vocabulary",
-                file: spec.decl.to_string(),
-                line: 1,
-                msg: format!("could not find `enum {}`", spec.enum_name),
-            });
+        let name = spec.enum_name;
+        let Some(decl) = fs.by_rel(spec.decl) else {
+            continue;
+        };
+        let Some(variants) = enum_variants(&decl.code, name) else {
+            sink.report(decl, RULE, 0, format!("could not find `enum {name}`"));
             continue;
         };
 
         // Source enum vs compiled specimens(): both directions.
         if let Some(compiled) = &spec.compiled {
-            for v in &variants {
+            for (v, at) in &variants {
                 if !compiled.iter().any(|c| c == v) {
-                    findings.push(Finding {
-                        rule: "vocabulary",
-                        file: spec.decl.to_string(),
-                        line: 1,
-                        msg: format!(
-                            "{}::{v} has no specimen: extend {}::specimens() so the \
-                             codec round-trip tests cover it",
-                            spec.enum_name, spec.enum_name
-                        ),
-                    });
+                    let msg = format!(
+                        "{name}::{v} has no specimen: extend {name}::specimens() so the \
+                         codec round-trip tests cover it"
+                    );
+                    sink.report(decl, RULE, *at, msg);
                 }
             }
             for c in compiled {
-                if !variants.iter().any(|v| v == c) {
-                    findings.push(Finding {
-                        rule: "vocabulary",
-                        file: spec.decl.to_string(),
-                        line: 1,
-                        msg: format!(
-                            "{}::specimens() names `{c}` but the enum has no such variant",
-                            spec.enum_name
-                        ),
-                    });
+                if !variants.iter().any(|(v, _)| v == c) {
+                    let msg =
+                        format!("{name}::specimens() names `{c}` but the enum has no such variant");
+                    sink.report(decl, RULE, 0, msg);
                 }
             }
         }
 
         // Wire codec arms: the variant must be constructed/matched inside
         // both `fn put` and `fn get` of `impl Wire for <Enum>`.
-        let Some(body) = impl_body(&wire.code, &["Wire", "for", spec.enum_name]) else {
-            findings.push(Finding {
-                rule: "vocabulary",
-                file: wire_rel.to_string(),
-                line: 1,
-                msg: format!("no `impl Wire for {}` found", spec.enum_name),
-            });
+        let Some(body) = impl_body(&wire.code, &["Wire", "for", name]) else {
+            sink.report(wire, RULE, 0, format!("no `impl Wire for {name}` found"));
             continue;
         };
         for (func, what) in [("put", "encode"), ("get", "decode")] {
             let Some(region) = fn_body(&wire.code, func, body) else {
-                findings.push(Finding {
-                    rule: "vocabulary",
-                    file: wire_rel.to_string(),
-                    line: wire.line_of(body.0),
-                    msg: format!("`impl Wire for {}` has no fn {func}", spec.enum_name),
-                });
+                let msg = format!("`impl Wire for {name}` has no fn {func}");
+                sink.report(wire, RULE, body.0, msg);
                 continue;
             };
-            for v in &variants {
-                if find_token_seq(&wire.code, &[spec.enum_name, "::", v], region).is_none() {
-                    findings.push(Finding {
-                        rule: "vocabulary",
-                        file: wire_rel.to_string(),
-                        line: wire.line_of(region.0),
-                        msg: format!(
-                            "{}::{v} has no {what} arm in the wire codec",
-                            spec.enum_name
-                        ),
-                    });
+            for (v, _) in &variants {
+                if find_token_seq(&wire.code, &[name, "::", v], region).is_none() {
+                    let msg = format!("{name}::{v} has no {what} arm in the wire codec");
+                    sink.report(wire, RULE, region.0, msg);
                 }
             }
         }
 
         // Handler arms.
-        for v in &variants {
-            let files = (spec.handler_of)(v).unwrap_or_else(|| spec.handler_files.clone());
-            if files.is_empty() {
-                continue; // codec-only enum
-            }
-            let mut found = false;
-            for hf in &files {
-                let h = SourceFile::read(&root.join(hf), (*hf).to_string())?;
-                let whole = (0, h.code.len());
-                if find_token_seq(&h.code, &[spec.enum_name, "::", v], whole).is_some() {
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                findings.push(Finding {
-                    rule: "vocabulary",
-                    file: spec.decl.to_string(),
-                    line: 1,
-                    msg: format!(
-                        "{}::{v} is never handled (expected a match arm in one of: {})",
-                        spec.enum_name,
-                        files.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn rel_of(root: &Path, file: &Path) -> String {
-    file.strip_prefix(root)
-        .unwrap_or(file)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-/// Every `.rs` file under `dir`, recursively, in sorted order.
-fn rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let entries =
-            std::fs::read_dir(&d).map_err(|e| format!("read_dir {}: {e}", d.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("read_dir {}: {e}", d.display()))?;
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|x| x == "rs") {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn findings_in(src: &str, lint: fn(&SourceFile, &mut Vec<Finding>)) -> Vec<Finding> {
-        let f = SourceFile::parse(src.to_string(), "t.rs".into());
-        let mut out = Vec::new();
-        lint(&f, &mut out);
-        out
-    }
-
-    #[test]
-    fn wall_clock_tokens_fire_outside_tests_only() {
-        let src = "use std::time::Instant;\n#[cfg(test)]\nmod tests { use std::time::Instant; }";
-        let hits = findings_in(src, lint_determinism);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "determinism-wall-clock");
-        assert_eq!(hits[0].line, 1);
-    }
-
-    #[test]
-    fn hash_order_suppression_works() {
-        let src = "// mdbs-check: allow(determinism-hash-order)\nlet m: HashMap<u32, u32>;\nlet s: HashSet<u32>;";
-        let hits = findings_in(src, lint_hash_order);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 3);
-    }
-
-    #[test]
-    fn panic_freedom_catches_methods_macros_and_indexing() {
-        let src = "fn f(v: &[u8]) -> u8 { let x = v.first().unwrap(); panic!(); v[0] }";
-        let hits = findings_in(src, lint_panic_freedom);
-        assert_eq!(hits.len(), 3, "{hits:?}");
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }";
-        assert!(findings_in(src, lint_panic_freedom).is_empty());
-    }
-
-    #[test]
-    fn the_workspace_is_lint_clean() {
-        // The repo's own acceptance check, inline: the lint must run clean
-        // over the workspace this crate is built from.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let findings = run_lint(&root).expect("lint runs");
-        assert!(
-            findings.is_empty(),
-            "lint findings:\n{}",
-            findings
+        for (v, at) in &variants {
+            let files = (spec.handlers)(v);
+            let handled = files
                 .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+                .filter_map(|rel| fs.by_rel(rel))
+                .any(|h| find_token_seq(&h.code, &[name, "::", v], (0, h.code.len())).is_some());
+            if !files.is_empty() && !handled {
+                let msg = format!(
+                    "{name}::{v} is never handled (expected a match arm in one of: {})",
+                    files.join(", ")
+                );
+                sink.report(decl, RULE, *at, msg);
+            }
+        }
     }
 }

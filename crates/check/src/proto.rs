@@ -37,25 +37,16 @@
 //!   token sequences in its closure.
 //! - `proto-no-timeout` — an arm that enters a blocking wait has none of
 //!   its declared timer tokens in its closure.
-//! - `proto-config` — the table itself drifted from the source (stale
-//!   file/entry/enum vocabulary), or a suppression lacks a justification.
-//!
-//! Suppressions mirror `hotpath`: `// mdbs-check: allow(proto-…, "why")`
-//! on the finding's line or the one above. The justification string is
-//! mandatory — a bare `allow(proto-…)` is itself a `proto-config` finding
-//! and suppresses nothing.
+//! - `check-config` — the table itself drifted from the source (stale
+//!   entry function or enum vocabulary).
 
-use std::collections::BTreeSet;
-use std::path::Path;
+use crate::engine::{Sink, CONFIG};
+use crate::scan::{self, FileSet};
 
-use crate::lint::Finding;
-use crate::scan::{self, FileSet, SourceFile};
-
-pub const RULE_UNHANDLED: &str = "proto-unhandled";
-pub const RULE_UNEXPECTED_SEND: &str = "proto-unexpected-send";
-pub const RULE_DUP_GUARD: &str = "proto-missing-dup-guard";
-pub const RULE_NO_TIMEOUT: &str = "proto-no-timeout";
-pub const RULE_CONFIG: &str = "proto-config";
+pub(crate) const RULE_UNHANDLED: &str = "proto-unhandled";
+pub(crate) const RULE_UNEXPECTED_SEND: &str = "proto-unexpected-send";
+pub(crate) const RULE_DUP_GUARD: &str = "proto-missing-dup-guard";
+pub(crate) const RULE_NO_TIMEOUT: &str = "proto-no-timeout";
 
 /// One handled message arm of a node kind.
 pub struct ArmSpec {
@@ -98,8 +89,8 @@ const CONS_LEADER: &str = "crates/consensus/src/leader.rs";
 const CONS_ACCEPTOR: &str = "crates/consensus/src/acceptor.rs";
 
 /// The protocol enums whose declared vocabulary the table pins, with the
-/// file declaring each. `run_proto` cross-checks these against the real
-/// `enum` items so table drift is a `proto-config` finding, not silence.
+/// file declaring each. [`enum_drift`] cross-checks these against the real
+/// `enum` items so table drift is a `check-config` finding, not silence.
 const ENUM_DECLS: &[(&str, &str, &[&str])] = &[
     (
         "Message",
@@ -144,6 +135,13 @@ const ENUM_DECLS: &[(&str, &str, &[&str])] = &[
             "Clear",
         ],
     ),
+];
+
+/// The files of [`ENUM_DECLS`].
+pub(crate) const ENUM_FILES: &[&str] = &[
+    "crates/core/src/msg.rs",
+    "crates/runtime/src/host.rs",
+    "crates/consensus/src/msg.rs",
 ];
 
 /// §3/§5 + DESIGN §10, per node kind. Derivation notes inline.
@@ -426,53 +424,31 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     },
 ];
 
-/// Run the protocol pass over the workspace at `root`.
-pub fn run_proto(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-
-    // The declared enum vocabulary must match the real declarations.
+/// `check-config` over [`ENUM_FILES`]: the declared enum vocabulary must
+/// match the real declarations.
+pub(crate) fn enum_drift(fs: &FileSet, sink: &mut Sink) {
     for &(name, rel, variants) in ENUM_DECLS {
-        let f = SourceFile::read(&root.join(rel), rel.to_string())?;
-        match scan::enum_variants(&f.code, name) {
-            Some(real) => {
-                if real != variants {
-                    findings.push(Finding {
-                        rule: RULE_CONFIG,
-                        file: f.rel.clone(),
-                        line: 1,
-                        msg: format!(
-                            "enum `{name}` declares [{}] but the PROTOCOL table pins [{}] — update ENUM_DECLS and the affected specs",
-                            real.join(", "),
-                            variants.join(", "),
-                        ),
-                    });
-                }
-            }
-            None => findings.push(Finding {
-                rule: RULE_CONFIG,
-                file: f.rel.clone(),
-                line: 1,
-                msg: format!("enum `{name}` not found (stale ENUM_DECLS entry)"),
-            }),
+        let Some(f) = fs.by_rel(rel) else {
+            let msg = format!("ENUM_DECLS declares `{name}` in {rel}, which ENUM_FILES omits");
+            sink.report(fs.file(0), CONFIG, 0, msg);
+            continue;
+        };
+        let Some(real) = scan::enum_variants(&f.code, name) else {
+            let msg = format!("enum `{name}` not found (stale ENUM_DECLS entry)");
+            sink.report(f, CONFIG, 0, msg);
+            continue;
+        };
+        let real: Vec<&str> = real.iter().map(|(v, _)| v.as_str()).collect();
+        if real != variants {
+            let msg = format!(
+                "enum `{name}` declares [{}] but the PROTOCOL table pins [{}] — update \
+                 ENUM_DECLS and the affected specs",
+                real.join(", "),
+                variants.join(", "),
+            );
+            sink.report(f, CONFIG, 0, msg);
         }
     }
-
-    for spec in PROTOCOL {
-        let fs = FileSet::load(root, spec.files)?;
-        check_set(&fs, spec, &mut findings);
-    }
-
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule, a.msg.as_str()).cmp(&(
-            b.file.as_str(),
-            b.line,
-            b.rule,
-            b.msg.as_str(),
-        ))
-    });
-    findings
-        .dedup_by(|a, b| (a.rule, &a.file, a.line, &a.msg) == (b.rule, &b.file, b.line, &b.msg));
-    Ok(findings)
 }
 
 // ---------------------------------------------------------------------------
@@ -659,91 +635,8 @@ fn let_body(code: &str, after_eq: usize, hi: usize) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions: `// mdbs-check: allow(proto-…, "why")`, justification
-// mandatory, covering the comment's own line and the next (the hotpath
-// contract).
-// ---------------------------------------------------------------------------
-
-fn proto_suppressions(src: &SourceFile) -> (Vec<BTreeSet<String>>, Vec<Finding>) {
-    let mut sets: Vec<BTreeSet<String>> = Vec::new();
-    let mut bad = Vec::new();
-    let mut offset = 0usize;
-    for (idx, line) in src.raw.lines().enumerate() {
-        sets.push(BTreeSet::new());
-        let line_off = offset;
-        offset += line.len() + 1;
-        let Some(pos) = line.find("mdbs-check: allow(") else {
-            continue;
-        };
-        let rest = &line[pos + "mdbs-check: allow(".len()..];
-        let mut rules: Vec<String> = Vec::new();
-        let mut justification: Option<String> = None;
-        let mut cur = String::new();
-        let mut quote: Option<String> = None;
-        for ch in rest.chars() {
-            if let Some(buf) = quote.as_mut() {
-                if ch == '"' {
-                    justification = Some(quote.take().unwrap_or_default());
-                } else {
-                    buf.push(ch);
-                }
-                continue;
-            }
-            match ch {
-                '"' => quote = Some(String::new()),
-                ',' | ')' => {
-                    if !cur.trim().is_empty() {
-                        rules.push(cur.trim().to_string());
-                    }
-                    cur.clear();
-                    if ch == ')' {
-                        break;
-                    }
-                }
-                _ => cur.push(ch),
-            }
-        }
-        let proto_rules: Vec<String> = rules
-            .iter()
-            .filter(|r| r.starts_with("proto-"))
-            .cloned()
-            .collect();
-        if proto_rules.is_empty() || src.in_test(line_off) {
-            continue;
-        }
-        match justification.as_deref().map(str::trim) {
-            Some(j) if !j.is_empty() => {
-                for r in proto_rules {
-                    sets[idx].insert(r);
-                }
-            }
-            _ => {
-                bad.push(Finding {
-                    rule: RULE_CONFIG,
-                    file: src.rel.clone(),
-                    line: idx + 1,
-                    msg: format!(
-                        "suppressing `{}` requires a justification: \
-                         // mdbs-check: allow({}, \"why this deviation is sound\")",
-                        proto_rules.join("`, `"),
-                        proto_rules.join(", "),
-                    ),
-                });
-            }
-        }
-    }
-    (sets, bad)
-}
-
-/// Whether `rule` is justified-suppressed at 1-based `line` (the comment
-/// covers its own line and the next).
-fn suppressed_at(allowed: &[BTreeSet<String>], rule: &str, line: usize) -> bool {
-    let check = |l: usize| allowed.get(l).is_some_and(|s| s.contains(rule));
-    check(line.wrapping_sub(1)) || (line >= 2 && check(line - 2))
-}
-
-// ---------------------------------------------------------------------------
-// The handler-spec check.
+// The node model: the entry closure and, per declared arm, where the arm is
+// handled and everything it reaches.
 // ---------------------------------------------------------------------------
 
 /// Regions (file index, byte range) making up one closure.
@@ -755,221 +648,188 @@ fn contains(regions: &Regions, file: usize, off: usize) -> bool {
         .any(|&(f, (lo, hi))| f == file && off >= lo && off < hi)
 }
 
-fn region_has_seq(fs: &FileSet, regions: &Regions, words: &[&str]) -> bool {
-    regions.iter().any(|&(f, range)| {
-        let code = &fs.file(f).code;
-        scan::find_token_seq(code, words, (range.0, range.1.min(code.len()))).is_some()
-    })
+/// One node kind's handler spec resolved against its scanned file set.
+pub struct Node<'a> {
+    pub(crate) fs: &'a FileSet,
+    spec: &'a HandlerSpec,
+    /// The bodies reachable from the spec's entry functions.
+    regions: Regions,
+    /// `matches!(…)` argument ranges, per file.
+    tests: Vec<Vec<(usize, usize)>>,
+    /// Per `spec.arms` entry: the first handler pattern (file, offset), and
+    /// the arm's closure — every pattern through its arm body, plus the
+    /// bodies of everything those arms call.
+    arms: Vec<(Option<(usize, usize)>, Regions)>,
 }
 
-/// Check one node kind's handler spec against its scanned file set,
-/// appending findings. Public so fixture tests can drive it with
-/// synthetic sources.
-pub fn check_set(fs: &FileSet, spec: &HandlerSpec, findings: &mut Vec<Finding>) {
-    let mut allowed = Vec::new();
-    for src in fs.files() {
-        let (sets, bad) = proto_suppressions(src);
-        findings.extend(bad);
-        allowed.push(sets);
-    }
-    let mut seen: BTreeSet<(usize, usize, &'static str)> = BTreeSet::new();
-    let push = |fs: &FileSet,
-                findings: &mut Vec<Finding>,
-                seen: &mut BTreeSet<(usize, usize, &'static str)>,
-                rule: &'static str,
-                file: usize,
-                off: usize,
-                msg: String| {
-        let src = fs.file(file);
-        if src.in_test(off) {
-            return;
-        }
-        let line = src.line_of(off);
-        if suppressed_at(&allowed[file], rule, line) {
-            return;
-        }
-        if !seen.insert((file, line, rule)) {
-            return;
-        }
-        findings.push(Finding {
-            rule,
-            file: src.rel.clone(),
-            line,
-            msg,
-        });
-    };
-
-    let (entry_refs, missing) = fs.closure_of_names(0, spec.entries);
-    let entry_anchor = fs
-        .fns(0)
-        .iter()
-        .find(|f| spec.entries.contains(&f.name.as_str()))
-        .map(|f| f.body.0)
-        .unwrap_or(0);
-    for name in &missing {
-        push(
-            fs,
-            findings,
-            &mut seen,
-            RULE_CONFIG,
-            0,
-            0,
-            format!(
-                "node `{}`: entry fn `{name}` not found in {} (stale PROTOCOL table)",
-                spec.node,
-                fs.file(0).rel,
-            ),
-        );
-    }
-    let spec_regions: Regions = entry_refs
-        .iter()
-        .map(|&r| (r.0, fs.fn_info(r).body))
-        .collect();
-    let test_ranges: Vec<Vec<(usize, usize)>> =
-        fs.files().iter().map(|f| matches_ranges(&f.code)).collect();
-
-    // Per-arm: handling evidence, then guard/timer/send obligations.
-    let mut arm_regions: Vec<Regions> = Vec::new();
-    for arm in spec.arms {
-        let mut regions: Regions = Vec::new();
-        let mut anchor: Option<(usize, usize)> = None;
-        for &(file, range) in &spec_regions {
-            let src = fs.file(file);
-            for (occ, vend) in variant_mentions(&src.code, arm.enum_name, arm.variant, range) {
-                if src.in_test(occ) {
-                    continue;
-                }
-                if let Mention::Pattern(body) =
-                    classify(&src.code, vend, range.1, &test_ranges[file])
-                {
-                    anchor.get_or_insert((file, occ));
-                    // The guard sits between the pattern and the body, so
-                    // the arm region starts at the pattern itself.
-                    regions.push((file, (occ, body.1)));
-                    let mut seeds = Vec::new();
-                    for (_, name) in fs.call_names(file, body) {
-                        if scan::SKIP_CALLEES.contains(&name.as_str()) {
-                            continue;
-                        }
-                        seeds.extend(fs.resolve_all(&name));
-                    }
-                    for r in fs.closure(&seeds) {
-                        regions.push((r.0, fs.fn_info(r).body));
-                    }
-                }
-            }
-        }
-        match anchor {
-            None => push(
-                fs,
-                findings,
-                &mut seen,
-                RULE_UNHANDLED,
-                0,
-                entry_anchor,
-                format!(
-                    "node `{}`: no handler arm matches `{}::{}` in the closure of {:?} (peers can send it; §3 requires a handler)",
-                    spec.node, arm.enum_name, arm.variant, spec.entries,
-                ),
-            ),
-            Some((file, occ)) => {
-                if !arm.dup_guard.is_empty()
-                    && !arm.dup_guard.iter().any(|alt| region_has_seq(fs, &regions, alt))
-                {
-                    push(
-                        fs,
-                        findings,
-                        &mut seen,
-                        RULE_DUP_GUARD,
-                        file,
-                        occ,
-                        format!(
-                            "node `{}`: arm `{}::{}` mutates 2PC/consensus state without its declared duplicate guard ({})",
-                            spec.node,
-                            arm.enum_name,
-                            arm.variant,
-                            guard_names(arm.dup_guard),
-                        ),
-                    );
-                }
-                if !arm.timeout.is_empty()
-                    && !arm.timeout.iter().any(|alt| region_has_seq(fs, &regions, alt))
-                {
-                    push(
-                        fs,
-                        findings,
-                        &mut seen,
-                        RULE_NO_TIMEOUT,
-                        file,
-                        occ,
-                        format!(
-                            "node `{}`: arm `{}::{}` enters a blocking wait with no timer scheduled ({} required; §2 blocked-agent assumptions)",
-                            spec.node,
-                            arm.enum_name,
-                            arm.variant,
-                            guard_names(arm.timeout),
-                        ),
-                    );
-                }
-            }
-        }
-        arm_regions.push(regions);
-    }
-
-    // Emissions: every protocol-enum construction in the entry closure
-    // must be allowed by a reaching arm or by the free-send list.
-    for &(enum_name, _, variants) in ENUM_DECLS {
-        for variant in variants {
-            for &(file, range) in &spec_regions {
-                let src = fs.file(file);
-                for (occ, vend) in variant_mentions(&src.code, enum_name, variant, range) {
-                    if src.in_test(occ)
-                        || classify(&src.code, vend, range.1, &test_ranges[file])
-                            != Mention::Construct
-                    {
+impl<'a> Node<'a> {
+    pub fn of(fs: &'a FileSet, spec: &'a HandlerSpec) -> Node<'a> {
+        let seeds: Vec<_> = spec.entries.iter().flat_map(|e| fs.entries(0, e)).collect();
+        let regions = bodies(fs, &seeds);
+        let tests: Vec<_> = fs.files().iter().map(|f| matches_ranges(&f.code)).collect();
+        let mut arms = Vec::new();
+        for arm in spec.arms {
+            let mut reach: Regions = Vec::new();
+            let mut anchor = None;
+            for &(file, range) in &regions {
+                let code = &fs.file(file).code;
+                for (occ, vend) in variant_mentions(code, arm.enum_name, arm.variant, range) {
+                    if fs.file(file).in_test(occ) {
                         continue;
                     }
-                    let reaching: Vec<usize> = (0..spec.arms.len())
-                        .filter(|&i| contains(&arm_regions[i], file, occ))
+                    if let Mention::Pattern(body) = classify(code, vend, range.1, &tests[file]) {
+                        anchor.get_or_insert((file, occ));
+                        // The guard sits between the pattern and the body, so
+                        // the arm region starts at the pattern itself.
+                        reach.push((file, (occ, body.1)));
+                        reach.extend(bodies(fs, &fs.callees(file, body)));
+                    }
+                }
+            }
+            arms.push((anchor, reach));
+        }
+        Node {
+            fs,
+            spec,
+            regions,
+            tests,
+            arms,
+        }
+    }
+
+    /// The handled arms: (spec, where the first pattern is, closure).
+    fn handled(&self) -> impl Iterator<Item = (&ArmSpec, (usize, usize), &Regions)> {
+        let arms = self.spec.arms.iter().zip(&self.arms);
+        arms.filter_map(|(arm, (anchor, reach))| Some((arm, (*anchor)?, reach)))
+    }
+}
+
+/// The bodies of the call closure of `seeds`.
+fn bodies(fs: &FileSet, seeds: &[scan::FnRef]) -> Regions {
+    let closure = fs.closure(seeds);
+    closure.iter().map(|&r| (r.0, fs.fn_info(r).body)).collect()
+}
+
+// ---------------------------------------------------------------------------
+// The rules.
+// ---------------------------------------------------------------------------
+
+pub(crate) fn stale_entries(node: &Node, sink: &mut Sink) {
+    let src = node.fs.file(0);
+    for name in node.spec.entries {
+        if node.fs.entries(0, name).is_empty() {
+            let msg = format!(
+                "node `{}`: entry fn `{name}` not found in {} (stale PROTOCOL table)",
+                node.spec.node, src.rel,
+            );
+            sink.report(src, CONFIG, 0, msg);
+        }
+    }
+}
+
+pub(crate) fn unhandled(node: &Node, sink: &mut Sink) {
+    let spec = node.spec;
+    let entry_anchor = spec
+        .entries
+        .iter()
+        .flat_map(|e| node.fs.entries(0, e))
+        .min();
+    let at = entry_anchor.map_or(0, |r| node.fs.fn_info(r).body.0);
+    for (arm, (anchor, _)) in spec.arms.iter().zip(&node.arms) {
+        if anchor.is_none() {
+            let msg = format!(
+                "node `{}`: no handler arm matches `{}::{}` in the closure of {:?} (peers can \
+                 send it; §3 requires a handler)",
+                spec.node, arm.enum_name, arm.variant, spec.entries,
+            );
+            sink.report(node.fs.file(0), RULE_UNHANDLED, at, msg);
+        }
+    }
+}
+
+/// Report `rule` at every handled arm that declares token-sequence
+/// alternatives (`wanted`) and has none of them in its closure.
+fn required_tokens(
+    node: &Node,
+    sink: &mut Sink,
+    rule: &'static str,
+    wanted: fn(&ArmSpec) -> &'static [&'static [&'static str]],
+    (what, why): (&str, &str),
+) {
+    for (arm, (file, occ), reach) in node.handled() {
+        let alts = wanted(arm);
+        let present = |words: &&[&str]| {
+            reach.iter().any(|&(f, range)| {
+                scan::find_token_seq(&node.fs.file(f).code, words, range).is_some()
+            })
+        };
+        if !alts.is_empty() && !alts.iter().any(present) {
+            let names: Vec<String> = alts.iter().map(|a| format!("`{}`", a.concat())).collect();
+            let msg = format!(
+                "node `{}`: arm `{}::{}` {what} ({}{why})",
+                node.spec.node,
+                arm.enum_name,
+                arm.variant,
+                names.join(" or "),
+            );
+            sink.report(node.fs.file(file), rule, occ, msg);
+        }
+    }
+}
+
+pub(crate) fn missing_dup_guard(node: &Node, sink: &mut Sink) {
+    let complaint = (
+        "mutates 2PC/consensus state without its declared duplicate guard",
+        "",
+    );
+    required_tokens(node, sink, RULE_DUP_GUARD, |a| a.dup_guard, complaint);
+}
+
+pub(crate) fn no_timeout(node: &Node, sink: &mut Sink) {
+    let complaint = (
+        "enters a blocking wait with no timer scheduled",
+        " required; §2 blocked-agent assumptions",
+    );
+    required_tokens(node, sink, RULE_NO_TIMEOUT, |a| a.timeout, complaint);
+}
+
+/// Every protocol-enum construction in the entry closure must be allowed
+/// by a reaching arm or by the free-send list.
+pub(crate) fn unexpected_send(node: &Node, sink: &mut Sink) {
+    let spec = node.spec;
+    for &(enum_name, _, variants) in ENUM_DECLS {
+        for variant in variants {
+            for &(file, range) in &node.regions {
+                let src = node.fs.file(file);
+                for (occ, vend) in variant_mentions(&src.code, enum_name, variant, range) {
+                    if classify(&src.code, vend, range.1, &node.tests[file]) != Mention::Construct {
+                        continue;
+                    }
+                    let reaching: Vec<&ArmSpec> = (spec.arms.iter().zip(&node.arms))
+                        .filter(|(_, (_, reach))| contains(reach, file, occ))
+                        .map(|(arm, _)| arm)
                         .collect();
-                    let ok = if reaching.is_empty() {
-                        spec.free_sends.contains(&(enum_name, variant))
-                    } else {
-                        reaching
-                            .iter()
-                            .any(|&i| spec.arms[i].sends.contains(&(enum_name, variant)))
+                    let sent = (enum_name, *variant);
+                    let (ok, from) = match reaching.first() {
+                        None => (
+                            spec.free_sends.contains(&sent),
+                            "outside every handler arm".to_string(),
+                        ),
+                        Some(arm) => (
+                            reaching.iter().any(|arm| arm.sends.contains(&sent)),
+                            format!("arm `{}::{}`", arm.enum_name, arm.variant),
+                        ),
                     };
                     if !ok {
-                        let from = match reaching.first() {
-                            Some(&i) => format!(
-                                "arm `{}::{}`",
-                                spec.arms[i].enum_name, spec.arms[i].variant
-                            ),
-                            None => "outside every handler arm".to_string(),
-                        };
-                        push(
-                            fs,
-                            findings,
-                            &mut seen,
-                            RULE_UNEXPECTED_SEND,
-                            file,
-                            occ,
-                            format!(
-                                "node `{}`: emits `{enum_name}::{variant}` from {from}, which the PROTOCOL table does not allow",
-                                spec.node,
-                            ),
+                        let msg = format!(
+                            "node `{}`: emits `{enum_name}::{variant}` from {from}, which the \
+                             PROTOCOL table does not allow",
+                            spec.node,
                         );
+                        sink.report(src, RULE_UNEXPECTED_SEND, occ, msg);
                     }
                 }
             }
         }
     }
-}
-
-fn guard_names(alts: &[&[&str]]) -> String {
-    let names: Vec<String> = alts
-        .iter()
-        .map(|alt| format!("`{}`", alt.concat()))
-        .collect();
-    names.join(" or ")
 }

@@ -1,13 +1,14 @@
-//! A token-level Rust source model for the lint rules.
+//! A token-level Rust source model for the rules of [`crate::engine`].
 //!
-//! This is deliberately not a parser: the lint rules only need to know
+//! This is deliberately not a parser: the rules only need to know
 //! (a) which bytes are code rather than comments or literal contents,
-//! (b) where identifiers occur, (c) where `#[cfg(test)]` regions are, and
-//! (d) the variant lists of a handful of `enum` declarations. A byte-level
-//! state machine that blanks comments and literal bodies — preserving the
-//! byte length so offsets and line numbers keep pointing at the original
-//! text — gives all four without taking a dependency on a real parser
-//! (the build environment is offline; see the workspace manifest).
+//! (b) where identifiers occur, (c) where `#[cfg(test)]` regions and `//`
+//! comments are, and (d) the variant lists of a handful of `enum`
+//! declarations. A byte-level state machine that blanks comments and
+//! literal bodies — preserving the byte length so offsets and line numbers
+//! keep pointing at the original text — gives all four without taking a
+//! dependency on a real parser (the build environment is offline; see the
+//! workspace manifest).
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -25,9 +26,10 @@ pub struct SourceFile {
     line_starts: Vec<usize>,
     /// Byte ranges covered by `#[cfg(test)]` items.
     test_ranges: Vec<(usize, usize)>,
-    /// Per-line suppressions: `// mdbs-check: allow(rule-a, rule-b)`
-    /// suppresses those rules on its own line and the one below it.
-    suppressed: Vec<BTreeSet<String>>,
+    /// Byte ranges of the `//` comments, `//` through the end of the line:
+    /// the only text a suppression may sit in — a string literal that
+    /// merely spells one is not here.
+    pub line_comments: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
@@ -39,7 +41,7 @@ impl SourceFile {
 
     /// Scan in-memory text (tests use this directly).
     pub fn parse(raw: String, rel: String) -> SourceFile {
-        let code = blank_noncode(&raw);
+        let (code, line_comments) = blank_noncode(&raw);
         let mut line_starts = vec![0usize];
         for (i, b) in raw.bytes().enumerate() {
             if b == b'\n' {
@@ -47,14 +49,13 @@ impl SourceFile {
             }
         }
         let test_ranges = find_test_ranges(&code);
-        let suppressed = find_suppressions(&raw, line_starts.len());
         SourceFile {
             rel,
             raw,
             code,
             line_starts,
             test_ranges,
-            suppressed,
+            line_comments,
         }
     }
 
@@ -73,44 +74,29 @@ impl SourceFile {
             .any(|&(lo, hi)| offset >= lo && offset < hi)
     }
 
-    /// Whether `rule` is suppressed at the line containing `offset`.
-    pub fn is_suppressed(&self, rule: &str, offset: usize) -> bool {
-        let line = self.line_of(offset); // 1-based
-        let check = |l: usize| {
-            self.suppressed
-                .get(l)
-                .is_some_and(|rules| rules.contains(rule))
-        };
-        // A suppression comment covers its own line and the next one, so
-        // look at this line (index line-1) and the one above (line-2).
-        check(line - 1) || (line >= 2 && check(line - 2))
-    }
-
     /// Byte offsets where `word` occurs as a whole identifier in code.
     pub fn idents(&self, word: &str) -> Vec<usize> {
         ident_occurrences(&self.code, word)
     }
-
-    /// Whether the token sequence `words` (identifiers and punctuation
-    /// like `::`) occurs anywhere in `self.code[range]`.
-    pub fn has_token_seq(&self, words: &[&str], range: (usize, usize)) -> bool {
-        find_token_seq(&self.code, words, range).is_some()
-    }
 }
 
 /// Blank comments and string/char literal contents, preserving length.
-fn blank_noncode(src: &str) -> String {
+/// Also returns the byte range of every `//` comment.
+fn blank_noncode(src: &str) -> (String, Vec<(usize, usize)>) {
     let bytes = src.as_bytes();
     let mut out = bytes.to_vec();
+    let mut line_comments = Vec::new();
     let n = bytes.len();
     let mut i = 0;
     while i < n {
         match bytes[i] {
             b'/' if i + 1 < n && bytes[i + 1] == b'/' => {
+                let start = i;
                 while i < n && bytes[i] != b'\n' {
                     out[i] = b' ';
                     i += 1;
                 }
+                line_comments.push((start, i));
             }
             b'/' if i + 1 < n && bytes[i + 1] == b'*' => {
                 let mut depth = 1usize;
@@ -147,7 +133,7 @@ fn blank_noncode(src: &str) -> String {
     // Blanked bytes are all ASCII spaces; multi-byte characters only occur
     // inside comments/literals, whose bytes were each replaced by a space,
     // so the result is valid UTF-8.
-    String::from_utf8(out).unwrap_or_default()
+    (String::from_utf8(out).unwrap_or_default(), line_comments)
 }
 
 /// Blank a regular `"…"` literal starting at `i`; returns the index after.
@@ -288,24 +274,6 @@ fn find_test_ranges(code: &str) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Per-line suppression sets from `mdbs-check: allow(…)` comments.
-fn find_suppressions(raw: &str, nlines: usize) -> Vec<BTreeSet<String>> {
-    let mut out = vec![BTreeSet::new(); nlines];
-    for (idx, line) in raw.lines().enumerate() {
-        let Some(pos) = line.find("mdbs-check: allow(") else {
-            continue;
-        };
-        let rest = &line[pos + "mdbs-check: allow(".len()..];
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        for rule in rest[..close].split(',') {
-            out[idx].insert(rule.trim().to_string());
-        }
-    }
-    out
-}
-
 /// Given the offset of an opening `{`/`[`/`(`, the offset just past its
 /// matching close.
 pub fn match_brace(code: &str, open: usize) -> Option<usize> {
@@ -332,14 +300,21 @@ pub fn match_brace(code: &str, open: usize) -> Option<usize> {
 
 /// Offsets where `word` occurs as a whole identifier.
 pub fn ident_occurrences(code: &str, word: &str) -> Vec<usize> {
+    idents_in(code, word, (0, code.len()))
+}
+
+/// Occurrences of `word` as a whole identifier that start within `range`.
+/// Scans only the range, so a rule asking about one function body does not
+/// pay for the whole file.
+pub fn idents_in(code: &str, word: &str, range: (usize, usize)) -> Vec<usize> {
     let mut out = Vec::new();
     let bytes = code.as_bytes();
     let w = word.as_bytes();
     if w.is_empty() {
         return out;
     }
-    let mut i = 0;
-    while i + w.len() <= bytes.len() {
+    let mut i = range.0;
+    while i < range.1 && i + w.len() <= bytes.len() {
         if &bytes[i..i + w.len()] == w
             && (i == 0 || !is_ident_byte(bytes[i - 1]))
             && (i + w.len() == bytes.len() || !is_ident_byte(bytes[i + w.len()]))
@@ -390,8 +365,9 @@ pub fn index_sites(code: &str) -> Vec<usize> {
     out
 }
 
-/// The variant names of `enum <name>` declared in `code`, in order.
-pub fn enum_variants(code: &str, name: &str) -> Option<Vec<String>> {
+/// The variants of `enum <name>` declared in `code`, in order: (name,
+/// offset of the name).
+pub fn enum_variants(code: &str, name: &str) -> Option<Vec<(String, usize)>> {
     let bytes = code.as_bytes();
     for start in ident_occurrences(code, "enum") {
         // The next identifier token must be the enum's name.
@@ -411,14 +387,14 @@ pub fn enum_variants(code: &str, name: &str) -> Option<Vec<String>> {
             j += 1;
         }
         let end = match_brace(code, j)?;
-        return Some(parse_variant_names(&code[j + 1..end - 1]));
+        return Some(parse_variant_names(&code[j + 1..end - 1], j + 1));
     }
     None
 }
 
-/// Variant names from an enum body (attributes already blank-stripped of
-/// comments; `#[…]` attributes are skipped here).
-fn parse_variant_names(body: &str) -> Vec<String> {
+/// Variant names from an enum body that starts at offset `base` (comments
+/// already blanked; `#[…]` attributes are skipped here).
+fn parse_variant_names(body: &str, base: usize) -> Vec<(String, usize)> {
     let bytes = body.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -448,7 +424,7 @@ fn parse_variant_names(body: &str) -> Vec<String> {
         if i == start {
             return out; // malformed; stop rather than loop
         }
-        out.push(body[start..i].to_string());
+        out.push((body[start..i].to_string(), base + start));
         // Skip the payload (brace/paren block, discriminant, …) to the
         // next top-level comma.
         let mut depth = 0usize;
@@ -798,14 +774,6 @@ pub fn is_method_call(code: &str, occ: usize, len: usize) -> bool {
         && next_nonws(code, occ + len) == Some(b'(')
 }
 
-/// Occurrences of `word` as an identifier within `range`.
-pub fn idents_in(code: &str, word: &str, range: (usize, usize)) -> Vec<usize> {
-    ident_occurrences(code, word)
-        .into_iter()
-        .filter(|&o| o >= range.0 && o < range.1)
-        .collect()
-}
-
 /// Offset of the first byte of the statement containing `pos`: just past
 /// the nearest `;`, `{` or `}` before it (clamped to `range`).
 pub fn stmt_start(code: &str, range: (usize, usize), pos: usize) -> usize {
@@ -888,16 +856,15 @@ pub fn enclosing_block_end(code: &str, body: (usize, usize), pos: usize) -> usiz
 }
 
 // ---------------------------------------------------------------------------
-// Cross-file symbol resolution. The section above is strictly file-local;
-// the protocol pass needs to follow a handler arm into helpers defined in
+// The call graph. A [`FileSet`] scans a list of files together — one file for
+// the file-local rules, a node kind's whole implementation surface for the
+// protocol rules, which must follow a handler arm into helpers defined in
 // *other* crates (core handler logic called from runtime dispatch, consensus
-// roles called from the coordinator). A [`FileSet`] scans a declared list of
-// files together and resolves call names across all of them, same-file
-// definitions shadowing cross-file ones. Resolution is deliberately
-// over-approximate — the token scanner cannot see `use` paths — which is the
-// right direction for every rule built on it: an over-wide closure can only
-// make "the guard/timer/handler is present" easier to satisfy and flags
-// nothing spurious.
+// roles called from the coordinator) — and resolves call names across all of
+// them. Resolution is deliberately over-approximate — the token scanner
+// cannot see `use` paths — which is the right direction for every rule built
+// on it: an over-wide closure can only make "the guard/timer/handler is
+// present" easier to satisfy and flags nothing spurious.
 // ---------------------------------------------------------------------------
 
 /// A function's address within a [`FileSet`]: (file index, fn index).
@@ -906,10 +873,10 @@ pub type FnRef = (usize, usize);
 /// Callee names never traversed when building a call closure: constructors
 /// and conversions whose definitions live in std (or are type-specific
 /// boilerplate), so following a same-named local `fn` would wire unrelated
-/// code into every closure.
+/// code — startup-only constructor bodies — into every closure.
 pub const SKIP_CALLEES: &[&str] = &["new", "with_capacity", "default", "clone", "from", "into"];
 
-/// A set of source files scanned together for cross-file call resolution.
+/// A set of source files scanned together.
 pub struct FileSet {
     files: Vec<SourceFile>,
     fns: Vec<Vec<FnInfo>>,
@@ -939,32 +906,22 @@ impl FileSet {
         &self.files[i]
     }
 
-    pub fn fns(&self, i: usize) -> &[FnInfo] {
-        &self.fns[i]
+    /// The file labelled `rel`, if it is in the set.
+    pub fn by_rel(&self, rel: &str) -> Option<&SourceFile> {
+        self.files.iter().find(|f| f.rel == rel)
     }
 
     pub fn fn_info(&self, r: FnRef) -> &FnInfo {
         &self.fns[r.0][r.1]
     }
 
-    /// Resolve a callee name as seen from `from_file`. A definition in the
-    /// same file shadows same-named functions elsewhere; otherwise every
-    /// definition of that name across the set matches.
-    pub fn resolve(&self, name: &str, from_file: usize) -> Vec<FnRef> {
-        let local: Vec<FnRef> = self.fns[from_file]
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.name == name)
-            .map(|(j, _)| (from_file, j))
-            .collect();
-        if !local.is_empty() {
-            return local;
-        }
+    /// Every definition of `name` across the whole set. Closures resolve by
+    /// union, not by shadowing: a wrapper type calling
+    /// `self.inner.begin(...)` must reach the inner `begin` in another crate
+    /// even when the wrapper defines its own `begin`.
+    pub fn named(&self, name: &str) -> Vec<FnRef> {
         let mut out = Vec::new();
         for (i, fns) in self.fns.iter().enumerate() {
-            if i == from_file {
-                continue;
-            }
             for (j, f) in fns.iter().enumerate() {
                 if f.name == name {
                     out.push((i, j));
@@ -974,22 +931,11 @@ impl FileSet {
         out
     }
 
-    /// Every definition of `name` across the whole set. [`Self::closure`]
-    /// traverses with this rather than [`Self::resolve`]: a wrapper type
-    /// calling `self.inner.begin(...)` must reach the inner `begin` in
-    /// another crate even when the wrapper defines its own `begin`, and
-    /// for presence-style rules an over-wide closure is the safe
-    /// direction.
-    pub fn resolve_all(&self, name: &str) -> Vec<FnRef> {
-        let mut out = Vec::new();
-        for (i, fns) in self.fns.iter().enumerate() {
-            for (j, f) in fns.iter().enumerate() {
-                if f.name == name {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
+    /// The definitions of `name` in file `i` outside `#[cfg(test)]` items:
+    /// the seeds of a table entry's closure. Empty means the table is stale.
+    pub fn entries(&self, i: usize, name: &str) -> Vec<FnRef> {
+        let live = |r: &FnRef| r.0 == i && !self.files[i].in_test(self.fn_info(*r).body.0);
+        self.named(name).into_iter().filter(live).collect()
     }
 
     /// Call-site names within `range` of file `i`: every `name(` where the
@@ -1024,50 +970,32 @@ impl FileSet {
         out
     }
 
+    /// The functions the code in `range` of file `i` may call: every
+    /// definition of every call-site name, [`SKIP_CALLEES`] dropped.
+    pub fn callees(&self, i: usize, range: (usize, usize)) -> Vec<FnRef> {
+        self.call_names(i, range)
+            .iter()
+            .filter(|(_, name)| !SKIP_CALLEES.contains(&name.as_str()))
+            .flat_map(|(_, name)| self.named(name))
+            .collect()
+    }
+
     /// Transitive closure of functions reachable from `seeds`, following
-    /// calls across files and skipping [`SKIP_CALLEES`]. Returns refs in
-    /// BFS discovery order, seeds first.
+    /// [`Self::callees`] across files. Returns refs in discovery order,
+    /// seeds first.
     pub fn closure(&self, seeds: &[FnRef]) -> Vec<FnRef> {
         let mut seen: BTreeSet<FnRef> = seeds.iter().copied().collect();
         let mut order: Vec<FnRef> = seeds.to_vec();
         let mut queue: Vec<FnRef> = seeds.to_vec();
         while let Some(r) = queue.pop() {
-            let body = self.fns[r.0][r.1].body;
-            for (_, name) in self.call_names(r.0, body) {
-                if SKIP_CALLEES.contains(&name.as_str()) {
-                    continue;
-                }
-                for callee in self.resolve_all(&name) {
-                    if seen.insert(callee) {
-                        order.push(callee);
-                        queue.push(callee);
-                    }
+            for callee in self.callees(r.0, self.fn_info(r).body) {
+                if seen.insert(callee) {
+                    order.push(callee);
+                    queue.push(callee);
                 }
             }
         }
         order
-    }
-
-    /// Closure of the named entry functions of file 0 plus every body
-    /// reachable from them: convenience for "seed by name" callers. Names
-    /// with no definition in file `entry_file` are reported back so the
-    /// caller can flag a stale table.
-    pub fn closure_of_names(&self, entry_file: usize, names: &[&str]) -> (Vec<FnRef>, Vec<String>) {
-        let mut seeds = Vec::new();
-        let mut missing = Vec::new();
-        for name in names {
-            let mut found = false;
-            for (j, f) in self.fns[entry_file].iter().enumerate() {
-                if f.name == *name {
-                    seeds.push((entry_file, j));
-                    found = true;
-                }
-            }
-            if !found {
-                missing.push((*name).to_string());
-            }
-        }
-        (self.closure(&seeds), missing)
     }
 }
 
@@ -1078,8 +1006,11 @@ mod tests {
     #[test]
     fn blanking_preserves_length_and_lines() {
         let src = "let a = \"hi\\n//not a comment\"; // real comment\nlet b = 'x'; /* block\nstill */ let c = 1;\n";
-        let out = blank_noncode(src);
+        let (out, comments) = blank_noncode(src);
         assert_eq!(out.len(), src.len());
+        // The `//` inside the string literal is not a comment.
+        assert_eq!(comments.len(), 1);
+        assert_eq!(&src[comments[0].0..comments[0].1], "// real comment");
         assert_eq!(
             out.matches('\n').count(),
             src.matches('\n').count(),
@@ -1094,7 +1025,7 @@ mod tests {
     #[test]
     fn raw_strings_and_lifetimes() {
         let src = "let r = r#\"quote \" inside\"#; fn f<'a>(x: &'a str) -> &'a str { x }";
-        let out = blank_noncode(src);
+        let (out, _) = blank_noncode(src);
         assert!(!out.contains("inside"));
         assert!(out.contains("fn f<'a>"), "lifetimes survive: {out}");
     }
@@ -1118,10 +1049,10 @@ mod tests {
     #[test]
     fn enum_parse_reads_variants() {
         let code = "pub enum Foo { A, B { x: u32 }, C(Vec<u8>), D = 4, }";
-        assert_eq!(
-            enum_variants(code, "Foo").unwrap(),
-            vec!["A", "B", "C", "D"]
-        );
+        let variants = enum_variants(code, "Foo").unwrap();
+        let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["A", "B", "C", "D"]);
+        assert!(code[variants[1].1..].starts_with("B {"));
         assert!(enum_variants(code, "Bar").is_none());
     }
 
@@ -1134,17 +1065,6 @@ mod tests {
         assert!(f.in_test(unwraps[0]));
         let tail = f.idents("tail");
         assert!(!f.in_test(tail[0]));
-    }
-
-    #[test]
-    fn suppressions_cover_same_and_next_line() {
-        let src = "// mdbs-check: allow(rule-a)\nlet x = HashMap::new();\nlet y = HashMap::new(); // mdbs-check: allow(rule-b)\n";
-        let f = SourceFile::parse(src.to_string(), "x.rs".into());
-        let hits = f.idents("HashMap");
-        assert_eq!(hits.len(), 2, "comment occurrences must be blanked");
-        assert!(f.is_suppressed("rule-a", hits[0]));
-        assert!(!f.is_suppressed("rule-b", hits[0]));
-        assert!(f.is_suppressed("rule-b", hits[1]));
     }
 
     #[test]
@@ -1175,22 +1095,10 @@ mod tests {
             ("a.rs", "fn entry(x: u32) { helper(x); }"),
             ("b.rs", "fn helper(x: u32) { leaf(); }\nfn leaf() {}"),
         ]);
-        let (refs, missing) = fs.closure_of_names(0, &["entry"]);
-        assert!(missing.is_empty());
+        let refs = fs.closure(&fs.entries(0, "entry"));
         let mut names = names_of(&fs, &refs);
         names.sort();
         assert_eq!(names, vec!["entry", "helper", "leaf"]);
-    }
-
-    #[test]
-    fn same_file_definitions_shadow_cross_file_ones_in_resolve() {
-        let fs = set(&[
-            ("a.rs", "fn entry() { helper(); }\nfn helper() {}"),
-            ("b.rs", "fn helper() { other(); }\nfn other() {}"),
-        ]);
-        assert_eq!(fs.resolve("helper", 0), vec![(0, 1)]);
-        // Without a local definition, every cross-file match resolves.
-        assert_eq!(fs.resolve("other", 0), vec![(1, 1)]);
     }
 
     #[test]
@@ -1202,7 +1110,7 @@ mod tests {
             ("wrapper.rs", "fn begin(&mut self) { self.inner.begin(); }"),
             ("inner.rs", "fn begin(&mut self) { leaf(); }\nfn leaf() {}"),
         ]);
-        let (refs, _) = fs.closure_of_names(0, &["begin"]);
+        let refs = fs.closure(&fs.entries(0, "begin"));
         let mut names = names_of(&fs, &refs);
         names.sort();
         assert_eq!(names, vec!["begin", "begin", "leaf"]);
@@ -1214,7 +1122,7 @@ mod tests {
             "a.rs",
             "fn entry() { Vec::new(); vec![1]; println!(\"{}\", 0); Some(3); SiteId(0); helper(); }",
         )]);
-        let body = fs.fns(0)[0].body;
+        let body = fs.fn_info((0, 0)).body;
         let names: Vec<String> = fs.call_names(0, body).into_iter().map(|(_, n)| n).collect();
         // `new` is reported (the closure skip-list drops it), macros and
         // uppercase constructors are not, and the `fn entry(` definition
@@ -1228,14 +1136,21 @@ mod tests {
             ("a.rs", "fn entry() { Thing::new(); }"),
             ("b.rs", "fn new() { trapdoor(); }\nfn trapdoor() {}"),
         ]);
-        let (refs, _) = fs.closure_of_names(0, &["entry"]);
+        let refs = fs.closure(&fs.entries(0, "entry"));
         assert_eq!(names_of(&fs, &refs), vec!["entry"]);
     }
 
     #[test]
-    fn missing_entries_are_reported_for_stale_tables() {
-        let fs = set(&[("a.rs", "fn entry() {}")]);
-        let (_, missing) = fs.closure_of_names(0, &["entry", "gone"]);
-        assert_eq!(missing, vec!["gone"]);
+    fn entries_are_the_live_definitions_in_the_entry_file() {
+        let fs = set(&[
+            (
+                "a.rs",
+                "fn entry() {}\n#[cfg(test)]\nmod tests { fn entry() {} }",
+            ),
+            ("b.rs", "fn entry() {}"),
+        ]);
+        assert_eq!(fs.entries(0, "entry"), vec![(0, 0)]);
+        // A name the entry file does not define marks a stale table.
+        assert!(fs.entries(0, "gone").is_empty());
     }
 }

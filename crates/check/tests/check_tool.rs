@@ -1,7 +1,6 @@
-//! End-to-end checks of the two `mdbs-check` halves:
+//! End-to-end checks of `mdbs-check explore` (the rule groups' workspace
+//! pin is in `fixtures.rs`):
 //!
-//! - the lint suite is clean on this workspace (the tree must stay
-//!   warning-free under its own tooling);
 //! - the bounded explorer exhausts the failure-free smoke worlds with
 //!   zero violations, under both 2CM and CGM;
 //! - the §4.2 smoke test: without alive-interval certification (the
@@ -9,29 +8,7 @@
 //!   the interval-intersection invariant and produces a minimized trace —
 //!   and the identical world under `Full` is clean.
 
-use std::path::Path;
-
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome, Violation};
-use mdbs_check::lint::run_lint;
-
-fn workspace_root() -> &'static Path {
-    // crates/check -> the workspace root.
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
-#[test]
-fn the_workspace_passes_its_own_lints() {
-    let findings = run_lint(workspace_root()).expect("lint run");
-    assert!(
-        findings.is_empty(),
-        "lint findings:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
 
 #[test]
 fn explorer_exhausts_the_2cm_smoke_world_clean() {

@@ -22,8 +22,8 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
+use mdbs_check::engine::{run, Group};
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
-use mdbs_check::proto::run_proto;
 use mdbs_consensus::{Acceptor, Ballot, Decision, Leader, PaxosMsg, Vote};
 use mdbs_dtm::{
     Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, CoordAction, Coordinator, Message,
@@ -689,7 +689,8 @@ fn sim_conflict() -> Result<(), String> {
 #[test]
 fn proto_static() -> Result<(), String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let findings = run_proto(&root).map_err(|e| format!("proto pass failed to run: {e}"))?;
+    let findings =
+        run(&root, Group::Proto).map_err(|e| format!("proto pass failed to run: {e}"))?;
     match findings.first() {
         None => Ok(()),
         Some(first) => Err(format!("{} proto finding(s): {first}", findings.len())),

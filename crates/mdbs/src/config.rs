@@ -372,6 +372,8 @@ pub fn scenario_from_kv(kv: &mut KvConfig) -> Result<SimConfig, ConfigError> {
     cfg.agent.stored_intervals = kv.get_or("agent.stored_intervals", cfg.agent.stored_intervals)?;
     cfg.agent.max_commit_retries =
         kv.get_or("agent.max_commit_retries", cfg.agent.max_commit_retries)?;
+    cfg.agent.cert_shards = kv.get_or("agent.cert_shards", cfg.agent.cert_shards)?;
+    cfg.agent.done_cap = kv.get_or("agent.done_cap", cfg.agent.done_cap)?;
     cfg.deadlock_scan_us = kv.get_or("deadlock_scan_us", cfg.deadlock_scan_us)?;
     cfg.wait_timeout_us = kv.get_or("wait_timeout_us", cfg.wait_timeout_us)?;
     cfg.abort_delay_max_us = kv.get_or("abort_delay_max_us", cfg.abort_delay_max_us)?;
@@ -492,6 +494,8 @@ pub fn scenario_to_kv(cfg: &SimConfig) -> Result<String, ConfigError> {
         "agent.max_commit_retries",
         cfg.agent.max_commit_retries.to_string(),
     );
+    push("agent.cert_shards", cfg.agent.cert_shards.to_string());
+    push("agent.done_cap", cfg.agent.done_cap.to_string());
     push("deadlock_scan_us", cfg.deadlock_scan_us.to_string());
     push("wait_timeout_us", cfg.wait_timeout_us.to_string());
     push("abort_delay_max_us", cfg.abort_delay_max_us.to_string());
@@ -899,6 +903,19 @@ mod tests {
         };
         cfg.protocol = Protocol::Cgm;
         cfg.coordinators = 3;
+        // Every field, spelled out, so a new one cannot be left out of the
+        // kv format unnoticed.
+        cfg.agent = mdbs_dtm::AgentConfig {
+            // Not a key: `protocol` decides the mode wherever an agent is
+            // built (`effective_agent_cfg`).
+            mode: cfg.agent.mode,
+            alive_check_interval_us: 1_111,
+            commit_retry_interval_us: 2_222,
+            stored_intervals: 3,
+            max_commit_retries: 44,
+            cert_shards: 5,
+            done_cap: 66,
+        };
         cfg.crashes = vec![(1, 20_000), (2, 40_000)];
         cfg.time_limit = SimTime::from_secs(60);
         assert_eq!(

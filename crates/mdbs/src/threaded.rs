@@ -597,7 +597,7 @@ fn spawn_node<'scope, R: NodeRuntime + Send + 'scope>(
     scope.spawn(move |_| {
         let _guard = guard;
         if panic_node == Some(node) {
-            // mdbs-check: allow(conc-panic-in-thread) -- doc(hidden) fault-injection hook; panics only when a test asks for one
+            // mdbs-check: allow(conc-panic-in-thread, "doc(hidden) fault-injection hook; panics only when a test asks for one")
             panic!("injected test panic at node {node}");
         }
         run_node(&mut rt, &mut host);

@@ -97,8 +97,7 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        // In bounds: `i < 256` is the loop condition, `table` has 256 slots.
-        // mdbs-check: allow(panic-freedom)
+        // mdbs-check: allow(panic-freedom, "in bounds: `i < 256` is the loop condition, `table` has 256 slots")
         table[i] = c;
         i += 1;
     }
@@ -109,8 +108,7 @@ const CRC_TABLE: [u32; 256] = {
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // In bounds: the index is masked with 0xFF, the table has 256 slots.
-        // mdbs-check: allow(panic-freedom)
+        // mdbs-check: allow(panic-freedom, "in bounds: the index is masked with 0xFF, the table has 256 slots")
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF

@@ -274,7 +274,7 @@ impl TcpTransport {
             Some(tx) => drop(tx.send(msgs)),
             // A missing route is a cluster misconfiguration; dropping the
             // frame would wedge the protocol invisibly, so die loudly.
-            // mdbs-check: allow(conc-panic-in-thread) -- deliberate die-fast on misconfigured topology
+            // mdbs-check: allow(conc-panic-in-thread, "deliberate die-fast on misconfigured topology")
             None => panic!("node {} has no route to node {to}", self.node),
         }
     }

@@ -80,9 +80,7 @@ impl<'a> Reader<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
-        // In bounds by the `remaining` guard above: this is the single
-        // bounds-checked gate every other read goes through.
-        // mdbs-check: allow(panic-freedom)
+        // mdbs-check: allow(panic-freedom, "in bounds by the `remaining` guard above: this is the single bounds-checked gate every other read goes through")
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)

@@ -191,7 +191,7 @@ pub fn run_node<R: NodeRuntime, P: NodePort>(rt: &mut R, port: &mut P) {
 pub fn or_die<T>(r: Result<T, RuntimeError>) -> T {
     match r {
         Ok(v) => v,
-        // mdbs-check: allow(conc-panic-in-thread) -- deliberate die-fast: a node thread's exit guard tells the threaded driver, which joins everyone and re-raises; a node process just dies
+        // mdbs-check: allow(conc-panic-in-thread, "deliberate die-fast: a node thread's exit guard tells the threaded driver, which joins everyone and re-raises; a node process just dies")
         Err(e) => panic!("runtime invariant violated: {e}"),
     }
 }

@@ -14,10 +14,7 @@
 //! by clamping each delivery to be no earlier than the previous delivery on
 //! the same link.
 
-// Keyed lookups only — iteration order never observed, so hash maps are
-// safe here despite the determinism lint.
-// mdbs-check: allow(determinism-hash-order)
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -74,11 +71,9 @@ pub struct LinkSpec {
 #[derive(Debug)]
 pub struct Network {
     default_latency: LatencyModel,
-    // mdbs-check: allow(determinism-hash-order)
-    overrides: HashMap<(NodeId, NodeId), LatencyModel>,
+    overrides: BTreeMap<(NodeId, NodeId), LatencyModel>,
     /// Last delivery time per directed link, used to enforce FIFO.
-    // mdbs-check: allow(determinism-hash-order)
-    last_delivery: HashMap<(NodeId, NodeId), SimTime>,
+    last_delivery: BTreeMap<(NodeId, NodeId), SimTime>,
     rng: DetRng,
     messages_sent: u64,
 }
@@ -88,10 +83,8 @@ impl Network {
     pub fn new(default_latency: LatencyModel, rng: DetRng) -> Self {
         Network {
             default_latency,
-            // mdbs-check: allow(determinism-hash-order)
-            overrides: HashMap::new(),
-            // mdbs-check: allow(determinism-hash-order)
-            last_delivery: HashMap::new(),
+            overrides: BTreeMap::new(),
+            last_delivery: BTreeMap::new(),
             rng,
             messages_sent: 0,
         }

@@ -12,19 +12,19 @@
 //! mdbs-check mutate [--json]
 //! ```
 //!
-//! `lint` runs the project-specific source lints (determinism,
-//! panic-freedom in decode paths, message-vocabulary exhaustiveness);
-//! `conc` runs the static concurrency pass over the threaded crates
-//! (lock order, blocking under guards, poison handling, panic-freedom on
-//! worker threads); `hotpath` runs the static performance pass over the
-//! per-message hot paths (allocation in hot loops, guards across sends,
-//! repeated lookups, linear scans in handlers, unbounded growth);
-//! `proto` runs the static protocol-conformance pass (unhandled message
-//! variants, unexpected emissions, missing duplicate guards, missing
-//! timers, cross-driver dispatch parity). All
-//! four exit 1 if any finding survives suppression, and
-//! can emit findings as JSON lines (`--json`) or GitHub Actions error
-//! annotations (`--github`). `explore` runs the bounded model checker on
+//! `lint`, `conc`, `hotpath` and `proto` are the four groups of one rule
+//! table (`mdbs_check::engine`): `lint` is the project-specific source
+//! lints (determinism, panic-freedom in decode paths, message-vocabulary
+//! exhaustiveness); `conc` the threaded crates (lock order, blocking
+//! under guards, poison handling, panics on worker threads); `hotpath`
+//! the per-message hot paths (allocation in hot loops, repeated lookups,
+//! linear scans in handlers, unbounded growth); `proto` the message flow
+//! (unhandled message variants, unexpected emissions, missing duplicate
+//! guards, missing timers). All four exit 1 if any finding survives
+//! suppression (an `allow(rule[, rule…], "why")` comment, the
+//! justification mandatory; DESIGN §7a) and can emit findings as JSON
+//! lines (`--json`) or GitHub Actions error annotations (`--github`).
+//! `explore` runs the bounded model checker on
 //! a preset world and exits 1 with a minimized trace if a schedule
 //! violates atomicity, the §4.2 interval invariant, or commit-order
 //! acyclicity. `mutate`, run from the workspace root, runs the certifier
@@ -37,12 +37,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mdbs_check::conc::run_conc;
+use mdbs_check::engine::{run, Finding, Group};
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
-use mdbs_check::hotpath::run_hotpath;
-use mdbs_check::lint::{run_lint, Finding};
 use mdbs_check::mutate::{catalog, render, run_matrix};
-use mdbs_check::proto::run_proto;
 use mdbs_dtm::CertifierMode;
 
 fn usage(err: &str) -> ExitCode {
@@ -116,12 +113,8 @@ fn print_findings(tool: &str, findings: &[Finding], output: Output) {
     }
 }
 
-/// Shared driver for the source passes (`lint`, `conc`, `hotpath`).
-fn run_findings_cmd(
-    tool: &str,
-    mut args: std::env::Args,
-    run: fn(&std::path::Path) -> Result<Vec<Finding>, String>,
-) -> ExitCode {
+/// The one driver of the four rule groups.
+fn run_findings_cmd(tool: &str, group: Group, mut args: std::env::Args) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut output = Output::Text;
     while let Some(arg) = args.next() {
@@ -136,7 +129,7 @@ fn run_findings_cmd(
         }
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    match run(&root) {
+    match run(&root, group) {
         Ok(findings) => {
             print_findings(tool, &findings, output);
             if findings.is_empty() {
@@ -321,13 +314,12 @@ fn main() -> ExitCode {
     let mut args = std::env::args();
     let _argv0 = args.next();
     match args.next().as_deref() {
-        Some("lint") => run_findings_cmd("lint", args, run_lint),
-        Some("conc") => run_findings_cmd("conc", args, run_conc),
-        Some("hotpath") => run_findings_cmd("hotpath", args, run_hotpath),
-        Some("proto") => run_findings_cmd("proto", args, run_proto),
         Some("explore") => run_explore_cmd(args),
         Some("mutate") => run_mutate_cmd(args),
-        Some(other) => usage(&format!("unknown command {other:?}")),
+        Some(other) => match Group::named(other) {
+            Some(group) => run_findings_cmd(other, group, args),
+            None => usage(&format!("unknown command {other:?}")),
+        },
         None => usage("a command is required"),
     }
 }
