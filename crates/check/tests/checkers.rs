@@ -29,7 +29,7 @@ use mdbs_dtm::{
     Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, CoordAction, Coordinator, Message,
     RefuseReason, SerialNumber,
 };
-use mdbs_histories::{GlobalTxnId, Instance, SiteId};
+use mdbs_histories::{GlobalTxnId, Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, CommandResult, KeySpec};
 use mdbs_sim::{Protocol, SimConfig, Simulation};
 use mdbs_workload::WorkloadSpec;
@@ -136,6 +136,20 @@ fn has_ltm_commit(actions: &[AgentAction]) -> bool {
     actions
         .iter()
         .any(|a| matches!(a, AgentAction::LtmCommit(..)))
+}
+
+/// The global transactions `actions` commit at the LTM, in action order.
+fn ltm_commits(actions: &[AgentAction]) -> Vec<u32> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            AgentAction::LtmCommit(Instance {
+                txn: Txn::Global(gtxn),
+                ..
+            }) => Some(gtxn.0),
+            _ => None,
+        })
+        .collect()
 }
 
 fn has_ltm_begin(actions: &[AgentAction]) -> bool {
@@ -319,8 +333,8 @@ fn probe_resubmission() -> Result<(), String> {
 }
 
 /// Appendix C: local commits happen in sn order — a COMMIT for the
-/// larger-sn transaction waits (with retry) while a smaller-sn entry is in
-/// the table, and proceeds once it leaves.
+/// larger-sn transaction waits (retry timer armed) while a smaller-sn entry
+/// is in the table, and is released the moment that entry leaves.
 #[test]
 fn probe_commit_order() -> Result<(), String> {
     let mut a = agent();
@@ -340,14 +354,28 @@ fn probe_commit_order() -> Result<(), String> {
     if !retries {
         return Err("Appendix C: held-back COMMIT armed no retry timer".to_string());
     }
-    // T1 commits; the retry for T2 must now go through.
-    let acts = a.handle(130, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
-    if !has_ltm_commit(&acts) {
-        return Err("Appendix C: smallest-sn COMMIT did not proceed".to_string());
+    // T1's COMMIT commits T1 and, in the same host step, releases T2 —
+    // one local commit per agent step, smaller serial number first.
+    let mut acts = a.handle(130, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
+    if ltm_commits(&acts) != [1] {
+        return Err(format!(
+            "Appendix C: the smallest-sn COMMIT must commit exactly T1, got {:?}",
+            ltm_commits(&acts)
+        ));
     }
+    acts.extend(a.release_held_commit(130));
+    if ltm_commits(&acts) != [1, 2] {
+        return Err(format!(
+            "Appendix C: T1 leaving the table must release T2's held COMMIT, got {:?}",
+            ltm_commits(&acts)
+        ));
+    }
+    // T2's retry timer is still armed; it must find nothing to do.
     let acts = a.handle(140, AgentInput::CommitRetryTimer { gtxn: g(2) });
-    if !has_ltm_commit(&acts) {
-        return Err("Appendix C: retry after the blocker left still did not commit".to_string());
+    if !acts.is_empty() {
+        return Err(format!(
+            "Appendix C: retry timer of a released COMMIT acted again: {acts:?}"
+        ));
     }
     Ok(())
 }

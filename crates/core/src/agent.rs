@@ -166,6 +166,13 @@ pub struct AgentStats {
     pub resubmissions: u64,
     /// Commit certifications that had to be retried.
     pub commit_retries: u64,
+    /// Held COMMITs performed because a smaller serial number left the
+    /// table ([`Agent::release_held_commit`]) rather than by a retry timer.
+    pub commit_releases: u64,
+    /// Local-clock µs between a COMMIT's arrival and its local commit,
+    /// summed over all local commits: what commit certification (and a
+    /// resubmission it had to wait for) added to the commit path.
+    pub commit_hold_us: u64,
     /// Times the safety valve forced an out-of-order commit (anomaly
     /// baselines only).
     pub commit_cert_overrides: u64,
@@ -173,6 +180,25 @@ pub struct AgentStats {
     pub local_commits: u64,
     /// Local aborts performed on coordinator ROLLBACK.
     pub rollbacks: u64,
+}
+
+impl AgentStats {
+    /// The certification counters under their metric names — the one list
+    /// every driver merges into a run's metrics (and a site crash carries
+    /// over to the recovered agent).
+    pub fn certification_counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("prepares_accepted", self.prepares_accepted),
+            ("refused_sn_out_of_order", self.refused_sn_out_of_order),
+            ("refused_interval_disjoint", self.refused_interval_disjoint),
+            ("refused_not_alive", self.refused_not_alive),
+            ("resubmissions", self.resubmissions),
+            ("commit_retries", self.commit_retries),
+            ("commit_releases", self.commit_releases),
+            ("commit_hold_us", self.commit_hold_us),
+            ("commit_cert_overrides", self.commit_cert_overrides),
+        ]
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +243,9 @@ struct SubTxn {
     alive_since_seq: u64,
     /// Failed commit certifications so far (safety-valve counter).
     commit_retries: u32,
+    /// Local time the COMMIT arrived (`None` until then, and after crash
+    /// recovery, which does not know).
+    commit_since: Option<u64>,
     /// Highest DML step accepted so far; duplicate deliveries of a step
     /// already executed are discarded (§2 assumes exactly-once messaging,
     /// the chaos harness deliberately violates it).
@@ -392,6 +421,7 @@ impl Agent {
                     prepare_seq,
                     alive_since_seq: 0,
                     commit_retries: 0,
+                    commit_since: None,
                     last_dml_step: None,
                 },
             );
@@ -557,6 +587,7 @@ impl Agent {
                     prepare_seq: 0,
                     alive_since_seq: 0,
                     commit_retries: 0,
+                    commit_since: None,
                     last_dml_step: None,
                 };
                 let inst = self.instance(gtxn, &st);
@@ -623,6 +654,7 @@ impl Agent {
                         return vec![];
                     }
                     st.phase = Phase::CommitPending;
+                    st.commit_since.get_or_insert(now);
                     self.try_commit(now, gtxn)
                 } else if let Some(coord) = self.redirects.remove(&gtxn) {
                     // Failover re-decision for a transaction we already
@@ -970,7 +1002,7 @@ impl Agent {
     }
 
     /// Appendix C: commit certification, possibly retried.
-    fn try_commit(&mut self, _now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
+    fn try_commit(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
         let Some(st) = self.subtxns.get(&gtxn) else {
             return vec![]; // unreachable: callers hold a table entry
         };
@@ -1041,6 +1073,7 @@ impl Agent {
             }
         }
         self.stats.local_commits += 1;
+        self.stats.commit_hold_us += st.commit_since.map_or(0, |t| now.saturating_sub(t));
         self.log.append(LogRecord::Commit { gtxn });
         self.log.append(LogRecord::Done { gtxn });
         vec![
@@ -1056,6 +1089,49 @@ impl Agent {
                 },
             },
         ]
+    }
+
+    /// Event-driven commit certification: put the oldest table entry
+    /// through [`Agent::try_commit`] if a COMMIT is pending on it and its
+    /// incarnation is alive (an aborted or replaying head is committed by
+    /// its own replay completion, not here). Such an entry exists only
+    /// because the smaller serial number that held it has just left the
+    /// table — otherwise its own COMMIT or `LtmDone` step would have
+    /// committed it, serial numbers being unique. At most one local
+    /// commit per call: the host applies the returned actions in full and
+    /// calls again, so an `LtmDone` surfacing while an `LtmCommit` is
+    /// applied always meets a table that still holds every smaller serial
+    /// number not yet committed at the LTM. The retry timer of the
+    /// released entry stays armed and finds nothing to do.
+    ///
+    /// Only the serial-number rule has a single oldest entry to release;
+    /// the comparator modes keep their timer-only behavior.
+    pub fn release_held_commit(&mut self, now: u64) -> Vec<AgentAction> {
+        if !self.config.mode.sn_commit_certification() {
+            return vec![];
+        }
+        let Some((_, gtxn)) = self.idx.oldest() else {
+            return vec![];
+        };
+        let held = self
+            .subtxns
+            .get(&gtxn)
+            .is_some_and(|st| st.phase == Phase::CommitPending && st.alive());
+        if !held {
+            return vec![];
+        }
+        let before = self.stats.local_commits;
+        let actions = self.try_commit(now, gtxn);
+        if self.stats.local_commits == before {
+            // Nothing blocks the oldest entry while serial numbers are
+            // unique, so only a broken comparator (the kill matrix's
+            // `commit-edge-flip`) gets here. The entry's armed retry timer
+            // still has it; handing the host another timer to arm would
+            // make it ask again, and spin until the retry valve opens.
+            return vec![];
+        }
+        self.stats.commit_releases += 1;
+        actions
     }
 
     fn on_commit_retry(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
@@ -1482,6 +1558,40 @@ mod tests {
         assert_eq!(a.stats().refused_sn_out_of_order, 1);
     }
 
+    /// One host step, as `SiteRuntime::agent_input` runs it: the input's
+    /// actions, then every held COMMIT the step released, one per call.
+    fn step(a: &mut Agent, now: u64, input: AgentInput) -> Vec<AgentAction> {
+        let mut all = Vec::new();
+        let mut acts = a.handle(now, input);
+        loop {
+            all.append(&mut acts);
+            acts = a.release_held_commit(now);
+            if acts.is_empty() {
+                return all;
+            }
+            let commits = ltm_commits(&acts).len();
+            assert_eq!(commits, 1, "one local commit per release: {acts:?}");
+        }
+    }
+
+    /// The transactions locally committed by `actions`, in action order.
+    fn ltm_commits(actions: &[AgentAction]) -> Vec<u32> {
+        actions
+            .iter()
+            .filter_map(|x| match x {
+                AgentAction::LtmCommit(i) => match i.txn {
+                    Txn::Global(gtxn) => Some(gtxn.0),
+                    Txn::Local(_) => None,
+                },
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn commit(k: u32) -> AgentInput {
+        AgentInput::Deliver(Message::Commit { gtxn: g(k) })
+    }
+
     #[test]
     fn commit_certification_waits_for_smaller_sn() {
         // T1 (sn=10) and T2 (sn=20) both prepared; T2's COMMIT arrives
@@ -1489,20 +1599,168 @@ mod tests {
         let mut a = agent();
         assert!(has_ready(&prepare_one(&mut a, 1, 0, 10)));
         assert!(has_ready(&prepare_one(&mut a, 2, 5, 20)));
-        let acts = a.handle(30, AgentInput::Deliver(Message::Commit { gtxn: g(2) }));
+        let acts = step(&mut a, 30, commit(2));
         assert!(
             acts.iter()
                 .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. })),
             "{acts:?}"
         );
-        assert!(!acts.iter().any(|x| matches!(x, AgentAction::LtmCommit(_))));
-        // T1 commits; T2's retry then succeeds.
-        let acts = a.handle(40, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
-        assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmCommit(_))));
-        let acts = a.handle(50, AgentInput::CommitRetryTimer { gtxn: g(2) });
-        assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmCommit(_))));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
+        // T1's COMMIT releases T2 in the same host step, smaller SN first;
+        // the message handler itself commits T1 only.
+        let acts = step(&mut a, 40, commit(1));
+        assert_eq!(ltm_commits(&acts), vec![1, 2]);
+        assert_eq!(a.table_len(), 0);
+        // T2's retry timer, still armed, finds nothing to do.
+        assert_eq!(
+            step(&mut a, 50, AgentInput::CommitRetryTimer { gtxn: g(2) }),
+            vec![]
+        );
         assert_eq!(a.stats().commit_retries, 1);
+        assert_eq!(a.stats().commit_releases, 1);
         assert_eq!(a.stats().local_commits, 2);
+        // T2 was held from its COMMIT at 30 to T1's at 40, T1 not at all.
+        assert_eq!(a.stats().commit_hold_us, 10);
+    }
+
+    #[test]
+    fn release_cascades_in_sn_order_one_commit_per_step() {
+        let mut a = agent();
+        for (k, sn) in [(1, 10), (2, 20), (3, 30)] {
+            assert!(has_ready(&prepare_one(&mut a, k, 0, sn)));
+        }
+        assert_eq!(ltm_commits(&step(&mut a, 40, commit(3))), Vec::<u32>::new());
+        assert_eq!(ltm_commits(&step(&mut a, 41, commit(2))), Vec::<u32>::new());
+        // The blocker's handler commits the blocker alone; each release
+        // call then hands out exactly the next serial number.
+        assert_eq!(ltm_commits(&a.handle(42, commit(1))), vec![1]);
+        assert_eq!(ltm_commits(&a.release_held_commit(42)), vec![2]);
+        assert_eq!(ltm_commits(&a.release_held_commit(42)), vec![3]);
+        assert_eq!(a.release_held_commit(42), vec![]);
+        assert_eq!(a.stats().commit_releases, 2);
+        assert_eq!(a.stats().commit_retries, 2);
+    }
+
+    #[test]
+    fn a_refused_release_hands_the_host_nothing() {
+        // Equal serial numbers (no coordinator issues them) block each
+        // other: the oldest entry is refused. The release must not answer
+        // with another retry timer — the host would arm it and ask again.
+        let mut a = agent();
+        prepare_one(&mut a, 1, 0, 10);
+        prepare_one(&mut a, 2, 0, 10);
+        assert_eq!(a.table_len(), 2);
+        let acts = a.handle(20, commit(1));
+        assert!(matches!(
+            acts[..],
+            [AgentAction::StartCommitRetryTimer { .. }]
+        ));
+        assert_eq!(a.release_held_commit(20), vec![]);
+        assert_eq!(a.stats().commit_releases, 0);
+        assert_eq!(a.table_len(), 2);
+    }
+
+    #[test]
+    fn rollback_of_the_blocker_releases_the_held_commit() {
+        let mut a = agent();
+        prepare_one(&mut a, 1, 0, 10);
+        prepare_one(&mut a, 2, 5, 20);
+        assert_eq!(ltm_commits(&step(&mut a, 30, commit(2))), Vec::<u32>::new());
+        let acts = step(
+            &mut a,
+            40,
+            AgentInput::Deliver(Message::Rollback { gtxn: g(1) }),
+        );
+        assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmAbort(_))));
+        assert_eq!(ltm_commits(&acts), vec![2]);
+        assert_eq!(a.stats().commit_releases, 1);
+    }
+
+    #[test]
+    fn aborted_head_is_not_released_until_its_replay_completes() {
+        // T1 < T2 < T3, COMMITs pending on T2 and T3; T2's incarnation is
+        // unilaterally aborted while it waits behind T1.
+        let mut a = agent();
+        for (k, sn) in [(1, 10), (2, 20), (3, 30)] {
+            prepare_one(&mut a, k, 0, sn);
+        }
+        step(&mut a, 40, commit(2));
+        step(&mut a, 41, commit(3));
+        step(
+            &mut a,
+            42,
+            AgentInput::Uan {
+                instance: Instance::global(2, SITE, 0),
+            },
+        );
+        // T1 leaves: the new head T2 is not alive, so nothing is released
+        // — not T2, and not T3 behind it.
+        assert_eq!(ltm_commits(&step(&mut a, 50, commit(1))), vec![1]);
+        assert_eq!(a.table_len(), 2);
+        // Only T2's own retry timer starts the resubmission …
+        let acts = step(&mut a, 60, AgentInput::CommitRetryTimer { gtxn: g(2) });
+        assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmBegin(_))));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
+        // … a table event in the middle of the replay changes nothing …
+        assert_eq!(a.release_held_commit(65), vec![]);
+        // … and the replay's completion commits T2, which releases T3.
+        let acts = step(
+            &mut a,
+            70,
+            AgentInput::LtmDone {
+                gtxn: g(2),
+                result: result(&[2]),
+            },
+        );
+        assert_eq!(ltm_commits(&acts), vec![2, 3]);
+        assert_eq!(a.stats().commit_releases, 1);
+    }
+
+    #[test]
+    fn a_merely_prepared_head_keeps_everything_behind_it_held() {
+        let mut a = agent();
+        for (k, sn) in [(1, 10), (2, 20), (3, 30)] {
+            prepare_one(&mut a, k, 0, sn);
+        }
+        step(&mut a, 40, commit(3));
+        // T1 commits; T2 (now the head) has no COMMIT yet, so T3 stays.
+        assert_eq!(ltm_commits(&step(&mut a, 41, commit(1))), vec![1]);
+        assert_eq!(ltm_commits(&step(&mut a, 42, commit(2))), vec![2, 3]);
+    }
+
+    #[test]
+    fn comparator_modes_are_never_released_by_a_table_event() {
+        // PrepareOrder holds by local prepare order: the hold ends at the
+        // retry timer, as before.
+        let mut a = Agent::new(
+            SITE,
+            AgentConfig {
+                mode: CertifierMode::PrepareOrder,
+                ..AgentConfig::default()
+            },
+        );
+        prepare_one(&mut a, 1, 0, 99);
+        prepare_one(&mut a, 2, 5, 1);
+        assert_eq!(ltm_commits(&step(&mut a, 30, commit(2))), Vec::<u32>::new());
+        assert_eq!(ltm_commits(&step(&mut a, 40, commit(1))), vec![1]);
+        let acts = step(&mut a, 50, AgentInput::CommitRetryTimer { gtxn: g(2) });
+        assert_eq!(ltm_commits(&acts), vec![2]);
+        assert_eq!(a.stats().commit_releases, 0);
+
+        // NoCertification never holds a COMMIT in the first place.
+        let mut a = Agent::new(
+            SITE,
+            AgentConfig {
+                mode: CertifierMode::NoCertification,
+                ..AgentConfig::default()
+            },
+        );
+        prepare_one(&mut a, 1, 0, 10);
+        prepare_one(&mut a, 2, 5, 20);
+        assert_eq!(ltm_commits(&step(&mut a, 30, commit(2))), vec![2]);
+        assert_eq!(ltm_commits(&step(&mut a, 40, commit(1))), vec![1]);
+        assert_eq!(a.stats().commit_releases, 0);
+        assert_eq!(a.stats().commit_retries, 0);
     }
 
     #[test]

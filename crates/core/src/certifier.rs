@@ -257,6 +257,12 @@ impl CertIndex {
         false
     }
 
+    /// The table entry with the smallest serial number — the only one
+    /// commit certification can currently let through.
+    pub fn oldest(&self) -> Option<(SerialNumber, GlobalTxnId)> {
+        self.sns.first().copied()
+    }
+
     /// Appendix C commit certification: is the COMMIT of (`gtxn`, `my_sn`)
     /// blocked by another table entry? An entry with `sn ≤ my_sn` blocks
     /// (local commits happen in serial-number order): all others must be

@@ -646,7 +646,8 @@ pub struct ClusterConfig {
     /// envelope existed).
     pub batch_max: usize,
     /// Ceiling of the adaptive group-flush deadline in microseconds; 0
-    /// flushes every batch as soon as the outbox runs dry.
+    /// (the default) flushes every batch as soon as the outbox runs dry —
+    /// the node loop already hands the writer one group per burst.
     pub flush_deadline_us: u64,
     /// Reconnect backoff `(initial_ms, max_ms)`, doubling per attempt.
     pub backoff_ms: (u64, u64),
@@ -686,7 +687,7 @@ impl ClusterConfig {
         if batch_max == 0 {
             return Err(ConfigError("net.batch_max must be >= 1".into()));
         }
-        let flush_deadline_us = kv.get_or("net.flush_deadline_us", 100u64)?;
+        let flush_deadline_us = kv.get_or("net.flush_deadline_us", 0u64)?;
         let backoff_ms = (
             kv.get_or("net.backoff_initial_ms", 10u64)?,
             kv.get_or("net.backoff_max_ms", 1000u64)?,
@@ -1017,9 +1018,9 @@ mod tests {
             ClusterConfig::from_kv_text(&c.to_kv_text().unwrap()).unwrap(),
             c
         );
-        // Defaults: batching on, adaptive deadline at its 100µs ceiling.
+        // Defaults: batching on, no writer-side wait for more traffic.
         let c = ClusterConfig::from_kv_text(&cluster_text()).unwrap();
-        assert_eq!((c.batch_max, c.flush_deadline_us), (256, 100));
+        assert_eq!((c.batch_max, c.flush_deadline_us), (256, 0));
         // batch_max 0 would make every frame empty; rejected outright.
         let text = format!("{}net.batch_max = 0\n", cluster_text());
         assert!(ClusterConfig::from_kv_text(&text).is_err());

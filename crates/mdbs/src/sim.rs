@@ -419,14 +419,9 @@ impl Simulation {
         let checks = CorrectnessReport::analyze(&history, self.host.gen.spec().sites);
         let mut metrics = self.host.metrics;
         for rt in self.nodes.sites.values() {
-            let st = rt.agent().stats();
-            metrics.add("prepares_accepted", st.prepares_accepted);
-            metrics.add("refused_sn_out_of_order", st.refused_sn_out_of_order);
-            metrics.add("refused_interval_disjoint", st.refused_interval_disjoint);
-            metrics.add("refused_not_alive", st.refused_not_alive);
-            metrics.add("resubmissions", st.resubmissions);
-            metrics.add("commit_retries", st.commit_retries);
-            metrics.add("commit_cert_overrides", st.commit_cert_overrides);
+            for (name, n) in rt.agent().stats().certification_counters() {
+                metrics.add(name, n);
+            }
         }
         SimReport {
             protocol: self.cfg.protocol.label(),

@@ -549,13 +549,9 @@ impl ThreadedRunner {
             let history = mdbs_histories::History::from_ops(shared.history.drain());
             let checks = CorrectnessReport::analyze(&history, spec.sites);
             for st in &site_stats {
-                metrics.add("prepares_accepted", st.prepares_accepted);
-                metrics.add("refused_sn_out_of_order", st.refused_sn_out_of_order);
-                metrics.add("refused_interval_disjoint", st.refused_interval_disjoint);
-                metrics.add("refused_not_alive", st.refused_not_alive);
-                metrics.add("resubmissions", st.resubmissions);
-                metrics.add("commit_retries", st.commit_retries);
-                metrics.add("commit_cert_overrides", st.commit_cert_overrides);
+                for (name, n) in st.certification_counters() {
+                    metrics.add(name, n);
+                }
             }
             SimReport {
                 protocol: cfg.protocol.label(),

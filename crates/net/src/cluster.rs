@@ -101,7 +101,10 @@ pub fn loopback_cluster(scenario: SimConfig) -> io::Result<ClusterConfig> {
         acceptor_addrs,
         outbox_capacity: 1024,
         batch_max: 256,
-        flush_deadline_us: 100,
+        // The node loop group-flushes once per burst; a writer that also
+        // holds an underfull frame open batches twice, and the second
+        // wait reorders PREPAREs across links (§5.3 refusals).
+        flush_deadline_us: 0,
         backoff_ms: (10, 1_000),
         test_drop: Vec::new(),
     })

@@ -50,6 +50,10 @@ use crate::wire::WireMsg;
 /// The longest one blocking poll may last, µs: every loop re-checks its
 /// deadline (and the driver its stall detector) at least this often.
 const POLL_CAP_US: u64 = 20_000;
+/// The longest a crash-stopping node waits for its writers to put what
+/// it already flushed on the wire. Live peers take it in microseconds;
+/// the cap only runs out on a peer that is gone too.
+const CRASH_DRAIN_CAP: Duration = Duration::from_secs(1);
 
 /// What a finished node hands back to its caller: the stdout lines the
 /// cluster harness parses (digests from the driver, stats from everyone).
@@ -120,6 +124,9 @@ struct NodeHost {
     finished: BTreeSet<GlobalTxnId>,
     done_cap: usize,
     epoch: Instant,
+    /// The wall clock at `epoch`, µs since the Unix epoch — read once, so
+    /// [`TimeSource::local_time_us`] can never step backwards.
+    unix_us_at_epoch: u64,
     /// The scenario's wall-clock safety valve.
     deadline: Instant,
     /// Coordinator 0 only.
@@ -130,7 +137,12 @@ impl NodeHost {
     fn new(cfg: &ClusterConfig, node: u32) -> io::Result<NodeHost> {
         let scenario = &cfg.scenario;
         let root = DetRng::new(scenario.workload.seed);
+        // The two clocks are read back to back: whatever separates the
+        // reads becomes this node's offset from every other node's clock.
         let epoch = Instant::now();
+        let unix_us_at_epoch = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| d.as_micros() as u64);
         Ok(NodeHost {
             node,
             transport: start_transport(cfg, node)?,
@@ -149,6 +161,7 @@ impl NodeHost {
             finished: BTreeSet::new(),
             done_cap: effective_agent_cfg(scenario).done_cap,
             epoch,
+            unix_us_at_epoch,
             deadline: epoch + Duration::from_secs_f64(scenario.time_limit.as_secs_f64()),
             driver: None,
         })
@@ -372,11 +385,10 @@ impl NodeHost {
 impl TimeSource for NodeHost {
     fn local_time_us(&mut self, _node: u32) -> u64 {
         // Serial numbers and alive intervals compare across processes, so
-        // every node reads the one clock all processes share.
-        SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
+        // every node's clock is anchored to the one all processes share —
+        // but advanced by the monotonic clock: the certifier's refresh
+        // floor assumes local time never decreases, and `SystemTime` may.
+        self.unix_us_at_epoch + self.elapsed_us()
     }
 
     fn now(&self) -> SimTime {
@@ -496,10 +508,18 @@ impl NodePort for NodeHost {
         self.queue_wire(COORD_BASE, report);
     }
 
-    /// Crash-stop: no flush, no report — staged output and runtime state
-    /// vanish with the process, which exits cleanly so the harness reads
-    /// it as a crash-stop, not a bug.
+    /// Crash-stop: no flush, no report — output staged by this burst and
+    /// the runtime state vanish with the process, which exits cleanly so
+    /// the harness reads it as a crash-stop, not a bug. What earlier
+    /// bursts flushed was sent and stays sent, as in the other two hosts
+    /// (a dead thread's messages are already in its peers' channels, a
+    /// dead sim node's in the network): exiting under the writer threads
+    /// would take back a PREPARE or an acceptor registration that merely
+    /// had not reached its socket yet. A peer that is itself gone never
+    /// takes its frames, so the wait is capped: a crash must not hang.
     fn crash_stop(&mut self) {
+        let cap = Instant::now() + CRASH_DRAIN_CAP;
+        self.transport.drain(cap.min(self.deadline));
         std::process::exit(0);
     }
 }
@@ -580,4 +600,30 @@ pub fn run_node(cfg: &ClusterConfig, role: NodeRole) -> io::Result<NodeOutput> {
     host.flush();
     host.transport.shutdown();
     Ok(NodeOutput { node, lines })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The agent clock is anchored to the wall clock (serial numbers
+    /// compare across processes) but must never step backwards: the
+    /// certifier's lazy refresh floor relies on it.
+    #[test]
+    fn local_time_is_wall_anchored_and_never_decreases() {
+        let cfg = crate::loopback_cluster(mdbs_sim::SimConfig::default()).expect("addresses");
+        let mut host = NodeHost::new(&cfg, 0).expect("bind");
+        let wall_us = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .expect("clock after 1970")
+            .as_micros() as u64;
+        let mut last = host.local_time_us(0);
+        assert!(last.abs_diff(wall_us) < 60_000_000, "{last} vs {wall_us}");
+        for _ in 0..100_000 {
+            let now = host.local_time_us(0);
+            assert!(now >= last, "clock stepped back: {last} -> {now}");
+            last = now;
+        }
+        host.transport.shutdown();
+    }
 }

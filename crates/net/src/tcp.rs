@@ -15,17 +15,23 @@
 //!
 //! **Flush policy.** A batch closes when it reaches
 //! [`TcpTransportConfig::batch_max`] messages (or a byte ceiling), or when
-//! the **adaptive flush deadline** expires with nothing more queued. The
-//! deadline starts at [`TcpTransportConfig::flush_deadline_us`] and
-//! adapts per link: a batch that fills on size (busy link) or a wait that
-//! actually harvested more messages keeps the full deadline; a wait that
-//! expired fruitlessly halves it, so an idle request-response link decays
-//! to flush-immediately and pays no added latency. `batch_max = 1` or
-//! `flush_deadline_us = 0` with an empty queue degenerate to the old
-//! frame-per-message path (version 1 frames on the wire).
+//! the outbox is dry. With [`TcpTransportConfig::flush_deadline_us`] = 0 —
+//! what a cluster runs with — "dry" is immediate: the node loop already
+//! hands over one group per link per burst, a backlog still coalesces,
+//! and nothing ever waits. A non-zero value lets a raw producer without a
+//! batching point of its own (`net_throughput`) hold an underfull batch
+//! open for an **adaptive deadline**: it starts at that ceiling; a batch
+//! that fills on size or a wait that harvested more messages keeps it, a
+//! fruitless wait halves it, so an idle link decays to flush-immediately.
+//! Under a node loop that second wait is double batching — it delays each
+//! link by a different amount and so reorders PREPAREs *across* links,
+//! which shows up as §5.3 serial-number refusals (DESIGN §9b). `batch_max
+//! = 1` degenerates to the old frame-per-message path (version 1 frames
+//! on the wire).
 //!
-//! Inbound, a polling accept loop spawns one reader thread per
-//! connection; each runs its own [`FrameDecoder`] and pushes each frame's
+//! Inbound, an accept loop blocked in `accept()` spawns one reader thread
+//! per connection (a peer's first frame is read the moment it connects;
+//! [`TcpTransport::shutdown`] wakes the loop with a connection of its own); each runs its own [`FrameDecoder`] and pushes each frame's
 //! decoded messages into a shared channel as one group. A framing or
 //! codec error severs that connection (once framing is lost a TCP stream
 //! cannot be resynchronized) and counts in
@@ -38,7 +44,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -53,8 +59,11 @@ use crate::wire::{decode_frame_payload, encode_msg, Wire, WireMsg};
 
 /// How long blocked reads/writes wait before re-checking the stop flag.
 const IO_POLL: Duration = Duration::from_millis(50);
-/// How often the accept loop polls for new connections.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the accept loop backs off after a failed `accept` or reader
+/// spawn (out of descriptors or threads) before trying again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(5);
+/// How often [`TcpTransport::drain`] looks whether the writers are done.
+const DRAIN_POLL: Duration = Duration::from_millis(1);
 /// Soft byte ceiling per batch payload: a batch closes once its encoded
 /// payload reaches this, whatever the message count says. Keeps worst-case
 /// frames (e.g. coalesced `NodeReport`s) far below `MAX_FRAME_LEN`.
@@ -107,9 +116,10 @@ pub struct TcpTransportConfig {
     /// wire behavior.
     pub batch_max: usize,
     /// Ceiling of the adaptive flush deadline: how long a writer may hold
-    /// an underfull batch open waiting for more traffic. `0` flushes as
-    /// soon as the queue is drained (coalescing still happens when a
-    /// backlog exists, but nothing ever waits).
+    /// an underfull batch open waiting for more traffic. `0` — the
+    /// cluster default — flushes as soon as the queue is drained
+    /// (coalescing still happens when a backlog exists, but nothing ever
+    /// waits).
     pub flush_deadline_us: u64,
     /// First reconnect backoff.
     pub backoff_initial: Duration,
@@ -154,6 +164,10 @@ pub struct TcpTransport {
     epoch: Instant,
     stop: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
+    /// Where a connection reaches this node's own listener: how
+    /// [`TcpTransport::shutdown`] wakes the accept loop.
+    wake_addr: SocketAddr,
+    /// The accept thread first, then one writer per peer.
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -161,7 +175,13 @@ impl TcpTransport {
     /// Bind the listener, spawn the accept loop and one writer per peer.
     pub fn start(cfg: TcpTransportConfig) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(cfg.listen_addr.as_str())?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
         let (inbound_tx, inbound) = unbounded();
@@ -221,6 +241,7 @@ impl TcpTransport {
             epoch: Instant::now(),
             stop,
             stats,
+            wake_addr,
             handles,
         })
     }
@@ -341,6 +362,26 @@ impl TcpTransport {
         self.pop_ready().map(NetEvent::Msg)
     }
 
+    /// Give every writer until `until` to put its queued groups on the
+    /// wire (connecting first if it has to), then retire them all. What a
+    /// node handed to the transport it has *sent*; a crash-stopping
+    /// process calls this before exiting so that stays true — but a peer
+    /// that is down never takes its frames, so past `until` the stop flag
+    /// abandons them as [`TcpTransport::shutdown`] would. The transport
+    /// neither sends nor receives afterwards.
+    pub fn drain(&mut self, until: Instant) {
+        // Dropping the senders lets each writer finish its queue and exit.
+        self.outboxes.clear();
+        let writers = self.handles.split_off(self.handles.len().min(1));
+        while Instant::now() < until && writers.iter().any(|h| !h.is_finished()) {
+            std::thread::sleep(DRAIN_POLL);
+        }
+        self.stop.store(true, Ordering::SeqCst);
+        for h in writers {
+            let _ = h.join();
+        }
+    }
+
     /// Stop every thread and join them. Queued frames on healthy
     /// connections are flushed first; frames for unreachable peers are
     /// abandoned.
@@ -349,6 +390,15 @@ impl TcpTransport {
         // the stop flag breaks reconnect loops and reader polls.
         self.outboxes.clear();
         self.stop.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept()`: a throwaway connection,
+        // made after the flag is up, wakes it to see the flag. Retried
+        // because running out of descriptors is the one way it can fail,
+        // and that clears as the writers close their sockets.
+        while self.handles.first().is_some_and(|h| !h.is_finished())
+            && TcpStream::connect(self.wake_addr).is_err()
+        {
+            std::thread::sleep(ACCEPT_RETRY);
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -377,8 +427,12 @@ fn accept_loop(
     stats: Arc<TransportStats>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break; // woken by `shutdown`'s own connection
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let inbound = inbound.clone();
                 let stop = Arc::clone(&stop);
@@ -391,13 +445,10 @@ fn accept_loop(
                     // Out of threads: the failed spawn dropped (closed) the
                     // connection, so the peer's writer reconnects and
                     // retransmits — at-least-once holds, nothing is lost.
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_RETRY),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_RETRY),
         }
     }
     for h in readers {
@@ -783,6 +834,48 @@ mod tests {
         assert_eq!(expect_msg(&mut b), WireMsg::Drain);
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn drain_returns_only_once_the_queue_is_on_the_wire() {
+        // The peer's listener comes up late: `shutdown` would abandon the
+        // frame with the writer still backing off; `drain` rides it out.
+        let mut a = transport(1, "127.0.0.1:39141", &[(2, "127.0.0.1:39142")]);
+        a.send_wire(2, WireMsg::Drain);
+        let late = std::thread::spawn(|| {
+            std::thread::sleep(Duration::from_millis(100));
+            transport(2, "127.0.0.1:39142", &[(1, "127.0.0.1:39141")])
+        });
+        a.drain(Instant::now() + Duration::from_secs(10));
+        assert_eq!(
+            a.stats().msgs_sent.load(Ordering::Relaxed),
+            2,
+            "Hello + Drain"
+        );
+        let mut b = late.join().expect("bind");
+        assert_eq!(expect_msg(&mut b), WireMsg::Drain);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn drain_gives_up_on_a_peer_that_never_comes_up() {
+        // Nothing ever listens on the peer's address: the queued frame can
+        // never leave, and a crash-stop must not turn into a hang.
+        let mut a = transport(1, "127.0.0.1:39151", &[(2, "127.0.0.1:39152")]);
+        a.send_wire(2, WireMsg::Drain);
+        let started = Instant::now();
+        a.drain(started + Duration::from_millis(200));
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(200),
+            "gave up early: {took:?}"
+        );
+        assert!(took < Duration::from_secs(5), "drain overran: {took:?}");
+        assert_eq!(a.stats().msgs_sent.load(Ordering::Relaxed), 0);
+        // Draining twice (no writers left) and shutting down still work.
+        a.drain(Instant::now());
+        a.shutdown();
     }
 
     #[test]

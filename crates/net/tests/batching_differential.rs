@@ -1,12 +1,15 @@
 //! Differential batching suite: batching must be observably invisible.
 //!
 //! The same predrawn workload runs through a **batched** transport
-//! (`net.batch_max = 256`, adaptive flush deadline) and an **unbatched**
+//! (`net.batch_max = 256`, the cluster defaults) and an **unbatched**
 //! one (`net.batch_max = 1`, deadline 0 — every message rides its own v1
 //! frame exactly as before the batch envelope existed), for both the 2CM
 //! and CGM loopback clusters. Outcome digests and per-site certifier
 //! verdicts must be identical to each other *and* to the deterministic
-//! simulation of the same scenario.
+//! simulation of the same scenario. CGM runs the scenario twice: at its
+//! `mpl` of 4, where a commit-graph vote depends on which transactions
+//! overlap in real time, both transports must settle everything and pass
+//! every checker; one global at a time, the digests must also be equal.
 //!
 //! Chaos coverage rides along: a `net.test_drop` connection drop fired
 //! mid-run under batching must reconnect and retransmit at **batch
@@ -33,6 +36,7 @@ use mdbs_sim::{Protocol, SimConfig, SimReport, Simulation};
 
 const SITES: u32 = 3;
 const GLOBALS: u64 = 12;
+const LOCALS_PER_SITE: u32 = 4;
 
 /// Serializes the cluster-spawning tests in this binary. Each spawns a
 /// 4–5 process loopback cluster, and `cargo test` runs the tests on
@@ -49,7 +53,7 @@ fn scenario(protocol: Protocol) -> SimConfig {
     cfg.workload.seed = 20260808;
     cfg.workload.sites = SITES;
     cfg.workload.global_txns = GLOBALS as u32;
-    cfg.workload.local_txns_per_site = 4;
+    cfg.workload.local_txns_per_site = LOCALS_PER_SITE;
     cfg.workload.items_per_site = 32;
     cfg.workload.unilateral_abort_prob = 0.0;
     cfg.coordinators = 1;
@@ -57,8 +61,8 @@ fn scenario(protocol: Protocol) -> SimConfig {
     cfg
 }
 
-fn sim_reference(protocol: Protocol) -> SimReport {
-    let mut sim = Simulation::new(scenario(protocol));
+fn sim_reference(scenario: &SimConfig) -> SimReport {
+    let mut sim = Simulation::new(scenario.clone());
     sim.use_predrawn_workload();
     let report = sim.run();
     // CGM may abort globals on scheduler conflicts even failure-free;
@@ -72,18 +76,30 @@ fn sim_reference(protocol: Protocol) -> SimReport {
 /// Run a loopback cluster with the given batching knobs (and optional
 /// `net.test_drop` entries).
 fn run_cluster(
-    protocol: Protocol,
+    scenario: &SimConfig,
     batch_max: usize,
     flush_deadline_us: u64,
     test_drop: Vec<(u32, u64)>,
 ) -> ClusterOutcome {
-    let mut cfg = loopback_cluster(scenario(protocol)).expect("reserve loopback addrs");
+    let mut cfg = loopback_cluster(scenario.clone()).expect("reserve loopback addrs");
     cfg.batch_max = batch_max;
     cfg.flush_deadline_us = flush_deadline_us;
     cfg.test_drop = test_drop;
     ClusterRunner::new(env!("CARGO_BIN_EXE_mdbs-node"), cfg)
         .run(Duration::from_secs(120))
         .expect("cluster run")
+}
+
+/// What holds of any run of the scenario, however its messages raced.
+fn assert_settled_and_correct(cluster: &ClusterOutcome) {
+    assert_eq!(cluster.committed + cluster.aborted, GLOBALS, "all settled");
+    assert_eq!(
+        cluster.local_committed + cluster.local_aborted,
+        u64::from(SITES * LOCALS_PER_SITE),
+        "every local settled"
+    );
+    assert!(cluster.checks_passed);
+    assert!(cluster.missing_reports.is_empty());
 }
 
 fn assert_matches_sim(cluster: &ClusterOutcome, sim: &SimReport) {
@@ -103,18 +119,15 @@ fn assert_matches_sim(cluster: &ClusterOutcome, sim: &SimReport) {
         (cluster.committed, cluster.aborted),
         (sim.committed, sim.aborted)
     );
-    assert!(cluster.checks_passed);
-    assert!(cluster.missing_reports.is_empty());
 }
 
-fn differential(protocol: Protocol) {
-    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let sim = sim_reference(protocol);
-
+/// Run `scenario` unbatched and batched, holding each transport to its
+/// framing contract and to everything that does not depend on timing.
+fn run_both_ways(scenario: &SimConfig) -> (ClusterOutcome, ClusterOutcome) {
     // batch_max = 1, deadline 0: byte-for-byte the pre-batching wire
     // format (every frame is v1, never coalesced).
-    let unbatched = run_cluster(protocol, 1, 0, Vec::new());
-    assert_matches_sim(&unbatched, &sim);
+    let unbatched = run_cluster(scenario, 1, 0, Vec::new());
+    assert_settled_and_correct(&unbatched);
     for (node, stats) in &unbatched.stats {
         assert_eq!(
             stats.batches_sent, 0,
@@ -126,18 +139,26 @@ fn differential(protocol: Protocol) {
         );
     }
 
-    // Defaults: coalescing with the adaptive flush deadline.
-    let batched = run_cluster(protocol, 256, 100, Vec::new());
-    assert_matches_sim(&batched, &sim);
+    // Defaults: the node loop's per-burst groups coalesce, the writer
+    // waits for nothing (the drop test below runs the adaptive deadline).
+    let batched = run_cluster(scenario, 256, 0, Vec::new());
+    assert_settled_and_correct(&batched);
     let coalesced: u64 = batched.stats.values().map(|s| s.batches_sent).sum();
     assert!(
         coalesced > 0,
         "no frame ever coalesced across the batched cluster: {:?}",
         batched.stats
     );
+    (unbatched, batched)
+}
 
-    // The differential core: batched and unbatched agree with each other,
-    // not just with the sim.
+/// The differential core: batched and unbatched agree with the sim and
+/// with each other.
+fn differential(scenario: &SimConfig) {
+    let sim = sim_reference(scenario);
+    let (unbatched, batched) = run_both_ways(scenario);
+    assert_matches_sim(&unbatched, &sim);
+    assert_matches_sim(&batched, &sim);
     assert_eq!(batched.outcome_digest, unbatched.outcome_digest);
     assert_eq!(batched.site_verdicts, unbatched.site_verdicts);
     assert_eq!(
@@ -148,12 +169,27 @@ fn differential(protocol: Protocol) {
 
 #[test]
 fn two_cm_digests_are_identical_batched_and_unbatched() {
-    differential(Protocol::TwoCm(CertifierMode::Full));
+    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    differential(&scenario(Protocol::TwoCm(CertifierMode::Full)));
 }
 
 #[test]
 fn cgm_digests_are_identical_batched_and_unbatched() {
-    differential(Protocol::Cgm);
+    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // Concurrent CGM traffic: a commit-graph vote depends on which
+    // transactions are in the graph when it is cast, i.e. on which ones
+    // overlap in real time, so a cluster that is faster or slower than the
+    // sim's fixed latencies may legitimately miss (or find) a cycle the
+    // sim's run has. Both transports must still settle every transaction
+    // and pass every checker.
+    let concurrent = scenario(Protocol::Cgm);
+    run_both_ways(&concurrent);
+    // One global at a time leaves nothing to overlap: the verdicts are
+    // comparable, and must be equal. (2CM needs no such care: with one
+    // coordinator its failure-free verdicts do not depend on timing.)
+    let mut serial = concurrent;
+    serial.workload.mpl = 1;
+    differential(&serial);
 }
 
 /// Chaos coverage: a forced connection drop mid-run under batching (the
@@ -163,9 +199,10 @@ fn cgm_digests_are_identical_batched_and_unbatched() {
 #[test]
 fn a_connection_drop_under_batching_leaves_digests_unchanged() {
     let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let protocol = Protocol::TwoCm(CertifierMode::Full);
-    let sim = sim_reference(protocol);
-    let dropped = run_cluster(protocol, 64, 100, vec![(1, 10)]);
+    let scenario = scenario(Protocol::TwoCm(CertifierMode::Full));
+    let sim = sim_reference(&scenario);
+    let dropped = run_cluster(&scenario, 64, 100, vec![(1, 10)]);
+    assert_settled_and_correct(&dropped);
     assert_matches_sim(&dropped, &sim);
     let site1 = &dropped.stats[&1];
     assert!(site1.test_drops >= 1, "hook never fired: {site1:?}");

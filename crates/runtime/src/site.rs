@@ -58,6 +58,8 @@ pub struct SiteRuntime {
     /// across sites itself.
     scan: Option<(u64, u64)>,
     next_scan_us: u64,
+    /// An [`SiteRuntime::agent_input`] call is on the stack.
+    in_agent_step: bool,
 }
 
 impl SiteRuntime {
@@ -75,6 +77,7 @@ impl SiteRuntime {
             local_queue: VecDeque::new(),
             scan: None,
             next_scan_us: 0,
+            in_agent_step: false,
         }
     }
 
@@ -139,7 +142,14 @@ impl SiteRuntime {
     // Agent plumbing
     // ------------------------------------------------------------------
 
-    /// Feed one input to the agent and interpret the resulting actions.
+    /// Feed one input to the agent and interpret the resulting actions,
+    /// then let every COMMIT that was held behind an entry this step
+    /// removed from the prepared table go through: one local commit per
+    /// agent step, asked for only once the previous step's actions are
+    /// applied in full. Applying an `LtmCommit` can resume a lock-blocked
+    /// replay whose `LtmDone` re-enters here; that nested step leaves the
+    /// releasing to the outermost one, so the LTM sees local commits in
+    /// the order the agent certified them.
     pub fn agent_input<H: RuntimeHost>(
         &mut self,
         input: AgentInput,
@@ -147,7 +157,28 @@ impl SiteRuntime {
     ) -> Result<(), RuntimeError> {
         let now_local = host.local_time_us(self.site.0);
         let actions = self.agent.handle(now_local, input);
-        self.run_agent_actions(actions, host)
+        if std::mem::replace(&mut self.in_agent_step, true) {
+            return self.run_agent_actions(actions, host);
+        }
+        let applied = self.apply_and_release(actions, now_local, host);
+        self.in_agent_step = false;
+        applied
+    }
+
+    /// Apply one step's actions, then each released COMMIT's in turn.
+    fn apply_and_release<H: RuntimeHost>(
+        &mut self,
+        mut actions: Vec<AgentAction>,
+        now_local: u64,
+        host: &mut H,
+    ) -> Result<(), RuntimeError> {
+        loop {
+            self.run_agent_actions(actions, host)?;
+            actions = self.agent.release_held_commit(now_local);
+            if actions.is_empty() {
+                return Ok(());
+            }
+        }
     }
 
     fn run_agent_actions<H: RuntimeHost>(
@@ -498,14 +529,9 @@ impl SiteRuntime {
         let (agent, actions) = Agent::recover(self.site, self.agent_cfg, log);
         let old = std::mem::replace(&mut self.agent, agent);
         // Keep the cumulative counters comparable across the crash.
-        let st = *old.stats();
-        host.add("prepares_accepted", st.prepares_accepted);
-        host.add("refused_sn_out_of_order", st.refused_sn_out_of_order);
-        host.add("refused_interval_disjoint", st.refused_interval_disjoint);
-        host.add("refused_not_alive", st.refused_not_alive);
-        host.add("resubmissions", st.resubmissions);
-        host.add("commit_retries", st.commit_retries);
-        host.add("commit_cert_overrides", st.commit_cert_overrides);
+        for (name, n) in old.stats().certification_counters() {
+            host.add(name, n);
+        }
         self.run_agent_actions(actions, host)
     }
 }

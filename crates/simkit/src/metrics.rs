@@ -49,6 +49,11 @@ impl SampleStats {
         self.samples.push(x);
     }
 
+    /// The observations, in recording order.
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
+    }
+
     /// Number of observations.
     pub fn count(&self) -> usize {
         self.samples.len()

@@ -3,6 +3,7 @@
 //! message-overtaking scenario.
 
 use rigorous_mdbs::dtm::CertifierMode;
+use rigorous_mdbs::sim::report::outcome_digest;
 use rigorous_mdbs::sim::{Protocol, SimConfig, Simulation};
 use rigorous_mdbs::workload::AccessPattern;
 
@@ -276,4 +277,43 @@ fn high_mpl_contention_settles() {
     let report = Simulation::new(cfg).run();
     assert_eq!(report.committed + report.aborted, 60);
     assert!(report.checks.passed(), "{:?}", report.checks);
+}
+
+#[test]
+fn a_held_commit_never_waits_for_the_retry_timer() {
+    // Two sites, two coordinators, `mpl` 8, failure-free: COMMITs reach a
+    // site out of serial-number order and are held (Appendix C), but every
+    // hold is behind an entry that commits — so each ends at that commit,
+    // whatever the retry period. Outcome, commit count and every commit
+    // latency must not depend on `commit_retry_interval_us`. (Not
+    // `finished_at`: stale retry timers still drain from the event queue.)
+    let run = |retry_us: u64| {
+        let mut cfg = SimConfig::default();
+        cfg.workload.seed = 16;
+        cfg.workload.sites = 2;
+        cfg.workload.global_txns = 200;
+        cfg.workload.local_txns_per_site = 0;
+        cfg.workload.mpl = 8;
+        cfg.coordinators = 2;
+        cfg.agent.commit_retry_interval_us = retry_us;
+        let report = Simulation::new(cfg).run();
+        assert!(report.checks.passed());
+        let latencies = report
+            .metrics
+            .stats("commit_latency_ms")
+            .expect("commits happened")
+            .samples()
+            .to_vec();
+        (
+            outcome_digest(&report.history, &report.checks),
+            report.committed,
+            report.metrics.counter("commit_releases"),
+            latencies,
+        )
+    };
+    let reference = run(5_000);
+    assert!(reference.2 > 0, "the scenario must hold some COMMITs");
+    for retry_us in [500, 1_000_000] {
+        assert_eq!(run(retry_us), reference, "retry interval {retry_us} µs");
+    }
 }

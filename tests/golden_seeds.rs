@@ -30,9 +30,14 @@ const PROTOCOLS: [(&str, Protocol); 3] = [
     ("Naive", Protocol::TwoCm(CertifierMode::NoCertification)),
 ];
 
-/// Digests captured on the pre-refactor monolithic `Simulation`.
+/// Digests captured on the pre-refactor monolithic `Simulation`. PR 16
+/// (a held COMMIT lands at the blocker's instant, not at the next 5 ms
+/// retry) re-pinned the one 2CM row whose run holds a COMMIT behind a
+/// smaller serial number — seed 42, one release — and the two seed-7 2CM
+/// rows below; every other row, all of CGM and Naive among them, is the
+/// control and did not move.
 const GOLDEN: [(u64, &str, u64); 9] = [
-    (42, "2CM", 0xbff3f3fbbd61c00e),
+    (42, "2CM", 0x646b551d87f7d318),
     (42, "CGM", 0xadb9c309183a4d5b),
     (42, "Naive", 0x2c0602bf75827de9),
     (1337, "2CM", 0xc63898751d5f8f27),
@@ -47,8 +52,8 @@ const GOLDEN: [(u64, &str, u64); 9] = [
 /// The fault injector draws from its own RNG substreams, so these pin the
 /// fault sampling and application order on top of the protocol behavior.
 const CHAOS_GOLDEN: [(u64, &str, &str, u64); 12] = [
-    (7, "2CM", "dup-burst", 0x7183dc7a3a3385c3),
-    (7, "2CM", "fifo-scramble", 0xe24d28e98930f09d),
+    (7, "2CM", "dup-burst", 0x52f9399628299bcf),
+    (7, "2CM", "fifo-scramble", 0xdf15b70ee42c102e),
     (7, "CGM", "dup-burst", 0x8382877560fd1c9a),
     (7, "CGM", "fifo-scramble", 0x825e21dd4921928b),
     (7, "Naive", "dup-burst", 0x554b8a739c17e5a1),
