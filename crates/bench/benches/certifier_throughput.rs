@@ -1,31 +1,37 @@
 //! Certifier admission throughput at large prepared-table sizes.
 //!
 //! Stages a real [`Agent`] with N prepared subtransactions (keys drawn
-//! from a Zipf-skewed distribution, so shards see realistic contention),
-//! then measures admissions per wall-clock second: each admission runs a
-//! full Begin → DML → LTM-done → PREPARE → ROLLBACK cycle through
-//! `Agent::handle`, so the number includes the whole message path, not
-//! just the index probe.
+//! from a Zipf-skewed distribution), then measures admissions per
+//! wall-clock second: each admission runs a full Begin → DML → LTM-done →
+//! PREPARE → ROLLBACK cycle through `Agent::handle`, so the number includes
+//! the whole message path, not just the certifier's lookup.
 //!
-//! The `linear` baseline is the pre-index hot path, measured in the same
-//! run on the same staged table: an eager O(N) interval refresh followed
-//! by the O(N) §4.2 disjointness scan per admission (the
-//! [`LinearReference`] oracle the differential proptests check the index
-//! against). It pays *none* of the agent's message-dispatch or logging
-//! overhead, so the reported speedup understates the index's advantage.
+//! The `linear` baseline is §4.2 read literally, measured in the same run
+//! on the same staged table: an eager O(N) interval refresh followed by
+//! the O(N) disjointness scan per admission (the [`LinearReference`]
+//! oracle the differential proptests hold the certifier to, shared from
+//! `crates/core/tests/oracle/`). It pays *none* of the agent's
+//! message-dispatch or logging overhead, so the reported speedup
+//! understates the certifier's advantage.
 //!
-//! Writes `BENCH_certifier.json` at the repository root. Sizes are
-//! env-overridable for the CI smoke run: `CERT_BENCH_PREPARED` (comma
-//! list of table sizes) and `CERT_BENCH_ADMISSIONS` (cycles per sample).
+//! Writes `BENCH_certifier.json` at the repository root, stamped with the
+//! host's core count and the commit. Sizes are env-overridable for the CI
+//! smoke run: `CERT_BENCH_PREPARED` (comma list of table sizes) and
+//! `CERT_BENCH_ADMISSIONS` (cycles per sample).
 
 use std::time::Instant;
 
-use mdbs_dtm::certifier::{LinearEntry, LinearReference};
 use mdbs_dtm::{Agent, AgentConfig, AgentInput, Message, SerialNumber};
 use mdbs_histories::{GlobalTxnId, SiteId};
 use mdbs_ldbs::{Command, CommandResult, KeySpec};
 use mdbs_simkit::DetRng;
 use mdbs_workload::Zipf;
+
+#[path = "../../core/tests/oracle/linear_reference.rs"]
+mod linear_reference;
+#[path = "common/stamp.rs"]
+mod stamp;
+use linear_reference::{LinearEntry, LinearReference};
 
 /// Zipf skew of the staged keys (θ = 0.8, the classic hot-spot setting).
 const ZIPF_THETA: f64 = 0.8;
@@ -89,30 +95,24 @@ fn prepare_one(agent: &mut Agent, now: &mut u64, gtxn: GlobalTxnId, key: u64, ti
     *now += 1;
 }
 
-/// An agent with `prepared` staged entries on Zipf-skewed keys, plus the
-/// staged keys (so the linear baseline mirrors the same table).
-fn staged_agent(prepared: u64, cert_shards: usize) -> (Agent, Vec<u64>, u64) {
-    let cfg = AgentConfig {
-        cert_shards,
-        ..AgentConfig::default()
-    };
-    let mut agent = Agent::new(SiteId(0), cfg);
+/// An agent with `prepared` staged entries on Zipf-skewed keys, and its
+/// clock.
+fn staged_agent(prepared: u64) -> (Agent, u64) {
+    let mut agent = Agent::new(SiteId(0), AgentConfig::default());
     let mut rng = DetRng::new(42);
     let zipf = Zipf::new(KEY_SPACE, ZIPF_THETA);
-    let mut keys = Vec::with_capacity(prepared as usize);
     let mut now = 0u64;
     for k in 1..=prepared {
         let key = zipf.sample(&mut rng);
-        keys.push(key);
         prepare_one(&mut agent, &mut now, GlobalTxnId(k as u32), key, k);
     }
-    (agent, keys, now)
+    (agent, now)
 }
 
 /// Admissions per second through the real agent: each cycle prepares one
 /// new subtransaction against the staged table and rolls it back.
-fn measure_indexed(prepared: u64, cert_shards: usize, admissions: u64) -> f64 {
-    let (mut agent, _keys, mut now) = staged_agent(prepared, cert_shards);
+fn measure_indexed(prepared: u64, admissions: u64) -> f64 {
+    let (mut agent, mut now) = staged_agent(prepared);
     let mut rng = DetRng::new(7);
     let zipf = Zipf::new(KEY_SPACE, ZIPF_THETA);
     let accepted_before = agent.stats().prepares_accepted;
@@ -133,10 +133,9 @@ fn measure_indexed(prepared: u64, cert_shards: usize, admissions: u64) -> f64 {
     admissions as f64 / secs.max(1e-9)
 }
 
-/// Admissions per second through the pre-index hot path: an eager O(N)
+/// Admissions per second through the definitional table: an eager O(N)
 /// refresh of every alive interval, then the O(N) disjointness scan, per
-/// admission — exactly what the old `Agent::on_prepare` did, minus its
-/// message-handling overhead.
+/// admission, with none of the agent's message-handling overhead.
 fn measure_linear(prepared: u64, admissions: u64) -> f64 {
     let mut lin = LinearReference::new();
     let mut now = 0u64;
@@ -146,7 +145,7 @@ fn measure_linear(prepared: u64, admissions: u64) -> f64 {
             LinearEntry {
                 intervals: vec![(now, now)],
                 alive: true,
-                sn: Some(sn(k)),
+                sn: sn(k),
             },
         );
         now += 4;
@@ -166,7 +165,7 @@ fn measure_linear(prepared: u64, admissions: u64) -> f64 {
             LinearEntry {
                 intervals: vec![(begin, now)],
                 alive: true,
-                sn: Some(sn(1_000_000 + i)),
+                sn: sn(1_000_000 + i),
             },
         );
         lin.remove(gtxn); // rollback eviction
@@ -179,7 +178,6 @@ fn measure_linear(prepared: u64, admissions: u64) -> f64 {
 struct Row {
     impl_name: &'static str,
     prepared: u64,
-    cert_shards: usize,
     admissions_per_sec: f64,
     speedup_vs_linear: Option<f64>,
 }
@@ -191,34 +189,22 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &prepared in &sizes {
         let linear = measure_linear(prepared, admissions);
-        let indexed = measure_indexed(prepared, 1, admissions);
-        let sharded = measure_indexed(prepared, 8, admissions);
+        let indexed = measure_indexed(prepared, admissions);
         println!(
-            "prepared={prepared}: linear {linear:.0}/s, indexed {indexed:.0}/s \
-             ({:.1}x), indexed+8shards {sharded:.0}/s ({:.1}x)",
-            indexed / linear,
-            sharded / linear
+            "prepared={prepared}: linear {linear:.0}/s, indexed {indexed:.0}/s ({:.1}x)",
+            indexed / linear
         );
         rows.push(Row {
             impl_name: "linear",
             prepared,
-            cert_shards: 1,
             admissions_per_sec: linear,
             speedup_vs_linear: None,
         });
         rows.push(Row {
             impl_name: "indexed",
             prepared,
-            cert_shards: 1,
             admissions_per_sec: indexed,
             speedup_vs_linear: Some(indexed / linear),
-        });
-        rows.push(Row {
-            impl_name: "indexed",
-            prepared,
-            cert_shards: 8,
-            admissions_per_sec: sharded,
-            speedup_vs_linear: Some(sharded / linear),
         });
     }
 
@@ -229,18 +215,21 @@ fn main() {
                 .speedup_vs_linear
                 .map_or("null".to_string(), |s| format!("{s:.3}"));
             format!(
-                "    {{\"impl\": \"{}\", \"prepared\": {}, \"cert_shards\": {}, \
+                "    {{\"impl\": \"{}\", \"prepared\": {}, \
                  \"zipf_theta\": {ZIPF_THETA}, \"admissions_per_sec\": {:.1}, \
                  \"speedup_vs_linear\": {speedup}}}",
-                r.impl_name, r.prepared, r.cert_shards, r.admissions_per_sec
+                r.impl_name, r.prepared, r.admissions_per_sec
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"certifier_throughput\",\n  \
+        "{{\n  \"bench\": \"certifier_throughput\",\n  \"host_cores\": {},\n  \
+         \"commit\": \"{}\",\n  \
          \"workload\": \"Begin/DML/LtmDone/Prepare/Rollback cycles against a staged \
          prepared table, Zipf-skewed keys\",\n  \
          \"admissions_per_sample\": {admissions},\n  \"results\": [\n{}\n  ]\n}}\n",
+        stamp::host_cores(),
+        stamp::commit(),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_certifier.json");

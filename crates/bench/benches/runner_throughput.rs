@@ -20,10 +20,12 @@
 //! collection or the post-hoc checker looks like (0.18 before the checker
 //! was made near-linear), and a same-run ratio needs no host calibration.
 
-use std::process::Command;
 use std::time::Instant;
 
 use mdbs_sim::{SimConfig, SimReport, Simulation, ThreadedRunner};
+
+#[path = "common/stamp.rs"]
+mod stamp;
 
 struct Sample {
     sites: u32,
@@ -63,20 +65,8 @@ fn measure<F: Fn() -> SimReport>(k: u32, run: F) -> f64 {
     best
 }
 
-/// `git describe --always --dirty` of the checkout the bench was built from.
-fn commit() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = stamp::host_cores();
     let mut samples = Vec::new();
     for sites in [1u32, 2, 4, 8] {
         // A sim run is 1–10 ms here: ten tries keep a host hiccup out of
@@ -113,7 +103,7 @@ fn main() {
          \"commit\": \"{}\",\n  \
          \"workload\": \"failure-free, 150 locals/site + 4 globals/site, ltm_service_us=0\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
-        commit(),
+        stamp::commit(),
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");

@@ -840,7 +840,7 @@ impl World {
 
     /// §4.2 at admission time: the freshly admitted entry's candidate
     /// interval must intersect every other in-table entry's stored
-    /// intervals. On admission the agent stores exactly the candidate as
+    /// interval. On admission the certifier stores exactly the candidate as
     /// `(begin, now)`, so the snapshot carries the certified values.
     fn check_admissions(&mut self) -> Result<(), Violation> {
         let admissions = std::mem::take(&mut self.host.just_prepared);
@@ -852,24 +852,10 @@ impl World {
             let Some(cand) = table.iter().find(|e| e.gtxn == gtxn) else {
                 continue; // already gone again (settled within the batch)
             };
-            let Some(&(candidate_begin, _)) = cand.intervals.last() else {
-                continue;
-            };
+            let (candidate_begin, _) = cand.interval;
             for other in &table {
-                if other.gtxn == gtxn {
-                    continue;
-                }
-                let intersects = other
-                    .intervals
-                    .iter()
-                    .any(|&(_, end)| end >= candidate_begin);
-                if !intersects {
-                    let other_end = other
-                        .intervals
-                        .iter()
-                        .map(|&(_, end)| end)
-                        .max()
-                        .unwrap_or(0);
+                let (_, other_end) = other.interval;
+                if other.gtxn != gtxn && other_end < candidate_begin {
                     return Err(Violation::IntervalDisjoint {
                         site,
                         gtxn,

@@ -51,20 +51,19 @@ use HotKind::{Handler, LoopDriver};
 
 /// The per-message entry points, per file. Entries are matched by function
 /// *name* (the model is token-level), so every function with that name in
-/// the file seeds the closure — for the certifier this deliberately sweeps
-/// in both the `CertIndex` production path and the `LinearReference`
-/// differential oracle that shares its method names.
+/// the file seeds the closure. The closure is file-local, so the certifier
+/// calls `Agent::handle` makes are seeded in their own file.
 pub const HOT_PATHS: &[(&str, &[(&str, HotKind)])] = &[
     (
         "crates/core/src/certifier.rs",
         &[
-            ("register", Handler),
-            ("register_frozen", Handler),
+            ("certify_prepare", Handler),
+            ("extend", Handler),
             ("freeze", Handler),
-            ("unfreeze", Handler),
-            ("remove", Handler),
-            ("disjoint", Handler),
-            ("commit_blocked", Handler),
+            ("revive", Handler),
+            ("commit_gate", Handler),
+            ("leave", Handler),
+            ("oldest", Handler),
         ],
     ),
     ("crates/core/src/agent.rs", &[("handle", Handler)]),

@@ -64,9 +64,9 @@ pub fn catalog() -> Vec<Mutant> {
             mechanism: "§4.2 basic prepare certification",
             summary: "skips the alive-interval intersection check entirely",
             edits: &[Edit {
-                file: AGENT,
-                anchor: "if self.config.mode.prepare_certification() {",
-                replacement: "if false {",
+                file: CERTIFIER,
+                anchor: "if self.mode.prepare_certification() &&",
+                replacement: "if false &&",
             }],
         },
         Mutant {
@@ -75,31 +75,27 @@ pub fn catalog() -> Vec<Mutant> {
             summary: "off-by-one: treats an interval ending just before the candidate as intersecting",
             edits: &[Edit {
                 file: CERTIFIER,
-                anchor: "if end < candidate_begin {",
-                replacement: "if end + 1 < candidate_begin {",
+                anchor: "|&(end, _)| end < candidate_begin",
+                replacement: "|&(end, _)| end + 1 < candidate_begin",
             }],
         },
         Mutant {
             id: "stale-refresh",
             mechanism: "§4.2 alive-interval maintenance",
             summary: "skips the inline refresh of alive entries' intervals at PREPARE",
-            // Without the refresh the index's alive-entries-always-intersect
-            // shortcut does not hold, so the mutant certifies against the
-            // raw stored intervals with the original linear scan.
+            // Without the refresh the certifier's alive-entries-always-
+            // intersect shortcut does not hold, so the mutant certifies
+            // against the raw stored intervals with a linear scan.
             edits: &[
                 Edit {
-                    file: AGENT,
-                    anchor: "self.idx.note_refresh(now, self.seq);",
+                    file: CERTIFIER,
+                    anchor: "self.floor = self.floor.max(now);\n        self.refreshes += 1;",
                     replacement: "",
                 },
                 Edit {
-                    file: AGENT,
-                    anchor: "self.idx.disjoint(now, candidate_begin, &st.touched)",
-                    replacement: "self.subtxns.iter().any(|(g, o)| {
-                *g != gtxn
-                    && o.in_table()
-                    && !o.intervals.iter().any(|&(_, end)| end >= candidate_begin)
-            })",
+                    file: CERTIFIER,
+                    anchor: "self.disjoint(now, candidate_begin)",
+                    replacement: "self.entries.values().any(|e| e.interval.1 < candidate_begin)",
                 },
             ],
         },
@@ -108,9 +104,9 @@ pub fn catalog() -> Vec<Mutant> {
             mechanism: "§5.3 extended prepare certification",
             summary: "never refuses a PREPARE whose sn is below the largest committed sn",
             edits: &[Edit {
-                file: AGENT,
-                anchor: "if self.config.mode.prepare_extension() {",
-                replacement: "if false {",
+                file: CERTIFIER,
+                anchor: "if self.mode.prepare_extension() &&",
+                replacement: "if false &&",
             }],
         },
         Mutant {
@@ -118,9 +114,9 @@ pub fn catalog() -> Vec<Mutant> {
             mechanism: "§5.3 extended prepare certification",
             summary: "inverts the §5.3 comparison: refuses sn above the largest committed sn",
             edits: &[Edit {
-                file: AGENT,
-                anchor: "self.max_committed_sn {\n                if sn < max_sn {",
-                replacement: "self.max_committed_sn {\n                if sn > max_sn {",
+                file: CERTIFIER,
+                anchor: "self.max_committed_sn.is_some_and(|max| sn < max)",
+                replacement: "self.max_committed_sn.is_some_and(|max| sn > max)",
             }],
         },
         Mutant {
@@ -128,8 +124,8 @@ pub fn catalog() -> Vec<Mutant> {
             mechanism: "§5.3 extended prepare certification (state)",
             summary: "local commits never advance the largest-committed-sn watermark",
             edits: &[Edit {
-                file: AGENT,
-                anchor: "self.max_committed_sn = Some(sn);",
+                file: CERTIFIER,
+                anchor: "self.max_committed_sn = self.max_committed_sn.max(Some(e.sn));",
                 replacement: "",
             }],
         },
@@ -161,29 +157,38 @@ pub fn catalog() -> Vec<Mutant> {
             edits: &[Edit {
                 file: CERTIFIER,
                 anchor: ".iter()
-            .find(|(_, g)| *g != gtxn)
-            .is_some_and(|&(sn, _)| sn <= my_sn)",
+                .find(|(_, g)| *g != gtxn)
+                .is_none_or(|&(sn, _)| sn > me.sn)",
                 replacement: ".iter()
-            .rev()
-            .find(|(_, g)| *g != gtxn)
-            .is_some_and(|&(sn, _)| sn >= my_sn)",
+                .rev()
+                .find(|(_, g)| *g != gtxn)
+                .is_none_or(|&(sn, _)| sn < me.sn)",
             }],
         },
         Mutant {
             id: "commit-pending-only",
             mechanism: "Appendix C commit certification",
             summary: "commit certification ignores merely-prepared entries, waiting only on commit-pending ones",
-            // The phase filter needs per-entry state the index does not
-            // keep, so the mutant carries the original linear scan.
-            edits: &[Edit {
-                file: AGENT,
-                anchor: "!self.idx.commit_blocked(gtxn, my_sn)",
-                replacement: "self.subtxns.iter().all(|(g, o)| {
-                    *g == gtxn
-                        || o.phase != Phase::CommitPending
-                        || o.sn.is_none_or(|s| s > my_sn)
-                })",
-            }],
+            // The phase is the agent's, not the certifier's, so the mutant
+            // answers in the agent's place of the gate, with a linear scan
+            // taken before `try_commit` borrows its subtransaction.
+            edits: &[
+                Edit {
+                    file: AGENT,
+                    anchor: "fn try_commit(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {",
+                    replacement: "fn try_commit(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
+        let table = self.prepared_table();
+        let my_sn = table.iter().find(|e| e.gtxn == gtxn).map(|e| e.sn);
+        let pending_only = table
+            .iter()
+            .all(|e| e.gtxn == gtxn || !e.commit_pending || Some(e.sn) > my_sn);",
+                },
+                Edit {
+                    file: AGENT,
+                    anchor: "!self.cert.commit_gate(gtxn)",
+                    replacement: "!pending_only",
+                },
+            ],
         },
         Mutant {
             id: "keep-rollback-in-table",
@@ -191,7 +196,7 @@ pub fn catalog() -> Vec<Mutant> {
             summary: "ROLLBACK acknowledges but leaves the entry in the alive-interval table",
             edits: &[Edit {
                 file: AGENT,
-                anchor: "self.subtxns.remove(&gtxn);\n        self.idx.remove(gtxn);",
+                anchor: "self.subtxns.remove(&gtxn);\n        self.cert.leave(gtxn, false);",
                 replacement: "",
             }],
         },

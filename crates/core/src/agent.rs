@@ -1,4 +1,5 @@
-//! The 2PC Agent (2PCA) and its Certifier — the paper's core contribution.
+//! The 2PC Agent (2PCA): 2PC, the Agent log and resubmission around the
+//! [`Certifier`] — together the paper's core contribution.
 //!
 //! One agent is co-located with each LTM (Fig. 1). It plays the Participant
 //! role of 2PC on behalf of an LDBS that has no prepared state: it keeps the
@@ -6,21 +7,16 @@
 //! LTM unilaterally aborts a prepared local subtransaction it **resubmits**
 //! the logged commands as a fresh local transaction (a new *incarnation*).
 //!
-//! The Certifier guards the two places where resubmission could corrupt
-//! serializability:
-//!
-//! * **Extended prepare certification** (Appendix B): refuse a PREPARE whose
-//!   serial number is below the largest locally committed serial number
-//!   (§5.3), then require the candidate's alive interval to intersect every
-//!   stored alive interval in the table (§4.2), then check aliveness.
-//! * **Commit certification** (Appendix C): hold a COMMIT (with retry) while
-//!   any table entry carries a smaller serial number, so local commits
-//!   happen in serial-number order at every site and the commit-order graph
-//!   stays acyclic (§5.2).
-//!
-//! The alive check (Appendix A) runs on a timer while prepared; a failed
-//! check triggers resubmission and a fresh alive interval once the replay
-//! completes.
+//! The two places where resubmission could corrupt serializability are
+//! guarded by the [`Certifier`], which owns the alive-interval table and
+//! answers with verdicts only: a PREPARE is put to
+//! [`Certifier::certify_prepare`] (Appendix B) and refused or accepted; a
+//! COMMIT waits, with retry, until the incarnation is alive and
+//! [`Certifier::commit_gate`] (Appendix C) lets it through, so local commits
+//! happen in serial-number order at every site and the commit-order graph
+//! stays acyclic (§5.2). The alive check (Appendix A) runs on a timer while
+//! prepared; a failed check triggers resubmission and a fresh alive interval
+//! once the replay completes.
 //!
 //! The agent is a pure state machine: [`Agent::handle`] consumes one
 //! [`AgentInput`] plus the local clock reading and returns the actions the
@@ -32,8 +28,8 @@ use mdbs_histories::{GlobalTxnId, Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, CommandResult};
 use serde::{Deserialize, Serialize};
 
-use crate::agent_log::{AgentLog, LogRecord, RecoveredTxn};
-use crate::certifier::CertIndex;
+use crate::agent_log::{AgentLog, LogRecord};
+use crate::certifier::Certifier;
 use crate::config::AgentConfig;
 use crate::msg::Message;
 use crate::sn::SerialNumber;
@@ -59,9 +55,9 @@ pub struct PreparedEntry {
     /// The global transaction.
     pub gtxn: GlobalTxnId,
     /// Serial number certified at PREPARE time.
-    pub sn: Option<SerialNumber>,
-    /// Stored alive intervals `(begin, end)`, oldest first (§4.2).
-    pub intervals: Vec<(u64, u64)>,
+    pub sn: SerialNumber,
+    /// The stored alive interval `(begin, end)` (§4.2).
+    pub interval: (u64, u64),
     /// Whether the current incarnation is alive (not unilaterally aborted).
     pub alive: bool,
     /// Whether a COMMIT decision is already pending on it.
@@ -230,17 +226,6 @@ struct SubTxn {
     /// Local time when the last command completed.
     last_op_done: u64,
     phase: Phase,
-    sn: Option<SerialNumber>,
-    /// Stored alive intervals [begin, end], most recent last; bounded by
-    /// `AgentConfig::stored_intervals` (§4.2's optimization — 1 reproduces
-    /// the paper's basic "store the last interval" variant).
-    intervals: Vec<(u64, u64)>,
-    /// Local prepare order (for the §5.3 strawman commit rule).
-    prepare_seq: u64,
-    /// Handler sequence number at which the current incarnation last became
-    /// alive. The certifier's lazy refresh floor applies to this entry only
-    /// when the floor postdates it (see [`crate::certifier`]).
-    alive_since_seq: u64,
     /// Failed commit certifications so far (safety-valve counter).
     commit_retries: u32,
     /// Local time the COMMIT arrived (`None` until then, and after crash
@@ -253,28 +238,27 @@ struct SubTxn {
 }
 
 impl SubTxn {
+    /// A subtransaction whose BEGIN arrives at local time `now`.
+    fn new(coord: u32, now: u64) -> SubTxn {
+        SubTxn {
+            coord,
+            incarnation: 0,
+            commands: Vec::new(),
+            touched: BTreeSet::new(),
+            executing: false,
+            awaiting_reply: false,
+            resubmit_next: None,
+            aborted: false,
+            last_op_done: now,
+            phase: Phase::Active,
+            commit_retries: 0,
+            commit_since: None,
+            last_dml_step: None,
+        }
+    }
+
     fn in_table(&self) -> bool {
         matches!(self.phase, Phase::Prepared | Phase::CommitPending)
-    }
-
-    /// Extend the end of the current (most recent) alive interval.
-    fn extend_interval(&mut self, now: u64) {
-        if let Some(last) = self.intervals.last_mut() {
-            last.1 = now;
-        } else {
-            self.intervals.push((now, now));
-        }
-    }
-
-    /// Start a fresh alive interval (after a completed resubmission),
-    /// keeping at most `cap` stored intervals.
-    fn push_interval(&mut self, now: u64, cap: usize) {
-        self.intervals.push((now, now));
-        let cap = cap.max(1);
-        if self.intervals.len() > cap {
-            let excess = self.intervals.len() - cap;
-            self.intervals.drain(..excess);
-        }
     }
 
     /// Alive right now: all commands executed, current incarnation neither
@@ -290,19 +274,9 @@ pub struct Agent {
     site: SiteId,
     config: AgentConfig,
     subtxns: BTreeMap<GlobalTxnId, SubTxn>,
-    /// §5.3 extension state: largest serial number locally committed.
-    max_committed_sn: Option<SerialNumber>,
-    /// Ticket-order comparator state: largest serial number ever prepared.
-    max_prepared_sn: Option<SerialNumber>,
-    prepare_counter: u64,
     stats: AgentStats,
-    /// Handler sequence number: bumped once per [`Agent::handle`] call.
-    /// Orders refresh floors against entry alive-points.
-    seq: u64,
-    /// Incremental index over the in-table entries: answers the §4.2
-    /// disjointness question and the Appendix C commit-order question in
-    /// O(log n) instead of a full-table scan per admission.
-    idx: CertIndex,
+    /// The alive-interval table and the three certifications over it.
+    cert: Certifier,
     /// The durable Agent log (commands, prepare/commit records).
     log: AgentLog,
     /// Transactions that reached a terminal local outcome (committed,
@@ -325,12 +299,8 @@ impl Agent {
             site,
             config,
             subtxns: BTreeMap::new(),
-            max_committed_sn: None,
-            max_prepared_sn: None,
-            prepare_counter: 0,
             stats: AgentStats::default(),
-            seq: 0,
-            idx: CertIndex::new(config.cert_shards),
+            cert: Certifier::new(config.mode, None),
             log: AgentLog::new(),
             done: BTreeSet::new(),
             redirects: BTreeMap::new(),
@@ -347,125 +317,77 @@ impl Agent {
     ///
     /// Every unfinished subtransaction is restored in the aborted state —
     /// the crash rolled back all LTM work — so prepared ones resubmit via
-    /// the alive check and forced commit decisions are redone. The returned
-    /// actions re-bind the bound data of prepared subtransactions, re-send
-    /// READY for prepared-but-uncommitted ones (a READY may have been lost
-    /// between the forced prepare record and the crash; the coordinator
-    /// treats duplicates idempotently), notify active-phase conversations
-    /// of the failure, and arm the alive timers that drive resubmission.
+    /// the alive check and forced commit decisions are redone; every
+    /// finished one is remembered as done, so a BEGIN duplicated across the
+    /// crash does not restart it. The returned actions re-bind the bound
+    /// data of prepared subtransactions, re-send READY for
+    /// prepared-but-uncommitted ones (a READY may have been lost between
+    /// the forced prepare record and the crash; the coordinator treats
+    /// duplicates idempotently), notify active-phase conversations of the
+    /// failure, and arm the alive timers that drive resubmission.
     pub fn recover(site: SiteId, config: AgentConfig, log: AgentLog) -> (Agent, Vec<AgentAction>) {
-        let (recovered, max_committed_sn) = log.recover();
-        let mut agent = Agent {
-            site,
-            config,
-            subtxns: BTreeMap::new(),
-            max_committed_sn,
-            max_prepared_sn: None,
-            prepare_counter: 0,
-            stats: AgentStats::default(),
-            seq: 0,
-            idx: CertIndex::new(config.cert_shards),
-            log,
-            done: BTreeSet::new(),
-            redirects: BTreeMap::new(),
-        };
+        let (recovered, max_committed_sn, finished) = log.recover();
+        let mut agent = Agent::new(site, config);
+        agent.cert = Certifier::new(config.mode, max_committed_sn);
+        agent.log = log;
+        for gtxn in finished {
+            agent.note_done(gtxn);
+        }
+        let mut prepared: Vec<(SerialNumber, GlobalTxnId)> = recovered
+            .iter()
+            .filter_map(|t| t.prepared.as_ref().map(|(sn, _)| (*sn, t.gtxn)))
+            .collect();
+        prepared.sort();
+        for (sn, gtxn) in prepared {
+            agent.cert.restore(gtxn, sn);
+        }
+
         let mut actions = Vec::new();
-
-        // Restore in serial-number order so the strawman prepare_seq (if
-        // in use) stays consistent with the certified order.
-        let mut prepared: Vec<&RecoveredTxn> =
-            recovered.iter().filter(|t| t.prepared.is_some()).collect();
-        prepared.sort_by_key(|t| t.prepared.as_ref().map(|(sn, _)| *sn));
-        let order: Vec<GlobalTxnId> = prepared.iter().map(|t| t.gtxn).collect();
-
-        for txn in &recovered {
+        for txn in recovered {
+            let (gtxn, coord) = (txn.gtxn, txn.coord);
             let phase = match (&txn.prepared, txn.committing) {
                 (Some(_), true) => Phase::CommitPending,
                 (Some(_), false) => Phase::Prepared,
                 (None, _) => Phase::Active,
             };
-            let sn = txn.prepared.as_ref().map(|(sn, _)| *sn);
-            if let Some(sn) = sn {
-                if agent.max_prepared_sn.is_none_or(|m| sn > m) {
-                    agent.max_prepared_sn = Some(sn);
-                }
+            let keys = txn.prepared.map(|(_, touched)| touched).unwrap_or_default();
+            let st = SubTxn {
+                incarnation: txn.incarnation,
+                commands: txn.commands,
+                touched: keys.iter().copied().collect(),
+                aborted: true, // the crash rolled everything back
+                phase,
+                ..SubTxn::new(coord, 0)
+            };
+            agent.subtxns.insert(gtxn, st);
+            if phase == Phase::Active {
+                // The in-flight conversation died with the site; tell
+                // the coordinator (idempotent with a racing REFUSE).
+                actions.push(AgentAction::Reply {
+                    coord,
+                    msg: Message::Failed { gtxn, site },
+                });
+                continue;
             }
-            let prepare_seq = order
-                .iter()
-                .position(|g| *g == txn.gtxn)
-                .map_or(0, |p| p as u64 + 1);
-            agent.prepare_counter = agent.prepare_counter.max(prepare_seq);
-            let touched: BTreeSet<u64> = txn
-                .prepared
-                .as_ref()
-                .map(|(_, t)| t.iter().copied().collect())
-                .unwrap_or_default();
-            agent.subtxns.insert(
-                txn.gtxn,
-                SubTxn {
-                    coord: txn.coord,
-                    incarnation: txn.incarnation,
-                    commands: txn.commands.clone(),
-                    touched: touched.clone(),
-                    executing: false,
-                    awaiting_reply: false,
-                    resubmit_next: None,
-                    aborted: true, // the crash rolled everything back
-                    last_op_done: 0,
-                    phase,
-                    sn,
-                    // Frozen, conservative interval: candidates that ran
-                    // after the crash cannot certify against this entry
-                    // until its resubmission completes.
-                    intervals: vec![(0, 0)],
-                    prepare_seq,
-                    alive_since_seq: 0,
-                    commit_retries: 0,
-                    commit_since: None,
-                    last_dml_step: None,
-                },
-            );
-            if !matches!(phase, Phase::Active) {
-                agent.idx.register_frozen(txn.gtxn, &touched, sn, 0);
+            actions.push(AgentAction::Bind {
+                keys,
+                owner: Txn::Global(gtxn),
+            });
+            if phase == Phase::Prepared {
+                actions.push(AgentAction::Reply {
+                    coord,
+                    msg: Message::Ready { gtxn, site },
+                });
             }
-            match phase {
-                Phase::Active => {
-                    // The in-flight conversation died with the site; tell
-                    // the coordinator (idempotent with a racing REFUSE).
-                    actions.push(AgentAction::Reply {
-                        coord: txn.coord,
-                        msg: Message::Failed {
-                            gtxn: txn.gtxn,
-                            site,
-                        },
-                    });
-                }
-                Phase::Prepared | Phase::CommitPending => {
-                    let keys: Vec<u64> = touched.iter().copied().collect();
-                    actions.push(AgentAction::Bind {
-                        keys,
-                        owner: Txn::Global(txn.gtxn),
-                    });
-                    if phase == Phase::Prepared {
-                        actions.push(AgentAction::Reply {
-                            coord: txn.coord,
-                            msg: Message::Ready {
-                                gtxn: txn.gtxn,
-                                site,
-                            },
-                        });
-                    }
-                    actions.push(AgentAction::StartAliveTimer {
-                        gtxn: txn.gtxn,
-                        after_us: agent.config.alive_check_interval_us,
-                    });
-                    if phase == Phase::CommitPending {
-                        actions.push(AgentAction::StartCommitRetryTimer {
-                            gtxn: txn.gtxn,
-                            after_us: agent.config.commit_retry_interval_us,
-                        });
-                    }
-                }
+            actions.push(AgentAction::StartAliveTimer {
+                gtxn,
+                after_us: config.alive_check_interval_us,
+            });
+            if phase == Phase::CommitPending {
+                actions.push(AgentAction::StartCommitRetryTimer {
+                    gtxn,
+                    after_us: config.commit_retry_interval_us,
+                });
             }
         }
         (agent, actions)
@@ -484,11 +406,11 @@ impl Agent {
     /// Number of subtransactions currently in the prepared state (the
     /// alive-interval table size).
     pub fn table_len(&self) -> usize {
-        let n = self.idx.len();
+        let n = self.cert.len();
         debug_assert_eq!(
             n,
             self.subtxns.values().filter(|s| s.in_table()).count(),
-            "certifier index out of sync with the subtransaction table"
+            "certifier table out of sync with the subtransaction phases"
         );
         n
     }
@@ -513,37 +435,18 @@ impl Agent {
         self.subtxns.contains_key(&gtxn)
     }
 
-    /// Read-only snapshot of the certifier's prepared table: one entry per
-    /// subtransaction currently in the prepared or commit-pending state,
-    /// with its stored alive intervals. This is the observation hook the
-    /// bounded model checker asserts the §4 pairwise-intersection property
-    /// against; the agent never reads it back.
+    /// Read-only snapshot of the certifier's table ([`Certifier::snapshot`])
+    /// with each entry's 2PC phase: one row per subtransaction currently in
+    /// the prepared or commit-pending state. The agent never reads it back.
     pub fn prepared_table(&self) -> Vec<PreparedEntry> {
-        let (floor, floor_seq) = self.idx.floor();
-        self.subtxns
-            .iter()
-            .filter(|(_, st)| st.in_table())
-            .map(|(g, st)| {
-                let mut intervals = st.intervals.clone();
-                // Materialize the lazy refresh floor: an entry alive since
-                // before the last PREPARE-time refresh was (logically)
-                // extended to the refresh instant.
-                if st.alive() && st.alive_since_seq < floor_seq {
-                    if let Some(last) = intervals.last_mut() {
-                        if floor > last.1 {
-                            last.1 = floor;
-                        }
-                    }
-                }
-                PreparedEntry {
-                    gtxn: *g,
-                    sn: st.sn,
-                    intervals,
-                    alive: st.alive(),
-                    commit_pending: st.phase == Phase::CommitPending,
-                }
-            })
-            .collect()
+        let mut table = self.cert.snapshot();
+        for e in &mut table {
+            e.commit_pending = self
+                .subtxns
+                .get(&e.gtxn)
+                .is_some_and(|st| st.phase == Phase::CommitPending);
+        }
+        table
     }
 
     fn instance(&self, gtxn: GlobalTxnId, st: &SubTxn) -> Instance {
@@ -552,7 +455,6 @@ impl Agent {
 
     /// Process one input at local time `now` (microseconds, local clock).
     pub fn handle(&mut self, now: u64, input: AgentInput) -> Vec<AgentAction> {
-        self.seq = self.seq.wrapping_add(1);
         match input {
             AgentInput::Deliver(msg) => self.on_message(now, msg),
             AgentInput::LtmDone { gtxn, result } => self.on_ltm_done(now, gtxn, result),
@@ -571,25 +473,7 @@ impl Agent {
                     // incarnation would leak locks forever. Ignore.
                     return vec![];
                 }
-                let st = SubTxn {
-                    coord,
-                    incarnation: 0,
-                    commands: Vec::new(),
-                    touched: BTreeSet::new(),
-                    executing: false,
-                    awaiting_reply: false,
-                    resubmit_next: None,
-                    aborted: false,
-                    last_op_done: now,
-                    phase: Phase::Active,
-                    sn: None,
-                    intervals: vec![(now, now)],
-                    prepare_seq: 0,
-                    alive_since_seq: 0,
-                    commit_retries: 0,
-                    commit_since: None,
-                    last_dml_step: None,
-                };
+                let st = SubTxn::new(coord, now);
                 let inst = self.instance(gtxn, &st);
                 self.subtxns.insert(gtxn, st);
                 self.log.append(LogRecord::Begin { gtxn, coord });
@@ -695,18 +579,10 @@ impl Agent {
         }
     }
 
-    /// Appendix B: extended + basic prepare certification and alive check.
+    /// Appendix B: certify the PREPARE, then refuse or enter the prepared
+    /// state.
     fn on_prepare(&mut self, now: u64, gtxn: GlobalTxnId, sn: SerialNumber) -> Vec<AgentAction> {
-        // Refresh the alive intervals of table entries that are alive right
-        // now (an inline alive check; keeps long alive-check periods from
-        // causing spurious refusals — the paper's §6 assumes exactly this).
-        // The refresh is lazy: recording the floor marks every currently
-        // alive entry as extended to `now` without walking the table; the
-        // extension is materialized into the stored intervals when an entry
-        // freezes (UAN) and when the table is snapshotted.
-        self.idx.note_refresh(now, self.seq);
-
-        let Some(st) = self.subtxns.get(&gtxn) else {
+        let Some(st) = self.subtxns.get_mut(&gtxn) else {
             // Reachable race: a held/delayed PREPARE crossing a ROLLBACK we
             // already processed (the coordinator is aborting and has our
             // RollbackAck; nothing to answer).
@@ -719,64 +595,17 @@ impl Agent {
         }
         // st.executing may be true here: an active-phase unilateral abort
         // can leave a resubmission replay in flight when the PREPARE
-        // arrives. The alive check below refuses in that case.
+        // arrives. The alive check refuses in that case.
         let coord = st.coord;
-        let candidate_begin = st.last_op_done;
-
-        // §5.3 extension: an "older" transaction already committed here?
-        if self.config.mode.prepare_extension() {
-            if let Some(max_sn) = self.max_committed_sn {
-                if sn < max_sn {
-                    self.stats.refused_sn_out_of_order += 1;
-                    return self.refuse(gtxn, coord, RefuseReason::SnOutOfOrder);
-                }
-            }
-        }
-
-        // Ticket comparator: the predeclared total order refuses any
-        // out-of-order PREPARE arrival outright.
-        if self.config.mode.ticket_prepare_check() {
-            if let Some(max_sn) = self.max_prepared_sn {
-                if sn < max_sn {
-                    self.stats.refused_sn_out_of_order += 1;
-                    return self.refuse(gtxn, coord, RefuseReason::SnOutOfOrder);
-                }
-            }
-        }
-
-        // §4.2 basic certification: candidate interval vs. table intervals.
-        if self.config.mode.prepare_certification() {
-            // The candidate itself is still in the active phase, so it is
-            // not registered and needs no self-exclusion.
-            if self.idx.disjoint(now, candidate_begin, &st.touched) {
-                self.stats.refused_interval_disjoint += 1;
-                return self.refuse(gtxn, coord, RefuseReason::AliveIntervalDisjoint);
-            }
-        }
-
-        // Alive check.
-        let Some(st) = self.subtxns.get_mut(&gtxn) else {
-            return vec![]; // unreachable: presence checked above
-        };
-        if !st.alive() {
-            self.stats.refused_not_alive += 1;
-            return self.refuse(gtxn, coord, RefuseReason::NotAlive);
+        let verdict = self
+            .cert
+            .certify_prepare(now, gtxn, sn, st.last_op_done, st.alive());
+        if let Err(reason) = verdict {
+            return self.refuse(gtxn, coord, reason);
         }
 
         // Certification passed: move to the prepared state.
-        st.sn = Some(sn);
-        st.intervals = vec![(candidate_begin, now)];
         st.phase = Phase::Prepared;
-        // The entry becomes alive-in-table at this very handler call, so
-        // the floor recorded above (same seq) does not apply to it: its
-        // stored end is already `now`.
-        st.alive_since_seq = self.seq;
-        if self.max_prepared_sn.is_none_or(|m| sn > m) {
-            self.max_prepared_sn = Some(sn);
-        }
-        self.prepare_counter += 1;
-        st.prepare_seq = self.prepare_counter;
-        self.idx.register(gtxn, &st.touched, Some(sn));
         let keys: Vec<u64> = st.touched.iter().copied().collect();
         self.stats.prepares_accepted += 1;
         self.log.append(LogRecord::Prepare {
@@ -824,6 +653,11 @@ impl Agent {
         let Some(st) = self.subtxns.remove(&gtxn) else {
             return vec![]; // unreachable: callers only refuse table entries
         };
+        match reason {
+            RefuseReason::SnOutOfOrder => self.stats.refused_sn_out_of_order += 1,
+            RefuseReason::AliveIntervalDisjoint => self.stats.refused_interval_disjoint += 1,
+            RefuseReason::NotAlive => self.stats.refused_not_alive += 1,
+        }
         self.note_done(gtxn);
         self.log.append(LogRecord::Rollback { gtxn });
         let mut actions = Vec::new();
@@ -872,12 +706,7 @@ impl Agent {
             }
             // Resubmission complete: fresh alive interval (Appendix A).
             st.resubmit_next = None;
-            let cap = self.config.stored_intervals;
-            st.push_interval(now, cap);
-            st.alive_since_seq = self.seq;
-            // Back alive: clear the frozen end from the index. The key set
-            // may have grown during the replay, so re-derive the shards.
-            self.idx.unfreeze(gtxn, &st.touched);
+            self.cert.revive(gtxn, Some(now));
             if st.phase == Phase::CommitPending {
                 return self.try_commit(now, gtxn);
             }
@@ -909,21 +738,7 @@ impl Agent {
         if st.incarnation != instance.incarnation {
             return vec![]; // stale notification for an old incarnation
         }
-        if st.in_table() && st.alive() {
-            // The entry freezes: materialize the lazy refresh floor into
-            // the stored interval (what the eager PREPARE-time refresh
-            // would have written), then index the now-fixed end.
-            let (floor, floor_seq) = self.idx.floor();
-            if st.alive_since_seq < floor_seq {
-                if let Some(last) = st.intervals.last_mut() {
-                    if floor > last.1 {
-                        last.1 = floor;
-                    }
-                }
-            }
-            let end = st.intervals.last().map_or(0, |l| l.1);
-            self.idx.freeze(gtxn, end);
-        }
+        self.cert.freeze(gtxn);
         st.aborted = true;
         st.executing = false;
         // If the abort struck a resubmission replay, that replay is dead at
@@ -961,7 +776,7 @@ impl Agent {
             // Replay still running; check again later.
         } else if !st.aborted {
             // Alive: extend the stored interval.
-            st.extend_interval(now);
+            self.cert.extend(gtxn, now);
         } else {
             // Unilaterally aborted: resubmit commands from the Agent log.
             actions.extend(self.start_resubmission(gtxn));
@@ -992,68 +807,42 @@ impl Agent {
                 command,
             });
         } else {
-            st.resubmit_next = None;
             // Nothing to replay: instantly alive again. The interval restart
             // happens on the next alive check / prepare refresh.
-            st.alive_since_seq = self.seq;
-            self.idx.unfreeze(gtxn, &st.touched);
+            self.cert.revive(gtxn, None);
         }
         actions
     }
 
-    /// Appendix C: commit certification, possibly retried.
+    /// Appendix C: alive? → commit certification → local commit; a COMMIT
+    /// that fails either test is retried.
     fn try_commit(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
-        let Some(st) = self.subtxns.get(&gtxn) else {
+        let Some(st) = self.subtxns.get_mut(&gtxn) else {
             return vec![]; // unreachable: callers hold a table entry
         };
         debug_assert_eq!(st.phase, Phase::CommitPending);
+        let retry = AgentAction::StartCommitRetryTimer {
+            gtxn,
+            after_us: self.config.commit_retry_interval_us,
+        };
 
         // The incarnation must be alive to be committed; if it was aborted,
         // resubmit first and retry.
         if st.aborted || st.resubmit_next.is_some() {
             let mut actions = Vec::new();
-            if st.aborted && st.resubmit_next.is_none() {
+            if st.aborted {
                 actions.extend(self.start_resubmission(gtxn));
             }
             self.stats.commit_retries += 1;
-            actions.push(AgentAction::StartCommitRetryTimer {
-                gtxn,
-                after_us: self.config.commit_retry_interval_us,
-            });
+            actions.push(retry);
             return actions;
         }
 
-        // Certification: every other table entry must be "younger".
-        let passes = if self.config.mode.sn_commit_certification() {
-            match st.sn {
-                // Appendix C via the index: the smallest serial number
-                // among the other entries decides.
-                Some(my_sn) => !self.idx.commit_blocked(gtxn, my_sn),
-                // A commit-pending entry always carries the serial number
-                // from its PREPARE; pass vacuously if it is missing.
-                None => true,
-            }
-        } else if self.config.mode.prepare_order_commit() {
-            let my_seq = st.prepare_seq;
-            self.subtxns
-                .iter()
-                .filter(|(g, o)| **g != gtxn && o.in_table())
-                .all(|(_, o)| o.prepare_seq > my_seq)
-        } else {
-            true
-        };
-
-        if !passes {
-            let Some(st) = self.subtxns.get_mut(&gtxn) else {
-                return vec![]; // unreachable: presence checked above
-            };
+        if !self.cert.commit_gate(gtxn) {
             st.commit_retries += 1;
             self.stats.commit_retries += 1;
             if st.commit_retries < self.config.max_commit_retries {
-                return vec![AgentAction::StartCommitRetryTimer {
-                    gtxn,
-                    after_us: self.config.commit_retry_interval_us,
-                }];
+                return vec![retry];
             }
             // Safety valve: fall through and commit out of order (see
             // `AgentConfig::max_commit_retries` for when this is reachable).
@@ -1065,13 +854,8 @@ impl Agent {
         let Some(st) = self.subtxns.remove(&gtxn) else {
             return vec![]; // unreachable: presence checked above
         };
-        self.idx.remove(gtxn);
+        self.cert.leave(gtxn, true);
         self.note_done(gtxn);
-        if let Some(sn) = st.sn {
-            if self.max_committed_sn.is_none_or(|m| sn > m) {
-                self.max_committed_sn = Some(sn);
-            }
-        }
         self.stats.local_commits += 1;
         self.stats.commit_hold_us += st.commit_since.map_or(0, |t| now.saturating_sub(t));
         self.log.append(LogRecord::Commit { gtxn });
@@ -1092,14 +876,14 @@ impl Agent {
     }
 
     /// Event-driven commit certification: put the oldest table entry
-    /// through [`Agent::try_commit`] if a COMMIT is pending on it and its
-    /// incarnation is alive (an aborted or replaying head is committed by
-    /// its own replay completion, not here). Such an entry exists only
-    /// because the smaller serial number that held it has just left the
-    /// table — otherwise its own COMMIT or `LtmDone` step would have
-    /// committed it, serial numbers being unique. At most one local
-    /// commit per call: the host applies the returned actions in full and
-    /// calls again, so an `LtmDone` surfacing while an `LtmCommit` is
+    /// ([`Certifier::oldest`]) through [`Agent::try_commit`] if a COMMIT is
+    /// pending on it and its incarnation is alive (an aborted or replaying
+    /// head is committed by its own replay completion, not here). Such an
+    /// entry exists only because the smaller serial number that held it has
+    /// just left the table — otherwise its own COMMIT or `LtmDone` step
+    /// would have committed it, serial numbers being unique. At most one
+    /// local commit per call: the host applies the returned actions in full
+    /// and calls again, so an `LtmDone` surfacing while an `LtmCommit` is
     /// applied always meets a table that still holds every smaller serial
     /// number not yet committed at the LTM. The retry timer of the
     /// released entry stays armed and finds nothing to do.
@@ -1107,19 +891,14 @@ impl Agent {
     /// Only the serial-number rule has a single oldest entry to release;
     /// the comparator modes keep their timer-only behavior.
     pub fn release_held_commit(&mut self, now: u64) -> Vec<AgentAction> {
-        if !self.config.mode.sn_commit_certification() {
-            return vec![];
-        }
-        let Some((_, gtxn)) = self.idx.oldest() else {
+        let held = self.cert.oldest().filter(|gtxn| {
+            self.subtxns
+                .get(gtxn)
+                .is_some_and(|st| st.phase == Phase::CommitPending && st.alive())
+        });
+        let Some(gtxn) = held else {
             return vec![];
         };
-        let held = self
-            .subtxns
-            .get(&gtxn)
-            .is_some_and(|st| st.phase == Phase::CommitPending && st.alive());
-        if !held {
-            return vec![];
-        }
         let before = self.stats.local_commits;
         let actions = self.try_commit(now, gtxn);
         if self.stats.local_commits == before {
@@ -1166,7 +945,7 @@ impl Agent {
         };
         let (coord, aborted, incarnation) = (st.coord, st.aborted, st.incarnation);
         self.subtxns.remove(&gtxn);
-        self.idx.remove(gtxn);
+        self.cert.leave(gtxn, false);
         let mut actions = Vec::new();
         if !aborted {
             actions.push(AgentAction::LtmAbort(Instance::global(
@@ -1982,54 +1761,6 @@ mod tests {
     }
 
     #[test]
-    fn stored_interval_count_cannot_change_decisions() {
-        // Reproduction finding: §4.2 suggests storing several past alive
-        // intervals "as an optimization". Under the paper's own convention
-        // that the candidate's interval ends at the checking moment, the
-        // intersection test reduces to `candidate_begin <= entry_end`, and
-        // an entry's interval ends are monotone — so only the *latest*
-        // stored interval can ever matter. Verify k=1 and k=3 agents make
-        // identical decisions across the interesting scenarios.
-        for (abort_t1, resubmit) in [(false, false), (true, false), (true, true)] {
-            let mut decisions = Vec::new();
-            for k in [1usize, 3] {
-                let mut a = Agent::new(
-                    SITE,
-                    AgentConfig {
-                        stored_intervals: k,
-                        ..AgentConfig::default()
-                    },
-                );
-                prepare_one(&mut a, 1, 0, 10);
-                if abort_t1 {
-                    a.handle(
-                        100,
-                        AgentInput::Uan {
-                            instance: Instance::global(1, SITE, 0),
-                        },
-                    );
-                }
-                if resubmit {
-                    a.handle(10_000, AgentInput::AliveTimer { gtxn: g(1) });
-                    a.handle(
-                        10_050,
-                        AgentInput::LtmDone {
-                            gtxn: g(1),
-                            result: result(&[1]),
-                        },
-                    );
-                }
-                let acts = prepare_one(&mut a, 2, 20_000, 20);
-                decisions.push((k, has_ready(&acts)));
-            }
-            assert_eq!(
-                decisions[0].1, decisions[1].1,
-                "k=1 and k=3 disagreed in scenario {abort_t1}/{resubmit}: {decisions:?}"
-            );
-        }
-    }
-
-    #[test]
     fn crash_recovery_restores_prepared_txns() {
         use crate::agent_log::AgentLog;
         let mut a = agent();
@@ -2142,6 +1873,41 @@ mod tests {
             }
         )));
         assert_eq!(rec.table_len(), 0);
+    }
+
+    #[test]
+    fn crash_recovery_remembers_terminal_outcomes() {
+        let begin = |k| {
+            AgentInput::Deliver(Message::Begin {
+                gtxn: g(k),
+                coord: COORD,
+            })
+        };
+        let config = AgentConfig {
+            done_cap: 2,
+            ..AgentConfig::default()
+        };
+        let mut a = Agent::new(SITE, config);
+        for k in 1..=3 {
+            prepare_one(&mut a, k, 0, 10 * u64::from(k));
+        }
+        a.handle(10, commit(1));
+        a.handle(11, AgentInput::Deliver(Message::Rollback { gtxn: g(2) }));
+        a.handle(12, commit(3));
+        assert_eq!(a.stats().local_commits, 2);
+        let (mut rec, actions) = Agent::recover(SITE, config, a.log().clone());
+        assert_eq!(actions, vec![]);
+        // A BEGIN duplicated across the crash must not restart a finished
+        // conversation: its LtmBegin would reuse the committed instance's
+        // id and hold its locks forever.
+        assert_eq!(rec.handle(20, begin(3)), vec![]);
+        assert_eq!(rec.handle(21, begin(2)), vec![]);
+        // `done_cap` bounds the recovered set like the live one.
+        assert_eq!(rec.done_len(), 2);
+        assert!(matches!(
+            rec.handle(22, begin(1))[..],
+            [AgentAction::LtmBegin(_)]
+        ));
     }
 
     #[test]

@@ -125,10 +125,11 @@ impl AgentLog {
         self.records.is_empty()
     }
 
-    /// The recovery scan: reconstruct every unfinished subtransaction and
-    /// the largest serial number whose commit record was forced (needed to
-    /// restore the §5.3 extension state).
-    pub fn recover(&self) -> (Vec<RecoveredTxn>, Option<SerialNumber>) {
+    /// The recovery scan: reconstruct every unfinished subtransaction, the
+    /// largest serial number whose commit record was forced (needed to
+    /// restore the §5.3 extension state), and the finished transactions
+    /// (a duplicate BEGIN surfacing after the crash must not restart one).
+    pub fn recover(&self) -> (Vec<RecoveredTxn>, Option<SerialNumber>, Vec<GlobalTxnId>) {
         use std::collections::BTreeMap;
         let mut txns: BTreeMap<GlobalTxnId, RecoveredTxn> = BTreeMap::new();
         let mut finished: Vec<GlobalTxnId> = Vec::new();
@@ -180,7 +181,7 @@ impl AgentLog {
                 }
             }
         }
-        (txns.into_values().collect(), max_committed_sn)
+        (txns.into_values().collect(), max_committed_sn, finished)
     }
 }
 
@@ -205,8 +206,8 @@ mod tests {
 
     #[test]
     fn empty_log_recovers_nothing() {
-        let (txns, max_sn) = AgentLog::new().recover();
-        assert!(txns.is_empty());
+        let (txns, max_sn, finished) = AgentLog::new().recover();
+        assert!(txns.is_empty() && finished.is_empty());
         assert_eq!(max_sn, None);
     }
 
@@ -221,7 +222,7 @@ mod tests {
             gtxn: g(1),
             command: cmd(0),
         });
-        let (txns, _) = log.recover();
+        let (txns, _, _) = log.recover();
         assert_eq!(txns.len(), 1);
         assert_eq!(txns[0].coord, 7);
         assert_eq!(txns[0].commands, vec![cmd(0)]);
@@ -245,7 +246,7 @@ mod tests {
             sn: sn(5),
             touched: vec![3],
         });
-        let (txns, _) = log.recover();
+        let (txns, _, _) = log.recover();
         assert_eq!(txns[0].prepared, Some((sn(5), vec![3])));
     }
 
@@ -262,7 +263,7 @@ mod tests {
             touched: vec![],
         });
         log.append(LogRecord::Commit { gtxn: g(1) });
-        let (txns, max_sn) = log.recover();
+        let (txns, max_sn, _) = log.recover();
         assert!(txns[0].committing);
         assert_eq!(max_sn, Some(sn(5)));
     }
@@ -281,9 +282,10 @@ mod tests {
         });
         log.append(LogRecord::Commit { gtxn: g(1) });
         log.append(LogRecord::Done { gtxn: g(1) });
-        let (txns, max_sn) = log.recover();
+        let (txns, max_sn, finished) = log.recover();
         assert!(txns.is_empty());
         assert_eq!(max_sn, Some(sn(9)), "extension state survives the crash");
+        assert_eq!(finished, vec![g(1)], "and so does the terminal outcome");
     }
 
     #[test]
@@ -300,7 +302,7 @@ mod tests {
         });
         log.append(LogRecord::Resubmit { gtxn: g(1) });
         log.append(LogRecord::Resubmit { gtxn: g(1) });
-        let (txns, _) = log.recover();
+        let (txns, _, _) = log.recover();
         assert_eq!(txns[0].incarnation, 2);
     }
 
@@ -312,8 +314,9 @@ mod tests {
             coord: 7,
         });
         log.append(LogRecord::Rollback { gtxn: g(1) });
-        let (txns, _) = log.recover();
+        let (txns, _, finished) = log.recover();
         assert!(txns.is_empty());
+        assert_eq!(finished, vec![g(1)]);
     }
 
     #[test]
@@ -326,7 +329,7 @@ mod tests {
             });
         }
         log.append(LogRecord::Rollback { gtxn: g(2) });
-        let (txns, _) = log.recover();
+        let (txns, _, _) = log.recover();
         let ids: Vec<u32> = txns.iter().map(|t| t.gtxn.0).collect();
         assert_eq!(ids, vec![1, 3]);
     }

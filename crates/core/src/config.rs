@@ -87,15 +87,6 @@ pub struct AgentConfig {
     pub alive_check_interval_us: u64,
     /// Appendix C: delay before retrying a failed commit certification.
     pub commit_retry_interval_us: u64,
-    /// §4.2: "The easiest way to implement the Certifier is to simply
-    /// *store the last* alive time interval for each global subtransaction
-    /// being in the prepared state. As an optimization, several of them
-    /// might be stored." Number of past alive intervals kept per prepared
-    /// subtransaction (1 = the paper's basic variant). With k > 1, a
-    /// candidate passes against an entry if it intersects *any* of the
-    /// entry's stored intervals, eliminating refusals of transactions that
-    /// overlapped an earlier life of a since-resubmitted entry.
-    pub stored_intervals: usize,
     /// Safety valve: after this many failed commit certifications the agent
     /// commits anyway. The in-family anomaly baselines can livelock without
     /// it, and a forced commit surfaces exactly the anomaly the run
@@ -106,14 +97,6 @@ pub struct AgentConfig {
     /// each other and retry without bound (ROADMAP open item 6: `sim-hot`
     /// with `unilateral_abort_prob = 0.1`, workload seed `1000633`).
     pub max_commit_retries: u32,
-    /// Key-range shards of the certifier's prepared table. With 1 (the
-    /// default) a PREPARE certifies against *every* table entry — the
-    /// paper's site-global §4.2 rule, which the golden digests are recorded
-    /// against. With k > 1 the table is partitioned by `key % k` and a
-    /// PREPARE consults only the shards of the keys its subtransaction
-    /// touched, so disjoint-key subtransactions certify independently.
-    /// 0 is treated as 1.
-    pub cert_shards: usize,
     /// Bound on the agent's duplicate-detection done-set (terminated
     /// transaction ids kept to screen replayed BEGIN/COMMIT/ROLLBACK).
     /// 0 (the default) keeps every id forever — the behavior the golden
@@ -133,9 +116,7 @@ impl Default for AgentConfig {
             mode: CertifierMode::Full,
             alive_check_interval_us: 10_000,
             commit_retry_interval_us: 5_000,
-            stored_intervals: 1,
             max_commit_retries: 1_000_000,
-            cert_shards: 1,
             done_cap: 0,
         }
     }

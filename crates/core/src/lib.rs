@@ -11,21 +11,24 @@
 //! principle, a real network stack) interprets the actions. This makes every
 //! certification rule directly unit-testable.
 //!
-//! The certifier implements the three mechanisms of §§4–5, structured
-//! exactly as the Appendix algorithms:
+//! [`certifier::Certifier`] owns the alive-interval table and implements
+//! the three mechanisms of §§4–5 as calls that return verdicts, structured
+//! exactly as the Appendix algorithms; [`agent::Agent`] is 2PC, the Agent
+//! log and resubmission around it:
 //!
 //! * **A. Alive check** — periodic while prepared; detects unilateral aborts
 //!   (via UAN) and resubmits the logged commands, starting a fresh alive
-//!   interval when resubmission completes.
-//! * **B. Extended prepare certification** — refuse a PREPARE whose serial
-//!   number is smaller than the largest locally committed one (the §5.3
-//!   extension), then require the candidate's alive interval to intersect
-//!   the stored alive interval of *every* prepared subtransaction (the §4.2
-//!   basic certification, justified by the Conflict Detection Basis), then
-//!   a final alive check.
-//! * **C. Commit certification** — perform local commits in serial-number
-//!   order: a COMMIT waits (with retry) while any subtransaction with a
-//!   smaller serial number is still in the alive-interval table (§5.2).
+//!   interval when resubmission completes (`extend` / `freeze` / `revive`).
+//! * **B. Extended prepare certification** (`certify_prepare`) — refuse a
+//!   PREPARE whose serial number is smaller than the largest locally
+//!   committed one (the §5.3 extension), then require the candidate's alive
+//!   interval to intersect the stored alive interval of *every* prepared
+//!   subtransaction (the §4.2 basic certification, justified by the Conflict
+//!   Detection Basis), then a final alive check.
+//! * **C. Commit certification** (`commit_gate`) — perform local commits in
+//!   serial-number order: a COMMIT waits (with retry) while any
+//!   subtransaction with a smaller serial number is still in the
+//!   alive-interval table (§5.2).
 //!
 //! [`config::CertifierMode`] selectively disables mechanisms, yielding the
 //! in-family baselines used by the experiments (no certification at all; no

@@ -1,28 +1,36 @@
-//! Differential oracle for the indexed certifier.
+//! Differential oracle for the certifier.
 //!
-//! The agent's interval index ([`mdbs_dtm::certifier::CertIndex`]) replaced
-//! the eager refresh-and-scan implementation. These tests drive a real
-//! [`Agent`] through randomized prepare/abort/resubmit/commit/rollback
-//! schedules while maintaining the *old* implementation
-//! ([`mdbs_dtm::certifier::LinearReference`]: eager refresh loop + linear
-//! scan) as a shadow, and assert at every step that
+//! [`Certifier`] keeps one stored interval per entry, refreshes alive
+//! entries lazily through a floor and answers from sorted sets. These tests
+//! hold it to the definitional table ([`LinearReference`]: *every* interval
+//! an entry ever had, an eager refresh loop, linear any-of scans) —
 //!
-//! * every PREPARE gets the identical accept/refuse decision (including the
-//!   refuse *reason*), so `refused_interval_disjoint` counts match exactly;
-//! * the observable prepared table (stored intervals, aliveness) is
-//!   bit-for-bit what the eager implementation would have produced.
-//!
-//! Covered per the paper: `stored_intervals = 1` (§4.2's basic "store the
-//! last interval" variant) and > 1, and the frozen `(0, 0)` crash-recovery entry (collective abort).
+//! * directly: random scripts over the certifier's own calls, comparing
+//!   every prepare verdict, every commit-gate answer and the table after
+//!   each step (`index_matches_linear_reference`). That one stored interval
+//!   decides exactly as all of them (§4.2's "several of them might be
+//!   stored" optimization is vacuous) is this property;
+//! * through a real [`Agent`] on randomized prepare / abort / resubmit /
+//!   commit / rollback schedules: identical accept/refuse decisions
+//!   (including the refuse *reason*, so `refused_interval_disjoint` counts
+//!   match exactly) and a bit-for-bit table;
+//! * on the frozen `(0, 0)` crash-recovery entry (collective abort).
 
 use std::collections::BTreeMap;
 
-use mdbs_dtm::certifier::{LinearEntry, LinearReference};
-use mdbs_dtm::{Agent, AgentAction, AgentConfig, AgentInput, Message, RefuseReason, SerialNumber};
+use mdbs_dtm::certifier::Certifier;
+use mdbs_dtm::{
+    Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, Message, PreparedEntry,
+    RefuseReason, SerialNumber,
+};
 use mdbs_histories::{GlobalTxnId, Instance, SiteId};
 use mdbs_ldbs::{Command, CommandResult, KeySpec};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+
+#[path = "oracle/linear_reference.rs"]
+mod linear_reference;
+use linear_reference::{LinearEntry, LinearReference};
 
 const SITE: SiteId = SiteId(0);
 const COORD: u32 = 77;
@@ -137,20 +145,18 @@ fn has_commit_ack(actions: &[AgentAction]) -> bool {
     })
 }
 
-/// Assert the agent's (lazily materialized) prepared table equals the
-/// eager shadow, entry by entry, interval by interval.
-fn assert_table_matches(agent: &Agent, lin: &LinearReference, ctx: &str) {
-    let table = agent.prepared_table();
+/// Assert a (lazily refreshed, one-interval) table equals the eager
+/// shadow, entry by entry: the stored interval is the shadow's latest.
+fn assert_table_matches(table: &[PreparedEntry], lin: &LinearReference, ctx: &str) {
     assert_eq!(table.len(), lin.len(), "{ctx}: table size diverged");
-    let shadow: BTreeMap<GlobalTxnId, LinearEntry> =
-        lin.entries().map(|(g, e)| (*g, e.clone())).collect();
-    for row in &table {
-        let Some(want) = shadow.get(&row.gtxn) else {
-            panic!("{ctx}: {:?} in agent table but not in shadow", row.gtxn);
+    for row in table {
+        let Some(want) = lin.get(row.gtxn) else {
+            panic!("{ctx}: {:?} in the table but not in the shadow", row.gtxn);
         };
         assert_eq!(
-            row.intervals, want.intervals,
-            "{ctx}: intervals diverged for {:?}",
+            Some(&row.interval),
+            want.intervals.last(),
+            "{ctx}: interval diverged for {:?}",
             row.gtxn
         );
         assert_eq!(
@@ -162,14 +168,10 @@ fn assert_table_matches(agent: &Agent, lin: &LinearReference, ctx: &str) {
     }
 }
 
-/// Run one schedule against one config; returns the number of
-/// interval-disjoint refusals both sides agreed on.
-fn run_schedule(steps: &[Step], cap: usize) -> u64 {
-    let config = AgentConfig {
-        stored_intervals: cap,
-        ..AgentConfig::default()
-    };
-    let mut agent = Agent::new(SITE, config);
+/// Run one schedule; returns the number of interval-disjoint refusals both
+/// sides agreed on.
+fn run_schedule(steps: &[Step]) -> u64 {
+    let mut agent = Agent::new(SITE, AgentConfig::default());
     let mut lin = LinearReference::new();
     let mut mirror: BTreeMap<GlobalTxnId, TxnMirror> = BTreeMap::new();
     let mut max_committed: Option<SerialNumber> = None;
@@ -179,7 +181,7 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
 
     for (i, step) in steps.iter().enumerate() {
         now += 3;
-        let ctx = format!("step {i} ({step:?}, cap {cap})");
+        let ctx = format!("step {i} ({step:?})");
         match step {
             Step::Lifecycle { commands, sn_ticks } => {
                 let gtxn = g(next_id);
@@ -235,7 +237,7 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
                             LinearEntry {
                                 intervals: vec![(last_op_done, now)],
                                 alive: true,
-                                sn: Some(snv),
+                                sn: snv,
                             },
                         );
                         mirror.insert(
@@ -304,7 +306,7 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
                         // or instantly alive when there are none (the
                         // interval then restarts only at the next refresh).
                         if m.commands == 0 {
-                            lin.unfreeze(gtxn, None, cap);
+                            lin.unfreeze(gtxn, None);
                             m.state = TxnState::Prepared;
                         } else {
                             m.state = TxnState::Resubmitting { left: m.commands };
@@ -339,7 +341,7 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
                         // Replay complete: fresh alive interval.
                         m.state = TxnState::Prepared;
                         m.last_op_done = now;
-                        lin.unfreeze(gtxn, Some(now), cap);
+                        lin.unfreeze(gtxn, Some(now));
                     } else {
                         m.state = TxnState::Resubmitting { left: left - 1 };
                     }
@@ -400,7 +402,7 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
                 }
             }
         }
-        assert_table_matches(&agent, &lin, &ctx);
+        assert_table_matches(&agent.prepared_table(), &lin, &ctx);
     }
 
     assert_eq!(
@@ -412,22 +414,142 @@ fn run_schedule(steps: &[Step], cap: usize) -> u64 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The paper-basic variant: one stored interval per entry.
     #[test]
-    fn indexed_agent_matches_linear_oracle_cap1(
-        steps in pvec(step_strategy(), 1..50),
-    ) {
-        run_schedule(&steps, 1);
+    fn agent_matches_linear_oracle(steps in pvec(step_strategy(), 1..50)) {
+        run_schedule(&steps);
     }
+}
 
-    /// The §4.2 optimization: several stored intervals per entry.
+/// One step of a random script over the certifier's own calls. `k` names
+/// the transaction; steps that do not apply to its current state are
+/// skipped, the way the agent's phase guards would.
+#[derive(Debug, Clone)]
+enum Call {
+    Certify {
+        k: u32,
+        sn_ticks: u64,
+        begin_back: u64,
+        alive: bool,
+    },
+    Extend {
+        k: u32,
+    },
+    Freeze {
+        k: u32,
+    },
+    Revive {
+        k: u32,
+        fresh: bool,
+    },
+    Leave {
+        k: u32,
+        committed: bool,
+    },
+    CommitGate {
+        k: u32,
+    },
+}
+
+fn call_strategy() -> impl Strategy<Value = Call> {
+    // One candidate in ten arrives not alive.
+    let certify = || {
+        (0u32..12, 0u64..50, 0u64..30, 0u8..10).prop_map(|(k, sn_ticks, begin_back, dead)| {
+            Call::Certify {
+                k,
+                sn_ticks,
+                begin_back,
+                alive: dead != 0,
+            }
+        })
+    };
+    prop_oneof![
+        certify(),
+        certify(),
+        (0u32..12).prop_map(|k| Call::Extend { k }),
+        (0u32..12).prop_map(|k| Call::Freeze { k }),
+        (0u32..12, any::<bool>()).prop_map(|(k, fresh)| Call::Revive { k, fresh }),
+        (0u32..12, any::<bool>()).prop_map(|(k, committed)| Call::Leave { k, committed }),
+        (0u32..12).prop_map(|k| Call::CommitGate { k }),
+    ]
+}
+
+proptest! {
+    /// Drive [`Certifier`] and [`LinearReference`] through the same random
+    /// script (with a monotone clock) and assert identical prepare
+    /// verdicts, commit-gate answers and tables throughout.
     #[test]
-    fn indexed_agent_matches_linear_oracle_cap3(
-        steps in pvec(step_strategy(), 1..50),
-    ) {
-        run_schedule(&steps, 3);
+    fn index_matches_linear_reference(calls in pvec(call_strategy(), 1..80)) {
+        let mut cert = Certifier::new(CertifierMode::Full, None);
+        let mut lin = LinearReference::new();
+        let mut max_committed: Option<SerialNumber> = None;
+        let mut now: u64 = 1;
+
+        for (i, call) in calls.iter().enumerate() {
+            now += 1;
+            let ctx = format!("call {i} ({call:?})");
+            match *call {
+                Call::Certify { k, sn_ticks, begin_back, alive } => {
+                    if lin.get(g(k)).is_some() {
+                        continue;
+                    }
+                    let begin = now.saturating_sub(begin_back);
+                    lin.refresh(now);
+                    let want = if max_committed.is_some_and(|m| sn(sn_ticks) < m) {
+                        Err(RefuseReason::SnOutOfOrder)
+                    } else if lin.disjoint(begin) {
+                        Err(RefuseReason::AliveIntervalDisjoint)
+                    } else if !alive {
+                        Err(RefuseReason::NotAlive)
+                    } else {
+                        Ok(())
+                    };
+                    let got = cert.certify_prepare(now, g(k), sn(sn_ticks), begin, alive);
+                    prop_assert_eq!(got, want, "{}", ctx);
+                    if want.is_ok() {
+                        let entry = LinearEntry {
+                            intervals: vec![(begin, now)],
+                            alive: true,
+                            sn: sn(sn_ticks),
+                        };
+                        lin.insert(g(k), entry);
+                    }
+                }
+                Call::Extend { k } => {
+                    cert.extend(g(k), now);
+                    lin.extend(g(k), now);
+                }
+                Call::Freeze { k } => {
+                    cert.freeze(g(k));
+                    lin.freeze(g(k));
+                }
+                Call::Revive { k, fresh } => {
+                    if lin.get(g(k)).is_none_or(|e| e.alive) {
+                        continue;
+                    }
+                    cert.revive(g(k), fresh.then_some(now));
+                    lin.unfreeze(g(k), fresh.then_some(now));
+                }
+                Call::Leave { k, committed } => {
+                    cert.leave(g(k), committed);
+                    if let Some(e) = lin.remove(g(k)).filter(|_| committed) {
+                        max_committed = max_committed.max(Some(e.sn));
+                    }
+                }
+                Call::CommitGate { k } => {
+                    let Some(e) = lin.get(g(k)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(
+                        cert.commit_gate(g(k)),
+                        !lin.commit_blocked(g(k), e.sn),
+                        "{}", ctx
+                    );
+                }
+            }
+            assert_table_matches(&cert.snapshot(), &lin, &ctx);
+        }
     }
 }
 
@@ -476,11 +598,7 @@ fn recovered_zero_interval_refuses_until_resubmitted() {
     let table = agent.prepared_table();
     assert_eq!(table.len(), 2);
     for row in &table {
-        assert_eq!(
-            row.intervals,
-            vec![(0, 0)],
-            "conservative recovery interval"
-        );
+        assert_eq!(row.interval, (0, 0), "conservative recovery interval");
         assert!(!row.alive);
     }
     // Rebuild the shadow from the observable table and cross-check a
@@ -490,7 +608,7 @@ fn recovered_zero_interval_refuses_until_resubmitted() {
         lin.insert(
             row.gtxn,
             LinearEntry {
-                intervals: row.intervals.clone(),
+                intervals: vec![row.interval],
                 alive: row.alive,
                 sn: row.sn,
             },

@@ -1,8 +1,9 @@
 //! The checkers as their definitions read — quadratic or worse, one
 //! re-scan of the history per question — kept as test oracles for the
-//! indexed one-sweep versions the crate ships, the way `LinearReference`
-//! guards `CertIndex`. The contract checked below is *same verdicts, same
-//! first witnesses*; only the content of a `CG` cycle witness is free.
+//! indexed one-sweep versions the crate ships, the way the linear table in
+//! `crates/core/tests/oracle/` guards the certifier. The contract checked
+//! below is *same verdicts, same first witnesses*; only the content of a
+//! `CG` cycle witness is free.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -261,15 +261,7 @@ impl KvConfig {
 
     /// Parse `key` as `T` if present.
     pub fn get<T: FromStr>(&mut self, key: &str) -> Result<Option<T>, ConfigError> {
-        match self.raw(key) {
-            None => Ok(None),
-            Some(v) => v.parse::<T>().map(Some).map_err(|_| {
-                ConfigError(format!(
-                    "key {key:?}: cannot parse {v:?} as {}",
-                    std::any::type_name::<T>()
-                ))
-            }),
-        }
+        self.raw(key).map(|v| parse_value(key, v)).transpose()
     }
 
     /// Parse `key` as `T`, or keep `current` when absent.
@@ -281,23 +273,6 @@ impl KvConfig {
     pub fn require<T: FromStr>(&mut self, key: &str) -> Result<T, ConfigError> {
         self.get(key)?
             .ok_or_else(|| ConfigError(format!("missing required key {key:?}")))
-    }
-
-    /// Parse an inclusive `lo..hi` range value.
-    pub fn get_range_u32(&mut self, key: &str) -> Result<Option<(u32, u32)>, ConfigError> {
-        match self.raw(key) {
-            None => Ok(None),
-            Some(v) => {
-                let err = || ConfigError(format!("key {key:?}: expected `lo..hi`, got {v:?}"));
-                let (lo, hi) = v.split_once("..").ok_or_else(err)?;
-                let lo: u32 = lo.trim().parse().map_err(|_| err())?;
-                let hi: u32 = hi.trim().parse().map_err(|_| err())?;
-                if lo > hi {
-                    return Err(err());
-                }
-                Ok(Some((lo, hi)))
-            }
-        }
     }
 
     /// Keys present but never consumed.
@@ -320,82 +295,135 @@ impl KvConfig {
     }
 }
 
-/// Read a scenario ([`SimConfig`]) from parsed kv text. Every key is
-/// optional and defaults to [`SimConfig::default`]; see `scenario_to_kv`
-/// for the full key list. `faults.profile` names a built-in chaos profile
-/// (sampled against the scenario's own topology and seed, exactly like the
-/// chaos harness does).
+/// Parse the value `v` of `key` as `T`.
+fn parse_value<T: FromStr>(key: &str, v: &str) -> Result<T, ConfigError> {
+    v.parse().map_err(|_| {
+        ConfigError(format!(
+            "key {key:?}: cannot parse {v:?} as {}",
+            std::any::type_name::<T>()
+        ))
+    })
+}
+
+/// One scenario key: how it prints (`None` = left out of the file) and how
+/// its value is read into the scenario.
+struct ScenarioKey {
+    name: &'static str,
+    print: fn(&SimConfig) -> Option<String>,
+    parse: fn(&mut SimConfig, &str) -> Result<(), ConfigError>,
+}
+
+/// `key!(name, field)` is a field that prints with `Display` and parses
+/// with `FromStr`; `key!(name, field, show, read)` names the two functions.
+macro_rules! key {
+    ($name:literal, $($field:ident).+) => {
+        key!($name, $($field).+, show, parse_value)
+    };
+    ($name:literal, $($field:ident).+, $show:expr, $read:expr) => {
+        ScenarioKey {
+            name: $name,
+            print: |c| $show(&c.$($field).+),
+            parse: |c, v| {
+                c.$($field).+ = $read($name, v)?;
+                Ok(())
+            },
+        }
+    };
+}
+
+fn show<T: ToString>(field: &T) -> Option<String> {
+    Some(field.to_string())
+}
+
+/// Every scenario key, in the order [`scenario_to_kv`] prints them — the
+/// one list [`scenario_from_kv`] reads by as well. All are optional and
+/// default to [`SimConfig::default`]. (`faults.profile` is read-only and
+/// not in the table: a sampled plan is never written down.)
+const SCENARIO_KEYS: &[ScenarioKey] = &[
+    key!("seed", workload.seed),
+    key!("sites", workload.sites),
+    key!("items_per_site", workload.items_per_site),
+    key!("initial_value", workload.initial_value),
+    key!("global_txns", workload.global_txns),
+    key!("mpl", workload.mpl),
+    key!("local_txns_per_site", workload.local_txns_per_site),
+    key!(
+        "sites_per_txn",
+        workload.sites_per_txn,
+        show_range,
+        parse_range
+    ),
+    key!(
+        "commands_per_site",
+        workload.commands_per_site,
+        show_range,
+        parse_range
+    ),
+    key!("write_fraction", workload.write_fraction),
+    key!("range_fraction", workload.range_fraction),
+    key!("range_span", workload.range_span),
+    key!(
+        "access",
+        workload.access,
+        |a| Some(access_key(a)),
+        |_, v| parse_access(v)
+    ),
+    key!("unilateral_abort_prob", workload.unilateral_abort_prob),
+    key!("enforce_dlu", workload.enforce_dlu),
+    key!("global_arrival_mean_us", workload.global_arrival_mean_us),
+    key!("local_arrival_mean_us", workload.local_arrival_mean_us),
+    key!(
+        "protocol",
+        protocol,
+        |p: &Protocol| Some(p.key()),
+        |_, v| Protocol::parse(v)
+    ),
+    key!("coordinators", coordinators),
+    key!("net_latency_us", net_latency_us),
+    key!("net_jitter_us", net_jitter_us),
+    key!("ltm_service_us", ltm_service_us),
+    key!("max_clock_skew_us", max_clock_skew_us),
+    key!("max_drift_ppm", max_drift_ppm),
+    key!(
+        "agent.alive_check_interval_us",
+        agent.alive_check_interval_us
+    ),
+    key!(
+        "agent.commit_retry_interval_us",
+        agent.commit_retry_interval_us
+    ),
+    key!("agent.max_commit_retries", agent.max_commit_retries),
+    key!("agent.done_cap", agent.done_cap),
+    key!("deadlock_scan_us", deadlock_scan_us),
+    key!("wait_timeout_us", wait_timeout_us),
+    key!("abort_delay_max_us", abort_delay_max_us),
+    key!(
+        "time_limit_us",
+        time_limit,
+        |t: &SimTime| Some(t.as_micros().to_string()),
+        |k, v| parse_value(k, v).map(SimTime::from_micros)
+    ),
+    key!("consensus.f", consensus_f),
+    key!("consensus.failover_delay_us", failover_delay_us),
+    key!(
+        "consensus.crash_coord_after_ready",
+        coord_crash_after_ready,
+        |o: &Option<(u32, u32)>| o.map(|(c, k)| format!("{c}@{k}")),
+        |_, v| parse_crash_coord(v).map(Some)
+    ),
+    key!("crashes", crashes, show_crashes, |_, v| parse_crashes(v)),
+];
+
+/// Read a scenario ([`SimConfig`]) from parsed kv text: every key of
+/// [`SCENARIO_KEYS`], plus `faults.profile`, which names a built-in chaos
+/// profile (sampled against the scenario's own topology and seed, exactly
+/// like the chaos harness does).
 pub fn scenario_from_kv(kv: &mut KvConfig) -> Result<SimConfig, ConfigError> {
     let mut cfg = SimConfig::default();
-    let w = &mut cfg.workload;
-    w.seed = kv.get_or("seed", w.seed)?;
-    w.sites = kv.get_or("sites", w.sites)?;
-    w.items_per_site = kv.get_or("items_per_site", w.items_per_site)?;
-    w.initial_value = kv.get_or("initial_value", w.initial_value)?;
-    w.global_txns = kv.get_or("global_txns", w.global_txns)?;
-    w.mpl = kv.get_or("mpl", w.mpl)?;
-    w.local_txns_per_site = kv.get_or("local_txns_per_site", w.local_txns_per_site)?;
-    w.sites_per_txn = kv
-        .get_range_u32("sites_per_txn")?
-        .unwrap_or(w.sites_per_txn);
-    w.commands_per_site = kv
-        .get_range_u32("commands_per_site")?
-        .unwrap_or(w.commands_per_site);
-    w.write_fraction = kv.get_or("write_fraction", w.write_fraction)?;
-    w.range_fraction = kv.get_or("range_fraction", w.range_fraction)?;
-    w.range_span = kv.get_or("range_span", w.range_span)?;
-    if let Some(access) = kv.raw("access") {
-        w.access = parse_access(access)?;
-    }
-    w.unilateral_abort_prob = kv.get_or("unilateral_abort_prob", w.unilateral_abort_prob)?;
-    w.enforce_dlu = kv.get_or("enforce_dlu", w.enforce_dlu)?;
-    w.global_arrival_mean_us = kv.get_or("global_arrival_mean_us", w.global_arrival_mean_us)?;
-    w.local_arrival_mean_us = kv.get_or("local_arrival_mean_us", w.local_arrival_mean_us)?;
-
-    if let Some(p) = kv.raw("protocol") {
-        cfg.protocol = Protocol::parse(p)?;
-    }
-    cfg.coordinators = kv.get_or("coordinators", cfg.coordinators)?;
-    cfg.net_latency_us = kv.get_or("net_latency_us", cfg.net_latency_us)?;
-    cfg.net_jitter_us = kv.get_or("net_jitter_us", cfg.net_jitter_us)?;
-    cfg.ltm_service_us = kv.get_or("ltm_service_us", cfg.ltm_service_us)?;
-    cfg.max_clock_skew_us = kv.get_or("max_clock_skew_us", cfg.max_clock_skew_us)?;
-    cfg.max_drift_ppm = kv.get_or("max_drift_ppm", cfg.max_drift_ppm)?;
-    cfg.agent.alive_check_interval_us = kv.get_or(
-        "agent.alive_check_interval_us",
-        cfg.agent.alive_check_interval_us,
-    )?;
-    cfg.agent.commit_retry_interval_us = kv.get_or(
-        "agent.commit_retry_interval_us",
-        cfg.agent.commit_retry_interval_us,
-    )?;
-    cfg.agent.stored_intervals = kv.get_or("agent.stored_intervals", cfg.agent.stored_intervals)?;
-    cfg.agent.max_commit_retries =
-        kv.get_or("agent.max_commit_retries", cfg.agent.max_commit_retries)?;
-    cfg.agent.cert_shards = kv.get_or("agent.cert_shards", cfg.agent.cert_shards)?;
-    cfg.agent.done_cap = kv.get_or("agent.done_cap", cfg.agent.done_cap)?;
-    cfg.deadlock_scan_us = kv.get_or("deadlock_scan_us", cfg.deadlock_scan_us)?;
-    cfg.wait_timeout_us = kv.get_or("wait_timeout_us", cfg.wait_timeout_us)?;
-    cfg.abort_delay_max_us = kv.get_or("abort_delay_max_us", cfg.abort_delay_max_us)?;
-    cfg.time_limit = SimTime::from_micros(kv.get_or("time_limit_us", cfg.time_limit.as_micros())?);
-    if let Some(list) = kv.raw("crashes") {
-        cfg.crashes = parse_crashes(list)?;
-    }
-    cfg.consensus_f = kv.get_or("consensus.f", cfg.consensus_f)?;
-    cfg.failover_delay_us = kv.get_or("consensus.failover_delay_us", cfg.failover_delay_us)?;
-    if let Some(spec) = kv.raw("consensus.crash_coord_after_ready") {
-        let err = || {
-            ConfigError(format!(
-                "bad consensus.crash_coord_after_ready {spec:?} (want COORD@K)"
-            ))
-        };
-        let (c, k) = spec.split_once('@').ok_or_else(err)?;
-        let c: u32 = c.trim().parse().map_err(|_| err())?;
-        let k: u32 = k.trim().parse().map_err(|_| err())?;
-        if k == 0 {
-            return Err(err());
+    for key in SCENARIO_KEYS {
+        if let Some(v) = kv.raw(key.name) {
+            (key.parse)(&mut cfg, v)?;
         }
-        cfg.coord_crash_after_ready = Some((c, k));
     }
     if cfg.consensus_f > 0 {
         if matches!(cfg.protocol, Protocol::Cgm) {
@@ -412,8 +440,8 @@ pub fn scenario_from_kv(kv: &mut KvConfig) -> Result<SimConfig, ConfigError> {
             ));
         }
     }
-    if let Some(profile) = kv.raw("faults.profile").map(str::to_string) {
-        let profile = crate::chaos::profile_by_name(&profile)
+    if let Some(profile) = kv.raw("faults.profile") {
+        let profile = crate::chaos::profile_by_name(profile)
             .ok_or_else(|| ConfigError(format!("unknown fault profile {profile:?}")))?;
         cfg.faults = Some(crate::chaos::plan_for(&cfg, &profile));
     }
@@ -437,86 +465,39 @@ pub fn scenario_to_kv(cfg: &SimConfig) -> Result<String, ConfigError> {
             "link_overrides have no kv representation".into(),
         ));
     }
-    let w = &cfg.workload;
     let mut out = String::new();
-    let mut push = |k: &str, v: String| {
-        out.push_str(k);
-        out.push_str(" = ");
-        out.push_str(&v);
-        out.push('\n');
-    };
-    push("seed", w.seed.to_string());
-    push("sites", w.sites.to_string());
-    push("items_per_site", w.items_per_site.to_string());
-    push("initial_value", w.initial_value.to_string());
-    push("global_txns", w.global_txns.to_string());
-    push("mpl", w.mpl.to_string());
-    push("local_txns_per_site", w.local_txns_per_site.to_string());
-    push(
-        "sites_per_txn",
-        format!("{}..{}", w.sites_per_txn.0, w.sites_per_txn.1),
-    );
-    push(
-        "commands_per_site",
-        format!("{}..{}", w.commands_per_site.0, w.commands_per_site.1),
-    );
-    push("write_fraction", w.write_fraction.to_string());
-    push("range_fraction", w.range_fraction.to_string());
-    push("range_span", w.range_span.to_string());
-    push("access", access_key(&w.access));
-    push("unilateral_abort_prob", w.unilateral_abort_prob.to_string());
-    push("enforce_dlu", w.enforce_dlu.to_string());
-    push(
-        "global_arrival_mean_us",
-        w.global_arrival_mean_us.to_string(),
-    );
-    push("local_arrival_mean_us", w.local_arrival_mean_us.to_string());
-    push("protocol", cfg.protocol.key());
-    push("coordinators", cfg.coordinators.to_string());
-    push("net_latency_us", cfg.net_latency_us.to_string());
-    push("net_jitter_us", cfg.net_jitter_us.to_string());
-    push("ltm_service_us", cfg.ltm_service_us.to_string());
-    push("max_clock_skew_us", cfg.max_clock_skew_us.to_string());
-    push("max_drift_ppm", cfg.max_drift_ppm.to_string());
-    push(
-        "agent.alive_check_interval_us",
-        cfg.agent.alive_check_interval_us.to_string(),
-    );
-    push(
-        "agent.commit_retry_interval_us",
-        cfg.agent.commit_retry_interval_us.to_string(),
-    );
-    push(
-        "agent.stored_intervals",
-        cfg.agent.stored_intervals.to_string(),
-    );
-    push(
-        "agent.max_commit_retries",
-        cfg.agent.max_commit_retries.to_string(),
-    );
-    push("agent.cert_shards", cfg.agent.cert_shards.to_string());
-    push("agent.done_cap", cfg.agent.done_cap.to_string());
-    push("deadlock_scan_us", cfg.deadlock_scan_us.to_string());
-    push("wait_timeout_us", cfg.wait_timeout_us.to_string());
-    push("abort_delay_max_us", cfg.abort_delay_max_us.to_string());
-    push("time_limit_us", cfg.time_limit.as_micros().to_string());
-    push("consensus.f", cfg.consensus_f.to_string());
-    push(
-        "consensus.failover_delay_us",
-        cfg.failover_delay_us.to_string(),
-    );
-    if let Some((c, k)) = cfg.coord_crash_after_ready {
-        push("consensus.crash_coord_after_ready", format!("{c}@{k}"));
-    }
-    if !cfg.crashes.is_empty() {
-        let list: Vec<String> = cfg
-            .crashes
-            .iter()
-            .map(|(s, at)| format!("{s}@{at}"))
-            .collect();
-        push("crashes", list.join(","));
+    for key in SCENARIO_KEYS {
+        if let Some(v) = (key.print)(cfg) {
+            out.push_str(&format!("{} = {v}\n", key.name));
+        }
     }
     Ok(out)
+}
+
+fn show_range(r: &(u32, u32)) -> Option<String> {
+    Some(format!("{}..{}", r.0, r.1))
+}
+
+/// `A<sep>B`, each side trimmed and parsed.
+fn pair<A: FromStr, B: FromStr>(s: &str, sep: &str) -> Option<(A, B)> {
+    let (a, b) = s.split_once(sep)?;
+    Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
+}
+
+/// Parse an inclusive `lo..hi` range value.
+fn parse_range(key: &str, v: &str) -> Result<(u32, u32), ConfigError> {
+    pair(v, "..")
+        .filter(|(lo, hi)| lo <= hi)
+        .ok_or_else(|| ConfigError(format!("key {key:?}: expected `lo..hi`, got {v:?}")))
+}
+
+/// Parse `COORD@K`; the crash hook is 1-based, so `K = 0` is refused.
+fn parse_crash_coord(spec: &str) -> Result<(u32, u32), ConfigError> {
+    pair(spec, "@").filter(|&(_, k)| k != 0).ok_or_else(|| {
+        ConfigError(format!(
+            "bad consensus.crash_coord_after_ready {spec:?} (want COORD@K)"
+        ))
+    })
 }
 
 fn parse_access(s: &str) -> Result<AccessPattern, ConfigError> {
@@ -552,15 +533,16 @@ fn access_key(a: &AccessPattern) -> String {
     }
 }
 
+fn show_crashes(crashes: &[(u32, u64)]) -> Option<String> {
+    let list: Vec<String> = crashes.iter().map(|(s, at)| format!("{s}@{at}")).collect();
+    (!list.is_empty()).then(|| list.join(","))
+}
+
 fn parse_crashes(s: &str) -> Result<Vec<(u32, u64)>, ConfigError> {
     s.split(',')
         .map(|entry| {
-            let err = || ConfigError(format!("bad crash entry {entry:?} (want SITE@AT_US)"));
-            let (site, at) = entry.trim().split_once('@').ok_or_else(err)?;
-            Ok((
-                site.trim().parse().map_err(|_| err())?,
-                at.trim().parse().map_err(|_| err())?,
-            ))
+            pair(entry, "@")
+                .ok_or_else(|| ConfigError(format!("bad crash entry {entry:?} (want SITE@AT_US)")))
         })
         .collect()
 }
@@ -697,13 +679,9 @@ impl ClusterConfig {
             Some(list) => list
                 .split(',')
                 .map(|entry| {
-                    let err =
-                        || ConfigError(format!("bad net.test_drop entry {entry:?} (NODE@FRAMES)"));
-                    let (node, frames) = entry.trim().split_once('@').ok_or_else(err)?;
-                    Ok((
-                        node.trim().parse().map_err(|_| err())?,
-                        frames.trim().parse().map_err(|_| err())?,
-                    ))
+                    pair(entry, "@").ok_or_else(|| {
+                        ConfigError(format!("bad net.test_drop entry {entry:?} (NODE@FRAMES)"))
+                    })
                 })
                 .collect::<Result<Vec<(u32, u64)>, ConfigError>>()?,
         };
@@ -912,17 +890,24 @@ mod tests {
             mode: cfg.agent.mode,
             alive_check_interval_us: 1_111,
             commit_retry_interval_us: 2_222,
-            stored_intervals: 3,
             max_commit_retries: 44,
-            cert_shards: 5,
             done_cap: 66,
         };
         cfg.crashes = vec![(1, 20_000), (2, 40_000)];
         cfg.time_limit = SimTime::from_secs(60);
-        assert_eq!(
-            SimConfig::from_kv_text(&cfg.to_kv_text().unwrap()).unwrap(),
-            cfg
-        );
+        cfg.coord_crash_after_ready = Some((1, 2));
+        let text = cfg.to_kv_text().unwrap();
+        assert_eq!(SimConfig::from_kv_text(&text).unwrap(), cfg);
+        // Key by key: the file is the table, in the table's order, and each
+        // printed value read alone lands in the field it came from.
+        assert_eq!(text.lines().count(), SCENARIO_KEYS.len());
+        for (line, key) in text.lines().zip(SCENARIO_KEYS) {
+            let value = (key.print)(&cfg).unwrap();
+            assert_eq!(line, format!("{} = {value}", key.name));
+            let mut alone = SimConfig::default();
+            (key.parse)(&mut alone, &value).unwrap();
+            assert_eq!((key.print)(&alone), Some(value), "{}", key.name);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use rigorous_mdbs::dtm::CertifierMode;
 use rigorous_mdbs::sim::report::outcome_digest;
 use rigorous_mdbs::sim::{Protocol, SimConfig, Simulation};
+use rigorous_mdbs::simkit::SimTime;
 use rigorous_mdbs::workload::AccessPattern;
 
 fn base(seed: u64) -> SimConfig {
@@ -316,4 +317,38 @@ fn a_held_commit_never_waits_for_the_retry_timer() {
     for retry_us in [500, 1_000_000] {
         assert_eq!(run(retry_us), reference, "retry interval {retry_us} µs");
     }
+}
+
+#[test]
+#[ignore = "ROADMAP item 6: open livelock"]
+fn hot_keys_with_unilateral_aborts_settle_every_transaction() {
+    // The ledger's `sim-hot` shape plus 10 % unilateral aborts, at the
+    // workload seed where exclusive locks and resubmission livelock commit
+    // certification: a lock-blocked replay waits on the transaction whose
+    // COMMIT is held behind it. Safety holds, liveness does not — after 60
+    // simulated seconds two globals are still unsettled.
+    let mut cfg = SimConfig::default();
+    cfg.workload.seed = 1_000_633;
+    cfg.workload.sites = 4;
+    cfg.workload.global_txns = 150;
+    cfg.workload.local_txns_per_site = 0;
+    cfg.workload.mpl = 16;
+    cfg.workload.access = AccessPattern::Zipf(0.9);
+    cfg.workload.items_per_site = 64;
+    cfg.workload.commands_per_site = (2, 4);
+    cfg.workload.write_fraction = 0.5;
+    cfg.workload.unilateral_abort_prob = 0.1;
+    cfg.ltm_service_us = 0;
+    cfg.time_limit = SimTime::from_secs(60);
+    let report = Simulation::new(cfg).run();
+    assert!(report.checks.passed(), "{:?}", report.checks);
+    assert_eq!(
+        report.committed + report.aborted,
+        150,
+        "{} committed + {} aborted after {} commit retries, {} resubmissions",
+        report.committed,
+        report.aborted,
+        report.metrics.counter("commit_retries"),
+        report.metrics.counter("resubmissions"),
+    );
 }
