@@ -58,18 +58,18 @@ impl GlobalLockManager {
     /// Request admission for a transaction over its sites/modes. Returns
     /// `true` if all locks were granted immediately (the transaction may
     /// start); otherwise it is queued and will appear in the result of a
-    /// later [`GlobalLockManager::release`].
+    /// later [`GlobalLockManager::release`]. A transaction that already
+    /// asked keeps its first request: asking again changes nothing and
+    /// returns `false`.
     pub fn request(
         &mut self,
         txn: GlobalTxnId,
         sites: impl IntoIterator<Item = (SiteId, SiteLockMode)>,
     ) -> bool {
+        if self.modes.contains_key(&txn) {
+            return false;
+        }
         let wanted: BTreeMap<SiteId, SiteLockMode> = sites.into_iter().collect();
-        assert!(!wanted.is_empty(), "admission over no sites");
-        assert!(
-            !self.modes.contains_key(&txn),
-            "duplicate admission request for {txn}"
-        );
         self.modes.insert(txn, wanted.clone());
         let mut waiting = BTreeSet::new();
         // Ascending site order (BTreeMap iteration) avoids lock-order
@@ -103,14 +103,9 @@ impl GlobalLockManager {
             entry.queue.retain(|(t, _)| *t != txn);
         }
         // Grant pass: FIFO per site.
-        let site_ids: Vec<SiteId> = self.sites.keys().copied().collect();
         let mut admitted = Vec::new();
-        for site in site_ids {
-            loop {
-                let entry = self.sites.get_mut(&site).expect("site");
-                let Some(&(cand, mode)) = entry.queue.front() else {
-                    break;
-                };
+        for (site, entry) in &mut self.sites {
+            while let Some(&(cand, mode)) = entry.queue.front() {
                 let compatible = entry.holders.iter().all(|(_, m)| m.compatible(mode));
                 if !compatible {
                     break;
@@ -118,7 +113,7 @@ impl GlobalLockManager {
                 entry.queue.pop_front();
                 entry.holders.push((cand, mode));
                 if let Some(waiting) = self.pending.get_mut(&cand) {
-                    waiting.remove(&site);
+                    waiting.remove(site);
                     if waiting.is_empty() {
                         self.pending.remove(&cand);
                         admitted.push(cand);
@@ -162,6 +157,9 @@ mod tests {
         let mut glm = GlobalLockManager::new();
         assert!(glm.request(g(1), [(A, SiteLockMode::Update)]));
         assert!(!glm.request(g(2), [(A, SiteLockMode::Read)]));
+        // Asking again neither queues a second claim nor re-answers.
+        assert!(!glm.request(g(2), [(A, SiteLockMode::Read)]));
+        assert!(!glm.request(g(1), [(A, SiteLockMode::Update)]));
         assert_eq!(glm.waiting(), 1);
         let admitted = glm.release(g(1));
         assert_eq!(admitted, vec![g(2)]);

@@ -21,8 +21,8 @@
 //!   nested loop or a nested `fn` is visited twice), and [`Sink::finish`]
 //!   is the one place findings are sorted;
 //! - [`run`], which walks a group's checked-in tables — the forbidden-token
-//!   rows and fixed file sets of the lints, `CONC_FILES`, `HOT_PATHS`,
-//!   `PROTOCOL` — builds one [`Unit`] per table row and hands it to
+//!   rows of the lints, `CONC_FILES`, `HOT_PATHS`, `PROTOCOL` — builds one
+//!   [`Unit`] per table row and hands it to
 //!   [`check`]. The fixture harness builds its units from synthetic
 //!   sources and calls the same [`check`].
 //!
@@ -87,8 +87,6 @@ pub(crate) enum Check {
     /// The rows of [`lint::FORBIDDEN`] carrying the rule's id, each over
     /// the files the row names.
     Tokens,
-    /// A fixed list of files scanned together.
-    Set(&'static [&'static str], fn(&FileSet, &mut Sink)),
     /// Every [`conc::CONC_FILES`] entry with its declared lock order.
     Conc(fn(&conc::Locks, &mut Sink)),
     /// Every [`hotpath::HOT_PATHS`] file with the closure of its entries.
@@ -117,11 +115,6 @@ pub const RULES: &[Rule] = &[
     rule("determinism-wall-clock", Group::Lint, Check::Tokens),
     rule("determinism-hash-order", Group::Lint, Check::Tokens),
     rule("panic-freedom", Group::Lint, Check::Tokens),
-    rule(
-        "vocabulary",
-        Group::Lint,
-        Check::Set(lint::VOCABULARY_FILES, lint::vocabulary),
-    ),
     rule(conc::RULE_ORDER, Group::Conc, Check::Conc(conc::lock_order)),
     rule(
         conc::RULE_BLOCKING,
@@ -161,11 +154,6 @@ pub const RULES: &[Rule] = &[
     ),
     rule(CONFIG, Group::Hotpath, Check::Hot(hotpath::stale_entries)),
     rule(
-        proto::RULE_UNHANDLED,
-        Group::Proto,
-        Check::Proto(proto::unhandled),
-    ),
-    rule(
         proto::RULE_UNEXPECTED_SEND,
         Group::Proto,
         Check::Proto(proto::unexpected_send),
@@ -181,11 +169,6 @@ pub const RULES: &[Rule] = &[
         Check::Proto(proto::no_timeout),
     ),
     rule(CONFIG, Group::Proto, Check::Proto(proto::stale_entries)),
-    rule(
-        CONFIG,
-        Group::Proto,
-        Check::Set(proto::ENUM_FILES, proto::enum_drift),
-    ),
 ];
 
 /// The group that runs rule `id`.
@@ -354,13 +337,6 @@ pub fn check(group: Group, unit: &Unit, sink: &mut Sink) {
 /// Run `group` over the workspace at `root`.
 pub fn run(root: &Path, group: Group) -> Result<Vec<Finding>, String> {
     let mut sink = Sink::default();
-    for rule in RULES.iter().filter(|r| r.group == group) {
-        if let Check::Set(rels, body) = rule.check {
-            let fs = FileSet::load(root, rels)?;
-            fs.files().iter().for_each(|src| sink.admit(src));
-            body(&fs, &mut sink);
-        }
-    }
     match group {
         Group::Lint => {
             for rel in lint::forbidden_files(root, group)? {

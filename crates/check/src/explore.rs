@@ -38,7 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use mdbs_consensus::{acceptor_count, PaxosCommit};
+use mdbs_consensus::{acceptor_count, Leader};
 use mdbs_dtm::{AgentConfig, CertifierMode, GlobalOutcome, Message};
 use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
 use mdbs_ldbs::{Command, KeySpec, Ldbs, SiteProfile, Store};
@@ -48,7 +48,7 @@ use mdbs_runtime::{
     CtrlMsg, NodeEvent, NodeSet, RuntimeError, RuntimeHost, SiteRuntime, TimeSource, Timer,
     Transport, ACCEPTOR_BASE, COORD_BASE,
 };
-use mdbs_simkit::SimTime;
+use mdbs_simkit::{SimDuration, SimTime};
 
 /// One bounded-exploration problem: a tiny world plus search budgets.
 #[derive(Debug, Clone)]
@@ -585,11 +585,8 @@ impl World {
         for c in 0..cfg.coordinators {
             let mut rt = CoordinatorRuntime::new(COORD_BASE + c, cfg.cgm);
             if cfg.consensus_f > 0 {
-                rt.set_consensus(Box::new(PaxosCommit::new(
-                    COORD_BASE + c,
-                    cfg.consensus_f,
-                    acceptor_nodes.clone(),
-                )));
+                let acceptors = acceptor_nodes.clone();
+                rt.set_consensus(Leader::new(COORD_BASE + c, cfg.consensus_f, acceptors));
             }
             coords.insert(COORD_BASE + c, rt);
         }
@@ -806,38 +803,6 @@ impl World {
         Some(p)
     }
 
-    /// Driver maintenance between steps: break local waits-for cycles and
-    /// abort instances blocked past the logical-time timeout (§6 —
-    /// without this, cross-site lock waits would deadlock every schedule
-    /// that orders two conflicting transactions against each other).
-    fn maintenance(
-        &mut self,
-        cfg: &ExploreConfig,
-        trace: &mut Vec<String>,
-    ) -> Result<(), RuntimeError> {
-        for rt in self.nodes.sites.values_mut() {
-            rt.kill_local_deadlocks(&mut self.host)?;
-        }
-        let now = self.host.now();
-        let mut expired: Vec<(Instance, SiteId)> = Vec::new();
-        for (site, rt) in &self.nodes.sites {
-            for (instance, since) in rt.blocked() {
-                if now.since(since) > mdbs_simkit::SimDuration::from_micros(cfg.wait_timeout_ticks)
-                {
-                    expired.push((instance, *site));
-                }
-            }
-        }
-        expired.sort_by_key(|(i, _)| *i);
-        for (instance, site) in expired {
-            trace.push(format!("timeout-abort {instance} at site {site}"));
-            if let Some(rt) = self.nodes.sites.get_mut(&site) {
-                rt.abort_on_timeout(instance, &mut self.host)?;
-            }
-        }
-        Ok(())
-    }
-
     /// §4.2 at admission time: the freshly admitted entry's candidate
     /// interval must intersect every other in-table entry's stored
     /// interval. On admission the certifier stores exactly the candidate as
@@ -992,8 +957,18 @@ fn run_schedule(cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
         if steps.len() >= cfg.max_steps {
             break;
         }
-        if let Err(e) = world.maintenance(cfg, &mut trace) {
-            return fail(Violation::Runtime(e), trace, steps);
+        // Between steps: break local waits-for cycles and abort what is
+        // blocked past the logical-time timeout (§6 — without this,
+        // cross-site lock waits would deadlock every schedule that orders
+        // two conflicting transactions against each other).
+        let timeout = SimDuration::from_micros(cfg.wait_timeout_ticks);
+        match world.nodes.scan_waits(timeout, &mut world.host) {
+            Ok(expired) => {
+                for i in expired {
+                    trace.push(format!("timeout-abort {i} at site {}", i.site));
+                }
+            }
+            Err(e) => return fail(Violation::Runtime(e), trace, steps),
         }
         if let Err(v) = world.drain_finished() {
             return fail(v, trace, steps);

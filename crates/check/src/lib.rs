@@ -9,8 +9,8 @@
 //!   after them hold only rule bodies and the checked-in tables those
 //!   bodies verify the source against:
 //!   - [`lint`] — invariants the stock toolchain cannot express:
-//!     determinism, panic-freedom in decode paths (rows of one
-//!     forbidden-token table), message-vocabulary exhaustiveness;
+//!     determinism, panic-freedom in decode and handler paths (rows of
+//!     one forbidden-token table);
 //!   - [`conc`] — the crates that spawn OS threads: lock-order discipline
 //!     against a declared table, blocking calls under held guards, guards
 //!     held across locking loops, poison handling, panics on worker

@@ -1,34 +1,22 @@
 //! The invariant lints: project-specific rules the stock toolchain cannot
 //! express, as bodies for [`crate::engine`].
 //!
-//! Four rules are the same question — "does this token occur in these
+//! All four are the same question — "does this token occur in these
 //! files?" — and are rows of one table, [`FORBIDDEN`]:
 //!
 //! | rule | files | what it catches |
 //! |------|-------|-----------------|
 //! | `determinism-wall-clock` | deterministic crates | `Instant`, `SystemTime`, `thread_rng`, `from_entropy` — wall clocks and entropy-seeded RNG inside code that must replay bit-for-bit per seed |
 //! | `determinism-hash-order` | deterministic crates + digest paths | `HashMap`/`HashSet` — iteration order is randomized per process, so any use that feeds histories or digests breaks reproducibility |
-//! | `panic-freedom` | wire/frame decode paths and the protocol state machines + runtimes | `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` and direct index expressions — hostile bytes or internal inconsistency must surface as errors, not process death |
+//! | `panic-freedom` | wire/frame decode paths, the protocol state machines + runtimes and the state the CGM scheduler mutates | `unwrap`/`expect`, `panic!`/`unreachable!`/`todo!`/`unimplemented!`, `assert!`/`assert_eq!`/`assert_ne!` and direct index expressions — hostile bytes, a re-delivered message or internal inconsistency must surface as errors, not process death |
 //! | `conc-panic-in-thread` | the threaded files ([`crate::conc::CONC_FILES`]) | `.unwrap()`/`.expect()` and the four panicking macros: a panic on a worker thread does not crash the process, it silently wedges the protocol |
-//!
-//! The fifth, `vocabulary`, cross-checks the message enums: every
-//! `Message`/`CtrlMsg`/`WireMsg` variant must have a wire encode arm, a
-//! wire decode arm, and a handler arm; `Command`/`OpKind` must have codec
-//! arms; the compiled `specimens()` lists must match the source enums.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use mdbs_dtm::Message;
-use mdbs_net::wire::WireMsg;
-use mdbs_runtime::CtrlMsg;
-
 use crate::conc::CONC_FILES;
 use crate::engine::{group_of, Group, Sink};
-use crate::scan::{
-    enum_variants, find_token_seq, fn_body, impl_body, index_sites, next_nonws, prev_nonws_at,
-    FileSet, SourceFile,
-};
+use crate::scan::{index_sites, next_nonws, prev_nonws_at, SourceFile};
 
 /// How a forbidden token must occur to count.
 pub(crate) enum Shape {
@@ -67,17 +55,21 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 /// never iterate hash-ordered containers.
 const DIGEST_FILES: &[&str] = &["crates/mdbs/src/report.rs"];
 
-/// Decode paths and message handlers that must not panic: a corrupt frame
-/// or an internally inconsistent state must surface as an error value.
+/// Decode paths, message handlers and the state they mutate, none of
+/// which may panic: a corrupt frame, a re-delivered message or an
+/// internally inconsistent state must surface as an error value.
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/net/src/wire.rs",
     "crates/net/src/frame.rs",
     "crates/core/src/agent.rs",
     "crates/core/src/certifier.rs",
     "crates/core/src/coordinator.rs",
+    "crates/baselines/src/global_locks.rs",
+    "crates/baselines/src/commit_graph.rs",
     "crates/runtime/src/site.rs",
     "crates/runtime/src/coordinator.rs",
     "crates/runtime/src/central.rs",
+    "crates/runtime/src/acceptor.rs",
 ];
 
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
@@ -124,6 +116,15 @@ pub(crate) const FORBIDDEN: &[Forbidden] = &[
         files: PANIC_FREE_FILES,
         tokens: PANIC_MACROS,
         shape: Shape::Ident,
+        msg: PANIC_FREEDOM,
+    },
+    // A handler's precondition written as an assertion is a panic that a
+    // re-delivered message can reach (the CGM control plane, PR 19).
+    Forbidden {
+        rule: "panic-freedom",
+        files: PANIC_FREE_FILES,
+        tokens: &["assert", "assert_eq", "assert_ne"],
+        shape: Shape::Macro,
         msg: PANIC_FREEDOM,
     },
     Forbidden {
@@ -216,181 +217,4 @@ pub(crate) fn forbidden_files(root: &Path, group: Group) -> Result<BTreeSet<Stri
         }
     }
     Ok(out)
-}
-
-const WIRE: &str = "crates/net/src/wire.rs";
-
-/// Everything the vocabulary rule reads: the wire codec, the five enum
-/// declarations, and the handler files.
-pub(crate) const VOCABULARY_FILES: &[&str] = &[
-    WIRE,
-    "crates/core/src/msg.rs",
-    "crates/runtime/src/host.rs",
-    "crates/ldbs/src/command.rs",
-    "crates/histories/src/op.rs",
-    "crates/core/src/agent.rs",
-    "crates/core/src/coordinator.rs",
-    "crates/runtime/src/central.rs",
-    "crates/runtime/src/coordinator.rs",
-    "crates/net/src/node.rs",
-    "crates/net/src/tcp.rs",
-    "crates/net/src/cluster.rs",
-];
-
-/// One message enum's cross-check spec.
-struct Vocab {
-    enum_name: &'static str,
-    /// File declaring the enum.
-    decl: &'static str,
-    /// Variants from the *compiled* `specimens()` (None: codec-only enums
-    /// have no specimens; source parse is the only inventory).
-    compiled: Option<Vec<&'static str>>,
-    /// Files of which at least one must mention `Enum::Variant` for a
-    /// handler arm (empty: codec-only).
-    handlers: fn(&str) -> Vec<&'static str>,
-}
-
-/// CtrlMsg variants route by direction: coordinator→central variants must
-/// be handled by the central runtime, the rest by the coordinator runtime.
-fn ctrl_handler(variant: &str) -> Vec<&'static str> {
-    let to_central = CtrlMsg::specimens()
-        .iter()
-        .find(|m| m.variant_name() == variant)
-        .map(CtrlMsg::is_to_central);
-    match to_central {
-        Some(true) => vec!["crates/runtime/src/central.rs"],
-        Some(false) => vec!["crates/runtime/src/coordinator.rs"],
-        None => vec![],
-    }
-}
-
-/// The `vocabulary` rule, over [`VOCABULARY_FILES`].
-pub(crate) fn vocabulary(fs: &FileSet, sink: &mut Sink) {
-    const RULE: &str = "vocabulary";
-    let specs = [
-        Vocab {
-            enum_name: "Message",
-            decl: "crates/core/src/msg.rs",
-            compiled: Some(
-                Message::specimens()
-                    .iter()
-                    .map(|m| m.variant_name())
-                    .collect(),
-            ),
-            // Downstream variants are handled by the agent, upstream by
-            // the coordinator; requiring presence in the union still
-            // catches a variant nobody handles.
-            handlers: |_| vec!["crates/core/src/agent.rs", "crates/core/src/coordinator.rs"],
-        },
-        Vocab {
-            enum_name: "CtrlMsg",
-            decl: "crates/runtime/src/host.rs",
-            compiled: Some(
-                CtrlMsg::specimens()
-                    .iter()
-                    .map(|m| m.variant_name())
-                    .collect(),
-            ),
-            handlers: ctrl_handler,
-        },
-        Vocab {
-            enum_name: "WireMsg",
-            decl: WIRE,
-            compiled: Some(
-                WireMsg::specimens()
-                    .iter()
-                    .map(|m| m.variant_name())
-                    .collect(),
-            ),
-            handlers: |_| {
-                vec![
-                    "crates/net/src/node.rs",
-                    "crates/net/src/tcp.rs",
-                    "crates/net/src/cluster.rs",
-                ]
-            },
-        },
-        Vocab {
-            enum_name: "Command",
-            decl: "crates/ldbs/src/command.rs",
-            compiled: None,
-            handlers: |_| vec![],
-        },
-        Vocab {
-            enum_name: "OpKind",
-            decl: "crates/histories/src/op.rs",
-            compiled: None,
-            handlers: |_| vec![],
-        },
-    ];
-    let Some(wire) = fs.by_rel(WIRE) else {
-        return;
-    };
-
-    for spec in specs {
-        let name = spec.enum_name;
-        let Some(decl) = fs.by_rel(spec.decl) else {
-            continue;
-        };
-        let Some(variants) = enum_variants(&decl.code, name) else {
-            sink.report(decl, RULE, 0, format!("could not find `enum {name}`"));
-            continue;
-        };
-
-        // Source enum vs compiled specimens(): both directions.
-        if let Some(compiled) = &spec.compiled {
-            for (v, at) in &variants {
-                if !compiled.iter().any(|c| c == v) {
-                    let msg = format!(
-                        "{name}::{v} has no specimen: extend {name}::specimens() so the \
-                         codec round-trip tests cover it"
-                    );
-                    sink.report(decl, RULE, *at, msg);
-                }
-            }
-            for c in compiled {
-                if !variants.iter().any(|(v, _)| v == c) {
-                    let msg =
-                        format!("{name}::specimens() names `{c}` but the enum has no such variant");
-                    sink.report(decl, RULE, 0, msg);
-                }
-            }
-        }
-
-        // Wire codec arms: the variant must be constructed/matched inside
-        // both `fn put` and `fn get` of `impl Wire for <Enum>`.
-        let Some(body) = impl_body(&wire.code, &["Wire", "for", name]) else {
-            sink.report(wire, RULE, 0, format!("no `impl Wire for {name}` found"));
-            continue;
-        };
-        for (func, what) in [("put", "encode"), ("get", "decode")] {
-            let Some(region) = fn_body(&wire.code, func, body) else {
-                let msg = format!("`impl Wire for {name}` has no fn {func}");
-                sink.report(wire, RULE, body.0, msg);
-                continue;
-            };
-            for (v, _) in &variants {
-                if find_token_seq(&wire.code, &[name, "::", v], region).is_none() {
-                    let msg = format!("{name}::{v} has no {what} arm in the wire codec");
-                    sink.report(wire, RULE, region.0, msg);
-                }
-            }
-        }
-
-        // Handler arms.
-        for (v, at) in &variants {
-            let files = (spec.handlers)(v);
-            let handled = files
-                .iter()
-                .filter_map(|rel| fs.by_rel(rel))
-                .any(|h| find_token_seq(&h.code, &[name, "::", v], (0, h.code.len())).is_some());
-            if !files.is_empty() && !handled {
-                let msg = format!(
-                    "{name}::{v} is never handled (expected a match arm in one of: {})",
-                    files.join(", ")
-                );
-                sink.report(decl, RULE, *at, msg);
-            }
-        }
-    }
 }

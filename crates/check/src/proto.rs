@@ -3,14 +3,16 @@
 //!
 //! The paper's correctness story (§3 prepare/commit flow, §4.2
 //! certification, §2 failure assumptions) is a message-protocol contract:
-//! for every node kind there is a fixed vocabulary of messages it must
-//! handle, a fixed set it may emit from each handler arm, a duplicate
-//! guard wherever an arm mutates 2PC/consensus state (the PR 2/PR 8
-//! hardening), and a timer wherever an arm enters a blocking wait (§2's
-//! blocked-agent assumptions). The runtime checkers exercise that contract
-//! on executions; this pass pins it to the *source*, so a refactor that
-//! drops a handler arm, a dup guard, or a timeout fails the build before
-//! any scenario runs.
+//! for every node kind there is a fixed set of messages it may emit from
+//! each handler arm, a duplicate guard wherever an arm mutates
+//! 2PC/consensus state (the PR 2/PR 8/PR 19 hardening), and a timer
+//! wherever an arm enters a blocking wait (§2's blocked-agent
+//! assumptions). The runtime checkers exercise that contract on
+//! executions; this pass pins it to the *source*, so a refactor that drops
+//! a dup guard or a timeout fails the build before any scenario runs.
+//! Which variants exist, and which handlers must decide about each, is not
+//! in the table: the handlers match without wildcards (clippy's
+//! `wildcard_enum_match_arm` is denied on each), so that is rustc's to say.
 //!
 //! Like `conc` (DECLARED_LOCK_ORDER) and `hotpath` (HOT_PATHS), the
 //! contract is a checked-in table: [`PROTOCOL`] declares, per node kind,
@@ -28,8 +30,6 @@
 //! divergence that can no longer be written.
 //!
 //! Rules:
-//! - `proto-unhandled` — a variant the table says peers send to this node
-//!   kind, with no handler arm (pattern) anywhere in the entry closure.
 //! - `proto-unexpected-send` — a protocol-enum construction in the entry
 //!   closure that no reaching arm (nor the spec's free-send list) allows.
 //! - `proto-missing-dup-guard` — an arm required to consult a
@@ -37,13 +37,13 @@
 //!   token sequences in its closure.
 //! - `proto-no-timeout` — an arm that enters a blocking wait has none of
 //!   its declared timer tokens in its closure.
-//! - `check-config` — the table itself drifted from the source (stale
-//!   entry function or enum vocabulary).
+//! - `check-config` — the table itself drifted from the source: an entry
+//!   function that no longer exists, or an arm whose variant no pattern in
+//!   the entry closure matches.
 
 use crate::engine::{Sink, CONFIG};
 use crate::scan::{self, FileSet};
 
-pub(crate) const RULE_UNHANDLED: &str = "proto-unhandled";
 pub(crate) const RULE_UNEXPECTED_SEND: &str = "proto-unexpected-send";
 pub(crate) const RULE_DUP_GUARD: &str = "proto-missing-dup-guard";
 pub(crate) const RULE_NO_TIMEOUT: &str = "proto-no-timeout";
@@ -84,65 +84,11 @@ const RT_SITE: &str = "crates/runtime/src/site.rs";
 const RT_COORD: &str = "crates/runtime/src/coordinator.rs";
 const RT_CENTRAL: &str = "crates/runtime/src/central.rs";
 const RT_ACCEPTOR: &str = "crates/runtime/src/acceptor.rs";
-const CONS_LIB: &str = "crates/consensus/src/lib.rs";
 const CONS_LEADER: &str = "crates/consensus/src/leader.rs";
 const CONS_ACCEPTOR: &str = "crates/consensus/src/acceptor.rs";
 
-/// The protocol enums whose declared vocabulary the table pins, with the
-/// file declaring each. [`enum_drift`] cross-checks these against the real
-/// `enum` items so table drift is a `check-config` finding, not silence.
-const ENUM_DECLS: &[(&str, &str, &[&str])] = &[
-    (
-        "Message",
-        "crates/core/src/msg.rs",
-        &[
-            "Begin",
-            "Dml",
-            "Prepare",
-            "Commit",
-            "Rollback",
-            "DmlResult",
-            "Failed",
-            "Ready",
-            "Refuse",
-            "CommitAck",
-            "RollbackAck",
-            "NewCoord",
-        ],
-    ),
-    (
-        "CtrlMsg",
-        "crates/runtime/src/host.rs",
-        &[
-            "CgmRequest",
-            "CgmAdmitted",
-            "CgmVote",
-            "CgmVoteResult",
-            "CgmFinished",
-            "Paxos",
-        ],
-    ),
-    (
-        "PaxosMsg",
-        "crates/consensus/src/msg.rs",
-        &[
-            "Begin",
-            "Vote2a",
-            "Accepted",
-            "Prepare1a",
-            "Promise1b",
-            "Propose2a",
-            "Clear",
-        ],
-    ),
-];
-
-/// The files of [`ENUM_DECLS`].
-pub(crate) const ENUM_FILES: &[&str] = &[
-    "crates/core/src/msg.rs",
-    "crates/runtime/src/host.rs",
-    "crates/consensus/src/msg.rs",
-];
+/// The enums whose constructions are emissions.
+const PROTOCOL_ENUMS: &[&str] = &["Message", "CtrlMsg", "PaxosMsg"];
 
 /// §3/§5 + DESIGN §10, per node kind. Derivation notes inline.
 pub const PROTOCOL: &[HandlerSpec] = &[
@@ -242,7 +188,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     // consensus crate.
     HandlerSpec {
         node: "coordinator",
-        files: &[RT_COORD, COORD, CONS_LIB, CONS_LEADER],
+        files: &[RT_COORD, COORD, CONS_LEADER],
         entries: &["on_event"],
         arms: &[
             ArmSpec {
@@ -316,7 +262,9 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                     ("CtrlMsg", "CgmFinished"),
                     ("PaxosMsg", "Begin"),
                 ],
-                dup_guard: &[],
+                // The grant takes the program out of the CGM entry: a
+                // re-delivered one must not begin the transaction twice.
+                dup_guard: &[&["program", ".", "take"]],
                 timeout: &[],
             },
             ArmSpec {
@@ -327,7 +275,9 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                     ("CtrlMsg", "CgmVote"),
                     ("CtrlMsg", "CgmFinished"),
                 ],
-                dup_guard: &[],
+                // The verdict takes the held PREPAREs: a second one — the
+                // scheduler may even have judged it differently — is void.
+                dup_guard: &[&["held", ".", "is_empty"]],
                 timeout: &[],
             },
             ArmSpec {
@@ -369,7 +319,8 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     },
     // The CGM central scheduler (§5.3): admission locks + commit-graph
     // vote. Pure request/response — every arm answers with exactly one
-    // control-message kind.
+    // control-message kind, and acts once per transaction (`cnode_of` holds
+    // it from its request to its `CgmFinished`, `voted` marks its vote).
     HandlerSpec {
         node: "central",
         files: &[RT_CENTRAL],
@@ -379,23 +330,23 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 enum_name: "CtrlMsg",
                 variant: "CgmRequest",
                 sends: &[("CtrlMsg", "CgmAdmitted")],
-                dup_guard: &[],
+                dup_guard: &[&["cnode_of", ".", "contains_key"]],
                 timeout: &[],
             },
             ArmSpec {
                 enum_name: "CtrlMsg",
                 variant: "CgmVote",
                 sends: &[("CtrlMsg", "CgmVoteResult")],
-                // The vote consults the commit graph before inserting —
-                // that cycle check is the §5.3 safety guard.
-                dup_guard: &[&["would_cycle"]],
+                // One verdict per transaction: judged again, the graph may
+                // have moved and the second answer differ from the first.
+                dup_guard: &[&["voted", ".", "insert"]],
                 timeout: &[],
             },
             ArmSpec {
                 enum_name: "CtrlMsg",
                 variant: "CgmFinished",
                 sends: &[("CtrlMsg", "CgmAdmitted")],
-                dup_guard: &[],
+                dup_guard: &[&["remove", "(", "&", "gtxn", ")", ".", "is_none"]],
                 timeout: &[],
             },
         ],
@@ -424,33 +375,6 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     },
 ];
 
-/// `check-config` over [`ENUM_FILES`]: the declared enum vocabulary must
-/// match the real declarations.
-pub(crate) fn enum_drift(fs: &FileSet, sink: &mut Sink) {
-    for &(name, rel, variants) in ENUM_DECLS {
-        let Some(f) = fs.by_rel(rel) else {
-            let msg = format!("ENUM_DECLS declares `{name}` in {rel}, which ENUM_FILES omits");
-            sink.report(fs.file(0), CONFIG, 0, msg);
-            continue;
-        };
-        let Some(real) = scan::enum_variants(&f.code, name) else {
-            let msg = format!("enum `{name}` not found (stale ENUM_DECLS entry)");
-            sink.report(f, CONFIG, 0, msg);
-            continue;
-        };
-        let real: Vec<&str> = real.iter().map(|(v, _)| v.as_str()).collect();
-        if real != variants {
-            let msg = format!(
-                "enum `{name}` declares [{}] but the PROTOCOL table pins [{}] — update \
-                 ENUM_DECLS and the affected specs",
-                real.join(", "),
-                variants.join(", "),
-            );
-            sink.report(f, CONFIG, 0, msg);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Mention model: each `Enum::Variant` token occurrence in a closure is a
 // pattern (handling evidence), a construction (an emission), or a test
@@ -465,14 +389,13 @@ enum Mention {
     Test,
 }
 
-/// All `enum_name::variant` occurrences in `code[range]` (offset of the
-/// enum token, offset past the variant token).
-fn variant_mentions(
-    code: &str,
+/// All `enum_name::Variant` paths in `code[range]`: (offset of the enum
+/// token, the variant, offset past it).
+fn variant_mentions<'c>(
+    code: &'c str,
     enum_name: &str,
-    variant: &str,
     range: (usize, usize),
-) -> Vec<(usize, usize)> {
+) -> Vec<(usize, &'c str, usize)> {
     let bytes = code.as_bytes();
     let mut out = Vec::new();
     for occ in scan::idents_in(code, enum_name, range) {
@@ -485,14 +408,12 @@ fn variant_mentions(
         let Some(v) = scan::nonws_from(code, c + 2) else {
             continue;
         };
-        if !code[v..].starts_with(variant) {
+        // Variants are CamelCase; `Message::specimens` is not one.
+        if !bytes[v].is_ascii_uppercase() {
             continue;
         }
-        let vend = v + variant.len();
-        if vend < bytes.len() && scan::is_ident_byte(bytes[vend]) {
-            continue; // a longer identifier that merely starts with it
-        }
-        out.push((occ, vend));
+        let vend = scan::ident_end(bytes, v);
+        out.push((occ, &code[v..vend], vend));
     }
     out
 }
@@ -673,8 +594,8 @@ impl<'a> Node<'a> {
             let mut anchor = None;
             for &(file, range) in &regions {
                 let code = &fs.file(file).code;
-                for (occ, vend) in variant_mentions(code, arm.enum_name, arm.variant, range) {
-                    if fs.file(file).in_test(occ) {
+                for (occ, variant, vend) in variant_mentions(code, arm.enum_name, range) {
+                    if variant != arm.variant || fs.file(file).in_test(occ) {
                         continue;
                     }
                     if let Mention::Pattern(body) = classify(code, vend, range.1, &tests[file]) {
@@ -714,35 +635,29 @@ fn bodies(fs: &FileSet, seeds: &[scan::FnRef]) -> Regions {
 // The rules.
 // ---------------------------------------------------------------------------
 
+/// The table against the source: every entry function exists, and every
+/// arm's variant is matched by some pattern in the entry closure.
 pub(crate) fn stale_entries(node: &Node, sink: &mut Sink) {
+    let spec = node.spec;
     let src = node.fs.file(0);
-    for name in node.spec.entries {
+    for name in spec.entries {
         if node.fs.entries(0, name).is_empty() {
             let msg = format!(
                 "node `{}`: entry fn `{name}` not found in {} (stale PROTOCOL table)",
-                node.spec.node, src.rel,
+                spec.node, src.rel,
             );
             sink.report(src, CONFIG, 0, msg);
         }
     }
-}
-
-pub(crate) fn unhandled(node: &Node, sink: &mut Sink) {
-    let spec = node.spec;
-    let entry_anchor = spec
-        .entries
-        .iter()
-        .flat_map(|e| node.fs.entries(0, e))
-        .min();
-    let at = entry_anchor.map_or(0, |r| node.fs.fn_info(r).body.0);
+    let at = node.regions.first().map_or(0, |&(_, (lo, _))| lo);
     for (arm, (anchor, _)) in spec.arms.iter().zip(&node.arms) {
         if anchor.is_none() {
             let msg = format!(
-                "node `{}`: no handler arm matches `{}::{}` in the closure of {:?} (peers can \
-                 send it; §3 requires a handler)",
+                "node `{}`: no pattern matches `{}::{}` in the closure of {:?} (stale PROTOCOL \
+                 arm)",
                 spec.node, arm.enum_name, arm.variant, spec.entries,
             );
-            sink.report(node.fs.file(0), RULE_UNHANDLED, at, msg);
+            sink.report(src, CONFIG, at, msg);
         }
     }
 }
@@ -797,37 +712,35 @@ pub(crate) fn no_timeout(node: &Node, sink: &mut Sink) {
 /// by a reaching arm or by the free-send list.
 pub(crate) fn unexpected_send(node: &Node, sink: &mut Sink) {
     let spec = node.spec;
-    for &(enum_name, _, variants) in ENUM_DECLS {
-        for variant in variants {
-            for &(file, range) in &node.regions {
-                let src = node.fs.file(file);
-                for (occ, vend) in variant_mentions(&src.code, enum_name, variant, range) {
-                    if classify(&src.code, vend, range.1, &node.tests[file]) != Mention::Construct {
-                        continue;
-                    }
-                    let reaching: Vec<&ArmSpec> = (spec.arms.iter().zip(&node.arms))
-                        .filter(|(_, (_, reach))| contains(reach, file, occ))
-                        .map(|(arm, _)| arm)
-                        .collect();
-                    let sent = (enum_name, *variant);
-                    let (ok, from) = match reaching.first() {
-                        None => (
-                            spec.free_sends.contains(&sent),
-                            "outside every handler arm".to_string(),
-                        ),
-                        Some(arm) => (
-                            reaching.iter().any(|arm| arm.sends.contains(&sent)),
-                            format!("arm `{}::{}`", arm.enum_name, arm.variant),
-                        ),
-                    };
-                    if !ok {
-                        let msg = format!(
-                            "node `{}`: emits `{enum_name}::{variant}` from {from}, which the \
-                             PROTOCOL table does not allow",
-                            spec.node,
-                        );
-                        sink.report(src, RULE_UNEXPECTED_SEND, occ, msg);
-                    }
+    for &enum_name in PROTOCOL_ENUMS {
+        for &(file, range) in &node.regions {
+            let src = node.fs.file(file);
+            for (occ, variant, vend) in variant_mentions(&src.code, enum_name, range) {
+                if classify(&src.code, vend, range.1, &node.tests[file]) != Mention::Construct {
+                    continue;
+                }
+                let reaching: Vec<&ArmSpec> = (spec.arms.iter().zip(&node.arms))
+                    .filter(|(_, (_, reach))| contains(reach, file, occ))
+                    .map(|(arm, _)| arm)
+                    .collect();
+                let sent = (enum_name, variant);
+                let (ok, from) = match reaching.first() {
+                    None => (
+                        spec.free_sends.contains(&sent),
+                        "outside every handler arm".to_string(),
+                    ),
+                    Some(arm) => (
+                        reaching.iter().any(|arm| arm.sends.contains(&sent)),
+                        format!("arm `{}::{}`", arm.enum_name, arm.variant),
+                    ),
+                };
+                if !ok {
+                    let msg = format!(
+                        "node `{}`: emits `{enum_name}::{variant}` from {from}, which the \
+                         PROTOCOL table does not allow",
+                        spec.node,
+                    );
+                    sink.report(src, RULE_UNEXPECTED_SEND, occ, msg);
                 }
             }
         }

@@ -2,11 +2,10 @@
 //!
 //! This is deliberately not a parser: the rules only need to know
 //! (a) which bytes are code rather than comments or literal contents,
-//! (b) where identifiers occur, (c) where `#[cfg(test)]` regions and `//`
-//! comments are, and (d) the variant lists of a handful of `enum`
-//! declarations. A byte-level state machine that blanks comments and
+//! (b) where identifiers occur, and (c) where `#[cfg(test)]` regions and
+//! `//` comments are. A byte-level state machine that blanks comments and
 //! literal bodies — preserving the byte length so offsets and line numbers
-//! keep pointing at the original text — gives all four without taking a
+//! keep pointing at the original text — gives all three without taking a
 //! dependency on a real parser (the build environment is offline; see the
 //! workspace manifest).
 
@@ -365,87 +364,6 @@ pub fn index_sites(code: &str) -> Vec<usize> {
     out
 }
 
-/// The variants of `enum <name>` declared in `code`, in order: (name,
-/// offset of the name).
-pub fn enum_variants(code: &str, name: &str) -> Option<Vec<(String, usize)>> {
-    let bytes = code.as_bytes();
-    for start in ident_occurrences(code, "enum") {
-        // The next identifier token must be the enum's name.
-        let mut i = start + 4;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let name_end = i + name.len();
-        if name_end > bytes.len()
-            || &code[i..name_end] != name
-            || (name_end < bytes.len() && is_ident_byte(bytes[name_end]))
-        {
-            continue;
-        }
-        let mut j = name_end;
-        while j < bytes.len() && bytes[j] != b'{' {
-            j += 1;
-        }
-        let end = match_brace(code, j)?;
-        return Some(parse_variant_names(&code[j + 1..end - 1], j + 1));
-    }
-    None
-}
-
-/// Variant names from an enum body that starts at offset `base` (comments
-/// already blanked; `#[…]` attributes are skipped here).
-fn parse_variant_names(body: &str, base: usize) -> Vec<(String, usize)> {
-    let bytes = body.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    loop {
-        // Skip whitespace and attributes.
-        while i < bytes.len() {
-            if bytes[i].is_ascii_whitespace() {
-                i += 1;
-            } else if bytes[i] == b'#' {
-                let mut j = i + 1;
-                while j < bytes.len() && bytes[j] != b'[' {
-                    j += 1;
-                }
-                i = match_brace(body, j).unwrap_or(bytes.len());
-            } else {
-                break;
-            }
-        }
-        if i >= bytes.len() {
-            return out;
-        }
-        // The variant name.
-        let start = i;
-        while i < bytes.len() && is_ident_byte(bytes[i]) {
-            i += 1;
-        }
-        if i == start {
-            return out; // malformed; stop rather than loop
-        }
-        out.push((body[start..i].to_string(), base + start));
-        // Skip the payload (brace/paren block, discriminant, …) to the
-        // next top-level comma.
-        let mut depth = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' | b'(' | b'[' => depth += 1,
-                b'}' | b')' | b']' => depth = depth.saturating_sub(1),
-                b',' if depth == 0 => {
-                    i += 1;
-                    break;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return out;
-        }
-    }
-}
-
 /// Find the token sequence `words` within `code[range]`, skipping
 /// whitespace between tokens. Returns the offset of the first token.
 pub fn find_token_seq(code: &str, words: &[&str], range: (usize, usize)) -> Option<usize> {
@@ -478,50 +396,6 @@ pub fn find_token_seq(code: &str, words: &[&str], range: (usize, usize)) -> Opti
             pos = end;
         }
         return Some(lo + c);
-    }
-    None
-}
-
-/// The body range of `impl … <head tokens> … {`, e.g.
-/// `impl_body(code, &["Wire", "for", "Message"])`.
-pub fn impl_body(code: &str, head: &[&str]) -> Option<(usize, usize)> {
-    for start in ident_occurrences(code, "impl") {
-        let Some(at) = find_token_seq(code, head, (start, (start + 200).min(code.len()))) else {
-            continue;
-        };
-        // Head must belong to this impl (no `{` between).
-        if code[start..at].contains('{') {
-            continue;
-        }
-        let bytes = code.as_bytes();
-        let mut j = at;
-        while j < bytes.len() && bytes[j] != b'{' {
-            j += 1;
-        }
-        let end = match_brace(code, j)?;
-        return Some((j + 1, end - 1));
-    }
-    None
-}
-
-/// The body range of `fn <name>` within `range`.
-pub fn fn_body(code: &str, name: &str, range: (usize, usize)) -> Option<(usize, usize)> {
-    let at = find_token_seq(code, &["fn", name], range)?;
-    let bytes = code.as_bytes();
-    // Skip the signature: the body is the first `{` at paren-depth 0.
-    let mut depth = 0usize;
-    let mut j = at;
-    while j < range.1.min(bytes.len()) {
-        match bytes[j] {
-            b'(' => depth += 1,
-            b')' => depth = depth.saturating_sub(1),
-            b'{' if depth == 0 => {
-                let end = match_brace(code, j)?;
-                return Some((j + 1, end - 1));
-            }
-            _ => {}
-        }
-        j += 1;
     }
     None
 }
@@ -906,11 +780,6 @@ impl FileSet {
         &self.files[i]
     }
 
-    /// The file labelled `rel`, if it is in the set.
-    pub fn by_rel(&self, rel: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == rel)
-    }
-
     pub fn fn_info(&self, r: FnRef) -> &FnInfo {
         &self.fns[r.0][r.1]
     }
@@ -1047,16 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn enum_parse_reads_variants() {
-        let code = "pub enum Foo { A, B { x: u32 }, C(Vec<u8>), D = 4, }";
-        let variants = enum_variants(code, "Foo").unwrap();
-        let names: Vec<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["A", "B", "C", "D"]);
-        assert!(code[variants[1].1..].starts_with("B {"));
-        assert!(enum_variants(code, "Bar").is_none());
-    }
-
-    #[test]
     fn cfg_test_ranges_cover_the_module() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }\nfn tail() {}";
         let f = SourceFile::parse(src.to_string(), "x.rs".into());
@@ -1065,15 +924,6 @@ mod tests {
         assert!(f.in_test(unwraps[0]));
         let tail = f.idents("tail");
         assert!(!f.in_test(tail[0]));
-    }
-
-    #[test]
-    fn token_seq_and_regions() {
-        let code = "impl Wire for Foo { fn put(&self) { Foo::A; } fn get() { Foo::B } }";
-        let body = impl_body(code, &["Wire", "for", "Foo"]).unwrap();
-        let put = fn_body(code, "put", body).unwrap();
-        assert!(find_token_seq(code, &["Foo", "::", "A"], put).is_some());
-        assert!(find_token_seq(code, &["Foo", "::", "B"], put).is_none());
     }
 
     fn set(sources: &[(&str, &str)]) -> FileSet {

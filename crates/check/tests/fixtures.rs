@@ -109,12 +109,9 @@ fn every_fixture_row_holds() {
 #[test]
 fn every_rule_has_a_firing_fixture() {
     for rule in RULES {
-        // `vocabulary` cross-checks the source enums against the *compiled*
-        // specimen lists, so a synthetic source cannot drive it; its pin is
-        // the workspace-clean test plus `tests/vocabulary.rs`.
         let fires = |fx: &&Fixture| fx.rule == rule.id && !fx.expect.is_empty();
         assert!(
-            rule.id == "vocabulary" || FIXTURES.iter().any(|fx| fires(&fx)),
+            FIXTURES.iter().any(|fx| fires(&fx)),
             "rule `{}` has no positive fixture row",
             rule.id
         );
@@ -358,24 +355,28 @@ static FIXTURES: &[Fixture] = &[
         &[("use std::time::Instant", "`Instant`")],
     ),
     row(
-        "panic-freedom catches methods, macros and indexing",
+        "panic-freedom catches methods, macros, assertions and indexing",
         "panic-freedom",
         On::File,
         &[(
             WIRE,
-            "fn f(v: &[u8]) -> u8 { let x = v.first().unwrap(); panic!(); v[0] }",
+            "fn f(v: &[u8]) -> u8 { let x = v.first().unwrap(); assert_eq!(*x, 1); panic!(); v[0] }",
         )],
         &[
+            ("fn f", "`assert_eq`"),
             ("fn f", "`panic`"),
             ("fn f", "`unwrap`"),
             ("fn f", "direct index"),
         ],
     ),
     row(
-        "unwrap_or is not unwrap",
+        "unwrap_or is not unwrap, debug_assert! is not assert!, a binding named assert is no macro",
         "panic-freedom",
         On::File,
-        &[(WIRE, "fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }")],
+        &[(
+            WIRE,
+            "fn f(v: Option<u8>, assert: bool) -> u8 { debug_assert!(assert); v.unwrap_or(0) }",
+        )],
         &[],
     ),
     // -----------------------------------------------------------------------
@@ -855,34 +856,11 @@ static FIXTURES: &[Fixture] = &[
     // -----------------------------------------------------------------------
     // proto
     // -----------------------------------------------------------------------
+    // Consulting the variant in a `matches!` is a test, not a handler arm:
+    // the table's arm has no pattern to anchor to and is a stale row.
     row(
-        "the conformant fixture is clean",
-        "proto-unhandled",
-        On::Node(&SPEC),
-        &[("fixture.rs", CLEAN)],
-        &[],
-    ),
-    row(
-        "unhandled fires when no arm matches the variant",
-        "proto-unhandled",
-        On::Node(&SPEC),
-        &[(
-            "fixture.rs",
-            "impl S {\n\
-                fn handle(&mut self, m: Message) {\n\
-                    match m {\n\
-                        _ => {}\n\
-                    }\n\
-                }\n\
-            }\n",
-        )],
-        &[("fn handle", "Message::Prepare")],
-    ),
-    // Consulting the variant in a `matches!` is a test, not a handler arm —
-    // the variant is still unhandled.
-    row(
-        "a matches! test is not handling evidence",
-        "proto-unhandled",
+        "an arm only a matches! mentions is a stale table row",
+        CONFIG,
         On::Node(&SPEC),
         &[(
             "fixture.rs",
@@ -1083,12 +1061,16 @@ static FIXTURES: &[Fixture] = &[
         )],
         &[("Message::Prepare", "`StartAliveTimer`")],
     ),
+    // With no entry there is no closure, so the arm has no pattern either.
     row(
         "a missing entry fn is a config finding",
         CONFIG,
         On::Node(&STALE),
         &[("fixture.rs", CLEAN)],
-        &[("impl S", "no_such_entry")],
+        &[
+            ("impl S", "entry fn `no_such_entry` not found"),
+            ("impl S", "no pattern matches `Message::Prepare`"),
+        ],
     ),
     row(
         "a justified proto allow silences the finding",

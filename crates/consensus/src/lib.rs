@@ -40,10 +40,6 @@ pub use acceptor::Acceptor;
 pub use leader::{Decision, Leader};
 pub use msg::{AcceptedVote, PaxosMsg, Registration};
 
-use std::collections::BTreeSet;
-
-use mdbs_histories::{GlobalTxnId, SiteId};
-
 /// A Paxos ballot: totally ordered, tie-broken by the proposing node so two
 /// backups can never issue the same ballot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,112 +76,6 @@ pub fn quorum(f: u32) -> usize {
     (f + 1) as usize
 }
 
-/// The commit-decision strategy a coordinator runtime is configured with.
-///
-/// [`DirectCommit`] is today's behavior — the coordinator decides alone the
-/// moment READYs are unanimous, with zero extra messages. [`PaxosCommit`]
-/// replicates the decision through the acceptors. The runtime only ever
-/// talks to this trait, so `F=0` stays wire- and digest-identical.
-pub trait CommitConsensus: std::fmt::Debug + Send {
-    /// Whether the coordinator must wait for a consensus decision instead
-    /// of committing directly on unanimous READY.
-    fn gates_commit(&self) -> bool;
-
-    /// A transaction began: messages to send (registration broadcast).
-    fn on_begin(
-        &mut self,
-        gtxn: GlobalTxnId,
-        participants: &BTreeSet<SiteId>,
-    ) -> Vec<(u32, PaxosMsg)>;
-
-    /// A consensus message arrived: follow-up messages plus any decisions
-    /// now reached.
-    fn on_msg(&mut self, msg: PaxosMsg) -> (Vec<(u32, PaxosMsg)>, Vec<Decision>);
-
-    /// A transaction settled: messages to send (log compaction).
-    fn on_finished(&mut self, gtxn: GlobalTxnId) -> Vec<(u32, PaxosMsg)>;
-
-    /// Assume leadership over the in-flight transactions of crashed
-    /// coordinators: messages to send (phase-1a broadcast).
-    fn take_over(&mut self) -> Vec<(u32, PaxosMsg)>;
-}
-
-/// `F=0`: the coordinator's lone decision is the decision. Every hook is a
-/// no-op, so the default configuration sends no extra messages and the
-/// golden digests are untouched.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectCommit;
-
-impl CommitConsensus for DirectCommit {
-    fn gates_commit(&self) -> bool {
-        false
-    }
-
-    fn on_begin(&mut self, _: GlobalTxnId, _: &BTreeSet<SiteId>) -> Vec<(u32, PaxosMsg)> {
-        Vec::new()
-    }
-
-    fn on_msg(&mut self, _: PaxosMsg) -> (Vec<(u32, PaxosMsg)>, Vec<Decision>) {
-        (Vec::new(), Vec::new())
-    }
-
-    fn on_finished(&mut self, _: GlobalTxnId) -> Vec<(u32, PaxosMsg)> {
-        Vec::new()
-    }
-
-    fn take_over(&mut self) -> Vec<(u32, PaxosMsg)> {
-        Vec::new()
-    }
-}
-
-/// `F>0`: Paxos Commit. Wraps a [`Leader`]; the coordinator commits only
-/// once every participant's READY holds at an acceptor quorum.
-#[derive(Debug)]
-pub struct PaxosCommit {
-    leader: Leader,
-}
-
-impl PaxosCommit {
-    /// A Paxos-committing coordinator at `node`, tolerating `f` failures
-    /// with the given `2F+1` acceptor nodes.
-    pub fn new(node: u32, f: u32, acceptors: Vec<u32>) -> PaxosCommit {
-        PaxosCommit {
-            leader: Leader::new(node, f, acceptors),
-        }
-    }
-
-    /// The wrapped leader (test observation).
-    pub fn leader(&self) -> &Leader {
-        &self.leader
-    }
-}
-
-impl CommitConsensus for PaxosCommit {
-    fn gates_commit(&self) -> bool {
-        true
-    }
-
-    fn on_begin(
-        &mut self,
-        gtxn: GlobalTxnId,
-        participants: &BTreeSet<SiteId>,
-    ) -> Vec<(u32, PaxosMsg)> {
-        self.leader.register(gtxn, participants.clone())
-    }
-
-    fn on_msg(&mut self, msg: PaxosMsg) -> (Vec<(u32, PaxosMsg)>, Vec<Decision>) {
-        self.leader.on_msg(msg)
-    }
-
-    fn on_finished(&mut self, gtxn: GlobalTxnId) -> Vec<(u32, PaxosMsg)> {
-        self.leader.finished(gtxn)
-    }
-
-    fn take_over(&mut self) -> Vec<(u32, PaxosMsg)> {
-        self.leader.take_over()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,20 +96,5 @@ mod tests {
         assert_eq!(acceptor_count(2), 5);
         assert_eq!(quorum(1), 2);
         assert_eq!(quorum(2), 3);
-    }
-
-    #[test]
-    fn direct_commit_is_inert() {
-        let mut d = DirectCommit;
-        assert!(!d.gates_commit());
-        assert!(d
-            .on_begin(GlobalTxnId(1), &BTreeSet::from([SiteId(0)]))
-            .is_empty());
-        assert!(d.on_finished(GlobalTxnId(1)).is_empty());
-        assert!(d.take_over().is_empty());
-        let (out, decisions) = d.on_msg(PaxosMsg::Clear {
-            gtxn: GlobalTxnId(1),
-        });
-        assert!(out.is_empty() && decisions.is_empty());
     }
 }

@@ -117,23 +117,9 @@ pub enum PaxosMsg {
 }
 
 impl PaxosMsg {
-    /// The variant's source-level name (vocabulary lint + codec tests; see
-    /// `Message::variant_name` for the scheme).
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            PaxosMsg::Begin { .. } => "Begin",
-            PaxosMsg::Vote2a { .. } => "Vote2a",
-            PaxosMsg::Accepted { .. } => "Accepted",
-            PaxosMsg::Prepare1a { .. } => "Prepare1a",
-            PaxosMsg::Promise1b { .. } => "Promise1b",
-            PaxosMsg::Propose2a { .. } => "Propose2a",
-            PaxosMsg::Clear { .. } => "Clear",
-        }
-    }
-
-    /// One representative value per variant, with nontrivial payloads.
-    /// Adding a variant without extending this list is a compile error
-    /// ([`PaxosMsg::variant_name`] matches exhaustively).
+    /// One representative value per variant, in declaration order, with
+    /// nontrivial payloads. rustc cannot see a variant missing here;
+    /// `mdbs-net`'s `codec.rs` holds the list to the codec table's tags.
     pub fn specimens() -> Vec<PaxosMsg> {
         let gtxn = GlobalTxnId(9);
         let ballot = Ballot {
@@ -189,19 +175,6 @@ impl PaxosMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn specimens_cover_every_variant_once() {
-        let names: Vec<&str> = PaxosMsg::specimens()
-            .iter()
-            .map(PaxosMsg::variant_name)
-            .collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate specimen variant");
-        assert_eq!(names.len(), 7);
-    }
 
     #[test]
     fn specimens_round_trip_as_event_payloads() {

@@ -464,6 +464,7 @@ impl Agent {
         }
     }
 
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, now: u64, msg: Message) -> Vec<AgentAction> {
         match msg {
             Message::Begin { gtxn, coord } => {
@@ -572,8 +573,13 @@ impl Agent {
                 }
                 vec![]
             }
-            other => {
-                debug_assert!(false, "agent received upstream message {other:?}");
+            Message::DmlResult { .. }
+            | Message::Failed { .. }
+            | Message::Ready { .. }
+            | Message::Refuse { .. }
+            | Message::CommitAck { .. }
+            | Message::RollbackAck { .. } => {
+                debug_assert!(false, "agent received upstream message {msg:?}");
                 vec![]
             }
         }

@@ -137,16 +137,16 @@ impl Coordinator {
 
     /// Start a global transaction with the given program.
     ///
-    /// Sends BEGIN to every participant, then the first DML command.
-    ///
-    /// # Panics
-    /// If the program is empty or the transaction id is already in flight.
+    /// Sends BEGIN to every participant, then the first DML command. A
+    /// transaction already in flight (a re-delivered start) is left alone,
+    /// and an empty program has nowhere to begin: both do nothing.
     pub fn begin(&mut self, gtxn: GlobalTxnId, program: GlobalProgram) -> Vec<CoordAction> {
-        assert!(!program.is_empty(), "empty global program");
-        assert!(
-            !self.txns.contains_key(&gtxn),
-            "transaction {gtxn} already in flight"
-        );
+        let Some(&(site, command)) = program.first() else {
+            return vec![];
+        };
+        if self.txns.contains_key(&gtxn) {
+            return vec![];
+        }
         let participants: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
         let mut actions: Vec<CoordAction> = participants
             .iter()
@@ -169,9 +169,6 @@ impl Coordinator {
             sn: None,
             results: Vec::new(),
         };
-        let Some(&(site, command)) = txn.program.first() else {
-            return actions; // unreachable: non-empty asserted above
-        };
         self.txns.insert(gtxn, txn);
         actions.push(CoordAction::ToAgent {
             site,
@@ -186,6 +183,7 @@ impl Coordinator {
 
     /// Handle an upstream message from an agent. `now_local` is this node's
     /// local clock reading (used when drawing the serial number).
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn on_message(&mut self, now_local: u64, msg: Message) -> Vec<CoordAction> {
         match msg {
             Message::DmlResult {
@@ -199,8 +197,13 @@ impl Coordinator {
             Message::Failed { gtxn, site } => self.on_refuse(gtxn, site),
             Message::CommitAck { gtxn, site } => self.on_ack(gtxn, site, GlobalOutcome::Committed),
             Message::RollbackAck { gtxn, site } => self.on_ack(gtxn, site, GlobalOutcome::Aborted),
-            other => {
-                debug_assert!(false, "coordinator received downstream message {other:?}");
+            Message::Begin { .. }
+            | Message::Dml { .. }
+            | Message::Prepare { .. }
+            | Message::Commit { .. }
+            | Message::Rollback { .. }
+            | Message::NewCoord { .. } => {
+                debug_assert!(false, "coordinator received downstream message {msg:?}");
                 vec![]
             }
         }
@@ -464,16 +467,12 @@ impl Coordinator {
         let Some(txn) = self.txns.get_mut(&gtxn) else {
             return vec![];
         };
-        if txn.phase == TxnPhase::Aborting {
+        if !matches!(txn.phase, TxnPhase::Executing | TxnPhase::Preparing) {
             // Already aborting: a site failure (e.g. a crash) beat the
-            // external decision to it. Nothing more to do.
+            // external decision to it. Already committing: the decision
+            // came too late to be one. Nothing more to do.
             return vec![];
         }
-        assert!(
-            matches!(txn.phase, TxnPhase::Executing | TxnPhase::Preparing),
-            "external abort in phase {:?}",
-            txn.phase
-        );
         txn.phase = TxnPhase::Aborting;
         let mut actions = vec![CoordAction::RecordGlobalAbort(gtxn)];
         actions.extend(txn.participants.iter().map(|&site| CoordAction::ToAgent {
@@ -944,9 +943,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty global program")]
-    fn empty_program_rejected() {
-        Coordinator::new(1).begin(g(1), vec![]);
+    fn an_empty_program_and_a_repeated_begin_start_nothing() {
+        let mut c = Coordinator::new(1);
+        assert!(c.begin(g(1), vec![]).is_empty());
+        assert_eq!(c.in_flight(), 0);
+        assert!(!c.begin(g(1), program2()).is_empty());
+        assert!(c.begin(g(1), program2()).is_empty());
+        assert_eq!(c.in_flight(), 1);
     }
 
     #[test]

@@ -154,35 +154,10 @@ impl Message {
         )
     }
 
-    /// The variant's source-level name, as written in this file.
-    ///
-    /// Ground truth for the vocabulary tooling: `mdbs-check lint` parses the
-    /// enum declaration out of `msg.rs` and cross-checks it against
-    /// [`Message::specimens`], and the codec round-trip tests iterate the
-    /// specimens — so the lint, the tests, and the compiler can never
-    /// disagree about what "all variants" means.
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            Message::Begin { .. } => "Begin",
-            Message::Dml { .. } => "Dml",
-            Message::Prepare { .. } => "Prepare",
-            Message::Commit { .. } => "Commit",
-            Message::Rollback { .. } => "Rollback",
-            Message::DmlResult { .. } => "DmlResult",
-            Message::Failed { .. } => "Failed",
-            Message::Ready { .. } => "Ready",
-            Message::Refuse { .. } => "Refuse",
-            Message::CommitAck { .. } => "CommitAck",
-            Message::RollbackAck { .. } => "RollbackAck",
-            Message::NewCoord { .. } => "NewCoord",
-        }
-    }
-
-    /// One representative value per variant, with nontrivial field values so
-    /// codec round-trip tests exercise real payloads. Adding a variant
-    /// without extending this list is a compile error ([`Message::variant_name`]
-    /// matches exhaustively), and the specimen list feeds both the
-    /// round-trip tests and `mdbs-check lint`'s vocabulary rule.
+    /// One representative value per variant, in declaration order, with
+    /// nontrivial field values so the codec tests exercise real payloads.
+    /// rustc cannot see a variant missing from this list; `mdbs-net`'s
+    /// `codec.rs` can — the specimens' wire tags must be the codec table's.
     pub fn specimens() -> Vec<Message> {
         use mdbs_ldbs::KeySpec;
         vec![

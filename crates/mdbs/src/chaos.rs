@@ -210,12 +210,20 @@ pub fn expectation_at(protocol: Protocol, profile: &FaultProfile, consensus_f: u
     }
 }
 
-/// The first invariant `report` violates under `exp`, if any. Rigor of the
-/// site projections is checked unconditionally: strict 2PL at the LDBSs
-/// must survive any wire-level fault.
+/// The first invariant `report` violates under `exp`, if any. Two are
+/// checked unconditionally: rigor of the site projections — strict 2PL at
+/// the LDBSs must survive any wire-level fault — and routing: faults drop,
+/// repeat and reorder messages, they never re-address one, so no node may
+/// have been handed an event of a kind it rejects.
 pub fn violated_invariant(cfg: &SimConfig, report: &SimReport, exp: Expectation) -> Option<String> {
     if let Some(v) = &report.checks.rigor_violation {
         return Some(format!("site projection not rigorous: {v:?}"));
+    }
+    let misrouted = report.metrics.counter("misrouted_events");
+    if misrouted != 0 {
+        return Some(format!(
+            "{misrouted} events reached a node that rejects them"
+        ));
     }
     if exp.settlement {
         let globals = cfg.workload.global_txns as u64;

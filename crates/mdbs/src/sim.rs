@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mdbs_consensus::PaxosCommit;
+use mdbs_consensus::Leader;
 use mdbs_dtm::{AgentConfig, GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, Instance, Op, SiteId};
 use mdbs_ldbs::{Ldbs, SiteProfile, Store};
@@ -617,32 +617,8 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_deadlock_scan(&mut self) {
-        for rt in self.nodes.sites.values_mut() {
-            // Local waits-for cycles.
-            or_die(rt.kill_local_deadlocks(&mut self.host));
-        }
-        // Wait timeouts (covers DLU holds and cross-site waits the local
-        // graphs cannot see — the paper's timeout-based resolution, §6).
         let timeout = SimDuration::from_micros(self.cfg.wait_timeout_us);
-        let now = self.host.queue.now();
-        let mut blocked: Vec<(Instance, SimTime)> = Vec::new();
-        for rt in self.nodes.sites.values() {
-            blocked.extend(rt.blocked());
-        }
-        // Txn-major order, matching the single global map the scan used
-        // before the per-site split.
-        blocked.sort_by_key(|(i, _)| *i);
-        for (instance, since) in blocked {
-            if now.since(since) > timeout {
-                or_die(
-                    self.nodes
-                        .sites
-                        .get_mut(&instance.site)
-                        .expect("site")
-                        .abort_on_timeout(instance, &mut self.host),
-                );
-            }
-        }
+        or_die(self.nodes.scan_waits(timeout, &mut self.host));
         if !self.all_work_done() {
             self.host.queue.schedule_after(
                 SimDuration::from_micros(self.cfg.deadlock_scan_us),
@@ -702,11 +678,7 @@ pub fn coordinator_runtime(cfg: &SimConfig, c: u32) -> CoordinatorRuntime {
     let node = COORD_BASE + c;
     let mut rt = CoordinatorRuntime::new(node, matches!(cfg.protocol, Protocol::Cgm));
     if cfg.consensus_f > 0 {
-        rt.set_consensus(Box::new(PaxosCommit::new(
-            node,
-            cfg.consensus_f,
-            acceptor_nodes(cfg),
-        )));
+        rt.set_consensus(Leader::new(node, cfg.consensus_f, acceptor_nodes(cfg)));
     }
     rt.set_crash_after_ready(cfg.coord_crash_after_ready);
     rt

@@ -152,6 +152,7 @@ pub fn encode_batch_frame_into(payload: &[u8], out: &mut Vec<u8>) {
 }
 
 fn encode_frame_versioned(version: u8, payload: &[u8], out: &mut Vec<u8>) {
+    // mdbs-check: allow(panic-freedom, "encode side, over this node's own payload, never a peer's bytes: the writer closes a batch at BATCH_SOFT_BYTES = 1 MiB, a sixteenth of the cap, and a frame past the cap would be refused by every receiver and retransmitted forever — dying here is the bounded failure")
     assert!(
         payload.len() <= MAX_FRAME_LEN,
         "refusing to encode a {}-byte frame (cap {MAX_FRAME_LEN})",

@@ -281,6 +281,7 @@ impl NodeHost {
     /// Map one transport event onto the node vocabulary. Envelopes
     /// addressed to the driver are consumed here; anything else this node
     /// has no use for (e.g. a retransmitted duplicate) is dropped.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn translate(&mut self, ev: NetEvent) -> Option<NodeEvent> {
         match ev {
             NetEvent::Timer { timer, .. } => Some(NodeEvent::Timer(timer)),
@@ -311,7 +312,9 @@ impl NodeHost {
                 }
                 None
             }
-            NetEvent::Msg(_) => None,
+            // Hello belongs to the transport; one that reaches the loop is
+            // dropped like any other envelope this node has no use for.
+            NetEvent::Msg(WireMsg::Hello { .. }) => None,
         }
     }
 

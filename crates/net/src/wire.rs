@@ -9,9 +9,9 @@
 //!   checked against the bytes actually remaining before allocating, so a
 //!   corrupt length prefix cannot balloon memory.
 //! * **Fixed layout.** Integers are little-endian; enums are a one-byte
-//!   tag followed by the variant's fields in declaration order; `Vec`/sets
-//!   are a `u32` count followed by the items; strings are a `u32` byte
-//!   length followed by UTF-8.
+//!   tag followed by the variant's fields in the order its `wire_enum!`
+//!   row lists them; `Vec`/sets are a `u32` count followed by the items;
+//!   strings are a `u32` byte length followed by UTF-8.
 //! * **Exactly the payload.** [`decode_msg`] rejects trailing bytes — a
 //!   frame carries one message, nothing else.
 
@@ -125,6 +125,8 @@ impl<'a> Reader<'a> {
 
 /// Types with a wire representation.
 pub trait Wire: Sized {
+    /// An enum's tag bytes, in variant order (empty for every other type).
+    const TAGS: &'static [u8] = &[];
     /// Append the encoding of `self`.
     fn put(&self, out: &mut Vec<u8>);
     /// Decode one value from the cursor.
@@ -238,6 +240,45 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
     }
 }
 
+/// One enum's wire layout, written once: `tag => Variant`, its fields in
+/// wire order. Both directions of the codec, the [`WireError::BadTag`] arm
+/// and [`Wire::TAGS`] come from the same row, so they cannot disagree, and
+/// the generated `match self` has no wildcard: a variant added to the enum
+/// and not to its table does not compile.
+macro_rules! wire_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($elem:ident),* ))?
+    ),* $(,)? }) => {
+        impl Wire for $ty {
+            const TAGS: &'static [u8] = &[$($tag),*];
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(( $($elem),* ))? => {
+                        out.push($tag);
+                        $($($field.put(out);)*)?
+                        $($($elem.put(out);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $field = Wire::get(r)?;)*)?
+                        $($(let $elem = Wire::get(r)?;)*)?
+                        Ok($ty::$variant $({ $($field),* })? $(( $($elem),* ))?)
+                    })*
+                    tag => Err(WireError::BadTag {
+                        what: stringify!($ty),
+                        tag,
+                    }),
+                }
+            }
+        }
+    };
+}
+
 impl Wire for SiteId {
     fn put(&self, out: &mut Vec<u8>) {
         self.0.put(out);
@@ -271,74 +312,18 @@ impl Wire for SerialNumber {
     }
 }
 
-impl Wire for KeySpec {
-    fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            KeySpec::Key(k) => {
-                out.push(0);
-                k.put(out);
-            }
-            KeySpec::Range(lo, hi) => {
-                out.push(1);
-                lo.put(out);
-                hi.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(KeySpec::Key(r.u64()?)),
-            1 => Ok(KeySpec::Range(r.u64()?, r.u64()?)),
-            tag => Err(WireError::BadTag {
-                what: "KeySpec",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(KeySpec {
+    0 => Key(k),
+    1 => Range(lo, hi),
+});
 
-impl Wire for Command {
-    fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            Command::Select(spec) => {
-                out.push(0);
-                spec.put(out);
-            }
-            Command::Update(spec, delta) => {
-                out.push(1);
-                spec.put(out);
-                delta.put(out);
-            }
-            Command::Assign(spec, v) => {
-                out.push(2);
-                spec.put(out);
-                v.put(out);
-            }
-            Command::Insert(k, v) => {
-                out.push(3);
-                k.put(out);
-                v.put(out);
-            }
-            Command::Delete(spec) => {
-                out.push(4);
-                spec.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Command::Select(KeySpec::get(r)?)),
-            1 => Ok(Command::Update(KeySpec::get(r)?, r.i64()?)),
-            2 => Ok(Command::Assign(KeySpec::get(r)?, r.i64()?)),
-            3 => Ok(Command::Insert(r.u64()?, r.i64()?)),
-            4 => Ok(Command::Delete(KeySpec::get(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "Command",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(Command {
+    0 => Select(spec),
+    1 => Update(spec, delta),
+    2 => Assign(spec, v),
+    3 => Insert(k, v),
+    4 => Delete(spec),
+});
 
 impl Wire for CommandResult {
     fn put(&self, out: &mut Vec<u8>) {
@@ -353,200 +338,36 @@ impl Wire for CommandResult {
     }
 }
 
-impl Wire for RefuseReason {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            RefuseReason::SnOutOfOrder => 0,
-            RefuseReason::AliveIntervalDisjoint => 1,
-            RefuseReason::NotAlive => 2,
-        });
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(RefuseReason::SnOutOfOrder),
-            1 => Ok(RefuseReason::AliveIntervalDisjoint),
-            2 => Ok(RefuseReason::NotAlive),
-            tag => Err(WireError::BadTag {
-                what: "RefuseReason",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(RefuseReason {
+    0 => SnOutOfOrder,
+    1 => AliveIntervalDisjoint,
+    2 => NotAlive,
+});
 
-impl Wire for GlobalOutcome {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            GlobalOutcome::Committed => 0,
-            GlobalOutcome::Aborted => 1,
-        });
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(GlobalOutcome::Committed),
-            1 => Ok(GlobalOutcome::Aborted),
-            tag => Err(WireError::BadTag {
-                what: "GlobalOutcome",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(GlobalOutcome {
+    0 => Committed,
+    1 => Aborted,
+});
 
-impl Wire for SiteLockMode {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            SiteLockMode::Read => 0,
-            SiteLockMode::Update => 1,
-        });
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(SiteLockMode::Read),
-            1 => Ok(SiteLockMode::Update),
-            tag => Err(WireError::BadTag {
-                what: "SiteLockMode",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(SiteLockMode {
+    0 => Read,
+    1 => Update,
+});
 
-impl Wire for Message {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            Message::Begin { gtxn, coord } => {
-                out.push(0);
-                gtxn.put(out);
-                coord.put(out);
-            }
-            Message::Dml {
-                gtxn,
-                step,
-                command,
-            } => {
-                out.push(1);
-                gtxn.put(out);
-                step.put(out);
-                command.put(out);
-            }
-            Message::Prepare { gtxn, sn } => {
-                out.push(2);
-                gtxn.put(out);
-                sn.put(out);
-            }
-            Message::Commit { gtxn } => {
-                out.push(3);
-                gtxn.put(out);
-            }
-            Message::Rollback { gtxn } => {
-                out.push(4);
-                gtxn.put(out);
-            }
-            Message::DmlResult {
-                gtxn,
-                site,
-                step,
-                result,
-            } => {
-                out.push(5);
-                gtxn.put(out);
-                site.put(out);
-                step.put(out);
-                result.put(out);
-            }
-            Message::Failed { gtxn, site } => {
-                out.push(6);
-                gtxn.put(out);
-                site.put(out);
-            }
-            Message::Ready { gtxn, site } => {
-                out.push(7);
-                gtxn.put(out);
-                site.put(out);
-            }
-            Message::Refuse { gtxn, site, reason } => {
-                out.push(8);
-                gtxn.put(out);
-                site.put(out);
-                reason.put(out);
-            }
-            Message::CommitAck { gtxn, site } => {
-                out.push(9);
-                gtxn.put(out);
-                site.put(out);
-            }
-            Message::RollbackAck { gtxn, site } => {
-                out.push(10);
-                gtxn.put(out);
-                site.put(out);
-            }
-            Message::NewCoord { gtxn, coord } => {
-                out.push(11);
-                gtxn.put(out);
-                coord.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Message::Begin {
-                gtxn: GlobalTxnId::get(r)?,
-                coord: r.u32()?,
-            }),
-            1 => Ok(Message::Dml {
-                gtxn: GlobalTxnId::get(r)?,
-                step: r.u32()?,
-                command: Command::get(r)?,
-            }),
-            2 => Ok(Message::Prepare {
-                gtxn: GlobalTxnId::get(r)?,
-                sn: SerialNumber::get(r)?,
-            }),
-            3 => Ok(Message::Commit {
-                gtxn: GlobalTxnId::get(r)?,
-            }),
-            4 => Ok(Message::Rollback {
-                gtxn: GlobalTxnId::get(r)?,
-            }),
-            5 => Ok(Message::DmlResult {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-                step: r.u32()?,
-                result: CommandResult::get(r)?,
-            }),
-            6 => Ok(Message::Failed {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-            }),
-            7 => Ok(Message::Ready {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-            }),
-            8 => Ok(Message::Refuse {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-                reason: RefuseReason::get(r)?,
-            }),
-            9 => Ok(Message::CommitAck {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-            }),
-            10 => Ok(Message::RollbackAck {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-            }),
-            11 => Ok(Message::NewCoord {
-                gtxn: GlobalTxnId::get(r)?,
-                coord: r.u32()?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "Message",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(Message {
+    0 => Begin { gtxn, coord },
+    1 => Dml { gtxn, step, command },
+    2 => Prepare { gtxn, sn },
+    3 => Commit { gtxn },
+    4 => Rollback { gtxn },
+    5 => DmlResult { gtxn, site, step, result },
+    6 => Failed { gtxn, site },
+    7 => Ready { gtxn, site },
+    8 => Refuse { gtxn, site, reason },
+    9 => CommitAck { gtxn, site },
+    10 => RollbackAck { gtxn, site },
+    11 => NewCoord { gtxn, coord },
+});
 
 impl Wire for Ballot {
     fn put(&self, out: &mut Vec<u8>) {
@@ -561,21 +382,10 @@ impl Wire for Ballot {
     }
 }
 
-impl Wire for Vote {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Vote::Ready => 0,
-            Vote::Abort => 1,
-        });
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Vote::Ready),
-            1 => Ok(Vote::Abort),
-            tag => Err(WireError::BadTag { what: "Vote", tag }),
-        }
-    }
-}
+wire_enum!(Vote {
+    0 => Ready,
+    1 => Abort,
+});
 
 impl Wire for Registration {
     fn put(&self, out: &mut Vec<u8>) {
@@ -609,187 +419,24 @@ impl Wire for AcceptedVote {
     }
 }
 
-impl Wire for PaxosMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            PaxosMsg::Begin {
-                gtxn,
-                coord,
-                participants,
-            } => {
-                out.push(0);
-                gtxn.put(out);
-                coord.put(out);
-                participants.put(out);
-            }
-            PaxosMsg::Vote2a {
-                gtxn,
-                site,
-                coord,
-                vote,
-            } => {
-                out.push(1);
-                gtxn.put(out);
-                site.put(out);
-                coord.put(out);
-                vote.put(out);
-            }
-            PaxosMsg::Accepted {
-                gtxn,
-                site,
-                ballot,
-                vote,
-                acceptor,
-            } => {
-                out.push(2);
-                gtxn.put(out);
-                site.put(out);
-                ballot.put(out);
-                vote.put(out);
-                acceptor.put(out);
-            }
-            PaxosMsg::Prepare1a { ballot } => {
-                out.push(3);
-                ballot.put(out);
-            }
-            PaxosMsg::Promise1b {
-                ballot,
-                acceptor,
-                registrations,
-                accepted,
-            } => {
-                out.push(4);
-                ballot.put(out);
-                acceptor.put(out);
-                registrations.put(out);
-                accepted.put(out);
-            }
-            PaxosMsg::Propose2a {
-                ballot,
-                gtxn,
-                site,
-                vote,
-            } => {
-                out.push(5);
-                ballot.put(out);
-                gtxn.put(out);
-                site.put(out);
-                vote.put(out);
-            }
-            PaxosMsg::Clear { gtxn } => {
-                out.push(6);
-                gtxn.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(PaxosMsg::Begin {
-                gtxn: GlobalTxnId::get(r)?,
-                coord: r.u32()?,
-                participants: <BTreeSet<SiteId> as Wire>::get(r)?,
-            }),
-            1 => Ok(PaxosMsg::Vote2a {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-                coord: r.u32()?,
-                vote: Vote::get(r)?,
-            }),
-            2 => Ok(PaxosMsg::Accepted {
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-                ballot: Ballot::get(r)?,
-                vote: Vote::get(r)?,
-                acceptor: r.u32()?,
-            }),
-            3 => Ok(PaxosMsg::Prepare1a {
-                ballot: Ballot::get(r)?,
-            }),
-            4 => Ok(PaxosMsg::Promise1b {
-                ballot: Ballot::get(r)?,
-                acceptor: r.u32()?,
-                registrations: Vec::get(r)?,
-                accepted: Vec::get(r)?,
-            }),
-            5 => Ok(PaxosMsg::Propose2a {
-                ballot: Ballot::get(r)?,
-                gtxn: GlobalTxnId::get(r)?,
-                site: SiteId::get(r)?,
-                vote: Vote::get(r)?,
-            }),
-            6 => Ok(PaxosMsg::Clear {
-                gtxn: GlobalTxnId::get(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "PaxosMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(PaxosMsg {
+    0 => Begin { gtxn, coord, participants },
+    1 => Vote2a { gtxn, site, coord, vote },
+    2 => Accepted { gtxn, site, ballot, vote, acceptor },
+    3 => Prepare1a { ballot },
+    4 => Promise1b { ballot, acceptor, registrations, accepted },
+    5 => Propose2a { ballot, gtxn, site, vote },
+    6 => Clear { gtxn },
+});
 
-impl Wire for CtrlMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            CtrlMsg::CgmRequest { gtxn, modes } => {
-                out.push(0);
-                gtxn.put(out);
-                modes.put(out);
-            }
-            CtrlMsg::CgmAdmitted { gtxn } => {
-                out.push(1);
-                gtxn.put(out);
-            }
-            CtrlMsg::CgmVote { gtxn, sites } => {
-                out.push(2);
-                gtxn.put(out);
-                sites.put(out);
-            }
-            CtrlMsg::CgmVoteResult { gtxn, ok } => {
-                out.push(3);
-                gtxn.put(out);
-                ok.put(out);
-            }
-            CtrlMsg::CgmFinished { gtxn } => {
-                out.push(4);
-                gtxn.put(out);
-            }
-            CtrlMsg::Paxos { msg } => {
-                out.push(5);
-                msg.put(out);
-            }
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(CtrlMsg::CgmRequest {
-                gtxn: GlobalTxnId::get(r)?,
-                modes: Vec::get(r)?,
-            }),
-            1 => Ok(CtrlMsg::CgmAdmitted {
-                gtxn: GlobalTxnId::get(r)?,
-            }),
-            2 => Ok(CtrlMsg::CgmVote {
-                gtxn: GlobalTxnId::get(r)?,
-                sites: <BTreeSet<SiteId> as Wire>::get(r)?,
-            }),
-            3 => Ok(CtrlMsg::CgmVoteResult {
-                gtxn: GlobalTxnId::get(r)?,
-                ok: bool::get(r)?,
-            }),
-            4 => Ok(CtrlMsg::CgmFinished {
-                gtxn: GlobalTxnId::get(r)?,
-            }),
-            5 => Ok(CtrlMsg::Paxos {
-                msg: PaxosMsg::get(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                what: "CtrlMsg",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(CtrlMsg {
+    0 => CgmRequest { gtxn, modes },
+    1 => CgmAdmitted { gtxn },
+    2 => CgmVote { gtxn, sites },
+    3 => CgmVoteResult { gtxn, ok },
+    4 => CgmFinished { gtxn },
+    5 => Paxos { msg },
+});
 
 impl Wire for Item {
     fn put(&self, out: &mut Vec<u8>) {
@@ -801,75 +448,33 @@ impl Wire for Item {
     }
 }
 
-impl Wire for Txn {
+impl Wire for LocalTxnId {
     fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            Txn::Global(g) => {
-                out.push(0);
-                g.put(out);
-            }
-            Txn::Local(LocalTxnId { site, n }) => {
-                out.push(1);
-                site.put(out);
-                n.put(out);
-            }
-        }
+        self.site.put(out);
+        self.n.put(out);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(Txn::Global(GlobalTxnId::get(r)?)),
-            1 => Ok(Txn::Local(LocalTxnId {
-                site: SiteId::get(r)?,
-                n: r.u32()?,
-            })),
-            tag => Err(WireError::BadTag { what: "Txn", tag }),
-        }
+        Ok(LocalTxnId {
+            site: SiteId::get(r)?,
+            n: r.u32()?,
+        })
     }
 }
 
-impl Wire for OpKind {
-    fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            OpKind::Read(item) => {
-                out.push(0);
-                item.put(out);
-            }
-            OpKind::Write(item) => {
-                out.push(1);
-                item.put(out);
-            }
-            OpKind::Prepare(site) => {
-                out.push(2);
-                site.put(out);
-            }
-            OpKind::LocalCommit(site) => {
-                out.push(3);
-                site.put(out);
-            }
-            OpKind::LocalAbort(site) => {
-                out.push(4);
-                site.put(out);
-            }
-            OpKind::GlobalCommit => out.push(5),
-            OpKind::GlobalAbort => out.push(6),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(OpKind::Read(Item::get(r)?)),
-            1 => Ok(OpKind::Write(Item::get(r)?)),
-            2 => Ok(OpKind::Prepare(SiteId::get(r)?)),
-            3 => Ok(OpKind::LocalCommit(SiteId::get(r)?)),
-            4 => Ok(OpKind::LocalAbort(SiteId::get(r)?)),
-            5 => Ok(OpKind::GlobalCommit),
-            6 => Ok(OpKind::GlobalAbort),
-            tag => Err(WireError::BadTag {
-                what: "OpKind",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(Txn {
+    0 => Global(g),
+    1 => Local(l),
+});
+
+wire_enum!(OpKind {
+    0 => Read(item),
+    1 => Write(item),
+    2 => Prepare(site),
+    3 => LocalCommit(site),
+    4 => LocalAbort(site),
+    5 => GlobalCommit,
+    6 => GlobalAbort,
+});
 
 impl Wire for Op {
     fn put(&self, out: &mut Vec<u8>) {
@@ -947,27 +552,21 @@ pub enum WireMsg {
     /// Driver → everyone: exit now.
     Shutdown,
 }
+wire_enum!(WireMsg {
+    0 => Hello { node },
+    1 => Net { from, to, msg },
+    2 => Ctrl { from, to, ctrl },
+    3 => StartGlobal { gtxn, program },
+    4 => Finished { gtxn, outcome },
+    5 => Drain,
+    6 => NodeReport { node, ops, local_committed, local_aborted },
+    7 => Shutdown,
+});
 
 impl WireMsg {
-    /// The variant's source-level name. `mdbs-check`'s vocabulary lint
-    /// cross-checks this list against the enum parsed from this file, so a
-    /// new variant that forgets its name (or its codec arm) fails CI.
-    pub fn variant_name(&self) -> &'static str {
-        match self {
-            WireMsg::Hello { .. } => "Hello",
-            WireMsg::Net { .. } => "Net",
-            WireMsg::Ctrl { .. } => "Ctrl",
-            WireMsg::StartGlobal { .. } => "StartGlobal",
-            WireMsg::Finished { .. } => "Finished",
-            WireMsg::Drain => "Drain",
-            WireMsg::NodeReport { .. } => "NodeReport",
-            WireMsg::Shutdown => "Shutdown",
-        }
-    }
-
-    /// One representative value per variant, with every field populated.
-    /// Ground truth for the codec round-trip tests and the vocabulary
-    /// inventory in `mdbs-check`.
+    /// One representative value per variant, in tag order, with every
+    /// field populated: what the codec tests iterate. rustc cannot see a
+    /// variant missing here; `codec.rs` holds the list to [`Wire::TAGS`].
     pub fn specimens() -> Vec<WireMsg> {
         let gtxn = GlobalTxnId(7);
         vec![
@@ -1006,88 +605,6 @@ impl WireMsg {
             },
             WireMsg::Shutdown,
         ]
-    }
-}
-
-impl Wire for WireMsg {
-    fn put(&self, out: &mut Vec<u8>) {
-        match self {
-            WireMsg::Hello { node } => {
-                out.push(0);
-                node.put(out);
-            }
-            WireMsg::Net { from, to, msg } => {
-                out.push(1);
-                from.put(out);
-                to.put(out);
-                msg.put(out);
-            }
-            WireMsg::Ctrl { from, to, ctrl } => {
-                out.push(2);
-                from.put(out);
-                to.put(out);
-                ctrl.put(out);
-            }
-            WireMsg::StartGlobal { gtxn, program } => {
-                out.push(3);
-                gtxn.put(out);
-                program.put(out);
-            }
-            WireMsg::Finished { gtxn, outcome } => {
-                out.push(4);
-                gtxn.put(out);
-                outcome.put(out);
-            }
-            WireMsg::Drain => out.push(5),
-            WireMsg::NodeReport {
-                node,
-                ops,
-                local_committed,
-                local_aborted,
-            } => {
-                out.push(6);
-                node.put(out);
-                ops.put(out);
-                local_committed.put(out);
-                local_aborted.put(out);
-            }
-            WireMsg::Shutdown => out.push(7),
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(WireMsg::Hello { node: r.u32()? }),
-            1 => Ok(WireMsg::Net {
-                from: r.u32()?,
-                to: r.u32()?,
-                msg: Message::get(r)?,
-            }),
-            2 => Ok(WireMsg::Ctrl {
-                from: r.u32()?,
-                to: r.u32()?,
-                ctrl: CtrlMsg::get(r)?,
-            }),
-            3 => Ok(WireMsg::StartGlobal {
-                gtxn: GlobalTxnId::get(r)?,
-                program: Vec::get(r)?,
-            }),
-            4 => Ok(WireMsg::Finished {
-                gtxn: GlobalTxnId::get(r)?,
-                outcome: GlobalOutcome::get(r)?,
-            }),
-            5 => Ok(WireMsg::Drain),
-            6 => Ok(WireMsg::NodeReport {
-                node: r.u32()?,
-                ops: Vec::get(r)?,
-                local_committed: r.u64()?,
-                local_aborted: r.u64()?,
-            }),
-            7 => Ok(WireMsg::Shutdown),
-            tag => Err(WireError::BadTag {
-                what: "WireMsg",
-                tag,
-            }),
-        }
     }
 }
 

@@ -18,6 +18,7 @@ use std::time::Duration;
 use mdbs_dtm::CertifierMode;
 use mdbs_histories::SiteId;
 use mdbs_net::{loopback_cluster, ClusterOutcome, ClusterRunner};
+use mdbs_runtime::{CENTRAL, COORD_BASE};
 use mdbs_sim::report::{outcome_digest, site_verdict_digest};
 use mdbs_sim::{Protocol, SimConfig, SimReport, Simulation};
 
@@ -226,4 +227,27 @@ fn loopback_cgm_cluster_with_central_scheduler_matches_the_sim() {
     let cluster = runner.run(Duration::from_secs(120)).expect("cluster run");
 
     assert_cluster_matches_sim(&cluster, &sim);
+}
+
+/// The control plane rides the same at-least-once transport as 2PC: the
+/// scheduler and coordinator 0 each sever an outbound link once, in the
+/// middle of the admission / vote handshake, and the run must still settle
+/// every transaction with the sim's verdicts.
+#[test]
+fn loopback_cgm_control_plane_survives_connection_drops() {
+    let sim = sim_reference(Protocol::Cgm);
+
+    let mut cfg = loopback_cluster(scenario(Protocol::Cgm)).expect("reserve loopback addrs");
+    cfg.test_drop = vec![(CENTRAL, 5), (COORD_BASE, 10)];
+    let runner = ClusterRunner::new(env!("CARGO_BIN_EXE_mdbs-node"), cfg);
+    let cluster = runner.run(Duration::from_secs(120)).expect("cluster run");
+
+    assert_cluster_matches_sim(&cluster, &sim);
+    for node in [CENTRAL, COORD_BASE] {
+        let dropped = &cluster.stats[&node];
+        assert!(
+            dropped.test_drops >= 1,
+            "the drop hook must have fired at {node}: {dropped:?}"
+        );
+    }
 }

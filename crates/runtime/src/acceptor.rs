@@ -45,6 +45,7 @@ impl AcceptorRuntime {
     }
 
     /// A control message arrived.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_ctrl<H: RuntimeHost>(&mut self, ctrl: CtrlMsg, host: &mut H) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::Paxos { msg } => {
@@ -53,15 +54,20 @@ impl AcceptorRuntime {
                 }
                 Ok(())
             }
-            other => Err(RuntimeError::UnexpectedCtrl {
+            CtrlMsg::CgmRequest { .. }
+            | CtrlMsg::CgmAdmitted { .. }
+            | CtrlMsg::CgmVote { .. }
+            | CtrlMsg::CgmVoteResult { .. }
+            | CtrlMsg::CgmFinished { .. } => Err(RuntimeError::UnexpectedCtrl {
                 node: self.node,
-                ctrl: other,
+                ctrl,
             }),
         }
     }
 }
 
 impl NodeRuntime for AcceptorRuntime {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event<H: RuntimeHost>(
         &mut self,
         event: NodeEvent,
@@ -70,7 +76,12 @@ impl NodeRuntime for AcceptorRuntime {
         match event {
             NodeEvent::Ctrl { ctrl, .. } => self.on_ctrl(ctrl, host)?,
             // Acceptors speak the control plane only.
-            _ => host.inc("misrouted_events"),
+            NodeEvent::Net(_)
+            | NodeEvent::Timer(_)
+            | NodeEvent::Start { .. }
+            | NodeEvent::TakeOver
+            | NodeEvent::Drain
+            | NodeEvent::Shutdown => host.inc("misrouted_events"),
         }
         Ok(Flow::Continue)
     }

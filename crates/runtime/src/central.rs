@@ -1,6 +1,6 @@
 //! The CGM central scheduler's runtime, driven through a [`RuntimeHost`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mdbs_baselines::{CommitGraph, GlobalLockManager};
 use mdbs_histories::GlobalTxnId;
@@ -16,21 +16,24 @@ use crate::CENTRAL;
 pub struct CentralRuntime {
     locks: GlobalLockManager,
     graph: CommitGraph,
-    /// Which coordinator to answer, per admitted transaction.
+    /// Which coordinator to answer, per transaction, from its admission
+    /// request to its `CgmFinished`.
     cnode_of: BTreeMap<GlobalTxnId, u32>,
+    /// The transactions among them whose commit-graph vote was taken.
+    voted: BTreeSet<GlobalTxnId>,
 }
 
 impl CentralRuntime {
     /// A fresh scheduler with no admitted transactions.
     pub fn new() -> Self {
-        CentralRuntime {
-            locks: GlobalLockManager::new(),
-            graph: CommitGraph::new(),
-            cnode_of: BTreeMap::new(),
-        }
+        CentralRuntime::default()
     }
 
-    /// A control message from coordinator `from` arrived.
+    /// A control message from coordinator `from` arrived. Each of a
+    /// transaction's three requests acts once: the transport re-delivers,
+    /// and a vote judged twice could draw two verdicts, the graph having
+    /// moved. A duplicate is counted (`ctrl_duplicates_ignored`) and dropped.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_ctrl<H: RuntimeHost>(
         &mut self,
         from: u32,
@@ -39,6 +42,10 @@ impl CentralRuntime {
     ) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::CgmRequest { gtxn, modes } => {
+                if self.cnode_of.contains_key(&gtxn) {
+                    host.inc("ctrl_duplicates_ignored");
+                    return Ok(());
+                }
                 self.cnode_of.insert(gtxn, from);
                 if self.locks.request(gtxn, modes) {
                     host.send_ctrl(CENTRAL, from, CtrlMsg::CgmAdmitted { gtxn });
@@ -47,6 +54,10 @@ impl CentralRuntime {
                 Ok(())
             }
             CtrlMsg::CgmVote { gtxn, sites } => {
+                if !self.cnode_of.contains_key(&gtxn) || !self.voted.insert(gtxn) {
+                    host.inc("ctrl_duplicates_ignored");
+                    return Ok(());
+                }
                 let ok = !self.graph.would_cycle(gtxn, &sites);
                 if ok {
                     self.graph.insert(gtxn, sites);
@@ -60,10 +71,13 @@ impl CentralRuntime {
                 Ok(())
             }
             CtrlMsg::CgmFinished { gtxn } => {
+                if self.cnode_of.remove(&gtxn).is_none() {
+                    host.inc("ctrl_duplicates_ignored");
+                    return Ok(());
+                }
+                self.voted.remove(&gtxn);
                 self.graph.remove(gtxn);
-                self.cnode_of.remove(&gtxn);
-                let admitted = self.locks.release(gtxn);
-                for g in admitted {
+                for g in self.locks.release(gtxn) {
                     let Some(&cnode) = self.cnode_of.get(&g) else {
                         return Err(RuntimeError::MissingState {
                             node: CENTRAL,
@@ -74,15 +88,18 @@ impl CentralRuntime {
                 }
                 Ok(())
             }
-            other => Err(RuntimeError::UnexpectedCtrl {
-                node: CENTRAL,
-                ctrl: other,
-            }),
+            CtrlMsg::CgmAdmitted { .. } | CtrlMsg::CgmVoteResult { .. } | CtrlMsg::Paxos { .. } => {
+                Err(RuntimeError::UnexpectedCtrl {
+                    node: CENTRAL,
+                    ctrl,
+                })
+            }
         }
     }
 }
 
 impl NodeRuntime for CentralRuntime {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event<H: RuntimeHost>(
         &mut self,
         event: NodeEvent,
@@ -91,7 +108,12 @@ impl NodeRuntime for CentralRuntime {
         match event {
             NodeEvent::Ctrl { from, ctrl } => self.on_ctrl(from, ctrl, host)?,
             // The scheduler speaks the control plane only.
-            _ => host.inc("misrouted_events"),
+            NodeEvent::Net(_)
+            | NodeEvent::Timer(_)
+            | NodeEvent::Start { .. }
+            | NodeEvent::TakeOver
+            | NodeEvent::Drain
+            | NodeEvent::Shutdown => host.inc("misrouted_events"),
         }
         Ok(Flow::Continue)
     }

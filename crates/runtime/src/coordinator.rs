@@ -3,21 +3,21 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mdbs_baselines::SiteLockMode;
-use mdbs_consensus::{CommitConsensus, Decision, DirectCommit, PaxosMsg};
+use mdbs_consensus::{Decision, Leader, PaxosMsg};
 use mdbs_dtm::{CoordAction, Coordinator, Message};
 use mdbs_histories::{GlobalTxnId, Op, SiteId};
-use mdbs_ldbs::Command;
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost};
-use crate::node::{Flow, NodeEvent, NodeRuntime, ReadyCrash};
+use crate::node::{Flow, NodeEvent, NodeRuntime, Program, ReadyCrash};
 use crate::CENTRAL;
 
 /// CGM bookkeeping for one global transaction at its coordinator.
 #[derive(Debug)]
 struct CgmEntry {
     sites: BTreeSet<SiteId>,
-    program: Vec<(SiteId, Command)>,
-    /// PREPARE messages buffered until the commit-graph vote passes.
+    /// The program, until the admission grant hands it to the coordinator.
+    program: Option<Program>,
+    /// PREPARE messages buffered until the commit-graph verdict takes them.
     held_prepares: Vec<(SiteId, Message)>,
 }
 
@@ -32,10 +32,10 @@ pub struct CoordinatorRuntime {
     cgm: bool,
     inner: Coordinator,
     cgm_txns: BTreeMap<GlobalTxnId, CgmEntry>,
-    /// The commit-decision strategy. [`DirectCommit`] (the default) is the
-    /// paper's direct 2PC decision with zero extra traffic; `PaxosCommit`
-    /// replicates the decision through the acceptor quorum.
-    consensus: Box<dyn CommitConsensus>,
+    /// The Paxos Commit leader that replicates this coordinator's decisions
+    /// through the acceptor quorum. `None` at `F = 0`: the paper's direct
+    /// 2PC decision, and not one consensus message on the wire.
+    leader: Option<Leader>,
     /// The `coord_crash_after_ready` hook; inert unless armed.
     ready_crash: ReadyCrash,
 }
@@ -49,7 +49,7 @@ impl CoordinatorRuntime {
             cgm,
             inner: Coordinator::new(node),
             cgm_txns: BTreeMap::new(),
-            consensus: Box::new(DirectCommit),
+            leader: None,
             ready_crash: ReadyCrash::default(),
         }
     }
@@ -59,12 +59,11 @@ impl CoordinatorRuntime {
         self.node
     }
 
-    /// Install the commit-decision strategy. With a gating strategy
-    /// (Paxos Commit) the wrapped coordinator holds its commit decision
-    /// until the consensus layer reaches one.
-    pub fn set_consensus(&mut self, consensus: Box<dyn CommitConsensus>) {
-        self.inner.set_gate_commit(consensus.gates_commit());
-        self.consensus = consensus;
+    /// Decide through Paxos Commit: the wrapped coordinator holds its
+    /// commit decision until `leader` has it accepted at a quorum.
+    pub fn set_consensus(&mut self, leader: Leader) {
+        self.inner.set_gate_commit(true);
+        self.leader = Some(leader);
     }
 
     /// Arm the crash-stop hook from the scenario's
@@ -75,16 +74,20 @@ impl CoordinatorRuntime {
         self.ready_crash = ReadyCrash::for_node(hook, self.node);
     }
 
-    /// Assume leadership over crashed coordinators' in-flight transactions
-    /// (Paxos Commit failover): runs the consensus layer's whole-log
-    /// phase 1. A no-op under [`DirectCommit`].
-    fn take_over<H: RuntimeHost>(&mut self, host: &mut H) -> Result<(), RuntimeError> {
-        let out = self.consensus.take_over();
-        self.send_paxos(out, host);
-        Ok(())
+    /// Send what one step of the Paxos Commit leader emits; nothing at
+    /// `F = 0`.
+    fn lead<H: RuntimeHost>(
+        &mut self,
+        host: &mut H,
+        step: impl FnOnce(&mut Leader) -> Vec<(u32, PaxosMsg)>,
+    ) {
+        if let Some(leader) = self.leader.as_mut() {
+            let out = step(leader);
+            self.send_paxos(out, host);
+        }
     }
 
-    fn send_paxos<H: RuntimeHost>(&mut self, out: Vec<(u32, PaxosMsg)>, host: &mut H) {
+    fn send_paxos<H: RuntimeHost>(&self, out: Vec<(u32, PaxosMsg)>, host: &mut H) {
         for (to, msg) in out {
             host.send_ctrl(self.node, to, CtrlMsg::Paxos { msg });
         }
@@ -95,9 +98,15 @@ impl CoordinatorRuntime {
     fn begin<H: RuntimeHost>(
         &mut self,
         gtxn: GlobalTxnId,
-        program: Vec<(SiteId, Command)>,
+        program: Program,
         host: &mut H,
     ) -> Result<(), RuntimeError> {
+        if program.is_empty() {
+            return Err(RuntimeError::MissingState {
+                node: self.node,
+                context: "global transaction with an empty program",
+            });
+        }
         if self.cgm {
             // Admission through the central scheduler first.
             let sites: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
@@ -112,7 +121,7 @@ impl CoordinatorRuntime {
                 gtxn,
                 CgmEntry {
                     sites,
-                    program,
+                    program: Some(program),
                     held_prepares: Vec::new(),
                 },
             );
@@ -128,10 +137,8 @@ impl CoordinatorRuntime {
         } else {
             // Register the transaction at the acceptors before any 2PC
             // message leaves: a failover must never see a BEGIN-less vote.
-            // Empty (zero messages) under DirectCommit.
-            let participants: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
-            let out = self.consensus.on_begin(gtxn, &participants);
-            self.send_paxos(out, host);
+            let sites = || program.iter().map(|(s, _)| *s).collect();
+            self.lead(host, |leader| leader.register(gtxn, sites()));
             let actions = self.inner.begin(gtxn, program);
             self.run_actions(actions, host)
         }
@@ -148,30 +155,32 @@ impl CoordinatorRuntime {
         self.run_actions(actions, host)
     }
 
-    /// A control message from the central scheduler arrived.
+    /// A control message arrived. The transport is at-least-once, so the
+    /// scheduler's two answers each act once per transaction: a
+    /// re-delivered one, or one that outlived its transaction, is counted
+    /// (`ctrl_duplicates_ignored`) and dropped.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_ctrl<H: RuntimeHost>(&mut self, ctrl: CtrlMsg, host: &mut H) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::CgmAdmitted { gtxn } => {
-                let Some(entry) = self.cgm_txns.get(&gtxn) else {
-                    return Err(RuntimeError::MissingState {
-                        node: self.node,
-                        context: "admission grant for an unknown CGM transaction",
-                    });
+                let entry = self.cgm_txns.get_mut(&gtxn);
+                let Some(program) = entry.and_then(|e| e.program.take()) else {
+                    host.inc("ctrl_duplicates_ignored");
+                    return Ok(());
                 };
-                let program = entry.program.clone();
                 let actions = self.inner.begin(gtxn, program);
                 self.run_actions(actions, host)
             }
             CtrlMsg::CgmVoteResult { gtxn, ok } => {
+                // The verdict takes the held PREPAREs whichever way it
+                // went, so a second one finds none.
+                let entry = self.cgm_txns.get_mut(&gtxn);
+                let held = entry.map_or_else(Vec::new, |e| std::mem::take(&mut e.held_prepares));
+                if held.is_empty() {
+                    host.inc("ctrl_duplicates_ignored");
+                    return Ok(());
+                }
                 if ok {
-                    // Release the held PREPAREs.
-                    let Some(entry) = self.cgm_txns.get_mut(&gtxn) else {
-                        return Err(RuntimeError::MissingState {
-                            node: self.node,
-                            context: "vote verdict for an unknown CGM transaction",
-                        });
-                    };
-                    let held = std::mem::take(&mut entry.held_prepares);
                     for (site, msg) in held {
                         host.send(self.node, site.0, msg);
                     }
@@ -182,7 +191,12 @@ impl CoordinatorRuntime {
                 }
             }
             CtrlMsg::Paxos { msg } => {
-                let (out, decisions) = self.consensus.on_msg(msg);
+                // No leader at `F = 0` — and then no acceptor to hear from.
+                let Some(leader) = self.leader.as_mut() else {
+                    host.inc("misrouted_events");
+                    return Ok(());
+                };
+                let (out, decisions) = leader.on_msg(msg);
                 self.send_paxos(out, host);
                 for decision in decisions {
                     let actions = match decision {
@@ -197,10 +211,12 @@ impl CoordinatorRuntime {
                 }
                 Ok(())
             }
-            other => Err(RuntimeError::UnexpectedCtrl {
-                node: self.node,
-                ctrl: other,
-            }),
+            CtrlMsg::CgmRequest { .. } | CtrlMsg::CgmVote { .. } | CtrlMsg::CgmFinished { .. } => {
+                Err(RuntimeError::UnexpectedCtrl {
+                    node: self.node,
+                    ctrl,
+                })
+            }
         }
     }
 
@@ -243,9 +259,8 @@ impl CoordinatorRuntime {
                 }
                 CoordAction::Finished { gtxn, outcome } => {
                     // Compact the transaction out of the acceptor logs
-                    // (empty under DirectCommit) before the driver reacts.
-                    let out = self.consensus.on_finished(gtxn);
-                    self.send_paxos(out, host);
+                    // before the driver reacts.
+                    self.lead(host, |leader| leader.finished(gtxn));
                     if self.cgm {
                         // Drop the CGM bookkeeping and release the
                         // transaction's site locks at the scheduler.
@@ -261,6 +276,7 @@ impl CoordinatorRuntime {
 }
 
 impl NodeRuntime for CoordinatorRuntime {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event<H: RuntimeHost>(
         &mut self,
         event: NodeEvent,
@@ -275,9 +291,14 @@ impl NodeRuntime for CoordinatorRuntime {
             }
             NodeEvent::Ctrl { ctrl, .. } => self.on_ctrl(ctrl, host)?,
             NodeEvent::Start { gtxn, program } => self.begin(gtxn, program, host)?,
-            NodeEvent::TakeOver => self.take_over(host)?,
-            // Coordinators set no timers.
-            _ => host.inc("misrouted_events"),
+            // Paxos Commit failover: adopt crashed coordinators' in-flight
+            // transactions through the leader's whole-log phase 1.
+            NodeEvent::TakeOver => self.lead(host, Leader::take_over),
+            // Coordinators set no timers, and the loop keeps its own
+            // envelopes.
+            NodeEvent::Timer(_) | NodeEvent::Drain | NodeEvent::Shutdown => {
+                host.inc("misrouted_events")
+            }
         }
         Ok(Flow::Continue)
     }

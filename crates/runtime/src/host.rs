@@ -103,10 +103,7 @@ pub enum CtrlMsg {
 }
 
 impl CtrlMsg {
-    /// The variant's source-level name, as written in this file. Ground
-    /// truth for `mdbs-check lint`'s vocabulary rule and the codec
-    /// round-trip tests (see [`mdbs_dtm::Message::variant_name`] for the
-    /// scheme).
+    /// The variant's name, for the model checker's trace lines.
     pub fn variant_name(&self) -> &'static str {
         match self {
             CtrlMsg::CgmRequest { .. } => "CgmRequest",
@@ -118,19 +115,9 @@ impl CtrlMsg {
         }
     }
 
-    /// Whether the message travels coordinator → central scheduler (the
-    /// rest travel central → coordinator). Decides which runtime must
-    /// carry the handler arm for the variant.
-    pub fn is_to_central(&self) -> bool {
-        matches!(
-            self,
-            CtrlMsg::CgmRequest { .. } | CtrlMsg::CgmVote { .. } | CtrlMsg::CgmFinished { .. }
-        )
-    }
-
-    /// One representative value per variant, with nontrivial payloads.
-    /// Adding a variant without extending this list is a compile error
-    /// ([`CtrlMsg::variant_name`] matches exhaustively).
+    /// One representative value per variant, in declaration order, with
+    /// nontrivial payloads. rustc cannot see a variant missing here;
+    /// `mdbs-net`'s `codec.rs` holds the list to the codec table's tags.
     pub fn specimens() -> Vec<CtrlMsg> {
         let gtxn = GlobalTxnId(12);
         vec![
@@ -281,54 +268,9 @@ pub fn message_kind(msg: &Message) -> &'static str {
 mod tests {
     use std::collections::BTreeSet;
 
-    use mdbs_dtm::{RefuseReason, SerialNumber};
-    use mdbs_ldbs::{CommandResult, KeySpec};
+    use mdbs_ldbs::KeySpec;
 
     use super::*;
-
-    fn sn() -> SerialNumber {
-        SerialNumber {
-            ticks: 10,
-            node: 7,
-            seq: 0,
-        }
-    }
-
-    /// One value of every protocol message variant, in wire order.
-    fn all_messages() -> Vec<Message> {
-        let gtxn = GlobalTxnId(1);
-        let site = SiteId(0);
-        vec![
-            Message::Begin { gtxn, coord: 7 },
-            Message::Dml {
-                gtxn,
-                step: 0,
-                command: Command::Select(KeySpec::Key(3)),
-            },
-            Message::Prepare { gtxn, sn: sn() },
-            Message::Commit { gtxn },
-            Message::Rollback { gtxn },
-            Message::DmlResult {
-                gtxn,
-                site,
-                step: 0,
-                result: CommandResult::default(),
-            },
-            Message::Failed { gtxn, site },
-            Message::Ready { gtxn, site },
-            Message::Refuse {
-                gtxn,
-                site,
-                reason: RefuseReason::SnOutOfOrder,
-            },
-            Message::CommitAck { gtxn, site },
-            Message::RollbackAck { gtxn, site },
-            Message::NewCoord {
-                gtxn,
-                coord: 1_000_001,
-            },
-        ]
-    }
 
     #[test]
     fn message_kind_names_every_variant() {
@@ -346,7 +288,7 @@ mod tests {
             "msg_rollback_ack",
             "msg_new_coord",
         ];
-        let messages = all_messages();
+        let messages = Message::specimens();
         assert_eq!(messages.len(), expected.len());
         for (msg, want) in messages.iter().zip(expected) {
             assert_eq!(message_kind(msg), want, "wrong kind for {msg:?}");
@@ -397,43 +339,15 @@ mod tests {
         ]
     }
 
-    fn all_ctrl_msgs() -> Vec<CtrlMsg> {
-        let gtxn = GlobalTxnId(2);
-        vec![
-            CtrlMsg::CgmRequest {
-                gtxn,
-                modes: vec![
-                    (SiteId(0), SiteLockMode::Read),
-                    (SiteId(1), SiteLockMode::Update),
-                ],
-            },
-            CtrlMsg::CgmAdmitted { gtxn },
-            CtrlMsg::CgmVote {
-                gtxn,
-                sites: BTreeSet::from([SiteId(0), SiteId(1)]),
-            },
-            CtrlMsg::CgmVoteResult { gtxn, ok: true },
-            CtrlMsg::CgmFinished { gtxn },
-            CtrlMsg::Paxos {
-                msg: PaxosMsg::Prepare1a {
-                    ballot: mdbs_consensus::Ballot {
-                        number: 1,
-                        node: 1_000_000,
-                    },
-                },
-            },
-        ]
-    }
-
     #[test]
     fn transport_dispatch_reaches_the_host_in_order() {
         let mut recorder = RecordingHost::default();
         // Runtimes only ever see the trait, never the concrete driver.
         let host: &mut dyn Transport = &mut recorder;
-        for (i, msg) in all_messages().into_iter().enumerate() {
+        for (i, msg) in Message::specimens().into_iter().enumerate() {
             host.send(100, i as u32, msg);
         }
-        for msg in all_ctrl_msgs() {
+        for msg in CtrlMsg::specimens() {
             host.send_ctrl(100, 200, msg);
         }
         for (i, timer) in all_timers().into_iter().enumerate() {
@@ -446,7 +360,7 @@ mod tests {
         assert!(recorder.sent.iter().all(|&(from, _, _)| from == 100));
 
         let ctrl: Vec<CtrlMsg> = recorder.ctrl.iter().map(|(_, _, m)| m.clone()).collect();
-        assert_eq!(ctrl, all_ctrl_msgs());
+        assert_eq!(ctrl, CtrlMsg::specimens());
 
         assert_eq!(recorder.timers.len(), 4);
         assert_eq!(
@@ -469,7 +383,7 @@ mod tests {
         for timer in all_timers() {
             assert_eq!(timer.clone(), timer);
         }
-        for msg in all_ctrl_msgs() {
+        for msg in CtrlMsg::specimens() {
             assert_eq!(msg.clone(), msg);
         }
         // Distinct variants over the same transaction must not compare

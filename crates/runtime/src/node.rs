@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use mdbs_dtm::Message;
 use mdbs_histories::{GlobalTxnId, Instance, SiteId};
 use mdbs_ldbs::Command;
-use mdbs_simkit::{DetRng, Metrics};
+use mdbs_simkit::{DetRng, Metrics, SimDuration};
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost, Timer};
 use crate::{
@@ -430,6 +430,31 @@ impl NodeSet {
     /// Crashes are permanent within a run.
     pub fn kill(&mut self, coord: u32) -> bool {
         self.dead.insert(coord)
+    }
+
+    /// The deadlock / wait-timeout scan of a host that sees every site:
+    /// break each site's local waits-for cycles, then abort, in [`Instance`]
+    /// order, what had been blocked for longer than `timeout` when the scan
+    /// began (§6: cross-site waits no local graph sees). Returns those.
+    pub fn scan_waits<H: RuntimeHost>(
+        &mut self,
+        timeout: SimDuration,
+        host: &mut H,
+    ) -> Result<BTreeSet<Instance>, RuntimeError> {
+        for rt in self.sites.values_mut() {
+            rt.kill_local_deadlocks(host)?;
+        }
+        let now = host.now();
+        let expired: BTreeSet<Instance> = (self.sites.values())
+            .flat_map(|rt| rt.blocked())
+            .filter_map(|(i, since)| (now.since(since) > timeout).then_some(i))
+            .collect();
+        for instance in &expired {
+            if let Some(rt) = self.sites.get_mut(&instance.site) {
+                rt.abort_on_timeout(*instance, host)?;
+            }
+        }
+        Ok(expired)
     }
 
     /// Hand `event` to node `to`.

@@ -259,6 +259,7 @@ impl SiteRuntime {
     /// active-state FAILED) doubles as a ballot-0 phase-2a message sent
     /// directly to every acceptor, with the transaction's coordinator as
     /// the leader the acceptors report back to. No-op at `F=0`.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn fan_out_vote<H: RuntimeHost>(&mut self, coord: u32, msg: &Message, host: &mut H) {
         if self.acceptors.is_empty() {
             return;
@@ -266,7 +267,15 @@ impl SiteRuntime {
         let vote = match msg {
             Message::Ready { .. } => Vote::Ready,
             Message::Refuse { .. } | Message::Failed { .. } => Vote::Abort,
-            _ => return,
+            Message::Begin { .. }
+            | Message::Dml { .. }
+            | Message::Prepare { .. }
+            | Message::Commit { .. }
+            | Message::Rollback { .. }
+            | Message::DmlResult { .. }
+            | Message::CommitAck { .. }
+            | Message::RollbackAck { .. }
+            | Message::NewCoord { .. } => return,
         };
         let gtxn = msg.gtxn();
         for &acceptor in &self.acceptors {
@@ -537,6 +546,7 @@ impl SiteRuntime {
 }
 
 impl NodeRuntime for SiteRuntime {
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn on_event<H: RuntimeHost>(
         &mut self,
         event: NodeEvent,
@@ -558,7 +568,11 @@ impl NodeRuntime for SiteRuntime {
             }
             // Sites speak 2PC only: control traffic and driver envelopes
             // have no handler here.
-            _ => host.inc("misrouted_events"),
+            NodeEvent::Ctrl { .. }
+            | NodeEvent::Start { .. }
+            | NodeEvent::TakeOver
+            | NodeEvent::Drain
+            | NodeEvent::Shutdown => host.inc("misrouted_events"),
         }
         Ok(Flow::Continue)
     }

@@ -1,14 +1,16 @@
 //! The node loop, tested on its own: `run_node` driven by a scripted
 //! in-memory port (flush-before-block, the burst bound, timer ordering,
 //! `Shutdown`/`Drain`/crash handling), plus the shared housekeeping next
-//! to it — the timer heap, the READY crash counter, the admission window
-//! and the one misrouted-input policy.
+//! to it — the timer heap, the READY crash counter, the admission window,
+//! the one misrouted-input policy and the CGM control plane's
+//! once-per-transaction guards.
 
 use std::collections::{BTreeSet, VecDeque};
 
+use mdbs_baselines::SiteLockMode;
 use mdbs_dtm::{AgentConfig, GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, Op, SiteId};
-use mdbs_ldbs::{Ldbs, SiteProfile, Store};
+use mdbs_ldbs::{Command, CommandResult, KeySpec, Ldbs, SiteProfile, Store};
 use mdbs_runtime::{
     run_node, AcceptorRuntime, AdmissionWindow, CentralRuntime, CoordinatorRuntime, CtrlMsg, Flow,
     NodeEvent, NodePort, NodeRuntime, NodeSet, ReadyCrash, RuntimeError, RuntimeHost, SiteRuntime,
@@ -39,6 +41,7 @@ struct FakePort {
     timers: TimerHeap<Timer>,
     log: Vec<&'static str>,
     metrics: Metrics,
+    sent: usize,
     ctrl_sent: usize,
 }
 
@@ -69,7 +72,9 @@ impl TimeSource for FakePort {
 }
 
 impl Transport for FakePort {
-    fn send(&mut self, _from: u32, _to: u32, _msg: Message) {}
+    fn send(&mut self, _from: u32, _to: u32, _msg: Message) {
+        self.sent += 1;
+    }
     fn send_ctrl(&mut self, _from: u32, _to: u32, _ctrl: CtrlMsg) {
         self.ctrl_sent += 1;
     }
@@ -371,4 +376,103 @@ fn misrouted_events_are_counted_and_dropped_by_every_node_kind() {
     assert!(port.timers.next_deadline_us().is_none());
     // An unknown node is an error value, not a panic.
     assert!(nodes.on_event(7, net(1), &mut port).is_err());
+}
+
+fn ctrl(from: u32, ctrl: CtrlMsg) -> NodeEvent {
+    NodeEvent::Ctrl { from, ctrl }
+}
+
+/// Hand `event` to `rt`: whatever it is, it is no error and no crash.
+fn step<R: NodeRuntime>(rt: &mut R, port: &mut FakePort, event: NodeEvent) {
+    let flow = rt.on_event(event, port).expect("dropped, not an error");
+    assert_eq!(flow, Flow::Continue);
+}
+
+// The transport is at-least-once and the CGM control plane rides it like
+// everything else. At the parent of PR 19 the first script below panicked
+// in `Coordinator::begin` ("already in flight"), the second in
+// `GlobalLockManager::request` ("duplicate admission request"), and the
+// late messages of the third came back as `RuntimeError::MissingState`,
+// which `or_die` turns into a dead node.
+
+#[test]
+fn a_redelivered_admission_grant_begins_the_transaction_once() {
+    let gtxn = GlobalTxnId(1);
+    let mut rt = CoordinatorRuntime::new(COORD_BASE, true);
+    let mut port = FakePort::default();
+    let program = vec![(SiteId(0), Command::Update(KeySpec::Key(1), 1))];
+    step(&mut rt, &mut port, NodeEvent::Start { gtxn, program });
+    assert_eq!(port.ctrl_sent, 1, "the admission request");
+    let grant = || ctrl(CENTRAL, CtrlMsg::CgmAdmitted { gtxn });
+    step(&mut rt, &mut port, grant());
+    assert_eq!(port.sent, 2, "BEGIN and the first DML");
+    step(&mut rt, &mut port, grant());
+    assert_eq!(port.sent, 2);
+    assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 1);
+}
+
+#[test]
+fn the_scheduler_acts_once_on_each_request_of_a_transaction() {
+    let gtxn = GlobalTxnId(1);
+    let mut rt = CentralRuntime::new();
+    let mut port = FakePort::default();
+    let script = [
+        CtrlMsg::CgmRequest {
+            gtxn,
+            modes: vec![(SiteId(0), SiteLockMode::Update)],
+        },
+        CtrlMsg::CgmVote {
+            gtxn,
+            sites: [SiteId(0)].into(),
+        },
+        CtrlMsg::CgmFinished { gtxn },
+    ];
+    for msg in script {
+        for _ in 0..2 {
+            step(&mut rt, &mut port, ctrl(COORD_BASE, msg.clone()));
+        }
+    }
+    assert_eq!(port.ctrl_sent, 2, "one grant, one verdict");
+    assert_eq!(port.metrics.counter("cgm_votes_ok"), 1);
+    assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 3);
+}
+
+#[test]
+fn a_second_verdict_is_void_and_late_answers_find_no_transaction() {
+    let (gtxn, site) = (GlobalTxnId(1), SiteId(0));
+    let mut rt = CoordinatorRuntime::new(COORD_BASE, true);
+    let mut port = FakePort::default();
+    let grant = || ctrl(CENTRAL, CtrlMsg::CgmAdmitted { gtxn });
+    let verdict = |ok| ctrl(CENTRAL, CtrlMsg::CgmVoteResult { gtxn, ok });
+    let result = CommandResult::default();
+    let conversation = [
+        NodeEvent::Start {
+            gtxn,
+            program: vec![(site, Command::Update(KeySpec::Key(1), 1))],
+        },
+        grant(),
+        NodeEvent::Net(Message::DmlResult {
+            gtxn,
+            site,
+            step: 0,
+            result,
+        }),
+        verdict(true),
+        // The same vote judged again, differently: the PREPARE is out, so
+        // acting on it would abort a transaction the sites may commit.
+        verdict(false),
+        NodeEvent::Net(Message::Ready { gtxn, site }),
+        NodeEvent::Net(Message::CommitAck { gtxn, site }),
+    ];
+    for event in conversation {
+        step(&mut rt, &mut port, event);
+    }
+    assert!(rt.quiesced(), "the transaction finished");
+    assert_eq!(port.sent, 4, "BEGIN, DML, PREPARE, COMMIT — no ROLLBACK");
+    assert_eq!(port.ctrl_sent, 3, "request, vote, finished");
+    for late in [grant(), verdict(true), verdict(false)] {
+        step(&mut rt, &mut port, late);
+    }
+    assert_eq!((port.sent, port.ctrl_sent), (4, 3));
+    assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 4);
 }

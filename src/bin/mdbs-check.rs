@@ -14,13 +14,12 @@
 //!
 //! `lint`, `conc`, `hotpath` and `proto` are the four groups of one rule
 //! table (`mdbs_check::engine`): `lint` is the project-specific source
-//! lints (determinism, panic-freedom in decode paths, message-vocabulary
-//! exhaustiveness); `conc` the threaded crates (lock order, blocking
+//! lints (determinism, panic-freedom in decode and handler paths); `conc`
+//! the threaded crates (lock order, blocking
 //! under guards, poison handling, panics on worker threads); `hotpath`
 //! the per-message hot paths (allocation in hot loops, repeated lookups,
 //! linear scans in handlers, unbounded growth); `proto` the message flow
-//! (unhandled message variants, unexpected emissions, missing duplicate
-//! guards, missing timers). All four exit 1 if any finding survives
+//! (unexpected emissions, missing duplicate guards, missing timers). All four exit 1 if any finding survives
 //! suppression (an `allow(rule[, rule…], "why")` comment, the
 //! justification mandatory; DESIGN §7a) and can emit findings as JSON
 //! lines (`--json`) or GitHub Actions error annotations (`--github`).

@@ -60,6 +60,27 @@ fn chaos_sweep_holds_every_expectation() {
     }
 }
 
+/// A site crash makes a CGM coordinator abort and finish a transaction
+/// while the scheduler's verdict on its vote is still in flight. Found by
+/// sweeping 40 seeds for PR 19: at its parent the late verdict was a
+/// `RuntimeError::MissingState` and the simulated coordinator died of it;
+/// it is a control message that outlived its transaction — counted,
+/// dropped.
+#[test]
+fn a_cgm_verdict_that_outlives_its_transaction_is_dropped() {
+    let mut cfg = chaos_cfg(16, Protocol::Cgm);
+    cfg.faults = Some(plan_for(&cfg, &chaos::crash_quake()));
+    let report = Simulation::new(cfg).run();
+    let dropped = report.metrics.counter("ctrl_duplicates_ignored");
+    assert!(dropped >= 1, "the late verdict:\n{}", report.metrics);
+    assert_eq!(
+        report.committed + report.aborted,
+        14,
+        "every global settles"
+    );
+    assert!(report.checks.passed(), "{:?}", report.checks);
+}
+
 #[test]
 fn chaos_cases_reproduce_bit_for_bit() {
     for profile in [chaos::dup_burst(), chaos::fifo_scramble()] {

@@ -115,21 +115,29 @@ fn golden_digests_reproduce() {
             .find(|(l, _)| *l == label)
             .map(|(_, p)| *p)
             .expect("label in table");
-        let got = digest(&run(seed, protocol));
+        let report = run(seed, protocol);
+        let got = digest(&report);
         assert_eq!(
             got, expected,
             "history digest drifted for seed={seed} protocol={label}: \
              got {got:#018x}, expected {expected:#018x}"
+        );
+        // Every handler names the variants it rejects and counts the ones
+        // it is handed; a correctly routed run hands it none.
+        assert_eq!(
+            report.metrics.counter("misrouted_events"),
+            0,
+            "seed={seed} protocol={label}"
         );
     }
 }
 
 #[test]
 fn f0_direct_commit_matches_goldens() {
-    // The consensus layer's F=0 path (`DirectCommit`) must be wire- and
-    // digest-identical to plain 2PC: no extra messages, no reordering, no
-    // RNG consumption. Setting `consensus_f = 0` explicitly reproduces
-    // every golden digest bit for bit.
+    // At F=0 the coordinator has no Paxos Commit leader, so the run must
+    // be wire- and digest-identical to plain 2PC: no extra messages, no
+    // reordering, no RNG consumption. Setting `consensus_f = 0` explicitly
+    // reproduces every golden digest bit for bit.
     for (seed, label, expected) in GOLDEN {
         let protocol = PROTOCOLS
             .iter()
@@ -141,7 +149,7 @@ fn f0_direct_commit_matches_goldens() {
         let got = digest(&Simulation::new(cfg).run());
         assert_eq!(
             got, expected,
-            "F=0 DirectCommit drifted from the golden history for seed={seed} \
+            "F=0 direct commit drifted from the golden history for seed={seed} \
              protocol={label}: got {got:#018x}, expected {expected:#018x}"
         );
     }
