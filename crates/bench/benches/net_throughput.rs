@@ -1,6 +1,7 @@
 //! `mdbs-net` throughput: wire codec and TCP loopback transport.
 //!
-//! Three measurements, into `BENCH_net.json` at the repository root:
+//! Four measurements, into `BENCH_net.json` at the repository root (with
+//! the host's core count and the commit they were taken on):
 //!
 //! 1. **Codec** — encode + frame + deframe + decode a representative 2PC
 //!    conversation mix, single-threaded, no sockets: the pure CPU cost of
@@ -15,6 +16,18 @@
 //!    deadline 0 (one v1 frame per message, the pre-batching wire
 //!    format), measured in the same run as the batched number so the
 //!    speedup is an apples-to-apples baseline.
+//! 4. **TCP loopback, request/response** — one group out, one group back,
+//!    the next only after the reply: the traffic a node loop produces
+//!    (a coordinator's burst to a site, the site's answers), with the
+//!    cluster's knobs (`batch_max = 256`, deadline 0). Round-trip time,
+//!    p50 and p99 in µs. This is the row a transport change should be
+//!    read by. The pump of 2 and 3 is a producer that never waits for a
+//!    reply, which no node is, and it says nothing about a hop: its first
+//!    group finds the link down and goes to the writer thread, and a
+//!    producer that outruns the socket never lets the writer's backlog
+//!    reach zero again, so the pump measures the writer path before and
+//!    after the sending thread learned to write its own frames (DESIGN
+//!    §9b), while the round trip lost a third of its wake-ups.
 //!
 //! `NET_BENCH_SMOKE=1` switches to a time-capped CI mode: fewer rounds,
 //! no JSON written, and a hard assertion that batching delivers at least
@@ -32,6 +45,9 @@ use mdbs_net::encode_frame;
 use mdbs_net::frame::FrameDecoder;
 use mdbs_net::tcp::{NetEvent, TcpTransport, TcpTransportConfig};
 use mdbs_net::wire::{decode_msg, encode_msg, WireMsg};
+
+#[path = "common/stamp.rs"]
+mod stamp;
 
 /// A representative 2PC conversation: DML out, result back, then the
 /// prepare/ready/commit/ack exchange.
@@ -186,6 +202,71 @@ fn bench_tcp(rounds: u32, batch_max: usize, flush_deadline_us: u64) -> TcpSample
     }
 }
 
+struct RttSample {
+    p50_us: f64,
+    p99_us: f64,
+    round_trips: usize,
+    msgs_each_way: usize,
+}
+
+/// Request/response over one transport pair: the coordinator's half of a
+/// conversation goes out as one group, the site's half comes back as one
+/// group, and the next request waits for the reply.
+fn bench_rtt(round_trips: usize) -> RttSample {
+    const WARM_UP: usize = 200;
+    let addrs = loopback_addrs(2).expect("reserve loopback addrs");
+    let mut client = transport(0, &addrs, BATCH_MAX, 0);
+    let mut server = transport(1, &addrs, BATCH_MAX, 0);
+    // The conversation alternates coordinator → site, site → coordinator.
+    let conversation = conversation(1);
+    let requests: Vec<WireMsg> = conversation.iter().step_by(2).cloned().collect();
+    let replies: Vec<WireMsg> = conversation.iter().skip(1).step_by(2).cloned().collect();
+    let per_group = requests.len();
+    assert_eq!(replies.len(), per_group);
+    let total = (WARM_UP + round_trips) * per_group;
+
+    let echo = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut got = 0;
+        while got < total && Instant::now() < deadline {
+            if let Some(NetEvent::Msg(_)) = server.poll(Duration::from_millis(50)) {
+                got += 1;
+                if got % per_group == 0 {
+                    server.send_wire_group(0, replies.clone());
+                }
+            }
+        }
+        server
+    });
+
+    let mut rtts_us = Vec::with_capacity(round_trips);
+    for round in 0..WARM_UP + round_trips {
+        let started = Instant::now();
+        client.send_wire_group(1, requests.clone());
+        let mut got = 0;
+        while got < per_group {
+            match client.poll(Duration::from_secs(10)) {
+                Some(NetEvent::Msg(_)) => got += 1,
+                Some(NetEvent::Timer { .. }) => {}
+                None => panic!("no reply within 10 s"),
+            }
+        }
+        if round >= WARM_UP {
+            rtts_us.push(started.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let server = echo.join().expect("echo thread");
+    client.shutdown();
+    server.shutdown();
+    rtts_us.sort_by(f64::total_cmp);
+    RttSample {
+        p50_us: rtts_us[rtts_us.len() / 2],
+        p99_us: rtts_us[rtts_us.len() * 99 / 100],
+        round_trips,
+        msgs_each_way: per_group,
+    }
+}
+
 /// Best of `runs` for one knob setting.
 fn tcp_best(runs: u32, rounds: u32, batch_max: usize, flush_deadline_us: u64) -> TcpSample {
     let mut best = bench_tcp(rounds, batch_max, flush_deadline_us);
@@ -205,10 +286,10 @@ fn main() {
     let smoke = std::env::var_os("NET_BENCH_SMOKE").is_some();
 
     // Warm up, then measure (best of 3; smoke mode trims everything).
-    let (codec_rounds, tcp_rounds, runs) = if smoke {
-        (2_000, 10_000, 1)
+    let (codec_rounds, tcp_rounds, runs, round_trips) = if smoke {
+        (2_000, 10_000, 1, 2_000)
     } else {
-        (20_000, 50_000, 3)
+        (20_000, 50_000, 3, 20_000)
     };
     bench_codec(1_000);
     let mut codec = bench_codec(codec_rounds);
@@ -240,6 +321,12 @@ fn main() {
     );
     assert!(batched.batches > 0, "coalescing never engaged");
 
+    let rtt = bench_rtt(round_trips);
+    println!(
+        "tcp loopback request/response: rtt p50 {:.1} us, p99 {:.1} us ({} round trips of {} messages each way)",
+        rtt.p50_us, rtt.p99_us, rtt.round_trips, rtt.msgs_each_way
+    );
+
     if smoke {
         // CI gate: batching must be worth at least 2x on the same box in
         // the same run, or the hot path regressed.
@@ -254,12 +341,15 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"net_throughput\",\n  \
+        "{{\n  \"bench\": \"net_throughput\",\n  \"host_cores\": {},\n  \"commit\": \"{}\",\n  \
          \"mix\": \"6-message 2PC conversation (Dml, DmlResult x11 rows, Prepare, Ready, Commit, CommitAck)\",\n  \
          \"codec\": {{\"msgs_per_s\": {:.1}, \"mb_per_s\": {:.2}, \"bytes_per_msg\": {:.1}}},\n  \
          \"tcp_loopback\": {{\"frames_per_s\": {:.1}, \"mb_per_s\": {:.2}, \"wire_frames\": {}, \"batches\": {}, \"batch_max\": {}, \"flush_deadline_us\": {}}},\n  \
          \"tcp_loopback_unbatched\": {{\"frames_per_s\": {:.1}, \"mb_per_s\": {:.2}}},\n  \
-         \"batched_speedup\": {:.2}\n}}\n",
+         \"batched_speedup\": {:.2},\n  \
+         \"tcp_loopback_rtt_us\": {{\"p50\": {:.1}, \"p99\": {:.1}, \"round_trips\": {}, \"msgs_each_way\": {}, \"batch_max\": {}, \"flush_deadline_us\": 0}}\n}}\n",
+        stamp::host_cores(),
+        stamp::commit(),
         codec.msgs_per_s,
         codec.mb_per_s,
         codec.bytes_per_msg,
@@ -271,7 +361,12 @@ fn main() {
         FLUSH_DEADLINE_US,
         unbatched.msgs_per_s,
         unbatched.mb_per_s,
-        speedup
+        speedup,
+        rtt.p50_us,
+        rtt.p99_us,
+        rtt.round_trips,
+        rtt.msgs_each_way,
+        BATCH_MAX
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
     std::fs::write(path, &json).expect("write BENCH_net.json");

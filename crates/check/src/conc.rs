@@ -24,8 +24,12 @@
 //! A *guard binding* is recognized conservatively: `let g = path.lock();`
 //! (optionally chained through `unwrap`/`expect`/`ok`, optionally behind
 //! `&`/`mut`/`*`, and the path may index into a shard table —
-//! `self.shards[slot].buf.lock()`). Everything else — `m.lock().push(x);`,
-//! `take(&mut *m.lock())` — is a statement-scoped temporary whose guard
+//! `self.shards[slot].buf.lock()`), held to the end of the enclosing block;
+//! likewise `let Ok(g) = path.try_lock() else { … };` (std) and
+//! `let Some(g) = … else { … };` (`parking_lot`), held from after the
+//! statement; and `if let` / `while let` over either, held for the body.
+//! Everything else — `m.lock().push(x);`, `take(&mut *m.lock())`,
+//! `m.try_lock().is_some()` — is a statement-scoped temporary whose guard
 //! drops at the `;`, and is deliberately not treated as held.
 //!
 //! The lock-order table is **verified, not inferred**: every `Mutex`/`RwLock`
@@ -61,7 +65,10 @@ pub const CONC_FILES: &[&str] = &[
 /// first. Every `Mutex`/`RwLock` struct field in a [`CONC_FILES`] entry
 /// must be listed here — `conc-lock-order` fails otherwise — so adding a
 /// lock forces a deliberate decision about where it sits in the order.
-pub const DECLARED_LOCK_ORDER: &[(&str, &[&str])] = &[("crates/mdbs/src/shard.rs", &["buf"])];
+pub const DECLARED_LOCK_ORDER: &[(&str, &[&str])] = &[
+    ("crates/mdbs/src/shard.rs", &["buf"]),
+    ("crates/net/src/tcp.rs", &["io"]),
+];
 
 pub(crate) const RULE_ORDER: &str = "conc-lock-order";
 pub(crate) const RULE_BLOCKING: &str = "conc-blocking-under-guard";
@@ -198,8 +205,9 @@ impl<'a> Locks<'a> {
         out
     }
 
-    /// Lock acquisitions inside `range`: `<lock>.lock()`, `<lock>.read()`,
-    /// `<lock>.write()` on a discovered lock field.
+    /// Lock acquisitions inside `range`: `<lock>.lock()`,
+    /// `<lock>.try_lock()`, `<lock>.read()`, `<lock>.write()` on a
+    /// discovered lock field.
     fn acquisitions(&self, range: (usize, usize)) -> Vec<Acquisition> {
         let code = &self.src.code;
         let mut out = Vec::new();
@@ -243,7 +251,7 @@ impl<'a> Locks<'a> {
     }
 }
 
-/// One `<lock>.lock()/read()/write()` site.
+/// One `<lock>.lock()/try_lock()/read()/write()` site.
 struct Acquisition {
     lock: usize,
     at: usize,

@@ -503,10 +503,11 @@ pub fn loops_in(code: &str, range: (usize, usize)) -> Vec<(usize, (usize, usize)
     out
 }
 
-/// If the acquisition at `at` (whose call ends just past `call_end`) is a
-/// let-bound guard, the range over which the guard stays live: from the end
-/// of the binding statement to the end of the enclosing block. `None` for
-/// statement-scoped temporaries.
+/// If the acquisition at `at` (whose call ends just past `call_end`) binds
+/// a guard, the range over which the guard stays live. `let g = …;` and
+/// `let Ok(g) = … else { … };` hold it from the end of the statement to the
+/// end of the enclosing block; `if let` / `while let` hold it for their
+/// body. `None` for statement-scoped temporaries.
 pub fn guard_scope(
     code: &str,
     body: (usize, usize),
@@ -515,12 +516,17 @@ pub fn guard_scope(
 ) -> Option<(usize, usize)> {
     let bytes = code.as_bytes();
     let ss = stmt_start(code, body, at);
-    // The statement must be a `let` binding…
-    let first = nonws_from(code, ss)?;
-    if !code[first..].starts_with("let") || !is_boundary(bytes, first + 3) {
+    let conditional = [
+        &["if", "let"][..],
+        &["while", "let"],
+        &["else", "if", "let"],
+    ]
+    .iter()
+    .any(|lead| stmt_leads_with(code, ss, lead));
+    if !conditional && !stmt_leads_with(code, ss, &["let"]) {
         return None;
     }
-    // …whose initializer is the bare lock path (`=` then only `&`, `mut`,
+    // The initializer is the bare lock path (`=` then only `&`, `mut`,
     // `*`, path segments up to the acquisition). Indexing — the sharded
     // idiom `self.shards[slot].buf.lock()` — still names a single lock, so
     // `[`/`]` are allowed: such a guard is *held*, and skipping it here
@@ -533,36 +539,43 @@ pub fn guard_scope(
     }) {
         return None;
     }
-    // …optionally chained through unwrap/expect/ok, ending at `;`.
+    // …optionally chained through unwrap/expect/ok.
     let mut i = call_end;
-    let stmt_end = loop {
+    let after = loop {
         let p = nonws_from(code, i)?;
-        match bytes[p] {
-            b';' => break p,
-            b'.' => {
-                let ws = nonws_from(code, p + 1)?;
-                if !is_ident_byte(bytes[ws]) {
-                    return None;
-                }
-                let we = ident_end(bytes, ws);
-                if !matches!(&code[ws..we], "unwrap" | "expect" | "ok") {
-                    return None;
-                }
-                let open = nonws_from(code, we)?;
-                if bytes[open] != b'(' {
-                    return None;
-                }
-                i = match_brace(code, open)?;
-            }
-            _ => return None,
+        if bytes[p] != b'.' {
+            break p;
         }
+        let ws = nonws_from(code, p + 1)?;
+        let we = ident_end(bytes, ws);
+        if !matches!(&code[ws..we], "unwrap" | "expect" | "ok") {
+            return None;
+        }
+        let open = nonws_from(code, we)?;
+        if bytes[open] != b'(' {
+            return None;
+        }
+        i = match_brace(code, open)?;
     };
-    Some((stmt_end + 1, enclosing_block_end(code, body, at)))
+    if conditional {
+        // The body block is where the pattern's binding lives.
+        return match_brace(code, after)
+            .filter(|_| bytes[after] == b'{')
+            .map(|close| (after + 1, close - 1));
+    }
+    // A `let … else { … }` diverges in its block; the guard is bound after.
+    let stmt_end = if stmt_leads_with(code, after, &["else"]) {
+        let open = nonws_from(code, after + "else".len())?;
+        nonws_from(code, match_brace(code, open)?)?
+    } else {
+        after
+    };
+    (bytes[stmt_end] == b';').then(|| (stmt_end + 1, enclosing_block_end(code, body, at)))
 }
 
 /// If the bytes after a lock identifier (ending at `after`) are
-/// `.lock(…)`, `.read(…)` or `.write(…)`, the offset just past the call's
-/// closing `)`.
+/// `.lock(…)`, `.try_lock(…)`, `.read(…)` or `.write(…)`, the offset just
+/// past the call's closing `)`.
 pub fn lock_call_end(code: &str, after: usize) -> Option<usize> {
     let bytes = code.as_bytes();
     let dot = nonws_from(code, after)?;
@@ -574,7 +587,7 @@ pub fn lock_call_end(code: &str, after: usize) -> Option<usize> {
         return None;
     }
     let me = ident_end(bytes, ms);
-    if !matches!(&code[ms..me], "lock" | "read" | "write") {
+    if !matches!(&code[ms..me], "lock" | "try_lock" | "read" | "write") {
         return None;
     }
     let open = nonws_from(code, me)?;
@@ -582,11 +595,6 @@ pub fn lock_call_end(code: &str, after: usize) -> Option<usize> {
         return None;
     }
     match_brace(code, open)
-}
-
-/// No identifier character at `i` (or `i` is past the end).
-pub fn is_boundary(bytes: &[u8], i: usize) -> bool {
-    bytes.get(i).is_none_or(|&b| !is_ident_byte(b))
 }
 
 /// Offset of the first non-whitespace byte at or after `i`.

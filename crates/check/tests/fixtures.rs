@@ -629,6 +629,54 @@ static FIXTURES: &[Fixture] = &[
         )],
         &[],
     ),
+    // `try_lock` binds a guard through a pattern: std's `Ok(..)` or
+    // parking_lot's `Some(..)`, as `let … else` (held to the end of the
+    // block) or `if let` (held for the body).
+    row(
+        "a try_lock guard is held, let-else and if-let alike",
+        "conc-blocking-under-guard",
+        On::Conc(&["q"]),
+        &[(
+            THREADED,
+            "struct S { q: Mutex<u8> }\n\
+             fn f(s: &S, rx: &Receiver<u8>) {\n\
+                 let Ok(mut g) = s.q.try_lock() else {\n\
+                     return;\n\
+                 };\n\
+                 rx.recv();\n\
+             }\n\
+             fn h(s: &S, rx: &Receiver<u8>) {\n\
+                 if let Some(g) = s.q.try_lock() {\n\
+                     rx.recv_timeout(D);\n\
+                 }\n\
+             }\n",
+        )],
+        &[("rx.recv();", "`q`"), ("rx.recv_timeout(D);", "`q`")],
+    ),
+    row(
+        "a try_lock probe binds no guard, and an if-let guard ends with its body",
+        "conc-blocking-under-guard",
+        On::Conc(&["q"]),
+        &[(
+            THREADED,
+            "struct S { q: Mutex<u8> }\n\
+             fn f(s: &S, rx: &Receiver<u8>) {\n\
+                 let busy = s.q.try_lock().is_err();\n\
+                 rx.recv();\n\
+                 let Ok(g) = s.q.try_lock() else {\n\
+                     rx.recv();\n\
+                     return;\n\
+                 };\n\
+             }\n\
+             fn h(s: &S, rx: &Receiver<u8>) {\n\
+                 if let Some(g) = s.q.try_lock() {\n\
+                     drop(g);\n\
+                 }\n\
+                 rx.recv();\n\
+             }\n",
+        )],
+        &[],
+    ),
     // -----------------------------------------------------------------------
     // hotpath
     // -----------------------------------------------------------------------

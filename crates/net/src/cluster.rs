@@ -37,6 +37,20 @@ pub struct NodeStats {
     pub decode_errors: u64,
     /// Deliberate fault-hook connection drops.
     pub test_drops: u64,
+    /// Sent frames the sending thread wrote itself; the rest left through
+    /// a writer thread.
+    pub frames_written_through: u64,
+    /// LDBS deadlock victims (sites only, like the four below: what can
+    /// move a verdict there).
+    pub deadlock_victims: u64,
+    /// Lock waits that ran into the wait timeout.
+    pub wait_timeouts: u64,
+    /// PREPAREs refused by §5.3's serial-number order.
+    pub refused_sn_out_of_order: u64,
+    /// PREPAREs refused by §4.2's interval intersection.
+    pub refused_interval_disjoint: u64,
+    /// PREPAREs refused because the subtransaction was not alive.
+    pub refused_not_alive: u64,
 }
 
 /// Everything a cluster run reports, parsed from the processes' stdout.
@@ -314,6 +328,12 @@ fn parse_outcome(outputs: &[(NodeRole, String, String)]) -> Result<ClusterOutcom
                             connects: num(&f, "connects")?,
                             decode_errors: num(&f, "decode_errors")?,
                             test_drops: num(&f, "test_drops")?,
+                            frames_written_through: num(&f, "frames_written_through")?,
+                            deadlock_victims: num(&f, "deadlock_victims")?,
+                            wait_timeouts: num(&f, "wait_timeouts")?,
+                            refused_sn_out_of_order: num(&f, "refused_sn_out_of_order")?,
+                            refused_interval_disjoint: num(&f, "refused_interval_disjoint")?,
+                            refused_not_alive: num(&f, "refused_not_alive")?,
                         },
                     );
                 }
@@ -357,11 +377,13 @@ mdbs-node outcome digest=0x00000000deadbeef
 mdbs-node site-verdict site=0 digest=0x0000000000000010
 mdbs-node site-verdict site=1 digest=0x0000000000000020
 mdbs-node summary committed=10 aborted=2 local_committed=6 local_aborted=0 checks_passed=true
-mdbs-node stats node=1000000 role=coord:0 frames_sent=40 frames_received=41 msgs_sent=90 msgs_received=95 batches_sent=12 connects=4 decode_errors=0 test_drops=0
+mdbs-node stats node=1000000 role=coord:0 frames_sent=40 frames_received=41 msgs_sent=90 msgs_received=95 batches_sent=12 connects=4 decode_errors=0 test_drops=0 frames_written_through=32 deadlock_victims=0 wait_timeouts=0 refused_sn_out_of_order=0 refused_interval_disjoint=0 refused_not_alive=0
 ";
         let site_out = "mdbs-node stats node=0 role=site:0 frames_sent=9 \
                         frames_received=8 msgs_sent=20 msgs_received=17 batches_sent=3 \
-                        connects=2 decode_errors=0 test_drops=1\n";
+                        connects=2 decode_errors=0 test_drops=1 frames_written_through=5 \
+                        deadlock_victims=1 wait_timeouts=0 refused_sn_out_of_order=0 \
+                        refused_interval_disjoint=0 refused_not_alive=2\n";
         let outputs = vec![
             (
                 NodeRole::Coordinator(0),
@@ -378,6 +400,11 @@ mdbs-node stats node=1000000 role=coord:0 frames_sent=40 frames_received=41 msgs
         assert!(o.checks_passed);
         assert_eq!(o.stats[&0].test_drops, 1);
         assert_eq!(o.stats[&0].msgs_sent, 20);
+        assert_eq!(o.stats[&0].frames_written_through, 5);
+        assert_eq!(
+            (o.stats[&0].deadlock_victims, o.stats[&0].refused_not_alive),
+            (1, 2)
+        );
         assert_eq!(o.stats[&1_000_000].frames_sent, 40);
         assert_eq!(o.stats[&1_000_000].batches_sent, 12);
         assert!(o.missing_reports.is_empty());

@@ -318,11 +318,15 @@ impl NodeHost {
         }
     }
 
+    /// The transport's counters, then what can move a verdict at a site:
+    /// the LDBS's deadlock victims and wait timeouts and the certifier's
+    /// refusals by reason (zero at every other role).
     fn stats_line(&self, role: &NodeRole) -> String {
         use std::sync::atomic::Ordering::Relaxed;
         let s: &TransportStats = self.transport.stats();
+        let m = &self.metrics;
         format!(
-            "mdbs-node stats node={} role={} frames_sent={} frames_received={} msgs_sent={} msgs_received={} batches_sent={} connects={} decode_errors={} test_drops={}",
+            "mdbs-node stats node={} role={} frames_sent={} frames_received={} msgs_sent={} msgs_received={} batches_sent={} connects={} decode_errors={} test_drops={} frames_written_through={} deadlock_victims={} wait_timeouts={} refused_sn_out_of_order={} refused_interval_disjoint={} refused_not_alive={}",
             self.node,
             role.key(),
             s.frames_sent.load(Relaxed),
@@ -333,6 +337,12 @@ impl NodeHost {
             s.connects.load(Relaxed),
             s.decode_errors.load(Relaxed),
             s.test_drops.load(Relaxed),
+            s.frames_written_through.load(Relaxed),
+            m.counter("deadlock_victims"),
+            m.counter("wait_timeouts"),
+            m.counter("refused_sn_out_of_order"),
+            m.counter("refused_interval_disjoint"),
+            m.counter("refused_not_alive"),
         )
     }
 
@@ -587,6 +597,11 @@ pub fn run_node(cfg: &ClusterConfig, role: NodeRole) -> io::Result<NodeOutput> {
                 scenario.wait_timeout_us,
             );
             mdbs_runtime::run_node(&mut rt, &mut host);
+            // As the other two drivers do when a run ends; a crashed and
+            // recovered agent already added what its predecessor counted.
+            for (name, n) in rt.agent().stats().certification_counters() {
+                host.metrics.add(name, n);
+            }
         }
         NodeRole::Coordinator(c) => {
             if c == 0 {

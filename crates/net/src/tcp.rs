@@ -1,19 +1,50 @@
 //! [`TcpTransport`]: the runtime [`Transport`] over real sockets.
 //!
-//! Topology: every node listens on one address and owns **one writer
-//! thread per peer**. A writer drains a **bounded** outbox of message
-//! *groups* (senders block when it fills — backpressure instead of
-//! unbounded memory), **coalesces** queued groups into one CRC-framed
-//! batch frame per write (see [`crate::frame`] version 2), connects
-//! lazily with exponential backoff, announces itself with a
-//! [`WireMsg::Hello`] frame on every fresh connection, and **retransmits
-//! the in-flight frame** after a reconnect — the whole batch, as one
-//! frame, never re-fragmented. Delivery is therefore at-least-once and
-//! per-link FIFO at both message and batch granularity: a write failure
-//! can duplicate a frame but never reorder or split one — exactly the
-//! fault envelope the 2PC agents were hardened against.
+//! Topology: every node listens on one address and keeps one *link* per
+//! peer — a connected socket, a bounded outbox and a writer thread.
 //!
-//! **Flush policy.** A batch closes when it reaches
+//! **Who writes.** On a healthy link the **sending thread writes its own
+//! frames**: when the link is connected and nothing is queued behind it,
+//! [`TcpTransport::send_wire_group`] encodes the group as one CRC-framed
+//! frame and puts it on the socket before it returns (*write-through*), so
+//! a hop costs two thread wake-ups — the peer's reader and the peer's node
+//! loop — and no hand-off on this side. The per-peer **writer thread is the
+//! link's repair path**: it owns everything that may block for long —
+//! connecting lazily with exponential backoff, announcing this node with a
+//! [`WireMsg::Hello`] frame on every fresh connection, retransmitting after
+//! a severed connection — and drains the **bounded** outbox that holds the
+//! backlog while the link is down (senders block when it fills:
+//! backpressure instead of unbounded memory), **coalescing** queued groups
+//! into one batch frame per write (see [`crate::frame`] version 2). Which
+//! of the two writes a given group is decided by the link's own state,
+//! never by configuration.
+//!
+//! **Why that is still FIFO.** Each link counts its `backlog`: groups
+//! handed to the writer and not yet on the wire. A sender adds to it
+//! *before* it queues a group; the writer subtracts a frame's groups only
+//! *after* the frame is delivered and the socket is back in the link. The
+//! sender writes through only when the backlog is zero, so everything it
+//! queued earlier has already left, and it queues whenever the backlog is
+//! not zero, so nothing it sends later can overtake. The socket itself
+//! sits in a per-link mutex whose guard *is* the right to write: the
+//! sender only ever `try_lock`s it (a link that is busy is a link with a
+//! backlog), the writer takes the stream out by value for as long as it
+//! repairs or drains, and both put a frame on a stream through the same
+//! `Link::write_frame`.
+//!
+//! **When a write fails.** Streams carry an `IO_POLL` (50 ms) write timeout, so
+//! the sending thread waits on a stalled peer at most that long, once: the
+//! failed write severs the connection and hands *that frame* — the bytes
+//! the sender built — to the writer, which replays it, unmerged, after the
+//! `Hello` of a fresh connection; from then on the link has a backlog and
+//! is the writer's until it has drained. The writer **retransmits its
+//! in-flight frame** the same way — the whole batch, as one frame, never
+//! re-fragmented. Delivery is therefore at-least-once and per-link FIFO at
+//! both message and batch granularity across every switch between the two
+//! paths: a write failure can duplicate a frame but never reorder or split
+//! one — exactly the fault envelope the 2PC agents were hardened against.
+//!
+//! **Flush policy (writer thread only).** A batch closes when it reaches
 //! [`TcpTransportConfig::batch_max`] messages (or a byte ceiling), or when
 //! the outbox is dry. With [`TcpTransportConfig::flush_deadline_us`] = 0 —
 //! what a cluster runs with — "dry" is immediate: the node loop already
@@ -23,11 +54,12 @@
 //! open for an **adaptive deadline**: it starts at that ceiling; a batch
 //! that fills on size or a wait that harvested more messages keeps it, a
 //! fruitless wait halves it, so an idle link decays to flush-immediately.
-//! Under a node loop that second wait is double batching — it delays each
-//! link by a different amount and so reorders PREPAREs *across* links,
-//! which shows up as §5.3 serial-number refusals (DESIGN §9b). `batch_max
-//! = 1` degenerates to the old frame-per-message path (version 1 frames
-//! on the wire).
+//! The wait is reachable only behind a backlog — a written-through frame
+//! never waits for anything. Under a node loop that second wait is double
+//! batching — it delays each link by a different amount and so reorders
+//! PREPAREs *across* links, which shows up as §5.3 serial-number refusals
+//! (DESIGN §9b). `batch_max = 1` degenerates to the old frame-per-message
+//! path (version 1 frames on the wire).
 //!
 //! Inbound, an accept loop blocked in `accept()` spawns one reader thread
 //! per connection (a peer's first frame is read the moment it connects;
@@ -45,8 +77,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,7 +89,9 @@ use mdbs_runtime::{CtrlMsg, Timer, TimerHeap, Transport};
 use crate::frame::{encode_batch_frame_into, encode_frame, encode_frame_into, FrameDecoder};
 use crate::wire::{decode_frame_payload, encode_msg, Wire, WireMsg};
 
-/// How long blocked reads/writes wait before re-checking the stop flag.
+/// How long blocked reads/writes wait before re-checking the stop flag —
+/// and so the longest a sending thread waits on a stalled peer before the
+/// link is the writer's.
 const IO_POLL: Duration = Duration::from_millis(50);
 /// How long the accept loop backs off after a failed `accept` or reader
 /// spawn (out of descriptors or threads) before trying again.
@@ -77,6 +111,10 @@ const OUTBOX_DRAIN: usize = 128;
 pub struct TransportStats {
     /// Frames written and flushed (including Hello and retransmits).
     pub frames_sent: AtomicU64,
+    /// Of those, the frames the sending thread put on the wire itself
+    /// (write-through on a healthy, idle link); the rest left through a
+    /// writer thread.
+    pub frames_written_through: AtomicU64,
     /// Frames received and decoded (including Hello).
     pub frames_received: AtomicU64,
     /// Messages written and flushed (including Hello and retransmits).
@@ -149,7 +187,7 @@ pub enum NetEvent {
 pub struct TcpTransport {
     node: u32,
     batch_max: usize,
-    outboxes: BTreeMap<u32, Sender<Vec<WireMsg>>>,
+    peers: BTreeMap<u32, Peer>,
     inbound_tx: Sender<Vec<WireMsg>>,
     inbound: Receiver<Vec<WireMsg>>,
     /// Messages already taken off the inbound channel but not yet polled
@@ -199,29 +237,37 @@ impl TcpTransport {
         }
 
         let drop_fired = Arc::new(AtomicBool::new(false));
-        let mut outboxes = BTreeMap::new();
+        let mut peers = BTreeMap::new();
         for (&peer, addr) in &cfg.peers {
             if peer == cfg.node {
                 continue;
             }
             let (tx, rx) = bounded(cfg.outbox_capacity.max(1));
-            outboxes.insert(peer, tx);
+            let link = Arc::new(Link {
+                io: Mutex::new(LinkIo {
+                    stream: None,
+                    batch: BatchBuf::new(),
+                    frame: Vec::new(),
+                }),
+                backlog: AtomicUsize::new(0),
+                stats: Arc::clone(&stats),
+                drop_after: cfg.test_drop_after,
+                drop_fired: Arc::clone(&drop_fired),
+            });
             let writer = PeerWriter {
                 self_node: cfg.node,
                 addr: addr.clone(),
                 rx,
+                link: Arc::clone(&link),
                 stop: Arc::clone(&stop),
-                stats: Arc::clone(&stats),
                 batch_max: cfg.batch_max.max(1),
                 flush_deadline_us: cfg.flush_deadline_us,
                 deadline_us: cfg.flush_deadline_us,
                 pending: VecDeque::new(),
                 backoff_initial: cfg.backoff_initial,
                 backoff_max: cfg.backoff_max,
-                drop_after: cfg.test_drop_after,
-                drop_fired: Arc::clone(&drop_fired),
-                stream: None,
             };
+            peers.insert(peer, Peer { outbox: tx, link });
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("mdbs-net-writer-{}-to-{}", cfg.node, peer))
@@ -232,7 +278,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             node: cfg.node,
             batch_max: cfg.batch_max.max(1),
-            outboxes,
+            peers,
             inbound_tx,
             inbound,
             ready: VecDeque::new(),
@@ -256,17 +302,20 @@ impl TcpTransport {
         &self.stats
     }
 
-    /// Queue a cluster envelope for `to`. Blocks while `to`'s outbox is
-    /// full; a self-send short-circuits to the inbound queue.
+    /// Send a cluster envelope to `to`: written to the socket before this
+    /// returns when the link is healthy and idle, queued for the link's
+    /// writer otherwise. Blocks while `to`'s outbox is full; a self-send
+    /// short-circuits to the inbound queue.
     pub fn send_wire(&self, to: u32, msg: WireMsg) {
         self.send_group(to, vec![msg]);
     }
 
-    /// Queue a *group* of envelopes for `to`, preserving their order. A
-    /// group rides the wire intact: the writer coalesces whole groups
-    /// into one frame but never splits one across frames, so a caller
-    /// that groups one 2PC conversation's worth of traffic (a site's
-    /// READYs, a coordinator's COMMITs) gets them delivered in one frame.
+    /// Send a *group* of envelopes to `to`, preserving their order. A
+    /// group rides the wire intact: written through it is one frame, and
+    /// the writer coalesces whole groups into one frame but never splits
+    /// one across frames, so a caller that groups one 2PC conversation's
+    /// worth of traffic (a site's READYs, a coordinator's COMMITs) gets
+    /// them delivered in one frame.
     /// Groups larger than `batch_max` are chunked here, at enqueue time,
     /// so the no-split invariant downstream is unconditional.
     pub fn send_wire_group(&self, to: u32, msgs: Vec<WireMsg>) {
@@ -289,10 +338,19 @@ impl TcpTransport {
             let _ = self.inbound_tx.send(msgs);
             return;
         }
-        match self.outboxes.get(&to) {
-            // A send can only fail if the writer thread is already gone,
-            // which only happens during shutdown — dropping is fine then.
-            Some(tx) => drop(tx.send(msgs)),
+        match self.peers.get(&to) {
+            Some(peer) => {
+                let Some(left) = peer.link.write_through(msgs) else {
+                    return;
+                };
+                // Counted before it is queued: the writer subtracts what it
+                // delivered, and must never get there first.
+                peer.link.backlog.fetch_add(1, Ordering::SeqCst);
+                // A send can only fail if the writer thread is already
+                // gone, which only happens during shutdown — dropping is
+                // fine then.
+                drop(peer.outbox.send(left));
+            }
             // A missing route is a cluster misconfiguration; dropping the
             // frame would wedge the protocol invisibly, so die loudly.
             // mdbs-check: allow(conc-panic-in-thread, "deliberate die-fast on misconfigured topology")
@@ -363,7 +421,8 @@ impl TcpTransport {
     }
 
     /// Give every writer until `until` to put its queued groups on the
-    /// wire (connecting first if it has to), then retire them all. What a
+    /// wire (connecting first if it has to), then retire them all — at
+    /// once when everything was written through. What a
     /// node handed to the transport it has *sent*; a crash-stopping
     /// process calls this before exiting so that stays true — but a peer
     /// that is down never takes its frames, so past `until` the stop flag
@@ -371,7 +430,7 @@ impl TcpTransport {
     /// neither sends nor receives afterwards.
     pub fn drain(&mut self, until: Instant) {
         // Dropping the senders lets each writer finish its queue and exit.
-        self.outboxes.clear();
+        self.peers.clear();
         let writers = self.handles.split_off(self.handles.len().min(1));
         while Instant::now() < until && writers.iter().any(|h| !h.is_finished()) {
             std::thread::sleep(DRAIN_POLL);
@@ -388,7 +447,7 @@ impl TcpTransport {
     pub fn shutdown(mut self) {
         // Dropping the senders lets each writer drain its queue and exit;
         // the stop flag breaks reconnect loops and reader polls.
-        self.outboxes.clear();
+        self.peers.clear();
         self.stop.store(true, Ordering::SeqCst);
         // The accept loop blocks in `accept()`: a throwaway connection,
         // made after the flag is up, wakes it to see the flag. Retried
@@ -515,26 +574,140 @@ fn reader_loop(
     }
 }
 
+/// What a link's writer thread is handed.
+enum Outgoing {
+    /// A group to frame, free to coalesce with its neighbours.
+    Group(Vec<WireMsg>),
+    /// A frame the sending thread built and could not write: replayed as
+    /// these exact bytes, never merged with what was queued behind it.
+    Frame { bytes: Vec<u8>, msgs: u64 },
+}
+
+/// The transport's end of one peer link.
+struct Peer {
+    /// The bounded backlog the link's writer drains.
+    outbox: Sender<Outgoing>,
+    link: Arc<Link>,
+}
+
+/// What the sending thread and the link's writer thread share.
+struct Link {
+    io: Mutex<LinkIo>,
+    /// Groups handed to the writer and not yet on the wire. Zero means
+    /// everything sent so far has left, so the next group may be written
+    /// through without overtaking anything.
+    backlog: AtomicUsize,
+    stats: Arc<TransportStats>,
+    drop_after: Option<u64>,
+    drop_fired: Arc<AtomicBool>,
+}
+
+/// The connected socket while nobody writes to it, and the scratch the
+/// sending thread frames in. The guard is the right to write: one thread
+/// is mid-frame per stream. `None` is a link that is down — or one whose
+/// writer thread took the stream out to repair or drain it.
+struct LinkIo {
+    stream: Option<TcpStream>,
+    batch: BatchBuf,
+    frame: Vec<u8>,
+}
+
+impl Link {
+    /// The link's socket slot, for the moment it takes to move the stream
+    /// in or out. A poisoned lock is recovered: the slot is an `Option`
+    /// that is valid whichever half of a move a panic interrupted.
+    fn io(&self) -> MutexGuard<'_, LinkIo> {
+        self.io.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Put `msgs` on the wire from the calling thread if the link is
+    /// connected, idle and has nothing queued; otherwise return what the
+    /// writer thread must be handed — the group itself, or, when the write
+    /// failed (which severed the connection), the frame that has to be
+    /// replayed. Never connects, never backs off, and blocks at most one
+    /// [`IO_POLL`] write timeout.
+    fn write_through(&self, msgs: Vec<WireMsg>) -> Option<Outgoing> {
+        if self.backlog.load(Ordering::SeqCst) != 0 {
+            return Some(Outgoing::Group(msgs));
+        }
+        // Busy (or poisoned) is not idle: somebody else is mid-frame.
+        let Ok(mut io) = self.io.try_lock() else {
+            return Some(Outgoing::Group(msgs));
+        };
+        let io = &mut *io;
+        if io.stream.is_none() {
+            return Some(Outgoing::Group(msgs));
+        }
+        io.batch.reset();
+        io.batch.push_group(&msgs);
+        let n = io.batch.frame_into(&mut io.frame) as u64;
+        // mdbs-check: allow(conc-blocking-under-guard, "the guard is the socket's ownership: one thread mid-frame per stream; senders only try_lock, so nobody waits behind this write but the link's writer, whose job that is, and for one IO_POLL at most")
+        if self.write_frame(&mut io.stream, &io.frame, n) {
+            TransportStats::bump(&self.stats.frames_written_through);
+            return None;
+        }
+        Some(Outgoing::Frame {
+            bytes: std::mem::take(&mut io.frame),
+            msgs: n,
+        })
+    }
+
+    /// Write one finished frame carrying `msgs` messages to `stream` — the
+    /// one place a frame meets a socket, whichever thread owns the stream.
+    /// A failed write severs the connection (`stream` is `None` after it)
+    /// and returns false: the frame is still the caller's to retransmit.
+    fn write_frame(&self, stream: &mut Option<TcpStream>, frame: &[u8], msgs: u64) -> bool {
+        let Some(s) = stream.as_mut() else {
+            return false;
+        };
+        if s.write_all(frame).and_then(|_| s.flush()).is_err() {
+            sever(stream);
+            return false;
+        }
+        TransportStats::bump(&self.stats.frames_sent);
+        if msgs > 1 {
+            TransportStats::bump(&self.stats.batches_sent);
+        }
+        let sent = self.stats.msgs_sent.fetch_add(msgs, Ordering::Relaxed) + msgs;
+        if self.drop_after.is_some_and(|t| sent >= t)
+            && !self.drop_fired.swap(true, Ordering::SeqCst)
+        {
+            // Fault hook: close the healthy connection. The flushed frame
+            // is already on the wire (TCP delivers buffered data before
+            // FIN), so this forces a reconnect without loss.
+            TransportStats::bump(&self.stats.test_drops);
+            sever(stream);
+        }
+        true
+    }
+}
+
+fn sever(stream: &mut Option<TcpStream>) {
+    if let Some(s) = stream.take() {
+        let _ = s.shutdown(Shutdown::Both);
+    }
+}
+
+/// A link's writer thread: its repair path (connect, `Hello`, backoff,
+/// retransmission) and the drain of whatever queued up meanwhile.
 struct PeerWriter {
     self_node: u32,
     addr: String,
-    rx: Receiver<Vec<WireMsg>>,
+    rx: Receiver<Outgoing>,
+    link: Arc<Link>,
     stop: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
     /// Most messages one frame may coalesce (≥ 1).
     batch_max: usize,
     /// Configured ceiling of the flush deadline (µs).
     flush_deadline_us: u64,
     /// Current adaptive deadline (µs), decaying on idle links.
     deadline_us: u64,
-    /// Groups pulled off the outbox but not yet framed: the overflow left
-    /// behind when a batch closes on its size threshold.
-    pending: VecDeque<Vec<WireMsg>>,
+    /// Taken off the outbox but not yet on the wire: the overflow left
+    /// behind when a batch closes on its size threshold or at a frame to
+    /// replay.
+    pending: VecDeque<Outgoing>,
     backoff_initial: Duration,
     backoff_max: Duration,
-    drop_after: Option<u64>,
-    drop_fired: Arc<AtomicBool>,
-    stream: Option<TcpStream>,
 }
 
 /// A batch payload under construction: `[count: u32][msg]…` with the
@@ -543,6 +716,8 @@ struct PeerWriter {
 struct BatchBuf {
     payload: Vec<u8>,
     count: usize,
+    /// Groups coalesced so far — what the frame takes off the backlog.
+    groups: usize,
 }
 
 impl BatchBuf {
@@ -550,14 +725,16 @@ impl BatchBuf {
         BatchBuf {
             payload: vec![0u8; 4],
             count: 0,
+            groups: 0,
         }
     }
 
     /// Empty the batch for reuse, keeping the payload allocation (and the
-    /// 4-byte count slot) so the writer loop amortizes it across frames.
+    /// 4-byte count slot) so whoever frames amortizes it across frames.
     fn reset(&mut self) {
         self.payload.truncate(4);
         self.count = 0;
+        self.groups = 0;
     }
 
     fn push_group(&mut self, msgs: &[WireMsg]) {
@@ -565,6 +742,7 @@ impl BatchBuf {
             m.put(&mut self.payload);
         }
         self.count += msgs.len();
+        self.groups += 1;
     }
 
     /// Whether the batch must close before taking a group of `more`
@@ -596,43 +774,53 @@ impl PeerWriter {
         // allocation for the writer's lifetime.
         let mut batch = BatchBuf::new();
         let mut frame: Vec<u8> = Vec::new();
-        let mut drained: Vec<Vec<WireMsg>> = Vec::new();
-        // recv() keeps returning queued groups after the senders drop, so
+        let mut drained: Vec<Outgoing> = Vec::new();
+        // recv() keeps returning what is queued after the senders drop, so
         // shutdown flushes the outbox before this loop ends.
         loop {
             let first = match self.pending.pop_front() {
-                Some(g) => g,
+                Some(o) => o,
                 None => match self.rx.recv() {
-                    Ok(g) => g,
+                    Ok(o) => o,
                     Err(_) => return,
                 },
             };
-            batch.reset();
-            batch.push_group(&first);
-            self.coalesce(&mut batch, &mut drained);
-            let n = batch.frame_into(&mut frame);
-            if !self.deliver(&frame, n as u64) {
+            let (groups, delivered) = match first {
+                Outgoing::Frame { bytes, msgs } => (1, self.deliver(&bytes, msgs)),
+                Outgoing::Group(g) => {
+                    batch.reset();
+                    batch.push_group(&g);
+                    self.coalesce(&mut batch, &mut drained);
+                    let n = batch.frame_into(&mut frame);
+                    (batch.groups, self.deliver(&frame, n as u64))
+                }
+            };
+            if !delivered {
                 return; // stop requested while the peer was unreachable
             }
+            // Only now, with the frame on the wire and the stream back in
+            // the link, may a sender find the backlog gone.
+            self.link.backlog.fetch_sub(groups, Ordering::SeqCst);
         }
     }
 
     /// Grow `batch` with whole queued groups until the size threshold
-    /// closes it or the adaptive deadline expires with the queue dry.
-    /// `drained` is caller-owned scratch for the outbox drain; it is
-    /// emptied into `pending` before returning.
-    fn coalesce(&mut self, batch: &mut BatchBuf, drained: &mut Vec<Vec<WireMsg>>) {
+    /// closes it, a frame to replay is next in line, or the adaptive
+    /// deadline expires with the queue dry. `drained` is caller-owned
+    /// scratch for the outbox drain; it is emptied into `pending` before
+    /// returning.
+    fn coalesce(&mut self, batch: &mut BatchBuf, drained: &mut Vec<Outgoing>) {
         loop {
             // Whatever is already queued, up to the thresholds.
-            while let Some(g) = self.pending.front() {
+            while let Some(Outgoing::Group(g)) = self.pending.front() {
                 if batch.closed_to(g.len(), self.batch_max) {
                     return;
                 }
-                // The front() above just returned Some.
-                let Some(g) = self.pending.pop_front() else {
-                    return;
-                };
-                batch.push_group(&g);
+                batch.push_group(g);
+                self.pending.pop_front();
+            }
+            if !self.pending.is_empty() {
+                return; // a frame to replay goes out on its own
             }
             if self.rx.try_recv_many(drained, OUTBOX_DRAIN) > 0 {
                 self.pending.extend(drained.drain(..));
@@ -649,9 +837,9 @@ impl PeerWriter {
                 .rx
                 .recv_timeout(Duration::from_micros(self.deadline_us))
             {
-                Ok(g) => {
+                Ok(o) => {
                     self.deadline_us = self.flush_deadline_us;
-                    self.pending.push_back(g);
+                    self.pending.push_back(o);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     self.deadline_us /= 2;
@@ -668,57 +856,39 @@ impl PeerWriter {
     /// re-fragmenting into per-message frames. Returns false only when
     /// the stop flag cut a retry short.
     fn deliver(&mut self, frame: &[u8], msgs: u64) -> bool {
+        // A backlog makes the link this thread's: the stream comes out of
+        // the shared slot (behind a sender still mid-frame, one IO_POLL at
+        // most), is owned by value through every connect and backoff, and
+        // goes back before `run` lets the backlog drop.
+        let mut stream = self.link.io().stream.take();
         let mut backoff = self.backoff_initial;
-        loop {
-            if self.stream.is_none() && !self.connect(&mut backoff) {
-                return false;
-            }
-            let Some(s) = self.stream.as_mut() else {
-                continue; // connect() raced a drop hook; try again
-            };
-            let res = s.write_all(frame).and_then(|_| s.flush());
-            match res {
-                Ok(()) => {
-                    TransportStats::bump(&self.stats.frames_sent);
-                    if msgs > 1 {
-                        TransportStats::bump(&self.stats.batches_sent);
-                    }
-                    let sent = self.stats.msgs_sent.fetch_add(msgs, Ordering::Relaxed) + msgs;
-                    if let Some(t) = self.drop_after {
-                        if sent >= t && !self.drop_fired.swap(true, Ordering::SeqCst) {
-                            // Fault hook: close the healthy connection.
-                            // The flushed frame is already on the wire
-                            // (TCP delivers buffered data before FIN), so
-                            // this forces a reconnect without loss.
-                            TransportStats::bump(&self.stats.test_drops);
-                            if let Some(s) = self.stream.take() {
-                                let _ = s.shutdown(Shutdown::Both);
-                            }
-                        }
-                    }
-                    return true;
-                }
-                Err(_) => {
-                    // Sever and retransmit this same frame on a fresh
-                    // connection: at-least-once, never reordered, never
-                    // re-fragmented.
-                    if let Some(s) = self.stream.take() {
-                        let _ = s.shutdown(Shutdown::Both);
-                    }
-                    if !self.sleep_backoff(&mut backoff) {
-                        return false;
-                    }
+        let delivered = loop {
+            if stream.is_none() {
+                stream = self.connect(&mut backoff);
+                if stream.is_none() {
+                    break false;
                 }
             }
-        }
+            // On failure the connection is severed: retransmit this same
+            // frame on a fresh one — at-least-once, never reordered, never
+            // re-fragmented.
+            if self.link.write_frame(&mut stream, frame, msgs) {
+                break true;
+            }
+            if !self.sleep_backoff(&mut backoff) {
+                break false;
+            }
+        };
+        self.link.io().stream = stream;
+        delivered
     }
 
     /// Establish a connection and send the Hello frame, backing off until
-    /// it works. Returns false when the stop flag was raised first.
-    fn connect(&mut self, backoff: &mut Duration) -> bool {
+    /// it works. Returns `None` when the stop flag was raised first.
+    fn connect(&mut self, backoff: &mut Duration) -> Option<TcpStream> {
         loop {
             if self.stop.load(Ordering::SeqCst) {
-                return false;
+                return None;
             }
             if let Ok(mut s) = TcpStream::connect(self.addr.as_str()) {
                 let _ = s.set_nodelay(true);
@@ -727,15 +897,15 @@ impl PeerWriter {
                     node: self.self_node,
                 }));
                 if s.write_all(&hello).and_then(|_| s.flush()).is_ok() {
-                    TransportStats::bump(&self.stats.connects);
-                    TransportStats::bump(&self.stats.frames_sent);
-                    TransportStats::bump(&self.stats.msgs_sent);
-                    self.stream = Some(s);
-                    return true;
+                    let stats = &self.link.stats;
+                    TransportStats::bump(&stats.connects);
+                    TransportStats::bump(&stats.frames_sent);
+                    TransportStats::bump(&stats.msgs_sent);
+                    return Some(s);
                 }
             }
             if !self.sleep_backoff(backoff) {
-                return false;
+                return None;
             }
         }
     }
@@ -762,18 +932,87 @@ mod tests {
     use super::*;
 
     fn transport(node: u32, listen: &str, peers: &[(u32, &str)]) -> TcpTransport {
+        transport_dropping(node, listen, peers, None)
+    }
+
+    fn transport_dropping(
+        node: u32,
+        listen: &str,
+        peers: &[(u32, &str)],
+        test_drop_after: Option<u64>,
+    ) -> TcpTransport {
         TcpTransport::start(TcpTransportConfig {
             node,
             listen_addr: listen.to_string(),
             peers: peers.iter().map(|&(n, a)| (n, a.to_string())).collect(),
-            outbox_capacity: 64,
+            outbox_capacity: 256,
             batch_max: 64,
             flush_deadline_us: 100,
             backoff_initial: Duration::from_millis(5),
             backoff_max: Duration::from_millis(100),
-            test_drop_after: None,
+            test_drop_after,
         })
         .expect("bind")
+    }
+
+    /// A group of `n` COMMITs numbered from `*next` on, with `rows` result
+    /// rows of ballast behind the first (0 for none).
+    fn numbered_group(next: &mut u32, n: u32, rows: u64) -> Vec<WireMsg> {
+        use mdbs_histories::{GlobalTxnId, SiteId};
+        let net = |msg| WireMsg::Net {
+            from: 1,
+            to: 2,
+            msg,
+        };
+        let mut group = Vec::new();
+        for _ in 0..n {
+            let gtxn = GlobalTxnId(*next);
+            *next += 1;
+            group.push(net(Message::Commit { gtxn }));
+            if rows > 0 && group.len() == 1 {
+                group.push(net(Message::DmlResult {
+                    gtxn,
+                    site: SiteId(1),
+                    step: 0,
+                    result: mdbs_ldbs::CommandResult {
+                        rows: (0..rows).map(|k| (k, k as i64)).collect(),
+                        wrote: Vec::new(),
+                    },
+                }));
+            }
+        }
+        group
+    }
+
+    /// The COMMIT numbers among `msgs`, in order (ballast skipped).
+    fn numbers(msgs: impl IntoIterator<Item = WireMsg>) -> Vec<u32> {
+        msgs.into_iter()
+            .filter_map(|m| match m {
+                WireMsg::Net {
+                    msg: Message::Commit { gtxn },
+                    ..
+                } => Some(gtxn.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Receive until COMMIT number `last` has arrived, holding the stream
+    /// to at-least-once FIFO on the way: a number may repeat (a replayed
+    /// frame), none may be skipped or come early. Returns the repeats seen.
+    fn recv_through(t: &mut TcpTransport, next: &mut u32, last: u32) -> usize {
+        let mut repeats = 0;
+        while *next <= last {
+            for k in numbers([expect_msg(t)]) {
+                assert!(k <= *next, "{k} arrived while {next} was still due");
+                if k == *next {
+                    *next += 1;
+                } else {
+                    repeats += 1;
+                }
+            }
+        }
+        repeats
     }
 
     fn expect_msg(t: &mut TcpTransport) -> WireMsg {
@@ -921,6 +1160,154 @@ mod tests {
         let mut deduped = got.clone();
         deduped.dedup();
         assert_eq!(deduped, (0..10).collect::<Vec<u32>>(), "raw: {got:?}");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// The hand-over between the sending thread and the writer thread is
+    /// where FIFO could break. The link goes down → up → cut → up while
+    /// numbered groups of mixed size are sent one at a time (each written
+    /// through once the link is idle) and in bursts; the fault hook cuts
+    /// at thresholds that land on the writer's replay of the backlog, on a
+    /// written-through frame, and inside a burst.
+    #[test]
+    fn the_hand_over_between_sender_and_writer_keeps_the_link_fifo() {
+        let stat = |t: &TcpTransport, f: fn(&TransportStats) -> &AtomicU64| {
+            f(t.stats()).load(Ordering::Relaxed)
+        };
+        let mut cut_on_a_written_through_frame = 0;
+        for drop_after in [3, 14, 40] {
+            let addrs = crate::cluster::loopback_addrs(2).expect("reserve");
+            let (addr_a, addr_b) = (addrs[0].as_str(), addrs[1].as_str());
+            let a = transport_dropping(1, addr_a, &[(2, addr_b)], Some(drop_after));
+            let (mut sent, mut due, mut repeats) = (0u32, 0u32, 0usize);
+
+            // Down: nothing listens yet, the outbox takes the backlog.
+            for n in [1, 3, 2] {
+                a.send_wire_group(2, numbered_group(&mut sent, n, 0));
+            }
+            // Up: the writer connects and replays it, coalesced.
+            let mut b = transport(2, addr_b, &[(1, addr_a)]);
+            repeats += recv_through(&mut b, &mut due, sent - 1);
+
+            // One group at a time on an idle link: the sender's own writes.
+            for n in [2, 1, 4, 1, 3, 2, 1, 4] {
+                let before = (
+                    stat(&a, |s| &s.frames_written_through),
+                    stat(&a, |s| &s.test_drops),
+                );
+                a.send_wire_group(2, numbered_group(&mut sent, n, 0));
+                if stat(&a, |s| &s.frames_written_through) > before.0
+                    && stat(&a, |s| &s.test_drops) > before.1
+                {
+                    cut_on_a_written_through_frame += 1;
+                }
+                repeats += recv_through(&mut b, &mut due, sent - 1);
+            }
+            // A burst: whoever has the link when each group is sent.
+            for n in [3, 1, 1, 5, 2, 1, 4, 2, 6, 1] {
+                a.send_wire_group(2, numbered_group(&mut sent, n, 0));
+            }
+            repeats += recv_through(&mut b, &mut due, sent - 1);
+
+            assert_eq!(stat(&a, |s| &s.test_drops), 1, "cut at {drop_after}");
+            // The cut is seen by whoever sends next; everything above is
+            // received, so one more group shows the reconnect.
+            a.send_wire_group(2, numbered_group(&mut sent, 1, 0));
+            repeats += recv_through(&mut b, &mut due, sent - 1);
+            assert_eq!(stat(&a, |s| &s.connects), 2, "cut at {drop_after}");
+            assert!(
+                stat(&a, |s| &s.frames_written_through) >= 8,
+                "cut at {drop_after}: the idle link was not written through"
+            );
+            // Duplicates only at a cut: at most the one frame it replays.
+            assert!(repeats <= 6, "cut at {drop_after}: {repeats} repeats");
+            a.shutdown();
+            b.shutdown();
+        }
+        assert_eq!(
+            cut_on_a_written_through_frame, 1,
+            "the middle threshold fires on the sender's own write"
+        );
+    }
+
+    /// A peer that accepts and then never reads must not hold the sending
+    /// thread: once the socket buffers are full a write waits one
+    /// `IO_POLL`, the connection is severed and the link is the writer's.
+    /// The stalled connection keeps what it had swallowed; the frame that
+    /// stalled and everything after it reach the listener that replaces
+    /// the stalled one, in order.
+    #[test]
+    fn a_stalled_peer_holds_the_sender_for_one_io_poll_at_most() {
+        let stalled = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let peer = stalled.local_addr().expect("addr");
+        let a = transport(1, "127.0.0.1:0", &[(2, &peer.to_string())]);
+        let (mut sent, mut longest) = (0u32, Duration::ZERO);
+        let mut send_timed = |a: &TcpTransport, rows: u64| {
+            let group = numbered_group(&mut sent, 2, rows);
+            let started = Instant::now();
+            a.send_wire_group(2, group);
+            longest = longest.max(started.elapsed());
+        };
+        send_timed(&a, 0);
+        let (mut conn, _) = stalled.accept().expect("first connection");
+        // From here on nothing listens and nobody reads `conn`.
+        drop(stalled);
+        // ~13 MB of ~64 KiB groups: more than the loopback buffers take.
+        for _ in 0..200 {
+            send_timed(&a, 4_000);
+        }
+        assert!(
+            longest < 4 * IO_POLL,
+            "a send waited {longest:?} on the stalled peer"
+        );
+
+        // The reader that replaces it gets the frame that stalled and
+        // everything behind it, in order. (Only a severed link reconnects,
+        // so nothing arrives here unless the stall happened.)
+        let mut b = transport(2, &peer.to_string(), &[]);
+        let first = numbers([expect_msg(&mut b)])[0];
+        let mut due = first + 1;
+        recv_through(&mut b, &mut due, sent - 1);
+
+        // And the stalled connection had swallowed exactly what came
+        // before: whole frames from the first group on, then a torn one.
+        conn.set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("timeout");
+        let mut dec = FrameDecoder::new();
+        let mut buf = vec![0u8; 1 << 16];
+        while let Ok(n @ 1..) = conn.read(&mut buf) {
+            dec.extend(&buf[..n]);
+        }
+        let mut swallowed = Vec::new();
+        while let Ok(Some(f)) = dec.next_frame_versioned() {
+            let msgs = decode_frame_payload(f.version, &f.payload).expect("clean frame");
+            swallowed.extend(numbers(msgs));
+        }
+        assert_eq!(swallowed, (0..first).collect::<Vec<_>>());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// What was written through is on the wire when `send_wire` returns:
+    /// `drain` has nothing to wait for.
+    #[test]
+    fn drain_after_written_through_traffic_returns_at_once() {
+        let addrs = crate::cluster::loopback_addrs(2).expect("reserve");
+        let (addr_a, addr_b) = (addrs[0].as_str(), addrs[1].as_str());
+        let mut a = transport(1, addr_a, &[(2, addr_b)]);
+        let mut b = transport(2, addr_b, &[(1, addr_a)]);
+        let (mut sent, mut due) = (0u32, 0u32);
+        for _ in 0..20 {
+            a.send_wire_group(2, numbered_group(&mut sent, 1, 0));
+            recv_through(&mut b, &mut due, sent - 1);
+        }
+        let started = Instant::now();
+        a.drain(started + Duration::from_secs(10));
+        assert!(started.elapsed() < Duration::from_secs(1), "drain waited");
+        let stats = a.stats();
+        assert_eq!(stats.msgs_sent.load(Ordering::Relaxed), 1 + 20, "Hello");
+        assert!(stats.frames_written_through.load(Ordering::Relaxed) >= 18);
         a.shutdown();
         b.shutdown();
     }

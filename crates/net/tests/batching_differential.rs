@@ -6,17 +6,21 @@
 //! frame exactly as before the batch envelope existed), for both the 2CM
 //! and CGM loopback clusters. Outcome digests and per-site certifier
 //! verdicts must be identical to each other *and* to the deterministic
-//! simulation of the same scenario. CGM runs the scenario twice: at its
-//! `mpl` of 4, where a commit-graph vote depends on which transactions
-//! overlap in real time, both transports must settle everything and pass
-//! every checker; one global at a time, the digests must also be equal.
+//! simulation of the same scenario. Each protocol runs the scenario
+//! twice. At its `mpl` of 4 beside the sites' local transactions a verdict
+//! depends on which transactions overlap in real time — a CGM commit-graph
+//! vote on which globals are in the graph, any protocol's outcome on whom
+//! a site's deadlock detector finds in a cycle — so there both transports
+//! must settle everything and pass every checker; one transaction at a
+//! time, the digests must also be equal.
 //!
 //! Chaos coverage rides along: a `net.test_drop` connection drop fired
 //! mid-run under batching must reconnect and retransmit at **batch
 //! granularity** — digests unchanged, at-least-once and per-link FIFO
 //! intact. A raw-listener test pins the replayed frame boundaries: a
 //! coalesced frame comes back bit-identical after a cut, never silently
-//! re-fragmented into per-message frames.
+//! re-fragmented into per-message frames, and a frame the sending thread
+//! failed to write comes back alone, never merged with its successors.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -27,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use mdbs_dtm::CertifierMode;
 use mdbs_histories::{GlobalTxnId, SiteId};
-use mdbs_net::frame::{encode_batch_frame, encode_frame};
+use mdbs_net::frame::{encode_batch_frame, encode_frame, Frame, FrameDecoder};
 use mdbs_net::tcp::{TcpTransport, TcpTransportConfig};
-use mdbs_net::wire::{encode_batch, encode_msg, WireMsg};
+use mdbs_net::wire::{decode_frame_payload, encode_batch, encode_msg, WireMsg};
 use mdbs_net::{loopback_cluster, ClusterOutcome, ClusterRunner};
 use mdbs_sim::report::{outcome_digest, site_verdict_digest};
 use mdbs_sim::{Protocol, SimConfig, SimReport, Simulation};
@@ -90,29 +94,64 @@ fn run_cluster(
         .expect("cluster run")
 }
 
+/// The scenario with nothing left to overlap: one global at a time and no
+/// local transactions, so no transaction ever waits for another — no
+/// deadlock victim, no wait timeout, no commit-graph cycle — and every
+/// verdict is the sim's.
+fn one_at_a_time(mut scenario: SimConfig) -> SimConfig {
+    scenario.workload.mpl = 1;
+    scenario.workload.local_txns_per_site = 0;
+    scenario
+}
+
 /// What holds of any run of the scenario, however its messages raced.
-fn assert_settled_and_correct(cluster: &ClusterOutcome) {
+fn assert_settled_and_correct(cluster: &ClusterOutcome, scenario: &SimConfig) {
     assert_eq!(cluster.committed + cluster.aborted, GLOBALS, "all settled");
     assert_eq!(
         cluster.local_committed + cluster.local_aborted,
-        u64::from(SITES * LOCALS_PER_SITE),
+        u64::from(SITES * scenario.workload.local_txns_per_site),
         "every local settled"
     );
     assert!(cluster.checks_passed);
     assert!(cluster.missing_reports.is_empty());
 }
 
+/// What moved a verdict, if anything did: the cluster's counts next to the
+/// sim's, and per site the only things that can refuse or abort a global
+/// in a failure-free run — deadlock victims, lock-wait timeouts and the
+/// certifier's refusals by reason.
+fn why(cluster: &ClusterOutcome, sim: &SimReport) -> String {
+    let mut out = format!(
+        "cluster {} committed / {} aborted (checks_passed={}), sim {} / {}",
+        cluster.committed, cluster.aborted, cluster.checks_passed, sim.committed, sim.aborted
+    );
+    for (node, s) in cluster.stats.iter().filter(|(&n, _)| n < SITES) {
+        out += &format!(
+            "; site {node}: deadlock_victims={} wait_timeouts={} refused_sn_out_of_order={} \
+             refused_interval_disjoint={} refused_not_alive={}",
+            s.deadlock_victims,
+            s.wait_timeouts,
+            s.refused_sn_out_of_order,
+            s.refused_interval_disjoint,
+            s.refused_not_alive
+        );
+    }
+    out
+}
+
 fn assert_matches_sim(cluster: &ClusterOutcome, sim: &SimReport) {
     assert_eq!(
         cluster.outcome_digest,
         outcome_digest(&sim.history, &sim.checks),
-        "global verdicts + checker verdicts must match the sim"
+        "global verdicts + checker verdicts must match the sim: {}",
+        why(cluster, sim)
     );
     for s in 0..SITES {
         assert_eq!(
             cluster.site_verdicts.get(&s).copied(),
             Some(site_verdict_digest(&sim.history, SiteId(s))),
-            "site {s} certifier verdicts must match the sim"
+            "site {s} certifier verdicts must match the sim: {}",
+            why(cluster, sim)
         );
     }
     assert_eq!(
@@ -127,7 +166,7 @@ fn run_both_ways(scenario: &SimConfig) -> (ClusterOutcome, ClusterOutcome) {
     // batch_max = 1, deadline 0: byte-for-byte the pre-batching wire
     // format (every frame is v1, never coalesced).
     let unbatched = run_cluster(scenario, 1, 0, Vec::new());
-    assert_settled_and_correct(&unbatched);
+    assert_settled_and_correct(&unbatched, scenario);
     for (node, stats) in &unbatched.stats {
         assert_eq!(
             stats.batches_sent, 0,
@@ -142,7 +181,7 @@ fn run_both_ways(scenario: &SimConfig) -> (ClusterOutcome, ClusterOutcome) {
     // Defaults: the node loop's per-burst groups coalesce, the writer
     // waits for nothing (the drop test below runs the adaptive deadline).
     let batched = run_cluster(scenario, 256, 0, Vec::new());
-    assert_settled_and_correct(&batched);
+    assert_settled_and_correct(&batched, scenario);
     let coalesced: u64 = batched.stats.values().map(|s| s.batches_sent).sum();
     assert!(
         coalesced > 0,
@@ -167,29 +206,30 @@ fn differential(scenario: &SimConfig) {
     );
 }
 
+/// Both legs for one protocol. Concurrent traffic: a verdict may depend on
+/// which transactions overlap in real time — a site's deadlock detector
+/// picks its victim among whoever is in the cycle when it looks (2CM lost
+/// one global in about fifty runs that way, `deadlock_victims=1` at one
+/// site where the sim has none), a CGM vote depends on which transactions
+/// are in the commit graph when it is cast — so a cluster that is faster
+/// or slower than the sim's fixed latencies may legitimately differ from
+/// it there, and both transports are held to what no race moves. One
+/// transaction at a time, the verdicts are comparable, and must be equal.
+fn differential_both_legs(protocol: Protocol) {
+    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let concurrent = scenario(protocol);
+    run_both_ways(&concurrent);
+    differential(&one_at_a_time(concurrent));
+}
+
 #[test]
 fn two_cm_digests_are_identical_batched_and_unbatched() {
-    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    differential(&scenario(Protocol::TwoCm(CertifierMode::Full)));
+    differential_both_legs(Protocol::TwoCm(CertifierMode::Full));
 }
 
 #[test]
 fn cgm_digests_are_identical_batched_and_unbatched() {
-    let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Concurrent CGM traffic: a commit-graph vote depends on which
-    // transactions are in the graph when it is cast, i.e. on which ones
-    // overlap in real time, so a cluster that is faster or slower than the
-    // sim's fixed latencies may legitimately miss (or find) a cycle the
-    // sim's run has. Both transports must still settle every transaction
-    // and pass every checker.
-    let concurrent = scenario(Protocol::Cgm);
-    run_both_ways(&concurrent);
-    // One global at a time leaves nothing to overlap: the verdicts are
-    // comparable, and must be equal. (2CM needs no such care: with one
-    // coordinator its failure-free verdicts do not depend on timing.)
-    let mut serial = concurrent;
-    serial.workload.mpl = 1;
-    differential(&serial);
+    differential_both_legs(Protocol::Cgm);
 }
 
 /// Chaos coverage: a forced connection drop mid-run under batching (the
@@ -199,14 +239,18 @@ fn cgm_digests_are_identical_batched_and_unbatched() {
 #[test]
 fn a_connection_drop_under_batching_leaves_digests_unchanged() {
     let _serial = CLUSTER_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let scenario = scenario(Protocol::TwoCm(CertifierMode::Full));
-    let sim = sim_reference(&scenario);
-    let dropped = run_cluster(&scenario, 64, 100, vec![(1, 10)]);
-    assert_settled_and_correct(&dropped);
-    assert_matches_sim(&dropped, &sim);
-    let site1 = &dropped.stats[&1];
-    assert!(site1.test_drops >= 1, "hook never fired: {site1:?}");
-    assert!(site1.connects >= 2, "no reconnect after drop: {site1:?}");
+    let run_dropped = |scenario: &SimConfig| {
+        let dropped = run_cluster(scenario, 64, 100, vec![(1, 10)]);
+        assert_settled_and_correct(&dropped, scenario);
+        let site1 = &dropped.stats[&1];
+        assert!(site1.test_drops >= 1, "hook never fired: {site1:?}");
+        assert!(site1.connects >= 2, "no reconnect after drop: {site1:?}");
+        dropped
+    };
+    let concurrent = scenario(Protocol::TwoCm(CertifierMode::Full));
+    run_dropped(&concurrent);
+    let serial = one_at_a_time(concurrent);
+    assert_matches_sim(&run_dropped(&serial), &sim_reference(&serial));
 }
 
 fn commit_group(first: u32, n: u32) -> Vec<WireMsg> {
@@ -293,5 +337,66 @@ fn a_reconnect_replays_the_coalesced_frame_bit_for_bit() {
     );
     assert_eq!(transport.stats().test_drops.load(Ordering::Relaxed), 1);
     assert_eq!(transport.stats().connects.load(Ordering::Relaxed), 2);
+
+    // The error path the hook does not take: the *peer* closes. The link
+    // is idle, so the sending thread writes the next groups itself; the
+    // first write after the close may still be taken by the kernel (and
+    // is lost with the connection, as it would be to a peer that died),
+    // the first one that *fails* belongs to the writer thread from then
+    // on — and must come back as the bytes the sender built, a lone
+    // frame, however much queued up behind it in the meantime.
+    drop(conn);
+    let later: Vec<Vec<WireMsg>> = (2..7).map(|g| commit_group(g * 100, 3 + g)).collect();
+    // The pauses let the writer thread go idle, then the FIN, then the
+    // RST land, so that the writes below are the sending thread's own.
+    let pause = Duration::from_millis(50);
+    std::thread::sleep(pause);
+    transport.send_wire_group(2, later[0].clone());
+    std::thread::sleep(pause);
+    for group in &later[1..] {
+        transport.send_wire_group(2, group.clone());
+    }
+    let (mut conn, _) = listener.accept().expect("second reconnect");
+    let decode = |f: &Frame| decode_frame_payload(f.version, &f.payload).expect("clean payload");
+    let mut dec = FrameDecoder::new();
+    let mut frames: Vec<Frame> = Vec::new();
+    let mut buf = [0u8; 4096];
+    let last = later.last().and_then(|g| g.last()).expect("non-empty");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    while frames.last().is_none_or(|f| decode(f).last() != Some(last)) {
+        let n = conn.read(&mut buf).expect("the replay arrives");
+        assert!(n > 0, "severed before the last group arrived");
+        dec.extend(&buf[..n]);
+        while let Some(f) = dec.next_frame_versioned().expect("clean framing") {
+            frames.push(f);
+        }
+    }
+    assert_eq!(
+        decode(&frames[0]),
+        [WireMsg::Hello { node: 1 }],
+        "a fresh connection opens with Hello"
+    );
+    let failed = later
+        .iter()
+        .position(|g| *g == decode(&frames[1]))
+        .expect("the replayed frame is one whole group, not a merge");
+    assert!(failed <= 1, "group {failed} failed first?");
+    // Version and payload are the frame: the envelope around them is a
+    // pure function of the two.
+    assert_eq!(
+        (frames[1].version, &frames[1].payload),
+        (2, &encode_batch(&later[failed])),
+        "the replay is the lone frame the sender built"
+    );
+    let rest: Vec<WireMsg> = frames[2..].iter().flat_map(decode).collect();
+    assert_eq!(rest, later[failed + 1..].concat(), "successors, in order");
+    // Every group before the one that failed was the sender's own write
+    // (and so may the successors be, once the writer had caught up).
+    let written_through = transport
+        .stats()
+        .frames_written_through
+        .load(Ordering::Relaxed);
+    assert!(written_through >= failed as u64, "{written_through}");
+    assert_eq!(transport.stats().connects.load(Ordering::Relaxed), 3);
     transport.shutdown();
 }

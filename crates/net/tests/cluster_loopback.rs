@@ -93,6 +93,15 @@ fn loopback_cluster_matches_the_sim_and_survives_a_connection_drop() {
     let cluster = runner.run(Duration::from_secs(120)).expect("cluster run");
 
     assert_cluster_matches_sim(&cluster, &sim);
+    // On a healthy link the node loop writes its own frames. A writer
+    // thread wakes to connect, not to post: per connection it sends the
+    // Hello and what had queued up behind the connect, nothing else.
+    for (node, s) in &cluster.stats {
+        assert!(
+            s.frames_sent - s.frames_written_through <= 2 * s.connects + 4,
+            "node {node}: the writer threads posted too much: {s:?}"
+        );
+    }
     let dropped = &cluster.stats[&1];
     assert!(
         dropped.test_drops >= 1,
