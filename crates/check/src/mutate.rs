@@ -203,10 +203,10 @@ pub fn catalog() -> Vec<Mutant> {
         Mutant {
             id: "agent-done-cap-ignored",
             mechanism: "done-set compaction bound (hotpath growth fix)",
-            summary: "note_done ignores the configured done_cap: terminated-transaction ids accumulate without bound",
+            summary: "note_done ignores DONE_CAP: terminated-transaction ids accumulate without bound",
             edits: &[Edit {
                 file: AGENT,
-                anchor: "if self.config.done_cap > 0 {",
+                anchor: "if self.done.len() > DONE_CAP {",
                 replacement: "if false {",
             }],
         },

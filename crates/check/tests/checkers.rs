@@ -27,7 +27,7 @@ use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
 use mdbs_consensus::{Acceptor, Ballot, Decision, Leader, PaxosMsg, Vote};
 use mdbs_dtm::{
     Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, CoordAction, Coordinator, Message,
-    RefuseReason, SerialNumber,
+    RefuseReason, SerialNumber, DONE_CAP,
 };
 use mdbs_histories::{GlobalTxnId, Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, CommandResult, KeySpec};
@@ -395,23 +395,15 @@ fn probe_rollback_evict() -> Result<(), String> {
     Ok(())
 }
 
-/// Drive ten transactions to terminal outcomes at an agent whose done-set
-/// is capped at four, then check the cap held. Terminal outcomes insert
-/// into the duplicate-detection done-set regardless of whether the
-/// PREPARE was admitted or refused, so only a compaction defect can breach
-/// the bound —
+/// Drive `DONE_CAP + 10` transactions to terminal outcomes, then check the
+/// done-set holds exactly `DONE_CAP` ids. Terminal outcomes insert into
+/// the duplicate-detection done-set regardless of whether the PREPARE was
+/// admitted or refused, so only a compaction defect can breach the bound —
 /// the hotpath pass's `hot-unbounded-growth` concern made executable.
 #[test]
 fn probe_done_bound() -> Result<(), String> {
-    const CAP: usize = 4;
-    let mut a = Agent::new(
-        SITE,
-        AgentConfig {
-            done_cap: CAP,
-            ..AgentConfig::default()
-        },
-    );
-    for k in 1..=10u32 {
+    let mut a = agent();
+    for k in 1..=DONE_CAP as u32 + 10 {
         let t = k as u64 * 100;
         let _ = prepare_one(&mut a, k, t, t, t);
         a.handle(
@@ -419,9 +411,9 @@ fn probe_done_bound() -> Result<(), String> {
             AgentInput::Deliver(Message::Rollback { gtxn: g(k) }),
         );
     }
-    if a.done_len() > CAP {
+    if a.done_len() != DONE_CAP {
         return Err(format!(
-            "done-set compaction bound ignored: {} terminated ids retained, cap {CAP}",
+            "done-set bound broken: {} terminated ids retained, cap {DONE_CAP}",
             a.done_len()
         ));
     }

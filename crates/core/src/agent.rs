@@ -34,6 +34,15 @@ use crate::config::AgentConfig;
 use crate::msg::Message;
 use crate::sn::SerialNumber;
 
+/// Most terminated transaction ids an agent keeps to screen replayed
+/// BEGIN / COMMIT / ROLLBACK deliveries (the cluster node's duplicate
+/// screens use the same bound). Long runs hold the set at this size, the
+/// way the consensus layer's `Clear` compacts acceptor state; the price is
+/// that a duplicate older than every retained id would restart its
+/// conversation, which needs a delivery delayed across 4 096 later
+/// terminations.
+pub const DONE_CAP: usize = 4096;
+
 /// Why a PREPARE was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RefuseReason {
@@ -422,7 +431,7 @@ impl Agent {
 
     /// Size of the duplicate-detection done-set (terminated transaction
     /// ids retained). The kill matrix's `probe-done-bound` checker uses
-    /// this to verify [`AgentConfig::done_cap`] compaction actually holds.
+    /// this to verify the [`DONE_CAP`] bound actually holds.
     pub fn done_len(&self) -> usize {
         self.done.len()
     }
@@ -640,16 +649,13 @@ impl Agent {
     }
 
     /// Record a terminal outcome in the duplicate-detection done-set,
-    /// compacting it to `config.done_cap` entries when the cap is set
-    /// (0 = keep everything; see [`AgentConfig::done_cap`]). Eviction is
-    /// oldest-id-first: transaction ids are issued in arrival order, so
-    /// `pop_first` discards the ids least likely to be replayed.
+    /// keeping at most [`DONE_CAP`] ids. Eviction is oldest-id-first:
+    /// transaction ids are issued in arrival order, so `pop_first` discards
+    /// the ids least likely to be replayed.
     fn note_done(&mut self, gtxn: GlobalTxnId) {
         self.done.insert(gtxn);
-        if self.config.done_cap > 0 {
-            while self.done.len() > self.config.done_cap {
-                self.done.pop_first();
-            }
+        if self.done.len() > DONE_CAP {
+            self.done.pop_first();
         }
     }
 
@@ -847,11 +853,11 @@ impl Agent {
         if !self.cert.commit_gate(gtxn) {
             st.commit_retries += 1;
             self.stats.commit_retries += 1;
-            if st.commit_retries < self.config.max_commit_retries {
+            if st.commit_retries < self.config.mode.commit_retry_limit() {
                 return vec![retry];
             }
             // Safety valve: fall through and commit out of order (see
-            // `AgentConfig::max_commit_retries` for when this is reachable).
+            // `CertifierMode::commit_retry_limit` for when this is reachable).
             self.stats.commit_cert_overrides += 1;
         }
 
@@ -1889,29 +1895,36 @@ mod tests {
                 coord: COORD,
             })
         };
-        let config = AgentConfig {
-            done_cap: 2,
-            ..AgentConfig::default()
-        };
-        let mut a = Agent::new(SITE, config);
-        for k in 1..=3 {
-            prepare_one(&mut a, k, 0, 10 * u64::from(k));
+        // DONE_CAP + 2 terminations: the first two ids fall out of the set.
+        let last = DONE_CAP as u32 + 2;
+        let mut a = agent();
+        for k in 1..last - 2 {
+            a.handle(0, begin(k));
+            a.handle(1, AgentInput::Deliver(Message::Rollback { gtxn: g(k) }));
         }
-        a.handle(10, commit(1));
-        a.handle(11, AgentInput::Deliver(Message::Rollback { gtxn: g(2) }));
-        a.handle(12, commit(3));
+        for k in last - 2..=last {
+            prepare_one(&mut a, k, 2, 10 * u64::from(k));
+        }
+        a.handle(10, commit(last - 2));
+        a.handle(
+            11,
+            AgentInput::Deliver(Message::Rollback { gtxn: g(last - 1) }),
+        );
+        a.handle(12, commit(last));
         assert_eq!(a.stats().local_commits, 2);
-        let (mut rec, actions) = Agent::recover(SITE, config, a.log().clone());
+        assert_eq!(a.done_len(), DONE_CAP);
+        let (mut rec, actions) = Agent::recover(SITE, AgentConfig::default(), a.log().clone());
         assert_eq!(actions, vec![]);
         // A BEGIN duplicated across the crash must not restart a finished
         // conversation: its LtmBegin would reuse the committed instance's
         // id and hold its locks forever.
-        assert_eq!(rec.handle(20, begin(3)), vec![]);
-        assert_eq!(rec.handle(21, begin(2)), vec![]);
-        // `done_cap` bounds the recovered set like the live one.
-        assert_eq!(rec.done_len(), 2);
+        assert_eq!(rec.handle(20, begin(last)), vec![]);
+        assert_eq!(rec.handle(21, begin(last - 1)), vec![]);
+        assert_eq!(rec.handle(21, begin(3)), vec![]);
+        // `DONE_CAP` bounds the recovered set like the live one.
+        assert_eq!(rec.done_len(), DONE_CAP);
         assert!(matches!(
-            rec.handle(22, begin(1))[..],
+            rec.handle(22, begin(2))[..],
             [AgentAction::LtmBegin(_)]
         ));
     }

@@ -75,10 +75,30 @@ impl CertifierMode {
     pub fn ticket_prepare_check(&self) -> bool {
         matches!(self, CertifierMode::TicketOrder)
     }
+
+    /// Safety valve: after this many failed commit certifications of one
+    /// COMMIT the agent commits anyway. The in-family anomaly baselines
+    /// can livelock without it, and a forced commit surfaces exactly the
+    /// anomaly the run measures. Under `Full` the serial numbers form a
+    /// total order, so certification alone always makes progress — but the
+    /// valve is *not* unreachable there: with exclusive locks plus
+    /// unilateral aborts a held-back COMMIT and a lock-blocked
+    /// resubmission can wait on each other and retry without bound
+    /// (ROADMAP open item 6: `sim-hot` with `unilateral_abort_prob = 0.1`,
+    /// workload seed `1000633`).
+    pub fn commit_retry_limit(&self) -> u32 {
+        match self {
+            CertifierMode::Full => 1_000_000,
+            CertifierMode::NoCertification
+            | CertifierMode::PrepareCertOnly
+            | CertifierMode::PrepareOrder
+            | CertifierMode::TicketOrder => 200,
+        }
+    }
 }
 
-/// Timing and policy knobs of one 2PC Agent. Durations are in microseconds
-/// of *local* clock time.
+/// Mode and timers of one 2PC Agent. Durations are in microseconds of
+/// *local* clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentConfig {
     /// Certification mechanisms in force.
@@ -87,27 +107,6 @@ pub struct AgentConfig {
     pub alive_check_interval_us: u64,
     /// Appendix C: delay before retrying a failed commit certification.
     pub commit_retry_interval_us: u64,
-    /// Safety valve: after this many failed commit certifications the agent
-    /// commits anyway. The in-family anomaly baselines can livelock without
-    /// it, and a forced commit surfaces exactly the anomaly the run
-    /// measures. Under the full protocol the serial numbers form a total
-    /// order, so certification alone always makes progress — but the valve
-    /// is *not* unreachable there: with exclusive locks plus unilateral
-    /// aborts a held-back COMMIT and a lock-blocked resubmission can wait on
-    /// each other and retry without bound (ROADMAP open item 6: `sim-hot`
-    /// with `unilateral_abort_prob = 0.1`, workload seed `1000633`).
-    pub max_commit_retries: u32,
-    /// Bound on the agent's duplicate-detection done-set (terminated
-    /// transaction ids kept to screen replayed BEGIN/COMMIT/ROLLBACK).
-    /// 0 (the default) keeps every id forever — the behavior the golden
-    /// digests are recorded against. With k > 0 the set is compacted to
-    /// the k most recent ids after each insertion, the same way the
-    /// consensus layer's `Clear` compacts acceptor state: under sustained
-    /// load the set stays O(k) instead of growing with run length, at the
-    /// cost that a duplicate older than the k retained ids would restart
-    /// a conversation.
-    #[serde(default)]
-    pub done_cap: usize,
 }
 
 impl Default for AgentConfig {
@@ -116,8 +115,6 @@ impl Default for AgentConfig {
             mode: CertifierMode::Full,
             alive_check_interval_us: 10_000,
             commit_retry_interval_us: 5_000,
-            max_commit_retries: 1_000_000,
-            done_cap: 0,
         }
     }
 }
@@ -150,6 +147,19 @@ mod tests {
         assert!(!m.prepare_extension());
         assert!(!m.sn_commit_certification());
         assert!(m.prepare_order_commit());
+    }
+
+    #[test]
+    fn only_the_comparators_get_the_short_commit_retry_limit() {
+        assert_eq!(CertifierMode::Full.commit_retry_limit(), 1_000_000);
+        for m in [
+            CertifierMode::NoCertification,
+            CertifierMode::PrepareCertOnly,
+            CertifierMode::PrepareOrder,
+            CertifierMode::TicketOrder,
+        ] {
+            assert_eq!(m.commit_retry_limit(), 200, "{m:?}");
+        }
     }
 
     #[test]

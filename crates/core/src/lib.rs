@@ -44,7 +44,9 @@ pub mod coordinator;
 pub mod msg;
 pub mod sn;
 
-pub use agent::{Agent, AgentAction, AgentInput, AgentStats, PreparedEntry, RefuseReason};
+pub use agent::{
+    Agent, AgentAction, AgentInput, AgentStats, PreparedEntry, RefuseReason, DONE_CAP,
+};
 pub use agent_log::{AgentLog, LogRecord, RecoveredTxn};
 pub use config::{AgentConfig, CertifierMode};
 pub use coordinator::{CoordAction, Coordinator, GlobalOutcome, GlobalProgram};

@@ -9,6 +9,32 @@
 //! drivers and the cluster test runner to hand a `SimConfig` to `mdbs-node`
 //! processes) and parsed by [`scenario_from_kv`] (used by `mdbs-node` and
 //! the chaos harness's built-in scenarios).
+//!
+//! A setting is a key only when an experiment, a ledger workload or a
+//! deployment runs it at more than one value; every other setting is a
+//! constant next to the code that uses it (`mdbs_runtime::DEADLOCK_SCAN_US`
+//! and `WAIT_TIMEOUT_US`, `mdbs_dtm::DONE_CAP` and
+//! `CertifierMode::commit_retry_limit`, the sim's failover delay, the
+//! workload generator's range span and local arrival rate, the transport's
+//! outbox and backoff in `mdbs-net`). A file naming one of those is refused
+//! like any unknown key. Why each key that is not plain workload shape
+//! (seed, sizes, mix, access pattern, failure rate, protocol, LTM service
+//! time, time limit, `consensus.f`) stays:
+//!
+//! - `net_latency_us`, `net_jitter_us`, `abort_delay_max_us`,
+//!   `agent.alive_check_interval_us`, `enforce_dlu`, `max_clock_skew_us`,
+//!   `max_drift_ppm`, `crashes`: experiments XT4–XT8 vary them.
+//! - `initial_value`: the ledger's layer probes read it.
+//! - `global_arrival_mean_us`: the §5.3 overtaking test needs 500, and it
+//!   is the rate axis of an open-loop workload (ROADMAP item 1(c)).
+//! - `agent.commit_retry_interval_us`: Appendix C's retry period, which
+//!   `a_held_commit_never_waits_for_the_retry_timer` varies to show that a
+//!   held COMMIT ends by release, not by the timer.
+//! - `coordinators` and the `node.*` addresses: the cluster's topology.
+//! - `consensus.crash_coord_after_ready` and [`SimConfig::link_overrides`]
+//!   (no kv form): the failover pins and the §5.3 race; see their docs.
+//! - `net.batch_max`, `net.flush_deadline_us`, `net.test_drop`: see
+//!   [`ClusterConfig`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -102,11 +128,6 @@ pub struct SimConfig {
     /// 2PC Agent configuration (certifier mode is overridden by
     /// `protocol.agent_mode()`).
     pub agent: AgentConfig,
-    /// Period of the local deadlock scan, µs.
-    pub deadlock_scan_us: u64,
-    /// A transaction blocked longer than this is aborted (the paper's
-    /// timeout-based deadlock resolution, §6).
-    pub wait_timeout_us: u64,
     /// Injected unilateral aborts strike within this window after the
     /// prepare, µs. Strikes that land after the local commit are skipped
     /// (the transaction escaped), so this should be comparable to the
@@ -136,19 +157,11 @@ pub struct SimConfig {
     /// and requires `coordinators >= 2` under the 2CM protocol family.
     #[serde(default)]
     pub consensus_f: u32,
-    /// How long a backup coordinator waits after a coordinator crash
-    /// before taking over its in-flight transactions, µs.
-    #[serde(default = "default_failover_delay_us")]
-    pub failover_delay_us: u64,
     /// Test hook: `(coord, k)` — coordinator `coord` crashes on receipt of
     /// its `k`-th READY (1-based), *before* processing it: exactly the
     /// window between collecting votes and broadcasting the decision.
     #[serde(default)]
     pub coord_crash_after_ready: Option<(u32, u32)>,
-}
-
-fn default_failover_delay_us() -> u64 {
-    50_000
 }
 
 impl Default for SimConfig {
@@ -163,15 +176,12 @@ impl Default for SimConfig {
             max_clock_skew_us: 0,
             max_drift_ppm: 0,
             agent: AgentConfig::default(),
-            deadlock_scan_us: 5_000,
-            wait_timeout_us: 400_000,
             abort_delay_max_us: 800,
             crashes: Vec::new(),
             link_overrides: Vec::new(),
             time_limit: SimTime::from_secs(300),
             faults: None,
             consensus_f: 0,
-            failover_delay_us: default_failover_delay_us(),
             coord_crash_after_ready: None,
         }
     }
@@ -361,7 +371,6 @@ const SCENARIO_KEYS: &[ScenarioKey] = &[
     ),
     key!("write_fraction", workload.write_fraction),
     key!("range_fraction", workload.range_fraction),
-    key!("range_span", workload.range_span),
     key!(
         "access",
         workload.access,
@@ -371,7 +380,6 @@ const SCENARIO_KEYS: &[ScenarioKey] = &[
     key!("unilateral_abort_prob", workload.unilateral_abort_prob),
     key!("enforce_dlu", workload.enforce_dlu),
     key!("global_arrival_mean_us", workload.global_arrival_mean_us),
-    key!("local_arrival_mean_us", workload.local_arrival_mean_us),
     key!(
         "protocol",
         protocol,
@@ -392,10 +400,6 @@ const SCENARIO_KEYS: &[ScenarioKey] = &[
         "agent.commit_retry_interval_us",
         agent.commit_retry_interval_us
     ),
-    key!("agent.max_commit_retries", agent.max_commit_retries),
-    key!("agent.done_cap", agent.done_cap),
-    key!("deadlock_scan_us", deadlock_scan_us),
-    key!("wait_timeout_us", wait_timeout_us),
     key!("abort_delay_max_us", abort_delay_max_us),
     key!(
         "time_limit_us",
@@ -404,7 +408,6 @@ const SCENARIO_KEYS: &[ScenarioKey] = &[
         |k, v| parse_value(k, v).map(SimTime::from_micros)
     ),
     key!("consensus.f", consensus_f),
-    key!("consensus.failover_delay_us", failover_delay_us),
     key!(
         "consensus.crash_coord_after_ready",
         coord_crash_after_ready,
@@ -423,6 +426,28 @@ pub fn scenario_from_kv(kv: &mut KvConfig) -> Result<SimConfig, ConfigError> {
     for key in SCENARIO_KEYS {
         if let Some(v) = kv.raw(key.name) {
             (key.parse)(&mut cfg, v)?;
+        }
+    }
+    // Values with which no run can finish: refused by name at load time
+    // rather than as a generator panic or a run that waits out its limit.
+    let w = &cfg.workload;
+    for (impossible, why) in [
+        (w.sites == 0, "sites must be >= 1"),
+        (
+            w.items_per_site == 0,
+            "items_per_site must be >= 1 (every command draws a key below it)",
+        ),
+        (
+            cfg.coordinators == 0,
+            "coordinators must be >= 1 (coordinator 0 drives a cluster)",
+        ),
+        (
+            w.mpl == 0 && w.global_txns > 0,
+            "mpl must be >= 1 when global_txns > 0 (nothing would be admitted)",
+        ),
+    ] {
+        if impossible {
+            return Err(ConfigError(why.into()));
         }
     }
     if cfg.consensus_f > 0 {
@@ -605,7 +630,8 @@ impl NodeRole {
 }
 
 /// A full cluster description: the scenario plus one listen address per
-/// node and the transport knobs.
+/// node and the transport knobs (the transport's outbox size and reconnect
+/// backoff are constants of `mdbs-net`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// The scenario every node runs its slice of.
@@ -621,18 +647,18 @@ pub struct ClusterConfig {
     /// number — exactly `2F+1` of them when `consensus.f = F > 0`, else
     /// empty.
     pub acceptor_addrs: Vec<String>,
-    /// Per-peer outbox capacity (message groups); senders block when full.
-    pub outbox_capacity: usize,
     /// Most messages one wire frame may coalesce; 1 disables batching
     /// (every message rides its own v1 frame, as before the batch
-    /// envelope existed).
+    /// envelope existed). A key because 1 is the reference side of the
+    /// batching differential: batched and unbatched clusters must produce
+    /// the same digests.
     pub batch_max: usize,
     /// Ceiling of the adaptive group-flush deadline in microseconds; 0
     /// (the default) flushes every batch as soon as the outbox runs dry —
-    /// the node loop already hands the writer one group per burst.
+    /// the node loop already hands the writer one group per burst. A key
+    /// until the ledger stops setting the transport's field (ROADMAP items
+    /// 1(e) and 12(i)).
     pub flush_deadline_us: u64,
-    /// Reconnect backoff `(initial_ms, max_ms)`, doubling per attempt.
-    pub backoff_ms: (u64, u64),
     /// Test hook: `(node, message_count)` — the node severs its outbound
     /// sockets once after sending `message_count` messages (counted
     /// across batches), forcing the reconnect + retransmission path
@@ -664,16 +690,11 @@ impl ClusterConfig {
                 acceptor_addrs.push(kv.require::<String>(&format!("node.acceptor.{a}.addr"))?);
             }
         }
-        let outbox_capacity = kv.get_or("net.outbox_capacity", 1024usize)?;
         let batch_max = kv.get_or("net.batch_max", 256usize)?;
         if batch_max == 0 {
             return Err(ConfigError("net.batch_max must be >= 1".into()));
         }
         let flush_deadline_us = kv.get_or("net.flush_deadline_us", 0u64)?;
-        let backoff_ms = (
-            kv.get_or("net.backoff_initial_ms", 10u64)?,
-            kv.get_or("net.backoff_max_ms", 1000u64)?,
-        );
         let test_drop = match kv.raw("net.test_drop") {
             None => Vec::new(),
             Some(list) => list
@@ -692,10 +713,8 @@ impl ClusterConfig {
             coord_addrs,
             central_addr,
             acceptor_addrs,
-            outbox_capacity,
             batch_max,
             flush_deadline_us,
-            backoff_ms,
             test_drop,
         })
     }
@@ -715,14 +734,11 @@ impl ClusterConfig {
         for (a, addr) in self.acceptor_addrs.iter().enumerate() {
             out.push_str(&format!("node.acceptor.{a}.addr = {addr}\n"));
         }
-        out.push_str(&format!("net.outbox_capacity = {}\n", self.outbox_capacity));
         out.push_str(&format!("net.batch_max = {}\n", self.batch_max));
         out.push_str(&format!(
             "net.flush_deadline_us = {}\n",
             self.flush_deadline_us
         ));
-        out.push_str(&format!("net.backoff_initial_ms = {}\n", self.backoff_ms.0));
-        out.push_str(&format!("net.backoff_max_ms = {}\n", self.backoff_ms.1));
         if !self.test_drop.is_empty() {
             let list: Vec<String> = self
                 .test_drop
@@ -817,7 +833,6 @@ mod tests {
     fn default_config_sane() {
         let c = SimConfig::default();
         assert!(c.coordinators >= 1);
-        assert!(c.wait_timeout_us > c.deadlock_scan_us);
     }
 
     #[test]
@@ -890,8 +905,6 @@ mod tests {
             mode: cfg.agent.mode,
             alive_check_interval_us: 1_111,
             commit_retry_interval_us: 2_222,
-            max_commit_retries: 44,
-            done_cap: 66,
         };
         cfg.crashes = vec![(1, 20_000), (2, 40_000)];
         cfg.time_limit = SimTime::from_secs(60);
@@ -908,6 +921,21 @@ mod tests {
             (key.parse)(&mut alone, &value).unwrap();
             assert_eq!((key.print)(&alone), Some(value), "{}", key.name);
         }
+    }
+
+    #[test]
+    fn scenarios_no_run_can_finish_are_refused_by_name() {
+        for (text, key) in [
+            ("sites = 0\n", "sites"),
+            ("items_per_site = 0\n", "items_per_site"),
+            ("coordinators = 0\n", "coordinators"),
+            ("mpl = 0\n", "mpl"),
+        ] {
+            let err = SimConfig::from_kv_text(text).unwrap_err();
+            assert!(err.0.starts_with(key), "{text:?}: {err}");
+        }
+        // Nothing to admit, nothing to wait for.
+        assert!(SimConfig::from_kv_text("mpl = 0\nglobal_txns = 0\n").is_ok());
     }
 
     #[test]
@@ -988,16 +1016,13 @@ mod tests {
     #[test]
     fn cluster_test_drop_and_knobs_parse() {
         let text = format!(
-            "{}net.outbox_capacity = 64\nnet.batch_max = 16\n\
-             net.flush_deadline_us = 50\nnet.backoff_initial_ms = 5\n\
-             net.backoff_max_ms = 250\nnet.test_drop = 0@10,1000000@3\n",
+            "{}net.batch_max = 16\nnet.flush_deadline_us = 50\n\
+             net.test_drop = 0@10,1000000@3\n",
             cluster_text()
         );
         let c = ClusterConfig::from_kv_text(&text).unwrap();
-        assert_eq!(c.outbox_capacity, 64);
         assert_eq!(c.batch_max, 16);
         assert_eq!(c.flush_deadline_us, 50);
-        assert_eq!(c.backoff_ms, (5, 250));
         assert_eq!(c.test_drop, vec![(0, 10), (1_000_000, 3)]);
         assert_eq!(
             ClusterConfig::from_kv_text(&c.to_kv_text().unwrap()).unwrap(),
@@ -1015,7 +1040,6 @@ mod tests {
     fn consensus_kv_round_trips_and_validates() {
         let cfg = SimConfig {
             consensus_f: 1,
-            failover_delay_us: 75_000,
             coord_crash_after_ready: Some((1, 2)),
             ..SimConfig::default()
         };

@@ -27,7 +27,7 @@ use mdbs_ldbs::{Ldbs, SiteProfile, Store};
 use mdbs_runtime::{
     lowest_live_coordinator, message_kind, or_die, AbortInjector, AcceptorRuntime, AdmissionWindow,
     CentralRuntime, CoordinatorRuntime, CtrlMsg, Flow, NodeEvent, NodeSet, RuntimeHost,
-    SiteRuntime, TimeSource, Timer, Transport,
+    SiteRuntime, TimeSource, Timer, Transport, DEADLOCK_SCAN_US, WAIT_TIMEOUT_US,
 };
 use mdbs_simkit::{
     AppliedFault, DetRng, EventQueue, FaultyNetwork, LatencyModel, Metrics, Network, SimDuration,
@@ -39,6 +39,10 @@ use crate::config::{Protocol, SimConfig};
 use crate::report::{CorrectnessReport, SimReport};
 
 pub use mdbs_runtime::{Observer, TraceEvent, ACCEPTOR_BASE, CENTRAL, COORD_BASE};
+
+/// How long a backup coordinator waits after a coordinator crash before
+/// taking over its in-flight transactions, µs of simulated time.
+const FAILOVER_DELAY_US: u64 = 50_000;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Ev {
@@ -319,7 +323,7 @@ impl Simulation {
                 );
             }
         }
-        queue.schedule_at(SimTime::from_micros(cfg.deadlock_scan_us), Ev::DeadlockScan);
+        queue.schedule_at(SimTime::from_micros(DEADLOCK_SCAN_US), Ev::DeadlockScan);
         for &(site, at_us) in &cfg.crashes {
             queue.schedule_at(
                 SimTime::from_micros(at_us),
@@ -490,7 +494,7 @@ impl Simulation {
         self.host.metrics.inc("coord_crashes");
         if let Some(backup) = lowest_live_coordinator(self.cfg.coordinators, &self.nodes.dead) {
             self.host.queue.schedule_after(
-                SimDuration::from_micros(self.cfg.failover_delay_us),
+                SimDuration::from_micros(FAILOVER_DELAY_US),
                 Ev::CoordTakeover { backup },
             );
         }
@@ -617,29 +621,26 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_deadlock_scan(&mut self) {
-        let timeout = SimDuration::from_micros(self.cfg.wait_timeout_us);
+        let timeout = SimDuration::from_micros(WAIT_TIMEOUT_US);
         or_die(self.nodes.scan_waits(timeout, &mut self.host));
         if !self.all_work_done() {
-            self.host.queue.schedule_after(
-                SimDuration::from_micros(self.cfg.deadlock_scan_us),
-                Ev::DeadlockScan,
-            );
+            self.host
+                .queue
+                .schedule_after(SimDuration::from_micros(DEADLOCK_SCAN_US), Ev::DeadlockScan);
         }
     }
 }
 
-/// The agent configuration a protocol actually runs with: the certifier
-/// mode comes from the protocol, and the anomaly baselines get the
-/// liveness safety valve (a bounded commit-retry count). Public so every
-/// driver (simulation, threaded runner, `mdbs-net` cluster nodes) derives
-/// identical agent behavior from one `SimConfig`.
+/// The agent configuration a protocol actually runs with: the scenario's
+/// timers under the certifier mode the protocol implies (which also fixes
+/// the commit-retry limit, [`mdbs_dtm::CertifierMode::commit_retry_limit`]).
+/// Public so every driver (simulation, threaded runner, `mdbs-net` cluster
+/// nodes) derives identical agent behavior from one `SimConfig`.
 pub fn effective_agent_cfg(cfg: &SimConfig) -> AgentConfig {
-    let mut agent_cfg = cfg.agent;
-    agent_cfg.mode = cfg.protocol.agent_mode();
-    if !matches!(cfg.protocol, Protocol::TwoCm(mdbs_dtm::CertifierMode::Full)) {
-        agent_cfg.max_commit_retries = agent_cfg.max_commit_retries.min(200);
+    AgentConfig {
+        mode: cfg.protocol.agent_mode(),
+        ..cfg.agent
     }
-    agent_cfg
 }
 
 /// The Paxos Commit acceptor nodes of a scenario (none at `F=0`).
@@ -827,12 +828,10 @@ mod tests {
         assert!(report.checks.rigor_violation.is_none());
     }
 
-    /// Regression: crash recovery must rebuild the agent with the same
-    /// effective config the simulation started it with. It used to reapply
-    /// only the protocol mode and lose the `max_commit_retries` clamp, so
-    /// after a crash a ticket-order commit stuck behind a smaller in-table
-    /// serial number lost its safety valve and retried until the time
-    /// limit, stranding several globally-decided transactions.
+    /// Regression: a recovered agent keeps the comparators' commit-retry
+    /// limit. Without it, after a crash a ticket-order commit stuck behind
+    /// a smaller in-table serial number retries until the time limit,
+    /// stranding several globally-decided transactions.
     #[test]
     fn crash_under_ticket_order_keeps_retry_clamp() {
         let mut cfg = SimConfig::default();

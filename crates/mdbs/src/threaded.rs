@@ -417,11 +417,7 @@ impl ThreadedRunner {
                     spawn_node(scope, panic_node, node, rt, host, |_| None)
                 } else {
                     let mut rt = site_runtime(cfg, node);
-                    rt.set_housekeeping(
-                        locals.remove(&SiteId(node)).unwrap_or_default(),
-                        cfg.deadlock_scan_us,
-                        cfg.wait_timeout_us,
-                    );
+                    rt.set_housekeeping(locals.remove(&SiteId(node)).unwrap_or_default());
                     spawn_node(scope, panic_node, node, rt, host, |rt| {
                         Some(*rt.agent().stats())
                     })

@@ -80,6 +80,13 @@ pub struct ClusterOutcome {
 /// Reserve `n` distinct loopback addresses by binding ephemeral ports
 /// simultaneously (so they cannot collide with each other), then
 /// releasing them.
+///
+/// Released, not handed over: a multi-process cluster must know every
+/// address before any process starts, so each `mdbs-node` binds its own
+/// later. Between the release and that bind another socket on the host
+/// can take the port (`AddrInUse` after many back-to-back runs leave
+/// hundreds of ports in TIME_WAIT). In-process tests that own their
+/// listeners bind port 0 and keep it instead.
 pub fn loopback_addrs(n: usize) -> io::Result<Vec<String>> {
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0"))
@@ -113,13 +120,11 @@ pub fn loopback_cluster(scenario: SimConfig) -> io::Result<ClusterConfig> {
         coord_addrs,
         central_addr,
         acceptor_addrs,
-        outbox_capacity: 1024,
         batch_max: 256,
         // The node loop group-flushes once per burst; a writer that also
         // holds an underfull frame open batches twice, and the second
         // wait reorders PREPAREs across links (§5.3 refusals).
         flush_deadline_us: 0,
-        backoff_ms: (10, 1_000),
         test_drop: Vec::new(),
     })
 }

@@ -32,14 +32,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::time::{Duration, Instant, SystemTime};
 
-use mdbs_dtm::{GlobalOutcome, Message};
+use mdbs_dtm::{GlobalOutcome, Message, DONE_CAP};
 use mdbs_histories::{GlobalTxnId, History, Instance, Op, SiteId};
 use mdbs_runtime::{
     message_kind, AbortInjector, AcceptorRuntime, AdmissionWindow, CentralRuntime, CtrlMsg,
     NodeEvent, NodePort, RuntimeHost, TimeSource, Timer, TraceEvent, Transport, COORD_BASE,
 };
 use mdbs_sim::report::{outcome_digest, site_verdict_digest, CorrectnessReport};
-use mdbs_sim::sim::{coordinator_runtime, effective_agent_cfg, site_runtime};
+use mdbs_sim::sim::{coordinator_runtime, site_runtime};
 use mdbs_sim::{ClusterConfig, NodeRole};
 use mdbs_simkit::{DetRng, Metrics, SimTime};
 use mdbs_workload::predraw;
@@ -54,6 +54,17 @@ const POLL_CAP_US: u64 = 20_000;
 /// it already flushed on the wire. Live peers take it in microseconds;
 /// the cap only runs out on a peer that is gone too.
 const CRASH_DRAIN_CAP: Duration = Duration::from_secs(1);
+/// With fault tolerance on, a settlement gap this long makes the driver
+/// presume a coordinator dead and order a takeover.
+const FAILOVER_STALL: Duration = Duration::from_millis(500);
+/// Per-peer outbox capacity, in message groups; a sender blocks when its
+/// peer's outbox is full.
+const OUTBOX_CAPACITY: usize = 1024;
+/// Reconnect backoff: the first retry waits this long, each later one
+/// twice as long as the one before, up to [`BACKOFF_MAX`].
+const BACKOFF_INITIAL: Duration = Duration::from_millis(10);
+/// Ceiling of the reconnect backoff.
+const BACKOFF_MAX: Duration = Duration::from_millis(1_000);
 
 /// What a finished node hands back to its caller: the stdout lines the
 /// cluster harness parses (digests from the driver, stats from everyone).
@@ -87,12 +98,12 @@ struct Driver {
     dead: BTreeSet<u32>,
     /// Every global settled and `Drain` went out.
     draining: bool,
-    /// Failover stall detector: with fault tolerance on (`Some`), a
-    /// settlement gap this long means a coordinator likely died — take
-    /// over its in-flight transactions through the acceptor quorum.
-    /// Re-fires each window (every takeover runs a fresh, higher ballot,
-    /// so repeats are safe).
-    stall: Option<Duration>,
+    /// Failover stall detector, on with fault tolerance: a settlement gap
+    /// of [`FAILOVER_STALL`] means a coordinator likely died — take over
+    /// its in-flight transactions through the acceptor quorum. Re-fires
+    /// each window (every takeover runs a fresh, higher ballot, so repeats
+    /// are safe).
+    detect_stalls: bool,
     last_progress: Instant,
     last_settled: usize,
 }
@@ -116,13 +127,10 @@ struct NodeHost {
     local_committed: u64,
     local_aborted: u64,
     /// Duplicate screens for retransmitted StartGlobal and re-decided
-    /// finishes. With `done_cap` set they are compacted in lockstep
-    /// (oldest finished id evicted from both) so sustained load holds
-    /// them at O(cap). Cap 0 (default) keeps every id, bit-for-bit the
-    /// pre-knob behavior.
+    /// finishes, bounded like the agent's done-set: past [`DONE_CAP`]
+    /// finished ids the oldest is evicted from both.
     started: BTreeSet<GlobalTxnId>,
     finished: BTreeSet<GlobalTxnId>,
-    done_cap: usize,
     epoch: Instant,
     /// The wall clock at `epoch`, µs since the Unix epoch — read once, so
     /// [`TimeSource::local_time_us`] can never step backwards.
@@ -159,7 +167,6 @@ impl NodeHost {
             local_aborted: 0,
             started: BTreeSet::new(),
             finished: BTreeSet::new(),
-            done_cap: effective_agent_cfg(scenario).done_cap,
             epoch,
             unix_us_at_epoch,
             deadline: epoch + Duration::from_secs_f64(scenario.time_limit.as_secs_f64()),
@@ -189,9 +196,7 @@ impl NodeHost {
                 .filter(|&n| n != self.node),
             dead: BTreeSet::new(),
             draining: false,
-            stall: (scenario.consensus_f > 0).then(|| {
-                Duration::from_micros(scenario.failover_delay_us).max(Duration::from_millis(500))
-            }),
+            detect_stalls: scenario.consensus_f > 0,
             last_progress: Instant::now(),
             last_settled: 0,
         });
@@ -265,10 +270,7 @@ impl NodeHost {
         if d.settled.len() != d.last_settled {
             d.last_settled = d.settled.len();
             d.last_progress = Instant::now();
-        } else if d
-            .stall
-            .is_some_and(|stall| d.last_progress.elapsed() >= stall)
-        {
+        } else if d.detect_stalls && d.last_progress.elapsed() >= FAILOVER_STALL {
             d.last_progress = Instant::now();
             // The configured crash node is presumed dead from here on:
             // admission routes around it, as in the other drivers.
@@ -464,11 +466,9 @@ impl RuntimeHost for NodeHost {
         if !self.finished.insert(gtxn) {
             return;
         }
-        if self.done_cap > 0 {
-            while self.finished.len() > self.done_cap {
-                if let Some(old) = self.finished.pop_first() {
-                    self.started.remove(&old);
-                }
+        if self.finished.len() > DONE_CAP {
+            if let Some(old) = self.finished.pop_first() {
+                self.started.remove(&old);
             }
         }
         if self.driver.is_some() {
@@ -569,11 +569,11 @@ fn start_transport(cfg: &ClusterConfig, node: u32) -> io::Result<TcpTransport> {
         node,
         listen_addr,
         peers,
-        outbox_capacity: cfg.outbox_capacity,
+        outbox_capacity: OUTBOX_CAPACITY,
         batch_max: cfg.batch_max,
         flush_deadline_us: cfg.flush_deadline_us,
-        backoff_initial: Duration::from_millis(cfg.backoff_ms.0),
-        backoff_max: Duration::from_millis(cfg.backoff_ms.1),
+        backoff_initial: BACKOFF_INITIAL,
+        backoff_max: BACKOFF_MAX,
         test_drop_after,
     })
 }
@@ -591,11 +591,7 @@ pub fn run_node(cfg: &ClusterConfig, role: NodeRole) -> io::Result<NodeOutput> {
         NodeRole::Site(s) => {
             let mut rt = site_runtime(scenario, s);
             let mut locals = predraw(&scenario.workload).locals;
-            rt.set_housekeeping(
-                locals.remove(&SiteId(s)).unwrap_or_default(),
-                scenario.deadlock_scan_us,
-                scenario.wait_timeout_us,
-            );
+            rt.set_housekeeping(locals.remove(&SiteId(s)).unwrap_or_default());
             mdbs_runtime::run_node(&mut rt, &mut host);
             // As the other two drivers do when a run ends; a crashed and
             // recovered agent already added what its predecessor counted.

@@ -213,6 +213,16 @@ impl TcpTransport {
     /// Bind the listener, spawn the accept loop and one writer per peer.
     pub fn start(cfg: TcpTransportConfig) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(cfg.listen_addr.as_str())?;
+        TcpTransport::on_listener(listener, cfg)
+    }
+
+    /// [`TcpTransport::start`] on a listener the caller has already bound
+    /// (`cfg.listen_addr` is not read): a test binds port 0 and keeps the
+    /// socket, so no port is released between learning it and serving it.
+    pub(crate) fn on_listener(
+        listener: TcpListener,
+        cfg: TcpTransportConfig,
+    ) -> io::Result<TcpTransport> {
         let mut wake_addr = listener.local_addr()?;
         if wake_addr.ip().is_unspecified() {
             wake_addr.set_ip(match wake_addr {
@@ -931,28 +941,63 @@ impl PeerWriter {
 mod tests {
     use super::*;
 
-    fn transport(node: u32, listen: &str, peers: &[(u32, &str)]) -> TcpTransport {
-        transport_dropping(node, listen, peers, None)
+    /// A loopback listener on a port the kernel picks, and its address.
+    /// Every test starts its transports on such listeners, so two runs at
+    /// once never contend for a port.
+    fn listener() -> (TcpListener, String) {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l.local_addr().expect("addr").to_string();
+        (l, addr)
+    }
+
+    /// An address nothing listens on, for a peer that comes up late (or
+    /// never): a port the kernel just picked, released again. The late
+    /// peer binds it anew.
+    fn vacant_addr() -> String {
+        listener().1
+    }
+
+    fn transport(node: u32, listener: TcpListener, peers: &[(u32, &str)]) -> TcpTransport {
+        transport_dropping(node, listener, peers, None)
     }
 
     fn transport_dropping(
         node: u32,
-        listen: &str,
+        listener: TcpListener,
         peers: &[(u32, &str)],
         test_drop_after: Option<u64>,
     ) -> TcpTransport {
-        TcpTransport::start(TcpTransportConfig {
-            node,
-            listen_addr: listen.to_string(),
-            peers: peers.iter().map(|&(n, a)| (n, a.to_string())).collect(),
-            outbox_capacity: 256,
-            batch_max: 64,
-            flush_deadline_us: 100,
-            backoff_initial: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(100),
-            test_drop_after,
-        })
-        .expect("bind")
+        let listen_addr = listener.local_addr().expect("addr").to_string();
+        TcpTransport::on_listener(
+            listener,
+            TcpTransportConfig {
+                node,
+                listen_addr,
+                peers: peers.iter().map(|&(n, a)| (n, a.to_string())).collect(),
+                outbox_capacity: 256,
+                batch_max: 64,
+                flush_deadline_us: 100,
+                backoff_initial: Duration::from_millis(5),
+                backoff_max: Duration::from_millis(100),
+                test_drop_after,
+            },
+        )
+        .expect("start")
+    }
+
+    /// Bind `addr` again: the late peer of a [`vacant_addr`].
+    fn rebind(addr: &str) -> TcpListener {
+        TcpListener::bind(addr).expect("rebind")
+    }
+
+    /// Wait until nothing sent to `to` is left with the link's writer. A
+    /// receiver can see a frame before the writer has finished with it
+    /// (counted a cut, put the socket back); from here the next send is
+    /// the sender's own on a connected link, and every counter is final.
+    fn until_idle(t: &TcpTransport, to: u32) {
+        while t.peers[&to].link.backlog.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
     }
 
     /// A group of `n` COMMITs numbered from `*next` on, with `rows` result
@@ -1027,8 +1072,9 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_protocol_messages() {
-        let mut a = transport(1, "127.0.0.1:39101", &[(2, "127.0.0.1:39102")]);
-        let mut b = transport(2, "127.0.0.1:39102", &[(1, "127.0.0.1:39101")]);
+        let ((la, addr_a), (lb, addr_b)) = (listener(), listener());
+        let mut a = transport(1, la, &[(2, &addr_b)]);
+        let mut b = transport(2, lb, &[(1, &addr_a)]);
         use mdbs_histories::GlobalTxnId;
         a.send(
             1,
@@ -1066,10 +1112,11 @@ mod tests {
     fn connect_backoff_rides_out_a_late_listener() {
         // a starts sending before b's listener exists; the frame must
         // arrive once b binds.
-        let a = transport(1, "127.0.0.1:39111", &[(2, "127.0.0.1:39112")]);
+        let ((la, addr_a), addr_b) = (listener(), vacant_addr());
+        let a = transport(1, la, &[(2, &addr_b)]);
         a.send_wire(2, WireMsg::Drain);
         std::thread::sleep(Duration::from_millis(150));
-        let mut b = transport(2, "127.0.0.1:39112", &[(1, "127.0.0.1:39111")]);
+        let mut b = transport(2, rebind(&addr_b), &[(1, &addr_a)]);
         assert_eq!(expect_msg(&mut b), WireMsg::Drain);
         a.shutdown();
         b.shutdown();
@@ -1079,11 +1126,12 @@ mod tests {
     fn drain_returns_only_once_the_queue_is_on_the_wire() {
         // The peer's listener comes up late: `shutdown` would abandon the
         // frame with the writer still backing off; `drain` rides it out.
-        let mut a = transport(1, "127.0.0.1:39141", &[(2, "127.0.0.1:39142")]);
+        let ((la, addr_a), addr_b) = (listener(), vacant_addr());
+        let mut a = transport(1, la, &[(2, &addr_b)]);
         a.send_wire(2, WireMsg::Drain);
-        let late = std::thread::spawn(|| {
+        let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(100));
-            transport(2, "127.0.0.1:39142", &[(1, "127.0.0.1:39141")])
+            transport(2, rebind(&addr_b), &[(1, &addr_a)])
         });
         a.drain(Instant::now() + Duration::from_secs(10));
         assert_eq!(
@@ -1101,7 +1149,7 @@ mod tests {
     fn drain_gives_up_on_a_peer_that_never_comes_up() {
         // Nothing ever listens on the peer's address: the queued frame can
         // never leave, and a crash-stop must not turn into a hang.
-        let mut a = transport(1, "127.0.0.1:39151", &[(2, "127.0.0.1:39152")]);
+        let mut a = transport(1, listener().0, &[(2, &vacant_addr())]);
         a.send_wire(2, WireMsg::Drain);
         let started = Instant::now();
         a.drain(started + Duration::from_millis(200));
@@ -1119,21 +1167,11 @@ mod tests {
 
     #[test]
     fn test_drop_hook_reconnects_without_losing_frames() {
-        let mut a = TcpTransport::start(TcpTransportConfig {
-            node: 1,
-            listen_addr: "127.0.0.1:39121".to_string(),
-            peers: BTreeMap::from([(2, "127.0.0.1:39122".to_string())]),
-            outbox_capacity: 64,
-            batch_max: 64,
-            flush_deadline_us: 100,
-            backoff_initial: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(100),
-            // Fires after the Hello + a few messages: mid-stream, and —
-            // when the commits below coalesce — mid-batch.
-            test_drop_after: Some(3),
-        })
-        .expect("bind");
-        let mut b = transport(2, "127.0.0.1:39122", &[(1, "127.0.0.1:39121")]);
+        let ((la, addr_a), (lb, addr_b)) = (listener(), listener());
+        // Fires after the Hello + a few messages: mid-stream, and — when
+        // the commits below coalesce — mid-batch.
+        let mut a = transport_dropping(1, la, &[(2, &addr_b)], Some(3));
+        let mut b = transport(2, lb, &[(1, &addr_a)]);
         use mdbs_histories::GlobalTxnId;
         for k in 0..10u32 {
             a.send(
@@ -1156,6 +1194,7 @@ mod tests {
         }
         // At-least-once and per-link FIFO: the sequence may repeat a
         // frame at the cut point but never skip or reorder one.
+        until_idle(&a, 2);
         assert_eq!(a.stats().test_drops.load(Ordering::Relaxed), 1);
         let mut deduped = got.clone();
         deduped.dedup();
@@ -1177,9 +1216,8 @@ mod tests {
         };
         let mut cut_on_a_written_through_frame = 0;
         for drop_after in [3, 14, 40] {
-            let addrs = crate::cluster::loopback_addrs(2).expect("reserve");
-            let (addr_a, addr_b) = (addrs[0].as_str(), addrs[1].as_str());
-            let a = transport_dropping(1, addr_a, &[(2, addr_b)], Some(drop_after));
+            let ((la, addr_a), addr_b) = (listener(), vacant_addr());
+            let a = transport_dropping(1, la, &[(2, &addr_b)], Some(drop_after));
             let (mut sent, mut due, mut repeats) = (0u32, 0u32, 0usize);
 
             // Down: nothing listens yet, the outbox takes the backlog.
@@ -1187,11 +1225,12 @@ mod tests {
                 a.send_wire_group(2, numbered_group(&mut sent, n, 0));
             }
             // Up: the writer connects and replays it, coalesced.
-            let mut b = transport(2, addr_b, &[(1, addr_a)]);
+            let mut b = transport(2, rebind(&addr_b), &[(1, &addr_a)]);
             repeats += recv_through(&mut b, &mut due, sent - 1);
 
             // One group at a time on an idle link: the sender's own writes.
             for n in [2, 1, 4, 1, 3, 2, 1, 4] {
+                until_idle(&a, 2);
                 let before = (
                     stat(&a, |s| &s.frames_written_through),
                     stat(&a, |s| &s.test_drops),
@@ -1210,6 +1249,7 @@ mod tests {
             }
             repeats += recv_through(&mut b, &mut due, sent - 1);
 
+            until_idle(&a, 2);
             assert_eq!(stat(&a, |s| &s.test_drops), 1, "cut at {drop_after}");
             // The cut is seen by whoever sends next; everything above is
             // received, so one more group shows the reconnect.
@@ -1239,9 +1279,8 @@ mod tests {
     /// the stalled one, in order.
     #[test]
     fn a_stalled_peer_holds_the_sender_for_one_io_poll_at_most() {
-        let stalled = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let peer = stalled.local_addr().expect("addr");
-        let a = transport(1, "127.0.0.1:0", &[(2, &peer.to_string())]);
+        let (stalled, peer) = listener();
+        let a = transport(1, listener().0, &[(2, &peer)]);
         let (mut sent, mut longest) = (0u32, Duration::ZERO);
         let mut send_timed = |a: &TcpTransport, rows: u64| {
             let group = numbered_group(&mut sent, 2, rows);
@@ -1265,7 +1304,7 @@ mod tests {
         // The reader that replaces it gets the frame that stalled and
         // everything behind it, in order. (Only a severed link reconnects,
         // so nothing arrives here unless the stall happened.)
-        let mut b = transport(2, &peer.to_string(), &[]);
+        let mut b = transport(2, rebind(&peer), &[]);
         let first = numbers([expect_msg(&mut b)])[0];
         let mut due = first + 1;
         recv_through(&mut b, &mut due, sent - 1);
@@ -1293,21 +1332,22 @@ mod tests {
     /// `drain` has nothing to wait for.
     #[test]
     fn drain_after_written_through_traffic_returns_at_once() {
-        let addrs = crate::cluster::loopback_addrs(2).expect("reserve");
-        let (addr_a, addr_b) = (addrs[0].as_str(), addrs[1].as_str());
-        let mut a = transport(1, addr_a, &[(2, addr_b)]);
-        let mut b = transport(2, addr_b, &[(1, addr_a)]);
+        let ((la, addr_a), (lb, addr_b)) = (listener(), listener());
+        let mut a = transport(1, la, &[(2, &addr_b)]);
+        let mut b = transport(2, lb, &[(1, &addr_a)]);
         let (mut sent, mut due) = (0u32, 0u32);
         for _ in 0..20 {
             a.send_wire_group(2, numbered_group(&mut sent, 1, 0));
             recv_through(&mut b, &mut due, sent - 1);
+            until_idle(&a, 2);
         }
         let started = Instant::now();
         a.drain(started + Duration::from_secs(10));
         assert!(started.elapsed() < Duration::from_secs(1), "drain waited");
         let stats = a.stats();
         assert_eq!(stats.msgs_sent.load(Ordering::Relaxed), 1 + 20, "Hello");
-        assert!(stats.frames_written_through.load(Ordering::Relaxed) >= 18);
+        // All but the first, which met an unconnected link.
+        assert_eq!(stats.frames_written_through.load(Ordering::Relaxed), 19);
         a.shutdown();
         b.shutdown();
     }
@@ -1315,7 +1355,7 @@ mod tests {
     #[test]
     fn timers_pop_in_deadline_order_between_messages() {
         use mdbs_histories::GlobalTxnId;
-        let mut t = transport(5, "127.0.0.1:39131", &[]);
+        let mut t = transport(5, listener().0, &[]);
         t.set_timer(
             5,
             40_000,

@@ -13,6 +13,16 @@ use crate::host::{CtrlMsg, RuntimeError, RuntimeHost, Timer};
 use crate::node::{Flow, NodeEvent, NodeRuntime};
 use crate::trace::TraceEvent;
 
+/// Period of the local deadlock scan, µs: how often a site looks for a
+/// waits-for cycle among its own transactions and for waits past
+/// [`WAIT_TIMEOUT_US`].
+pub const DEADLOCK_SCAN_US: u64 = 5_000;
+
+/// A transaction blocked at its LTM longer than this is aborted, µs — the
+/// paper's timeout-based deadlock resolution (§6), the only thing that
+/// breaks a cross-site deadlock no LDBS can see.
+pub const WAIT_TIMEOUT_US: u64 = 400_000;
+
 /// A local transaction being driven directly against its LTM.
 #[derive(Debug)]
 struct LocalRunner {
@@ -34,9 +44,9 @@ struct LocalRunner {
 #[derive(Debug)]
 pub struct SiteRuntime {
     site: SiteId,
-    /// Effective agent configuration (protocol mode + safety-valve clamp
-    /// applied); crash recovery must rebuild the agent from *this*, not
-    /// from any raw driver config.
+    /// Effective agent configuration (the protocol's mode applied); crash
+    /// recovery must rebuild the agent from *this*, not from any raw
+    /// driver config.
     agent_cfg: AgentConfig,
     /// LTM service delay per DML command, µs.
     ltm_service_us: u64,
@@ -53,11 +63,9 @@ pub struct SiteRuntime {
     /// Local transactions waiting their turn; [`NodeRuntime::tick`] runs
     /// them one at a time. Empty under a host that starts locals itself.
     local_queue: VecDeque<(u32, Vec<Command>)>,
-    /// `(period, wait timeout)` of the deadlock / wait-timeout scan
-    /// [`NodeRuntime::tick`] runs, µs; `None` under a host that scans
-    /// across sites itself.
-    scan: Option<(u64, u64)>,
-    next_scan_us: u64,
+    /// When [`NodeRuntime::tick`] next runs the deadlock / wait-timeout
+    /// scan, µs; `None` under a host that scans across sites itself.
+    next_scan_us: Option<u64>,
     /// An [`SiteRuntime::agent_input`] call is on the stack.
     in_agent_step: bool,
 }
@@ -75,8 +83,7 @@ impl SiteRuntime {
             blocked_since: BTreeMap::new(),
             acceptors: Vec::new(),
             local_queue: VecDeque::new(),
-            scan: None,
-            next_scan_us: 0,
+            next_scan_us: None,
             in_agent_step: false,
         }
     }
@@ -95,16 +102,10 @@ impl SiteRuntime {
     /// Install the housekeeping a one-node-per-loop host leaves to
     /// [`NodeRuntime::tick`]: the site's local transactions, run one at a
     /// time in queue order, and a deadlock / wait-timeout scan every
-    /// `scan_us`.
-    pub fn set_housekeeping(
-        &mut self,
-        local_queue: VecDeque<(u32, Vec<Command>)>,
-        scan_us: u64,
-        wait_timeout_us: u64,
-    ) {
+    /// [`DEADLOCK_SCAN_US`].
+    pub fn set_housekeeping(&mut self, local_queue: VecDeque<(u32, Vec<Command>)>) {
         self.local_queue = local_queue;
-        self.scan = Some((scan_us, wait_timeout_us));
-        self.next_scan_us = scan_us;
+        self.next_scan_us = Some(DEADLOCK_SCAN_US);
     }
 
     /// Read access to the agent (for end-of-run statistics and the model
@@ -533,7 +534,7 @@ impl SiteRuntime {
         self.ldbs.clear_bindings();
 
         // The agent process dies; rebuild it from the durable log with the
-        // same effective config it was created with (mode + retry clamp).
+        // same effective config it was created with.
         let log = self.agent.log().clone();
         let (agent, actions) = Agent::recover(self.site, self.agent_cfg, log);
         let old = std::mem::replace(&mut self.agent, agent);
@@ -579,11 +580,11 @@ impl NodeRuntime for SiteRuntime {
 
     fn tick<H: RuntimeHost>(&mut self, host: &mut H) -> Result<(), RuntimeError> {
         let now = host.now();
-        if let Some((scan_us, wait_timeout_us)) = self.scan {
-            if now.as_micros() >= self.next_scan_us {
-                self.next_scan_us = now.as_micros() + scan_us;
+        if let Some(next_scan_us) = self.next_scan_us {
+            if now.as_micros() >= next_scan_us {
+                self.next_scan_us = Some(now.as_micros() + DEADLOCK_SCAN_US);
                 self.kill_local_deadlocks(host)?;
-                let timeout = SimDuration::from_micros(wait_timeout_us);
+                let timeout = SimDuration::from_micros(WAIT_TIMEOUT_US);
                 let expired: Vec<Instance> = self
                     .blocked()
                     .filter(|&(_, since)| now.since(since) > timeout)
@@ -604,7 +605,7 @@ impl NodeRuntime for SiteRuntime {
     }
 
     fn next_tick_us(&self) -> Option<u64> {
-        self.scan.map(|_| self.next_scan_us)
+        self.next_scan_us
     }
 
     /// Whether the site has drained: no local transaction running or

@@ -7,6 +7,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
+/// Width of a generated range command (inclusive span); how often one is
+/// drawn is [`WorkloadSpec::range_fraction`].
+const RANGE_SPAN: u64 = 4;
+
+/// Mean gap between local transaction starts per site, µs (exponential).
+/// Locals are background load; how much is
+/// [`WorkloadSpec::local_txns_per_site`].
+const LOCAL_ARRIVAL_MEAN_US: f64 = 2_000.0;
+
 /// How items are selected within a site.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AccessPattern {
@@ -52,8 +61,6 @@ pub struct WorkloadSpec {
     /// and acquire multiple locks — the contention pattern that makes
     /// per-site decomposition order matter).
     pub range_fraction: f64,
-    /// Width of generated ranges (inclusive span).
-    pub range_span: u64,
     /// Item selection within a site.
     pub access: AccessPattern,
     /// Probability that a prepared subtransaction suffers a unilateral
@@ -62,9 +69,9 @@ pub struct WorkloadSpec {
     /// Whether the DLU restriction is enforced at the LDBSs.
     pub enforce_dlu: bool,
     /// Mean gap between global transaction starts, µs (exponential).
+    /// Stays a field: the §5.3 race test needs 500, and it is the rate
+    /// axis of an open-loop ledger workload (ROADMAP item 1(c)).
     pub global_arrival_mean_us: f64,
-    /// Mean gap between local transaction starts per site, µs.
-    pub local_arrival_mean_us: f64,
 }
 
 impl Default for WorkloadSpec {
@@ -81,12 +88,10 @@ impl Default for WorkloadSpec {
             commands_per_site: (1, 2),
             write_fraction: 0.5,
             range_fraction: 0.0,
-            range_span: 4,
             access: AccessPattern::Uniform,
             unilateral_abort_prob: 0.0,
             enforce_dlu: true,
             global_arrival_mean_us: 3_000.0,
-            local_arrival_mean_us: 2_000.0,
         }
     }
 }
@@ -149,7 +154,7 @@ impl WorkloadGen {
     fn pick_command(&mut self) -> Command {
         let key = self.pick_key();
         let spec = if self.rng.chance(self.spec.range_fraction) {
-            let hi = (key + self.spec.range_span.max(1) - 1).min(self.spec.items_per_site - 1);
+            let hi = (key + RANGE_SPAN - 1).min(self.spec.items_per_site - 1);
             KeySpec::Range(key.min(hi), hi)
         } else {
             KeySpec::Key(key)
@@ -198,7 +203,7 @@ impl WorkloadGen {
 
     /// Draw the next inter-arrival gap for local transactions, µs.
     pub fn local_gap_us(&mut self) -> u64 {
-        self.rng.exp_micros(self.spec.local_arrival_mean_us)
+        self.rng.exp_micros(LOCAL_ARRIVAL_MEAN_US)
     }
 
     /// Draw whether a freshly prepared subtransaction will suffer a
@@ -295,7 +300,6 @@ mod tests {
     fn range_commands_generated_when_enabled() {
         let s = WorkloadSpec {
             range_fraction: 1.0,
-            range_span: 3,
             items_per_site: 16,
             ..spec()
         };
@@ -306,7 +310,7 @@ mod tests {
                     Command::Select(KeySpec::Range(lo, hi))
                     | Command::Update(KeySpec::Range(lo, hi), _) => {
                         assert!(lo <= hi && hi < 16, "bad range {lo}..{hi}");
-                        assert!(hi - lo < 3);
+                        assert!(hi - lo < RANGE_SPAN);
                     }
                     other => panic!("expected range command, got {other:?}"),
                 }

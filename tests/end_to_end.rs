@@ -258,7 +258,6 @@ fn range_scan_workload_with_heterogeneous_decomposition() {
         let mut cfg = base(seed);
         cfg.workload.items_per_site = 12;
         cfg.workload.range_fraction = 0.5;
-        cfg.workload.range_span = 5;
         cfg.workload.write_fraction = 0.7;
         cfg.workload.unilateral_abort_prob = 0.15;
         let report = Simulation::new(cfg).run();
