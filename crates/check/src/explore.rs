@@ -1,10 +1,11 @@
 //! Bounded model checking over the real protocol runtimes.
 //!
-//! The explorer drives the exact `SiteRuntime` / `CoordinatorRuntime` /
-//! `CentralRuntime` state machines the simulation and cluster drivers
-//! use, but replaces their event queues with a *schedulable* host: at
-//! every step the set of enabled actions (per-link message deliveries,
-//! per-node timer firings, unilateral-abort injections, site crashes) is
+//! The explorer drives the world the simulation drives — the
+//! [`NodeSet`] [`mdbs_sim::node_set`] builds from a [`SimConfig`], so the
+//! same runtimes with the same agent configuration per [`Protocol`] — but
+//! replaces the event queue with a *schedulable* host: at every step the
+//! set of enabled actions (per-link message deliveries, per-node timer
+//! firings, unilateral-abort injections, coordinator crash-stops) is
 //! enumerated, and a replay-based delay-bounded search (in the style of
 //! CHESS) branches over the choices within explicit budgets:
 //!
@@ -13,13 +14,16 @@
 //!   reproduces a well-behaved FIFO network);
 //! - the **fault budget** bounds injected unilateral aborts against
 //!   prepared subtransactions;
-//! - the **crash budget** bounds whole-site crashes.
+//! - the **coordinator-crash budget** bounds crash-stops in the READY
+//!   window.
 //!
 //! Schedules are explored in level order by deviation count, so the first
 //! counterexample found is minimal in the number of deviations from the
 //! well-behaved run. After every step the checker asserts:
 //!
-//! - **runtime soundness** — any [`RuntimeError`] is a counterexample;
+//! - **runtime soundness** — any [`RuntimeError`] is a counterexample, and
+//!   so is an event handed to a node kind that has no handler for it (the
+//!   `misrouted_events` counter every host keeps);
 //! - **§4.2 interval intersection** — a subtransaction admitted to the
 //!   prepared table must have an alive interval intersecting every other
 //!   in-table entry's stored intervals (checked at admission time against
@@ -35,48 +39,49 @@
 //!   orders ([`mdbs_histories::commit_order_graph`]) has no cycle;
 //! - **completion** — every transaction settles before the step limit.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use mdbs_consensus::{acceptor_count, Leader};
-use mdbs_dtm::{AgentConfig, CertifierMode, GlobalOutcome, Message};
+use mdbs_dtm::{CertifierMode, GlobalOutcome, Message};
 use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
-use mdbs_ldbs::{Command, KeySpec, Ldbs, SiteProfile, Store};
+use mdbs_ldbs::{Command, KeySpec};
 use mdbs_runtime::TraceEvent;
 use mdbs_runtime::{
-    lowest_live_coordinator, message_kind, AcceptorRuntime, CentralRuntime, CoordinatorRuntime,
-    CtrlMsg, NodeEvent, NodeSet, RuntimeError, RuntimeHost, SiteRuntime, TimeSource, Timer,
-    Transport, ACCEPTOR_BASE, COORD_BASE,
+    lowest_live_coordinator, message_kind, AdmissionWindow, CtrlMsg, NodeEvent, NodeSet,
+    RuntimeError, RuntimeHost, TimeSource, Timer, Transport,
 };
+use mdbs_sim::{node_set, Protocol, SimConfig};
 use mdbs_simkit::{SimDuration, SimTime};
+use mdbs_workload::WorkloadSpec;
+
+/// Coordinator nodes of every explored world; the admission window homes
+/// transaction `g` at coordinator `g mod COORDINATORS`.
+const COORDINATORS: u32 = 2;
+/// Rows per site store.
+const ITEMS_PER_SITE: u64 = 8;
+/// Lamport ticks a blocked instance may wait before the driver aborts it
+/// (the §6 timeout-based deadlock resolution, in logical time).
+const WAIT_TIMEOUT_TICKS: u64 = 400;
 
 /// One bounded-exploration problem: a tiny world plus search budgets.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Number of participating sites.
-    pub sites: u32,
-    /// Number of coordinator nodes (transactions round-robin over them).
-    pub coordinators: u32,
-    /// Whether the CGM central scheduler is in the loop.
-    pub cgm: bool,
-    /// The certifier mode under test.
-    pub mode: CertifierMode,
+    /// The protocol under test, in the vocabulary scenario files use: the
+    /// agents run [`Protocol::agent_mode`], and CGM adds the central
+    /// scheduler, exactly as in every driver.
+    pub protocol: Protocol,
     /// One program per global transaction; transaction `i` (1-based) runs
-    /// `programs[i-1]`.
+    /// `programs[i-1]`. The world has as many sites as the programs name.
     pub programs: Vec<Vec<(SiteId, Command)>>,
-    /// Rows per site store.
-    pub items_per_site: u64,
     /// Non-default delivery choices allowed per run.
     pub delay_budget: u32,
     /// Injected unilateral aborts allowed per run.
     pub fault_budget: u32,
-    /// Site crashes allowed per run (each site at most once).
-    pub crash_budget: u32,
     /// Coordinator crash-stops allowed per run. A crash is only enabled
     /// while a READY is pending delivery at the coordinator — the window
     /// between vote collection and the decision broadcast — and the lowest
     /// surviving coordinator takes over immediately afterwards.
-    pub coord_crash_budget: u32,
+    pub failover_budget: u32,
     /// Paxos Commit fault tolerance: `F > 0` adds `2F+1` acceptor nodes
     /// and gates every commit decision on the quorum; `0` is the paper's
     /// direct 2PC decision.
@@ -87,62 +92,66 @@ pub struct ExploreConfig {
     /// Hard cap on schedules explored (reaching it without a violation is
     /// a clean — but inexhaustive — result).
     pub max_runs: usize,
-    /// Lamport ticks a blocked instance may wait before the driver aborts
-    /// it (the §6 timeout-based deadlock resolution, in logical time).
-    pub wait_timeout_ticks: u64,
-    /// Whether to assert the §4.2 interval-intersection property at every
-    /// admission. On for every preset; a flag so the §4.2 smoke test can
-    /// demonstrate it is this check (not atomicity) that fires.
-    pub check_intervals: bool,
 }
 
 impl ExploreConfig {
-    fn base(mode: CertifierMode, cgm: bool, programs: Vec<Vec<(SiteId, Command)>>) -> Self {
+    /// A 2CM world whose transaction `i` (1-based) adds 1, in order, to
+    /// each `(site, key)` of `programs[i-1]`.
+    fn base(programs: &[&[(u32, u64)]]) -> Self {
+        let update =
+            |&(site, key): &(u32, u64)| (SiteId(site), Command::Update(KeySpec::Key(key), 1));
         ExploreConfig {
-            sites: 2,
-            coordinators: 2,
-            cgm,
-            mode,
-            programs,
-            items_per_site: 8,
+            protocol: Protocol::TwoCm(CertifierMode::Full),
+            programs: programs
+                .iter()
+                .map(|p| p.iter().map(update).collect())
+                .collect(),
             delay_budget: 2,
             fault_budget: 0,
-            crash_budget: 0,
-            coord_crash_budget: 0,
+            failover_budget: 0,
             consensus_f: 0,
             max_steps: 600,
             max_runs: 20_000,
-            wait_timeout_ticks: 400,
-            check_intervals: true,
+        }
+    }
+
+    /// Participating sites: every site some program names, numbered from 0.
+    pub fn sites(&self) -> u32 {
+        let highest = self.programs.iter().flatten().map(|(s, _)| s.0).max();
+        highest.map_or(0, |s| s + 1)
+    }
+
+    /// The scenario whose [`node_set`] is the explored world. The LTM
+    /// service time only spaces the runtime's own work timers; the search
+    /// decides when each one fires.
+    fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            workload: WorkloadSpec {
+                sites: self.sites(),
+                items_per_site: ITEMS_PER_SITE,
+                initial_value: 100,
+                enforce_dlu: true,
+                ..WorkloadSpec::default()
+            },
+            protocol: self.protocol,
+            coordinators: COORDINATORS,
+            ltm_service_us: 1,
+            consensus_f: self.consensus_f,
+            ..SimConfig::default()
         }
     }
 
     /// Two sites, two disjoint-key transactions, 2CM Full: the failure-free
     /// smoke configuration. Exhaustible quickly; must be violation-free.
     pub fn smoke_2cm() -> Self {
-        let s0 = SiteId(0);
-        let s1 = SiteId(1);
-        ExploreConfig::base(
-            CertifierMode::Full,
-            false,
-            vec![
-                vec![
-                    (s0, Command::Update(KeySpec::Key(0), 1)),
-                    (s1, Command::Update(KeySpec::Key(1), 1)),
-                ],
-                vec![
-                    (s0, Command::Update(KeySpec::Key(2), 1)),
-                    (s1, Command::Update(KeySpec::Key(3), 1)),
-                ],
-            ],
-        )
+        ExploreConfig::base(&[&[(0, 0), (1, 1)], &[(0, 2), (1, 3)]])
     }
 
     /// The smoke configuration under the CGM baseline (central scheduler,
     /// admission locks, commit-graph vote).
     pub fn smoke_cgm() -> Self {
         ExploreConfig {
-            cgm: true,
+            protocol: Protocol::Cgm,
             ..ExploreConfig::smoke_2cm()
         }
     }
@@ -151,22 +160,7 @@ impl ExploreConfig {
     /// drives lock conflicts, distributed blocking, and (with the fault
     /// budget) abort/resubmission interleavings.
     pub fn conflict() -> Self {
-        let s0 = SiteId(0);
-        let s1 = SiteId(1);
-        let mut cfg = ExploreConfig::base(
-            CertifierMode::Full,
-            false,
-            vec![
-                vec![
-                    (s0, Command::Update(KeySpec::Key(0), 1)),
-                    (s1, Command::Update(KeySpec::Key(1), 1)),
-                ],
-                vec![
-                    (s1, Command::Update(KeySpec::Key(1), 1)),
-                    (s0, Command::Update(KeySpec::Key(0), 1)),
-                ],
-            ],
-        );
+        let mut cfg = ExploreConfig::base(&[&[(0, 0), (1, 1)], &[(1, 1), (0, 0)]]);
         cfg.fault_budget = 1;
         cfg
     }
@@ -179,24 +173,7 @@ impl ExploreConfig {
     /// check (`NoCertification`, or the kill matrix's `broken-basic-cert`
     /// mutant) admits it, violating the interval-intersection invariant.
     pub fn mutation_interval() -> Self {
-        let s0 = SiteId(0);
-        let s1 = SiteId(1);
-        let mut cfg = ExploreConfig::base(
-            CertifierMode::Full,
-            false,
-            vec![
-                vec![
-                    (s0, Command::Update(KeySpec::Key(3), 1)),
-                    (s1, Command::Update(KeySpec::Key(4), 1)),
-                ],
-                vec![
-                    (s0, Command::Update(KeySpec::Key(1), 1)),
-                    (s1, Command::Update(KeySpec::Key(0), 1)),
-                    (s0, Command::Update(KeySpec::Key(2), 1)),
-                ],
-            ],
-        );
-        cfg.delay_budget = 2;
+        let mut cfg = ExploreConfig::base(&[&[(0, 3), (1, 4)], &[(0, 1), (1, 0), (0, 2)]]);
         cfg.fault_budget = 1;
         cfg.max_steps = 800;
         cfg.max_runs = 30_000; // exhausts at 27 201 schedules
@@ -211,7 +188,7 @@ impl ExploreConfig {
     pub fn coord_failover() -> Self {
         let mut cfg = ExploreConfig::smoke_2cm();
         cfg.consensus_f = 1;
-        cfg.coord_crash_budget = 1;
+        cfg.failover_budget = 1;
         cfg.delay_budget = 1;
         cfg.max_steps = 900;
         cfg.max_runs = 40_000;
@@ -286,6 +263,10 @@ impl fmt::Display for Counterexample {
 pub enum Violation {
     /// A runtime returned an internal-consistency error.
     Runtime(RuntimeError),
+    /// A node was handed an event its kind has no handler for (it counted
+    /// `misrouted_events` and dropped it); the trace's last step names
+    /// the event.
+    Misrouted,
     /// §4.2: a subtransaction was admitted to the prepared table although
     /// its candidate interval is disjoint from another in-table entry's
     /// stored intervals.
@@ -342,10 +323,19 @@ pub enum Violation {
     },
 }
 
+impl From<RuntimeError> for Violation {
+    fn from(e: RuntimeError) -> Self {
+        Violation::Runtime(e)
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Violation::Runtime(e) => write!(f, "runtime error: {e}"),
+            Violation::Misrouted => {
+                write!(f, "a node was handed an event its kind does not handle")
+            }
             Violation::IntervalDisjoint {
                 site,
                 gtxn,
@@ -398,13 +388,11 @@ impl fmt::Display for Violation {
 // The schedulable host
 // ---------------------------------------------------------------------
 
-/// A pending event in a lane: what to hand to which node. Timers carry
-/// their deadline; messages use deadline 0, so the default schedule drains
-/// the network before firing any timer (timeouts are "late", as on a
-/// healthy network).
+/// A pending event in a lane. Timers carry their deadline; messages use
+/// deadline 0, so the default schedule drains the network before firing
+/// any timer (timeouts are "late", as on a healthy network).
 #[derive(Debug, Clone)]
 struct Pending {
-    to: u32,
     deadline: u64,
     event: NodeEvent,
 }
@@ -416,6 +404,15 @@ struct Pending {
 enum LaneKey {
     Link { from: u32, to: u32 },
     Timers { node: u32 },
+}
+
+impl LaneKey {
+    /// The node a lane's events are handed to.
+    fn to(self) -> u32 {
+        match self {
+            LaneKey::Link { to, .. } | LaneKey::Timers { node: to } => to,
+        }
+    }
 }
 
 /// The explorer's host: a Lamport clock and open lanes instead of an
@@ -432,6 +429,8 @@ struct ExploreHost {
     pending_finished: Vec<(GlobalTxnId, GlobalOutcome)>,
     /// Admissions observed this step: `(site, gtxn)`.
     just_prepared: Vec<(SiteId, GlobalTxnId)>,
+    /// Events a node dropped because its kind has no handler for them.
+    misrouted: u64,
 }
 
 impl ExploreHost {
@@ -443,16 +442,13 @@ impl ExploreHost {
             ops: Vec::new(),
             pending_finished: Vec::new(),
             just_prepared: Vec::new(),
+            misrouted: 0,
         }
     }
 
-    fn push(&mut self, key: LaneKey, to: u32, deadline: u64, event: NodeEvent) {
+    fn push(&mut self, key: LaneKey, deadline: u64, event: NodeEvent) {
         self.seq += 1;
-        let p = Pending {
-            to,
-            deadline,
-            event,
-        };
+        let p = Pending { deadline, event };
         self.lanes.entry(key).or_default().push_back((self.seq, p));
     }
 }
@@ -470,18 +466,18 @@ impl TimeSource for ExploreHost {
 
 impl Transport for ExploreHost {
     fn send(&mut self, from: u32, to: u32, msg: Message) {
-        self.push(LaneKey::Link { from, to }, to, 0, NodeEvent::Net(msg));
+        self.push(LaneKey::Link { from, to }, 0, NodeEvent::Net(msg));
     }
 
     fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
         let event = NodeEvent::Ctrl { from, ctrl };
-        self.push(LaneKey::Link { from, to }, to, 0, event);
+        self.push(LaneKey::Link { from, to }, 0, event);
     }
 
     fn set_timer(&mut self, node: u32, after_us: u64, timer: Timer) {
         let deadline = self.lamport.saturating_add(after_us);
         let event = NodeEvent::Timer(timer);
-        self.push(LaneKey::Timers { node }, node, deadline, event);
+        self.push(LaneKey::Timers { node }, deadline, event);
     }
 }
 
@@ -490,7 +486,11 @@ impl RuntimeHost for ExploreHost {
         self.ops.push(op);
     }
 
-    fn inc(&mut self, _name: &'static str) {}
+    fn inc(&mut self, name: &'static str) {
+        if name == "misrouted_events" {
+            self.misrouted += 1;
+        }
+    }
 
     fn add(&mut self, _name: &'static str, _n: u64) {}
 
@@ -519,8 +519,6 @@ enum Action {
     Deliver(LaneKey),
     /// Unilaterally abort a prepared-and-alive subtransaction instance.
     Inject(SiteId, Instance),
-    /// Crash a whole site.
-    Crash(SiteId),
     /// Crash-stop a coordinator while a READY is pending at it, then let
     /// the lowest surviving coordinator take over.
     CrashCoord(u32),
@@ -531,7 +529,6 @@ enum Action {
 enum Cost {
     Delay,
     Fault,
-    Crash,
     CoordCrash,
 }
 
@@ -550,100 +547,48 @@ struct World {
     nodes: NodeSet,
     host: ExploreHost,
     outcomes: BTreeMap<GlobalTxnId, GlobalOutcome>,
-    crashed: Vec<SiteId>,
 }
 
 impl World {
     fn new(cfg: &ExploreConfig) -> World {
-        let agent_cfg = AgentConfig {
-            mode: cfg.mode,
-            ..AgentConfig::default()
-        };
-        let acceptor_nodes: Vec<u32> = if cfg.consensus_f > 0 {
-            (0..acceptor_count(cfg.consensus_f))
-                .map(|a| ACCEPTOR_BASE + a)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut sites = BTreeMap::new();
-        for s in 0..cfg.sites {
-            let site = SiteId(s);
-            let mut engine = Ldbs::new(
-                site,
-                SiteProfile::for_site(s),
-                Store::with_rows(cfg.items_per_site, 100),
-            );
-            engine.set_enforce_dlu(true);
-            let mut rt = SiteRuntime::new(site, agent_cfg, engine, 1);
-            if cfg.consensus_f > 0 {
-                rt.set_acceptors(acceptor_nodes.clone());
-            }
-            sites.insert(site, rt);
-        }
-        let mut coords = BTreeMap::new();
-        for c in 0..cfg.coordinators {
-            let mut rt = CoordinatorRuntime::new(COORD_BASE + c, cfg.cgm);
-            if cfg.consensus_f > 0 {
-                let acceptors = acceptor_nodes.clone();
-                rt.set_consensus(Leader::new(COORD_BASE + c, cfg.consensus_f, acceptors));
-            }
-            coords.insert(COORD_BASE + c, rt);
-        }
-        let acceptors = acceptor_nodes
-            .iter()
-            .map(|&node| (node, AcceptorRuntime::new(node)))
-            .collect();
         World {
-            nodes: NodeSet {
-                sites,
-                coords,
-                central: CentralRuntime::new(),
-                acceptors,
-                dead: BTreeSet::new(),
-            },
+            nodes: node_set(&cfg.sim_config()),
             host: ExploreHost::new(),
             outcomes: BTreeMap::new(),
-            crashed: Vec::new(),
         }
     }
 
-    fn cnode_of(cfg: &ExploreConfig, gtxn: GlobalTxnId) -> u32 {
-        COORD_BASE + gtxn.0 % cfg.coordinators
-    }
-
-    /// Admit every transaction up front: maximal concurrency exposes the
+    /// Admit every transaction up front, through the drivers' admission
+    /// window with room for all of them: maximal concurrency exposes the
     /// most interleavings in a bounded world.
     fn begin_all(&mut self, cfg: &ExploreConfig) -> Result<(), RuntimeError> {
+        let mut window = AdmissionWindow::new(cfg.programs.len() as u32, COORDINATORS);
         for (i, program) in cfg.programs.iter().enumerate() {
-            let gtxn = GlobalTxnId(i as u32 + 1);
-            let start = NodeEvent::Start {
-                gtxn,
-                program: program.clone(),
-            };
-            let _ = self
-                .nodes
-                .on_event(World::cnode_of(cfg, gtxn), start, &mut self.host)?;
+            window.arrive(GlobalTxnId(i as u32 + 1), program.clone());
+        }
+        while let Some((cnode, gtxn, program)) = window.admit(&self.nodes.dead) {
+            let start = NodeEvent::Start { gtxn, program };
+            let _ = self.nodes.on_event(cnode, start, &mut self.host)?;
         }
         Ok(())
     }
 
-    /// Terminal outcomes queued during the last action, mirrored from the
-    /// simulation driver's `drain_finished`.
-    fn drain_finished(&mut self) -> Result<(), Violation> {
-        while !self.host.pending_finished.is_empty() {
-            let (gtxn, outcome) = self.host.pending_finished.remove(0);
-            if let Some(&first) = self.outcomes.get(&gtxn) {
-                if first != outcome {
-                    return Err(Violation::ConflictingOutcome {
-                        gtxn,
-                        first,
-                        second: outcome,
-                    });
-                }
-                continue;
+    /// The end of every step: a misrouted event is a violation; then the
+    /// terminal outcomes queued during the step are taken in, mirrored from
+    /// the simulation driver's `drain_finished`.
+    fn end_step(&mut self) -> Result<(), Violation> {
+        if self.host.misrouted > 0 {
+            return Err(Violation::Misrouted);
+        }
+        for (gtxn, second) in std::mem::take(&mut self.host.pending_finished) {
+            let first = *self.outcomes.entry(gtxn).or_insert(second);
+            if first != second {
+                return Err(Violation::ConflictingOutcome {
+                    gtxn,
+                    first,
+                    second,
+                });
             }
-            self.outcomes.insert(gtxn, outcome);
         }
         Ok(())
     }
@@ -722,14 +667,7 @@ impl World {
                 }
             }
         }
-        if cfg.crash_budget > 0 {
-            for site in self.nodes.sites.keys() {
-                if !self.crashed.contains(site) {
-                    actions.push((Action::Crash(*site), Cost::Crash));
-                }
-            }
-        }
-        if cfg.coord_crash_budget > 0 {
+        if cfg.failover_budget > 0 {
             // A coordinator crash-stop is enabled exactly while a READY is
             // pending delivery at it — the window between a site's vote
             // and the decision broadcast — and only while a backup
@@ -758,13 +696,15 @@ impl World {
         actions
     }
 
-    /// Dispatch one pending event through the same `on_event` every host
-    /// drives. No crash hook is armed here (coordinator crashes are
-    /// explicit [`Action::CrashCoord`] steps), so the flow verdict is moot.
-    fn deliver(&mut self, p: Pending) -> Result<(), RuntimeError> {
-        self.nodes
-            .on_event(p.to, p.event, &mut self.host)
-            .map(|_flow| ())
+    /// Pop the deliverable entry of a lane and dispatch it through the
+    /// same `on_event` every host drives. No crash hook is armed here
+    /// (coordinator crashes are explicit [`Action::CrashCoord`] steps), so
+    /// the flow verdict is moot.
+    fn deliver(&mut self, key: LaneKey) -> Result<(), RuntimeError> {
+        if let Some(p) = self.pop(key) {
+            let _ = self.nodes.on_event(key.to(), p.event, &mut self.host)?;
+        }
+        Ok(())
     }
 
     /// Crash-stop a coordinator. Control traffic it already handed to the
@@ -778,13 +718,12 @@ impl World {
         let acceptor_nodes: Vec<u32> = self.nodes.acceptors.keys().copied().collect();
         for &a in &acceptor_nodes {
             let key = LaneKey::Link { from: cnode, to: a };
-            while let Some(p) = self.pop(key) {
-                self.deliver(p)?;
+            while self.host.lanes.contains_key(&key) {
+                self.deliver(key)?;
             }
         }
         self.nodes.kill(cnode);
-        let coordinators = self.nodes.coords.len() as u32;
-        if let Some(backup) = lowest_live_coordinator(coordinators, &self.nodes.dead) {
+        if let Some(backup) = lowest_live_coordinator(COORDINATORS, &self.nodes.dead) {
             let _ = self
                 .nodes
                 .on_event(backup, NodeEvent::TakeOver, &mut self.host)?;
@@ -836,7 +775,7 @@ impl World {
 
     /// End-of-run verdict: atomicity against the recorded history, then
     /// commit-graph acyclicity.
-    fn final_checks(&self, cfg: &ExploreConfig) -> Option<Violation> {
+    fn final_checks(&self, cfg: &ExploreConfig) -> Result<(), Violation> {
         for (i, program) in cfg.programs.iter().enumerate() {
             let gtxn = GlobalTxnId(i as u32 + 1);
             let Some(&outcome) = self.outcomes.get(&gtxn) else {
@@ -865,7 +804,7 @@ impl World {
                 match outcome {
                     GlobalOutcome::Committed => match last_terminal {
                         Some(OpKind::LocalCommit(_)) => {}
-                        _ => return Some(Violation::CommitMissing { gtxn, site }),
+                        _ => return Err(Violation::CommitMissing { gtxn, site }),
                     },
                     GlobalOutcome::Aborted => {
                         let committed_here = self.host.ops.iter().any(|op| {
@@ -873,7 +812,7 @@ impl World {
                                 && matches!(op.kind, OpKind::LocalCommit(s) if s == site)
                         });
                         if committed_here {
-                            return Some(Violation::AbortedButCommitted { gtxn, site });
+                            return Err(Violation::AbortedButCommitted { gtxn, site });
                         }
                     }
                 }
@@ -891,35 +830,29 @@ impl World {
                         .join(" -> ")
                 })
                 .unwrap_or_else(|| "(unwitnessed)".to_string());
-            return Some(Violation::CommitGraphCycle { cycle });
+            return Err(Violation::CommitGraphCycle { cycle });
         }
-        None
+        Ok(())
     }
 
     fn describe(&self, action: &Action) -> String {
         match action {
-            Action::Deliver(LaneKey::Link { from, to }) => {
-                match self.host.lanes.get(&LaneKey::Link {
-                    from: *from,
-                    to: *to,
-                }) {
-                    Some(lane) => match lane.front().map(|(_, p)| &p.event) {
-                        Some(NodeEvent::Net(msg)) => {
-                            format!("deliver {} {} -> {}", message_kind(msg), from, to)
-                        }
-                        Some(NodeEvent::Ctrl { ctrl, .. }) => {
-                            format!("deliver ctrl {} {} -> {}", ctrl.variant_name(), from, to)
-                        }
-                        _ => format!("deliver {} -> {}", from, to),
-                    },
-                    None => format!("deliver {} -> {}", from, to),
+            Action::Deliver(key @ LaneKey::Link { from, to }) => {
+                let front = self.host.lanes.get(key).and_then(|lane| lane.front());
+                match front.map(|(_, p)| &p.event) {
+                    Some(NodeEvent::Net(msg)) => {
+                        format!("deliver {} {from} -> {to}", message_kind(msg))
+                    }
+                    Some(NodeEvent::Ctrl { ctrl, .. }) => {
+                        format!("deliver ctrl {} {from} -> {to}", ctrl.variant_name())
+                    }
+                    _ => format!("deliver {from} -> {to}"),
                 }
             }
             Action::Deliver(LaneKey::Timers { node }) => format!("fire timer at node {node}"),
             Action::Inject(site, instance) => {
                 format!("inject unilateral abort of {instance} at site {site}")
             }
-            Action::Crash(site) => format!("crash site {site}"),
             Action::CrashCoord(cnode) => {
                 format!("crash-stop coordinator {cnode}; backup takes over")
             }
@@ -933,46 +866,50 @@ impl World {
 
 /// Run one schedule to completion.
 fn run_schedule(cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
-    let mut world = World::new(cfg);
-    let mut trace = Vec::new();
-    let mut steps: Vec<Vec<(String, Cost)>> = Vec::new();
-    let fail = |violation, trace, steps| RunResult {
-        violation: Some(violation),
-        trace,
-        steps,
-    };
+    run_world(World::new(cfg), cfg, schedule)
+}
 
-    if let Err(e) = world.begin_all(cfg) {
-        return fail(Violation::Runtime(e), trace, steps);
-    }
-    if let Err(v) = world.drain_finished() {
-        return fail(v, trace, steps);
-    }
+/// Run one schedule to completion from `world` as built (and, in tests,
+/// seeded with extra pending events).
+fn run_world(mut world: World, cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
+    let mut run = RunResult {
+        violation: None,
+        trace: Vec::new(),
+        steps: Vec::new(),
+    };
+    run.violation = play(&mut world, cfg, schedule, &mut run).err();
+    run
+}
+
+/// The step loop of one run, recording its trace and per-step choices
+/// into `run`; the first violation ends it.
+fn play(
+    world: &mut World,
+    cfg: &ExploreConfig,
+    schedule: &[(usize, usize)],
+    run: &mut RunResult,
+) -> Result<(), Violation> {
+    world.begin_all(cfg)?;
+    world.end_step()?;
 
     // Schedule deviations are keyed by *decision index* — the count of
     // actions actually executed — so that clock leaps (below) do not
     // shift a child schedule off the decision its parent branched at.
     let mut leaped = false;
     for _iter in 0..2 * cfg.max_steps {
-        if steps.len() >= cfg.max_steps {
+        if run.steps.len() >= cfg.max_steps {
             break;
         }
         // Between steps: break local waits-for cycles and abort what is
         // blocked past the logical-time timeout (§6 — without this,
         // cross-site lock waits would deadlock every schedule that orders
         // two conflicting transactions against each other).
-        let timeout = SimDuration::from_micros(cfg.wait_timeout_ticks);
-        match world.nodes.scan_waits(timeout, &mut world.host) {
-            Ok(expired) => {
-                for i in expired {
-                    trace.push(format!("timeout-abort {i} at site {}", i.site));
-                }
-            }
-            Err(e) => return fail(Violation::Runtime(e), trace, steps),
+        let timeout = SimDuration::from_micros(WAIT_TIMEOUT_TICKS);
+        for i in world.nodes.scan_waits(timeout, &mut world.host)? {
+            run.trace
+                .push(format!("timeout-abort {i} at site {}", i.site));
         }
-        if let Err(v) = world.drain_finished() {
-            return fail(v, trace, steps);
-        }
+        world.end_step()?;
         let actions = world.enumerate(cfg);
         if actions.is_empty() {
             let unsettled: Vec<GlobalTxnId> = (1..=cfg.programs.len() as u32)
@@ -980,32 +917,27 @@ fn run_schedule(cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
                 .filter(|g| !world.outcomes.contains_key(g))
                 .collect();
             if unsettled.is_empty() {
-                return RunResult {
-                    violation: world.final_checks(cfg),
-                    trace,
-                    steps,
-                };
+                return world.final_checks(cfg);
             }
             if leaped {
                 // A leap already expired every wait; the world is truly
                 // stuck (e.g. a cross-site deadlock nothing resolves).
-                return fail(Violation::Incomplete { unsettled }, trace, steps);
+                return Err(Violation::Incomplete { unsettled });
             }
             // No enabled event, but transactions are still open: in the
             // real systems this is where wall-clock time passes until a
             // wait timeout fires. Model it by leaping the logical clock
             // past the timeout, then letting maintenance abort the
             // expired waits.
-            world.host.lamport += cfg.wait_timeout_ticks + 1;
-            trace.push(format!(
-                "logical clock leaps past the wait timeout ({} ticks)",
-                cfg.wait_timeout_ticks
+            world.host.lamport += WAIT_TIMEOUT_TICKS + 1;
+            run.trace.push(format!(
+                "logical clock leaps past the wait timeout ({WAIT_TIMEOUT_TICKS} ticks)"
             ));
             leaped = true;
             continue;
         }
         leaped = false;
-        let decision = steps.len();
+        let decision = run.steps.len();
         let choice = schedule
             .iter()
             .find(|&&(s, _)| s == decision)
@@ -1015,59 +947,30 @@ fn run_schedule(cfg: &ExploreConfig, schedule: &[(usize, usize)]) -> RunResult {
             // A schedule replayed against a shorter action list than its
             // parent saw cannot occur (replay is deterministic); treat it
             // as a clean dead end rather than a violation.
-            return RunResult {
-                violation: None,
-                trace,
-                steps,
-            };
+            return Ok(());
         };
-        let action = action.clone();
-        trace.push(world.describe(&action));
-        steps.push(
+        run.trace.push(world.describe(action));
+        run.steps.push(
             actions
                 .iter()
                 .map(|(a, c)| (world.describe(a), *c))
                 .collect(),
         );
-        let result = match &action {
-            Action::Deliver(key) => match world.pop(*key) {
-                Some(p) => world.deliver(p),
-                None => Ok(()),
-            },
-            Action::Inject(site, instance) => match world.nodes.sites.get_mut(site) {
-                Some(rt) => rt.inject_abort(*instance, &mut world.host),
-                None => Ok(()),
-            },
-            Action::Crash(site) => {
-                world.crashed.push(*site);
-                match world.nodes.sites.get_mut(site) {
-                    Some(rt) => rt.crash(&mut world.host),
-                    None => Ok(()),
+        match *action {
+            Action::Deliver(key) => world.deliver(key)?,
+            Action::Inject(site, instance) => {
+                if let Some(rt) = world.nodes.sites.get_mut(&site) {
+                    rt.inject_abort(instance, &mut world.host)?;
                 }
             }
-            Action::CrashCoord(cnode) => world.crash_coord(*cnode),
-        };
-        if let Err(e) = result {
-            return fail(Violation::Runtime(e), trace, steps);
+            Action::CrashCoord(cnode) => world.crash_coord(cnode)?,
         }
-        if let Err(v) = world.drain_finished() {
-            return fail(v, trace, steps);
-        }
-        if cfg.check_intervals {
-            if let Err(v) = world.check_admissions() {
-                return fail(v, trace, steps);
-            }
-        } else {
-            world.host.just_prepared.clear();
-        }
+        world.end_step()?;
+        world.check_admissions()?;
     }
-    fail(
-        Violation::StepLimit {
-            max_steps: cfg.max_steps,
-        },
-        trace,
-        steps,
-    )
+    Err(Violation::StepLimit {
+        max_steps: cfg.max_steps,
+    })
 }
 
 /// Whether a child deviating with `cost` still fits the budgets.
@@ -1075,8 +978,7 @@ fn fits(cfg: &ExploreConfig, spent: &[Cost], cost: Cost) -> bool {
     let count = |c: Cost| spent.iter().filter(|&&s| s == c).count() as u32 + u32::from(cost == c);
     count(Cost::Delay) <= cfg.delay_budget
         && count(Cost::Fault) <= cfg.fault_budget
-        && count(Cost::Crash) <= cfg.crash_budget
-        && count(Cost::CoordCrash) <= cfg.coord_crash_budget
+        && count(Cost::CoordCrash) <= cfg.failover_budget
 }
 
 /// A frontier entry: the schedule (sorted by decision index) and the
@@ -1140,36 +1042,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_schedule_of_the_smoke_world_settles_clean() {
+    fn default_schedules_settle_clean() {
+        for cfg in [
+            ExploreConfig::smoke_2cm(),
+            ExploreConfig::smoke_cgm(),
+            ExploreConfig::conflict(),
+        ] {
+            let result = run_schedule(&cfg, &[]);
+            assert!(
+                result.violation.is_none() && !result.trace.is_empty(),
+                "{:?}: {:?}\ntrace:\n{}",
+                cfg.protocol,
+                result.violation,
+                result.trace.join("\n")
+            );
+        }
+    }
+
+    #[test]
+    fn a_misrouted_event_is_a_violation() {
+        // A takeover belongs to a coordinator; the site drops it and
+        // counts it, and the run must end there.
         let cfg = ExploreConfig::smoke_2cm();
-        let result = run_schedule(&cfg, &[]);
+        let mut world = World::new(&cfg);
+        let to_site = LaneKey::Link {
+            from: mdbs_runtime::COORD_BASE,
+            to: 0,
+        };
+        world.host.push(to_site, 0, NodeEvent::TakeOver);
+        let result = run_world(world, &cfg, &[]);
         assert!(
-            result.violation.is_none(),
-            "default run must be clean: {:?}\ntrace:\n{}",
-            result.violation,
-            result.trace.join("\n")
-        );
-        assert!(!result.trace.is_empty());
-    }
-
-    #[test]
-    fn default_cgm_schedule_settles_clean() {
-        let cfg = ExploreConfig::smoke_cgm();
-        let result = run_schedule(&cfg, &[]);
-        assert!(
-            result.violation.is_none(),
-            "default CGM run must be clean: {:?}\ntrace:\n{}",
-            result.violation,
-            result.trace.join("\n")
-        );
-    }
-
-    #[test]
-    fn conflict_default_schedule_settles() {
-        let cfg = ExploreConfig::conflict();
-        let result = run_schedule(&cfg, &[]);
-        assert!(
-            result.violation.is_none(),
+            matches!(result.violation, Some(Violation::Misrouted)),
             "{:?}\ntrace:\n{}",
             result.violation,
             result.trace.join("\n")

@@ -22,11 +22,11 @@
 //!     declares the handled message arms, allowed emissions, required
 //!     duplicate guards and required timers, anchored at each runtime's
 //!     single `on_event` entry.
-//! - [`explore`] — a bounded model checker that drives the real
-//!   `SiteRuntime`/`CoordinatorRuntime`/`CentralRuntime` state machines
-//!   — through the same `NodeRuntime::on_event` dispatch every driver
-//!   uses — over every delivery schedule of a tiny configuration (within
-//!   delay/fault/crash budgets) and checks global atomicity, the §4
+//! - [`explore`] — a bounded model checker that drives the world the
+//!   simulation builds (`mdbs_sim::node_set`) — through the same
+//!   `NodeSet::on_event` dispatch every driver uses — over every delivery
+//!   schedule of a tiny configuration (within delay / fault /
+//!   coordinator-crash budgets) and checks global atomicity, the §4
 //!   prepared-set alive-interval invariant, and commit-order acyclicity
 //!   on every step of every run.
 //! - [`mutate`] — the certifier mutation kill matrix: a catalog of

@@ -319,7 +319,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
     },
     // The CGM central scheduler (§5.3): admission locks + commit-graph
     // vote. Pure request/response — every arm answers with exactly one
-    // control-message kind, and acts once per transaction (`cnode_of` holds
+    // control-message kind, and acts once per transaction (`answer_to` holds
     // it from its request to its `CgmFinished`, `voted` marks its vote).
     HandlerSpec {
         node: "central",
@@ -330,7 +330,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 enum_name: "CtrlMsg",
                 variant: "CgmRequest",
                 sends: &[("CtrlMsg", "CgmAdmitted")],
-                dup_guard: &[&["cnode_of", ".", "contains_key"]],
+                dup_guard: &[&["answer_to", ".", "contains_key"]],
                 timeout: &[],
             },
             ArmSpec {

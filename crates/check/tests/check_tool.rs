@@ -1,49 +1,47 @@
 //! End-to-end checks of `mdbs-check explore` (the rule groups' workspace
 //! pin is in `fixtures.rs`):
 //!
-//! - the bounded explorer exhausts the failure-free smoke worlds with
-//!   zero violations, under both 2CM and CGM;
+//! - every clean preset exhausts its schedule space with zero violations,
+//!   at a pinned schedule count — a count that moves means the explored
+//!   world or the search changed, and DESIGN §7b quotes these numbers;
 //! - the §4.2 smoke test: without alive-interval certification (the
-//!   `NoCertification` baseline), the explorer finds a schedule violating
-//!   the interval-intersection invariant and produces a minimized trace —
-//!   and the identical world under `Full` is clean.
+//!   `naive` protocol), the explorer finds a schedule violating the
+//!   interval-intersection invariant and produces a minimized trace —
+//!   and the identical world under 2CM is clean;
+//! - a coordinator crash under direct 2PC strands an agent in one
+//!   deviation.
 
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome, Violation};
+use mdbs_dtm::CertifierMode;
+use mdbs_sim::Protocol;
 
 #[test]
-fn explorer_exhausts_the_2cm_smoke_world_clean() {
-    match explore(&ExploreConfig::smoke_2cm()) {
-        ExploreOutcome::Exhausted { runs } => {
-            assert!(runs > 100, "suspiciously small schedule space: {runs}")
+fn every_clean_preset_exhausts_at_its_pinned_schedule_count() {
+    let mut mutation_interval = ExploreConfig::mutation_interval();
+    mutation_interval.max_runs = 100_000;
+    for (name, cfg, pinned) in [
+        ("smoke-2cm", ExploreConfig::smoke_2cm(), 1_478),
+        ("smoke-cgm", ExploreConfig::smoke_cgm(), 616),
+        ("conflict", ExploreConfig::conflict(), 269),
+        // F=1 Paxos Commit: a coordinator crash-stop in the READY window is
+        // survivable on every schedule — the backup adopts the dead
+        // coordinator's transactions through the acceptor quorum.
+        ("coord-failover", ExploreConfig::coord_failover(), 6_175),
+        ("mutation-interval", mutation_interval, 27_201),
+    ] {
+        match explore(&cfg) {
+            ExploreOutcome::Exhausted { runs } => {
+                assert_eq!(runs, pinned, "{name}: the schedule space moved")
+            }
+            other => panic!("{name}: expected exhaustion without violation, got {other:?}"),
         }
-        other => panic!("expected exhaustion without violation, got {other:?}"),
-    }
-}
-
-#[test]
-fn explorer_exhausts_the_cgm_smoke_world_clean() {
-    match explore(&ExploreConfig::smoke_cgm()) {
-        ExploreOutcome::Exhausted { runs } => {
-            assert!(runs > 100, "suspiciously small schedule space: {runs}")
-        }
-        other => panic!("expected exhaustion without violation, got {other:?}"),
-    }
-}
-
-#[test]
-fn explorer_exhausts_the_conflict_world_clean() {
-    match explore(&ExploreConfig::conflict()) {
-        ExploreOutcome::Exhausted { runs } => {
-            assert!(runs > 100, "suspiciously small schedule space: {runs}")
-        }
-        other => panic!("expected exhaustion without violation, got {other:?}"),
     }
 }
 
 #[test]
 fn explorer_finds_the_interval_violation_without_certification() {
     let mut cfg = ExploreConfig::mutation_interval();
-    cfg.mode = mdbs_dtm::CertifierMode::NoCertification;
+    cfg.protocol = Protocol::TwoCm(CertifierMode::NoCertification);
     let ExploreOutcome::Violation(cex) = explore(&cfg) else {
         panic!("an uncertified agent must admit a §4.2 interval violation");
     };
@@ -67,19 +65,6 @@ fn explorer_finds_the_interval_violation_without_certification() {
         rendered.contains("§4.2 intersection violated"),
         "rendered counterexample must name the invariant:\n{rendered}"
     );
-}
-
-#[test]
-fn explorer_exhausts_the_coord_failover_world_clean() {
-    // F=1 Paxos Commit: a coordinator crash-stop in the READY window is
-    // survivable on every schedule — the backup adopts the dead
-    // coordinator's transactions through the acceptor quorum.
-    match explore(&ExploreConfig::coord_failover()) {
-        ExploreOutcome::Exhausted { runs } => {
-            assert!(runs > 100, "suspiciously small schedule space: {runs}")
-        }
-        other => panic!("expected exhaustion without violation, got {other:?}"),
-    }
 }
 
 #[test]
@@ -109,15 +94,4 @@ fn explorer_finds_the_blocked_agent_under_direct_commit() {
         "the single deviation must be the coordinator crash: {:#?}",
         cex.deviations
     );
-}
-
-#[test]
-fn the_full_certifier_is_clean_on_the_mutation_world() {
-    let mut cfg = ExploreConfig::mutation_interval();
-    // The same budgets exhaust at ~27k schedules; leave headroom.
-    cfg.max_runs = 100_000;
-    match explore(&cfg) {
-        ExploreOutcome::Exhausted { .. } => {}
-        other => panic!("Full must be violation-free on the mutation world, got {other:?}"),
-    }
 }

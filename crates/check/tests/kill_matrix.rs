@@ -22,7 +22,6 @@ use std::sync::OnceLock;
 
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
 use mdbs_check::mutate::{catalog, run_matrix, Edit, Matrix, Mutant};
-use mdbs_dtm::CertifierMode;
 
 /// Matrix column order: the tests of `checkers.rs` by name. Every row
 /// reports these checkers, in this order.
@@ -220,7 +219,6 @@ fn full_exhausts_mutant_worlds() {
         ("mutation-interval", ExploreConfig::mutation_interval()),
         ("conflict", ExploreConfig::conflict()),
     ] {
-        cfg.mode = CertifierMode::Full;
         cfg.max_runs = 30_000;
         match explore(&cfg) {
             ExploreOutcome::Exhausted { .. } => {}

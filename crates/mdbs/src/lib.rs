@@ -34,5 +34,5 @@ pub mod threaded;
 
 pub use config::{ClusterConfig, ConfigError, KvConfig, NodeRole, Protocol, SimConfig};
 pub use report::{CorrectnessReport, SimReport};
-pub use sim::{Observer, Simulation, TraceEvent};
+pub use sim::{node_set, Observer, Simulation, TraceEvent};
 pub use threaded::ThreadedRunner;

@@ -293,25 +293,11 @@ impl Simulation {
         clocks.insert(CENTRAL, draw_clock(&mut clock_rng));
         // Acceptor clocks are drawn last, and only when acceptors exist:
         // at F=0 the RNG streams stay bit-for-bit what they always were.
-        let acceptors = acceptor_nodes(&cfg);
-        for &a in &acceptors {
+        for a in acceptor_nodes(&cfg) {
             clocks.insert(a, draw_clock(&mut clock_rng));
         }
 
-        let nodes = NodeSet {
-            sites: (0..spec.sites)
-                .map(|s| (SiteId(s), site_runtime(&cfg, s)))
-                .collect(),
-            coords: (0..cfg.coordinators)
-                .map(|c| (COORD_BASE + c, coordinator_runtime(&cfg, c)))
-                .collect(),
-            central: CentralRuntime::new(),
-            acceptors: acceptors
-                .iter()
-                .map(|&a| (a, AcceptorRuntime::new(a)))
-                .collect(),
-            dead: BTreeSet::new(),
-        };
+        let nodes = node_set(&cfg);
 
         let mut queue = EventQueue::new();
         queue.schedule_at(SimTime::from_micros(1), Ev::GlobalArrival);
@@ -650,6 +636,27 @@ pub fn acceptor_nodes(cfg: &SimConfig) -> Vec<u32> {
         f => mdbs_consensus::acceptor_count(f),
     };
     (0..n).map(|a| ACCEPTOR_BASE + a).collect()
+}
+
+/// Every runtime of a scenario, as every single-scheduler host builds them:
+/// the simulation and the bounded explorer (`mdbs-check explore`) both
+/// start from this set — sites, coordinators, the CGM central scheduler
+/// and the Paxos Commit acceptors — with no coordinator dead.
+pub fn node_set(cfg: &SimConfig) -> NodeSet {
+    NodeSet {
+        sites: (0..cfg.workload.sites)
+            .map(|s| (SiteId(s), site_runtime(cfg, s)))
+            .collect(),
+        coords: (0..cfg.coordinators)
+            .map(|c| (COORD_BASE + c, coordinator_runtime(cfg, c)))
+            .collect(),
+        central: CentralRuntime::new(),
+        acceptors: acceptor_nodes(cfg)
+            .into_iter()
+            .map(|a| (a, AcceptorRuntime::new(a)))
+            .collect(),
+        dead: BTreeSet::new(),
+    }
 }
 
 /// Site `s`'s runtime as every driver builds it: a fresh engine over the

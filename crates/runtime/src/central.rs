@@ -18,7 +18,7 @@ pub struct CentralRuntime {
     graph: CommitGraph,
     /// Which coordinator to answer, per transaction, from its admission
     /// request to its `CgmFinished`.
-    cnode_of: BTreeMap<GlobalTxnId, u32>,
+    answer_to: BTreeMap<GlobalTxnId, u32>,
     /// The transactions among them whose commit-graph vote was taken.
     voted: BTreeSet<GlobalTxnId>,
 }
@@ -42,11 +42,11 @@ impl CentralRuntime {
     ) -> Result<(), RuntimeError> {
         match ctrl {
             CtrlMsg::CgmRequest { gtxn, modes } => {
-                if self.cnode_of.contains_key(&gtxn) {
+                if self.answer_to.contains_key(&gtxn) {
                     host.inc("ctrl_duplicates_ignored");
                     return Ok(());
                 }
-                self.cnode_of.insert(gtxn, from);
+                self.answer_to.insert(gtxn, from);
                 if self.locks.request(gtxn, modes) {
                     host.send_ctrl(CENTRAL, from, CtrlMsg::CgmAdmitted { gtxn });
                 }
@@ -54,7 +54,7 @@ impl CentralRuntime {
                 Ok(())
             }
             CtrlMsg::CgmVote { gtxn, sites } => {
-                if !self.cnode_of.contains_key(&gtxn) || !self.voted.insert(gtxn) {
+                if !self.answer_to.contains_key(&gtxn) || !self.voted.insert(gtxn) {
                     host.inc("ctrl_duplicates_ignored");
                     return Ok(());
                 }
@@ -71,14 +71,14 @@ impl CentralRuntime {
                 Ok(())
             }
             CtrlMsg::CgmFinished { gtxn } => {
-                if self.cnode_of.remove(&gtxn).is_none() {
+                if self.answer_to.remove(&gtxn).is_none() {
                     host.inc("ctrl_duplicates_ignored");
                     return Ok(());
                 }
                 self.voted.remove(&gtxn);
                 self.graph.remove(gtxn);
                 for g in self.locks.release(gtxn) {
-                    let Some(&cnode) = self.cnode_of.get(&g) else {
+                    let Some(&cnode) = self.answer_to.get(&g) else {
                         return Err(RuntimeError::MissingState {
                             node: CENTRAL,
                             context: "coordinator of a queued admission",

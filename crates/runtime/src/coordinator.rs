@@ -29,7 +29,7 @@ struct CgmEntry {
 #[derive(Debug)]
 pub struct CoordinatorRuntime {
     node: u32,
-    cgm: bool,
+    central_scheduler: bool,
     inner: Coordinator,
     cgm_txns: BTreeMap<GlobalTxnId, CgmEntry>,
     /// The Paxos Commit leader that replicates this coordinator's decisions
@@ -41,12 +41,12 @@ pub struct CoordinatorRuntime {
 }
 
 impl CoordinatorRuntime {
-    /// Build the runtime for coordinator `node`; `cgm` selects the
-    /// Commit Graph Method's admission/vote path.
-    pub fn new(node: u32, cgm: bool) -> Self {
+    /// Build the runtime for coordinator `node`; `central_scheduler`
+    /// selects the Commit Graph Method's admission/vote path.
+    pub fn new(node: u32, central_scheduler: bool) -> Self {
         CoordinatorRuntime {
             node,
-            cgm,
+            central_scheduler,
             inner: Coordinator::new(node),
             cgm_txns: BTreeMap::new(),
             leader: None,
@@ -107,7 +107,7 @@ impl CoordinatorRuntime {
                 context: "global transaction with an empty program",
             });
         }
-        if self.cgm {
+        if self.central_scheduler {
             // Admission through the central scheduler first.
             let sites: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
             let mut modes: BTreeMap<SiteId, SiteLockMode> = BTreeMap::new();
@@ -229,7 +229,7 @@ impl CoordinatorRuntime {
             match action {
                 CoordAction::ToAgent { site, msg } => {
                     // CGM: hold PREPAREs until the commit-graph vote.
-                    if self.cgm {
+                    if self.central_scheduler {
                         if let Message::Prepare { gtxn, .. } = msg {
                             let Some(entry) = self.cgm_txns.get_mut(&gtxn) else {
                                 return Err(RuntimeError::MissingState {
@@ -261,7 +261,7 @@ impl CoordinatorRuntime {
                     // Compact the transaction out of the acceptor logs
                     // before the driver reacts.
                     self.lead(host, |leader| leader.finished(gtxn));
-                    if self.cgm {
+                    if self.central_scheduler {
                         // Drop the CGM bookkeeping and release the
                         // transaction's site locks at the scheduler.
                         self.cgm_txns.remove(&gtxn);

@@ -6,9 +6,7 @@
 //! mdbs-check conc [--root <dir>] [--json|--github]
 //! mdbs-check hotpath [--root <dir>] [--json|--github]
 //! mdbs-check proto [--root <dir>] [--json|--github]
-//! mdbs-check explore [--preset <name>] [--mode <certifier>] [--cgm]
-//!                    [--delays N] [--faults N] [--crashes N]
-//!                    [--max-steps N] [--max-runs N] [--no-interval-check]
+//! mdbs-check explore [--preset <name>] [--protocol <key>]
 //! mdbs-check mutate [--json]
 //! ```
 //!
@@ -23,10 +21,12 @@
 //! suppression (an `allow(rule[, rule…], "why")` comment, the
 //! justification mandatory; DESIGN §7a) and can emit findings as JSON
 //! lines (`--json`) or GitHub Actions error annotations (`--github`).
-//! `explore` runs the bounded model checker on
-//! a preset world and exits 1 with a minimized trace if a schedule
-//! violates atomicity, the §4.2 interval invariant, or commit-order
-//! acyclicity. `mutate`, run from the workspace root, runs the certifier
+//! `explore` runs the bounded model checker on a preset world — its
+//! budgets and caps are the preset's — optionally under another protocol
+//! (`--protocol`, the scenario-file keys: `2cm`, `naive`, `cgm`, …), and
+//! exits 1 with a minimized trace if a schedule violates atomicity, the
+//! §4.2 interval invariant or commit-order acyclicity, or misroutes an
+//! event. `mutate`, run from the workspace root, runs the certifier
 //! mutation kill matrix — each cataloged source edit applied to a scratch
 //! copy of the workspace under `target/mutants/`, built, and run against
 //! `crates/check/tests/checkers.rs` — and exits 1 if any mutant survives
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use mdbs_check::engine::{run, Finding, Group};
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
 use mdbs_check::mutate::{catalog, render, run_matrix};
-use mdbs_dtm::CertifierMode;
+use mdbs_sim::Protocol;
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("mdbs-check: {err}");
@@ -50,9 +50,9 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "       mdbs-check explore [--preset smoke-2cm|smoke-cgm|conflict|mutation-interval|coord-failover|coord-crash-direct]"
     );
-    eprintln!("                          [--mode full|no-certification|prepare-cert-only|prepare-order|ticket-order]");
-    eprintln!("                          [--cgm] [--delays N] [--faults N] [--crashes N]");
-    eprintln!("                          [--max-steps N] [--max-runs N] [--no-interval-check]");
+    eprintln!(
+        "                          [--protocol 2cm|naive|2cm-prep-only|2cm-prep-order|ticket|cgm]"
+    );
     eprintln!("       mdbs-check mutate [--json]");
     ExitCode::from(2)
 }
@@ -141,25 +141,6 @@ fn run_findings_cmd(tool: &str, group: Group, mut args: std::env::Args) -> ExitC
     }
 }
 
-fn parse_mode(text: &str) -> Option<CertifierMode> {
-    match text {
-        "full" => Some(CertifierMode::Full),
-        "no-certification" => Some(CertifierMode::NoCertification),
-        "prepare-cert-only" => Some(CertifierMode::PrepareCertOnly),
-        "prepare-order" => Some(CertifierMode::PrepareOrder),
-        "ticket-order" => Some(CertifierMode::TicketOrder),
-        _ => None,
-    }
-}
-
-fn parse_num(args: &mut std::env::Args, flag: &str) -> Result<u64, String> {
-    let Some(text) = args.next() else {
-        return Err(format!("{flag} needs a number"));
-    };
-    text.parse::<u64>()
-        .map_err(|_| format!("{flag}: {text:?} is not a number"))
-}
-
 fn run_explore_cmd(mut args: std::env::Args) -> ExitCode {
     let mut cfg = ExploreConfig::smoke_2cm();
     while let Some(arg) = args.next() {
@@ -176,45 +157,24 @@ fn run_explore_cmd(mut args: std::env::Args) -> ExitCode {
                     None => return usage("--preset needs a name"),
                 };
             }
-            "--mode" => match args.next().as_deref().and_then(parse_mode) {
-                Some(mode) => cfg.mode = mode,
-                None => return usage("--mode needs a certifier name"),
+            "--protocol" => match args.next().as_deref().map(Protocol::parse) {
+                Some(Ok(protocol)) => cfg.protocol = protocol,
+                Some(Err(e)) => return usage(&e.to_string()),
+                None => return usage("--protocol needs a protocol key"),
             },
-            "--cgm" => cfg.cgm = true,
-            "--delays" => match parse_num(&mut args, "--delays") {
-                Ok(n) => cfg.delay_budget = n as u32,
-                Err(e) => return usage(&e),
-            },
-            "--faults" => match parse_num(&mut args, "--faults") {
-                Ok(n) => cfg.fault_budget = n as u32,
-                Err(e) => return usage(&e),
-            },
-            "--crashes" => match parse_num(&mut args, "--crashes") {
-                Ok(n) => cfg.crash_budget = n as u32,
-                Err(e) => return usage(&e),
-            },
-            "--max-steps" => match parse_num(&mut args, "--max-steps") {
-                Ok(n) => cfg.max_steps = n as usize,
-                Err(e) => return usage(&e),
-            },
-            "--max-runs" => match parse_num(&mut args, "--max-runs") {
-                Ok(n) => cfg.max_runs = n as usize,
-                Err(e) => return usage(&e),
-            },
-            "--no-interval-check" => cfg.check_intervals = false,
             other => return usage(&format!("unknown explore argument {other:?}")),
         }
     }
     println!(
-        "mdbs-check explore: {} site(s), {} txn(s), mode {:?}, cgm {}, budgets \
-         (delays {}, faults {}, crashes {}), caps (steps {}, runs {})",
-        cfg.sites,
+        "mdbs-check explore: {} site(s), {} txn(s), protocol {}, F {}, budgets \
+         (delays {}, faults {}, coordinator crashes {}), caps (steps {}, runs {})",
+        cfg.sites(),
         cfg.programs.len(),
-        cfg.mode,
-        cfg.cgm,
+        cfg.protocol.label(),
+        cfg.consensus_f,
         cfg.delay_budget,
         cfg.fault_budget,
-        cfg.crash_budget,
+        cfg.failover_budget,
         cfg.max_steps,
         cfg.max_runs
     );
