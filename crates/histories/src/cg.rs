@@ -18,11 +18,12 @@
 //! the key-ordered topological sort, are those of the paper's graph, at
 //! `Σ_s (n_s − 1)` arcs instead of `Σ_s n_s²/2`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::graph::DiGraph;
+use crate::graph::{Adjacency, DiGraph};
 use crate::history::History;
 use crate::ids::{SiteId, Txn};
+use crate::index::{Index, Scope};
 use crate::op::{Op, OpKind};
 
 /// The commit-order graph with its analysis results.
@@ -43,29 +44,39 @@ pub struct CgReport {
     pub topo_order: Option<Vec<Txn>>,
 }
 
-/// Each site's commit chain: its transactions in the order of their *first*
-/// local commit there. (A transaction commits at most one incarnation per
-/// site; a repeated `LocalCommit` is ignored.)
-fn commit_chains(h: &History) -> BTreeMap<SiteId, Vec<Txn>> {
-    let mut chains: BTreeMap<SiteId, Vec<Txn>> = BTreeMap::new();
-    let mut seen = BTreeSet::new();
-    for op in h.ops() {
-        if let OpKind::LocalCommit(s) = op.kind {
-            if seen.insert((s, op.txn)) {
-                chains.entry(s).or_default().push(op.txn);
+/// Each site's commit chain over the transactions in `scope`, sites in
+/// `SiteId` order: its transaction ids in the order of their *first* local
+/// commit there. (A transaction commits at most one incarnation per site; a
+/// repeated `LocalCommit` is ignored.)
+fn commit_chains(ix: &Index, scope: Scope) -> Vec<(SiteId, Vec<u32>)> {
+    let mut chains = vec![Vec::new(); ix.sites.len()];
+    let mut chained = vec![false; ix.subtxns.len()];
+    for (p, op) in ix.ops.iter().enumerate() {
+        if matches!(op.kind, OpKind::LocalCommit(_)) && ix.includes(scope, ix.txn_of[p]) {
+            let inst = ix.inst(p);
+            if !std::mem::replace(&mut chained[inst.subtxn as usize], true) {
+                chains[inst.site as usize].push(ix.txn_of[p]);
             }
         }
     }
+    let mut chains: Vec<(SiteId, Vec<u32>)> = (0..)
+        .zip(chains)
+        .filter(|(_, chain)| !chain.is_empty())
+        .map(|(d, chain)| (ix.site_id(d), chain))
+        .collect();
+    chains.sort_unstable_by_key(|(site, _)| *site);
     chains
 }
 
 /// Build `CG(H)` and analyze it.
 pub fn commit_order_graph(h: &History) -> CgReport {
+    let ix = Index::new(h);
     let mut graph = DiGraph::new();
-    for chain in commit_chains(h).values() {
-        graph.add_node(chain[0]);
+    for (_, chain) in commit_chains(&ix, Scope::All) {
+        let txn = |t: u32| ix.txns[t as usize];
+        graph.add_node(txn(chain[0]));
         for pair in chain.windows(2) {
-            graph.add_edge(pair[0], pair[1]);
+            graph.add_edge(txn(pair[0]), txn(pair[1]));
         }
     }
 
@@ -83,6 +94,17 @@ pub fn commit_order_graph(h: &History) -> CgReport {
         cycle,
         topo_order,
     }
+}
+
+/// Whether `CG` over the transactions in `scope` is acyclic, on the index's
+/// transaction ids.
+pub(crate) fn acyclic(ix: &Index, scope: Scope) -> bool {
+    let arcs: Vec<(u32, u32)> = commit_chains(ix, scope)
+        .iter()
+        .flat_map(|(_, chain)| chain.windows(2).map(|pair| (pair[0], pair[1])))
+        .collect();
+    let graph = Adjacency::new(ix.txns.len(), &arcs);
+    graph.find_cycle(0..ix.txns.len()).is_none()
 }
 
 /// Build a serial history ordered by the topological order of `CG(H)`,

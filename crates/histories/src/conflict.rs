@@ -18,11 +18,10 @@
 //!   serializability of single-site projections. Only its reachability is
 //!   ever asked for, so it is stored as per-item conflict chains.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::graph::DiGraph;
 use crate::history::History;
-use crate::ids::{Instance, Item, Txn};
+use crate::ids::{Instance, Txn};
+use crate::index::{Index, NONE};
 use crate::op::{Op, OpKind};
 
 /// Whether two operations conflict (same item, different transaction at the
@@ -74,42 +73,54 @@ pub fn serialization_graph(h: &History) -> DiGraph<Txn> {
 }
 
 /// Build the serialization graph over local-level instances, stored as its
+/// per-item *conflict chains* (see [`conflict_arcs`]).
+pub fn serialization_graph_instances(h: &History) -> DiGraph<Instance> {
+    let ix = Index::new(h);
+    let mut g = DiGraph::new();
+    for inst in &ix.insts {
+        g.add_node(inst.id);
+    }
+    for (from, to) in conflict_arcs(&ix) {
+        g.add_edge(ix.insts[from as usize].id, ix.insts[to as usize].id);
+    }
+    g
+}
+
+/// The instance-level serialization graph's arcs over instance ids, as
 /// per-item *conflict chains*: each access gets an arc from the item's last
 /// writer, and each write one from every instance that read the item since.
 /// Every arc is a conflict, and a conflict between two accesses further
 /// apart is a path through the writes between them — so reachability, and
-/// with it acyclicity, are those of the all-pairs graph, at one arc per
-/// access instead of one per conflicting pair.
-pub fn serialization_graph_instances(h: &History) -> DiGraph<Instance> {
-    #[derive(Default)]
-    struct Chain {
-        last_writer: Option<Instance>,
-        readers_since: BTreeSet<Instance>,
-    }
-    let mut g = DiGraph::new();
-    let mut chains: BTreeMap<Item, Chain> = BTreeMap::new();
-    for op in h.ops() {
-        let Some(inst) = op.instance() else { continue };
-        g.add_node(inst);
-        let Some(item) = op.item() else { continue };
-        let chain = chains.entry(item).or_default();
+/// with it acyclicity, are those of the all-pairs graph, at about one arc
+/// per access instead of one per conflicting pair.
+pub(crate) fn conflict_arcs(ix: &Index) -> Vec<(u32, u32)> {
+    let mut last_writer = vec![NONE; ix.items.len()];
+    let mut readers_since: Vec<Vec<u32>> = vec![Vec::new(); ix.items.len()];
+    let mut arcs = Vec::new();
+    for (p, op) in ix.ops.iter().enumerate() {
+        let (inst, item) = (ix.inst_of[p], ix.item_of[p] as usize);
+        if item == NONE as usize {
+            continue;
+        }
+        let writer = last_writer[item];
+        let readers = &mut readers_since[item];
         if matches!(op.kind, OpKind::Read(_)) {
-            if chain.readers_since.insert(inst) {
-                if let Some(writer) = chain.last_writer.filter(|&w| w != inst) {
-                    g.add_edge(writer, inst);
+            if readers.last() != Some(&inst) {
+                readers.push(inst);
+                if writer != NONE && writer != inst {
+                    arcs.push((writer, inst));
                 }
             }
         } else {
-            let readers = std::mem::take(&mut chain.readers_since);
-            for earlier in chain.last_writer.into_iter().chain(readers) {
-                if earlier != inst {
-                    g.add_edge(earlier, inst);
+            for earlier in std::iter::once(writer).chain(readers.drain(..)) {
+                if earlier != NONE && earlier != inst {
+                    arcs.push((earlier, inst));
                 }
             }
-            chain.last_writer = Some(inst);
+            last_writer[item] = inst;
         }
     }
-    g
+    arcs
 }
 
 /// Whether `h` is conflict serializable at the global level (acyclic SG on

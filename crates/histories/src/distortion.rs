@@ -12,15 +12,14 @@
 //! cyclic `CG(C(H))`; the definitive test is view-serializability failure
 //! of `C(H)` that is not already a global view distortion.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use serde::{Deserialize, Serialize};
 
 use crate::cg::commit_order_graph;
 use crate::history::History;
-use crate::ids::{GlobalTxnId, Instance, Item, SiteId, Txn};
+use crate::ids::{GlobalTxnId, Item, SiteId, Txn};
+use crate::index::{Index, Scope, Subtxn, NONE};
 use crate::op::OpKind;
-use crate::replay::Replay;
+use crate::replay::replay;
 use crate::view::{view_serializable_capped, DEFAULT_MAX_TXNS};
 
 /// A detected serialization anomaly.
@@ -75,102 +74,123 @@ pub enum Distortion {
 /// every pair must agree in a serial world, where no other transaction can
 /// intervene inside `T_k`'s block.
 pub fn detect_global_view_distortion(h: &History) -> Option<Distortion> {
-    let replay = Replay::of(h);
+    global_view_distortion(&Index::new(h), Scope::All)
+}
 
-    // One pre-pass indexes what the scan asks about each incarnation
-    // `T^s_kj` that has data operations.
-    #[derive(Default)]
-    struct Incarnation {
-        /// The decomposition: the elementary sequence as (is_write, item).
-        ops: Vec<(bool, Item)>,
-        last_data_pos: usize,
+/// The scan on the index, over the transactions in `scope`.
+pub(crate) fn global_view_distortion(ix: &Index, scope: Scope) -> Option<Distortion> {
+    // Only a global subtransaction with two or more incarnations that have
+    // data operations has a pair to compare; all the scan records is theirs.
+    let compared = |s: &Subtxn| {
+        s.data_incarnations >= 2 && ix.txns[s.txn as usize].is_global() && ix.includes(scope, s.txn)
+    };
+    if !ix.subtxns.iter().any(compared) {
+        return None;
     }
-    let mut subtxns: BTreeMap<(GlobalTxnId, SiteId), BTreeMap<u32, Incarnation>> = BTreeMap::new();
-    let mut prepared_at: BTreeMap<(GlobalTxnId, SiteId), usize> = BTreeMap::new();
-    let mut committed: BTreeSet<Instance> = BTreeSet::new();
-    for (p, op) in h.ops().iter().enumerate() {
-        let (Txn::Global(g), Some(site)) = (op.txn, op.site()) else {
-            continue;
-        };
-        match op.kind {
-            OpKind::Read(item) | OpKind::Write(item) => {
-                let inc = subtxns
-                    .entry((g, site))
-                    .or_default()
-                    .entry(op.incarnation)
-                    .or_default();
-                inc.ops.push((matches!(op.kind, OpKind::Write(_)), item));
-                inc.last_data_pos = p;
-            }
-            OpKind::Prepare(_) => {
-                prepared_at.entry((g, site)).or_insert(p);
-            }
-            OpKind::LocalCommit(_) => {
-                committed.insert(Instance::global(g.0, site, op.incarnation));
-            }
-            _ => {}
+
+    // The compared incarnations in scan order — by transaction (first
+    // appearance), site, incarnation — each with its decomposition (the
+    // positions of its data operations) and its view (per read: the item
+    // and the instance read from).
+    struct Incarnation {
+        inst: u32,
+        decomposition: Vec<usize>,
+        view: Vec<(u32, u32)>,
+    }
+    let mut incarnations: Vec<Incarnation> = (0..)
+        .zip(&ix.insts)
+        .filter(|(_, inst)| inst.has_data && compared(&ix.subtxns[inst.subtxn as usize]))
+        .map(|(inst, _)| Incarnation {
+            inst,
+            decomposition: Vec::new(),
+            view: Vec::new(),
+        })
+        .collect();
+    incarnations.sort_unstable_by_key(|inc| {
+        let inst = &ix.insts[inc.inst as usize];
+        (
+            ix.subtxns[inst.subtxn as usize].txn,
+            inst.id.site,
+            inst.id.incarnation,
+        )
+    });
+    let mut slot = vec![NONE; ix.insts.len()];
+    for (k, inc) in (0..).zip(&incarnations) {
+        slot[inc.inst as usize] = k;
+    }
+    let compared_at = |p: usize| slot[ix.inst_of[p] as usize] as usize;
+    for (p, op) in ix.ops.iter().enumerate() {
+        if op.kind.is_data_op() && compared_at(p) < incarnations.len() {
+            incarnations[compared_at(p)].decomposition.push(p);
         }
     }
+    replay(ix, scope, |p, writer| {
+        if let Some(inc) = incarnations.get_mut(compared_at(p)) {
+            inc.view.push((ix.item_of[p], writer));
+        }
+    });
 
-    for g in h.global_txns() {
-        let sites = subtxns.range((g, SiteId(0))..=(g, SiteId(u32::MAX)));
-        for (&(_, site), incs) in sites {
-            // An incarnation is *known complete* (all its DML fully
-            // executed) if it locally committed, or if the site's prepare
-            // operation follows all of its data operations (a
-            // subtransaction is only moved to the prepared state once every
-            // command has executed). Replay incarnations killed mid-way are
-            // incomplete: their operation sequence is a legitimate prefix
-            // of the full decomposition, not a distortion.
-            let prepared = prepared_at.get(&(g, site));
-            let is_complete = |j: u32, inc: &Incarnation| {
-                committed.contains(&Instance::global(g.0, site, j))
-                    || prepared.is_some_and(|&p| inc.last_data_pos < p)
-            };
-            let incs: Vec<(u32, &Incarnation)> = incs.iter().map(|(&j, inc)| (j, inc)).collect();
-            for (a, &(j0, inc0)) in incs.iter().enumerate() {
-                for &(j1, inc1) in &incs[a + 1..] {
-                    // (a) decomposition comparison: two *complete*
-                    // incarnations must have identical elementary sequences;
-                    // an incomplete (killed mid-replay) incarnation must be
-                    // a prefix of the other.
-                    let mismatch = if is_complete(j0, inc0) && is_complete(j1, inc1) {
-                        inc0.ops != inc1.ops
-                    } else {
-                        let n = inc0.ops.len().min(inc1.ops.len());
-                        inc0.ops[..n] != inc1.ops[..n]
-                    };
-                    if mismatch {
-                        return Some(Distortion::Decomposition {
+    // An incarnation is *known complete* (all its DML fully executed) if it
+    // locally committed, or if the site's prepare operation follows all of
+    // its data operations (a subtransaction is only moved to the prepared
+    // state once every command has executed). Replay incarnations killed
+    // mid-way are incomplete: their operation sequence is a legitimate
+    // prefix of the full decomposition, not a distortion.
+    let complete = |inc: &Incarnation| {
+        let inst = &ix.insts[inc.inst as usize];
+        let prepared = ix.subtxns[inst.subtxn as usize].first_prepare;
+        let last = inc.decomposition.last().map_or(0, |&p| p as u32);
+        inst.first_commit != NONE || (prepared != NONE && last < prepared)
+    };
+    // Two decompositions agree on their common prefix, as elementary
+    // sequences of (is_write, item).
+    let step = |p: usize| (matches!(ix.ops[p].kind, OpKind::Write(_)), ix.item_of[p]);
+    let agree = |a: &[usize], b: &[usize]| a.iter().zip(b).all(|(&p, &q)| step(p) == step(q));
+    let writer = |w: u32| (w != NONE).then(|| ix.insts[w as usize].id.txn);
+
+    let subtxn = |inc: &Incarnation| ix.insts[inc.inst as usize].subtxn;
+    for incs in incarnations.chunk_by(|a, b| subtxn(a) == subtxn(b)) {
+        for (a, inc0) in incs.iter().enumerate() {
+            for inc1 in &incs[a + 1..] {
+                let (i0, i1) = (
+                    ix.insts[inc0.inst as usize].id,
+                    ix.insts[inc1.inst as usize].id,
+                );
+                let Txn::Global(g) = i0.txn else {
+                    unreachable!("only global subtransactions are compared")
+                };
+                let (site, j0, j1) = (i0.site, i0.incarnation, i1.incarnation);
+                // (a) decomposition comparison: two *complete* incarnations
+                // must have identical elementary sequences; an incomplete
+                // (killed mid-replay) incarnation must be a prefix of the
+                // other.
+                let (d0, d1) = (&inc0.decomposition, &inc1.decomposition);
+                let both_complete = complete(inc0) && complete(inc1);
+                if (both_complete && d0.len() != d1.len()) || !agree(d0, d1) {
+                    return Some(Distortion::Decomposition {
+                        txn: g,
+                        site,
+                        earlier: j0,
+                        later: j1,
+                    });
+                }
+
+                // (b) view comparison at the transaction level. Reading from
+                // T_k itself is reading one's own (earlier-incarnation)
+                // write; both count as "self".
+                let canon = |w: Option<Txn>| w.filter(|&t| t != Txn::Global(g));
+                for (&(item, w0), &(_, w1)) in inc0.view.iter().zip(&inc1.view) {
+                    let (w0, w1) = (writer(w0), writer(w1));
+                    if canon(w0) != canon(w1) {
+                        return Some(Distortion::GlobalView {
                             txn: g,
                             site,
+                            item: ix.items[item as usize],
+                            earlier_writer: w0,
+                            later_writer: w1,
                             earlier: j0,
                             later: j1,
                         });
-                    }
-
-                    // (b) view comparison at the transaction level.
-                    let v0 = replay.txn_view_of(Instance::global(g.0, site, j0));
-                    let v1 = replay.txn_view_of(Instance::global(g.0, site, j1));
-                    for (&(it0, w0), &(it1, w1)) in v0.iter().zip(v1.iter()) {
-                        debug_assert_eq!(it0, it1, "same decomposition");
-                        // Reading from T_k itself is reading one's own
-                        // (earlier-incarnation) write; both count as "self".
-                        let canon = |w: Option<Txn>| match w {
-                            Some(t) if t == Txn::Global(g) => None,
-                            other => other,
-                        };
-                        if canon(w0) != canon(w1) {
-                            return Some(Distortion::GlobalView {
-                                txn: g,
-                                site,
-                                item: it0,
-                                earlier_writer: w0,
-                                later_writer: w1,
-                                earlier: j0,
-                                later: j1,
-                            });
-                        }
                     }
                 }
             }

@@ -73,31 +73,93 @@ impl<N: Ord + Clone> DiGraph<N> {
     /// (so id order *is* key order), with its successors resolved to ids in
     /// insertion order. Built once per traversal so that following an edge
     /// is an index, not a search.
-    fn dense(&self) -> (Vec<&N>, Vec<Vec<usize>>) {
+    fn dense(&self) -> (Vec<&N>, Adjacency) {
         let keys: Vec<&N> = self.adj.keys().collect();
-        let id: BTreeMap<&N, usize> = keys.iter().enumerate().map(|(i, k)| (*k, i)).collect();
-        let succ = self
-            .adj
-            .values()
-            .map(|s| s.iter().map(|to| id[to]).collect())
+        let id: BTreeMap<&N, u32> = (0..)
+            .zip(keys.iter().copied())
+            .map(|(i, k)| (k, i))
             .collect();
-        (keys, succ)
+        let mut arcs = Vec::with_capacity(self.edge_count());
+        for (from, succ) in (0..).zip(self.adj.values()) {
+            arcs.extend(succ.iter().map(|to| (from, id[to])));
+        }
+        let graph = Adjacency::new(keys.len(), &arcs);
+        (keys, graph)
     }
 
     /// Find a directed cycle, if any, returned as a node sequence
     /// `v0 → v1 → … → vk → v0` (without repeating `v0` at the end).
     pub fn find_cycle(&self) -> Option<Vec<N>> {
+        let (keys, graph) = self.dense();
+        let cycle = graph.find_cycle(0..keys.len())?;
+        Some(cycle.into_iter().map(|n| keys[n].clone()).collect())
+    }
+
+    /// Whether the graph is acyclic.
+    pub fn is_acyclic(&self) -> bool {
+        self.find_cycle().is_none()
+    }
+
+    /// Kahn topological sort; `None` if the graph has a cycle. Ties are
+    /// broken by node key order, so the result is deterministic.
+    pub fn topo_sort(&self) -> Option<Vec<N>> {
+        let (keys, graph) = self.dense();
+        let order = graph.topo_sort()?;
+        Some(order.into_iter().map(|n| keys[n].clone()).collect())
+    }
+}
+
+/// A graph over dense ids `0..n`, each node's successors in the order its
+/// arcs were given: what every traversal runs on — [`DiGraph`]'s, and the
+/// checker stages' over the ids of [`crate::index::Index`].
+pub(crate) struct Adjacency {
+    /// Node `i`'s successors are `succ[first[i]..first[i + 1]]`.
+    first: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+impl Adjacency {
+    /// The graph on nodes `0..n` with `arcs` (parallel arcs are kept; a
+    /// traversal tolerates them).
+    pub(crate) fn new(n: usize, arcs: &[(u32, u32)]) -> Adjacency {
+        let mut first = vec![0u32; n + 1];
+        for &(from, _) in arcs {
+            first[from as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut fill = first.clone();
+        let mut succ = vec![0u32; arcs.len()];
+        for &(from, to) in arcs {
+            let slot = &mut fill[from as usize];
+            succ[*slot as usize] = to;
+            *slot += 1;
+        }
+        Adjacency { first, succ }
+    }
+
+    fn len(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    fn successors(&self, n: usize) -> &[u32] {
+        &self.succ[self.first[n] as usize..self.first[n + 1] as usize]
+    }
+
+    /// A directed cycle, if any, found by depth-first search from each
+    /// still-unvisited node of `starts` in turn.
+    pub(crate) fn find_cycle(&self, starts: impl IntoIterator<Item = usize>) -> Option<Vec<usize>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
             Gray,
             Black,
         }
-        let (keys, succ) = self.dense();
-        let mut color = vec![Color::White; keys.len()];
-        let mut parent = vec![usize::MAX; keys.len()];
+        let mut color = vec![Color::White; self.len()];
+        let mut parent = vec![usize::MAX; self.len()];
 
-        for start in 0..keys.len() {
+        for start in starts {
             if color[start] != Color::White {
                 continue;
             }
@@ -105,10 +167,11 @@ impl<N: Ord + Clone> DiGraph<N> {
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             color[start] = Color::Gray;
             while let Some((node, idx)) = stack.pop() {
-                let Some(&next) = succ[node].get(idx) else {
+                let Some(&next) = self.successors(node).get(idx) else {
                     color[node] = Color::Black;
                     continue;
                 };
+                let next = next as usize;
                 stack.push((node, idx + 1));
                 match color[next] {
                     Color::White => {
@@ -118,11 +181,11 @@ impl<N: Ord + Clone> DiGraph<N> {
                     }
                     Color::Gray => {
                         // Found a back edge node → next: reconstruct.
-                        let mut cycle = vec![keys[node].clone()];
+                        let mut cycle = vec![node];
                         let mut cur = node;
                         while cur != next {
                             cur = parent[cur];
-                            cycle.push(keys[cur].clone());
+                            cycle.push(cur);
                         }
                         cycle.reverse();
                         return Some(cycle);
@@ -134,35 +197,28 @@ impl<N: Ord + Clone> DiGraph<N> {
         None
     }
 
-    /// Whether the graph is acyclic.
-    pub fn is_acyclic(&self) -> bool {
-        self.find_cycle().is_none()
-    }
-
-    /// Kahn topological sort; `None` if the graph has a cycle. Ties are
-    /// broken by node key order, so the result is deterministic.
-    pub fn topo_sort(&self) -> Option<Vec<N>> {
-        let (keys, succ) = self.dense();
-        let mut indeg = vec![0usize; keys.len()];
-        for &to in succ.iter().flatten() {
-            indeg[to] += 1;
+    /// Kahn topological sort with ties broken by id; `None` if cyclic.
+    pub(crate) fn topo_sort(&self) -> Option<Vec<usize>> {
+        let mut indeg = vec![0usize; self.len()];
+        for &to in &self.succ {
+            indeg[to as usize] += 1;
         }
-        // Min-heap on id = min-heap on key.
-        let mut ready: BinaryHeap<Reverse<usize>> = (0..keys.len())
+        let mut ready: BinaryHeap<Reverse<usize>> = (0..self.len())
             .filter(|&n| indeg[n] == 0)
             .map(Reverse)
             .collect();
-        let mut out = Vec::with_capacity(keys.len());
+        let mut out = Vec::with_capacity(self.len());
         while let Some(Reverse(n)) = ready.pop() {
-            out.push(keys[n].clone());
-            for &to in &succ[n] {
+            out.push(n);
+            for &to in self.successors(n) {
+                let to = to as usize;
                 indeg[to] -= 1;
                 if indeg[to] == 0 {
                     ready.push(Reverse(to));
                 }
             }
         }
-        (out.len() == keys.len()).then_some(out)
+        (out.len() == self.len()).then_some(out)
     }
 }
 

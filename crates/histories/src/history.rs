@@ -18,6 +18,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{GlobalTxnId, Instance, Item, LocalTxnId, SiteId, Txn};
+use crate::index::{Index, Scope};
 use crate::op::{Op, OpKind};
 
 /// A linear history of operations.
@@ -182,42 +183,12 @@ impl History {
     /// transaction, and every operation of each committed local transaction.
     /// All other transactions' operations are dropped.
     pub fn committed_projection(&self) -> History {
-        // One pass collects, per transaction, what `is_globally_committed`,
-        // `is_complete` and `local_txn_committed` each ask of the history.
-        #[derive(Default)]
-        struct Fate {
-            globally_committed: bool,
-            sites: BTreeSet<SiteId>,
-            committed_at: BTreeSet<SiteId>,
-        }
-        let mut fates: BTreeMap<Txn, Fate> = BTreeMap::new();
-        for op in &self.ops {
-            let fate = fates.entry(op.txn).or_default();
-            match op.kind {
-                OpKind::GlobalCommit => fate.globally_committed = true,
-                OpKind::LocalCommit(s) => {
-                    fate.committed_at.insert(s);
-                }
-                _ => {}
-            }
-            if let Some(s) = op.site() {
-                fate.sites.insert(s);
-            }
-        }
-        let keep: BTreeSet<Txn> = fates
-            .into_iter()
-            .filter(|(t, fate)| match *t {
-                // `committed_at ⊆ sites`, so equality is "at every site".
-                Txn::Global(_) => {
-                    fate.globally_committed
-                        && !fate.sites.is_empty()
-                        && fate.committed_at == fate.sites
-                }
-                Txn::Local(l) => fate.committed_at.contains(&l.site),
-            })
-            .map(|(t, _)| t)
-            .collect();
-        History::from_ops(self.ops.iter().copied().filter(|o| keep.contains(&o.txn)))
+        let ix = Index::new(self);
+        let kept = self.ops.iter().zip(&ix.txn_of);
+        History::from_ops(
+            kept.filter(|&(_, &t)| ix.includes(Scope::Committed, t))
+                .map(|(op, _)| *op),
+        )
     }
 
     /// Position of the first occurrence of `op`, if present.

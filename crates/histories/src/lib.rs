@@ -30,7 +30,10 @@
 //! * checkers for the recoverability hierarchy: recoverable, ACA, strict,
 //!   and **rigorous** — the SRS assumption ([`rigor`]);
 //! * verbatim constructions of the paper's Fig. 2 transactions and the
-//!   anomaly histories H1, H2, H3 ([`paper`]).
+//!   anomaly histories H1, H2, H3 ([`paper`]);
+//! * the paper's sufficient condition for view serializability of `C(H)`
+//!   as one [`Verdict`], every stage run on one interned index of the
+//!   history.
 
 #![forbid(unsafe_code)]
 
@@ -40,6 +43,7 @@ pub mod distortion;
 pub mod graph;
 pub mod history;
 pub mod ids;
+mod index;
 pub mod op;
 #[cfg(test)]
 mod oracle;
@@ -55,6 +59,7 @@ pub use conflict::{conflict_serializable, ops_conflict, serialization_graph};
 pub use distortion::{detect_global_view_distortion, detect_local_view_distortion, Distortion};
 pub use history::History;
 pub use ids::{GlobalTxnId, Instance, Item, LocalTxnId, SiteId, Txn};
+pub use index::Verdict;
 pub use op::{Op, OpKind};
 pub use parse::ParseError;
 pub use replay::Replay;

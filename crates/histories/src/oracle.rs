@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::distortion::Distortion;
 use crate::history::History;
 use crate::ids::{GlobalTxnId, Instance, Item, SiteId, Txn};
+use crate::index::Verdict;
 use crate::op::{Op, OpKind};
 use crate::rigor::RigorViolation;
 
@@ -326,6 +327,24 @@ pub fn detect_global_view_distortion(h: &History) -> Option<Distortion> {
         }
     }
     None
+}
+
+// ---------------------------------------------------------------------
+// The whole verdict, by composition
+// ---------------------------------------------------------------------
+
+/// What [`Verdict::of`] decides, composed from the definitions the way a
+/// run's analysis reads: each site projection's rigorousness in site order,
+/// then `C(H)`, the closure's acyclicity and the distortion scan on it, and
+/// its transaction count.
+pub fn verdict(h: &History, sites: u32) -> Verdict {
+    let c = committed_projection(h);
+    Verdict {
+        rigor_violation: (0..sites).find_map(|s| rigor_violation(&h.site_projection(SiteId(s)))),
+        cg_acyclic: commit_order_closure(&c).acyclic(),
+        global_distortion: detect_global_view_distortion(&c),
+        committed_txns: c.txns().len(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -698,6 +717,14 @@ mod tests {
         }
 
         #[test]
+        fn the_verdict_matches_the_composed_definitions(
+            seed in any::<u64>(), steps in 10usize..90, flavour in 0..FLAVOURS, sites in 0u32..6
+        ) {
+            let h = history(seed, steps, flavour);
+            prop_assert_eq!(Verdict::of(&h, sites), verdict(&h, sites), "history: {}", h);
+        }
+
+        #[test]
         fn conflict_chains_reach_what_all_pairs_reach(
             seed in any::<u64>(), steps in 10usize..90, flavour in 0..FLAVOURS
         ) {
@@ -713,32 +740,35 @@ mod tests {
         }
     }
 
-    /// The malformed shapes one at a time, where the random grid may only
-    /// graze them: every checker against its definition on each.
+    /// Malformed shapes the random grid may only graze.
+    const MALFORMED: [&str; 9] = [
+        // A write after its instance's terminal op is never terminated,
+        // not even by a second terminal op.
+        "W_10[X^a] C^a_10 W_10[X^a] C^a_10 R_20[X^a] C^a_20",
+        // The same for a read: T2 writes under a reader that is over.
+        "C^a_10 R_10[X^a] C^a_10 W_20[X^a]",
+        // An access after the terminal op closes a conflict cycle that
+        // neither lock rule sees.
+        "W_10[X^a] C^a_10 W_20[X^a] C^a_20 R_10[X^a]",
+        // Only the first abort rolls back: the second write stays.
+        "W_10[X^a] A^a_10 W_10[X^a] A^a_10 R_20[X^a] C^a_20",
+        // Aborted and committed: never a final writer, but C(H) keeps it.
+        "W_10[X^a] A^a_10 C^a_10 C_1 W_4[X^a] C^a_4",
+        // Duplicate local commits: the first one places T1 in the chain.
+        "C^a_10 C^a_20 C^a_10 C^b_20 C^b_10 C^b_20 C_1 C_2",
+        // Three sites, orders reversed pairwise.
+        "C^a_10 C^a_20 C^b_20 C^b_30 C^c_30 C^c_10 C_1 C_2 C_3",
+        // Committed before its data operations; prepared in between.
+        "C^a_10 R_10[X^a] P^a_1 W_10[Y^a] A^a_10 R_11[X^a] C^a_11 C_1",
+        // A writer aborted between the two incarnations' reads.
+        "W_20[X^a] R_10[X^a] A^a_10 A^a_20 R_11[X^a] C^a_11 C_1",
+    ];
+
+    /// The malformed shapes one at a time: every checker against its
+    /// definition on each.
     #[test]
     fn malformed_shapes_match_the_definition() {
-        let shapes = [
-            // A write after its instance's terminal op is never terminated,
-            // not even by a second terminal op.
-            "W_10[X^a] C^a_10 W_10[X^a] C^a_10 R_20[X^a] C^a_20",
-            // The same for a read: T2 writes under a reader that is over.
-            "C^a_10 R_10[X^a] C^a_10 W_20[X^a]",
-            // An access after the terminal op closes a conflict cycle that
-            // neither lock rule sees.
-            "W_10[X^a] C^a_10 W_20[X^a] C^a_20 R_10[X^a]",
-            // Only the first abort rolls back: the second write stays.
-            "W_10[X^a] A^a_10 W_10[X^a] A^a_10 R_20[X^a] C^a_20",
-            // Aborted and committed: never a final writer, but C(H) keeps it.
-            "W_10[X^a] A^a_10 C^a_10 C_1 W_4[X^a] C^a_4",
-            // Duplicate local commits: the first one places T1 in the chain.
-            "C^a_10 C^a_20 C^a_10 C^b_20 C^b_10 C^b_20 C_1 C_2",
-            // Three sites, orders reversed pairwise.
-            "C^a_10 C^a_20 C^b_20 C^b_30 C^c_30 C^c_10 C_1 C_2 C_3",
-            // Committed before its data operations; prepared in between.
-            "C^a_10 R_10[X^a] P^a_1 W_10[Y^a] A^a_10 R_11[X^a] C^a_11 C_1",
-            // A writer aborted between the two incarnations' reads.
-            "W_20[X^a] R_10[X^a] A^a_10 A^a_20 R_11[X^a] C^a_11 C_1",
-        ];
+        let shapes = MALFORMED;
         for shape in shapes {
             for h in with_projections(&shape.parse().expect("notation")) {
                 assert_eq!(
@@ -768,6 +798,31 @@ mod tests {
         assert_eq!(rule(shapes[0]), Some((Some("strict"), 4)));
         assert_eq!(rule(shapes[1]), Some((Some("rigorous"), 3)));
         assert_eq!(rule(shapes[2]), Some((Some("serializable"), 0)));
+    }
+
+    /// The whole verdict on each malformed shape, and on shapes where sites
+    /// disagree about which rule breaks first, over every site count from
+    /// none to one past the last site.
+    #[test]
+    fn malformed_shapes_verdict_matches_the_composed_definitions() {
+        let sites_disagree = [
+            // Strictness breaks at b, later the rigorous rule at a.
+            "W_10[X^b] R_20[X^b] R_30[X^a] W_40[X^a]",
+            // Strictness breaks at b; a's serialization graph is cyclic.
+            "W_30[X^b] R_40[X^b] W_10[X^a] C^a_10 W_20[X^a] C^a_20 R_10[X^a]",
+            // Both graphs cyclic, b's cycle closed first.
+            "W_10[X^b] C^b_10 W_20[X^b] C^b_20 R_10[X^b] W_30[X^a] C^a_30 W_40[X^a] C^a_40 R_30[X^a]",
+        ];
+        for shape in MALFORMED.into_iter().chain(sites_disagree) {
+            let h: History = shape.parse().expect("notation");
+            for sites in 0..=4 {
+                assert_eq!(
+                    Verdict::of(&h, sites),
+                    verdict(&h, sites),
+                    "{h} at {sites} sites"
+                );
+            }
+        }
     }
 
     /// The differential suite is only as good as the verdicts its inputs

@@ -11,10 +11,11 @@
 //! Final writers follow the paper's view-equivalence convention: "only
 //! committed writes are taken into account as final writes".
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::history::History;
 use crate::ids::{Instance, Item, Txn};
+use crate::index::{Index, Scope, NONE};
 use crate::op::OpKind;
 
 /// The computed read/write semantics of one history.
@@ -31,64 +32,68 @@ pub struct Replay {
     views: BTreeMap<Instance, Vec<(Item, Option<Instance>)>>,
 }
 
+/// The one rollback-aware replay: a forward pass over the operations in
+/// `scope`, calling `read(p, writer)` for every read with the instance id
+/// whose write it observes ([`NONE`] = `T_0`).
+///
+/// An instance's *first* local abort rolls back every write it made before
+/// it, exposing what those replaced; writes made after that abort stay —
+/// there is no second rollback. Both are known from the index up front, so
+/// an abort needs no event of its own: a write is invisible to every read
+/// after its instance's first abort, if it came before that abort.
+pub(crate) fn replay(ix: &Index, scope: Scope, mut read: impl FnMut(usize, u32)) {
+    // Per item, the writes a read may still observe, oldest first. One that
+    // can never be rolled back hides everything under it for good.
+    let mut visible: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ix.items.len()];
+    for (p, op) in ix.ops.iter().enumerate() {
+        if !op.kind.is_data_op() || !ix.includes(scope, ix.txn_of[p]) {
+            continue;
+        }
+        let (now, inst) = (p as u32, ix.inst_of[p]);
+        let rolled_back = |(at, w): (u32, u32)| {
+            let abort = ix.insts[w as usize].first_abort;
+            at < abort && abort < now
+        };
+        let writes = &mut visible[ix.item_of[p] as usize];
+        if matches!(op.kind, OpKind::Write(_)) {
+            let abort = ix.insts[inst as usize].first_abort;
+            if abort == NONE || abort < now {
+                writes.clear();
+            }
+            writes.push((now, inst));
+        } else {
+            while writes.last().is_some_and(|&w| rolled_back(w)) {
+                writes.pop();
+            }
+            read(p, writes.last().map_or(NONE, |w| w.1));
+        }
+    }
+}
+
 impl Replay {
     /// Replay a history and compute its semantics.
     pub fn of(h: &History) -> Replay {
-        let ops = h.ops();
-
-        // One forward pass. `visible` holds, per item, the writes a read
-        // would currently see (position → writer; the last entry is the
-        // value in place): an instance's *first* local abort rolls back
-        // every write it has made so far, exposing what those replaced.
-        // Writes made after that abort stay — there is no second rollback.
-        let mut visible: BTreeMap<Item, BTreeMap<usize, Instance>> = BTreeMap::new();
-        let mut writes_of: BTreeMap<Instance, Vec<(Item, usize)>> = BTreeMap::new();
-        let mut committed: BTreeSet<Instance> = BTreeSet::new();
-        let mut aborted: BTreeSet<Instance> = BTreeSet::new();
-
+        let ix = Index::new(h);
+        let instance = |i: u32| (i != NONE).then(|| ix.insts[i as usize].id);
         let mut reads_from = BTreeMap::new();
         let mut views: BTreeMap<Instance, Vec<(Item, Option<Instance>)>> = BTreeMap::new();
-        let mut final_writers: BTreeMap<Item, Option<Instance>> = BTreeMap::new();
-
-        for (p, op) in ops.iter().enumerate() {
-            let Some(inst) = op.instance() else { continue };
-            if let Some(item) = op.item() {
-                final_writers.entry(item).or_insert(None);
-            }
-            match op.kind {
-                OpKind::Read(item) => {
-                    let writer = visible
-                        .get(&item)
-                        .and_then(|writes| writes.last_key_value().map(|(_, w)| *w));
-                    reads_from.insert(p, writer);
-                    views.entry(inst).or_default().push((item, writer));
-                }
-                OpKind::Write(item) => {
-                    visible.entry(item).or_default().insert(p, inst);
-                    writes_of.entry(inst).or_default().push((item, p));
-                }
-                OpKind::LocalCommit(_) => {
-                    committed.insert(inst);
-                }
-                OpKind::LocalAbort(_) if aborted.insert(inst) => {
-                    for (item, q) in writes_of.remove(&inst).unwrap_or_default() {
-                        if let Some(writes) = visible.get_mut(&item) {
-                            writes.remove(&q);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
+        replay(&ix, Scope::All, |p, writer| {
+            let writer = instance(writer);
+            reads_from.insert(p, writer);
+            let item = ix.items[ix.item_of[p] as usize];
+            views.entry(ix.inst(p).id).or_default().push((item, writer));
+        });
 
         // Final writers: last write per item by an instance that committed
-        // and never aborted — anywhere in the history, hence a second pass.
-        // Any other write leaves the previous committed write final.
-        for op in ops {
+        // and never aborted — anywhere in the history. Any other write
+        // leaves the previous committed write final.
+        let mut final_writers: BTreeMap<Item, Option<Instance>> =
+            ix.items.iter().map(|&it| (it, None)).collect();
+        for (p, op) in ix.ops.iter().enumerate() {
             if let OpKind::Write(it) = op.kind {
-                let w = op.instance().expect("writes are site-bound");
-                if committed.contains(&w) && !aborted.contains(&w) {
-                    final_writers.insert(it, Some(w));
+                let w = ix.inst(p);
+                if w.first_commit != NONE && w.first_abort == NONE {
+                    final_writers.insert(it, Some(w.id));
                 }
             }
         }

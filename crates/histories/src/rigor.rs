@@ -9,19 +9,20 @@
 //! indirectly.
 //!
 //! All checkers here operate at the *instance* level (the LTM's view, where
-//! every resubmission is an independent transaction) and are meant to be
-//! applied to single-site projections.
-
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+//! every resubmission is an independent transaction). Items and instances
+//! are site-bound, so one sweep over a multi-site history is every site's
+//! sweep at once; [`rigor_violation`] reports on the history it is given,
+//! and the analysis of a run asks each site projection in turn.
 
 use serde::{Deserialize, Serialize};
 
-use crate::conflict::conflict_serializable_instances;
+use crate::conflict::conflict_arcs;
+use crate::graph::Adjacency;
 use crate::history::History;
-use crate::ids::{Instance, Item};
+use crate::ids::{Instance, SiteId};
+use crate::index::{Index, Scope, NONE};
 use crate::op::OpKind;
-use crate::replay::Replay;
+use crate::replay::replay;
 
 /// A violation of one of the recoverability-hierarchy conditions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,47 +37,24 @@ pub struct RigorViolation {
     pub position: usize,
 }
 
-/// The accesses of one kind (reads, or writes) that are still *open*: made
-/// by an instance that has not terminated since. Per item and instance only
-/// the earliest open access is kept — it decides who a later conflicting
-/// operation should have waited for first.
+const STRICT: &str = "strict: accessed data written by an unterminated transaction";
+const UNDER_READER: &str = "rigorous: wrote data read by an unterminated transaction";
+const CYCLIC: &str = "serializable: instance-level serialization graph is cyclic";
+
+/// A violation found by the sweep: its history position, and the violation
+/// with its position counted within its site's projection.
+type Found = Option<(usize, RigorViolation)>;
+
+/// What the lock-discipline sweep found at one site.
 #[derive(Default)]
-struct OpenAccesses {
-    /// Per item: position of the access → the instance that made it.
-    by_item: BTreeMap<Item, BTreeMap<usize, Instance>>,
-    /// Per instance: where its entry sits in each item's map.
-    by_instance: BTreeMap<Instance, BTreeMap<Item, usize>>,
+struct SiteLocks {
+    /// Operations of the site seen so far.
+    seen: usize,
+    strict: Found,
+    under_reader: Found,
 }
 
-impl OpenAccesses {
-    fn open(&mut self, inst: Instance, item: Item, pos: usize) {
-        if let Entry::Vacant(slot) = self.by_instance.entry(inst).or_default().entry(item) {
-            slot.insert(pos);
-            self.by_item.entry(item).or_default().insert(pos, inst);
-        }
-    }
-
-    /// The instance terminated: everything it has open so far is closed.
-    fn close(&mut self, inst: Instance) {
-        for (item, pos) in self.by_instance.remove(&inst).unwrap_or_default() {
-            if let Some(open) = self.by_item.get_mut(&item) {
-                open.remove(&pos);
-            }
-        }
-    }
-
-    /// The earliest open access to `item` by an instance other than `me`
-    /// (each instance has one entry, so this looks at two at most).
-    fn earliest_other(&self, item: Item, me: Instance) -> Option<Instance> {
-        self.by_item
-            .get(&item)?
-            .values()
-            .copied()
-            .find(|&inst| inst != me)
-    }
-}
-
-/// One forward sweep for both lock-discipline rules.
+/// One forward sweep for both lock-discipline rules, every site at once.
 ///
 /// **Strictness**: whenever `W_j[x]` precedes `O_i[x]` (i ≠ j), the
 /// termination of `j` lies between them. The **rigorous** extra condition:
@@ -85,107 +63,142 @@ impl OpenAccesses {
 /// abort; whatever it accesses after that is never closed again (such input
 /// is malformed, and stays "never terminated").
 ///
-/// Returns the first strictness violation and — as far as the sweep got,
-/// which is the whole history if there is none — the first
-/// write-under-reader violation: each the earliest offending operation,
-/// against the earliest open conflicting access.
-fn lock_discipline(h: &History) -> (Option<RigorViolation>, Option<RigorViolation>) {
-    let mut writes = OpenAccesses::default();
-    let mut reads = OpenAccesses::default();
-    let mut terminated: BTreeSet<Instance> = BTreeSet::new();
-    let mut under_reader = None;
-    for (p, op) in h.ops().iter().enumerate() {
-        let Some(inst) = op.instance() else { continue };
-        match op.kind {
-            OpKind::Read(item) | OpKind::Write(item) => {
-                if let Some(victim) = writes.earliest_other(item, inst) {
-                    let strict = RigorViolation {
-                        rule: "strict: accessed data written by an unterminated transaction",
-                        offender: inst,
-                        victim,
-                        position: p,
-                    };
-                    return (Some(strict), under_reader);
-                }
-                if matches!(op.kind, OpKind::Read(_)) {
-                    reads.open(inst, item, p);
-                    continue;
-                }
-                if under_reader.is_none() {
-                    under_reader = reads
-                        .earliest_other(item, inst)
-                        .map(|victim| RigorViolation {
-                            rule: "rigorous: wrote data read by an unterminated transaction",
-                            offender: inst,
-                            victim,
-                            position: p,
-                        });
-                }
-                writes.open(inst, item, p);
+/// Per site: the first strictness violation — the site's sweep ends there —
+/// and, as far as the sweep got, the first write-under-reader violation;
+/// each the earliest offending operation, against the earliest open
+/// conflicting access.
+fn lock_discipline(ix: &Index) -> Vec<SiteLocks> {
+    // An access is open from where it was made until its instance's first
+    // terminal operation, if that comes after it.
+    let open = |(at, inst): (u32, u32), now: u32| {
+        let end = ix.insts[inst as usize].terminated_at();
+        !(at < end && end < now)
+    };
+    let mut sites: Vec<SiteLocks> = ix.sites.iter().map(|_| SiteLocks::default()).collect();
+    // Per item, as (position, instance): its open write — until a site's
+    // first strictness violation there is never a second — and its open
+    // reads in history order (an instance's earliest open one is the one
+    // that counts; a closed one stays closed).
+    let mut writer = vec![(NONE, NONE); ix.items.len()];
+    let mut readers: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ix.items.len()];
+    for (p, op) in ix.ops.iter().enumerate() {
+        let inst = ix.inst_of[p];
+        if inst == NONE {
+            continue;
+        }
+        let site = &mut sites[ix.insts[inst as usize].site as usize];
+        let position = site.seen;
+        site.seen += 1;
+        let item = ix.item_of[p] as usize;
+        if site.strict.is_some() || item == NONE as usize {
+            continue;
+        }
+        let now = p as u32;
+        let found = |rule, victim: u32| {
+            let violation = RigorViolation {
+                rule,
+                offender: ix.insts[inst as usize].id,
+                victim: ix.insts[victim as usize].id,
+                position,
+            };
+            Some((p, violation))
+        };
+        let w = writer[item];
+        let written = w.1 != NONE && open(w, now);
+        if written && w.1 != inst {
+            site.strict = found(STRICT, w.1);
+            continue;
+        }
+        let reads = &mut readers[item];
+        if matches!(op.kind, OpKind::Read(_)) {
+            // Once the site has its first write-under-reader violation its
+            // reads no longer matter.
+            let again = reads.last().is_some_and(|&r| r.1 == inst && open(r, now));
+            if site.under_reader.is_none() && !again {
+                reads.push((now, inst));
             }
-            OpKind::LocalCommit(_) | OpKind::LocalAbort(_) if terminated.insert(inst) => {
-                writes.close(inst);
-                reads.close(inst);
+            continue;
+        }
+        if site.under_reader.is_none() {
+            match reads.iter().find(|&&r| r.1 != inst && open(r, now)) {
+                Some(&(_, victim)) => site.under_reader = found(UNDER_READER, victim),
+                None => {
+                    // Every open read is the writer's own: keep its earliest.
+                    let own = reads.iter().copied().find(|&r| open(r, now));
+                    reads.clear();
+                    reads.extend(own);
+                }
             }
-            _ => {}
+        }
+        if !written {
+            writer[item] = (now, inst);
         }
     }
-    (None, under_reader)
+    sites
+}
+
+/// The smallest site whose instance-level serialization graph is cyclic.
+/// No arc crosses sites, so a search that starts from every instance of one
+/// site before any of the next site's finds a cycle of the smallest cyclic
+/// site first.
+fn first_cyclic_site(ix: &Index) -> Option<SiteId> {
+    let graph = Adjacency::new(ix.insts.len(), &conflict_arcs(ix));
+    let mut starts: Vec<usize> = (0..ix.insts.len()).collect();
+    starts.sort_unstable_by_key(|&i| ix.site_id(ix.insts[i].site));
+    let cycle = graph.find_cycle(starts)?;
+    Some(ix.site_id(ix.insts[cycle[0]].site))
+}
+
+/// The earliest (by history position) of the sites' violations of one rule,
+/// positioned in the whole history.
+fn earliest(sites: &[SiteLocks], rule: fn(&SiteLocks) -> &Found) -> Option<RigorViolation> {
+    let (p, v) = sites
+        .iter()
+        .filter_map(|s| rule(s).as_ref())
+        .min_by_key(|f| f.0)?;
+    Some(RigorViolation {
+        position: *p,
+        ..v.clone()
+    })
 }
 
 /// Check **strictness**: whenever `W_j[x]` precedes `O_i[x]` (i ≠ j), the
 /// termination of `j` precedes `O_i[x]`.
 pub fn check_strict(h: &History) -> Option<RigorViolation> {
-    lock_discipline(h).0
+    earliest(&lock_discipline(&Index::new(h)), |s| &s.strict)
+}
+
+/// Every read of another instance's write, as `(position, reader, writer)`
+/// instance ids.
+fn foreign_reads(ix: &Index) -> Vec<(u32, u32, u32)> {
+    let mut out = Vec::new();
+    replay(ix, Scope::All, |p, writer| {
+        let reader = ix.inst_of[p];
+        if writer != NONE && writer != reader {
+            out.push((p as u32, reader, writer));
+        }
+    });
+    out
 }
 
 /// Whether the history is **recoverable**: every instance that reads from
 /// another instance commits only after its writer committed.
 pub fn is_recoverable(h: &History) -> bool {
-    recoverability_violation(h).is_none()
-}
-
-/// Position of each instance's first local commit.
-fn first_commits(h: &History) -> BTreeMap<Instance, usize> {
-    let mut at = BTreeMap::new();
-    for (p, op) in h.ops().iter().enumerate() {
-        if let (OpKind::LocalCommit(_), Some(inst)) = (op.kind, op.instance()) {
-            at.entry(inst).or_insert(p);
-        }
-    }
-    at
-}
-
-/// Every read of another instance's write, as `(position, reader, writer)`.
-fn foreign_reads(h: &History) -> impl Iterator<Item = (usize, Instance, Instance)> + '_ {
-    let replay = Replay::of(h);
-    h.ops().iter().enumerate().filter_map(move |(p, op)| {
-        let writer = replay.reads_from_at(p)??;
-        let reader = op.instance().expect("reads are site-bound");
-        (writer != reader).then_some((p, reader, writer))
-    })
-}
-
-fn recoverability_violation(h: &History) -> Option<RigorViolation> {
-    let commit = first_commits(h);
-    foreign_reads(h).find_map(|(p, reader, writer)| {
-        // If the reader commits, the writer must have committed first.
-        let rc = commit.get(&reader)?;
-        let ok = commit.get(&writer).is_some_and(|wc| wc < rc);
-        (!ok).then_some(RigorViolation {
-            rule: "recoverable: committed before (or without) its writer committing",
-            offender: reader,
-            victim: writer,
-            position: p,
-        })
-    })
+    let ix = Index::new(h);
+    let commit = |i: u32| ix.insts[i as usize].first_commit;
+    // If the reader commits, the writer must have committed first.
+    foreign_reads(&ix)
+        .into_iter()
+        .all(|(_, reader, writer)| commit(reader) == NONE || commit(writer) < commit(reader))
 }
 
 /// Whether the history **avoids cascading aborts** (ACA): every read (from
 /// another instance) observes only committed data.
 pub fn is_aca(h: &History) -> bool {
-    let commit = first_commits(h);
-    foreign_reads(h).all(|(p, _, writer)| commit.get(&writer).is_some_and(|&wc| wc < p))
+    let ix = Index::new(h);
+    foreign_reads(&ix)
+        .into_iter()
+        .all(|(p, _, writer)| ix.insts[writer as usize].first_commit < p)
 }
 
 /// Whether the history is **strict**.
@@ -195,26 +208,52 @@ pub fn is_strict(h: &History) -> bool {
 
 /// Whether the history is **rigorous** (SRS): conflict serializable at the
 /// instance level, strict, and no item is written while an instance that
-/// read it is still alive. Returns the first violation for diagnostics.
+/// read it is still alive. Returns the first violation for diagnostics: a
+/// strictness violation anywhere outranks a write-under-reader violation
+/// earlier on, and a cyclic serialization graph — which under both lock
+/// rules cannot happen for complete histories, but can for partial ones —
+/// is reported against the history's first instance.
 pub fn rigor_violation(h: &History) -> Option<RigorViolation> {
-    let (strict, under_reader) = lock_discipline(h);
-    if let Some(v) = strict.or(under_reader) {
-        return Some(v);
+    let ix = Index::new(h);
+    let sites = lock_discipline(&ix);
+    earliest(&sites, |s| &s.strict)
+        .or_else(|| earliest(&sites, |s| &s.under_reader))
+        .or_else(|| {
+            first_cyclic_site(&ix)?;
+            Some(serialization_violation(ix.insts.first()?.id))
+        })
+}
+
+fn serialization_violation(first: Instance) -> RigorViolation {
+    RigorViolation {
+        rule: CYCLIC,
+        offender: first,
+        victim: first,
+        position: 0,
     }
-    if !conflict_serializable_instances(h) {
-        // Under strictness + no-write-under-reader this cannot happen for
-        // complete histories, but report it for partial ones.
-        let inst = h.instances().first().copied();
-        if let Some(i) = inst {
-            return Some(RigorViolation {
-                rule: "serializable: instance-level serialization graph is cyclic",
-                offender: i,
-                victim: i,
-                position: 0,
-            });
+}
+
+/// The first site, in `SiteId` order below `sites`, whose projection is not
+/// rigorous — with the violation [`rigor_violation`] reports on that
+/// projection — from one sweep over the whole history.
+pub(crate) fn first_site_violation(ix: &Index, sites: u32) -> Option<RigorViolation> {
+    let locks = lock_discipline(ix);
+    let cyclic = first_cyclic_site(ix);
+    let (site, locks) = (0..)
+        .zip(&locks)
+        .filter(|&(d, l)| {
+            let s = ix.site_id(d);
+            s.0 < sites && (l.strict.is_some() || l.under_reader.is_some() || cyclic == Some(s))
+        })
+        .min_by_key(|&(d, _)| ix.site_id(d))?;
+    let lock = locks.strict.as_ref().or(locks.under_reader.as_ref());
+    Some(match lock {
+        Some((_, v)) => v.clone(),
+        None => {
+            let first = ix.insts.iter().find(|inst| inst.site == site)?;
+            serialization_violation(first.id)
         }
-    }
-    None
+    })
 }
 
 /// Whether the history is rigorous (see [`rigor_violation`]).

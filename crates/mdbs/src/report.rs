@@ -1,11 +1,8 @@
 //! Run reports and post-hoc correctness checking.
 
 use mdbs_histories::{
-    cg::commit_order_graph,
-    distortion::{detect_global_view_distortion, Distortion},
-    rigor::rigor_violation,
-    view::view_serializable_capped,
-    History, OpKind, RigorViolation, SiteId, Txn,
+    distortion::Distortion, view::view_serializable_capped, History, OpKind, RigorViolation,
+    SiteId, Txn, Verdict,
 };
 use mdbs_simkit::{Metrics, SimTime};
 use serde::Serialize;
@@ -33,31 +30,20 @@ pub struct CorrectnessReport {
 }
 
 impl CorrectnessReport {
-    /// Analyze a captured global history.
+    /// Analyze a captured global history: the [`Verdict`] of its sites
+    /// `0..sites`, plus the exact decider when `C(H)` is small enough.
     pub fn analyze(history: &History, sites: u32) -> CorrectnessReport {
-        let mut rigor = None;
-        for s in 0..sites {
-            let proj = history.site_projection(SiteId(s));
-            if let Some(v) = rigor_violation(&proj) {
-                rigor = Some(v);
-                break;
-            }
-        }
-        let c = history.committed_projection();
-        let committed_txns = c.txns().len();
-        let cg = commit_order_graph(&c);
-        let global_distortion = detect_global_view_distortion(&c);
-        let view_serializable_exact = if committed_txns <= EXACT_CHECK_MAX_TXNS {
-            Some(view_serializable_capped(&c, EXACT_CHECK_MAX_TXNS).serializable)
-        } else {
-            None
-        };
+        let verdict = Verdict::of(history, sites);
+        let view_serializable_exact = (verdict.committed_txns <= EXACT_CHECK_MAX_TXNS).then(|| {
+            let c = history.committed_projection();
+            view_serializable_capped(&c, EXACT_CHECK_MAX_TXNS).serializable
+        });
         CorrectnessReport {
-            rigor_violation: rigor,
-            cg_acyclic: cg.acyclic,
-            global_distortion,
+            rigor_violation: verdict.rigor_violation,
+            cg_acyclic: verdict.cg_acyclic,
+            global_distortion: verdict.global_distortion,
             view_serializable_exact,
-            committed_txns,
+            committed_txns: verdict.committed_txns,
         }
     }
 

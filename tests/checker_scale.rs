@@ -3,8 +3,11 @@
 //! transactions at 8 sites. Every stage of `analyze` is near-linear in the
 //! history; while any of them was quadratic this did not finish in test
 //! time. No wall-clock assertion — the test harness's patience is the bound.
+//! The same history with lock violations appended pins, at that size, which
+//! rigorousness witness a run reports.
 
-use rigorous_mdbs::histories::{History, Item, Op, SiteId};
+use rigorous_mdbs::histories::rigor::rigor_violation;
+use rigorous_mdbs::histories::{History, Instance, Item, Op, RigorViolation, SiteId};
 use rigorous_mdbs::sim::CorrectnessReport;
 
 const SITES: u32 = 8;
@@ -77,6 +80,70 @@ fn analyze_passes_a_ten_thousand_transaction_history() {
             cg_acyclic: false,
             committed_txns: committed + 2,
             ..report
+        }
+    );
+}
+
+#[test]
+fn analyze_reports_the_first_violating_site_in_site_order() {
+    const STRICT: &str = "strict: accessed data written by an unterminated transaction";
+    const UNDER_READER: &str = "rigorous: wrote data read by an unterminated transaction";
+    let (h, _) = operations();
+    let clean = CorrectnessReport::analyze(&History::from_ops(h.clone()), SITES);
+    // Local transaction numbers no round uses; none of them terminates, so
+    // `C(H)`, `CG` and the distortion scan see nothing new.
+    let (n, m) = (ROUNDS, ROUNDS + 1);
+    let projected = |s: SiteId| h.iter().filter(|op| op.site() == Some(s)).count();
+    // At site 5, L_m reads what the unterminated L_n wrote; later, at site
+    // 2, L_m writes what the unterminated L_n read.
+    let (five, two) = (SiteId(5), SiteId(2));
+    let dirty_read = [
+        Op::write_l(n, Item::new(five, 0)),
+        Op::read_l(m, Item::new(five, 0)),
+    ];
+    let write_under_reader = [
+        Op::read_l(n, Item::new(two, 0)),
+        Op::write_l(m, Item::new(two, 0)),
+    ];
+    let violation = |rule, site, position| RigorViolation {
+        rule,
+        offender: Instance::local(site, m),
+        victim: Instance::local(site, n),
+        position,
+    };
+    let analyze = |tail: &[Op]| {
+        let mut ops = h.clone();
+        ops.extend_from_slice(tail);
+        let history = History::from_ops(ops);
+        (CorrectnessReport::analyze(&history, SITES), history)
+    };
+
+    // Both: site 2 comes first in site order, so its write-under-reader
+    // violation is the run's witness although site 5's strictness violation
+    // comes first in the history — and would outrank it there.
+    let (report, history) = analyze(&[dirty_read, write_under_reader].concat());
+    let expected = violation(UNDER_READER, two, projected(two) + 1);
+    assert_eq!(
+        report,
+        CorrectnessReport {
+            rigor_violation: Some(expected),
+            ..clean.clone()
+        }
+    );
+    assert_eq!(
+        rigor_violation(&history),
+        Some(violation(STRICT, five, h.len() + 1)),
+        "on the whole history a strictness violation anywhere comes first"
+    );
+
+    // Strictness only: site 5's, positioned within site 5's projection.
+    let (report, _) = analyze(&dirty_read);
+    let expected = violation(STRICT, five, projected(five) + 1);
+    assert_eq!(
+        report,
+        CorrectnessReport {
+            rigor_violation: Some(expected),
+            ..clean
         }
     );
 }
