@@ -28,6 +28,7 @@ const AGENT: &str = "crates/core/src/agent.rs";
 const CERTIFIER: &str = "crates/core/src/certifier.rs";
 const COORD: &str = "crates/core/src/coordinator.rs";
 const LEADER: &str = "crates/consensus/src/leader.rs";
+const ACCEPTOR: &str = "crates/consensus/src/acceptor.rs";
 
 /// One textual edit: `anchor` must occur exactly once in `file`
 /// (workspace-relative) and is replaced by `replacement`.
@@ -241,14 +242,11 @@ pub fn catalog() -> Vec<Mutant> {
         Mutant {
             id: "quorum-shortcut",
             mechanism: "Paxos Commit per-instance quorum coverage",
-            summary: "commits once any F+1 acceptances arrive, without covering every participant",
+            summary: "a ballot-0 acceptor reports the transaction once any participant is Ready",
             edits: &[Edit {
-                file: LEADER,
-                anchor: "let decided = t
-            .participants
-            .iter()
-            .all(|s| t.ready_acks.get(s).is_some_and(|a| a.len() >= q));",
-                replacement: "let decided = t.ready_acks.values().map(BTreeSet::len).sum::<usize>() >= q;",
+                file: ACCEPTOR,
+                anchor: "if !participants.iter().all(ready) {",
+                replacement: "if !participants.iter().any(ready) {",
             }],
         },
         Mutant {

@@ -24,7 +24,7 @@ use std::path::Path;
 
 use mdbs_check::engine::{run, Group};
 use mdbs_check::explore::{explore, ExploreConfig, ExploreOutcome};
-use mdbs_consensus::{Acceptor, Ballot, Decision, Leader, PaxosMsg, Vote};
+use mdbs_consensus::{fast_path_acceptors, Acceptor, Decision, Leader, PaxosMsg, Vote};
 use mdbs_dtm::{
     Agent, AgentAction, AgentConfig, AgentInput, CertifierMode, CoordAction, Coordinator, Message,
     RefuseReason, SerialNumber, DONE_CAP,
@@ -533,35 +533,68 @@ fn consensus_leader(node: u32) -> Leader {
     Leader::new(node, 1, ACCEPTORS.to_vec())
 }
 
-/// Per-instance quorum coverage: a commit decision needs an F+1 quorum of
-/// acceptances for *every* participant's instance — acceptances piling up
-/// on one instance must not decide while another participant never voted.
+/// Deliver `inbox` between `leader` and the acceptors until quiescent;
+/// return the decisions reached.
+fn deliver(
+    leader: &mut Leader,
+    accs: &mut [Acceptor],
+    mut inbox: Vec<(u32, PaxosMsg)>,
+) -> Result<Vec<Decision>, String> {
+    let mut decisions = Vec::new();
+    for _ in 0..100 {
+        if inbox.is_empty() {
+            return Ok(decisions);
+        }
+        let mut next = Vec::new();
+        for (to, msg) in inbox {
+            if to == COORD {
+                let (out, ds) = leader.on_msg(msg);
+                next.extend(out);
+                decisions.extend(ds);
+            } else if let Some(acc) = accs.iter_mut().find(|a| a.node() == to) {
+                next.extend(acc.handle(msg));
+            }
+        }
+        inbox = next;
+    }
+    Err("consensus message storm".to_string())
+}
+
+/// Every-participant coverage: a ballot-0 acceptor reports a transaction
+/// only once it holds every registered participant's READY, so votes
+/// piling up for one participant must not decide while another never
+/// voted. `Leader` plus real `Acceptor`s, the votes sent to all three.
 #[test]
 fn probe_consensus_quorum() -> Result<(), String> {
-    let mut l = consensus_leader(COORD);
-    l.register(g(1), BTreeSet::from([SITE, SITE_B]));
-    let accepted = |site, acceptor| PaxosMsg::Accepted {
-        gtxn: g(1),
-        site,
-        ballot: Ballot::ZERO,
-        vote: Vote::Ready,
-        acceptor,
+    let mut leader = consensus_leader(COORD);
+    let mut accs: Vec<Acceptor> = ACCEPTORS.iter().map(|&n| Acceptor::new(n)).collect();
+    let votes = |site| {
+        ACCEPTORS.map(|a| {
+            let vote = PaxosMsg::Vote2a {
+                gtxn: g(1),
+                site,
+                coord: COORD,
+                vote: Vote::Ready,
+            };
+            (a, vote)
+        })
     };
-    // A quorum of acceptances, all for SITE's instance; SITE_B never voted.
-    for acc in [ACCEPTORS[0], ACCEPTORS[1]] {
-        let (_, decisions) = l.on_msg(accepted(SITE, acc));
-        if !decisions.is_empty() {
-            return Err(
-                "committed with a participant whose instance never reached a quorum".to_string(),
-            );
-        }
+    let begin = leader.register(g(1), BTreeSet::from([SITE, SITE_B]));
+    let mut decisions = deliver(&mut leader, &mut accs, begin)?;
+    // SITE votes, twice over; SITE_B never did.
+    for _ in 0..2 {
+        decisions.extend(deliver(&mut leader, &mut accs, votes(SITE).to_vec())?);
     }
-    // SITE_B's instance reaches F+1 too: now (and only now) commit.
-    l.on_msg(accepted(SITE_B, ACCEPTORS[0]));
-    let (_, decisions) = l.on_msg(accepted(SITE_B, ACCEPTORS[1]));
+    if !decisions.is_empty() {
+        return Err(format!(
+            "committed with a participant that never voted: {decisions:?}"
+        ));
+    }
+    // SITE_B votes too: now (and only now) commit.
+    let decisions = deliver(&mut leader, &mut accs, votes(SITE_B).to_vec())?;
     if decisions != vec![Decision::Commit { gtxn: g(1) }] {
         return Err(format!(
-            "full per-instance coverage must decide commit, got {decisions:?}"
+            "every participant ready must decide commit, got {decisions:?}"
         ));
     }
     Ok(())
@@ -573,8 +606,12 @@ fn probe_consensus_quorum() -> Result<(), String> {
 #[test]
 fn probe_consensus_takeover() -> Result<(), String> {
     let mut accs: Vec<Acceptor> = ACCEPTORS.iter().map(|&n| Acceptor::new(n)).collect();
-    // The crashed coordinator got every vote replicated before dying.
-    for acc in &mut accs {
+    // The crashed coordinator got every vote to its ballot-0 acceptors
+    // before dying.
+    for acc in accs
+        .iter_mut()
+        .filter(|a| fast_path_acceptors(&ACCEPTORS).contains(&a.node()))
+    {
         acc.handle(PaxosMsg::Begin {
             gtxn: g(1),
             coord: CRASHED_COORD,
@@ -590,28 +627,8 @@ fn probe_consensus_takeover() -> Result<(), String> {
         }
     }
     let mut backup = consensus_leader(COORD);
-    // Deliver every message between the backup and the acceptors until
-    // quiescent.
-    let mut inbox = backup.take_over();
-    let mut decisions = Vec::new();
-    let mut hops = 0;
-    while !inbox.is_empty() {
-        hops += 1;
-        if hops >= 100 {
-            return Err("takeover message storm".to_string());
-        }
-        let mut next = Vec::new();
-        for (to, msg) in inbox {
-            if to == COORD {
-                let (out, ds) = backup.on_msg(msg);
-                next.extend(out);
-                decisions.extend(ds);
-            } else if let Some(acc) = accs.iter_mut().find(|a| a.node() == to) {
-                next.extend(acc.handle(msg));
-            }
-        }
-        inbox = next;
-    }
+    let inbox = backup.take_over();
+    let decisions = deliver(&mut backup, &mut accs, inbox)?;
     let expected = vec![Decision::Adopted {
         gtxn: g(1),
         participants: BTreeSet::from([SITE, SITE_B]),

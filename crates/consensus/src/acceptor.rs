@@ -30,6 +30,13 @@ struct InstanceLog {
     fenced: bool,
 }
 
+impl InstanceLog {
+    const EMPTY: InstanceLog = InstanceLog {
+        accepted: None,
+        fenced: false,
+    };
+}
+
 /// One acceptor's durable state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Acceptor {
@@ -72,6 +79,12 @@ impl Acceptor {
         self.instances.get(&(gtxn, site)).and_then(|i| i.accepted)
     }
 
+    /// Whether a promise or a takeover proposal closed one instance's
+    /// fast path here (test observation).
+    pub fn fenced(&self, gtxn: GlobalTxnId, site: SiteId) -> bool {
+        self.instances.get(&(gtxn, site)).is_some_and(|i| i.fenced)
+    }
+
     /// Handle one Paxos message; returns `(to, msg)` replies.
     pub fn handle(&mut self, msg: PaxosMsg) -> Vec<(u32, PaxosMsg)> {
         match msg {
@@ -81,24 +94,27 @@ impl Acceptor {
                 participants,
             } => {
                 // First registration wins; duplicates are retransmissions.
+                // The votes may have arrived first: then this completes
+                // the bundle.
                 self.registrations
                     .entry(gtxn)
                     .or_insert((coord, participants));
-                Vec::new()
+                self.bundle(gtxn)
             }
+            // The report goes to the registration's coordinator, which the
+            // vote names too.
             PaxosMsg::Vote2a {
                 gtxn,
                 site,
-                coord,
+                coord: _,
                 vote,
-            } => self.on_vote2a(gtxn, site, coord, vote),
+            } => self.on_vote2a(gtxn, site, vote),
             PaxosMsg::Prepare1a { ballot } => self.on_prepare1a(ballot),
             PaxosMsg::Propose2a {
                 ballot,
                 gtxn,
-                site,
-                vote,
-            } => self.on_propose2a(ballot, gtxn, site, vote),
+                votes,
+            } => self.on_propose2a(ballot, gtxn, votes),
             PaxosMsg::Clear { gtxn } => {
                 self.registrations.remove(&gtxn);
                 let stale: Vec<(GlobalTxnId, SiteId)> = self
@@ -117,40 +133,45 @@ impl Acceptor {
     }
 
     /// Fast path: a participant's direct ballot-0 vote.
-    fn on_vote2a(
-        &mut self,
-        gtxn: GlobalTxnId,
-        site: SiteId,
-        coord: u32,
-        vote: Vote,
-    ) -> Vec<(u32, PaxosMsg)> {
-        let entry = self.instances.entry((gtxn, site)).or_insert(InstanceLog {
-            accepted: None,
-            fenced: false,
-        });
+    fn on_vote2a(&mut self, gtxn: GlobalTxnId, site: SiteId, vote: Vote) -> Vec<(u32, PaxosMsg)> {
+        let entry = self
+            .instances
+            .entry((gtxn, site))
+            .or_insert(InstanceLog::EMPTY);
         if entry.fenced {
             // A promised leader may propose for this instance: the
             // fast path is closed. The vote is not lost — the leader's
             // phase-1b read decides from what a quorum accepted in time.
             return Vec::new();
         }
-        let (ballot, vote) = match entry.accepted {
-            // First vote wins; a retransmitted vote re-reports the
-            // original acceptance (the earlier reply may have been lost
-            // with its coordinator).
-            Some(accepted) => accepted,
-            None => {
-                entry.accepted = Some((Ballot::ZERO, vote));
-                (Ballot::ZERO, vote)
-            }
+        // First vote wins. A retransmitted vote re-sends the bundle (the
+        // earlier one may have been lost with its coordinator).
+        entry.accepted.get_or_insert((Ballot::ZERO, vote));
+        self.bundle(gtxn)
+    }
+
+    /// Ballot-0 phase 2b, one per transaction: an `Accepted` to the
+    /// registered coordinator once every registered participant's instance
+    /// holds an unfenced ballot-0 Ready here, and nothing before. An Abort
+    /// vote therefore never answers: the agent's REFUSE aborts the
+    /// transaction at its coordinator directly.
+    fn bundle(&self, gtxn: GlobalTxnId) -> Vec<(u32, PaxosMsg)> {
+        let Some((coord, participants)) = self.registrations.get(&gtxn) else {
+            return Vec::new(); // the votes came first; Begin completes it
         };
+        let ready = |site: &SiteId| {
+            self.instances
+                .get(&(gtxn, *site))
+                .is_some_and(|log| !log.fenced && log.accepted == Some((Ballot::ZERO, Vote::Ready)))
+        };
+        if !participants.iter().all(ready) {
+            return Vec::new();
+        }
         vec![(
-            coord,
+            *coord,
             PaxosMsg::Accepted {
                 gtxn,
-                site,
-                ballot,
-                vote,
+                ballot: Ballot::ZERO,
                 acceptor: self.node,
             },
         )]
@@ -177,10 +198,7 @@ impl Acceptor {
         for key in pairs {
             self.instances
                 .entry(key)
-                .or_insert(InstanceLog {
-                    accepted: None,
-                    fenced: false,
-                })
+                .or_insert(InstanceLog::EMPTY)
                 .fenced = true;
         }
         let own: BTreeSet<GlobalTxnId> = self
@@ -226,34 +244,33 @@ impl Acceptor {
         )]
     }
 
-    /// Phase 2a at a real ballot: accept unless a higher ballot was
-    /// promised.
+    /// Phase 2a at a real ballot, every instance of one transaction:
+    /// accept unless a higher ballot was promised, and report once.
     fn on_propose2a(
         &mut self,
         ballot: Ballot,
         gtxn: GlobalTxnId,
-        site: SiteId,
-        vote: Vote,
+        votes: Vec<(SiteId, Vote)>,
     ) -> Vec<(u32, PaxosMsg)> {
         if ballot < self.promised {
             return Vec::new(); // superseded proposer
         }
         self.promised = ballot;
-        let entry = self.instances.entry((gtxn, site)).or_insert(InstanceLog {
-            accepted: None,
-            fenced: false,
-        });
-        entry.fenced = true;
-        if entry.accepted.is_none_or(|(b, _)| b <= ballot) {
-            entry.accepted = Some((ballot, vote));
+        for (site, vote) in votes {
+            let entry = self
+                .instances
+                .entry((gtxn, site))
+                .or_insert(InstanceLog::EMPTY);
+            entry.fenced = true;
+            if entry.accepted.is_none_or(|(b, _)| b <= ballot) {
+                entry.accepted = Some((ballot, vote));
+            }
         }
         vec![(
             ballot.node,
             PaxosMsg::Accepted {
                 gtxn,
-                site,
                 ballot,
-                vote,
                 acceptor: self.node,
             },
         )]
@@ -408,31 +425,59 @@ mod tests {
         acc
     }
 
+    fn vote(site: SiteId, vote: Vote) -> PaxosMsg {
+        PaxosMsg::Vote2a {
+            gtxn: G,
+            site,
+            coord: COORD,
+            vote,
+        }
+    }
+
+    fn bundle() -> Vec<(u32, PaxosMsg)> {
+        vec![(
+            COORD,
+            PaxosMsg::Accepted {
+                gtxn: G,
+                ballot: Ballot::ZERO,
+                acceptor: ACC,
+            },
+        )]
+    }
+
     #[test]
-    fn fast_path_vote_is_accepted_and_reported_to_the_coordinator() {
+    fn fast_path_reports_once_every_participant_is_ready() {
         let mut acc = acceptor_with_vote();
         assert_eq!(acc.accepted_vote(G, A), Some((Ballot::ZERO, Vote::Ready)));
-        // A duplicate vote re-reports the original acceptance.
-        let replies = acc.handle(PaxosMsg::Vote2a {
+        // A conflicting duplicate does not overwrite, and A alone is no
+        // bundle.
+        assert!(acc.handle(vote(A, Vote::Abort)).is_empty());
+        assert_eq!(acc.accepted_vote(G, A), Some((Ballot::ZERO, Vote::Ready)));
+        // B completes it: one Accepted for the whole transaction.
+        assert_eq!(acc.handle(vote(B, Vote::Ready)), bundle());
+        // A retransmitted vote re-sends the bundle.
+        assert_eq!(acc.handle(vote(A, Vote::Ready)), bundle());
+    }
+
+    #[test]
+    fn a_registration_after_the_votes_completes_the_bundle() {
+        let mut acc = Acceptor::new(ACC);
+        assert!(acc.handle(vote(A, Vote::Ready)).is_empty());
+        assert!(acc.handle(vote(B, Vote::Ready)).is_empty());
+        let begin = PaxosMsg::Begin {
             gtxn: G,
-            site: A,
             coord: COORD,
-            vote: Vote::Abort, // conflicting dup must NOT overwrite
-        });
-        assert_eq!(replies.len(), 1);
-        let (to, msg) = replies.into_iter().next().unwrap();
-        assert_eq!(to, COORD);
-        assert!(
-            matches!(
-                msg,
-                PaxosMsg::Accepted {
-                    vote: Vote::Ready,
-                    ballot: Ballot::ZERO,
-                    ..
-                }
-            ),
-            "{msg:?}"
-        );
+            participants: BTreeSet::from([A, B]),
+        };
+        assert_eq!(acc.handle(begin), bundle());
+    }
+
+    #[test]
+    fn an_abort_vote_never_answers() {
+        let mut acc = acceptor_with_vote();
+        assert!(acc.handle(vote(B, Vote::Abort)).is_empty());
+        assert!(acc.handle(vote(B, Vote::Ready)).is_empty());
+        assert_eq!(acc.accepted_vote(G, B), Some((Ballot::ZERO, Vote::Abort)));
     }
 
     #[test]
@@ -514,18 +559,28 @@ mod tests {
         let replies = acc.handle(PaxosMsg::Propose2a {
             ballot: b1,
             gtxn: G,
-            site: B,
-            vote: Vote::Abort,
+            votes: vec![(A, Vote::Ready), (B, Vote::Abort)],
         });
-        assert_eq!(replies.len(), 1);
+        // One report for the whole transaction.
+        assert_eq!(
+            replies,
+            vec![(
+                b1.node,
+                PaxosMsg::Accepted {
+                    gtxn: G,
+                    ballot: b1,
+                    acceptor: ACC,
+                },
+            )]
+        );
+        assert_eq!(acc.accepted_vote(G, A), Some((b1, Vote::Ready)));
         assert_eq!(acc.accepted_vote(G, B), Some((b1, Vote::Abort)));
         // A proposal below the promise is rejected.
         assert!(acc
             .handle(PaxosMsg::Propose2a {
                 ballot: Ballot::ZERO,
                 gtxn: G,
-                site: B,
-                vote: Vote::Ready,
+                votes: vec![(B, Vote::Ready)],
             })
             .is_empty());
         assert_eq!(acc.accepted_vote(G, B), Some((b1, Vote::Abort)));

@@ -1,12 +1,15 @@
 //! The leader: the coordinator's side of Paxos Commit.
 //!
 //! Normal case, the coordinator is the implicit ballot-0 leader: it
-//! registers each beginning transaction at the acceptors and counts
-//! phase-2b `Accepted` reports (triggered by the participants' direct
-//! votes) — commit is decided once *every* participant's READY holds at a
-//! majority. Failover, the backup becomes leader at a real ballot: one
-//! phase 1 for the whole log (multi-shot), then per-instance phase 2 with
-//! the adopted vote (or Abort where the read quorum showed none).
+//! registers each beginning transaction at the ballot-0 acceptors
+//! ([`fast_path_acceptors`]) and counts their bundled phase-2b `Accepted`
+//! reports (each sent once the acceptor holds every participant's direct
+//! READY vote) — commit is decided once *every* ballot-0 acceptor has
+//! reported. Failover, the backup becomes leader at a real ballot: one
+//! phase 1 for the whole log (multi-shot) at all `2F+1` acceptors, then one
+//! phase 2 per orphaned transaction carrying each participant's adopted
+//! vote (or Abort where the read quorum showed none), decided at any `F+1`
+//! acceptances.
 //!
 //! This file is panic-free: malformed or stale messages are ignored, never
 //! fatal.
@@ -16,14 +19,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use mdbs_histories::{GlobalTxnId, SiteId};
 
 use crate::msg::{AcceptedVote, PaxosMsg, Registration};
-use crate::{quorum, Ballot, Vote};
+use crate::{fast_path_acceptors, quorum, Ballot, Vote};
 
 /// A decision the consensus layer reached; the coordinator runtime turns
 /// it into 2PC actions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Decision {
-    /// Normal case: every participant's READY holds at a quorum — the
-    /// coordinator may commit `gtxn`.
+    /// Normal case: every ballot-0 acceptor holds every participant's
+    /// READY — the coordinator may commit `gtxn`.
     Commit {
         /// The decided transaction.
         gtxn: GlobalTxnId,
@@ -42,12 +45,10 @@ pub enum Decision {
 }
 
 /// Normal-case tracking of one transaction led at ballot 0.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Tracker {
-    participants: BTreeSet<SiteId>,
-    /// Per participant: acceptors that reported `Accepted(Ready)` at
-    /// ballot 0.
-    ready_acks: BTreeMap<SiteId, BTreeSet<u32>>,
+    /// Acceptors whose bundled ballot-0 `Accepted` arrived.
+    acks: BTreeSet<u32>,
     decided: bool,
 }
 
@@ -55,10 +56,10 @@ struct Tracker {
 #[derive(Debug)]
 struct AdoptedTxn {
     participants: BTreeSet<SiteId>,
-    /// The per-instance votes proposed at the takeover ballot.
-    votes: BTreeMap<SiteId, Vote>,
-    /// Per instance: acceptors that accepted the proposal.
-    acks: BTreeMap<SiteId, BTreeSet<u32>>,
+    /// Whether the proposal at the takeover ballot is Ready everywhere.
+    commit: bool,
+    /// Acceptors that accepted the proposal.
+    acks: BTreeSet<u32>,
     decided: bool,
 }
 
@@ -106,36 +107,40 @@ impl Leader {
         self.ballot
     }
 
-    /// Register a beginning transaction: broadcast its participant set to
-    /// every acceptor so a failover knows the full instance set.
+    /// Register a beginning transaction: send its participant set to the
+    /// ballot-0 acceptors so a failover knows the full instance set.
     pub fn register(
         &mut self,
         gtxn: GlobalTxnId,
         participants: BTreeSet<SiteId>,
     ) -> Vec<(u32, PaxosMsg)> {
-        let msg = PaxosMsg::Begin {
-            gtxn,
-            coord: self.node,
-            participants: participants.clone(),
-        };
-        self.txns.insert(
-            gtxn,
-            Tracker {
+        self.txns.insert(gtxn, Tracker::default());
+        send_to(
+            fast_path_acceptors(&self.acceptors),
+            PaxosMsg::Begin {
+                gtxn,
+                coord: self.node,
                 participants,
-                ready_acks: BTreeMap::new(),
-                decided: false,
             },
-        );
-        self.broadcast(msg)
+        )
     }
 
-    /// A transaction settled: compact it out of the acceptor logs.
+    /// A transaction settled: compact it out of the acceptor logs that
+    /// hold it — the ballot-0 set, or every acceptor for one adopted at
+    /// the takeover ballot.
     pub fn finished(&mut self, gtxn: GlobalTxnId) -> Vec<(u32, PaxosMsg)> {
         self.txns.remove(&gtxn);
-        if let Some(t) = self.takeover.as_mut() {
-            t.adopted.remove(&gtxn);
-        }
-        self.broadcast(PaxosMsg::Clear { gtxn })
+        let adopted = self
+            .takeover
+            .as_mut()
+            .and_then(|t| t.adopted.remove(&gtxn))
+            .is_some();
+        let holders = if adopted {
+            self.acceptors.as_slice()
+        } else {
+            fast_path_acceptors(&self.acceptors)
+        };
+        send_to(holders, PaxosMsg::Clear { gtxn })
     }
 
     /// Assume leadership over other coordinators' in-flight transactions:
@@ -146,9 +151,12 @@ impl Leader {
             node: self.node,
         };
         self.takeover = Some(Takeover::default());
-        self.broadcast(PaxosMsg::Prepare1a {
-            ballot: self.ballot,
-        })
+        send_to(
+            &self.acceptors,
+            PaxosMsg::Prepare1a {
+                ballot: self.ballot,
+            },
+        )
     }
 
     /// A Paxos message arrived: follow-ups plus any decisions reached.
@@ -156,15 +164,13 @@ impl Leader {
         match msg {
             PaxosMsg::Accepted {
                 gtxn,
-                site,
                 ballot,
-                vote,
                 acceptor,
             } => {
                 if ballot == Ballot::ZERO {
-                    (Vec::new(), self.on_fast_accept(gtxn, site, vote, acceptor))
+                    (Vec::new(), self.on_fast_accept(gtxn, acceptor))
                 } else if ballot == self.ballot {
-                    (Vec::new(), self.on_takeover_accept(gtxn, site, acceptor))
+                    (Vec::new(), self.on_takeover_accept(gtxn, acceptor))
                 } else {
                     (Vec::new(), Vec::new()) // stale ballot
                 }
@@ -192,31 +198,22 @@ impl Leader {
         }
     }
 
-    /// Ballot-0 phase 2b: an acceptor accepted a participant's direct
-    /// vote.
-    fn on_fast_accept(
-        &mut self,
-        gtxn: GlobalTxnId,
-        site: SiteId,
-        vote: Vote,
-        acceptor: u32,
-    ) -> Vec<Decision> {
-        let q = quorum(self.f);
+    /// Ballot-0 phase 2b: an acceptor holds every participant's READY.
+    /// Abort votes are never reported: the agent's REFUSE/FAILED to the
+    /// coordinator aborts the transaction directly, which is always safe —
+    /// commit needs unanimous READY instances, and a refused instance can
+    /// never decide Ready.
+    fn on_fast_accept(&mut self, gtxn: GlobalTxnId, acceptor: u32) -> Vec<Decision> {
         let Some(t) = self.txns.get_mut(&gtxn) else {
             return Vec::new(); // settled (or never ours)
         };
-        if t.decided || vote != Vote::Ready || !t.participants.contains(&site) {
-            // Abort votes need no counting: the agent's REFUSE/FAILED to
-            // the coordinator aborts the transaction directly, which is
-            // always safe — commit needs unanimous READY instances, and a
-            // refused instance can never decide Ready.
+        if t.decided {
             return Vec::new();
         }
-        t.ready_acks.entry(site).or_default().insert(acceptor);
-        let decided = t
-            .participants
+        t.acks.insert(acceptor);
+        let decided = fast_path_acceptors(&self.acceptors)
             .iter()
-            .all(|s| t.ready_acks.get(s).is_some_and(|a| a.len() >= q));
+            .all(|a| t.acks.contains(a));
         if !decided {
             return Vec::new();
         }
@@ -225,12 +222,7 @@ impl Leader {
     }
 
     /// Takeover phase 2b: an acceptor accepted one of our proposals.
-    fn on_takeover_accept(
-        &mut self,
-        gtxn: GlobalTxnId,
-        site: SiteId,
-        acceptor: u32,
-    ) -> Vec<Decision> {
+    fn on_takeover_accept(&mut self, gtxn: GlobalTxnId, acceptor: u32) -> Vec<Decision> {
         let q = quorum(self.f);
         let Some(t) = self.takeover.as_mut() else {
             return Vec::new();
@@ -241,25 +233,20 @@ impl Leader {
         if adopted.decided {
             return Vec::new();
         }
-        adopted.acks.entry(site).or_default().insert(acceptor);
-        let all_held = adopted
-            .participants
-            .iter()
-            .all(|s| adopted.acks.get(s).is_some_and(|a| a.len() >= q));
-        if !all_held {
+        adopted.acks.insert(acceptor);
+        if adopted.acks.len() < q {
             return Vec::new();
         }
         adopted.decided = true;
-        let commit = adopted.votes.values().all(|&v| v == Vote::Ready);
         vec![Decision::Adopted {
             gtxn,
             participants: adopted.participants.clone(),
-            commit,
+            commit: adopted.commit,
         }]
     }
 
     /// Phase 1b: collect promises; at a quorum, merge the logs and propose
-    /// per-instance values for every orphaned transaction.
+    /// every orphaned transaction's per-instance values.
     fn on_promise(
         &mut self,
         acceptor: u32,
@@ -299,43 +286,43 @@ impl Leader {
             if coord == node || t.adopted.contains_key(&gtxn) {
                 continue; // our own live transactions are not orphans
             }
-            // mdbs-check: allow(hot-alloc-in-loop, "one proposal map per orphan transaction, built once per takeover — a failover event, not a message-rate path")
-            let mut proposal: BTreeMap<SiteId, Vote> = BTreeMap::new();
-            for &site in &participants {
-                let vote = votes
-                    .get(&(gtxn, site))
-                    .map(|&(_, v)| v)
-                    .unwrap_or(Vote::Abort);
-                proposal.insert(site, vote);
-                for &a in &self.acceptors {
-                    out.push((
-                        a,
-                        PaxosMsg::Propose2a {
-                            ballot,
-                            gtxn,
-                            site,
-                            vote,
-                        },
-                    ));
-                }
-            }
+            let proposal: Vec<(SiteId, Vote)> = participants
+                .iter()
+                .map(|&site| {
+                    let vote = votes
+                        .get(&(gtxn, site))
+                        .map(|&(_, v)| v)
+                        .unwrap_or(Vote::Abort);
+                    (site, vote)
+                })
+                .collect();
+            let commit = proposal.iter().all(|&(_, v)| v == Vote::Ready);
+            out.extend(send_to(
+                &self.acceptors,
+                PaxosMsg::Propose2a {
+                    ballot,
+                    gtxn,
+                    votes: proposal,
+                },
+            ));
             t.adopted.insert(
                 gtxn,
                 AdoptedTxn {
                     participants,
-                    votes: proposal,
-                    // mdbs-check: allow(hot-alloc-in-loop, "adopted-transaction records are created once per takeover; each owns its ack map")
-                    acks: BTreeMap::new(),
+                    commit,
+                    // mdbs-check: allow(hot-alloc-in-loop, "adopted-transaction records are created once per takeover; each owns its ack set")
+                    acks: BTreeSet::new(),
                     decided: false,
                 },
             );
         }
         out
     }
+}
 
-    fn broadcast(&self, msg: PaxosMsg) -> Vec<(u32, PaxosMsg)> {
-        self.acceptors.iter().map(|&a| (a, msg.clone())).collect()
-    }
+/// `msg` to each of `acceptors`.
+fn send_to(acceptors: &[u32], msg: PaxosMsg) -> Vec<(u32, PaxosMsg)> {
+    acceptors.iter().map(|&a| (a, msg.clone())).collect()
 }
 
 #[cfg(test)]
@@ -354,63 +341,77 @@ mod tests {
         Leader::new(node, 1, ACCS.to_vec())
     }
 
-    fn accepted(site: SiteId, acceptor: u32) -> PaxosMsg {
+    fn accepted(acceptor: u32) -> PaxosMsg {
         PaxosMsg::Accepted {
             gtxn: G,
-            site,
             ballot: Ballot::ZERO,
-            vote: Vote::Ready,
             acceptor,
         }
     }
 
     #[test]
-    fn commit_needs_a_quorum_for_every_participant() {
+    fn commit_needs_every_fast_path_acceptor() {
         let mut l = leader(COORD);
         let out = l.register(G, BTreeSet::from([A, B]));
-        assert_eq!(out.len(), 3, "registration broadcast to 2F+1 acceptors");
-        // Two acceptances for A alone: no decision (B uncovered).
-        assert!(l.on_msg(accepted(A, ACCS[0])).1.is_empty());
-        assert!(l.on_msg(accepted(A, ACCS[1])).1.is_empty());
-        // One acceptance for B: still short of B's quorum.
-        assert!(l.on_msg(accepted(B, ACCS[2])).1.is_empty());
-        // B reaches F+1: decided.
-        let (_, decisions) = l.on_msg(accepted(B, ACCS[0]));
+        let to: Vec<u32> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, ACCS[..2], "registration goes to the F+1 ballot-0 set");
+        assert!(l.on_msg(accepted(ACCS[0])).1.is_empty());
+        // The off-path acceptor is no substitute for a ballot-0 one.
+        assert!(l.on_msg(accepted(ACCS[2])).1.is_empty());
+        let (_, decisions) = l.on_msg(accepted(ACCS[1]));
         assert_eq!(decisions, vec![Decision::Commit { gtxn: G }]);
         // Duplicate acceptances after the decision are inert.
-        assert!(l.on_msg(accepted(B, ACCS[1])).1.is_empty());
+        assert!(l.on_msg(accepted(ACCS[0])).1.is_empty());
+    }
+
+    /// The crashed owner's ballot-0 traffic, delivered to the ballot-0
+    /// acceptors: its registration, then a READY vote from each of
+    /// `voters`. Returns the owner's decisions had it lived.
+    fn owner_fast_path(accs: &mut [Acceptor], voters: &[SiteId]) -> Vec<Decision> {
+        let mut owner = leader(COORD);
+        let mut inbox = owner.register(G, BTreeSet::from([A, B]));
+        for &site in voters {
+            for &a in fast_path_acceptors(&ACCS) {
+                inbox.push((
+                    a,
+                    PaxosMsg::Vote2a {
+                        gtxn: G,
+                        site,
+                        coord: COORD,
+                        vote: Vote::Ready,
+                    },
+                ));
+            }
+        }
+        let mut decisions = Vec::new();
+        for (to, msg) in inbox {
+            for (_, reply) in route_to(accs, to, msg) {
+                decisions.extend(owner.on_msg(reply).1);
+            }
+        }
+        decisions
+    }
+
+    fn acceptors() -> Vec<Acceptor> {
+        ACCS.iter().map(|&n| Acceptor::new(n)).collect()
+    }
+
+    fn adopted(commit: bool) -> Vec<Decision> {
+        vec![Decision::Adopted {
+            gtxn: G,
+            participants: BTreeSet::from([A, B]),
+            commit,
+        }]
     }
 
     /// Full failover against real acceptors: the crashed coordinator had
     /// both votes accepted; the backup must adopt and commit.
     #[test]
     fn takeover_completes_a_fully_voted_transaction() {
-        let mut accs: Vec<Acceptor> = ACCS.iter().map(|&n| Acceptor::new(n)).collect();
-        for acc in &mut accs {
-            acc.handle(PaxosMsg::Begin {
-                gtxn: G,
-                coord: COORD,
-                participants: BTreeSet::from([A, B]),
-            });
-            for site in [A, B] {
-                acc.handle(PaxosMsg::Vote2a {
-                    gtxn: G,
-                    site,
-                    coord: COORD,
-                    vote: Vote::Ready,
-                });
-            }
-        }
+        let mut accs = acceptors();
+        owner_fast_path(&mut accs, &[A, B]);
         let mut backup = leader(BACKUP);
-        let decisions = drive(&mut backup, &mut accs);
-        assert_eq!(
-            decisions,
-            vec![Decision::Adopted {
-                gtxn: G,
-                participants: BTreeSet::from([A, B]),
-                commit: true,
-            }]
-        );
+        assert_eq!(drive(&mut backup, &mut accs, None), adopted(true));
     }
 
     /// The crash window: only A's vote reached the acceptors. The backup
@@ -418,61 +419,93 @@ mod tests {
     /// Abort, so no quorum can ever decide Ready for it).
     #[test]
     fn takeover_aborts_a_partially_voted_transaction() {
-        let mut accs: Vec<Acceptor> = ACCS.iter().map(|&n| Acceptor::new(n)).collect();
-        for acc in &mut accs {
-            acc.handle(PaxosMsg::Begin {
-                gtxn: G,
-                coord: COORD,
-                participants: BTreeSet::from([A, B]),
-            });
-            acc.handle(PaxosMsg::Vote2a {
-                gtxn: G,
-                site: A,
-                coord: COORD,
-                vote: Vote::Ready,
-            });
-        }
+        let mut accs = acceptors();
+        owner_fast_path(&mut accs, &[A]);
         let mut backup = leader(BACKUP);
-        let decisions = drive(&mut backup, &mut accs);
-        assert_eq!(
-            decisions,
-            vec![Decision::Adopted {
-                gtxn: G,
-                participants: BTreeSet::from([A, B]),
-                commit: false,
-            }]
-        );
+        assert_eq!(drive(&mut backup, &mut accs, None), adopted(false));
+    }
+
+    /// The owner crashed and one ballot-0 acceptor is silent. The backup's
+    /// promise quorum is the other ballot-0 acceptor plus the off-path
+    /// one, which never heard of the transaction: it still adopts it, and
+    /// decides what the owner decided (or would have) — commit iff every
+    /// participant's READY reached the ballot-0 set. Every live acceptor
+    /// then holds the proposed values at the takeover ballot: the READYs
+    /// that arrived, Abort for the rest.
+    #[test]
+    fn takeover_past_a_silent_fast_path_acceptor_decides_atomically() {
+        for silent in fast_path_acceptors(&ACCS).iter().copied() {
+            for voters in [&[A, B][..], &[A], &[B], &[]] {
+                let mut accs = acceptors();
+                let owner = owner_fast_path(&mut accs, voters);
+                let commit = voters.len() == 2;
+                assert_eq!(owner.is_empty(), !commit, "the owner's own verdict");
+                let mut backup = leader(BACKUP);
+                let decisions = drive(&mut backup, &mut accs, Some(silent));
+                assert_eq!(decisions, adopted(commit), "silent {silent}, {voters:?}");
+                for acc in accs.iter().filter(|a| a.node() != silent) {
+                    for site in [A, B] {
+                        let held = acc.accepted_vote(G, site);
+                        let vote = if voters.contains(&site) {
+                            Vote::Ready
+                        } else {
+                            Vote::Abort
+                        };
+                        assert_eq!(
+                            held,
+                            Some((backup.ballot(), vote)),
+                            "acceptor {}, {site:?}",
+                            acc.node()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn takeover_skips_the_backups_own_transactions() {
-        let mut accs: Vec<Acceptor> = ACCS.iter().map(|&n| Acceptor::new(n)).collect();
+        let mut accs = acceptors();
         let mut backup = leader(BACKUP);
         // The backup's own live transaction is registered too.
         for (to, msg) in backup.register(G, BTreeSet::from([A])) {
             route_to(&mut accs, to, msg);
         }
-        let decisions = drive(&mut backup, &mut accs);
+        let decisions = drive(&mut backup, &mut accs, None);
         assert!(decisions.is_empty(), "own transactions are not orphans");
     }
 
     #[test]
-    fn finished_compacts_everywhere() {
+    fn finished_compacts_where_the_transaction_lives() {
         let mut l = leader(COORD);
         l.register(G, BTreeSet::from([A]));
         let out = l.finished(G);
-        assert_eq!(out.len(), 3);
+        let to: Vec<u32> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, ACCS[..2], "a ballot-0 transaction lives at the F+1");
         assert!(out
             .iter()
             .all(|(_, m)| matches!(m, PaxosMsg::Clear { gtxn } if *gtxn == G)));
         assert_eq!(l.tracked(), 0);
         // Acceptances for a settled transaction are inert.
-        assert!(l.on_msg(accepted(A, ACCS[0])).1.is_empty());
+        assert!(l.on_msg(accepted(ACCS[0])).1.is_empty());
+
+        // An adopted transaction was proposed to all 2F+1.
+        let mut accs = acceptors();
+        owner_fast_path(&mut accs, &[A, B]);
+        let mut backup = leader(BACKUP);
+        drive(&mut backup, &mut accs, None);
+        let out = backup.finished(G);
+        assert_eq!(out.len(), ACCS.len());
+        for (to, msg) in out {
+            route_to(&mut accs, to, msg);
+        }
+        assert!(accs.iter().all(|a| a.accepted_vote(G, A).is_none()));
     }
 
     /// Deliver every message between the backup and the acceptor set until
-    /// quiescent; return the decisions reached.
-    fn drive(backup: &mut Leader, accs: &mut [Acceptor]) -> Vec<Decision> {
+    /// quiescent, with `silent` (if any) dropping everything it is sent;
+    /// return the decisions reached.
+    fn drive(backup: &mut Leader, accs: &mut [Acceptor], silent: Option<u32>) -> Vec<Decision> {
         let mut inbox: Vec<(u32, PaxosMsg)> = backup.take_over();
         let mut decisions = Vec::new();
         let mut hops = 0;
@@ -485,7 +518,7 @@ mod tests {
                     let (out, ds) = backup.on_msg(msg);
                     next.extend(out);
                     decisions.extend(ds);
-                } else {
+                } else if Some(to) != silent {
                     next.extend(route_to(accs, to, msg));
                 }
             }

@@ -12,20 +12,26 @@
 //! - One Paxos instance per *(transaction, participant)* pair, deciding
 //!   that participant's READY/ABORT vote. The transaction commits iff every
 //!   instance decides Ready.
-//! - Fast path at [`Ballot::ZERO`]: participants send their vote directly
-//!   to the acceptors as a ballot-0 phase-2a message ([`PaxosMsg::Vote2a`]);
-//!   acceptors answer the coordinator (the ballot-0 leader by convention)
-//!   with [`PaxosMsg::Accepted`]. The coordinator decides commit once every
-//!   participant's Ready holds at a majority (`F+1`) of acceptors — two
-//!   message delays past the votes, no phase 1 at all.
+//! - Fast path at [`Ballot::ZERO`], [`fast_path_acceptors`] wide: the
+//!   first `F+1` of the `2F+1` acceptors. The coordinator (the ballot-0
+//!   leader by convention) registers the transaction there
+//!   ([`PaxosMsg::Begin`]), and each participant sends its vote there as a
+//!   ballot-0 phase-2a message ([`PaxosMsg::Vote2a`]). Phase 2b is bundled
+//!   per acceptor per transaction: an acceptor answers with one
+//!   [`PaxosMsg::Accepted`] once it holds Ready for every registered
+//!   participant. The coordinator decides commit once every ballot-0
+//!   acceptor has reported — two message delays past the votes, no phase 1
+//!   at all. The other `F` acceptors hear nothing until a takeover.
 //! - Multi-shot failover: a backup coordinator runs phase 1 **once** for
-//!   the whole acceptor log ([`PaxosMsg::Prepare1a`]), not per transaction.
-//!   The promise ([`PaxosMsg::Promise1b`]) carries every registration and
-//!   accepted vote; the backup then proposes per-instance values at its
-//!   ballot ([`PaxosMsg::Propose2a`]) — the accepted vote where one exists,
-//!   Abort where none does — and decides each orphaned transaction once its
-//!   instances hold at a quorum. One ballot is thus amortized across every
-//!   in-flight transaction of the crashed coordinator.
+//!   the whole acceptor log ([`PaxosMsg::Prepare1a`]) at all `2F+1`
+//!   acceptors, not per transaction. The promise ([`PaxosMsg::Promise1b`])
+//!   carries every registration and accepted vote; any `F+1` promises
+//!   include a ballot-0 acceptor, so the backup sees every vote that could
+//!   have been chosen. It then proposes each orphaned transaction's
+//!   per-participant values at its ballot in one [`PaxosMsg::Propose2a`] —
+//!   the accepted vote where one exists, Abort where none does — and
+//!   decides it once `F+1` acceptors accepted. One ballot is thus amortized
+//!   across every in-flight transaction of the crashed coordinator.
 //!
 //! Everything here is a pure state machine: no clocks, no RNG, no I/O.
 //! Drivers move the messages.
@@ -76,6 +82,15 @@ pub fn quorum(f: u32) -> usize {
     (f + 1) as usize
 }
 
+/// The ballot-0 acceptor set: the first `F+1` of the `2F+1` acceptors.
+/// Registrations, fast-path votes and compactions go to these only, and
+/// the leader decides commit when all of them hold the transaction's
+/// votes. Any `F+1` promises a takeover collects include one of them.
+pub fn fast_path_acceptors(acceptors: &[u32]) -> &[u32] {
+    let (fast, _) = acceptors.split_at(acceptors.len().div_ceil(2));
+    fast
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,5 +111,16 @@ mod tests {
         assert_eq!(acceptor_count(2), 5);
         assert_eq!(quorum(1), 2);
         assert_eq!(quorum(2), 3);
+    }
+
+    #[test]
+    fn the_fast_path_is_the_first_f_plus_one_acceptors() {
+        for f in 0..4 {
+            let all: Vec<u32> = (0..acceptor_count(f)).collect();
+            let fast = fast_path_acceptors(&all);
+            assert_eq!(fast.len(), quorum(f));
+            assert_eq!(fast, &all[..quorum(f)]);
+        }
+        assert!(fast_path_acceptors(&[]).is_empty());
     }
 }

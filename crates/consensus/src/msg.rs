@@ -38,8 +38,8 @@ pub struct AcceptedVote {
 /// Paxos Commit control messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PaxosMsg {
-    /// Coordinator → acceptors: register a beginning transaction (its
-    /// participant set), so a later failover knows every instance.
+    /// Coordinator → ballot-0 acceptors: register a beginning transaction
+    /// (its participant set), so a later failover knows every instance.
     Begin {
         /// The transaction.
         gtxn: GlobalTxnId,
@@ -48,32 +48,30 @@ pub enum PaxosMsg {
         /// Its participant sites.
         participants: BTreeSet<SiteId>,
     },
-    /// Participant → acceptors: the fast-path phase-2a message at ballot 0.
-    /// Sent directly by the site agent alongside its READY/REFUSE to the
-    /// coordinator — closing the window where only the coordinator knows
-    /// the vote.
+    /// Participant → ballot-0 acceptors: the fast-path phase-2a message at
+    /// ballot 0. Sent directly by the site agent alongside its READY/REFUSE
+    /// to the coordinator — closing the window where only the coordinator
+    /// knows the vote.
     Vote2a {
         /// The transaction.
         gtxn: GlobalTxnId,
         /// The voting participant.
         site: SiteId,
-        /// The transaction's coordinator (the ballot-0 leader, to whom the
-        /// acceptor reports acceptance).
+        /// The transaction's coordinator, the ballot-0 leader. The acceptor
+        /// reports to the coordinator of the registration, the same node.
         coord: u32,
         /// The vote.
         vote: Vote,
     },
-    /// Acceptor → leader: phase-2b, this acceptor accepted an instance
-    /// value at the given ballot.
+    /// Acceptor → leader: phase 2b, one per acceptor per transaction. At
+    /// ballot 0 it means this acceptor holds an unfenced Ready for every
+    /// registered participant; at a takeover ballot, that it accepted the
+    /// leader's whole [`PaxosMsg::Propose2a`] for the transaction.
     Accepted {
         /// The transaction.
         gtxn: GlobalTxnId,
-        /// The participant whose instance was accepted.
-        site: SiteId,
-        /// The ballot of the accepted value.
+        /// The ballot of the accepted values.
         ballot: Ballot,
-        /// The accepted vote.
-        vote: Vote,
         /// The reporting acceptor node.
         acceptor: u32,
     },
@@ -95,19 +93,19 @@ pub enum PaxosMsg {
         /// Every instance value this acceptor has accepted.
         accepted: Vec<AcceptedVote>,
     },
-    /// Backup → acceptors: phase-2a at the backup's ballot for one
-    /// instance (the adopted vote, or Abort where the quorum showed none).
+    /// Backup → acceptors: phase 2a at the backup's ballot for one
+    /// transaction, every participant's instance at once (the adopted vote,
+    /// or Abort where the quorum showed none).
     Propose2a {
         /// The proposal ballot; `ballot.node` is the proposing backup.
         ballot: Ballot,
         /// The transaction.
         gtxn: GlobalTxnId,
-        /// The participant whose instance is proposed.
-        site: SiteId,
-        /// The proposed vote.
-        vote: Vote,
+        /// The proposed vote per participant.
+        votes: Vec<(SiteId, Vote)>,
     },
-    /// Leader → acceptors: the transaction settled everywhere; drop its
+    /// Leader → the acceptors that hold the transaction (the ballot-0 set,
+    /// or all of them for an adopted one): it settled everywhere; drop its
     /// registration and instances (log compaction — a failover never
     /// re-adopts a settled transaction).
     Clear {
@@ -140,9 +138,7 @@ impl PaxosMsg {
             },
             PaxosMsg::Accepted {
                 gtxn,
-                site: SiteId(2),
                 ballot: Ballot::ZERO,
-                vote: Vote::Abort,
                 acceptor: 3_000_002,
             },
             PaxosMsg::Prepare1a { ballot },
@@ -164,8 +160,7 @@ impl PaxosMsg {
             PaxosMsg::Propose2a {
                 ballot,
                 gtxn,
-                site: SiteId(0),
-                vote: Vote::Abort,
+                votes: vec![(SiteId(0), Vote::Abort), (SiteId(2), Vote::Ready)],
             },
             PaxosMsg::Clear { gtxn },
         ]

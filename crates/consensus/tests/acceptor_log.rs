@@ -1,8 +1,10 @@
 //! Property tests for the acceptor's durable log: a crashed-and-restarted
 //! acceptor (snapshot → recover) is indistinguishable from one that never
-//! crashed, and in particular never forgets an accepted vote.
+//! crashed, and in particular never forgets an accepted vote; and its
+//! bundled ballot-0 phase 2b leaves exactly when the whole transaction is
+//! Ready there.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -49,11 +51,15 @@ fn arb_msg() -> impl Strategy<Value = PaxosMsg> {
         ballot
             .clone()
             .prop_map(|ballot| PaxosMsg::Prepare1a { ballot }),
-        (ballot, 1u32..5, 0u32..3, 0u32..2).prop_map(|(ballot, g, s, v)| PaxosMsg::Propose2a {
-            ballot,
-            gtxn: GlobalTxnId(g),
-            site: SiteId(s),
-            vote: vote_of(v),
+        (ballot, 1u32..5, 1u32..8, 0u32..8).prop_map(|(ballot, g, mask, v)| {
+            PaxosMsg::Propose2a {
+                ballot,
+                gtxn: GlobalTxnId(g),
+                votes: sites_of(mask)
+                    .into_iter()
+                    .map(|site| (site, vote_of((v >> site.0) & 1)))
+                    .collect(),
+            }
         }),
         (1u32..5).prop_map(|g| PaxosMsg::Clear {
             gtxn: GlobalTxnId(g)
@@ -136,6 +142,64 @@ proptest! {
             _ => false,
         });
         prop_assert!(carried, "promise omitted a surviving accepted vote");
+    }
+
+    /// The bundled ballot-0 phase 2b: whatever the order of registrations,
+    /// votes, duplicates, promises, proposals and compactions, an acceptor
+    /// sends a ballot-0 `Accepted` for a transaction exactly when, after
+    /// the message, every registered participant's instance holds an
+    /// unfenced ballot-0 Ready there — and then to the registered
+    /// coordinator. Only `Begin` and `Vote2a` can complete a bundle, and an
+    /// Abort vote or a fenced instance never sends one.
+    #[test]
+    fn a_ballot_zero_accepted_leaves_only_when_every_participant_is_ready(
+        msgs in proptest::collection::vec(arb_msg(), 0..80),
+    ) {
+        let mut acc = Acceptor::new(3_000_000);
+        // First registration wins; Clear drops it.
+        let mut registered: BTreeMap<GlobalTxnId, (u32, BTreeSet<SiteId>)> = BTreeMap::new();
+        for msg in msgs {
+            let completes = match &msg {
+                PaxosMsg::Begin { gtxn, coord, participants } => {
+                    registered.entry(*gtxn).or_insert((*coord, participants.clone()));
+                    Some(*gtxn)
+                }
+                // A vote on a fenced instance answers nothing at all.
+                PaxosMsg::Vote2a { gtxn, site, .. } => (!acc.fenced(*gtxn, *site)).then_some(*gtxn),
+                PaxosMsg::Clear { gtxn } => {
+                    registered.remove(gtxn);
+                    None
+                }
+                PaxosMsg::Accepted { .. }
+                | PaxosMsg::Prepare1a { .. }
+                | PaxosMsg::Promise1b { .. }
+                | PaxosMsg::Propose2a { .. } => None,
+            };
+            let replies = acc.handle(msg);
+            let fast: Vec<(u32, GlobalTxnId)> = replies
+                .iter()
+                .filter_map(|(to, m)| match m {
+                    PaxosMsg::Accepted { gtxn, ballot, .. } if *ballot == Ballot::ZERO => {
+                        Some((*to, *gtxn))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let ready = |gtxn: GlobalTxnId| {
+                registered.get(&gtxn).is_some_and(|(_, parts)| {
+                    parts.iter().all(|&site| {
+                        !acc.fenced(gtxn, site)
+                            && acc.accepted_vote(gtxn, site) == Some((Ballot::ZERO, Vote::Ready))
+                    })
+                })
+            };
+            let expected: Vec<(u32, GlobalTxnId)> = completes
+                .filter(|&gtxn| ready(gtxn))
+                .map(|gtxn| (registered[&gtxn].0, gtxn))
+                .into_iter()
+                .collect();
+            prop_assert_eq!(fast, expected);
+        }
     }
 
     /// Recovery rejects corruption rather than inventing state: flipping

@@ -150,11 +150,14 @@ pub struct SimConfig {
     /// Each action deliberately violates one of the paper's network
     /// assumptions; CGM control traffic is never faulted.
     pub faults: Option<FaultPlan>,
-    /// Paxos Commit fault tolerance: the commit decision survives `F`
-    /// simultaneous coordinator/acceptor crashes. `0` (the default) is the
-    /// paper's direct 2PC decision — no acceptors, zero extra messages,
-    /// bit-for-bit identical digests. `F > 0` runs `2F+1` acceptor nodes
-    /// and requires `coordinators >= 2` under the 2CM protocol family.
+    /// Paxos Commit fault tolerance: a crashed coordinator's in-flight
+    /// transactions are finished by a backup, for up to `F` coordinator
+    /// crash-stops. `0` (the default) is the paper's direct 2PC decision —
+    /// no acceptors, zero extra messages, bit-for-bit identical digests.
+    /// `F > 0` runs `2F+1` acceptor nodes and requires `coordinators >= 2`
+    /// under the 2CM protocol family. The ballot-0 path needs all `F+1` of
+    /// its acceptors (the first `F+1`); a takeover needs any `F+1`. No
+    /// driver crashes an acceptor.
     #[serde(default)]
     pub consensus_f: u32,
     /// Test hook: `(coord, k)` — coordinator `coord` crashes on receipt of

@@ -825,6 +825,24 @@ mod tests {
     }
 
     #[test]
+    fn two_site_paxos_commit_message_complexity() {
+        // The same transaction under Paxos Commit at F = 1 needs exactly
+        // 24: the 14 above, plus a registration Begin to each of the two
+        // ballot-0 acceptors, each participant's Vote2a to both (4), one
+        // bundled Accepted per ballot-0 acceptor, and Clear to both.
+        let mut cfg = SimConfig::default();
+        cfg.workload.global_txns = 1;
+        cfg.workload.local_txns_per_site = 0;
+        cfg.workload.sites_per_txn = (2, 2);
+        cfg.workload.commands_per_site = (1, 1);
+        cfg.coordinators = 2;
+        cfg.consensus_f = 1;
+        let report = Simulation::new(cfg).run();
+        assert_eq!(report.committed, 1);
+        assert_eq!(report.messages, 14 + 2 + 4 + 2 + 2);
+    }
+
+    #[test]
     fn crash_under_cgm_settles() {
         let mut cfg = small_cfg();
         cfg.protocol = Protocol::Cgm;

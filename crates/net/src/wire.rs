@@ -422,10 +422,10 @@ impl Wire for AcceptedVote {
 wire_enum!(PaxosMsg {
     0 => Begin { gtxn, coord, participants },
     1 => Vote2a { gtxn, site, coord, vote },
-    2 => Accepted { gtxn, site, ballot, vote, acceptor },
+    2 => Accepted { gtxn, ballot, acceptor },
     3 => Prepare1a { ballot },
     4 => Promise1b { ballot, acceptor, registrations, accepted },
-    5 => Propose2a { ballot, gtxn, site, vote },
+    5 => Propose2a { ballot, gtxn, votes },
     6 => Clear { gtxn },
 });
 

@@ -189,16 +189,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The data format, pinned. Both digests were recorded from the
+/// The data format, pinned. Both digests were first recorded from the
 /// hand-written `put` / `get` pairs the codec tables replaced (PR 19's
 /// parent): a table edit that moves a byte of any message is a format
-/// change and has to say so here.
+/// change and has to say so here. Changes so far:
+/// - the suite: `PaxosMsg::Accepted` lost its `site` and `vote` (phase 2b
+///   is one report per acceptor per transaction), and `Propose2a` carries
+///   every participant's vote instead of one. `WireMsg::specimens` holds
+///   no Paxos message, so its digest did not move.
 #[test]
 fn the_data_format_is_pinned() {
     let specimens = fnv1a(&encode_batch(&WireMsg::specimens()));
     assert_eq!(specimens, 0x4db3_419a_bdde_aae5, "got {specimens:#018x}");
     let suite = fnv1a(&encode_batch(&all_wire_msgs()));
-    assert_eq!(suite, 0xeb44_1ac2_0e0e_11f5, "got {suite:#018x}");
+    assert_eq!(suite, 0xee5e_2ad2_7651_842a, "got {suite:#018x}");
 }
 
 #[test]

@@ -176,11 +176,8 @@ mod tests {
         assert!(matches!(
             ctrl,
             CtrlMsg::Paxos {
-                msg: PaxosMsg::Accepted {
-                    vote: Vote::Ready,
-                    ..
-                }
-            }
+                msg: PaxosMsg::Accepted { gtxn: g, .. }
+            } if *g == gtxn
         ));
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use mdbs_consensus::{PaxosMsg, Vote};
+use mdbs_consensus::{fast_path_acceptors, PaxosMsg, Vote};
 use mdbs_dtm::{Agent, AgentAction, AgentConfig, AgentInput, Message};
 use mdbs_histories::{Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, EngineError, ExecStep, Ldbs, ResumedExec};
@@ -56,7 +56,7 @@ pub struct SiteRuntime {
     /// Blocked-instance tracking for the wait timeout.
     blocked_since: BTreeMap<Instance, SimTime>,
     /// Paxos Commit acceptor nodes. When non-empty, every READY/REFUSE/
-    /// FAILED reply also goes to the acceptors as a ballot-0 vote — the
+    /// FAILED reply also goes to the ballot-0 acceptors as a vote — the
     /// fast path that closes the only-the-coordinator-knows window. Empty
     /// (the `F=0` default): no extra traffic.
     acceptors: Vec<u32>,
@@ -258,8 +258,8 @@ impl SiteRuntime {
 
     /// The Paxos Commit fast path: a vote reply (READY, REFUSE, or an
     /// active-state FAILED) doubles as a ballot-0 phase-2a message sent
-    /// directly to every acceptor, with the transaction's coordinator as
-    /// the leader the acceptors report back to. No-op at `F=0`.
+    /// directly to the ballot-0 acceptors, with the transaction's
+    /// coordinator as the leader they report back to. No-op at `F=0`.
     #[deny(clippy::wildcard_enum_match_arm)]
     fn fan_out_vote<H: RuntimeHost>(&mut self, coord: u32, msg: &Message, host: &mut H) {
         if self.acceptors.is_empty() {
@@ -279,7 +279,7 @@ impl SiteRuntime {
             | Message::NewCoord { .. } => return,
         };
         let gtxn = msg.gtxn();
-        for &acceptor in &self.acceptors {
+        for &acceptor in fast_path_acceptors(&self.acceptors) {
             host.send_ctrl(
                 self.site.0,
                 acceptor,

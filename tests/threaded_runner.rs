@@ -168,7 +168,8 @@ fn threaded_runner_unwinds_promptly_when_a_node_panics() {
 #[test]
 fn threaded_paxos_commit_f1_failure_free_is_correct() {
     // F=1 spins up 3 acceptor threads and routes every vote through the
-    // quorum; with no crash the outcome must match direct 2PC exactly.
+    // two ballot-0 ones; with no crash the outcome must match direct 2PC
+    // exactly.
     let mut c = cfg(Protocol::TwoCm(CertifierMode::Full), 0.0);
     c.coordinators = 2;
     c.consensus_f = 1;
@@ -182,7 +183,7 @@ fn threaded_paxos_commit_f1_failure_free_is_correct() {
 fn threaded_coordinator_crash_fails_over_and_settles() {
     use rigorous_mdbs::simkit::SimTime;
     // Coordinator 1 crash-stops just before processing its 2nd READY —
-    // after votes are already fanned to the acceptor quorum. The driver
+    // after votes are already fanned to the ballot-0 acceptors. The driver
     // promotes coordinator 0, which adopts the dead coordinator's
     // in-flight transactions through the quorum; every transaction must
     // still settle and the history must pass the full checker stack.
