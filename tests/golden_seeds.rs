@@ -17,6 +17,8 @@
 use rigorous_mdbs::dtm::CertifierMode;
 use rigorous_mdbs::sim::chaos::{self, run_case};
 use rigorous_mdbs::sim::{Protocol, SimConfig, SimReport, Simulation};
+use rigorous_mdbs::simkit::SimTime;
+use rigorous_mdbs::workload::AccessPattern;
 
 const SEEDS: [u64; 3] = [42, 1337, 9001];
 
@@ -65,6 +67,35 @@ const CHAOS_GOLDEN: [(u64, &str, &str, u64); 12] = [
     (7702, "Naive", "dup-burst", 0x9a45367ab54f5351),
     (7702, "Naive", "fifo-scramble", 0xf24e29cc3050602f),
 ];
+
+/// Digests of contended 2CM runs (`contended_cfg`): the only rows whose
+/// histories go through local deadlock victims and wait timeouts, so they
+/// pin the deadlock scan and the lock manager's waits-for graph.
+const CONTENDED_GOLDEN: [(u64, u64); 3] = [
+    (42, 0x63b0b9bbee098fa6),   // 16 victims, 35 timeouts
+    (1337, 0x71e61bbb9281f086), // 16 victims, 37 timeouts
+    (9001, 0x8502410793a4e289), // 8 victims, 22 timeouts
+];
+
+/// The benchmark ledger's `sim-hot` shape: 4 sites, 150 globals at `mpl`
+/// 16, 2–4 commands per site on Zipf(0.9) keys over 64 items, half of them
+/// writes, no LTM service time.
+fn contended_cfg(seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.workload.seed = seed;
+    cfg.workload.sites = 4;
+    cfg.workload.global_txns = 150;
+    cfg.workload.local_txns_per_site = 0;
+    cfg.workload.mpl = 16;
+    cfg.workload.access = AccessPattern::Zipf(0.9);
+    cfg.workload.items_per_site = 64;
+    cfg.workload.commands_per_site = (2, 4);
+    cfg.workload.write_fraction = 0.5;
+    cfg.ltm_service_us = 0;
+    cfg.time_limit = SimTime::from_secs(20);
+    cfg.protocol = Protocol::TwoCm(CertifierMode::Full);
+    cfg
+}
 
 fn golden_cfg(seed: u64, protocol: Protocol) -> SimConfig {
     let mut cfg = SimConfig::default();
@@ -167,6 +198,26 @@ fn golden_runs_settle_all_transactions() {
     }
 }
 
+#[test]
+fn contended_digests_reproduce() {
+    for (seed, expected) in CONTENDED_GOLDEN {
+        let report = Simulation::new(contended_cfg(seed)).run();
+        let got = digest(&report);
+        assert_eq!(
+            got, expected,
+            "contended digest drifted for seed={seed}: got {got:#018x}, expected {expected:#018x}"
+        );
+        // The table exists to pin the deadlock path: a row that stops
+        // reaching it pins nothing.
+        let victims = report.metrics.counter("deadlock_victims");
+        let timeouts = report.metrics.counter("wait_timeouts");
+        assert!(
+            victims >= 1 && timeouts >= 1,
+            "seed={seed}: {victims} deadlock victims, {timeouts} wait timeouts"
+        );
+    }
+}
+
 fn chaos_profile(name: &str) -> rigorous_mdbs::simkit::FaultProfile {
     match name {
         "dup-burst" => chaos::dup_burst(),
@@ -207,6 +258,21 @@ fn print_golden_digests() {
             let d = digest(&run(seed, protocol));
             println!("    ({seed}, {label:?}, {d:#018x}),");
         }
+    }
+}
+
+/// Regeneration helper — prints the table literal for `CONTENDED_GOLDEN`.
+#[test]
+#[ignore = "regeneration helper, run with --ignored --nocapture"]
+fn print_contended_digests() {
+    for (seed, _) in CONTENDED_GOLDEN {
+        let report = Simulation::new(contended_cfg(seed)).run();
+        println!(
+            "    ({seed}, {:#018x}), // {} victims, {} timeouts",
+            digest(&report),
+            report.metrics.counter("deadlock_victims"),
+            report.metrics.counter("wait_timeouts"),
+        );
     }
 }
 
