@@ -143,16 +143,6 @@ impl Ldbs {
         self.active.contains_key(&instance)
     }
 
-    /// Number of active transactions.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Whether the instance has a suspended command.
-    pub fn is_blocked(&self, instance: Instance) -> bool {
-        self.locks.waiting_on(instance).is_some()
-    }
-
     /// Begin a transaction.
     pub fn begin(&mut self, instance: Instance) -> Result<(), EngineError> {
         debug_assert_eq!(instance.site, self.site, "instance routed to wrong site");
@@ -363,11 +353,6 @@ impl Ldbs {
         resumed
     }
 
-    /// The currently bound items (for assertions).
-    pub fn bound_items(&self) -> Vec<(u64, Txn)> {
-        self.bound.iter().map(|(k, t)| (*k, *t)).collect()
-    }
-
     /// Drop all DLU bindings (used after a site crash: the volatile bound
     /// map dies with the process; the recovered agent re-binds from its
     /// durable log).
@@ -388,8 +373,9 @@ impl Ldbs {
     }
 
     /// If the waits-for graph has a cycle, pick a victim per the site's
-    /// policy.
-    pub fn deadlock_victim(&self) -> Option<Instance> {
+    /// policy. `&mut` because the lock manager remembers an acyclic verdict
+    /// (see [`LockManager::deadlocked`]).
+    pub fn deadlock_victim(&mut self) -> Option<Instance> {
         let cycle = self.locks.deadlocked()?;
         let pick = match self.profile.victim_policy {
             VictimPolicy::Youngest => cycle
@@ -398,15 +384,6 @@ impl Ldbs {
             VictimPolicy::FewestLocks => cycle.iter().min_by_key(|i| self.locks.lock_count(**i)),
         };
         pick.copied()
-    }
-
-    /// Instances currently suspended on a lock.
-    pub fn blocked_instances(&self) -> Vec<Instance> {
-        self.active
-            .keys()
-            .copied()
-            .filter(|i| self.locks.waiting_on(*i).is_some())
-            .collect()
     }
 }
 

@@ -128,12 +128,19 @@ impl Metrics {
 
     /// Increment the named counter.
     pub fn inc(&mut self, name: &str) {
-        self.counters.entry(name.to_owned()).or_default().inc();
+        self.add(name, 1);
     }
 
-    /// Add `n` to the named counter.
+    /// Add `n` to the named counter. The name is copied only the first
+    /// time: counters are bumped per message, and almost every bump finds
+    /// its counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        self.counters.entry(name.to_owned()).or_default().add(n);
+        match self.counters.get_mut(name) {
+            Some(c) => c.add(n),
+            None => {
+                self.counters.insert(name.to_owned(), Counter(n));
+            }
+        }
     }
 
     /// Current value of the named counter (0 if never touched).
@@ -141,9 +148,16 @@ impl Metrics {
         self.counters.get(name).map_or(0, |c| c.get())
     }
 
-    /// Record an observation into the named sample set.
+    /// Record an observation into the named sample set (the name is copied
+    /// only for the first one).
     pub fn observe(&mut self, name: &str, x: f64) {
-        self.stats.entry(name.to_owned()).or_default().record(x);
+        match self.stats.get_mut(name) {
+            Some(s) => s.record(x),
+            None => {
+                self.stats
+                    .insert(name.to_owned(), SampleStats { samples: vec![x] });
+            }
+        }
     }
 
     /// The named sample set, if any observation has been recorded.

@@ -258,6 +258,28 @@ proptest! {
 // Lock manager invariants under random schedules.
 // ---------------------------------------------------------------------
 
+/// One lock-table mutation over at most 6 instances and 4 keys.
+#[derive(Debug, Clone, Copy)]
+enum LockStep {
+    Request(u8, u8, bool, bool), // instance, key, exclusive?, DLU-held?
+    Release(u8),
+    Impose(u8, u8), // key, bit mask of the instances the DLU rule holds
+    Lift(u8),
+}
+
+/// Six requests (one in five DLU-held) to two releases, one impose and
+/// one lift.
+fn lock_step() -> impl Strategy<Value = LockStep> {
+    (0u8..10, 0u8..6, 0u8..4, any::<bool>(), 0u8..5, 0u8..64).prop_map(
+        |(pick, t, k, x, dlu, held)| match pick {
+            0..=5 => LockStep::Request(t, k, x, dlu == 0),
+            6 | 7 => LockStep::Release(t),
+            8 => LockStep::Impose(k, held),
+            _ => LockStep::Lift(k),
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -288,6 +310,40 @@ proptest! {
                     prop_assert_eq!(holders.len(), 1, "X lock must be sole holder on {}", k);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn remembered_deadlock_verdict_matches_a_fresh_search(
+        steps in proptest::collection::vec(lock_step(), 1..80)
+    ) {
+        use rigorous_mdbs::histories::graph::DiGraph;
+        use rigorous_mdbs::ldbs::{LockManager, LockMode};
+        let site = SiteId(0);
+        let inst = |t: u8| Instance::global(t as u32, site, 0);
+        let mode = |x: bool| if x { LockMode::Exclusive } else { LockMode::Shared };
+        let mut lm = LockManager::new();
+        for step in steps {
+            match step {
+                LockStep::Request(t, key, x, dlu) => {
+                    lm.request(inst(t), key as u64, mode(x), dlu);
+                }
+                LockStep::Release(t) => {
+                    lm.release_all(inst(t));
+                }
+                LockStep::Impose(key, held) => lm.impose_dlu_holds(key as u64, |i, m| {
+                    m == LockMode::Exclusive && (0..6).any(|t| held & (1 << t) != 0 && inst(t) == i)
+                }),
+                LockStep::Lift(key) => {
+                    lm.lift_dlu_holds(key as u64);
+                }
+            }
+            let mut g = DiGraph::new();
+            for (a, b) in lm.waits_for_edges() {
+                g.add_edge(a, b);
+            }
+            let fresh = g.find_cycle();
+            prop_assert_eq!(lm.deadlocked(), fresh, "after {:?}", step);
         }
     }
 
