@@ -51,7 +51,7 @@ use mdbs_runtime::{
     RuntimeError, RuntimeHost, TimeSource, Timer, Transport,
 };
 use mdbs_sim::{node_set, Protocol, SimConfig};
-use mdbs_simkit::{SimDuration, SimTime};
+use mdbs_simkit::SimTime;
 use mdbs_workload::WorkloadSpec;
 
 /// Coordinator nodes of every explored world; the admission window homes
@@ -60,7 +60,9 @@ const COORDINATORS: u32 = 2;
 /// Rows per site store.
 const ITEMS_PER_SITE: u64 = 8;
 /// Lamport ticks a blocked instance may wait before the driver aborts it
-/// (the §6 timeout-based deadlock resolution, in logical time).
+/// (the §6 timeout-based deadlock resolution, in logical time): the
+/// ceiling of `SiteRuntime::expired_waits`, which sits under the learned
+/// timeout's floor and so always applies.
 const WAIT_TIMEOUT_TICKS: u64 = 400;
 
 /// One bounded-exploration problem: a tiny world plus search budgets.
@@ -904,8 +906,11 @@ fn play(
         // blocked past the logical-time timeout (§6 — without this,
         // cross-site lock waits would deadlock every schedule that orders
         // two conflicting transactions against each other).
-        let timeout = SimDuration::from_micros(WAIT_TIMEOUT_TICKS);
-        for i in world.nodes.scan_waits(timeout, &mut world.host)? {
+        for wait in world
+            .nodes
+            .scan_waits(WAIT_TIMEOUT_TICKS, &mut world.host)?
+        {
+            let i = wait.instance;
             run.trace
                 .push(format!("timeout-abort {i} at site {}", i.site));
         }

@@ -13,7 +13,10 @@
 //! A setting is a key only when an experiment, a ledger workload or a
 //! deployment runs it at more than one value; every other setting is a
 //! constant next to the code that uses it (`mdbs_runtime::DEADLOCK_SCAN_US`
-//! and `WAIT_TIMEOUT_US`, `mdbs_dtm::DONE_CAP` and
+//! and the wait timeout's ceiling and floor, `WAIT_TIMEOUT_US` and
+//! `WAIT_TIMEOUT_FLOOR_US` — between them each site learns the timeout
+//! from its own granted lock waits, so there is no timeout to set —
+//! `mdbs_dtm::DONE_CAP` and
 //! `CertifierMode::commit_retry_limit`, the sim's failover delay, the
 //! workload generator's range span and local arrival rate, the transport's
 //! outbox and backoff in `mdbs-net`). A file naming one of those is refused

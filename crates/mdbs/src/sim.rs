@@ -607,8 +607,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_deadlock_scan(&mut self) {
-        let timeout = SimDuration::from_micros(WAIT_TIMEOUT_US);
-        or_die(self.nodes.scan_waits(timeout, &mut self.host));
+        or_die(self.nodes.scan_waits(WAIT_TIMEOUT_US, &mut self.host));
         if !self.all_work_done() {
             self.host
                 .queue

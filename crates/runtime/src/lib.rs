@@ -47,7 +47,9 @@ pub use node::{
     lowest_live_coordinator, or_die, run_node, AbortInjector, AdmissionWindow, Flow, NodeEvent,
     NodePort, NodeRuntime, NodeSet, Program, ReadyCrash, TimerHeap, RECV_BATCH,
 };
-pub use site::{SiteRuntime, DEADLOCK_SCAN_US, WAIT_TIMEOUT_US};
+pub use site::{
+    ExpiredWait, SiteRuntime, DEADLOCK_SCAN_US, WAIT_TIMEOUT_FLOOR_US, WAIT_TIMEOUT_US,
+};
 pub use trace::{Observer, TraceEvent};
 
 /// First coordinator node id.

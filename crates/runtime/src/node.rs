@@ -26,12 +26,12 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use mdbs_dtm::Message;
 use mdbs_histories::{GlobalTxnId, Instance, SiteId};
 use mdbs_ldbs::Command;
-use mdbs_simkit::{DetRng, Metrics, SimDuration};
+use mdbs_simkit::{DetRng, Metrics};
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost, Timer};
 use crate::{
-    AcceptorRuntime, CentralRuntime, CoordinatorRuntime, SiteRuntime, ACCEPTOR_BASE, CENTRAL,
-    COORD_BASE,
+    AcceptorRuntime, CentralRuntime, CoordinatorRuntime, ExpiredWait, SiteRuntime, ACCEPTOR_BASE,
+    CENTRAL, COORD_BASE,
 };
 
 /// How many already-queued events one wake-up of [`run_node`] handles after
@@ -434,24 +434,24 @@ impl NodeSet {
 
     /// The deadlock / wait-timeout scan of a host that sees every site:
     /// break each site's local waits-for cycles, then abort, in [`Instance`]
-    /// order, what had been blocked for longer than `timeout` when the scan
-    /// began (§6: cross-site waits no local graph sees). Returns those.
+    /// order, every wait past its timeout when the scan began
+    /// ([`SiteRuntime::expired_waits`] under `ceiling_us`; §6: cross-site
+    /// waits no local graph sees). Returns those.
     pub fn scan_waits<H: RuntimeHost>(
         &mut self,
-        timeout: SimDuration,
+        ceiling_us: u64,
         host: &mut H,
-    ) -> Result<BTreeSet<Instance>, RuntimeError> {
+    ) -> Result<BTreeSet<ExpiredWait>, RuntimeError> {
         for rt in self.sites.values_mut() {
             rt.kill_local_deadlocks(host)?;
         }
         let now = host.now();
-        let expired: BTreeSet<Instance> = (self.sites.values())
-            .flat_map(|rt| rt.blocked())
-            .filter_map(|(i, since)| (now.since(since) > timeout).then_some(i))
+        let expired: BTreeSet<ExpiredWait> = (self.sites.values())
+            .flat_map(|rt| rt.expired_waits(now, ceiling_us))
             .collect();
-        for instance in &expired {
-            if let Some(rt) = self.sites.get_mut(&instance.site) {
-                rt.abort_on_timeout(*instance, host)?;
+        for wait in &expired {
+            if let Some(rt) = self.sites.get_mut(&wait.instance.site) {
+                rt.abort_on_timeout(*wait, host)?;
             }
         }
         Ok(expired)

@@ -7,21 +7,75 @@ use mdbs_consensus::{fast_path_acceptors, PaxosMsg, Vote};
 use mdbs_dtm::{Agent, AgentAction, AgentConfig, AgentInput, Message};
 use mdbs_histories::{Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, EngineError, ExecStep, Ldbs, ResumedExec};
-use mdbs_simkit::{SimDuration, SimTime};
+use mdbs_simkit::SimTime;
 
 use crate::host::{CtrlMsg, RuntimeError, RuntimeHost, Timer};
 use crate::node::{Flow, NodeEvent, NodeRuntime};
 use crate::trace::TraceEvent;
 
 /// Period of the local deadlock scan, µs: how often a site looks for a
-/// waits-for cycle among its own transactions and for waits past
-/// [`WAIT_TIMEOUT_US`].
+/// waits-for cycle among its own transactions and for waits past their
+/// timeout ([`SiteRuntime::expired_waits`]). A wait therefore ends at most
+/// one period past its timeout, unless that timeout fell while it waited.
 pub const DEADLOCK_SCAN_US: u64 = 5_000;
 
-/// A transaction blocked at its LTM longer than this is aborted, µs — the
-/// paper's timeout-based deadlock resolution (§6), the only thing that
-/// breaks a cross-site deadlock no LDBS can see.
+/// Ceiling of the wait timeout, µs — the paper's timeout-based deadlock
+/// resolution (§6), the only thing that breaks a cross-site deadlock no
+/// LDBS can see. A site applies it until it has seen a lock wait granted,
+/// and always to a prepared subtransaction's replay; otherwise it times a
+/// wait out at what its granted waits predict, between
+/// [`WAIT_TIMEOUT_FLOOR_US`] and this.
 pub const WAIT_TIMEOUT_US: u64 = 400_000;
+
+/// Floor of the learned wait timeout, µs: four deadlock scans, so the
+/// local scan gets its chances at a cycle before a timeout guesses one.
+pub const WAIT_TIMEOUT_FLOOR_US: u64 = 4 * DEADLOCK_SCAN_US;
+
+/// Jacobson's retransmission-timeout estimator (RFC 6298) over the lock
+/// waits a site has seen granted, in integer µs so runs stay
+/// deterministic.
+#[derive(Debug, Clone, Copy, Default)]
+struct WaitEstimator {
+    /// `(SRTT, RTTVAR)`: smoothed wait and its mean deviation; `None`
+    /// before the first sample.
+    smoothed: Option<(u64, u64)>,
+}
+
+impl WaitEstimator {
+    /// Fold in one granted wait of `wait_us`.
+    fn sample(&mut self, wait_us: u64) {
+        self.smoothed = Some(match self.smoothed {
+            None => (wait_us, wait_us / 2),
+            Some((srtt, rttvar)) => (
+                (7 * srtt + wait_us) / 8,
+                (3 * rttvar + srtt.abs_diff(wait_us)) / 4,
+            ),
+        });
+    }
+
+    /// `SRTT + 4·RTTVAR`, at least [`WAIT_TIMEOUT_FLOOR_US`] and at most
+    /// `ceiling_us`, which also applies before the first sample.
+    fn timeout_us(&self, ceiling_us: u64) -> u64 {
+        match self.smoothed {
+            None => ceiling_us,
+            Some((srtt, rttvar)) => (srtt + 4 * rttvar)
+                .max(WAIT_TIMEOUT_FLOOR_US)
+                .min(ceiling_us),
+        }
+    }
+}
+
+/// A lock wait past its timeout, as [`SiteRuntime::expired_waits`] finds
+/// it and [`SiteRuntime::abort_on_timeout`] ends it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ExpiredWait {
+    /// The blocked instance.
+    pub instance: Instance,
+    /// How long it has waited, µs.
+    pub waited_us: u64,
+    /// The timeout it exceeded, µs.
+    pub timeout_us: u64,
+}
 
 /// A local transaction being driven directly against its LTM.
 #[derive(Debug)]
@@ -55,6 +109,8 @@ pub struct SiteRuntime {
     local_runners: BTreeMap<Instance, LocalRunner>,
     /// Blocked-instance tracking for the wait timeout.
     blocked_since: BTreeMap<Instance, SimTime>,
+    /// What this site's granted lock waits predict a wait will last.
+    waits: WaitEstimator,
     /// Paxos Commit acceptor nodes. When non-empty, every READY/REFUSE/
     /// FAILED reply also goes to the ballot-0 acceptors as a vote — the
     /// fast path that closes the only-the-coordinator-knows window. Empty
@@ -81,6 +137,7 @@ impl SiteRuntime {
             ldbs: engine,
             local_runners: BTreeMap::new(),
             blocked_since: BTreeMap::new(),
+            waits: WaitEstimator::default(),
             acceptors: Vec::new(),
             local_queue: VecDeque::new(),
             next_scan_us: None,
@@ -129,6 +186,38 @@ impl SiteRuntime {
     /// Snapshot of the currently blocked instances and since when.
     pub fn blocked(&self) -> impl Iterator<Item = (Instance, SimTime)> + '_ {
         self.blocked_since.iter().map(|(i, t)| (*i, *t))
+    }
+
+    /// The one expiry rule of every host: the waits that at `now` have
+    /// lasted longer than their timeout, in [`Instance`] order. The
+    /// timeout is what this site's granted waits predict (Jacobson's
+    /// estimator), at most `ceiling_us` — the host's longest wait, in its
+    /// own clock's unit — and exactly that before the first granted wait
+    /// and for an instance with `incarnation > 0`: a prepared
+    /// subtransaction's replay: the site voted READY and cannot abort the
+    /// global, so timing the replay out breaks no cross-site deadlock and
+    /// only queues another replay.
+    pub fn expired_waits(
+        &self,
+        now: SimTime,
+        ceiling_us: u64,
+    ) -> impl Iterator<Item = ExpiredWait> + '_ {
+        let learned_us = self.waits.timeout_us(ceiling_us);
+        self.blocked_since
+            .iter()
+            .filter_map(move |(&instance, &since)| {
+                let waited_us = now.since(since).as_micros();
+                let timeout_us = if instance.incarnation > 0 {
+                    ceiling_us
+                } else {
+                    learned_us
+                };
+                (waited_us > timeout_us).then_some(ExpiredWait {
+                    instance,
+                    waited_us,
+                    timeout_us,
+                })
+            })
     }
 
     fn engine_err(&self, context: &'static str, source: EngineError) -> RuntimeError {
@@ -332,7 +421,11 @@ impl SiteRuntime {
                 Ok(())
             }
             ExecStep::Done(result) => {
-                self.blocked_since.remove(&instance);
+                // A wait that ends in its grant is a sample; one that ends
+                // any other way (victim, timeout, UAN, rollback) is not.
+                if let Some(since) = self.blocked_since.remove(&instance) {
+                    self.waits.sample(host.now().since(since).as_micros());
+                }
                 match instance.txn {
                     Txn::Global(gtxn) => {
                         self.agent_input(AgentInput::LtmDone { gtxn, result }, host)
@@ -486,19 +579,21 @@ impl SiteRuntime {
         Ok(())
     }
 
-    /// Abort an instance whose wait exceeded the timeout (the driver scans
-    /// [`SiteRuntime::blocked`] across sites and decides who expired).
+    /// Abort an instance whose wait exceeded its timeout, as
+    /// [`SiteRuntime::expired_waits`] reported it.
     pub fn abort_on_timeout<H: RuntimeHost>(
         &mut self,
-        instance: Instance,
+        expired: ExpiredWait,
         host: &mut H,
     ) -> Result<(), RuntimeError> {
         host.inc("wait_timeouts");
         host.trace(TraceEvent::WaitTimeout {
             at: host.now(),
-            instance,
+            instance: expired.instance,
+            waited_us: expired.waited_us,
+            timeout_us: expired.timeout_us,
         });
-        self.abort_instance(instance, host)
+        self.abort_instance(expired.instance, host)
     }
 
     /// A whole-site crash: every active transaction is unilaterally
@@ -584,14 +679,9 @@ impl NodeRuntime for SiteRuntime {
             if now.as_micros() >= next_scan_us {
                 self.next_scan_us = Some(now.as_micros() + DEADLOCK_SCAN_US);
                 self.kill_local_deadlocks(host)?;
-                let timeout = SimDuration::from_micros(WAIT_TIMEOUT_US);
-                let expired: Vec<Instance> = self
-                    .blocked()
-                    .filter(|&(_, since)| now.since(since) > timeout)
-                    .map(|(i, _)| i)
-                    .collect();
-                for instance in expired {
-                    self.abort_on_timeout(instance, host)?;
+                let expired: Vec<ExpiredWait> = self.expired_waits(now, WAIT_TIMEOUT_US).collect();
+                for wait in expired {
+                    self.abort_on_timeout(wait, host)?;
                 }
             }
         }
@@ -619,5 +709,46 @@ impl NodeRuntime for SiteRuntime {
             && self.local_queue.is_empty()
             && self.blocked_since.is_empty()
             && self.agent.table_len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CEILING: u64 = WAIT_TIMEOUT_US;
+
+    fn after(samples: &[u64]) -> WaitEstimator {
+        let mut e = WaitEstimator::default();
+        for &r in samples {
+            e.sample(r);
+        }
+        e
+    }
+
+    #[test]
+    fn the_ceiling_applies_before_the_first_sample() {
+        assert_eq!(after(&[]).timeout_us(CEILING), CEILING);
+        assert_eq!(after(&[]).timeout_us(400), 400);
+    }
+
+    #[test]
+    fn one_and_two_samples_give_jacobsons_values() {
+        // SRTT = 40 000, RTTVAR = 20 000.
+        assert_eq!(after(&[40_000]).timeout_us(CEILING), 120_000);
+        // RTTVAR = (3·20 000 + |40 000 − 8 000|) / 4 = 23 000, from the old
+        // SRTT; SRTT = (7·40 000 + 8 000) / 8 = 36 000.
+        assert_eq!(after(&[40_000, 8_000]).timeout_us(CEILING), 128_000);
+    }
+
+    #[test]
+    fn the_timeout_is_clamped_to_the_floor_and_the_ceiling() {
+        // 1 000 + 4·500 = 3 000 µs: under the floor.
+        assert_eq!(after(&[1_000]).timeout_us(CEILING), WAIT_TIMEOUT_FLOOR_US);
+        // 200 000 + 4·100 000 = 600 000 µs: over the ceiling.
+        assert_eq!(after(&[200_000]).timeout_us(CEILING), CEILING);
+        // A host whose ceiling sits under the floor (the explorer's 400
+        // logical ticks) always gets its ceiling.
+        assert_eq!(after(&[1_000]).timeout_us(400), 400);
     }
 }

@@ -61,12 +61,17 @@ pub enum TraceEvent {
         /// The aborted instance.
         instance: Instance,
     },
-    /// A transaction blocked past the wait timeout was aborted.
+    /// A transaction blocked past its wait timeout was aborted.
     WaitTimeout {
         /// Simulated time.
         at: SimTime,
         /// The aborted instance.
         instance: Instance,
+        /// How long it had waited, µs.
+        waited_us: u64,
+        /// The timeout it exceeded, µs: the site's learned one, or the
+        /// host's ceiling (`WAIT_TIMEOUT_US` outside the explorer).
+        timeout_us: u64,
     },
     /// A global transaction reached its final outcome.
     Finished {

@@ -2,9 +2,14 @@
 //! failure injection, the DLU ablation, clock drift, and the §5.3
 //! message-overtaking scenario.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use mdbs_runtime::{DEADLOCK_SCAN_US, WAIT_TIMEOUT_US};
 use rigorous_mdbs::dtm::CertifierMode;
+use rigorous_mdbs::histories::Instance;
 use rigorous_mdbs::sim::report::outcome_digest;
-use rigorous_mdbs::sim::{Protocol, SimConfig, Simulation};
+use rigorous_mdbs::sim::{Protocol, SimConfig, SimReport, Simulation, TraceEvent};
 use rigorous_mdbs::simkit::SimTime;
 use rigorous_mdbs::workload::AccessPattern;
 
@@ -350,4 +355,89 @@ fn hot_keys_with_unilateral_aborts_settle_every_transaction() {
         report.metrics.counter("commit_retries"),
         report.metrics.counter("resubmissions"),
     );
+}
+
+/// The ledger's `sim-hot` shape: 4 sites, 150 globals at `mpl` 16, 2–4
+/// commands per site on Zipf(0.9) keys over 64 items, half of them
+/// writes, no LTM service time.
+fn hot_keys(seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.workload.seed = seed;
+    cfg.workload.sites = 4;
+    cfg.workload.global_txns = 150;
+    cfg.workload.local_txns_per_site = 0;
+    cfg.workload.mpl = 16;
+    cfg.workload.access = AccessPattern::Zipf(0.9);
+    cfg.workload.items_per_site = 64;
+    cfg.workload.commands_per_site = (2, 4);
+    cfg.workload.write_fraction = 0.5;
+    cfg.ltm_service_us = 0;
+    cfg.time_limit = SimTime::from_secs(20);
+    cfg
+}
+
+/// Run `cfg` and collect every wait timeout as `(instance, waited_us,
+/// timeout_us)`.
+fn run_with_timeouts(cfg: SimConfig) -> (SimReport, Vec<(Instance, u64, u64)>) {
+    let timeouts: Rc<RefCell<Vec<(Instance, u64, u64)>>> = Rc::default();
+    let sink = Rc::clone(&timeouts);
+    let mut sim = Simulation::new(cfg);
+    sim.set_observer(Box::new(move |e| {
+        if let TraceEvent::WaitTimeout {
+            instance,
+            waited_us,
+            timeout_us,
+            ..
+        } = *e
+        {
+            sink.borrow_mut().push((instance, waited_us, timeout_us));
+        }
+    }));
+    let report = sim.run();
+    let timeouts = timeouts.take();
+    (report, timeouts)
+}
+
+#[test]
+fn wait_timeouts_follow_the_granted_waits() {
+    // Each site times a wait out at what its granted waits predict, below
+    // the 400 ms ceiling once a wait has been granted, and at the first
+    // deadlock scan past that timeout. The scan judges a wait by the
+    // timeout in force at the scan, so `waited ≤ timeout + scan period`
+    // holds while a site's timeout does not fall under a running wait: at
+    // this seed it holds for every timeout; at seeds 9 and 10 of the
+    // shape one wait each ends 8.9 and 5.9 ms past a timeout that fell
+    // while it waited.
+    let (report, timeouts) = run_with_timeouts(hot_keys(42));
+    assert_eq!(report.committed + report.aborted, 150);
+    assert!(report.checks.passed(), "{:?}", report.checks);
+    for &(instance, waited_us, timeout_us) in &timeouts {
+        assert!(
+            timeout_us < waited_us && waited_us <= timeout_us + DEADLOCK_SCAN_US,
+            "{instance} waited {waited_us} µs against a {timeout_us} µs timeout"
+        );
+    }
+    assert!(
+        timeouts.iter().any(|&(_, _, t)| t < WAIT_TIMEOUT_US),
+        "no learned timeout among {timeouts:?}"
+    );
+}
+
+#[test]
+fn a_resubmission_waits_out_the_ceiling() {
+    // A prepared subtransaction's replay is never timed out early: its
+    // timeout breaks no global deadlock, it only queues another replay.
+    let mut cfg = hot_keys(1_000_634);
+    cfg.workload.unilateral_abort_prob = 0.1;
+    let (report, timeouts) = run_with_timeouts(cfg);
+    assert_eq!(report.committed + report.aborted, 150);
+    assert!(report.checks.passed(), "{:?}", report.checks);
+    let replays: Vec<_> = timeouts
+        .iter()
+        .filter(|(instance, ..)| instance.incarnation > 0)
+        .collect();
+    assert!(!replays.is_empty(), "no resubmission timed out");
+    for &&(instance, _, timeout_us) in &replays {
+        assert_eq!(timeout_us, WAIT_TIMEOUT_US, "{instance}");
+    }
 }

@@ -72,9 +72,9 @@ const CHAOS_GOLDEN: [(u64, &str, &str, u64); 12] = [
 /// histories go through local deadlock victims and wait timeouts, so they
 /// pin the deadlock scan and the lock manager's waits-for graph.
 const CONTENDED_GOLDEN: [(u64, u64); 3] = [
-    (42, 0x63b0b9bbee098fa6),   // 16 victims, 35 timeouts
-    (1337, 0x71e61bbb9281f086), // 16 victims, 37 timeouts
-    (9001, 0x8502410793a4e289), // 8 victims, 22 timeouts
+    (42, 0x05958b730b5967ae),   // 5 victims, 11 timeouts
+    (1337, 0xfcec6d2f7e65c8d4), // 5 victims, 8 timeouts
+    (9001, 0x5f2e62050da4b373), // 4 victims, 5 timeouts
 ];
 
 /// The benchmark ledger's `sim-hot` shape: 4 sites, 150 globals at `mpl`
