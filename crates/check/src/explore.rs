@@ -178,7 +178,7 @@ impl ExploreConfig {
         let mut cfg = ExploreConfig::base(&[&[(0, 3), (1, 4)], &[(0, 1), (1, 0), (0, 2)]]);
         cfg.fault_budget = 1;
         cfg.max_steps = 800;
-        cfg.max_runs = 30_000; // exhausts at 27 201 schedules
+        cfg.max_runs = 30_000; // exhausts at 18 170 schedules
         cfg
     }
 

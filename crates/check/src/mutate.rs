@@ -73,11 +73,11 @@ pub fn catalog() -> Vec<Mutant> {
         Mutant {
             id: "interval-boundary",
             mechanism: "§4.2 basic prepare certification (boundary)",
-            summary: "off-by-one: treats an interval ending just before the candidate as intersecting",
+            summary: "off-by-one: treats a frozen interval ending where the candidate begins as intersecting",
             edits: &[Edit {
                 file: CERTIFIER,
-                anchor: "|&(end, _)| end < candidate_begin",
-                replacement: "|&(end, _)| end + 1 < candidate_begin",
+                anchor: "|&(end, _)| end <= candidate_begin",
+                replacement: "|&(end, _)| end < candidate_begin",
             }],
         },
         Mutant {
@@ -86,7 +86,8 @@ pub fn catalog() -> Vec<Mutant> {
             summary: "skips the inline refresh of alive entries' intervals at PREPARE",
             // Without the refresh the certifier's alive-entries-always-
             // intersect shortcut does not hold, so the mutant certifies
-            // against the raw stored intervals with a linear scan.
+            // against the raw stored intervals with a linear scan (a
+            // frozen one open at its end, as in the real rule).
             edits: &[
                 Edit {
                     file: CERTIFIER,
@@ -96,7 +97,7 @@ pub fn catalog() -> Vec<Mutant> {
                 Edit {
                     file: CERTIFIER,
                     anchor: "self.disjoint(now, candidate_begin)",
-                    replacement: "self.entries.values().any(|e| e.interval.1 < candidate_begin)",
+                    replacement: "self.entries.values().any(|e| e.interval.1 < candidate_begin || (e.frozen && e.interval.1 == candidate_begin))",
                 },
             ],
         },

@@ -131,6 +131,16 @@ pub const PROTOCOL: &[HandlerSpec] = &[
             },
             ArmSpec {
                 enum_name: "Message",
+                variant: "BeginDml",
+                sends: &[("Message", "Failed")],
+                // BEGIN then DML: a late one must not reopen a finished
+                // transaction, and a re-delivered one must not re-run its
+                // step.
+                dup_guard: &[&["done", ".", "contains"]],
+                timeout: &[],
+            },
+            ArmSpec {
+                enum_name: "Message",
                 variant: "Prepare",
                 sends: &[("Message", "Ready"), ("Message", "Refuse")],
                 // Certification runs once per incarnation: only an Active
@@ -196,6 +206,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 variant: "DmlResult",
                 sends: &[
                     ("Message", "Dml"),
+                    ("Message", "BeginDml"),
                     ("Message", "Prepare"),
                     ("CtrlMsg", "CgmVote"),
                 ],
@@ -249,13 +260,14 @@ pub const PROTOCOL: &[HandlerSpec] = &[
             ArmSpec {
                 enum_name: "CtrlMsg",
                 variant: "CgmAdmitted",
-                // Admission releases the held `begin`: BEGIN + first DML
-                // (§5.3). The closure shares `begin` with the CGM request
-                // path, so its control messages are reachable too — and,
-                // like every arm that interprets coordinator actions, the
-                // `Finished` action's release of the CGM site locks.
+                // Admission releases the held `begin`: the first command,
+                // carrying its site's BEGIN (§5.3). The closure shares
+                // `begin` with the CGM request path, so its control
+                // messages are reachable too — and, like every arm that
+                // interprets coordinator actions, the `Finished` action's
+                // release of the CGM site locks.
                 sends: &[
-                    ("Message", "Begin"),
+                    ("Message", "BeginDml"),
                     ("Message", "Dml"),
                     ("CtrlMsg", "CgmRequest"),
                     ("CtrlMsg", "CgmVote"),
@@ -302,7 +314,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
         // `begin`/`take_over` are externally driven (not message arms):
         // they open 2PC, register at the acceptors, and run phase 1.
         free_sends: &[
-            ("Message", "Begin"),
+            ("Message", "BeginDml"),
             ("Message", "Dml"),
             ("Message", "Prepare"),
             ("Message", "Commit"),

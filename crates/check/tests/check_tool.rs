@@ -20,14 +20,14 @@ fn every_clean_preset_exhausts_at_its_pinned_schedule_count() {
     let mut mutation_interval = ExploreConfig::mutation_interval();
     mutation_interval.max_runs = 100_000;
     for (name, cfg, pinned) in [
-        ("smoke-2cm", ExploreConfig::smoke_2cm(), 1_478),
-        ("smoke-cgm", ExploreConfig::smoke_cgm(), 616),
-        ("conflict", ExploreConfig::conflict(), 269),
+        ("smoke-2cm", ExploreConfig::smoke_2cm(), 983),
+        ("smoke-cgm", ExploreConfig::smoke_cgm(), 485),
+        ("conflict", ExploreConfig::conflict(), 89),
         // F=1 Paxos Commit: a coordinator crash-stop in the READY window is
         // survivable on every schedule — the backup adopts the dead
         // coordinator's transactions through the acceptor quorum.
-        ("coord-failover", ExploreConfig::coord_failover(), 2_892),
-        ("mutation-interval", mutation_interval, 27_201),
+        ("coord-failover", ExploreConfig::coord_failover(), 2_577),
+        ("mutation-interval", mutation_interval, 18_170),
     ] {
         match explore(&cfg) {
             ExploreOutcome::Exhausted { runs } => {

@@ -226,8 +226,9 @@ fn probe_basic_cert() -> Result<(), String> {
     expect_ready(&acts, "§4.2: intersecting candidate must be admitted")
 }
 
-/// §4.2 boundary: an interval ending strictly before the candidate begins
-/// (by one tick) is disjoint; one touching it exactly intersects.
+/// §4.2 boundary: a frozen interval ending before the candidate begins, or
+/// exactly where it begins, is disjoint; one ending a tick later
+/// intersects.
 #[test]
 fn probe_interval_boundary() -> Result<(), String> {
     // T1's interval frozen at [_, 100]; T2's candidate begins at 101.
@@ -246,7 +247,9 @@ fn probe_interval_boundary() -> Result<(), String> {
         "§4.2 boundary: frozen end 100 < candidate begin 101 is disjoint",
     )?;
 
-    // Frozen end == candidate begin: the intervals touch, so they intersect.
+    // Frozen end == candidate begin: the abort's lock release may be what
+    // let the candidate's command complete at that reading, so the frozen
+    // interval is open at its end and the candidate misses it.
     let mut a = agent();
     prepare_one(&mut a, 1, 100, 100, 100);
     a.handle(
@@ -256,7 +259,25 @@ fn probe_interval_boundary() -> Result<(), String> {
         },
     );
     let acts = prepare_one(&mut a, 2, 100, 100, 200);
-    expect_ready(&acts, "§4.2 boundary: touching intervals intersect")
+    expect_refuse(
+        &acts,
+        RefuseReason::AliveIntervalDisjoint,
+        "§4.2 boundary: a frozen end equal to the candidate's begin is disjoint",
+    )?;
+
+    // An alive check at 101 extends T1 to 101 before the abort freezes
+    // it: T1 was alive a tick past the candidate's begin.
+    let mut a = agent();
+    prepare_one(&mut a, 1, 100, 100, 100);
+    a.handle(101, AgentInput::AliveTimer { gtxn: g(1) });
+    a.handle(
+        101,
+        AgentInput::Uan {
+            instance: Instance::global(1, SITE, 0),
+        },
+    );
+    let acts = prepare_one(&mut a, 2, 100, 100, 200);
+    expect_ready(&acts, "§4.2 boundary: overlapping intervals intersect")
 }
 
 /// §4.2 maintenance: PREPARE refreshes the stored intervals of entries that
@@ -676,13 +697,16 @@ fn explore_conflict() -> Result<(), String> {
 /// One contended, unilateral-abort-heavy simulation run, judged end to
 /// end: every global transaction must settle before the time limit and the
 /// history's correctness report must pass (a panic inside the simulator
-/// fails the checker too).
+/// fails the checker too). The seed is one whose run each of
+/// `broken-basic-cert`, `commit-edge-flip`, `commit-pending-only` and
+/// `keep-rollback-in-table` gets wrong: of seeds 1–400 the full protocol
+/// passes all, and 17 fail under all four mutants; 20 is the first.
 #[test]
 fn sim_conflict() -> Result<(), String> {
     const GLOBAL_TXNS: u32 = 24;
     let cfg = SimConfig {
         workload: WorkloadSpec {
-            seed: 7,
+            seed: 20,
             sites: 2,
             items_per_site: 8,
             global_txns: GLOBAL_TXNS,

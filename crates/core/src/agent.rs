@@ -232,7 +232,10 @@ struct SubTxn {
     resubmit_next: Option<usize>,
     /// The current incarnation was unilaterally aborted (UAN received).
     aborted: bool,
-    /// Local time when the last command completed.
+    /// Local time when the last command completed — where the alive
+    /// interval a PREPARE certifies begins (§4.2). Until the first command
+    /// completes it is the BEGIN's arrival, and the BEGIN rides the site's
+    /// first command: the interval never opens before the site was reached.
     last_op_done: u64,
     phase: Phase,
     /// Failed commit certifications so far (safety-valve counter).
@@ -247,7 +250,8 @@ struct SubTxn {
 }
 
 impl SubTxn {
-    /// A subtransaction whose BEGIN arrives at local time `now`.
+    /// A subtransaction whose BEGIN (with its first command) arrives at
+    /// local time `now`.
     fn new(coord: u32, now: u64) -> SubTxn {
         SubTxn {
             coord,
@@ -476,68 +480,36 @@ impl Agent {
     #[deny(clippy::wildcard_enum_match_arm)]
     fn on_message(&mut self, now: u64, msg: Message) -> Vec<AgentAction> {
         match msg {
-            Message::Begin { gtxn, coord } => {
-                if self.subtxns.contains_key(&gtxn) || self.done.contains(&gtxn) {
-                    // Duplicate BEGIN (re-delivered, or arriving after the
-                    // transaction already finished here): starting a second
-                    // incarnation would leak locks forever. Ignore.
-                    return vec![];
-                }
-                let st = SubTxn::new(coord, now);
-                let inst = self.instance(gtxn, &st);
-                self.subtxns.insert(gtxn, st);
-                self.log.append(LogRecord::Begin { gtxn, coord });
-                vec![AgentAction::LtmBegin(inst)]
+            Message::Begin { gtxn, coord } => self
+                .open(now, gtxn, coord)
+                .map(AgentAction::LtmBegin)
+                .into_iter()
+                .collect(),
+            Message::BeginDml {
+                gtxn,
+                coord,
+                step,
+                command,
+            } => {
+                // The BEGIN riding the site's first command: open the
+                // subtransaction, then execute the command. A re-delivery
+                // opens nothing and its step is a duplicate; one arriving
+                // after the transaction finished here finds it done.
+                let mut actions: Vec<AgentAction> = self
+                    .open(now, gtxn, coord)
+                    .map(AgentAction::LtmBegin)
+                    .into_iter()
+                    .collect();
+                actions.extend(self.on_dml(gtxn, step, command));
+                actions
             }
             Message::Dml {
                 gtxn,
                 step,
                 command,
-            } => {
-                let Some(st) = self.subtxns.get_mut(&gtxn) else {
-                    // Unknown transaction: either it already finished here
-                    // (late duplicate) or the DML overtook its BEGIN under
-                    // injected reordering. Exactly-once FIFO delivery (§2)
-                    // makes this unreachable; without it, ignoring is the
-                    // only safe answer — the coordinator never gets the
-                    // DmlResult and the run resolves via timeout/abort.
-                    return vec![];
-                };
-                if !matches!(st.phase, Phase::Active)
-                    || st.executing
-                    || st.last_dml_step.is_some_and(|last| step <= last)
-                {
-                    // Re-delivered DML for a step already accepted (or one
-                    // arriving after PREPARE): executing it twice would
-                    // double-apply updates inside one incarnation. Ignore.
-                    return vec![];
-                }
-                st.last_dml_step = Some(step);
-                if st.aborted {
-                    // Unilaterally aborted between commands: fail the
-                    // conversation (no active-state resubmission, §2).
-                    let coord = st.coord;
-                    return vec![AgentAction::Reply {
-                        coord,
-                        msg: Message::Failed {
-                            gtxn,
-                            site: self.site,
-                        },
-                    }];
-                }
-                st.commands.push(command);
-                st.executing = true;
-                st.awaiting_reply = true;
-                let inst = Instance::global(gtxn.0, self.site, st.incarnation);
-                self.log.append(LogRecord::Command { gtxn, command });
-                vec![AgentAction::LtmSubmit {
-                    instance: inst,
-                    command,
-                }]
-            }
+            } => self.on_dml(gtxn, step, command),
             Message::Prepare { gtxn, sn } => self.on_prepare(now, gtxn, sn),
             Message::Commit { gtxn } => {
-                // mdbs-check: allow(hot-repeated-lookup, "the three subtxn lookups sit in mutually exclusive match arms of on_message; exactly one runs per delivered message")
                 if let Some(st) = self.subtxns.get_mut(&gtxn) {
                     if !st.in_table() {
                         // COMMIT overtook the PREPARE (injected same-link
@@ -571,10 +543,13 @@ impl Agent {
             Message::NewCoord { gtxn, coord } => {
                 // Paxos Commit failover: the decision for this transaction
                 // will come from a backup coordinator; redirect the ack.
-                // Unknown transaction means either the BEGIN never arrived
-                // or we already settled it and the original coordinator
-                // died holding our ack — either way the backup re-decides
-                // and waits on our ack, so remember where it belongs.
+                // Unknown transaction means either its BEGIN never arrived
+                // (the crashed coordinator had not reached this site, or
+                // its first command is still in flight) or we already
+                // settled it and the original coordinator died holding our
+                // ack — either way the backup re-decides and waits on our
+                // ack, so remember where it belongs.
+                // mdbs-check: allow(hot-repeated-lookup, "the two subtxn lookups sit in mutually exclusive match arms of on_message; exactly one runs per delivered message")
                 if let Some(st) = self.subtxns.get_mut(&gtxn) {
                     st.coord = coord;
                 } else {
@@ -592,6 +567,67 @@ impl Agent {
                 vec![]
             }
         }
+    }
+
+    /// The BEGIN of §2: open a global subtransaction at local time `now`
+    /// and return the LTM instance to begin, or `None` if `gtxn` is already
+    /// open here or finished (a re-delivered or late BEGIN: starting a
+    /// second incarnation would leak locks forever). A backup coordinator's
+    /// NEW-COORD that arrived first names where the replies go.
+    fn open(&mut self, now: u64, gtxn: GlobalTxnId, coord: u32) -> Option<Instance> {
+        if self.subtxns.contains_key(&gtxn) || self.done.contains(&gtxn) {
+            return None;
+        }
+        let coord = self.redirects.remove(&gtxn).unwrap_or(coord);
+        let st = SubTxn::new(coord, now);
+        let inst = self.instance(gtxn, &st);
+        self.subtxns.insert(gtxn, st);
+        self.log.append(LogRecord::Begin { gtxn, coord });
+        Some(inst)
+    }
+
+    /// One DML command of an open subtransaction.
+    fn on_dml(&mut self, gtxn: GlobalTxnId, step: u32, command: Command) -> Vec<AgentAction> {
+        let Some(st) = self.subtxns.get_mut(&gtxn) else {
+            // Unknown transaction: either it already finished here
+            // (late duplicate) or the DML overtook its BEGIN under
+            // injected reordering. Exactly-once FIFO delivery (§2)
+            // makes this unreachable; without it, ignoring is the
+            // only safe answer — the coordinator never gets the
+            // DmlResult and the run resolves via timeout/abort.
+            return vec![];
+        };
+        if !matches!(st.phase, Phase::Active)
+            || st.executing
+            || st.last_dml_step.is_some_and(|last| step <= last)
+        {
+            // Re-delivered DML for a step already accepted (or one
+            // arriving after PREPARE): executing it twice would
+            // double-apply updates inside one incarnation. Ignore.
+            return vec![];
+        }
+        st.last_dml_step = Some(step);
+        if st.aborted {
+            // Unilaterally aborted between commands: fail the
+            // conversation (no active-state resubmission, §2).
+            let coord = st.coord;
+            return vec![AgentAction::Reply {
+                coord,
+                msg: Message::Failed {
+                    gtxn,
+                    site: self.site,
+                },
+            }];
+        }
+        st.commands.push(command);
+        st.executing = true;
+        st.awaiting_reply = true;
+        let inst = Instance::global(gtxn.0, self.site, st.incarnation);
+        self.log.append(LogRecord::Command { gtxn, command });
+        vec![AgentAction::LtmSubmit {
+            instance: inst,
+            command,
+        }]
     }
 
     /// Appendix B: certify the PREPARE, then refuse or enter the prepared
@@ -1132,6 +1168,161 @@ mod tests {
                 msg: Message::DmlResult { .. }
             }
         ));
+    }
+
+    fn begin_dml(k: u32, step: u32) -> AgentInput {
+        AgentInput::Deliver(Message::BeginDml {
+            gtxn: g(k),
+            coord: COORD,
+            step,
+            command: cmd(),
+        })
+    }
+
+    #[test]
+    fn begin_dml_opens_the_subtransaction_at_its_arrival() {
+        let mut a = agent();
+        let acts = a.handle(40, begin_dml(1, 0));
+        let inst = Instance::global(1, SITE, 0);
+        assert_eq!(
+            acts,
+            vec![
+                AgentAction::LtmBegin(inst),
+                AgentAction::LtmSubmit {
+                    instance: inst,
+                    command: cmd(),
+                },
+            ]
+        );
+        // The alive interval cannot open before the BEGIN arrived, and the
+        // BEGIN arrived with the first command.
+        assert_eq!(a.subtxns[&g(1)].last_op_done, 40);
+        assert_eq!(
+            a.log().records(),
+            &[
+                LogRecord::Begin {
+                    gtxn: g(1),
+                    coord: COORD,
+                },
+                LogRecord::Command {
+                    gtxn: g(1),
+                    command: cmd(),
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_redelivered_or_late_begin_dml_does_nothing() {
+        let mut a = agent();
+        a.handle(0, begin_dml(1, 0));
+        // Re-delivered while the command runs, and after it completed:
+        // the step is a duplicate either way.
+        assert!(a.handle(1, begin_dml(1, 0)).is_empty());
+        a.handle(
+            2,
+            AgentInput::LtmDone {
+                gtxn: g(1),
+                result: result(&[0]),
+            },
+        );
+        assert!(a.handle(3, begin_dml(1, 0)).is_empty());
+        assert_eq!(a.incarnation_of(g(1)), Some(0));
+        // After the transaction finished here it is in the done set.
+        a.handle(4, AgentInput::Deliver(Message::Rollback { gtxn: g(1) }));
+        assert!(a.handle(5, begin_dml(1, 0)).is_empty());
+        assert!(!a.has_subtxn(g(1)));
+        // The same for a backup's ROLLBACK that reached a site the dead
+        // coordinator never opened.
+        a.handle(
+            6,
+            AgentInput::Deliver(Message::NewCoord {
+                gtxn: g(2),
+                coord: 7,
+            }),
+        );
+        let acts = a.handle(7, AgentInput::Deliver(Message::Rollback { gtxn: g(2) }));
+        assert!(matches!(
+            acts[..],
+            [AgentAction::Reply {
+                coord: 7,
+                msg: Message::RollbackAck { .. }
+            }]
+        ));
+        assert!(a.handle(8, begin_dml(2, 0)).is_empty());
+        assert!(!a.has_subtxn(g(2)));
+    }
+
+    #[test]
+    fn a_begin_dml_after_a_new_coord_replies_to_the_backup() {
+        let mut a = agent();
+        a.handle(
+            0,
+            AgentInput::Deliver(Message::NewCoord {
+                gtxn: g(1),
+                coord: 7,
+            }),
+        );
+        a.handle(1, begin_dml(1, 0));
+        let acts = a.handle(2, AgentInput::Deliver(Message::Rollback { gtxn: g(1) }));
+        assert!(acts.iter().any(|x| matches!(
+            x,
+            AgentAction::Reply {
+                coord: 7,
+                msg: Message::RollbackAck { .. }
+            }
+        )));
+    }
+
+    #[test]
+    fn an_explicit_begin_then_dml_admits_and_commits_like_begin_dml() {
+        // The folded message and the paper's two (what the harnesses
+        // that drive one agent by hand send) take the same path.
+        let run = |folded: bool| {
+            let mut a = agent();
+            let mut acts = if folded {
+                a.handle(0, begin_dml(1, 0))
+            } else {
+                let mut acts = a.handle(
+                    0,
+                    AgentInput::Deliver(Message::Begin {
+                        gtxn: g(1),
+                        coord: COORD,
+                    }),
+                );
+                acts.extend(a.handle(
+                    0,
+                    AgentInput::Deliver(Message::Dml {
+                        gtxn: g(1),
+                        step: 0,
+                        command: cmd(),
+                    }),
+                ));
+                acts
+            };
+            for (now, input) in [
+                (
+                    2,
+                    AgentInput::LtmDone {
+                        gtxn: g(1),
+                        result: result(&[1]),
+                    },
+                ),
+                (
+                    3,
+                    AgentInput::Deliver(Message::Prepare {
+                        gtxn: g(1),
+                        sn: sn(10),
+                    }),
+                ),
+                (10, AgentInput::Deliver(Message::Commit { gtxn: g(1) })),
+            ] {
+                acts.extend(a.handle(now, input));
+            }
+            assert_eq!(a.stats().local_commits, 1);
+            (acts, a.log().records().to_vec())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

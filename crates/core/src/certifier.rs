@@ -23,11 +23,24 @@
 //!
 //! **Why one stored interval suffices.** §4.2 offers storing several past
 //! intervals per entry "as an optimization". A candidate's interval ends at
-//! the checking moment, so it intersects `(b, e)` iff `candidate_begin ≤ e`;
-//! an entry's successive interval ends only grow, so if any stored interval
-//! passes, the latest one does. `tests/certifier_differential.rs` checks
-//! this table against an oracle that keeps *every* interval an entry ever
-//! had and passes on any of them.
+//! the checking moment, so it intersects an alive entry's interval, which
+//! reaches the same moment, and a frozen entry's `(b, e)` iff
+//! `candidate_begin < e`; an entry's successive interval ends only grow, so
+//! if any stored interval passes, the latest one does.
+//! `tests/certifier_differential.rs` checks this table against an oracle
+//! that keeps *every* interval an entry ever had and passes on any of them.
+//!
+//! **Why a frozen interval is open at its end.** A unilateral abort ends
+//! the entry's aliveness at the clock reading `e`, and releases its locks
+//! in the same step: a command that was waiting on one of them completes
+//! at that same reading. Equal readings do not order the two events, so a
+//! candidate whose last command completed at `e` is treated as having run
+//! after the abort. Admitting it would let a transaction that overwrote the
+//! aborted one's bound data prepare beside it: a livelock when the replay
+//! waits on the newcomer's lock while the newcomer's COMMIT waits on the
+//! replay's smaller serial number, or a global view distortion when the
+//! newcomer is aborted in turn and its own replay reads what the first
+//! transaction's replay wrote.
 //!
 //! **Cost.** §4.2 asks whether the candidate `[b, now]` intersects the
 //! interval of *every* entry. Alive entries are refreshed to `now` at every
@@ -168,14 +181,15 @@ impl Certifier {
 
     /// §4.2: does the candidate `[candidate_begin, now]` miss the interval
     /// of some entry? Alive entries were just refreshed to `now`; of the
-    /// frozen ones only the smallest end can refuse.
+    /// frozen ones only the smallest end can refuse, and it refuses a
+    /// candidate that began at that very reading (see the module docs).
     fn disjoint(&self, now: u64, candidate_begin: u64) -> bool {
         let alive = self.entries.len() - self.frozen_ends.len();
         (alive > 0 && now < candidate_begin)
             || self
                 .frozen_ends
                 .first()
-                .is_some_and(|&(end, _)| end < candidate_begin)
+                .is_some_and(|&(end, _)| end <= candidate_begin)
     }
 
     fn enter(&mut self, gtxn: GlobalTxnId, sn: SerialNumber, interval: (u64, u64), frozen: bool) {
@@ -357,9 +371,11 @@ mod tests {
         admit(&mut c, 40, 1, 1);
         admit(&mut c, 40, 2, 2);
         c.freeze(g(1));
-        // A candidate that began at 40 still meets the frozen end 40 …
-        assert_eq!(probe(&mut c, 100, 40), Ok(()));
-        // … one that began at 41 misses it.
+        // A candidate that began at 39 still meets the frozen end 40 …
+        assert_eq!(probe(&mut c, 100, 39), Ok(()));
+        // … one that began at 40 misses it: the frozen interval is open at
+        // its end.
+        assert_eq!(probe(&mut c, 100, 40), DISJOINT);
         assert_eq!(probe(&mut c, 100, 41), DISJOINT);
     }
 
@@ -374,8 +390,8 @@ mod tests {
         assert_eq!(c.snapshot()[0].interval, (10, 60));
         assert!(!c.snapshot()[0].alive);
         // Refreshes after the freeze no longer reach it.
-        assert_eq!(probe(&mut c, 90, 60), Ok(()));
-        assert_eq!(probe(&mut c, 90, 61), DISJOINT);
+        assert_eq!(probe(&mut c, 90, 59), Ok(()));
+        assert_eq!(probe(&mut c, 90, 60), DISJOINT);
         assert_eq!(c.snapshot()[0].interval, (10, 60));
     }
 
@@ -420,9 +436,9 @@ mod tests {
     fn restored_zero_interval_blocks_everyone_until_revived() {
         let mut c = cert(CertifierMode::Full);
         c.restore(g(1), sn(1));
-        // Any candidate beginning after tick 0 is disjoint from (0, 0).
+        // Every candidate is disjoint from (0, 0).
         assert_eq!(probe(&mut c, 100, 1), DISJOINT);
-        assert_eq!(probe(&mut c, 100, 0), Ok(()));
+        assert_eq!(probe(&mut c, 100, 0), DISJOINT);
         c.revive(g(1), Some(100));
         assert_eq!(probe(&mut c, 101, 100), Ok(()));
     }

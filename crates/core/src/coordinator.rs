@@ -6,6 +6,13 @@
 //! serial number (§5.2) and runs standard 2PC: PREPARE to all participants,
 //! COMMIT on unanimous READY, ROLLBACK otherwise.
 //!
+//! The paper's BEGIN rides the first command a site receives
+//! ([`Message::BeginDml`]), so a site is *opened* only when the program
+//! reaches it. A work-phase abort rolls back the opened sites only and is
+//! settled once they are; by PREPARE every participant is open. On the
+//! two-site one-command twin a commit costs 12 messages: 2 BeginDml,
+//! 2 DmlResult, then PREPARE, READY, COMMIT and COMMIT-ACK per site.
+//!
 //! Coordinators are fully decentralized: any node can host any number of
 //! them, and they share no state — the whole point of the 2CM architecture
 //! (§6, "the DTM of CGM uses a centralized scheduler while the scheduling in
@@ -76,7 +83,9 @@ enum TxnPhase {
 struct GlobalTxn {
     program: GlobalProgram,
     step: usize,
-    participants: BTreeSet<SiteId>,
+    /// Sites sent their first command (and with it the BEGIN): those a
+    /// decision must reach. Every participant once the program completes.
+    opened: BTreeSet<SiteId>,
     phase: TxnPhase,
     ready: BTreeSet<SiteId>,
     acked: BTreeSet<SiteId>,
@@ -85,6 +94,31 @@ struct GlobalTxn {
     sn: Option<SerialNumber>,
     /// Results of completed steps (what the application computed with).
     results: Vec<CommandResult>,
+}
+
+impl GlobalTxn {
+    /// Send the command at `step`; the first one a site receives opens it
+    /// and carries the BEGIN. `None` once the program is complete.
+    fn dispatch(&mut self, gtxn: GlobalTxnId, coord: u32) -> Option<CoordAction> {
+        let &(site, command) = self.program.get(self.step)?;
+        let step = self.step as u32;
+        // mdbs-check: allow(hot-unbounded-growth, "at most one entry per site of the program; the whole GlobalTxn is dropped when the transaction finishes")
+        let msg = if self.opened.insert(site) {
+            Message::BeginDml {
+                gtxn,
+                coord,
+                step,
+                command,
+            }
+        } else {
+            Message::Dml {
+                gtxn,
+                step,
+                command,
+            }
+        };
+        Some(CoordAction::ToAgent { site, msg })
+    }
 }
 
 /// A 2PC coordinator hosted at one node.
@@ -137,31 +171,18 @@ impl Coordinator {
 
     /// Start a global transaction with the given program.
     ///
-    /// Sends BEGIN to every participant, then the first DML command. A
-    /// transaction already in flight (a re-delivered start) is left alone,
-    /// and an empty program has nowhere to begin: both do nothing.
+    /// Sends the first command, carrying its site's BEGIN; the other
+    /// participants are opened as the program reaches them. A transaction
+    /// already in flight (a re-delivered start) is left alone, and an empty
+    /// program has nowhere to begin: both do nothing.
     pub fn begin(&mut self, gtxn: GlobalTxnId, program: GlobalProgram) -> Vec<CoordAction> {
-        let Some(&(site, command)) = program.first() else {
-            return vec![];
-        };
-        if self.txns.contains_key(&gtxn) {
+        if program.is_empty() || self.txns.contains_key(&gtxn) {
             return vec![];
         }
-        let participants: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
-        let mut actions: Vec<CoordAction> = participants
-            .iter()
-            .map(|&site| CoordAction::ToAgent {
-                site,
-                msg: Message::Begin {
-                    gtxn,
-                    coord: self.node,
-                },
-            })
-            .collect();
-        let txn = GlobalTxn {
+        let mut txn = GlobalTxn {
             program,
             step: 0,
-            participants,
+            opened: BTreeSet::new(),
             phase: TxnPhase::Executing,
             ready: BTreeSet::new(),
             acked: BTreeSet::new(),
@@ -169,16 +190,9 @@ impl Coordinator {
             sn: None,
             results: Vec::new(),
         };
+        let first = txn.dispatch(gtxn, self.node);
         self.txns.insert(gtxn, txn);
-        actions.push(CoordAction::ToAgent {
-            site,
-            msg: Message::Dml {
-                gtxn,
-                step: 0,
-                command,
-            },
-        });
-        actions
+        first.into_iter().collect()
     }
 
     /// Handle an upstream message from an agent. `now_local` is this node's
@@ -199,6 +213,7 @@ impl Coordinator {
             Message::RollbackAck { gtxn, site } => self.on_ack(gtxn, site, GlobalOutcome::Aborted),
             Message::Begin { .. }
             | Message::Dml { .. }
+            | Message::BeginDml { .. }
             | Message::Prepare { .. }
             | Message::Commit { .. }
             | Message::Rollback { .. }
@@ -237,16 +252,8 @@ impl Coordinator {
         }
         txn.results.push(result);
         txn.step += 1;
-        // mdbs-check: allow(hot-repeated-lookup, "txn.step advanced on the line above; the two lookups address different program entries")
-        if let Some(&(site, command)) = txn.program.get(txn.step) {
-            return vec![CoordAction::ToAgent {
-                site,
-                msg: Message::Dml {
-                    gtxn,
-                    step: txn.step as u32,
-                    command,
-                },
-            }];
+        if let Some(next) = txn.dispatch(gtxn, self.node) {
+            return vec![next];
         }
         // Program complete: the application submits the global Commit.
         // "At this moment, the Coordinator gives a globally unique serial
@@ -254,7 +261,7 @@ impl Coordinator {
         let sn = self.sn_gen.next(now_local);
         txn.sn = Some(sn);
         txn.phase = TxnPhase::Preparing;
-        txn.participants
+        txn.opened
             .iter()
             .map(|&site| CoordAction::ToAgent {
                 site,
@@ -279,7 +286,7 @@ impl Coordinator {
             return vec![]; // late READY after an abort decision
         }
         txn.ready.insert(site);
-        if txn.ready.len() < txn.participants.len() {
+        if txn.ready.len() < txn.opened.len() {
             return vec![];
         }
         if self.gate_commit {
@@ -291,7 +298,7 @@ impl Coordinator {
         // Unanimous READY: record the commit decision, then COMMIT.
         txn.phase = TxnPhase::Committing;
         let mut actions = vec![CoordAction::RecordGlobalCommit(gtxn)];
-        actions.extend(txn.participants.iter().map(|&site| CoordAction::ToAgent {
+        actions.extend(txn.opened.iter().map(|&site| CoordAction::ToAgent {
             site,
             msg: Message::Commit { gtxn },
         }));
@@ -307,23 +314,16 @@ impl Coordinator {
                 txn.refused.insert(site);
                 txn.phase = TxnPhase::Aborting;
                 let mut actions = vec![CoordAction::RecordGlobalAbort(gtxn)];
-                let others: Vec<SiteId> = txn
-                    .participants
-                    .iter()
-                    .copied()
-                    .filter(|s| !txn.refused.contains(s))
-                    .collect();
-                actions.extend(others.iter().map(|&s| CoordAction::ToAgent {
-                    site: s,
-                    msg: Message::Rollback { gtxn },
-                }));
-                if txn.refused.len() == txn.participants.len() {
-                    self.txns.remove(&gtxn);
-                    actions.push(CoordAction::Finished {
-                        gtxn,
-                        outcome: GlobalOutcome::Aborted,
-                    });
-                }
+                actions.extend(
+                    txn.opened
+                        .iter()
+                        .filter(|s| !txn.refused.contains(s))
+                        .map(|&s| CoordAction::ToAgent {
+                            site: s,
+                            msg: Message::Rollback { gtxn },
+                        }),
+                );
+                actions.extend(self.maybe_finish_abort(gtxn));
                 actions
             }
             TxnPhase::Aborting => {
@@ -352,7 +352,7 @@ impl Coordinator {
         match (txn.phase, acked_as) {
             (TxnPhase::Committing, GlobalOutcome::Committed) => {
                 txn.acked.insert(site);
-                if txn.acked.len() == txn.participants.len() {
+                if txn.acked.len() == txn.opened.len() {
                     self.txns.remove(&gtxn);
                     return vec![CoordAction::Finished {
                         gtxn,
@@ -393,7 +393,7 @@ impl Coordinator {
         }
         txn.phase = TxnPhase::Committing;
         let mut actions = vec![CoordAction::RecordGlobalCommit(gtxn)];
-        actions.extend(txn.participants.iter().map(|&site| CoordAction::ToAgent {
+        actions.extend(txn.opened.iter().map(|&site| CoordAction::ToAgent {
             site,
             msg: Message::Commit { gtxn },
         }));
@@ -443,7 +443,7 @@ impl Coordinator {
             GlobalTxn {
                 program: Vec::new(),
                 step: 0,
-                participants,
+                opened: participants,
                 phase: if commit {
                     TxnPhase::Committing
                 } else {
@@ -462,7 +462,7 @@ impl Coordinator {
     /// Abort a transaction from outside the 2PC vote flow (an external
     /// scheduler decision, e.g. CGM's commit-graph loop check, or an
     /// application abort). Valid while executing or preparing: records the
-    /// abort decision and sends ROLLBACK to every participant.
+    /// abort decision and sends ROLLBACK to every opened site.
     pub fn abort_externally(&mut self, gtxn: GlobalTxnId) -> Vec<CoordAction> {
         let Some(txn) = self.txns.get_mut(&gtxn) else {
             return vec![];
@@ -475,7 +475,7 @@ impl Coordinator {
         }
         txn.phase = TxnPhase::Aborting;
         let mut actions = vec![CoordAction::RecordGlobalAbort(gtxn)];
-        actions.extend(txn.participants.iter().map(|&site| CoordAction::ToAgent {
+        actions.extend(txn.opened.iter().map(|&site| CoordAction::ToAgent {
             site,
             msg: Message::Rollback { gtxn },
         }));
@@ -486,10 +486,13 @@ impl Coordinator {
         let Some(txn) = self.txns.get(&gtxn) else {
             return vec![]; // unreachable: callers hold the entry
         };
-        // Union, not sum: with duplicated messages one site can both refuse
-        // (crossing our ROLLBACK) and ack the rollback.
-        let settled = txn.acked.union(&txn.refused).count();
-        if settled == txn.participants.len() {
+        // Every opened site settled, by refusal or by ack. A site can do
+        // both under duplicated messages (a refusal crossing our ROLLBACK).
+        let settled = txn
+            .opened
+            .iter()
+            .all(|s| txn.acked.contains(s) || txn.refused.contains(s));
+        if settled {
             self.txns.remove(&gtxn);
             return vec![CoordAction::Finished {
                 gtxn,
@@ -533,14 +536,106 @@ mod tests {
             .collect()
     }
 
+    fn dml_result(c: &mut Coordinator, now: u64, site: SiteId, step: u32) -> Vec<CoordAction> {
+        c.on_message(
+            now,
+            Message::DmlResult {
+                gtxn: g(1),
+                site,
+                step,
+                result: result(),
+            },
+        )
+    }
+
     #[test]
-    fn begin_sends_begins_and_first_dml() {
+    fn a_sites_first_command_carries_its_begin_and_later_ones_do_not() {
         let mut c = Coordinator::new(100);
-        let acts = c.begin(g(1), program2());
-        let msgs = sent_to(&acts);
-        assert_eq!(msgs.len(), 3); // Begin x2 + first Dml
-        assert!(matches!(msgs[0].1, Message::Begin { .. }));
-        assert!(matches!(msgs[2], (SiteId(0), Message::Dml { .. })));
+        let program = vec![
+            (A, Command::Update(KeySpec::Key(0), -10)),
+            (B, Command::Update(KeySpec::Key(0), 10)),
+            (A, Command::Select(KeySpec::Key(1))),
+        ];
+        let acts = c.begin(g(1), program);
+        assert_eq!(
+            sent_to(&acts),
+            vec![(
+                A,
+                &Message::BeginDml {
+                    gtxn: g(1),
+                    coord: 100,
+                    step: 0,
+                    command: Command::Update(KeySpec::Key(0), -10),
+                }
+            )],
+            "only the first site hears anything at begin"
+        );
+        let acts = dml_result(&mut c, 1, A, 0);
+        assert!(matches!(
+            sent_to(&acts)[..],
+            [(
+                SiteId(1),
+                Message::BeginDml {
+                    step: 1,
+                    coord: 100,
+                    ..
+                }
+            )]
+        ));
+        let acts = dml_result(&mut c, 2, B, 1);
+        assert!(matches!(
+            sent_to(&acts)[..],
+            [(SiteId(0), Message::Dml { step: 2, .. })]
+        ));
+    }
+
+    #[test]
+    fn a_global_that_fails_at_its_first_site_finishes_on_that_failure() {
+        // The program never reached B: B was never opened, so nothing is
+        // sent to it and A's failure alone settles the abort.
+        let mut c = Coordinator::new(100);
+        c.begin(g(1), program2());
+        let acts = c.on_message(
+            1,
+            Message::Failed {
+                gtxn: g(1),
+                site: A,
+            },
+        );
+        assert_eq!(
+            acts,
+            vec![
+                CoordAction::RecordGlobalAbort(g(1)),
+                CoordAction::Finished {
+                    gtxn: g(1),
+                    outcome: GlobalOutcome::Aborted
+                }
+            ]
+        );
+        assert_eq!(c.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_work_phase_external_abort_rolls_back_the_opened_sites_only() {
+        let mut c = Coordinator::new(100);
+        c.begin(g(1), program2());
+        let acts = c.abort_externally(g(1));
+        assert!(matches!(acts[0], CoordAction::RecordGlobalAbort(_)));
+        assert_eq!(sent_to(&acts), vec![(A, &Message::Rollback { gtxn: g(1) })]);
+        let acts = c.on_message(
+            2,
+            Message::RollbackAck {
+                gtxn: g(1),
+                site: A,
+            },
+        );
+        assert_eq!(
+            acts,
+            vec![CoordAction::Finished {
+                gtxn: g(1),
+                outcome: GlobalOutcome::Aborted
+            }]
+        );
     }
 
     #[test]
@@ -558,7 +653,7 @@ mod tests {
         );
         let msgs = sent_to(&acts);
         assert_eq!(msgs.len(), 1);
-        assert!(matches!(msgs[0], (SiteId(1), Message::Dml { .. })));
+        assert!(matches!(msgs[0], (SiteId(1), Message::BeginDml { .. })));
 
         let acts = c.on_message(
             20,
@@ -855,7 +950,7 @@ mod tests {
     fn single_site_transaction() {
         let mut c = Coordinator::new(7);
         let acts = c.begin(g(2), vec![(A, Command::Select(KeySpec::Key(0)))]);
-        assert_eq!(sent_to(&acts).len(), 2); // Begin + Dml
+        assert_eq!(sent_to(&acts).len(), 1); // BeginDml
         let acts = c.on_message(
             9,
             Message::DmlResult {
@@ -959,20 +1054,21 @@ mod tests {
         // abort_externally. The second abort must be a no-op, not a panic.
         let mut c = Coordinator::new(100);
         c.begin(g(1), program2());
+        dml_result(&mut c, 1, A, 0);
         c.on_message(
-            1,
+            2,
             Message::Failed {
                 gtxn: g(1),
-                site: A,
+                site: B,
             },
         );
         let acts = c.abort_externally(g(1));
         assert!(acts.is_empty());
         let acts = c.on_message(
-            2,
+            3,
             Message::RollbackAck {
                 gtxn: g(1),
-                site: B,
+                site: A,
             },
         );
         assert!(matches!(acts[0], CoordAction::Finished { .. }));
@@ -1030,22 +1126,23 @@ mod tests {
     fn failed_during_execution_aborts_globally() {
         let mut c = Coordinator::new(100);
         c.begin(g(1), program2());
+        dml_result(&mut c, 1, A, 0);
         let acts = c.on_message(
-            1,
+            2,
             Message::Failed {
                 gtxn: g(1),
-                site: A,
+                site: B,
             },
         );
         assert!(matches!(acts[0], CoordAction::RecordGlobalAbort(_)));
         let msgs = sent_to(&acts);
         assert_eq!(msgs.len(), 1, "ROLLBACK to the other site only");
-        assert!(matches!(msgs[0], (SiteId(1), Message::Rollback { .. })));
+        assert!(matches!(msgs[0], (SiteId(0), Message::Rollback { .. })));
         let acts = c.on_message(
-            2,
+            3,
             Message::RollbackAck {
                 gtxn: g(1),
-                site: B,
+                site: A,
             },
         );
         assert!(matches!(acts[0], CoordAction::Finished { .. }));
@@ -1136,9 +1233,10 @@ mod tests {
     fn duplicate_rollback_ack_finishes_once() {
         let mut c = Coordinator::new(100);
         c.begin(g(1), program2());
+        dml_result(&mut c, 1, A, 0);
         let r = crate::agent::RefuseReason::NotAlive;
         c.on_message(
-            1,
+            2,
             Message::Refuse {
                 gtxn: g(1),
                 site: A,
@@ -1148,7 +1246,7 @@ mod tests {
         // A's own refusal is duplicated by the network; then B acks. The
         // duplicate must neither finish the txn early nor double-count.
         let dup = c.on_message(
-            2,
+            3,
             Message::Refuse {
                 gtxn: g(1),
                 site: A,
@@ -1157,7 +1255,7 @@ mod tests {
         );
         assert!(dup.is_empty());
         let acts = c.on_message(
-            3,
+            4,
             Message::RollbackAck {
                 gtxn: g(1),
                 site: B,
@@ -1173,7 +1271,7 @@ mod tests {
         // A late duplicate of B's ack hits a forgotten txn: ignored.
         assert!(c
             .on_message(
-                4,
+                5,
                 Message::RollbackAck {
                     gtxn: g(1),
                     site: B

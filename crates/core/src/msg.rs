@@ -5,6 +5,14 @@
 //! acknowledges the Coordinator's decision messages with COMMIT-ACK or
 //! ROLLBACK-ACK." Data manipulation commands travel while the participant is
 //! in the active state; PREPARE additionally carries the §5.2 serial number.
+//!
+//! The paper's BEGIN rides the first command a coordinator sends to a site:
+//! [`Message::BeginDml`] opens the global subtransaction and carries its
+//! first DML in one message, and later commands to the same site are plain
+//! [`Message::Dml`]. A site never sent a command is never opened, so a
+//! work-phase abort rolls back only the sites already reached. The agent
+//! still accepts an explicit [`Message::Begin`] followed by `Dml` (the
+//! harnesses that drive one agent by hand use it); no coordinator sends one.
 
 use mdbs_histories::{GlobalTxnId, SiteId};
 use mdbs_ldbs::{Command, CommandResult};
@@ -16,7 +24,9 @@ use crate::sn::SerialNumber;
 /// A message between a Coordinator and a 2PC Agent.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Message {
-    /// Coordinator → Agent: open a global subtransaction at the site.
+    /// Coordinator → Agent: open a global subtransaction at the site. No
+    /// coordinator sends it any more ([`Message::BeginDml`] carries the
+    /// BEGIN); the agent still accepts it.
     Begin {
         /// The global transaction.
         gtxn: GlobalTxnId,
@@ -31,6 +41,19 @@ pub enum Message {
         /// discard duplicate deliveries of a command it already executed
         /// (the paper assumes exactly-once messaging; the chaos harness
         /// deliberately violates it).
+        step: u32,
+        /// The command to execute at the local interface.
+        command: Command,
+    },
+    /// Coordinator → Agent: BEGIN and the first DML command for this site,
+    /// in one message. The agent handles it as [`Message::Begin`] followed
+    /// by [`Message::Dml`].
+    BeginDml {
+        /// The global transaction.
+        gtxn: GlobalTxnId,
+        /// The coordinator's node id (for replies).
+        coord: u32,
+        /// Position of this command in the global program.
         step: u32,
         /// The command to execute at the local interface.
         command: Command,
@@ -128,6 +151,7 @@ impl Message {
         match *self {
             Message::Begin { gtxn, .. }
             | Message::Dml { gtxn, .. }
+            | Message::BeginDml { gtxn, .. }
             | Message::Prepare { gtxn, .. }
             | Message::Commit { gtxn }
             | Message::Rollback { gtxn }
@@ -147,6 +171,7 @@ impl Message {
             self,
             Message::Begin { .. }
                 | Message::Dml { .. }
+                | Message::BeginDml { .. }
                 | Message::Prepare { .. }
                 | Message::Commit { .. }
                 | Message::Rollback { .. }
@@ -169,6 +194,12 @@ impl Message {
                 gtxn: GlobalTxnId(7),
                 step: 3,
                 command: Command::Update(KeySpec::Key(11), 4),
+            },
+            Message::BeginDml {
+                gtxn: GlobalTxnId(7),
+                coord: 1_000_002,
+                step: 0,
+                command: Command::Select(KeySpec::Range(2, 9)),
             },
             Message::Prepare {
                 gtxn: GlobalTxnId(7),

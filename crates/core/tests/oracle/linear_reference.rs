@@ -3,8 +3,9 @@
 //! §4.2 read literally: every entry keeps *every* alive interval it ever
 //! had, each PREPARE eagerly extends every alive entry to `now`, and the
 //! candidate passes against an entry if it intersects *any* of its
-//! intervals; Appendix C scans the whole table for a smaller-or-equal
-//! serial number. `mdbs_dtm::certifier::Certifier` — one stored interval,
+//! intervals — an alive entry's current one is closed at `now`, every
+//! interval a freeze ended is open at its end; Appendix C scans the whole
+//! table for a smaller-or-equal serial number. `mdbs_dtm::certifier::Certifier` — one stored interval,
 //! a lazy refresh floor, sorted sets — must decide exactly as this does.
 //!
 //! Included with `#[path]` by `tests/certifier_differential.rs` (the
@@ -96,11 +97,15 @@ impl LinearReference {
     }
 
     /// The O(n) §4.2 scan: does a candidate beginning at `candidate_begin`
-    /// (and ending now) miss every interval of some entry?
+    /// (and ending now) miss every interval of some entry? A frozen entry
+    /// stopped being alive at its intervals' ends, so meeting one there is
+    /// missing it.
     pub fn disjoint(&self, candidate_begin: u64) -> bool {
-        self.entries
-            .values()
-            .any(|e| !e.intervals.iter().any(|&(_, end)| end >= candidate_begin))
+        self.entries.values().any(|e| {
+            !e.intervals
+                .iter()
+                .any(|&(_, end)| end > candidate_begin || (e.alive && end == candidate_begin))
+        })
     }
 
     /// The O(n) Appendix C scan: does another entry carry a serial number

@@ -810,9 +810,9 @@ mod tests {
 
     #[test]
     fn two_site_transaction_message_complexity() {
-        // One 2-site committed transaction needs exactly 14 messages:
-        // 2xBEGIN + 2xDML + 2xRESULT + 2xPREPARE + 2xREADY + 2xCOMMIT +
-        // 2xCOMMIT-ACK.
+        // One 2-site committed transaction needs exactly 12 messages:
+        // 2xBEGIN-DML (each site's BEGIN rides its first command) +
+        // 2xRESULT + 2xPREPARE + 2xREADY + 2xCOMMIT + 2xCOMMIT-ACK.
         let mut cfg = SimConfig::default();
         cfg.workload.global_txns = 1;
         cfg.workload.local_txns_per_site = 0;
@@ -820,13 +820,15 @@ mod tests {
         cfg.workload.commands_per_site = (1, 1);
         let report = Simulation::new(cfg).run();
         assert_eq!(report.committed, 1);
-        assert_eq!(report.messages, 14);
+        assert_eq!(report.messages, 12);
+        assert_eq!(report.metrics.counter("msg_begin"), 0);
+        assert_eq!(report.metrics.counter("msg_begin_dml"), 2);
     }
 
     #[test]
     fn two_site_paxos_commit_message_complexity() {
         // The same transaction under Paxos Commit at F = 1 needs exactly
-        // 24: the 14 above, plus a registration Begin to each of the two
+        // 22: the 12 above, plus a registration Begin to each of the two
         // ballot-0 acceptors, each participant's Vote2a to both (4), one
         // bundled Accepted per ballot-0 acceptor, and Clear to both.
         let mut cfg = SimConfig::default();
@@ -838,7 +840,7 @@ mod tests {
         cfg.consensus_f = 1;
         let report = Simulation::new(cfg).run();
         assert_eq!(report.committed, 1);
-        assert_eq!(report.messages, 14 + 2 + 4 + 2 + 2);
+        assert_eq!(report.messages, 12 + 2 + 4 + 2 + 2);
     }
 
     #[test]
@@ -925,6 +927,7 @@ mod tests {
         let kinds = [
             "msg_begin",
             "msg_dml",
+            "msg_begin_dml",
             "msg_prepare",
             "msg_commit",
             "msg_rollback",

@@ -357,6 +357,7 @@ wire_enum!(SiteLockMode {
 wire_enum!(Message {
     0 => Begin { gtxn, coord },
     1 => Dml { gtxn, step, command },
+    12 => BeginDml { gtxn, coord, step, command },
     2 => Prepare { gtxn, sn },
     3 => Commit { gtxn },
     4 => Rollback { gtxn },

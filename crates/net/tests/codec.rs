@@ -197,12 +197,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///   is one report per acceptor per transaction), and `Propose2a` carries
 ///   every participant's vote instead of one. `WireMsg::specimens` holds
 ///   no Paxos message, so its digest did not move.
+/// - the suite: `Message::BeginDml` (tag 12) joined it. Without its
+///   specimen the suite still hashes to the previous pin,
+///   `0xee5e_2ad2_7651_842a`, so no byte of another message moved.
 #[test]
 fn the_data_format_is_pinned() {
     let specimens = fnv1a(&encode_batch(&WireMsg::specimens()));
     assert_eq!(specimens, 0x4db3_419a_bdde_aae5, "got {specimens:#018x}");
     let suite = fnv1a(&encode_batch(&all_wire_msgs()));
-    assert_eq!(suite, 0xee5e_2ad2_7651_842a, "got {suite:#018x}");
+    assert_eq!(suite, 0x10e3_6c6a_9da6_fffa, "got {suite:#018x}");
 }
 
 #[test]

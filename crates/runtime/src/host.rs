@@ -251,6 +251,7 @@ pub fn message_kind(msg: &Message) -> &'static str {
     match msg {
         Message::Begin { .. } => "msg_begin",
         Message::Dml { .. } => "msg_dml",
+        Message::BeginDml { .. } => "msg_begin_dml",
         Message::Prepare { .. } => "msg_prepare",
         Message::Commit { .. } => "msg_commit",
         Message::Rollback { .. } => "msg_rollback",
@@ -277,6 +278,7 @@ mod tests {
         let expected = [
             "msg_begin",
             "msg_dml",
+            "msg_begin_dml",
             "msg_prepare",
             "msg_commit",
             "msg_rollback",

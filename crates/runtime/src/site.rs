@@ -359,6 +359,7 @@ impl SiteRuntime {
             Message::Refuse { .. } | Message::Failed { .. } => Vote::Abort,
             Message::Begin { .. }
             | Message::Dml { .. }
+            | Message::BeginDml { .. }
             | Message::Prepare { .. }
             | Message::Commit { .. }
             | Message::Rollback { .. }

@@ -9,6 +9,12 @@
 //! batch as T1, its `LtmCommit` not yet applied), T3 would pass commit
 //! certification and reach the LDBS ahead of T2. One commit per agent
 //! step, each applied before the next is certified, rules that out.
+//!
+//! A certified T1 cannot hold a lock T3's first incarnation held: it would
+//! have taken it after T3's abort, and basic certification refuses a
+//! candidate whose interval begins at or after a frozen entry's end. T3's
+//! replay meets T1's lock on a row its range covers only since T1 inserted
+//! it.
 
 use mdbs_dtm::{AgentConfig, GlobalOutcome, Message, SerialNumber};
 use mdbs_histories::{GlobalTxnId, Instance, Op, OpKind, SiteId, Txn};
@@ -101,13 +107,13 @@ impl Site {
         }
     }
 
-    fn begin_and_update(&mut self, k: u32, key: u64) {
+    fn begin_with(&mut self, k: u32, command: Command) {
         let gtxn = GlobalTxnId(k);
         self.deliver(Message::Begin { gtxn, coord: COORD });
         self.deliver(Message::Dml {
             gtxn,
             step: 0,
-            command: Command::Update(KeySpec::Key(key), 1),
+            command,
         });
         self.run_ltm();
     }
@@ -155,31 +161,26 @@ impl Site {
 fn a_replay_resumed_inside_the_blockers_commit_cannot_overtake_the_released_sn() {
     let mut s = Site::new();
 
-    // T3 updates key 0, T2 key 1; T1 wants key 0 too and blocks behind T3.
+    // Rows 0–3 exist. T3 reads the empty range 4–9, T2 updates key 1, T1
+    // inserts key 5: no two of them wait for each other.
     s.host.now_us = 10;
-    s.begin_and_update(3, 0);
-    s.begin_and_update(2, 1);
-    s.begin_and_update(1, 0);
-    let t1 = Instance::global(1, SITE, 0);
-    assert!(
-        s.rt.blocked().any(|(i, _)| i == t1),
-        "T1 waits for T3's lock"
-    );
+    s.begin_with(3, Command::Select(KeySpec::Range(4, 9)));
+    s.begin_with(2, Command::Update(KeySpec::Key(1), 1));
+    s.begin_with(1, Command::Insert(5, 1));
+    assert!(s.rt.blocked().next().is_none(), "nobody waits");
 
-    // T3 and T2 prepare; then T3's incarnation is unilaterally aborted,
-    // which hands key 0 to T1. The clock does not tick in between, so T1's
-    // alive interval still touches T3's frozen one and T1 prepares too —
-    // with the smallest serial number of the three.
+    // All three prepare while alive, T1 with the smallest serial number;
+    // then T3's incarnation is unilaterally aborted.
     s.host.now_us = 20;
     s.prepare(3, 30);
     s.prepare(2, 20);
+    s.prepare(1, 10);
     s.rt.inject_abort(Instance::global(3, SITE, 0), &mut s.host)
         .expect("abort T3's first incarnation");
-    assert!(s.rt.blocked().next().is_none(), "T1 got the lock");
-    s.prepare(1, 10);
 
     // COMMIT(T3): the aborted incarnation is resubmitted first, and the
-    // replay blocks behind T1's lock. COMMIT(T2): held behind T1.
+    // replay's range now holds T1's row 5: it blocks behind T1's lock.
+    // COMMIT(T2): held behind T1.
     s.host.now_us = 30;
     s.commit(3);
     s.run_ltm();

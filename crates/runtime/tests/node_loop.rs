@@ -405,9 +405,9 @@ fn a_redelivered_admission_grant_begins_the_transaction_once() {
     assert_eq!(port.ctrl_sent, 1, "the admission request");
     let grant = || ctrl(CENTRAL, CtrlMsg::CgmAdmitted { gtxn });
     step(&mut rt, &mut port, grant());
-    assert_eq!(port.sent, 2, "BEGIN and the first DML");
+    assert_eq!(port.sent, 1, "the first DML, carrying the BEGIN");
     step(&mut rt, &mut port, grant());
-    assert_eq!(port.sent, 2);
+    assert_eq!(port.sent, 1);
     assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 1);
 }
 
@@ -468,11 +468,11 @@ fn a_second_verdict_is_void_and_late_answers_find_no_transaction() {
         step(&mut rt, &mut port, event);
     }
     assert!(rt.quiesced(), "the transaction finished");
-    assert_eq!(port.sent, 4, "BEGIN, DML, PREPARE, COMMIT — no ROLLBACK");
+    assert_eq!(port.sent, 3, "BEGIN-DML, PREPARE, COMMIT — no ROLLBACK");
     assert_eq!(port.ctrl_sent, 3, "request, vote, finished");
     for late in [grant(), verdict(true), verdict(false)] {
         step(&mut rt, &mut port, late);
     }
-    assert_eq!((port.sent, port.ctrl_sent), (4, 3));
+    assert_eq!((port.sent, port.ctrl_sent), (3, 3));
     assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 4);
 }
