@@ -597,8 +597,8 @@ pub fn xt7_commit_retry() -> String {
          expected shape: a COMMIT is held either behind its own aborted\n\
          incarnation (resubs; ends when the replay completes) or behind a\n\
          smaller serial number still in the table (ends when that entry leaves:\n\
-         released). The retry timer only polls in between (commit-retries), so\n\
-         hold time follows replays and lock waits, not the retry period\n\n{t}"
+         released). The alive tick only retries in between (commit-retries),\n\
+         so hold time follows replays and lock waits, not the tick's period\n\n{t}"
     )
 }
 

@@ -42,7 +42,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use mdbs_dtm::{CertifierMode, GlobalOutcome, Message};
+use mdbs_dtm::{CertifierMode, GlobalOutcome, Message, PreparedEntry};
 use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
 use mdbs_ldbs::{Command, KeySpec};
 use mdbs_runtime::TraceEvent;
@@ -607,9 +607,7 @@ impl World {
                 continue;
             };
             lane.retain(|(_, p)| match &p.event {
-                NodeEvent::Timer(Timer::Alive { gtxn } | Timer::CommitRetry { gtxn }) => {
-                    rt.agent().has_subtxn(*gtxn)
-                }
+                NodeEvent::Timer(Timer::Alive { gtxn }) => rt.agent().has_subtxn(*gtxn),
                 _ => true,
             });
         }
@@ -761,7 +759,7 @@ impl World {
             let (candidate_begin, _) = cand.interval;
             for other in &table {
                 let (_, other_end) = other.interval;
-                if other.gtxn != gtxn && other_end < candidate_begin {
+                if other.gtxn != gtxn && misses(other, candidate_begin) {
                     return Err(Violation::IntervalDisjoint {
                         site,
                         gtxn,
@@ -1042,9 +1040,41 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     ExploreOutcome::Exhausted { runs }
 }
 
+/// §4.2: a candidate that began at `candidate_begin` misses `other`'s
+/// stored interval. A frozen (unilaterally aborted) interval is open at its
+/// end — a command completing at the abort's own reading ran after it — so
+/// there a tie misses too, as in the certifier and the linear oracle.
+fn misses(other: &PreparedEntry, candidate_begin: u64) -> bool {
+    let (_, end) = other.interval;
+    end < candidate_begin || (!other.alive && end == candidate_begin)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_frozen_interval_misses_a_candidate_beginning_at_its_end() {
+        let entry = |alive| PreparedEntry {
+            gtxn: GlobalTxnId(1),
+            sn: mdbs_dtm::SerialNumber {
+                ticks: 1,
+                node: 0,
+                seq: 0,
+            },
+            interval: (10, 40),
+            alive,
+            commit_pending: false,
+        };
+        for alive in [true, false] {
+            assert!(!misses(&entry(alive), 39), "alive={alive}");
+            assert!(misses(&entry(alive), 41), "alive={alive}");
+        }
+        // The tie: an alive interval reaches the reading, a frozen one
+        // stops short of it.
+        assert!(!misses(&entry(true), 40));
+        assert!(misses(&entry(false), 40));
+    }
 
     #[test]
     fn default_schedules_settle_clean() {

@@ -157,9 +157,12 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                 // A COMMIT overtaking its PREPARE must not commit an
                 // uncertified incarnation.
                 dup_guard: &[&["in_table"]],
-                // Commit certification can defer; the retry timer is the
-                // only way forward (Appendix C ordering).
-                timeout: &[&["StartCommitRetryTimer"]],
+                // Commit certification can defer, and the hold ends at an
+                // event: a re-delivered COMMIT, the replay completing, or
+                // a smaller serial number leaving the table — or at the
+                // alive tick the `Prepare` arm must arm with READY, which
+                // retries it (Appendix C ordering).
+                timeout: &[],
             },
             ArmSpec {
                 enum_name: "Message",

@@ -354,8 +354,9 @@ fn probe_resubmission() -> Result<(), String> {
 }
 
 /// Appendix C: local commits happen in sn order — a COMMIT for the
-/// larger-sn transaction waits (retry timer armed) while a smaller-sn entry
-/// is in the table, and is released the moment that entry leaves.
+/// larger-sn transaction waits while a smaller-sn entry is in the table
+/// (its alive tick retries, holds and re-arms), and is released the moment
+/// that entry leaves.
 #[test]
 fn probe_commit_order() -> Result<(), String> {
     let mut a = agent();
@@ -369,11 +370,15 @@ fn probe_commit_order() -> Result<(), String> {
     if has_ltm_commit(&acts) {
         return Err("Appendix C: committed sn 200 while sn 100 was still in the table".to_string());
     }
-    let retries = acts
+    let acts = a.handle(125, AgentInput::AliveTimer { gtxn: g(2) });
+    if has_ltm_commit(&acts) {
+        return Err("Appendix C: the alive tick committed sn 200 past sn 100".to_string());
+    }
+    let rearmed = acts
         .iter()
-        .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. }));
-    if !retries {
-        return Err("Appendix C: held-back COMMIT armed no retry timer".to_string());
+        .any(|x| matches!(x, AgentAction::StartAliveTimer { .. }));
+    if !rearmed {
+        return Err("Appendix C: the alive tick of a held COMMIT did not re-arm".to_string());
     }
     // T1's COMMIT commits T1 and, in the same host step, releases T2 —
     // one local commit per agent step, smaller serial number first.
@@ -391,11 +396,11 @@ fn probe_commit_order() -> Result<(), String> {
             ltm_commits(&acts)
         ));
     }
-    // T2's retry timer is still armed; it must find nothing to do.
-    let acts = a.handle(140, AgentInput::CommitRetryTimer { gtxn: g(2) });
+    // T2's alive timer is still armed; it must find nothing to do.
+    let acts = a.handle(140, AgentInput::AliveTimer { gtxn: g(2) });
     if !acts.is_empty() {
         return Err(format!(
-            "Appendix C: retry timer of a released COMMIT acted again: {acts:?}"
+            "Appendix C: alive tick of a released COMMIT acted again: {acts:?}"
         ));
     }
     Ok(())

@@ -11,12 +11,13 @@
 //! guarded by the [`Certifier`], which owns the alive-interval table and
 //! answers with verdicts only: a PREPARE is put to
 //! [`Certifier::certify_prepare`] (Appendix B) and refused or accepted; a
-//! COMMIT waits, with retry, until the incarnation is alive and
+//! COMMIT waits until the incarnation is alive and
 //! [`Certifier::commit_gate`] (Appendix C) lets it through, so local commits
 //! happen in serial-number order at every site and the commit-order graph
 //! stays acyclic (§5.2). The alive check (Appendix A) runs on a timer while
 //! prepared; a failed check triggers resubmission and a fresh alive interval
-//! once the replay completes.
+//! once the replay completes. The same tick is Appendix C's retry of a held
+//! COMMIT.
 //!
 //! The agent is a pure state machine: [`Agent::handle`] consumes one
 //! [`AgentInput`] plus the local clock reading and returns the actions the
@@ -90,14 +91,10 @@ pub enum AgentInput {
         /// The aborted instance.
         instance: Instance,
     },
-    /// The periodic alive-check timer fired (Appendix A).
+    /// The periodic alive-check timer fired (Appendix A; for a held
+    /// COMMIT also Appendix C's retry).
     AliveTimer {
         /// The prepared transaction being checked.
-        gtxn: GlobalTxnId,
-    },
-    /// The commit-certification retry timer fired (Appendix C).
-    CommitRetryTimer {
-        /// The transaction whose commit certification is retried.
         gtxn: GlobalTxnId,
     },
 }
@@ -147,13 +144,6 @@ pub enum AgentAction {
         /// Delay, in local-clock microseconds.
         after_us: u64,
     },
-    /// Arm the commit-certification retry timer.
-    StartCommitRetryTimer {
-        /// The transaction to retry.
-        gtxn: GlobalTxnId,
-        /// Delay, in local-clock microseconds.
-        after_us: u64,
-    },
 }
 
 /// Counters exposed for the experiment harness.
@@ -169,17 +159,21 @@ pub struct AgentStats {
     pub refused_not_alive: u64,
     /// Resubmissions started.
     pub resubmissions: u64,
-    /// Commit certifications that had to be retried.
+    /// Failed commit certification attempts — the incarnation not alive,
+    /// or the gate closed — at the COMMIT's arrival, at a replay's
+    /// completion and at the alive tick.
     pub commit_retries: u64,
     /// Held COMMITs performed because a smaller serial number left the
-    /// table ([`Agent::release_held_commit`]) rather than by a retry timer.
+    /// table ([`Agent::release_held_commit`]) rather than at an attempt
+    /// of their own.
     pub commit_releases: u64,
     /// Local-clock µs between a COMMIT's arrival and its local commit,
     /// summed over all local commits: what commit certification (and a
     /// resubmission it had to wait for) added to the commit path.
     pub commit_hold_us: u64,
-    /// Times the safety valve forced an out-of-order commit (anomaly
-    /// baselines only).
+    /// Held COMMITs forced through past the wait bound
+    /// ([`crate::CertifierMode::forced_commit_after_us`]; the anomaly
+    /// baselines only, so 0 under `Full`).
     pub commit_cert_overrides: u64,
     /// Local commits performed.
     pub local_commits: u64,
@@ -238,10 +232,9 @@ struct SubTxn {
     /// first command: the interval never opens before the site was reached.
     last_op_done: u64,
     phase: Phase,
-    /// Failed commit certifications so far (safety-valve counter).
-    commit_retries: u32,
-    /// Local time the COMMIT arrived (`None` until then, and after crash
-    /// recovery, which does not know).
+    /// Local time of the first commit attempt: the COMMIT's arrival, or
+    /// after crash recovery, which does not know it, the first attempt
+    /// since (`None` until then).
     commit_since: Option<u64>,
     /// Highest DML step accepted so far; duplicate deliveries of a step
     /// already executed are discarded (§2 assumes exactly-once messaging,
@@ -264,7 +257,6 @@ impl SubTxn {
             aborted: false,
             last_op_done: now,
             phase: Phase::Active,
-            commit_retries: 0,
             commit_since: None,
             last_dml_step: None,
         }
@@ -396,12 +388,6 @@ impl Agent {
                 gtxn,
                 after_us: config.alive_check_interval_us,
             });
-            if phase == Phase::CommitPending {
-                actions.push(AgentAction::StartCommitRetryTimer {
-                    gtxn,
-                    after_us: config.commit_retry_interval_us,
-                });
-            }
         }
         (agent, actions)
     }
@@ -441,7 +427,7 @@ impl Agent {
     }
 
     /// Whether the agent still tracks `gtxn` in any phase. `mdbs-check
-    /// explore` uses this to prune inert alive/commit-retry timer firings
+    /// explore` uses this to prune inert alive timer firings
     /// (a timer for a settled transaction is a no-op and would otherwise
     /// just widen the schedule space).
     pub fn has_subtxn(&self, gtxn: GlobalTxnId) -> bool {
@@ -473,7 +459,6 @@ impl Agent {
             AgentInput::LtmDone { gtxn, result } => self.on_ltm_done(now, gtxn, result),
             AgentInput::Uan { instance } => self.on_uan(instance),
             AgentInput::AliveTimer { gtxn } => self.on_alive_timer(now, gtxn),
-            AgentInput::CommitRetryTimer { gtxn } => self.on_commit_retry(now, gtxn),
         }
     }
 
@@ -520,7 +505,6 @@ impl Agent {
                         return vec![];
                     }
                     st.phase = Phase::CommitPending;
-                    st.commit_since.get_or_insert(now);
                     self.try_commit(now, gtxn)
                 } else if let Some(coord) = self.redirects.remove(&gtxn) {
                     // Failover re-decision for a transaction we already
@@ -811,7 +795,9 @@ impl Agent {
         vec![]
     }
 
-    /// Appendix A: the alive check.
+    /// Appendix A: the alive check, which for a held COMMIT is also
+    /// Appendix C's retry "at a later time". Re-armed while the entry stays
+    /// in the table.
     fn on_alive_timer(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
         let Some(st) = self.subtxns.get_mut(&gtxn) else {
             return vec![]; // committed or rolled back meanwhile
@@ -819,6 +805,7 @@ impl Agent {
         if !st.in_table() {
             return vec![];
         }
+        let held = st.phase == Phase::CommitPending;
         let mut actions = Vec::new();
         if st.resubmit_next.is_some() {
             // Replay still running; check again later.
@@ -829,10 +816,15 @@ impl Agent {
             // Unilaterally aborted: resubmit commands from the Agent log.
             actions.extend(self.start_resubmission(gtxn));
         }
-        actions.push(AgentAction::StartAliveTimer {
-            gtxn,
-            after_us: self.config.alive_check_interval_us,
-        });
+        if held {
+            actions.extend(self.try_commit(now, gtxn));
+        }
+        if self.subtxns.contains_key(&gtxn) {
+            actions.push(AgentAction::StartAliveTimer {
+                gtxn,
+                after_us: self.config.alive_check_interval_us,
+            });
+        }
         actions
     }
 
@@ -862,38 +854,34 @@ impl Agent {
         actions
     }
 
-    /// Appendix C: alive? → commit certification → local commit; a COMMIT
-    /// that fails either test is retried.
+    /// Appendix C: alive? → commit certification → local commit. A COMMIT
+    /// that fails either test stays held until the event it waits for —
+    /// its replay completing, or a smaller serial number leaving the table
+    /// ([`Agent::release_held_commit`]) — or the next alive tick.
     fn try_commit(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
         let Some(st) = self.subtxns.get_mut(&gtxn) else {
             return vec![]; // unreachable: callers hold a table entry
         };
         debug_assert_eq!(st.phase, Phase::CommitPending);
-        let retry = AgentAction::StartCommitRetryTimer {
-            gtxn,
-            after_us: self.config.commit_retry_interval_us,
-        };
+        let since = *st.commit_since.get_or_insert(now);
 
         // The incarnation must be alive to be committed; if it was aborted,
-        // resubmit first and retry.
+        // resubmit first.
         if st.aborted || st.resubmit_next.is_some() {
-            let mut actions = Vec::new();
-            if st.aborted {
-                actions.extend(self.start_resubmission(gtxn));
-            }
             self.stats.commit_retries += 1;
-            actions.push(retry);
-            return actions;
+            if st.aborted {
+                return self.start_resubmission(gtxn);
+            }
+            return vec![];
         }
 
         if !self.cert.commit_gate(gtxn) {
-            st.commit_retries += 1;
             self.stats.commit_retries += 1;
-            if st.commit_retries < self.config.mode.commit_retry_limit() {
-                return vec![retry];
+            let bound = self.config.mode.forced_commit_after_us();
+            if bound.is_none_or(|bound| now.saturating_sub(since) < bound) {
+                return vec![];
             }
-            // Safety valve: fall through and commit out of order (see
-            // `CertifierMode::commit_retry_limit` for when this is reachable).
+            // A comparator's wait bound ran out: commit out of order.
             self.stats.commit_cert_overrides += 1;
         }
 
@@ -905,7 +893,7 @@ impl Agent {
         self.cert.leave(gtxn, true);
         self.note_done(gtxn);
         self.stats.local_commits += 1;
-        self.stats.commit_hold_us += st.commit_since.map_or(0, |t| now.saturating_sub(t));
+        self.stats.commit_hold_us += now.saturating_sub(since);
         self.log.append(LogRecord::Commit { gtxn });
         self.log.append(LogRecord::Done { gtxn });
         vec![
@@ -933,11 +921,12 @@ impl Agent {
     /// local commit per call: the host applies the returned actions in full
     /// and calls again, so an `LtmDone` surfacing while an `LtmCommit` is
     /// applied always meets a table that still holds every smaller serial
-    /// number not yet committed at the LTM. The retry timer of the
-    /// released entry stays armed and finds nothing to do.
+    /// number not yet committed at the LTM. The alive timer of the
+    /// released entry finds it gone and is not re-armed.
     ///
     /// Only the serial-number rule has a single oldest entry to release;
-    /// the comparator modes keep their timer-only behavior.
+    /// a COMMIT held by the §5.3 strawman's prepare order waits for the
+    /// alive tick.
     pub fn release_held_commit(&mut self, now: u64) -> Vec<AgentAction> {
         let held = self.cert.oldest().filter(|gtxn| {
             self.subtxns
@@ -947,25 +936,14 @@ impl Agent {
         let Some(gtxn) = held else {
             return vec![];
         };
-        let before = self.stats.local_commits;
         let actions = self.try_commit(now, gtxn);
-        if self.stats.local_commits == before {
-            // Nothing blocks the oldest entry while serial numbers are
-            // unique, so only a broken comparator (the kill matrix's
-            // `commit-edge-flip`) gets here. The entry's armed retry timer
-            // still has it; handing the host another timer to arm would
-            // make it ask again, and spin until the retry valve opens.
-            return vec![];
+        // Empty only if the gate held the oldest entry, which nothing does
+        // while serial numbers are unique: a broken comparator (the kill
+        // matrix's `commit-edge-flip`). The entry's alive tick still has it.
+        if !actions.is_empty() {
+            self.stats.commit_releases += 1;
         }
-        self.stats.commit_releases += 1;
         actions
-    }
-
-    fn on_commit_retry(&mut self, now: u64, gtxn: GlobalTxnId) -> Vec<AgentAction> {
-        match self.subtxns.get(&gtxn) {
-            Some(st) if st.phase == Phase::CommitPending => self.try_commit(now, gtxn),
-            _ => vec![],
-        }
     }
 
     fn on_rollback(&mut self, gtxn: GlobalTxnId) -> Vec<AgentAction> {
@@ -1574,6 +1552,10 @@ mod tests {
         AgentInput::Deliver(Message::Commit { gtxn: g(k) })
     }
 
+    fn alive(k: u32) -> AgentInput {
+        AgentInput::AliveTimer { gtxn: g(k) }
+    }
+
     #[test]
     fn commit_certification_waits_for_smaller_sn() {
         // T1 (sn=10) and T2 (sn=20) both prepared; T2's COMMIT arrives
@@ -1581,21 +1563,16 @@ mod tests {
         let mut a = agent();
         assert!(has_ready(&prepare_one(&mut a, 1, 0, 10)));
         assert!(has_ready(&prepare_one(&mut a, 2, 5, 20)));
-        let acts = step(&mut a, 30, commit(2));
-        assert!(
-            acts.iter()
-                .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. })),
-            "{acts:?}"
-        );
-        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
+        // Held: nothing to do until an event or T2's alive tick.
+        assert_eq!(step(&mut a, 30, commit(2)), vec![]);
         // T1's COMMIT releases T2 in the same host step, smaller SN first;
         // the message handler itself commits T1 only.
         let acts = step(&mut a, 40, commit(1));
         assert_eq!(ltm_commits(&acts), vec![1, 2]);
         assert_eq!(a.table_len(), 0);
-        // T2's retry timer, still armed, finds nothing to do.
+        // T2's alive timer, still armed, finds nothing to do.
         assert_eq!(
-            step(&mut a, 50, AgentInput::CommitRetryTimer { gtxn: g(2) }),
+            step(&mut a, 50, AgentInput::AliveTimer { gtxn: g(2) }),
             vec![]
         );
         assert_eq!(a.stats().commit_retries, 1);
@@ -1626,17 +1603,13 @@ mod tests {
     #[test]
     fn a_refused_release_hands_the_host_nothing() {
         // Equal serial numbers (no coordinator issues them) block each
-        // other: the oldest entry is refused. The release must not answer
-        // with another retry timer — the host would arm it and ask again.
+        // other: the oldest entry is refused. The release answers nothing,
+        // and the entry's alive tick keeps retrying it.
         let mut a = agent();
         prepare_one(&mut a, 1, 0, 10);
         prepare_one(&mut a, 2, 0, 10);
         assert_eq!(a.table_len(), 2);
-        let acts = a.handle(20, commit(1));
-        assert!(matches!(
-            acts[..],
-            [AgentAction::StartCommitRetryTimer { .. }]
-        ));
+        assert_eq!(a.handle(20, commit(1)), vec![]);
         assert_eq!(a.release_held_commit(20), vec![]);
         assert_eq!(a.stats().commit_releases, 0);
         assert_eq!(a.table_len(), 2);
@@ -1679,8 +1652,8 @@ mod tests {
         // — not T2, and not T3 behind it.
         assert_eq!(ltm_commits(&step(&mut a, 50, commit(1))), vec![1]);
         assert_eq!(a.table_len(), 2);
-        // Only T2's own retry timer starts the resubmission …
-        let acts = step(&mut a, 60, AgentInput::CommitRetryTimer { gtxn: g(2) });
+        // Only T2's own alive tick starts the resubmission …
+        let acts = step(&mut a, 60, AgentInput::AliveTimer { gtxn: g(2) });
         assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmBegin(_))));
         assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
         // … a table event in the middle of the replay changes nothing …
@@ -1713,7 +1686,7 @@ mod tests {
     #[test]
     fn comparator_modes_are_never_released_by_a_table_event() {
         // PrepareOrder holds by local prepare order: the hold ends at the
-        // retry timer, as before.
+        // alive tick.
         let mut a = Agent::new(
             SITE,
             AgentConfig {
@@ -1725,7 +1698,7 @@ mod tests {
         prepare_one(&mut a, 2, 5, 1);
         assert_eq!(ltm_commits(&step(&mut a, 30, commit(2))), Vec::<u32>::new());
         assert_eq!(ltm_commits(&step(&mut a, 40, commit(1))), vec![1]);
-        let acts = step(&mut a, 50, AgentInput::CommitRetryTimer { gtxn: g(2) });
+        let acts = step(&mut a, 50, AgentInput::AliveTimer { gtxn: g(2) });
         assert_eq!(ltm_commits(&acts), vec![2]);
         assert_eq!(a.stats().commit_releases, 0);
 
@@ -1743,6 +1716,84 @@ mod tests {
         assert_eq!(ltm_commits(&step(&mut a, 40, commit(1))), vec![1]);
         assert_eq!(a.stats().commit_releases, 0);
         assert_eq!(a.stats().commit_retries, 0);
+    }
+
+    fn rearms(actions: &[AgentAction]) -> bool {
+        actions
+            .iter()
+            .any(|x| matches!(x, AgentAction::StartAliveTimer { .. }))
+    }
+
+    #[test]
+    fn the_alive_tick_retries_a_held_commit_until_it_commits() {
+        let mut a = agent();
+        prepare_one(&mut a, 1, 0, 10);
+        prepare_one(&mut a, 2, 5, 20);
+        assert_eq!(a.handle(30, commit(2)), vec![]);
+        assert_eq!(a.stats().commit_retries, 1);
+        // T1 is still in the table: the tick certifies again, holds, and
+        // re-arms.
+        let acts = a.handle(10_000, alive(2));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
+        assert!(rearms(&acts), "{acts:?}");
+        assert_eq!(a.stats().commit_retries, 2);
+        // T1 commits without a release (no host step asks for one): the
+        // next tick commits T2 and arms nothing more.
+        assert_eq!(ltm_commits(&a.handle(15_000, commit(1))), vec![1]);
+        let acts = a.handle(20_000, alive(2));
+        assert_eq!(ltm_commits(&acts), vec![2]);
+        assert!(!rearms(&acts), "{acts:?}");
+        assert_eq!(a.table_len(), 0);
+        assert_eq!(a.handle(30_000, alive(2)), vec![]);
+        assert_eq!(a.stats().commit_releases, 0);
+        assert_eq!(a.stats().commit_hold_us, 20_000 - 30);
+    }
+
+    #[test]
+    fn full_holds_a_commit_behind_a_smaller_sn_without_bound() {
+        // T1 never commits: T2's COMMIT waits through ticks spanning well
+        // past the comparators' wait bound, as a voted participant waits
+        // for the decision.
+        let mut a = agent();
+        prepare_one(&mut a, 1, 0, 10);
+        prepare_one(&mut a, 2, 5, 20);
+        assert_eq!(a.handle(30, commit(2)), vec![]);
+        let period = AgentConfig::default().alive_check_interval_us;
+        for tick in 1..=150 {
+            let acts = step(&mut a, 30 + tick * period, alive(2));
+            assert_eq!(ltm_commits(&acts), Vec::<u32>::new(), "tick {tick}");
+            assert!(rearms(&acts), "tick {tick}: {acts:?}");
+        }
+        assert!(150 * period > 1_000_000);
+        assert_eq!(a.stats().commit_cert_overrides, 0);
+        assert_eq!(a.stats().local_commits, 0);
+        assert_eq!(a.table_len(), 2);
+    }
+
+    #[test]
+    fn a_comparator_forces_a_held_commit_at_the_first_tick_past_its_bound() {
+        let mut a = Agent::new(
+            SITE,
+            AgentConfig {
+                mode: CertifierMode::PrepareOrder,
+                ..AgentConfig::default()
+            },
+        );
+        let bound = CertifierMode::PrepareOrder
+            .forced_commit_after_us()
+            .expect("the comparators have a wait bound");
+        prepare_one(&mut a, 1, 0, 99); // prepared first
+        prepare_one(&mut a, 2, 5, 1); // prepared second: held behind T1
+        assert_eq!(a.handle(30, commit(2)), vec![]);
+        let acts = step(&mut a, 30 + bound - 1, alive(2));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
+        assert!(rearms(&acts));
+        assert_eq!(a.stats().commit_cert_overrides, 0);
+        let acts = step(&mut a, 30 + bound, alive(2));
+        assert_eq!(ltm_commits(&acts), vec![2]);
+        assert!(!rearms(&acts));
+        assert_eq!(a.stats().commit_cert_overrides, 1);
+        assert_eq!(a.table_len(), 1);
     }
 
     #[test]
@@ -1768,11 +1819,8 @@ mod tests {
             },
         );
         let acts = a.handle(30, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
-        // Starts resubmission and schedules a retry, but does not commit.
+        // Starts resubmission, but does not commit.
         assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmBegin(_))));
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. })));
         assert!(!acts.iter().any(|x| matches!(x, AgentAction::LtmCommit(_))));
         // Replay completes: the pending commit certification re-runs
         // immediately and commits incarnation 1.
@@ -1888,9 +1936,7 @@ mod tests {
         prepare_one(&mut a, 2, 5, 1); // prepared second, tiny sn
                                       // T2's commit must wait for T1 despite T2's smaller sn.
         let acts = a.handle(30, AgentInput::Deliver(Message::Commit { gtxn: g(2) }));
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. })));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
         let acts = a.handle(40, AgentInput::Deliver(Message::Commit { gtxn: g(1) }));
         assert!(acts.iter().any(|x| matches!(x, AgentAction::LtmCommit(_))));
     }
@@ -1929,9 +1975,7 @@ mod tests {
         prepare_one(&mut a, 1, 0, 10);
         prepare_one(&mut a, 2, 5, 20);
         let acts = a.handle(30, AgentInput::Deliver(Message::Commit { gtxn: g(2) }));
-        assert!(acts
-            .iter()
-            .any(|x| matches!(x, AgentAction::StartCommitRetryTimer { .. })));
+        assert_eq!(ltm_commits(&acts), Vec::<u32>::new());
     }
 
     #[test]

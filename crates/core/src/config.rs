@@ -76,37 +76,35 @@ impl CertifierMode {
         matches!(self, CertifierMode::TicketOrder)
     }
 
-    /// Safety valve: after this many failed commit certifications of one
-    /// COMMIT the agent commits anyway. The in-family anomaly baselines
-    /// can livelock without it, and a forced commit surfaces exactly the
-    /// anomaly the run measures. Under `Full` the serial numbers form a
-    /// total order, so certification alone always makes progress — but the
-    /// valve is *not* unreachable there: with exclusive locks plus
-    /// unilateral aborts a held-back COMMIT and a lock-blocked
-    /// resubmission can wait on each other and retry without bound
-    /// (ROADMAP open item 6: `sim-hot` with `unilateral_abort_prob = 0.1`,
-    /// workload seed `1000633`).
-    pub fn commit_retry_limit(&self) -> u32 {
+    /// How long a comparator's held COMMIT waits before the agent commits
+    /// it anyway, in local-clock µs since the COMMIT arrived; checked
+    /// whenever the hold is retried, which the alive tick does while the
+    /// entry stays in the table. The in-family anomaly baselines can hold
+    /// a COMMIT forever without it, and a forced commit surfaces exactly
+    /// the anomaly the run measures. `Full` has no bound: its serial
+    /// numbers form a total order, so a held COMMIT waits, as a voted
+    /// participant waits for the decision, until the smaller serial number
+    /// leaves the table.
+    pub fn forced_commit_after_us(&self) -> Option<u64> {
         match self {
-            CertifierMode::Full => 1_000_000,
+            CertifierMode::Full => None,
             CertifierMode::NoCertification
             | CertifierMode::PrepareCertOnly
             | CertifierMode::PrepareOrder
-            | CertifierMode::TicketOrder => 200,
+            | CertifierMode::TicketOrder => Some(1_000_000),
         }
     }
 }
 
-/// Mode and timers of one 2PC Agent. Durations are in microseconds of
+/// Mode and alive-check period of one 2PC Agent, in microseconds of
 /// *local* clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentConfig {
     /// Certification mechanisms in force.
     pub mode: CertifierMode,
-    /// Appendix A: period of the alive check while prepared.
+    /// Appendix A: period of the alive check while prepared. The same
+    /// tick is Appendix C's retry of a held COMMIT.
     pub alive_check_interval_us: u64,
-    /// Appendix C: delay before retrying a failed commit certification.
-    pub commit_retry_interval_us: u64,
 }
 
 impl Default for AgentConfig {
@@ -114,7 +112,6 @@ impl Default for AgentConfig {
         AgentConfig {
             mode: CertifierMode::Full,
             alive_check_interval_us: 10_000,
-            commit_retry_interval_us: 5_000,
         }
     }
 }
@@ -150,15 +147,15 @@ mod tests {
     }
 
     #[test]
-    fn only_the_comparators_get_the_short_commit_retry_limit() {
-        assert_eq!(CertifierMode::Full.commit_retry_limit(), 1_000_000);
+    fn only_the_comparators_force_a_held_commit() {
+        assert_eq!(CertifierMode::Full.forced_commit_after_us(), None);
         for m in [
             CertifierMode::NoCertification,
             CertifierMode::PrepareCertOnly,
             CertifierMode::PrepareOrder,
             CertifierMode::TicketOrder,
         ] {
-            assert_eq!(m.commit_retry_limit(), 200, "{m:?}");
+            assert_eq!(m.forced_commit_after_us(), Some(1_000_000), "{m:?}");
         }
     }
 

@@ -1,12 +1,12 @@
 //! Event-driven commit certification against the timer-only agent.
 //!
 //! [`Agent::release_held_commit`] lets a held COMMIT through the moment the
-//! smaller serial number leaves the prepared table; the `CommitRetry` timer
-//! stays armed and does the same thing later. This property test drives one
-//! agent through a random script twice — once the way `SiteRuntime` steps
-//! it (every input followed by the releases it enables), once by timer
-//! firings only (`release_held_commit` never called) — over a lock-free
-//! model LTM, and asserts
+//! smaller serial number leaves the prepared table; the alive tick stays
+//! armed while the entry is in the table and does the same thing later.
+//! This property test drives one agent through a random script twice — once
+//! the way `SiteRuntime` steps it (every input followed by the releases it
+//! enables), once by alive-timer firings only (`release_held_commit` never
+//! called) — over a lock-free model LTM, and asserts
 //!
 //! * in both runs the LTM sees local commits in strictly ascending
 //!   serial-number order (§5.2: the commit order *is* the SN order), and
@@ -143,9 +143,6 @@ impl Host {
                 }
                 AgentAction::StartAliveTimer { gtxn, .. } => {
                     self.timers.push(AgentInput::AliveTimer { gtxn });
-                }
-                AgentAction::StartCommitRetryTimer { gtxn, .. } => {
-                    self.timers.push(AgentInput::CommitRetryTimer { gtxn });
                 }
                 _ => {}
             }

@@ -17,7 +17,7 @@
 //! `WAIT_TIMEOUT_FLOOR_US` — between them each site learns the timeout
 //! from its own granted lock waits, so there is no timeout to set —
 //! `mdbs_dtm::DONE_CAP` and
-//! `CertifierMode::commit_retry_limit`, the sim's failover delay, the
+//! `CertifierMode::forced_commit_after_us`, the sim's failover delay, the
 //! workload generator's range span and local arrival rate, the transport's
 //! outbox and backoff in `mdbs-net`). A file naming one of those is refused
 //! like any unknown key. Why each key that is not plain workload shape
@@ -26,13 +26,13 @@
 //!
 //! - `net_latency_us`, `net_jitter_us`, `abort_delay_max_us`,
 //!   `agent.alive_check_interval_us`, `enforce_dlu`, `max_clock_skew_us`,
-//!   `max_drift_ppm`, `crashes`: experiments XT4–XT8 vary them.
+//!   `max_drift_ppm`, `crashes`: experiments XT4–XT8 vary them. The
+//!   alive-check period is also Appendix C's retry period, which
+//!   `a_held_commit_never_waits_for_the_retry_timer` varies to show that a
+//!   held COMMIT ends by release, not by the tick.
 //! - `initial_value`: the ledger's layer probes read it.
 //! - `global_arrival_mean_us`: the §5.3 overtaking test needs 500, and it
 //!   is the rate axis of an open-loop workload (ROADMAP item 1(c)).
-//! - `agent.commit_retry_interval_us`: Appendix C's retry period, which
-//!   `a_held_commit_never_waits_for_the_retry_timer` varies to show that a
-//!   held COMMIT ends by release, not by the timer.
 //! - `coordinators` and the `node.*` addresses: the cluster's topology.
 //! - `consensus.crash_coord_after_ready` and [`SimConfig::link_overrides`]
 //!   (no kv form): the failover pins and the §5.3 race; see their docs.
@@ -401,10 +401,6 @@ const SCENARIO_KEYS: &[ScenarioKey] = &[
     key!(
         "agent.alive_check_interval_us",
         agent.alive_check_interval_us
-    ),
-    key!(
-        "agent.commit_retry_interval_us",
-        agent.commit_retry_interval_us
     ),
     key!("abort_delay_max_us", abort_delay_max_us),
     key!(
@@ -910,7 +906,6 @@ mod tests {
             // built (`effective_agent_cfg`).
             mode: cfg.agent.mode,
             alive_check_interval_us: 1_111,
-            commit_retry_interval_us: 2_222,
         };
         cfg.crashes = vec![(1, 20_000), (2, 40_000)];
         cfg.time_limit = SimTime::from_secs(60);

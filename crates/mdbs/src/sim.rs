@@ -617,8 +617,9 @@ impl Simulation {
 }
 
 /// The agent configuration a protocol actually runs with: the scenario's
-/// timers under the certifier mode the protocol implies (which also fixes
-/// the commit-retry limit, [`mdbs_dtm::CertifierMode::commit_retry_limit`]).
+/// alive-check period under the certifier mode the protocol implies (which
+/// also fixes the held COMMIT's wait bound,
+/// [`mdbs_dtm::CertifierMode::forced_commit_after_us`]).
 /// Public so every driver (simulation, threaded runner, `mdbs-net` cluster
 /// nodes) derives identical agent behavior from one `SimConfig`.
 pub fn effective_agent_cfg(cfg: &SimConfig) -> AgentConfig {

@@ -42,3 +42,10 @@ fn a_cluster_file_naming_a_setting_that_became_a_constant_is_refused() {
         "net.backoff_max_ms = 1000",
     ]);
 }
+
+/// The commit-retry timer is gone: the alive tick retries a held COMMIT,
+/// so its period is refused even at its old default.
+#[test]
+fn a_cluster_file_naming_the_deleted_commit_retry_period_is_refused() {
+    assert_each_refused(&["agent.commit_retry_interval_us = 5000"]);
+}

@@ -1359,7 +1359,7 @@ mod tests {
         t.set_timer(
             5,
             40_000,
-            Timer::CommitRetry {
+            Timer::Alive {
                 gtxn: GlobalTxnId(2),
             },
         );
@@ -1389,13 +1389,15 @@ mod tests {
                 break e;
             }
         };
-        assert!(matches!(
+        assert_eq!(
             second,
             NetEvent::Timer {
-                timer: Timer::CommitRetry { .. },
-                ..
+                node: 5,
+                timer: Timer::Alive {
+                    gtxn: GlobalTxnId(2)
+                }
             }
-        ));
+        );
         t.shutdown();
     }
 }

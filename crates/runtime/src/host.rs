@@ -32,14 +32,10 @@ pub trait TimeSource {
 /// A timer a runtime asks its host to fire later, back into the same node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Timer {
-    /// Agent alive-check timer (Appendix A).
+    /// Agent alive-check timer (Appendix A; for a held COMMIT also
+    /// Appendix C's retry).
     Alive {
         /// The transaction being alive-checked.
-        gtxn: GlobalTxnId,
-    },
-    /// Agent commit-certification retry timer (Appendix C).
-    CommitRetry {
-        /// The transaction whose commit certification is retried.
         gtxn: GlobalTxnId,
     },
     /// The LTM starts executing a command (service delay elapsed).
@@ -328,9 +324,6 @@ mod tests {
             Timer::Alive {
                 gtxn: GlobalTxnId(4),
             },
-            Timer::CommitRetry {
-                gtxn: GlobalTxnId(4),
-            },
             Timer::LtmExec {
                 instance: Instance::global(4, SiteId(1), 0),
                 command: Command::Select(KeySpec::Key(9)),
@@ -364,12 +357,12 @@ mod tests {
         let ctrl: Vec<CtrlMsg> = recorder.ctrl.iter().map(|(_, _, m)| m.clone()).collect();
         assert_eq!(ctrl, CtrlMsg::specimens());
 
-        assert_eq!(recorder.timers.len(), 4);
+        assert_eq!(recorder.timers.len(), 3);
         assert_eq!(
-            recorder.timers[2],
+            recorder.timers[1],
             (
                 3,
-                3_000,
+                2_000,
                 Timer::LtmExec {
                     instance: Instance::global(4, SiteId(1), 0),
                     command: Command::Select(KeySpec::Key(9)),
@@ -393,10 +386,10 @@ mod tests {
         let alive = Timer::Alive {
             gtxn: GlobalTxnId(4),
         };
-        let retry = Timer::CommitRetry {
-            gtxn: GlobalTxnId(4),
+        let abort = Timer::InjectAbort {
+            instance: Instance::global(4, SiteId(1), 0),
         };
-        assert_ne!(alive, retry);
+        assert_ne!(alive, abort);
         assert_ne!(
             CtrlMsg::CgmAdmitted {
                 gtxn: GlobalTxnId(2)

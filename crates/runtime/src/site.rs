@@ -337,9 +337,6 @@ impl SiteRuntime {
                 AgentAction::StartAliveTimer { gtxn, after_us } => {
                     host.set_timer(self.site.0, after_us, Timer::Alive { gtxn });
                 }
-                AgentAction::StartCommitRetryTimer { gtxn, after_us } => {
-                    host.set_timer(self.site.0, after_us, Timer::CommitRetry { gtxn });
-                }
             }
         }
         Ok(())
@@ -653,9 +650,6 @@ impl NodeRuntime for SiteRuntime {
             NodeEvent::Net(msg) => self.agent_input(AgentInput::Deliver(msg), host)?,
             NodeEvent::Timer(Timer::Alive { gtxn }) => {
                 self.agent_input(AgentInput::AliveTimer { gtxn }, host)?
-            }
-            NodeEvent::Timer(Timer::CommitRetry { gtxn }) => {
-                self.agent_input(AgentInput::CommitRetryTimer { gtxn }, host)?
             }
             NodeEvent::Timer(Timer::LtmExec { instance, command }) => {
                 self.ltm_exec(instance, command, host)?

@@ -215,11 +215,11 @@ fn a_replay_resumed_inside_the_blockers_commit_cannot_overtake_the_released_sn()
         .count();
     assert_eq!(acks, 3);
 
-    // The retry timers armed while the COMMITs were held are still there
-    // and find nothing to do.
+    // The alive timers armed with the READYs are still there, find
+    // nothing to do, and arm nothing more.
     let stale: Vec<Timer> = std::mem::take(&mut s.host.timers)
         .into_iter()
-        .filter(|t| matches!(t, Timer::CommitRetry { .. }))
+        .filter(|t| matches!(t, Timer::Alive { .. }))
         .collect();
     assert_eq!(stale.len(), 3);
     let sent = s.host.sent.len();
@@ -228,4 +228,5 @@ fn a_replay_resumed_inside_the_blockers_commit_cannot_overtake_the_released_sn()
     }
     assert_eq!(s.host.sent.len(), sent);
     assert_eq!(s.local_commits().len(), 3);
+    assert_eq!(s.host.timers, vec![]);
 }

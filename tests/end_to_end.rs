@@ -289,10 +289,11 @@ fn a_held_commit_never_waits_for_the_retry_timer() {
     // Two sites, two coordinators, `mpl` 8, failure-free: COMMITs reach a
     // site out of serial-number order and are held (Appendix C), but every
     // hold is behind an entry that commits — so each ends at that commit,
-    // whatever the retry period. Outcome, commit count and every commit
-    // latency must not depend on `commit_retry_interval_us`. (Not
-    // `finished_at`: stale retry timers still drain from the event queue.)
-    let run = |retry_us: u64| {
+    // whatever the period of the alive tick that also retries it. Outcome,
+    // commit count and every commit latency must not depend on
+    // `alive_check_interval_us`. (Not `finished_at`: stale alive timers
+    // still drain from the event queue.)
+    let run = |alive_us: u64| {
         let mut cfg = SimConfig::default();
         cfg.workload.seed = 16;
         cfg.workload.sites = 2;
@@ -300,7 +301,7 @@ fn a_held_commit_never_waits_for_the_retry_timer() {
         cfg.workload.local_txns_per_site = 0;
         cfg.workload.mpl = 8;
         cfg.coordinators = 2;
-        cfg.agent.commit_retry_interval_us = retry_us;
+        cfg.agent.alive_check_interval_us = alive_us;
         let report = Simulation::new(cfg).run();
         assert!(report.checks.passed());
         let latencies = report
@@ -316,10 +317,10 @@ fn a_held_commit_never_waits_for_the_retry_timer() {
             latencies,
         )
     };
-    let reference = run(5_000);
+    let reference = run(10_000);
     assert!(reference.2 > 0, "the scenario must hold some COMMITs");
-    for retry_us in [500, 1_000_000] {
-        assert_eq!(run(retry_us), reference, "retry interval {retry_us} µs");
+    for alive_us in [500, 1_000_000] {
+        assert_eq!(run(alive_us), reference, "alive interval {alive_us} µs");
     }
 }
 
@@ -360,6 +361,9 @@ fn hot_keys_with_unilateral_aborts_settle_every_transaction() {
         report.metrics.counter("commit_retries"),
         report.metrics.counter("resubmissions"),
     );
+    // Under `Full` a held COMMIT has no wait bound: every commit here
+    // went through in serial-number order.
+    assert_eq!(report.metrics.counter("commit_cert_overrides"), 0);
 }
 
 /// The ledger's `sim-hot` shape: 4 sites, 150 globals at `mpl` 16, 2–4
