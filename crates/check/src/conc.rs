@@ -67,7 +67,7 @@ pub const CONC_FILES: &[&str] = &[
 /// lock forces a deliberate decision about where it sits in the order.
 pub const DECLARED_LOCK_ORDER: &[(&str, &[&str])] = &[
     ("crates/mdbs/src/shard.rs", &["buf"]),
-    ("crates/net/src/tcp.rs", &["io"]),
+    ("crates/net/src/tcp.rs", &["io", "latest"]),
 ];
 
 pub(crate) const RULE_ORDER: &str = "conc-lock-order";

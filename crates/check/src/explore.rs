@@ -1,9 +1,11 @@
 //! Bounded model checking over the real protocol runtimes.
 //!
 //! The explorer drives the world the simulation drives — the
-//! [`NodeSet`] [`mdbs_sim::node_set`] builds from a [`SimConfig`], so the
-//! same runtimes with the same agent configuration per [`Protocol`] — but
-//! replaces the event queue with a *schedulable* host: at every step the
+//! [`NodeSet`](mdbs_runtime::NodeSet) [`mdbs_sim::node_set`] builds from a
+//! [`SimConfig`], so the same runtimes with the same agent configuration
+//! per [`Protocol`] — but replaces the event queue with a [`Script`]
+//! (`mdbs_runtime::script`), whose lanes hold every effect until a step
+//! delivers it, and writes the script by search: at every step the
 //! set of enabled actions (per-link message deliveries, per-node timer
 //! firings, unilateral-abort injections, coordinator crash-stops) is
 //! enumerated, and a replay-based delay-bounded search (in the style of
@@ -39,19 +41,17 @@
 //!   orders ([`mdbs_histories::commit_order_graph`]) has no cycle;
 //! - **completion** — every transaction settles before the step limit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use mdbs_dtm::{CertifierMode, GlobalOutcome, Message, PreparedEntry};
-use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, Op, OpKind, SiteId};
+use mdbs_histories::{commit_order_graph, GlobalTxnId, History, Instance, OpKind, SiteId, Txn};
 use mdbs_ldbs::{Command, KeySpec};
-use mdbs_runtime::TraceEvent;
+use mdbs_runtime::script::{Lane, Script};
 use mdbs_runtime::{
-    lowest_live_coordinator, message_kind, AdmissionWindow, CtrlMsg, NodeEvent, NodeSet,
-    RuntimeError, RuntimeHost, TimeSource, Timer, Transport,
+    lowest_live_coordinator, message_kind, AdmissionWindow, NodeEvent, RuntimeError,
 };
 use mdbs_sim::{node_set, Protocol, SimConfig};
-use mdbs_simkit::SimTime;
 use mdbs_workload::WorkloadSpec;
 
 /// Coordinator nodes of every explored world; the admission window homes
@@ -387,129 +387,6 @@ impl fmt::Display for Violation {
 }
 
 // ---------------------------------------------------------------------
-// The schedulable host
-// ---------------------------------------------------------------------
-
-/// A pending event in a lane. Timers carry their deadline; messages use
-/// deadline 0, so the default schedule drains the network before firing
-/// any timer (timeouts are "late", as on a healthy network).
-#[derive(Debug, Clone)]
-struct Pending {
-    deadline: u64,
-    event: NodeEvent,
-}
-
-/// One FIFO lane. Messages between a `(from, to)` pair share a lane (the
-/// transports this repo models are FIFO per link); each node's timers
-/// share a lane ordered by deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum LaneKey {
-    Link { from: u32, to: u32 },
-    Timers { node: u32 },
-}
-
-impl LaneKey {
-    /// The node a lane's events are handed to.
-    fn to(self) -> u32 {
-        match self {
-            LaneKey::Link { to, .. } | LaneKey::Timers { node: to } => to,
-        }
-    }
-}
-
-/// The explorer's host: a Lamport clock and open lanes instead of an
-/// event queue. Every effect a runtime requests is parked in a lane; the
-/// search decides what is delivered when.
-struct ExploreHost {
-    /// Logical time; bumped on every clock read so admission timestamps
-    /// and alive intervals are strictly ordered by causality.
-    lamport: u64,
-    /// Monotone sequence for FIFO tie-breaks.
-    seq: u64,
-    lanes: BTreeMap<LaneKey, VecDeque<(u64, Pending)>>,
-    ops: Vec<Op>,
-    pending_finished: Vec<(GlobalTxnId, GlobalOutcome)>,
-    /// Admissions observed this step: `(site, gtxn)`.
-    just_prepared: Vec<(SiteId, GlobalTxnId)>,
-    /// Events a node dropped because its kind has no handler for them.
-    misrouted: u64,
-}
-
-impl ExploreHost {
-    fn new() -> Self {
-        ExploreHost {
-            lamport: 1,
-            seq: 0,
-            lanes: BTreeMap::new(),
-            ops: Vec::new(),
-            pending_finished: Vec::new(),
-            just_prepared: Vec::new(),
-            misrouted: 0,
-        }
-    }
-
-    fn push(&mut self, key: LaneKey, deadline: u64, event: NodeEvent) {
-        self.seq += 1;
-        let p = Pending { deadline, event };
-        self.lanes.entry(key).or_default().push_back((self.seq, p));
-    }
-}
-
-impl TimeSource for ExploreHost {
-    fn local_time_us(&mut self, _node: u32) -> u64 {
-        self.lamport += 1;
-        self.lamport
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.lamport)
-    }
-}
-
-impl Transport for ExploreHost {
-    fn send(&mut self, from: u32, to: u32, msg: Message) {
-        self.push(LaneKey::Link { from, to }, 0, NodeEvent::Net(msg));
-    }
-
-    fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
-        let event = NodeEvent::Ctrl { from, ctrl };
-        self.push(LaneKey::Link { from, to }, 0, event);
-    }
-
-    fn set_timer(&mut self, node: u32, after_us: u64, timer: Timer) {
-        let deadline = self.lamport.saturating_add(after_us);
-        let event = NodeEvent::Timer(timer);
-        self.push(LaneKey::Timers { node }, deadline, event);
-    }
-}
-
-impl RuntimeHost for ExploreHost {
-    fn record_op(&mut self, op: Op) {
-        self.ops.push(op);
-    }
-
-    fn inc(&mut self, name: &'static str) {
-        if name == "misrouted_events" {
-            self.misrouted += 1;
-        }
-    }
-
-    fn add(&mut self, _name: &'static str, _n: u64) {}
-
-    fn trace(&mut self, _event: TraceEvent) {}
-
-    fn prepared(&mut self, site: SiteId, gtxn: GlobalTxnId, _incarnation: u32) {
-        self.just_prepared.push((site, gtxn));
-    }
-
-    fn local_settled(&mut self, _site: SiteId, _committed: bool) {}
-
-    fn global_finished(&mut self, _cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        self.pending_finished.push((gtxn, outcome));
-    }
-}
-
-// ---------------------------------------------------------------------
 // The world and one run
 // ---------------------------------------------------------------------
 
@@ -518,7 +395,7 @@ impl RuntimeHost for ExploreHost {
 enum Action {
     /// Deliver the head event of a lane (for timer lanes: the entry with
     /// the smallest deadline).
-    Deliver(LaneKey),
+    Deliver(Lane),
     /// Unilaterally abort a prepared-and-alive subtransaction instance.
     Inject(SiteId, Instance),
     /// Crash-stop a coordinator while a READY is pending at it, then let
@@ -543,19 +420,17 @@ struct RunResult {
     steps: Vec<Vec<(String, Cost)>>,
 }
 
+/// The explored world: the drivers' node set on a [`Script`], whose
+/// moves the search picks, plus the outcomes taken in so far.
 struct World {
-    /// Every runtime, plus the crash-stopped coordinators (whatever is
-    /// addressed to them is dropped on the dead node's floor).
-    nodes: NodeSet,
-    host: ExploreHost,
+    script: Script,
     outcomes: BTreeMap<GlobalTxnId, GlobalOutcome>,
 }
 
 impl World {
     fn new(cfg: &ExploreConfig) -> World {
         World {
-            nodes: node_set(&cfg.sim_config()),
-            host: ExploreHost::new(),
+            script: Script::new(node_set(&cfg.sim_config())),
             outcomes: BTreeMap::new(),
         }
     }
@@ -568,9 +443,9 @@ impl World {
         for (i, program) in cfg.programs.iter().enumerate() {
             window.arrive(GlobalTxnId(i as u32 + 1), program.clone());
         }
-        while let Some((cnode, gtxn, program)) = window.admit(&self.nodes.dead) {
-            let start = NodeEvent::Start { gtxn, program };
-            let _ = self.nodes.on_event(cnode, start, &mut self.host)?;
+        while let Some((cnode, gtxn, program)) = window.admit(&self.script.nodes.dead) {
+            self.script
+                .hand(cnode, NodeEvent::Start { gtxn, program })?;
         }
         Ok(())
     }
@@ -579,10 +454,10 @@ impl World {
     /// terminal outcomes queued during the step are taken in, mirrored from
     /// the simulation driver's `drain_finished`.
     fn end_step(&mut self) -> Result<(), Violation> {
-        if self.host.misrouted > 0 {
+        if self.script.host.metrics.counter("misrouted_events") > 0 {
             return Err(Violation::Misrouted);
         }
-        for (gtxn, second) in std::mem::take(&mut self.host.pending_finished) {
+        for (gtxn, second) in std::mem::take(&mut self.script.host.finished) {
             let first = *self.outcomes.entry(gtxn).or_insert(second);
             if first != second {
                 return Err(Violation::ConflictingOutcome {
@@ -595,64 +470,22 @@ impl World {
         Ok(())
     }
 
-    /// Drop timer-lane entries whose transaction the agent no longer
-    /// tracks: firing them is a no-op that only widens the step space.
-    fn prune_dead_timers(&mut self) {
-        let sites = &self.nodes.sites;
-        for (key, lane) in self.host.lanes.iter_mut() {
-            let LaneKey::Timers { node } = *key else {
-                continue;
-            };
-            let Some(rt) = sites.get(&SiteId(node)) else {
-                continue;
-            };
-            lane.retain(|(_, p)| match &p.event {
-                NodeEvent::Timer(Timer::Alive { gtxn }) => rt.agent().has_subtxn(*gtxn),
-                _ => true,
-            });
-        }
-        self.host.lanes.retain(|_, lane| !lane.is_empty());
-    }
-
-    /// The deliverable head of a lane — the entry with the smallest
-    /// `(deadline, seq)`: the FIFO head for links (every deadline is 0),
-    /// the earliest timer for timer lanes. Returns its index and sort key.
-    fn head(lane: &VecDeque<(u64, Pending)>) -> Option<(usize, (u64, u64))> {
-        lane.iter()
-            .enumerate()
-            .map(|(i, (seq, p))| (i, (p.deadline, *seq)))
-            .min_by_key(|&(_, key)| key)
-    }
-
     /// All enabled actions, default first. Deliveries are ordered by the
     /// head key; the non-delivery alternatives (injections, crashes) come
     /// right after the default so that deviation indices spent on faults
     /// are small — the level-order search reaches them early.
     fn enumerate(&mut self, cfg: &ExploreConfig) -> Vec<(Action, Cost)> {
-        self.prune_dead_timers();
-        // Messages addressed to a crashed coordinator are lost; pruning
-        // their lanes keeps the step space free of no-op deliveries.
-        if !self.nodes.dead.is_empty() {
-            let crashed = &self.nodes.dead;
-            self.host.lanes.retain(|key, _| match key {
-                LaneKey::Link { to, .. } => !crashed.contains(to),
-                LaneKey::Timers { .. } => true,
-            });
-        }
-        let mut deliveries: Vec<((u64, u64), LaneKey)> = self
-            .host
-            .lanes
-            .iter()
-            .filter_map(|(key, lane)| World::head(lane).map(|(_, k)| (k, *key)))
-            .collect();
-        deliveries.sort();
-        if deliveries.is_empty() {
+        // Firing a dead transaction's timer or delivering to a crashed
+        // coordinator is a no-op that only widens the step space.
+        self.script.prune();
+        let (nodes, host) = (&self.script.nodes, &self.script.host);
+        let deliveries = host.heads();
+        let Some(&first) = deliveries.first() else {
             return Vec::new(); // terminal: nothing can make progress
-        }
-        let mut actions: Vec<(Action, Cost)> = Vec::new();
-        actions.push((Action::Deliver(deliveries[0].1), Cost::Delay));
+        };
+        let mut actions: Vec<(Action, Cost)> = vec![(Action::Deliver(first), Cost::Delay)];
         if cfg.fault_budget > 0 {
-            for (site, rt) in &self.nodes.sites {
+            for (site, rt) in &nodes.sites {
                 for entry in rt.agent().prepared_table() {
                     if !entry.alive || entry.commit_pending {
                         continue;
@@ -672,17 +505,18 @@ impl World {
             // pending delivery at it — the window between a site's vote
             // and the decision broadcast — and only while a backup
             // survives to take over.
-            let live = self.nodes.coords.len() - self.nodes.dead.len();
+            let live = nodes.coords.len() - nodes.dead.len();
             if live >= 2 {
-                for &cnode in self.nodes.coords.keys() {
-                    if self.nodes.dead.contains(&cnode) {
+                for &cnode in nodes.coords.keys() {
+                    if nodes.dead.contains(&cnode) {
                         continue;
                     }
-                    let ready_pending = self.host.lanes.iter().any(|(key, lane)| {
-                        matches!(key, LaneKey::Link { to, .. } if *to == cnode)
-                            && lane.front().is_some_and(|(_, p)| {
-                                matches!(p.event, NodeEvent::Net(Message::Ready { .. }))
-                            })
+                    let ready_pending = deliveries.iter().any(|&lane| {
+                        matches!(lane, Lane::Link { to, .. } if to == cnode)
+                            && matches!(
+                                host.parked(lane).next(),
+                                Some(NodeEvent::Net(Message::Ready { .. }))
+                            )
                     });
                     if ready_pending {
                         actions.push((Action::CrashCoord(cnode), Cost::CoordCrash));
@@ -690,21 +524,21 @@ impl World {
                 }
             }
         }
-        for &(_, key) in &deliveries[1..] {
-            actions.push((Action::Deliver(key), Cost::Delay));
+        for &lane in &deliveries[1..] {
+            actions.push((Action::Deliver(lane), Cost::Delay));
         }
         actions
     }
 
-    /// Pop the deliverable entry of a lane and dispatch it through the
-    /// same `on_event` every host drives. No crash hook is armed here
-    /// (coordinator crashes are explicit [`Action::CrashCoord`] steps), so
-    /// the flow verdict is moot.
-    fn deliver(&mut self, key: LaneKey) -> Result<(), RuntimeError> {
-        if let Some(p) = self.pop(key) {
-            let _ = self.nodes.on_event(key.to(), p.event, &mut self.host)?;
+    /// Take one action through the script. No crash hook is armed
+    /// (coordinator crashes are explicit [`Action::CrashCoord`] steps).
+    fn act(&mut self, action: &Action) -> Result<(), RuntimeError> {
+        match *action {
+            Action::Deliver(Lane::Link { from, to }) => self.script.deliver(from, to),
+            Action::Deliver(Lane::Timers { node }) => self.script.fire(node, |_| true),
+            Action::Inject(site, instance) => self.script.inject_abort(site, instance),
+            Action::CrashCoord(cnode) => self.crash_coord(cnode),
         }
-        Ok(())
     }
 
     /// Crash-stop a coordinator. Control traffic it already handed to the
@@ -715,31 +549,18 @@ impl World {
     /// lowest surviving coordinator takes over (the failover timer, folded
     /// into the crash step to keep the search space small).
     fn crash_coord(&mut self, cnode: u32) -> Result<(), RuntimeError> {
-        let acceptor_nodes: Vec<u32> = self.nodes.acceptors.keys().copied().collect();
-        for &a in &acceptor_nodes {
-            let key = LaneKey::Link { from: cnode, to: a };
-            while self.host.lanes.contains_key(&key) {
-                self.deliver(key)?;
+        let acceptor_nodes: Vec<u32> = self.script.nodes.acceptors.keys().copied().collect();
+        for to in acceptor_nodes {
+            let lane = Lane::Link { from: cnode, to };
+            while self.script.host.parked(lane).next().is_some() {
+                self.script.deliver(cnode, to)?;
             }
         }
-        self.nodes.kill(cnode);
-        if let Some(backup) = lowest_live_coordinator(COORDINATORS, &self.nodes.dead) {
-            let _ = self
-                .nodes
-                .on_event(backup, NodeEvent::TakeOver, &mut self.host)?;
+        self.script.nodes.kill(cnode);
+        match lowest_live_coordinator(COORDINATORS, &self.script.nodes.dead) {
+            Some(backup) => self.script.hand(backup, NodeEvent::TakeOver),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// Pop the deliverable entry of a lane (see [`World::head`]).
-    fn pop(&mut self, key: LaneKey) -> Option<Pending> {
-        let lane = self.host.lanes.get_mut(&key)?;
-        let (at, _) = World::head(lane)?;
-        let (_, p) = lane.remove(at)?;
-        if lane.is_empty() {
-            self.host.lanes.remove(&key);
-        }
-        Some(p)
     }
 
     /// §4.2 at admission time: the freshly admitted entry's candidate
@@ -747,9 +568,9 @@ impl World {
     /// interval. On admission the certifier stores exactly the candidate as
     /// `(begin, now)`, so the snapshot carries the certified values.
     fn check_admissions(&mut self) -> Result<(), Violation> {
-        let admissions = std::mem::take(&mut self.host.just_prepared);
+        let admissions = std::mem::take(&mut self.script.host.prepared);
         for (site, gtxn) in admissions {
-            let Some(rt) = self.nodes.sites.get(&site) else {
+            let Some(rt) = self.script.nodes.sites.get(&site) else {
                 continue;
             };
             let table = rt.agent().prepared_table();
@@ -782,64 +603,52 @@ impl World {
                 // Settledness is checked by the step loop; unreachable here.
                 continue;
             };
-            let mut participants: Vec<SiteId> = program.iter().map(|(s, _)| *s).collect();
-            participants.sort();
-            participants.dedup();
+            let participants: BTreeSet<SiteId> = program.iter().map(|(s, _)| *s).collect();
             for site in participants {
-                // The last terminal op of (gtxn, site) decides what the
-                // LDBS durably holds for it.
-                let last_terminal = self
-                    .host
-                    .ops
-                    .iter()
-                    .rev()
-                    .find(|op| {
-                        op.txn == mdbs_histories::Txn::Global(gtxn)
-                            && matches!(
-                                op.kind,
-                                OpKind::LocalCommit(s) | OpKind::LocalAbort(s) if s == site
-                            )
+                // The terminal ops of (gtxn, site) in history order, true
+                // for a commit: the last decides what the LDBS durably
+                // holds for it.
+                let terminal: Vec<bool> = (self.script.host.ops.iter())
+                    .filter(|op| op.txn == Txn::Global(gtxn))
+                    .filter_map(|op| match op.kind {
+                        OpKind::LocalCommit(s) if s == site => Some(true),
+                        OpKind::LocalAbort(s) if s == site => Some(false),
+                        _ => None,
                     })
-                    .map(|op| op.kind);
-                match outcome {
-                    GlobalOutcome::Committed => match last_terminal {
-                        Some(OpKind::LocalCommit(_)) => {}
-                        _ => return Err(Violation::CommitMissing { gtxn, site }),
-                    },
-                    GlobalOutcome::Aborted => {
-                        let committed_here = self.host.ops.iter().any(|op| {
-                            op.txn == mdbs_histories::Txn::Global(gtxn)
-                                && matches!(op.kind, OpKind::LocalCommit(s) if s == site)
-                        });
-                        if committed_here {
-                            return Err(Violation::AbortedButCommitted { gtxn, site });
-                        }
+                    .collect();
+                let violation = match outcome {
+                    GlobalOutcome::Committed if terminal.last() != Some(&true) => {
+                        Violation::CommitMissing { gtxn, site }
                     }
-                }
+                    GlobalOutcome::Aborted if terminal.contains(&true) => {
+                        Violation::AbortedButCommitted { gtxn, site }
+                    }
+                    GlobalOutcome::Committed | GlobalOutcome::Aborted => continue,
+                };
+                return Err(violation);
             }
         }
-        let history = History::from_ops(self.host.ops.iter().copied());
+        let history = History::from_ops(self.script.host.ops.iter().copied());
         let cg = commit_order_graph(&history);
         if !cg.acyclic {
-            let cycle = cg
-                .cycle
-                .map(|c| {
+            let cycle = cg.cycle.map_or_else(
+                || "(unwitnessed)".to_string(),
+                |c| {
                     c.iter()
-                        .map(|t| t.to_string())
+                        .map(ToString::to_string)
                         .collect::<Vec<_>>()
                         .join(" -> ")
-                })
-                .unwrap_or_else(|| "(unwitnessed)".to_string());
+                },
+            );
             return Err(Violation::CommitGraphCycle { cycle });
         }
         Ok(())
     }
 
     fn describe(&self, action: &Action) -> String {
-        match action {
-            Action::Deliver(key @ LaneKey::Link { from, to }) => {
-                let front = self.host.lanes.get(key).and_then(|lane| lane.front());
-                match front.map(|(_, p)| &p.event) {
+        match *action {
+            Action::Deliver(lane @ Lane::Link { from, to }) => {
+                match self.script.host.parked(lane).next() {
                     Some(NodeEvent::Net(msg)) => {
                         format!("deliver {} {from} -> {to}", message_kind(msg))
                     }
@@ -849,7 +658,7 @@ impl World {
                     _ => format!("deliver {from} -> {to}"),
                 }
             }
-            Action::Deliver(LaneKey::Timers { node }) => format!("fire timer at node {node}"),
+            Action::Deliver(Lane::Timers { node }) => format!("fire timer at node {node}"),
             Action::Inject(site, instance) => {
                 format!("inject unilateral abort of {instance} at site {site}")
             }
@@ -904,9 +713,10 @@ fn play(
         // blocked past the logical-time timeout (§6 — without this,
         // cross-site lock waits would deadlock every schedule that orders
         // two conflicting transactions against each other).
-        for wait in world
+        let script = &mut world.script;
+        for wait in script
             .nodes
-            .scan_waits(WAIT_TIMEOUT_TICKS, &mut world.host)?
+            .scan_waits(WAIT_TIMEOUT_TICKS, &mut script.host)?
         {
             let i = wait.instance;
             run.trace
@@ -932,7 +742,7 @@ fn play(
             // wait timeout fires. Model it by leaping the logical clock
             // past the timeout, then letting maintenance abort the
             // expired waits.
-            world.host.lamport += WAIT_TIMEOUT_TICKS + 1;
+            world.script.advance(WAIT_TIMEOUT_TICKS + 1);
             run.trace.push(format!(
                 "logical clock leaps past the wait timeout ({WAIT_TIMEOUT_TICKS} ticks)"
             ));
@@ -959,15 +769,7 @@ fn play(
                 .map(|(a, c)| (world.describe(a), *c))
                 .collect(),
         );
-        match *action {
-            Action::Deliver(key) => world.deliver(key)?,
-            Action::Inject(site, instance) => {
-                if let Some(rt) = world.nodes.sites.get_mut(&site) {
-                    rt.inject_abort(instance, &mut world.host)?;
-                }
-            }
-            Action::CrashCoord(cnode) => world.crash_coord(cnode)?,
-        }
+        world.act(action)?;
         world.end_step()?;
         world.check_admissions()?;
     }
@@ -1100,11 +902,8 @@ mod tests {
         // counts it, and the run must end there.
         let cfg = ExploreConfig::smoke_2cm();
         let mut world = World::new(&cfg);
-        let to_site = LaneKey::Link {
-            from: mdbs_runtime::COORD_BASE,
-            to: 0,
-        };
-        world.host.push(to_site, 0, NodeEvent::TakeOver);
+        let host = &mut world.script.host;
+        host.park(mdbs_runtime::COORD_BASE, 0, NodeEvent::TakeOver);
         let result = run_world(world, &cfg, &[]);
         assert!(
             matches!(result.violation, Some(Violation::Misrouted)),

@@ -50,8 +50,8 @@ enum Ev {
     Deliver { from: u32, to: u32, msg: Message },
     /// Network delivery of a CGM control message.
     Ctrl { from: u32, to: u32, ctrl: CtrlMsg },
-    /// A node-local timer fired (alive check, commit retry, LTM service,
-    /// injected unilateral abort).
+    /// A node-local timer fired (alive check, which also retries a held
+    /// COMMIT; LTM service; injected unilateral abort).
     Timer { node: u32, timer: Timer },
     /// Next global transaction arrival.
     GlobalArrival,
@@ -855,10 +855,11 @@ mod tests {
         assert!(report.checks.rigor_violation.is_none());
     }
 
-    /// Regression: a recovered agent keeps the comparators' commit-retry
-    /// limit. Without it, after a crash a ticket-order commit stuck behind
-    /// a smaller in-table serial number retries until the time limit,
-    /// stranding several globally-decided transactions.
+    /// Regression: a recovered agent keeps the comparators' wait bound
+    /// (`CertifierMode::forced_commit_after_us`). Without it, after a crash
+    /// a ticket-order commit stuck behind a smaller in-table serial number
+    /// waits until the time limit, stranding several globally-decided
+    /// transactions.
     #[test]
     fn crash_under_ticket_order_keeps_retry_clamp() {
         let mut cfg = SimConfig::default();

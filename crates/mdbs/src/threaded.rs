@@ -272,8 +272,8 @@ impl NodePort for ThreadHost {
     }
 
     /// Within a burst, queued messages go before due timers — a timeout is
-    /// "late" on a healthy network: a commit-retry timer that fires ahead
-    /// of the already-delivered COMMIT it is waiting for only re-arms
+    /// "late" on a healthy network: an alive tick that fires ahead of the
+    /// already-delivered COMMIT its held entry is waiting for only re-arms
     /// itself. `recv` opens every burst with a due timer, so timers are
     /// never starved by a deep inbox.
     fn try_recv(&mut self) -> Option<NodeEvent> {

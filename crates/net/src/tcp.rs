@@ -64,9 +64,12 @@
 //! Inbound, an accept loop blocked in `accept()` spawns one reader thread
 //! per connection (a peer's first frame is read the moment it connects;
 //! [`TcpTransport::shutdown`] wakes the loop with a connection of its own); each runs its own [`FrameDecoder`] and pushes each frame's
-//! decoded messages into a shared channel as one group. A framing or
-//! codec error severs that connection (once framing is lost a TCP stream
-//! cannot be resynchronized) and counts in
+//! decoded messages into a shared channel as one group. A reader learns
+//! its peer from the connection's `Hello` and surfaces nothing until the
+//! reader of that peer's previous connection has returned, so a severed
+//! connection's unread tail is surfaced before its successor's frames.
+//! A framing or codec error severs that connection (once framing is lost
+//! a TCP stream cannot be resynchronized) and counts in
 //! [`TransportStats::decode_errors`]; the peer's writer will reconnect
 //! and retransmit.
 //!
@@ -496,6 +499,7 @@ fn accept_loop(
     stats: Arc<TransportStats>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let turns = Arc::new(ReaderTurns::default());
     loop {
         let accepted = listener.accept();
         if stop.load(Ordering::SeqCst) {
@@ -506,9 +510,10 @@ fn accept_loop(
                 let inbound = inbound.clone();
                 let stop = Arc::clone(&stop);
                 let stats = Arc::clone(&stats);
+                let turns = Arc::clone(&turns);
                 match std::thread::Builder::new()
                     .name("mdbs-net-reader".to_string())
-                    .spawn(move || reader_loop(stream, inbound, stop, stats))
+                    .spawn(move || reader_loop(stream, inbound, stop, stats, &turns))
                 {
                     Ok(h) => readers.push(h),
                     // Out of threads: the failed spawn dropped (closed) the
@@ -525,12 +530,54 @@ fn accept_loop(
     }
 }
 
+/// Per peer, the reader of its latest connection. A peer's writer opens a
+/// connection only after severing the one before, but the old connection's
+/// unread tail and the new one's frames reach two reader threads, and
+/// nothing else orders those: the receiver half of per-link FIFO is that
+/// a reader surfaces nothing until the previous reader of its peer has
+/// returned.
+#[derive(Default)]
+struct ReaderTurns {
+    /// Peer node → a receiver that disconnects when that peer's latest
+    /// reader returns (its sender is never used otherwise).
+    latest: Mutex<BTreeMap<u32, Receiver<()>>>,
+}
+
+impl ReaderTurns {
+    /// Register the reader holding `done`'s sender as `peer`'s latest and
+    /// wait until the one it replaces has returned. False when the stop
+    /// flag was raised first.
+    fn wait_turn(&self, peer: u32, done: Receiver<()>, stop: &AtomicBool) -> bool {
+        let before = self
+            .latest
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            // mdbs-check: allow(hot-unbounded-growth, "one entry per peer node: a reconnect replaces its peer's entry")
+            .insert(peer, done);
+        let Some(before) = before else {
+            return true;
+        };
+        loop {
+            match before.recv_timeout(IO_POLL) {
+                Err(RecvTimeoutError::Timeout) if !stop.load(Ordering::SeqCst) => {}
+                Err(RecvTimeoutError::Timeout) => return false,
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => return true,
+            }
+        }
+    }
+}
+
 fn reader_loop(
     stream: TcpStream,
     inbound: Sender<Vec<WireMsg>>,
     stop: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
+    turns: &ReaderTurns,
 ) {
+    // Dropped when this reader returns, which lets the peer's next
+    // reader surface its frames.
+    let (_returned, done) = bounded::<()>(1);
+    let mut done = Some(done);
     let mut stream = stream;
     let _ = stream.set_read_timeout(Some(IO_POLL));
     let mut dec = FrameDecoder::new();
@@ -551,6 +598,16 @@ fn reader_loop(
             match dec.next_frame_versioned() {
                 Ok(Some(frame)) => match decode_frame_payload(frame.version, &frame.payload) {
                     Ok(msgs) => {
+                        // The `Hello` names the peer: wait for its previous
+                        // connection's reader once, before anything of this
+                        // connection is surfaced.
+                        if let Some(WireMsg::Hello { node }) = msgs.first() {
+                            if let Some(done) = done.take() {
+                                if !turns.wait_turn(*node, done, &stop) {
+                                    return;
+                                }
+                            }
+                        }
                         TransportStats::bump(&stats.frames_received);
                         stats
                             .msgs_received
@@ -1269,6 +1326,46 @@ mod tests {
             cut_on_a_written_through_frame, 1,
             "the middle threshold fires on the sender's own write"
         );
+    }
+
+    /// The receiver half of per-link FIFO: two connections of one peer are
+    /// surfaced in connection order, whatever order their bytes arrive in.
+    /// The first connection's frame is torn when the second one's whole
+    /// frame arrives; the second waits until the first connection closes.
+    #[test]
+    fn a_reconnected_peer_is_surfaced_after_its_old_connection_ends() {
+        let (lb, addr_b) = listener();
+        let mut b = transport(2, lb, &[]);
+        let hello = encode_frame(&encode_msg(&WireMsg::Hello { node: 1 }));
+        let frame = |n: u32| {
+            let mut next = n;
+            let msgs = numbered_group(&mut next, 1, 0);
+            encode_frame(&encode_msg(&msgs[0]))
+        };
+        let (first, second) = (frame(0), frame(1));
+        let half = first.len() / 2;
+
+        let mut old = TcpStream::connect(addr_b.as_str()).expect("connect");
+        old.write_all(&hello).expect("hello");
+        old.write_all(&first[..half]).expect("half a frame");
+        // The old connection's reader has read its `Hello`.
+        while b.stats().frames_received.load(Ordering::Relaxed) < 1 {
+            std::thread::yield_now();
+        }
+        let mut new = TcpStream::connect(addr_b.as_str()).expect("reconnect");
+        new.write_all(&hello).expect("hello");
+        new.write_all(&second).expect("a whole frame");
+        assert_eq!(
+            b.poll(Duration::from_millis(200)),
+            None,
+            "the new connection overtook the old one's torn frame"
+        );
+        old.write_all(&first[half..]).expect("the rest");
+        drop(old);
+        let got = [expect_msg(&mut b), expect_msg(&mut b)];
+        assert_eq!(numbers(got), vec![0, 1]);
+        drop(new);
+        b.shutdown();
     }
 
     /// A peer that accepts and then never reads must not hold the sending

@@ -93,106 +93,77 @@ mod tests {
 
     use mdbs_consensus::{PaxosMsg, Vote};
     use mdbs_histories::{GlobalTxnId, SiteId};
-    use mdbs_simkit::SimTime;
 
     use super::*;
-    use crate::host::{message_kind, TimeSource, Timer, Transport};
+    use crate::host::Transport;
+    use crate::node::NodeSet;
+    use crate::script::{Lane, Script};
     use crate::ACCEPTOR_BASE;
 
-    #[derive(Default)]
-    struct Recorder {
-        ctrl: Vec<(u32, u32, CtrlMsg)>,
+    const COORD: u32 = 1_000_000;
+
+    /// One acceptor on a script; the test is its coordinator.
+    fn acceptor() -> Script {
+        let rt = AcceptorRuntime::new(ACCEPTOR_BASE);
+        Script::new(NodeSet {
+            acceptors: [(ACCEPTOR_BASE, rt)].into(),
+            ..NodeSet::default()
+        })
     }
 
-    impl Transport for Recorder {
-        fn send(&mut self, _from: u32, _to: u32, msg: mdbs_dtm::Message) {
-            panic!(
-                "acceptors never touch the 2PC plane: {}",
-                message_kind(&msg)
-            );
-        }
-        fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
-            self.ctrl.push((from, to, ctrl));
-        }
-        fn set_timer(&mut self, _node: u32, _after_us: u64, _timer: Timer) {}
-    }
-
-    impl TimeSource for Recorder {
-        fn local_time_us(&mut self, _node: u32) -> u64 {
-            0
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-    }
-
-    impl RuntimeHost for Recorder {
-        fn record_op(&mut self, _op: mdbs_histories::Op) {}
-        fn inc(&mut self, _name: &'static str) {}
-        fn add(&mut self, _name: &'static str, _n: u64) {}
-        fn trace(&mut self, _event: crate::trace::TraceEvent) {}
-        fn prepared(&mut self, _site: SiteId, _gtxn: GlobalTxnId, _incarnation: u32) {}
-        fn local_settled(&mut self, _site: SiteId, _committed: bool) {}
-        fn global_finished(
-            &mut self,
-            _cnode: u32,
-            _gtxn: GlobalTxnId,
-            _outcome: mdbs_dtm::GlobalOutcome,
-        ) {
-        }
+    fn deliver(s: &mut Script, ctrl: CtrlMsg) -> Result<(), RuntimeError> {
+        s.host.send_ctrl(COORD, ACCEPTOR_BASE, ctrl);
+        s.deliver(COORD, ACCEPTOR_BASE)
     }
 
     #[test]
     fn a_vote_is_accepted_and_reported_to_the_coordinator() {
-        let mut a = AcceptorRuntime::new(ACCEPTOR_BASE);
-        let mut host = Recorder::default();
+        let mut s = acceptor();
         let gtxn = GlobalTxnId(1);
-        a.on_ctrl(
-            CtrlMsg::Paxos {
-                msg: PaxosMsg::Begin {
-                    gtxn,
-                    coord: 1_000_000,
-                    participants: BTreeSet::from([SiteId(0)]),
-                },
-            },
-            &mut host,
-        )
-        .expect("begin");
-        a.on_ctrl(
-            CtrlMsg::Paxos {
-                msg: PaxosMsg::Vote2a {
-                    gtxn,
-                    site: SiteId(0),
-                    coord: 1_000_000,
-                    vote: Vote::Ready,
-                },
-            },
-            &mut host,
-        )
-        .expect("vote");
-        assert_eq!(host.ctrl.len(), 1);
-        let (from, to, ctrl) = &host.ctrl[0];
-        assert_eq!((*from, *to), (ACCEPTOR_BASE, 1_000_000));
+        let begin = PaxosMsg::Begin {
+            gtxn,
+            coord: COORD,
+            participants: BTreeSet::from([SiteId(0)]),
+        };
+        deliver(&mut s, CtrlMsg::Paxos { msg: begin }).expect("begin");
+        let vote = PaxosMsg::Vote2a {
+            gtxn,
+            site: SiteId(0),
+            coord: COORD,
+            vote: Vote::Ready,
+        };
+        deliver(&mut s, CtrlMsg::Paxos { msg: vote }).expect("vote");
+        // Acceptors never touch the 2PC plane: one control message, to the
+        // coordinator, is all there is.
+        assert_eq!(
+            s.host.heads(),
+            vec![Lane::Link {
+                from: ACCEPTOR_BASE,
+                to: COORD
+            }]
+        );
+        let sent: Vec<&NodeEvent> = s.host.parked(s.host.heads()[0]).collect();
         assert!(matches!(
-            ctrl,
-            CtrlMsg::Paxos {
-                msg: PaxosMsg::Accepted { gtxn: g, .. }
-            } if *g == gtxn
+            sent[..],
+            [NodeEvent::Ctrl {
+                ctrl: CtrlMsg::Paxos {
+                    msg: PaxosMsg::Accepted { gtxn: g, .. }
+                },
+                ..
+            }] if *g == gtxn
         ));
     }
 
     #[test]
     fn cgm_traffic_is_rejected() {
-        let mut a = AcceptorRuntime::new(ACCEPTOR_BASE);
-        let mut host = Recorder::default();
-        let err = a
-            .on_ctrl(
-                CtrlMsg::CgmAdmitted {
-                    gtxn: GlobalTxnId(1),
-                },
-                &mut host,
-            )
-            .expect_err("acceptors never speak CGM");
+        let mut s = acceptor();
+        let err = deliver(
+            &mut s,
+            CtrlMsg::CgmAdmitted {
+                gtxn: GlobalTxnId(1),
+            },
+        )
+        .expect_err("acceptors never speak CGM");
         assert!(matches!(err, RuntimeError::UnexpectedCtrl { .. }));
     }
 }

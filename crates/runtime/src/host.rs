@@ -268,6 +268,8 @@ mod tests {
     use mdbs_ldbs::KeySpec;
 
     use super::*;
+    use crate::node::NodeEvent;
+    use crate::script::{Lane, ScriptHost};
 
     #[test]
     fn message_kind_names_every_variant() {
@@ -297,28 +299,6 @@ mod tests {
         assert_eq!(kinds.len(), messages.len());
     }
 
-    /// A recording host: what the runtimes hand their driver, verbatim.
-    #[derive(Default)]
-    struct RecordingHost {
-        sent: Vec<(u32, u32, &'static str)>,
-        ctrl: Vec<(u32, u32, CtrlMsg)>,
-        timers: Vec<(u32, u64, Timer)>,
-    }
-
-    impl Transport for RecordingHost {
-        fn send(&mut self, from: u32, to: u32, msg: Message) {
-            self.sent.push((from, to, message_kind(&msg)));
-        }
-
-        fn send_ctrl(&mut self, from: u32, to: u32, msg: CtrlMsg) {
-            self.ctrl.push((from, to, msg));
-        }
-
-        fn set_timer(&mut self, node: u32, after_us: u64, timer: Timer) {
-            self.timers.push((node, after_us, timer));
-        }
-    }
-
     fn all_timers() -> Vec<Timer> {
         vec![
             Timer::Alive {
@@ -336,11 +316,12 @@ mod tests {
 
     #[test]
     fn transport_dispatch_reaches_the_host_in_order() {
-        let mut recorder = RecordingHost::default();
+        let mut script = ScriptHost::default();
         // Runtimes only ever see the trait, never the concrete driver.
-        let host: &mut dyn Transport = &mut recorder;
-        for (i, msg) in Message::specimens().into_iter().enumerate() {
-            host.send(100, i as u32, msg);
+        let host: &mut dyn Transport = &mut script;
+        let messages = Message::specimens();
+        for (i, msg) in messages.iter().enumerate() {
+            host.send(100, i as u32, msg.clone());
         }
         for msg in CtrlMsg::specimens() {
             host.send_ctrl(100, 200, msg);
@@ -349,26 +330,23 @@ mod tests {
             host.set_timer(3, 1_000 * (i as u64 + 1), timer);
         }
 
-        let kinds: Vec<&'static str> = recorder.sent.iter().map(|&(_, _, k)| k).collect();
-        assert_eq!(kinds[0], "msg_begin");
-        assert_eq!(kinds[kinds.len() - 1], "msg_new_coord");
-        assert!(recorder.sent.iter().all(|&(from, _, _)| from == 100));
-
-        let ctrl: Vec<CtrlMsg> = recorder.ctrl.iter().map(|(_, _, m)| m.clone()).collect();
-        assert_eq!(ctrl, CtrlMsg::specimens());
-
-        assert_eq!(recorder.timers.len(), 3);
-        assert_eq!(
-            recorder.timers[1],
-            (
-                3,
-                2_000,
-                Timer::LtmExec {
-                    instance: Instance::global(4, SiteId(1), 0),
-                    command: Command::Select(KeySpec::Key(9)),
-                }
-            )
-        );
+        let parked = |lane| script.parked(lane).cloned().collect::<Vec<NodeEvent>>();
+        for (i, msg) in messages.into_iter().enumerate() {
+            let link = Lane::Link {
+                from: 100,
+                to: i as u32,
+            };
+            assert_eq!(parked(link), vec![NodeEvent::Net(msg)]);
+        }
+        let ctrl = CtrlMsg::specimens().into_iter();
+        let from_100 = ctrl.map(|ctrl| NodeEvent::Ctrl { from: 100, ctrl });
+        let link = Lane::Link { from: 100, to: 200 };
+        assert_eq!(parked(link), from_100.collect::<Vec<_>>());
+        let timers = all_timers().into_iter().map(NodeEvent::Timer);
+        assert_eq!(parked(Lane::Timers { node: 3 }), timers.collect::<Vec<_>>());
+        // Messages are due at once, timers later: the timer lane's head is
+        // the last head.
+        assert_eq!(script.heads().last(), Some(&Lane::Timers { node: 3 }));
     }
 
     /// Timers and control messages are queued as event payloads: both

@@ -19,10 +19,10 @@
 //! [`NodeRuntime::on_event`] — see [`node`] for that layer and for
 //! [`run_node`], the one node loop. Four hosts exist: the deterministic
 //! discrete-event simulation in `mdbs-sim` (bit-for-bit reproducible per
-//! seed) and the bounded model checker in `mdbs-check`, which keep their
-//! own schedulers and step `on_event`; and the threaded runner (one OS
-//! thread per node) and the `mdbs-node` TCP process, which instantiate
-//! `run_node` over their [`NodePort`].
+//! seed), which steps `on_event` from its own scheduler; the [`script`]
+//! host, whose every delivery the model checker in `mdbs-check` or a
+//! test picks; and the threaded runner and the `mdbs-node` TCP process,
+//! which instantiate `run_node` over their [`NodePort`].
 //!
 //! Node numbering is shared by every driver: site agents live at
 //! `node = site id`, coordinators at [`COORD_BASE`]` + i`, the CGM central
@@ -36,6 +36,7 @@ pub mod central;
 pub mod coordinator;
 pub mod host;
 pub mod node;
+pub mod script;
 pub mod site;
 pub mod trace;
 

@@ -12,8 +12,8 @@
 //! - [`run_node`] is the only blocking-receive loop in the workspace. A
 //!   host supplies a [`NodePort`] (how to wait, how to flush, how to die)
 //!   on top of its [`RuntimeHost`]; the threaded runner and the TCP node
-//!   process instantiate the loop, the simulation and the model checker
-//!   keep their own schedulers and step [`NodeSet::on_event`] directly.
+//!   process instantiate the loop; the simulation and the scripted host
+//!   ([`crate::script`]) step [`NodeSet::on_event`] directly.
 //! - The per-node housekeeping every host needs lives here once: the
 //!   deadline-ordered [`TimerHeap`], the `coord_crash_after_ready` counter
 //!   ([`ReadyCrash`]), unilateral-abort injection ([`AbortInjector`]), the
@@ -409,8 +409,9 @@ impl AdmissionWindow {
 }
 
 /// Every runtime of one multidatabase, addressable by node id — what a
-/// host that multiplexes all nodes onto one scheduler (the simulation, the
-/// model checker) steps.
+/// host that multiplexes all nodes onto one scheduler (the simulation, a
+/// [`crate::script::Script`]) steps.
+#[derive(Default)]
 pub struct NodeSet {
     /// Site runtimes, at node = site id.
     pub sites: BTreeMap<SiteId, SiteRuntime>,

@@ -16,94 +16,68 @@
 //! replay meets T1's lock on a row its range covers only since T1 inserted
 //! it.
 
-use mdbs_dtm::{AgentConfig, GlobalOutcome, Message, SerialNumber};
-use mdbs_histories::{GlobalTxnId, Instance, Op, OpKind, SiteId, Txn};
+use mdbs_dtm::{AgentConfig, Message, SerialNumber};
+use mdbs_histories::{GlobalTxnId, Instance, OpKind, SiteId, Txn};
 use mdbs_ldbs::{Command, KeySpec, Ldbs, SiteProfile, Store};
-use mdbs_runtime::{
-    CtrlMsg, Flow, NodeEvent, NodeRuntime, RuntimeHost, SiteRuntime, TimeSource, Timer, TraceEvent,
-    Transport,
-};
-use mdbs_simkit::SimTime;
+use mdbs_runtime::script::{Lane, Script};
+use mdbs_runtime::{NodeEvent, NodeSet, SiteRuntime, Timer, Transport};
 
 const SITE: SiteId = SiteId(0);
 const COORD: u32 = 1_000_000;
+const TO_COORD: Lane = Lane::Link {
+    from: SITE.0,
+    to: COORD,
+};
 
-/// A host that records: history ops, sent messages, armed timers. The
-/// clock only moves when the test says so.
-#[derive(Default)]
-struct Recording {
-    now_us: u64,
-    ops: Vec<Op>,
-    sent: Vec<Message>,
-    timers: Vec<Timer>,
-}
-
-impl TimeSource for Recording {
-    fn local_time_us(&mut self, _node: u32) -> u64 {
-        self.now_us
-    }
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.now_us)
-    }
-}
-
-impl Transport for Recording {
-    fn send(&mut self, _from: u32, _to: u32, msg: Message) {
-        self.sent.push(msg);
-    }
-    fn send_ctrl(&mut self, _from: u32, _to: u32, _ctrl: CtrlMsg) {}
-    fn set_timer(&mut self, _node: u32, _after_us: u64, timer: Timer) {
-        self.timers.push(timer);
-    }
-}
-
-impl RuntimeHost for Recording {
-    fn record_op(&mut self, op: Op) {
-        self.ops.push(op);
-    }
-    fn inc(&mut self, _name: &'static str) {}
-    fn add(&mut self, _name: &'static str, _n: u64) {}
-    fn trace(&mut self, _event: TraceEvent) {}
-    fn prepared(&mut self, _site: SiteId, _gtxn: GlobalTxnId, _incarnation: u32) {}
-    fn local_settled(&mut self, _site: SiteId, _committed: bool) {}
-    fn global_finished(&mut self, _cnode: u32, _gtxn: GlobalTxnId, _outcome: GlobalOutcome) {}
-}
-
-struct Site {
-    rt: SiteRuntime,
-    host: Recording,
-}
+/// One site on a script; the coordinator is the test, and what the site
+/// sends it stays parked.
+struct Site(Script);
 
 impl Site {
     fn new() -> Site {
         let engine = Ldbs::new(SITE, SiteProfile::for_site(0), Store::with_rows(4, 0));
-        Site {
-            rt: SiteRuntime::new(SITE, AgentConfig::default(), engine, 0),
-            host: Recording::default(),
-        }
+        let rt = SiteRuntime::new(SITE, AgentConfig::default(), engine, 0);
+        Site(Script::new(NodeSet {
+            sites: [(SITE, rt)].into(),
+            ..NodeSet::default()
+        }))
     }
 
-    fn event(&mut self, event: NodeEvent) {
-        let flow = self
-            .rt
-            .on_event(event, &mut self.host)
-            .expect("engine and agent agree");
-        assert_eq!(flow, Flow::Continue);
+    fn rt(&self) -> &SiteRuntime {
+        &self.0.nodes.sites[&SITE]
     }
 
     fn deliver(&mut self, msg: Message) {
-        self.event(NodeEvent::Net(msg));
+        self.0.host.send(COORD, SITE.0, msg);
+        self.0
+            .deliver(COORD, SITE.0)
+            .expect("engine and agent agree");
+    }
+
+    /// Every message the site sent, in order.
+    fn sent(&self) -> Vec<&Message> {
+        (self.0.host.parked(TO_COORD))
+            .filter_map(|e| match e {
+                NodeEvent::Net(msg) => Some(msg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The timers the site has armed and nothing has fired yet.
+    fn timers(&self, pick: impl Fn(&Timer) -> bool) -> usize {
+        let timers = self.0.host.parked(Lane::Timers { node: SITE.0 });
+        timers
+            .filter(|e| matches!(e, NodeEvent::Timer(t) if pick(t)))
+            .count()
     }
 
     /// Fire every pending LTM service-delay timer (the commands the agent
     /// submitted since the last call start executing).
     fn run_ltm(&mut self) {
-        let (exec, rest): (Vec<Timer>, Vec<Timer>) = std::mem::take(&mut self.host.timers)
-            .into_iter()
-            .partition(|t| matches!(t, Timer::LtmExec { .. }));
-        self.host.timers = rest;
-        for timer in exec {
-            self.event(NodeEvent::Timer(timer));
+        let exec = |t: &Timer| matches!(t, Timer::LtmExec { .. });
+        for _ in 0..self.timers(exec) {
+            self.0.fire(SITE.0, exec).expect("engine and agent agree");
         }
     }
 
@@ -119,7 +93,7 @@ impl Site {
     }
 
     fn prepare(&mut self, k: u32, ticks: u64) {
-        let before = self.host.sent.len();
+        let before = self.sent().len();
         self.deliver(Message::Prepare {
             gtxn: GlobalTxnId(k),
             sn: SerialNumber {
@@ -128,12 +102,10 @@ impl Site {
                 seq: 0,
             },
         });
-        assert!(
-            self.host.sent[before..]
-                .iter()
-                .any(|m| matches!(m, Message::Ready { .. })),
-            "T{k} must vote READY: {:?}",
-            &self.host.sent[before..]
+        let replies = &self.sent()[before..];
+        self.0.expect(
+            &format!("T{k} votes READY: {replies:?}"),
+            replies.iter().any(|m| matches!(m, Message::Ready { .. })),
         );
     }
 
@@ -146,9 +118,7 @@ impl Site {
     /// `(transaction, incarnation)` of the local commits so far, in LDBS
     /// order.
     fn local_commits(&self) -> Vec<(u32, u32)> {
-        self.host
-            .ops
-            .iter()
+        (self.0.host.ops.iter())
             .filter_map(|op| match (op.txn, op.kind) {
                 (Txn::Global(g), OpKind::LocalCommit(_)) => Some((g.0, op.incarnation)),
                 _ => None,
@@ -163,43 +133,38 @@ fn a_replay_resumed_inside_the_blockers_commit_cannot_overtake_the_released_sn()
 
     // Rows 0–3 exist. T3 reads the empty range 4–9, T2 updates key 1, T1
     // inserts key 5: no two of them wait for each other.
-    s.host.now_us = 10;
     s.begin_with(3, Command::Select(KeySpec::Range(4, 9)));
     s.begin_with(2, Command::Update(KeySpec::Key(1), 1));
     s.begin_with(1, Command::Insert(5, 1));
-    assert!(s.rt.blocked().next().is_none(), "nobody waits");
+    s.0.expect("nobody waits", s.rt().blocked().next().is_none());
 
     // All three prepare while alive, T1 with the smallest serial number;
     // then T3's incarnation is unilaterally aborted.
-    s.host.now_us = 20;
     s.prepare(3, 30);
     s.prepare(2, 20);
     s.prepare(1, 10);
-    s.rt.inject_abort(Instance::global(3, SITE, 0), &mut s.host)
-        .expect("abort T3's first incarnation");
+    (s.0.inject_abort(SITE, Instance::global(3, SITE, 0))).expect("abort T3's first incarnation");
 
     // COMMIT(T3): the aborted incarnation is resubmitted first, and the
     // replay's range now holds T1's row 5: it blocks behind T1's lock.
     // COMMIT(T2): held behind T1.
-    s.host.now_us = 30;
     s.commit(3);
     s.run_ltm();
     let t3_replay = Instance::global(3, SITE, 1);
-    assert!(
-        s.rt.blocked().any(|(i, _)| i == t3_replay),
-        "T3's replay waits for T1's lock"
+    s.0.expect(
+        "T3's replay waits for T1's lock",
+        s.rt().blocked().any(|(i, _)| i == t3_replay),
     );
     s.commit(2);
     assert_eq!(s.local_commits(), vec![]);
-    assert_eq!(s.rt.agent().table_len(), 3);
+    assert_eq!(s.rt().agent().table_len(), 3);
 
     // COMMIT(T1): one message, three local commits, in SN order — although
     // T3's replay completed (and asked to commit) before T2 was released.
-    s.host.now_us = 40;
     s.commit(1);
     assert_eq!(s.local_commits(), vec![(1, 0), (2, 0), (3, 1)]);
-    assert_eq!(s.rt.agent().table_len(), 0);
-    let stats = s.rt.agent().stats();
+    assert_eq!(s.rt().agent().table_len(), 0);
+    let stats = s.rt().agent().stats();
     assert_eq!(
         stats.commit_releases, 2,
         "T2 and T3 were released by table events"
@@ -207,26 +172,20 @@ fn a_replay_resumed_inside_the_blockers_commit_cannot_overtake_the_released_sn()
     // T3 (resubmission), T2 (held), and T3 again when its replay completed
     // inside T1's commit while T2 was still in the table.
     assert_eq!(stats.commit_retries, 3);
-    let acks = s
-        .host
-        .sent
-        .iter()
+    let acks = (s.sent().iter())
         .filter(|m| matches!(m, Message::CommitAck { .. }))
         .count();
     assert_eq!(acks, 3);
 
     // The alive timers armed with the READYs are still there, find
     // nothing to do, and arm nothing more.
-    let stale: Vec<Timer> = std::mem::take(&mut s.host.timers)
-        .into_iter()
-        .filter(|t| matches!(t, Timer::Alive { .. }))
-        .collect();
-    assert_eq!(stale.len(), 3);
-    let sent = s.host.sent.len();
-    for timer in stale {
-        s.event(NodeEvent::Timer(timer));
+    let alive = |t: &Timer| matches!(t, Timer::Alive { .. });
+    assert_eq!(s.timers(alive), 3);
+    let sent = s.sent().len();
+    for _ in 0..3 {
+        s.0.fire(SITE.0, alive).expect("a stale alive timer");
     }
-    assert_eq!(s.host.sent.len(), sent);
+    assert_eq!(s.sent().len(), sent);
     assert_eq!(s.local_commits().len(), 3);
-    assert_eq!(s.host.timers, vec![]);
+    assert_eq!(s.timers(|_| true), 0);
 }

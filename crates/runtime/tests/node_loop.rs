@@ -11,11 +11,12 @@ use mdbs_baselines::SiteLockMode;
 use mdbs_dtm::{AgentConfig, GlobalOutcome, Message};
 use mdbs_histories::{GlobalTxnId, Op, SiteId};
 use mdbs_ldbs::{Command, CommandResult, KeySpec, Ldbs, SiteProfile, Store};
+use mdbs_runtime::script::{Lane, Script};
 use mdbs_runtime::{
-    run_node, AcceptorRuntime, AdmissionWindow, CentralRuntime, CoordinatorRuntime, CtrlMsg, Flow,
-    NodeEvent, NodePort, NodeRuntime, NodeSet, ReadyCrash, RuntimeError, RuntimeHost, SiteRuntime,
-    TimeSource, Timer, TimerHeap, TraceEvent, Transport, ACCEPTOR_BASE, CENTRAL, COORD_BASE,
-    RECV_BATCH,
+    message_kind, run_node, AcceptorRuntime, AdmissionWindow, CentralRuntime, CoordinatorRuntime,
+    CtrlMsg, Flow, NodeEvent, NodePort, NodeRuntime, NodeSet, ReadyCrash, RuntimeError,
+    RuntimeHost, SiteRuntime, TimeSource, Timer, TimerHeap, TraceEvent, Transport, ACCEPTOR_BASE,
+    CENTRAL, COORD_BASE, RECV_BATCH,
 };
 use mdbs_simkit::{Metrics, SimTime};
 
@@ -475,4 +476,66 @@ fn a_second_verdict_is_void_and_late_answers_find_no_transaction() {
     }
     assert_eq!((port.sent, port.ctrl_sent), (3, 3));
     assert_eq!(port.metrics.counter("ctrl_duplicates_ignored"), 4);
+}
+
+/// The same guard after an *aborted* finish: a site fails after the vote
+/// went to the scheduler, the coordinator rolls the other site back and
+/// finishes, and only then does the verdict arrive. It finds no
+/// transaction and no held PREPARE: counted and dropped, no PREPARE sent,
+/// no error.
+#[test]
+fn a_verdict_that_outlives_an_aborted_transaction_is_dropped() {
+    let (gtxn, coord, result) = (GlobalTxnId(1), COORD_BASE, CommandResult::default());
+    let mut s = Script::new(NodeSet {
+        coords: [(coord, CoordinatorRuntime::new(coord, true))].into(),
+        ..NodeSet::default()
+    });
+    let update = |key| Command::Update(KeySpec::Key(key), 1);
+    let program = vec![(SiteId(0), update(1)), (SiteId(1), update(2))];
+    s.hand(coord, NodeEvent::Start { gtxn, program })
+        .expect("start");
+    let (site0, site1) = (SiteId(0), SiteId(1));
+    let done = |site, step| Message::DmlResult {
+        gtxn,
+        site,
+        step,
+        result: result.clone(),
+    };
+    let conversation = [
+        (CENTRAL, ctrl(CENTRAL, CtrlMsg::CgmAdmitted { gtxn })),
+        (0, NodeEvent::Net(done(site0, 0))),
+        (1, NodeEvent::Net(done(site1, 1))),
+        (0, NodeEvent::Net(Message::Failed { gtxn, site: site0 })),
+        (
+            1,
+            NodeEvent::Net(Message::RollbackAck { gtxn, site: site1 }),
+        ),
+        (
+            CENTRAL,
+            ctrl(CENTRAL, CtrlMsg::CgmVoteResult { gtxn, ok: true }),
+        ),
+    ];
+    for (from, event) in conversation {
+        s.host.park(from, coord, event);
+        s.deliver(from, coord).expect("dropped, not an error");
+    }
+    let sent = |to| -> Vec<String> {
+        let kind = |e: &NodeEvent| match e {
+            NodeEvent::Net(msg) => message_kind(msg).to_string(),
+            NodeEvent::Ctrl { ctrl, .. } => ctrl.variant_name().to_string(),
+            other => format!("{other:?}"),
+        };
+        s.host
+            .parked(Lane::Link { from: coord, to })
+            .map(kind)
+            .collect()
+    };
+    let to_central = ["CgmRequest", "CgmVote", "CgmFinished"];
+    s.expect(
+        "the vote, then the abort's finish",
+        sent(CENTRAL) == to_central,
+    );
+    assert_eq!(sent(0), ["msg_begin_dml"]);
+    assert_eq!(sent(1), ["msg_begin_dml", "msg_rollback"]);
+    assert_eq!(s.host.metrics.counter("ctrl_duplicates_ignored"), 1);
 }
