@@ -16,10 +16,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mdbs_histories::{GlobalTxnId, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Lock mode on one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteLockMode {
     /// The transaction only reads at the site.
     Read,

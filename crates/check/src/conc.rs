@@ -52,7 +52,6 @@ use crate::scan::{
 
 /// The files that spawn or service OS threads, in pass order.
 pub const CONC_FILES: &[&str] = &[
-    "crates/mdbs/src/shard.rs",
     "crates/mdbs/src/threaded.rs",
     "crates/runtime/src/node.rs",
     "crates/net/src/tcp.rs",
@@ -65,10 +64,7 @@ pub const CONC_FILES: &[&str] = &[
 /// first. Every `Mutex`/`RwLock` struct field in a [`CONC_FILES`] entry
 /// must be listed here — `conc-lock-order` fails otherwise — so adding a
 /// lock forces a deliberate decision about where it sits in the order.
-pub const DECLARED_LOCK_ORDER: &[(&str, &[&str])] = &[
-    ("crates/mdbs/src/shard.rs", &["buf"]),
-    ("crates/net/src/tcp.rs", &["io", "latest"]),
-];
+pub const DECLARED_LOCK_ORDER: &[(&str, &[&str])] = &[("crates/net/src/tcp.rs", &["io", "latest"])];
 
 pub(crate) const RULE_ORDER: &str = "conc-lock-order";
 pub(crate) const RULE_BLOCKING: &str = "conc-blocking-under-guard";

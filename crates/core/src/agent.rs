@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mdbs_histories::{GlobalTxnId, Instance, SiteId, Txn};
 use mdbs_ldbs::{Command, CommandResult};
-use serde::{Deserialize, Serialize};
 
 use crate::agent_log::{AgentLog, LogRecord};
 use crate::certifier::Certifier;
@@ -45,7 +44,7 @@ use crate::sn::SerialNumber;
 pub const DONE_CAP: usize = 4096;
 
 /// Why a PREPARE was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefuseReason {
     /// §5.3 extension: the serial number is smaller than one already
     /// locally committed (the COMMIT overtook this PREPARE).
@@ -147,7 +146,7 @@ pub enum AgentAction {
 }
 
 /// Counters exposed for the experiment harness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgentStats {
     /// PREPAREs answered READY.
     pub prepares_accepted: u64,

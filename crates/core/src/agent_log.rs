@@ -16,12 +16,11 @@
 
 use mdbs_histories::GlobalTxnId;
 use mdbs_ldbs::Command;
-use serde::{Deserialize, Serialize};
 
 use crate::sn::SerialNumber;
 
 /// One durable record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// A global subtransaction opened (BEGIN received).
     Begin {
@@ -94,7 +93,7 @@ pub struct RecoveredTxn {
 }
 
 /// The append-only agent log.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AgentLog {
     records: Vec<LogRecord>,
 }

@@ -1,13 +1,11 @@
 //! Agent configuration: certification mode and timing parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Which certification mechanisms the 2PCA applies.
 ///
 /// `Full` is the paper's protocol (2CM). The others are in-family ablations
 /// used by the anomaly replays and benchmarks: each one re-admits a specific
 /// anomaly class, demonstrating why the corresponding mechanism exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CertifierMode {
     /// Extended prepare certification + basic prepare certification +
     /// serial-number commit certification (§§4–5, the Appendix algorithms).
@@ -98,7 +96,7 @@ impl CertifierMode {
 
 /// Mode and alive-check period of one 2PC Agent, in microseconds of
 /// *local* clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentConfig {
     /// Certification mechanisms in force.
     pub mode: CertifierMode,

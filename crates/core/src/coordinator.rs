@@ -25,7 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mdbs_histories::{GlobalTxnId, SiteId};
 use mdbs_ldbs::{Command, CommandResult};
-use serde::{Deserialize, Serialize};
 
 use crate::msg::Message;
 use crate::sn::{SerialNumber, SnGenerator};
@@ -34,7 +33,7 @@ use crate::sn::{SerialNumber, SnGenerator};
 pub type GlobalProgram = Vec<(SiteId, Command)>;
 
 /// Final fate of a global transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GlobalOutcome {
     /// Globally committed and locally committed everywhere.
     Committed,

@@ -16,13 +16,12 @@
 
 use mdbs_histories::{GlobalTxnId, SiteId};
 use mdbs_ldbs::{Command, CommandResult};
-use serde::{Deserialize, Serialize};
 
 use crate::agent::RefuseReason;
 use crate::sn::SerialNumber;
 
 /// A message between a Coordinator and a 2PC Agent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// Coordinator → Agent: open a global subtransaction at the site. No
     /// coordinator sends it any more ([`Message::BeginDml`] carries the

@@ -11,11 +11,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A globally unique, totally ordered serial number:
 /// (local clock reading, coordinator node id, per-coordinator sequence).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SerialNumber {
     /// The coordinator's local clock reading, in microseconds.
     pub ticks: u64,

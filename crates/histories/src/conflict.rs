@@ -129,12 +129,6 @@ pub fn conflict_serializable(h: &History) -> bool {
     serialization_graph(h).is_acyclic()
 }
 
-/// Whether `h` is conflict serializable at the instance level. This is the
-/// notion an LTM guarantees for its local history.
-pub fn conflict_serializable_instances(h: &History) -> bool {
-    serialization_graph_instances(h).is_acyclic()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +221,5 @@ mod tests {
         let i0 = Instance::global(1, A, 0);
         let i1 = Instance::global(1, A, 1);
         assert!(g.has_edge(&i0, &i1));
-        assert!(conflict_serializable_instances(&h));
     }
 }

@@ -12,8 +12,6 @@
 //! cyclic `CG(C(H))`; the definitive test is view-serializability failure
 //! of `C(H)` that is not already a global view distortion.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cg::commit_order_graph;
 use crate::history::History;
 use crate::ids::{GlobalTxnId, Item, SiteId, Txn};
@@ -23,7 +21,7 @@ use crate::replay::replay;
 use crate::view::{view_serializable_capped, DEFAULT_MAX_TXNS};
 
 /// A detected serialization anomaly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Distortion {
     /// Two incarnations of one global subtransaction decomposed differently
     /// (the worst case of global view distortion; impossible in any serial
@@ -223,12 +221,6 @@ pub fn detect_local_view_distortion(h: &History) -> Option<Distortion> {
     Some(Distortion::LocalView { witness })
 }
 
-/// The paper's polynomial *necessary* condition: "local view distortion is
-/// possible in H only if CG(C(H)) is cyclic."
-pub fn local_view_distortion_possible(h: &History) -> bool {
-    !commit_order_graph(&h.committed_projection()).acyclic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +361,6 @@ mod tests {
             Op::local_commit_l(4, A),
         ]);
         assert_eq!(detect_local_view_distortion(&h), None);
-        assert!(!local_view_distortion_possible(&h));
     }
 
     #[test]

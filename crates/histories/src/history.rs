@@ -15,14 +15,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{GlobalTxnId, Instance, Item, LocalTxnId, SiteId, Txn};
 use crate::index::{Index, Scope};
 use crate::op::{Op, OpKind};
 
 /// A linear history of operations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct History {
     ops: Vec<Op>,
 }
@@ -72,11 +70,6 @@ impl History {
         History::from_ops(self.ops.iter().copied().filter(|o| o.txn == t))
     }
 
-    /// The projection onto one local-level instance's operations.
-    pub fn instance_projection(&self, i: Instance) -> History {
-        History::from_ops(self.ops.iter().copied().filter(|o| o.instance() == Some(i)))
-    }
-
     /// All transactions appearing in the history, in first-appearance order.
     pub fn txns(&self) -> Vec<Txn> {
         let mut seen = BTreeSet::new();
@@ -96,17 +89,6 @@ impl History {
             .filter_map(|t| match t {
                 Txn::Global(g) => Some(g),
                 Txn::Local(_) => None,
-            })
-            .collect()
-    }
-
-    /// All local transactions appearing in the history.
-    pub fn local_txns(&self) -> Vec<LocalTxnId> {
-        self.txns()
-            .into_iter()
-            .filter_map(|t| match t {
-                Txn::Local(l) => Some(l),
-                Txn::Global(_) => None,
             })
             .collect()
     }
@@ -344,7 +326,6 @@ mod tests {
             vec![Txn::global(1), Txn::global(2), Txn::local(A, 9)]
         );
         assert_eq!(h.global_txns(), vec![GlobalTxnId(1), GlobalTxnId(2)]);
-        assert_eq!(h.local_txns(), vec![LocalTxnId { site: A, n: 9 }]);
     }
 
     #[test]

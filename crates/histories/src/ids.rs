@@ -20,12 +20,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A participating site (one LDBS). Site 0 is the paper's site *a*, 1 is *b*.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u32);
 
 impl SiteId {
@@ -49,9 +45,7 @@ impl fmt::Display for SiteId {
 }
 
 /// A global transaction `T_k`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GlobalTxnId(pub u32);
 
 impl fmt::Display for GlobalTxnId {
@@ -61,7 +55,7 @@ impl fmt::Display for GlobalTxnId {
 }
 
 /// A local transaction `L_o`, bound to the single site it runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocalTxnId {
     /// The site the transaction runs at.
     pub site: SiteId,
@@ -76,7 +70,7 @@ impl fmt::Display for LocalTxnId {
 }
 
 /// A transaction at the global level of abstraction: `T_k` or `L_o`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Txn {
     /// A global (multi-site) transaction managed by the DTM.
     Global(GlobalTxnId),
@@ -118,7 +112,7 @@ impl fmt::Display for Txn {
 /// A local-level transaction instance: what one LTM perceives as a
 /// transaction. `incarnation` is the resubmission index `j` of `T^s_kj`;
 /// always 0 for local transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Instance {
     /// The owning transaction at the global level.
     pub txn: Txn,
@@ -158,7 +152,7 @@ impl fmt::Display for Instance {
 }
 
 /// A concrete data item `X^s`: a single table row at one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Item {
     /// The site that stores the item.
     pub site: SiteId,

@@ -8,12 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{Instance, Item, SiteId, Txn};
 
 /// The kind of an operation, with its site/item payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Elementary read of an item (EI level).
     Read(Item),
@@ -57,7 +55,7 @@ impl OpKind {
 }
 
 /// One operation of one transaction in a history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Op {
     /// The transaction the operation belongs to (global level).
     pub txn: Txn,

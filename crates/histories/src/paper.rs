@@ -139,12 +139,6 @@ pub fn h1() -> History {
     ])
 }
 
-/// The paper's local projection `H1(a)` of [`h1`] (printed explicitly in
-/// §3).
-pub fn h1_site_a() -> History {
-    h1().site_projection(SITE_A)
-}
-
 /// History H2 (§5.1): the **local view distortion** example with a direct
 /// conflict, causing the cycle `T1 → T3 → L4 → T1` in `SG(H)` and reversed
 /// local commit orders (`C^b_10 < C^b_30` but `C^a_30 < C^a_11`).

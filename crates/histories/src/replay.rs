@@ -144,20 +144,6 @@ impl Replay {
     }
 }
 
-/// Convenience: the reads-from relation as (reader, item, writer) triples at
-/// the transaction level, in history order.
-pub fn reads_from_triples(h: &History) -> Vec<(Txn, Item, Option<Txn>)> {
-    let rep = Replay::of(h);
-    let mut out = Vec::new();
-    for (p, op) in h.ops().iter().enumerate() {
-        if let OpKind::Read(it) = op.kind {
-            let w = rep.reads_from_at(p).unwrap();
-            out.push((op.txn, it, w.map(|i| i.txn)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,17 +262,6 @@ mod tests {
         let h = History::from_ops([Op::write_g(1, 0, XA), Op::read_g(1, 0, XA)]);
         let r = Replay::of(&h);
         assert_eq!(r.reads_from_at(1), Some(Some(Instance::global(1, A, 0))));
-    }
-
-    #[test]
-    fn triples_helper() {
-        let h = History::from_ops([
-            Op::write_g(1, 0, XA),
-            Op::local_commit_g(1, 0, A),
-            Op::read_l(9, XA),
-        ]);
-        let t = reads_from_triples(&h);
-        assert_eq!(t, vec![(Txn::local(A, 9), XA, Some(Txn::global(1)))]);
     }
 
     #[test]

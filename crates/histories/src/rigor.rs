@@ -14,8 +14,6 @@
 //! sweep at once; [`rigor_violation`] reports on the history it is given,
 //! and the analysis of a run asks each site projection in turn.
 
-use serde::{Deserialize, Serialize};
-
 use crate::conflict::conflict_arcs;
 use crate::graph::Adjacency;
 use crate::history::History;
@@ -25,7 +23,7 @@ use crate::op::OpKind;
 use crate::replay::replay;
 
 /// A violation of one of the recoverability-hierarchy conditions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RigorViolation {
     /// Human-readable description of the violated rule.
     pub rule: &'static str,

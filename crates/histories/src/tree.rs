@@ -18,14 +18,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::history::History;
 use crate::ids::{SiteId, Txn};
 use crate::op::{Op, OpKind};
 
 /// A structural violation found in a transaction execution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
     /// An operation belongs to a different transaction than the tree's.
     ForeignOperation(Txn),
@@ -91,12 +89,6 @@ impl TreeBuilder {
     pub fn snapshot(&mut self) -> &mut Self {
         self.phases.push(std::mem::take(&mut self.current));
         self
-    }
-
-    /// Number of trees in the sequence so far (closed snapshots; the open
-    /// one counts if non-empty).
-    pub fn tree_count(&self) -> usize {
-        self.phases.len() + usize::from(!self.current.is_empty())
     }
 
     /// Produce the transaction history `H(T_k)`: operations ordered by the
@@ -243,7 +235,6 @@ mod tests {
     fn t1_validates() {
         let t = t1();
         assert!(t.validate().is_ok());
-        assert_eq!(t.tree_count(), 7);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! deleted row decomposes to nothing — exactly the mechanism by which T1's
 //! resubmission in H1 shrinks after T2 deletes `Y^a`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::profile::SiteProfile;
 use crate::store::Store;
 
 /// Which rows a command addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KeySpec {
     /// A single row.
     Key(u64),
@@ -44,7 +42,7 @@ impl KeySpec {
 }
 
 /// A SQL-like DML command against one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// `SELECT` the addressed rows (elementary reads).
     Select(KeySpec),
@@ -61,7 +59,7 @@ pub enum Command {
 }
 
 /// One elementary operation of a decomposed command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Elementary {
     /// Read a key.
     Read(u64),
@@ -70,7 +68,7 @@ pub enum Elementary {
 }
 
 /// The effect a planned elementary write will have when executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteEffect {
     /// Add a delta to the row's value.
     Add(i64),
@@ -95,7 +93,7 @@ impl Elementary {
 }
 
 /// Rows returned by a command (key, value-at-read for selects / updates).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommandResult {
     /// Rows observed, in decomposition order.
     pub rows: Vec<(u64, i64)>,

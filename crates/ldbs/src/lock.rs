@@ -27,10 +27,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mdbs_histories::Instance;
-use serde::{Deserialize, Serialize};
 
 /// Lock modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// Shared (read) lock.
     Shared,

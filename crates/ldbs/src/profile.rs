@@ -7,10 +7,8 @@
 //! opposite orders — different lock-acquisition orders change deadlock and
 //! waiting patterns) and the local deadlock victim policy.
 
-use serde::{Deserialize, Serialize};
-
 /// How the LTM picks a victim when its waits-for graph has a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VictimPolicy {
     /// Abort the youngest participant of the cycle (fewest completed ops).
     #[default]
@@ -20,7 +18,7 @@ pub enum VictimPolicy {
 }
 
 /// Behavioural profile of one site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteProfile {
     /// Human-readable DBMS label ("ingres-like", "sybase-like", …); purely
     /// descriptive.

@@ -8,13 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A before-image: the prior state of one key (`None` = row did not exist).
 pub type BeforeImage = (u64, Option<i64>);
 
 /// An in-memory row store.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Store {
     rows: BTreeMap<u64, i64>,
 }

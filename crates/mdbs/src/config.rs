@@ -46,10 +46,9 @@ use std::str::FromStr;
 use mdbs_dtm::{AgentConfig, CertifierMode};
 use mdbs_simkit::{FaultPlan, SimTime};
 use mdbs_workload::{AccessPattern, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Which transaction-management method schedules the global transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// The paper's decentralized 2PC-Agent Certifier method, with the given
     /// certification mode (`CertifierMode::Full` = the 2CM protocol;
@@ -108,7 +107,7 @@ impl Protocol {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The workload (sites, transactions, access patterns, failure rate).
     pub workload: WorkloadSpec,
@@ -161,12 +160,10 @@ pub struct SimConfig {
     /// under the 2CM protocol family. The ballot-0 path needs all `F+1` of
     /// its acceptors (the first `F+1`); a takeover needs any `F+1`. No
     /// driver crashes an acceptor.
-    #[serde(default)]
     pub consensus_f: u32,
     /// Test hook: `(coord, k)` — coordinator `coord` crashes on receipt of
     /// its `k`-th READY (1-based), *before* processing it: exactly the
     /// window between collecting votes and broadcasting the decision.
-    #[serde(default)]
     pub coord_crash_after_ready: Option<(u32, u32)>,
 }
 

@@ -28,7 +28,6 @@
 pub mod chaos;
 pub mod config;
 pub mod report;
-pub mod shard;
 pub mod sim;
 pub mod threaded;
 

@@ -5,14 +5,13 @@ use mdbs_histories::{
     SiteId, Txn, Verdict,
 };
 use mdbs_simkit::{Metrics, SimTime};
-use serde::Serialize;
 
 /// Upper bound on committed transactions for the exact view-serializability
 /// decider (factorial blow-up beyond this).
 pub const EXACT_CHECK_MAX_TXNS: usize = 8;
 
 /// The correctness verdict of one run, per the paper's criterion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrectnessReport {
     /// First rigorousness violation in any site projection (must be
     /// `None`: the LDBS substrate guarantees SRS).

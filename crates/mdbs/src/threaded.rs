@@ -21,7 +21,6 @@
 //! substream).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,7 +38,6 @@ use mdbs_workload::predraw;
 
 use crate::config::{Protocol, SimConfig};
 use crate::report::{CorrectnessReport, SimReport};
-use crate::shard::ShardedBuffer;
 use crate::sim::{acceptor_nodes, coordinator_runtime, site_runtime};
 
 /// What the driver hears back.
@@ -82,13 +80,6 @@ struct SharedWorld {
     notices: Sender<Notice>,
     /// The runner's epoch; all node clocks read elapsed time from it.
     epoch: Instant,
-    /// Per-node history slots (sites, then coordinators, then central),
-    /// merged in ascending slot order at drain. Conflicts are intra-site,
-    /// so each site's slot carries its own order — the same merge the
-    /// multi-process cluster driver performs on its per-node slices.
-    history: ShardedBuffer<Op>,
-    /// Messages handed to the transport (protocol + control).
-    messages: AtomicU64,
 }
 
 /// Work a node thread holds until its wall-clock deadline.
@@ -105,9 +96,11 @@ struct ThreadHost {
     shared: Arc<SharedWorld>,
     /// This node's inbox.
     rx: Receiver<NodeEvent>,
-    /// This node's slot in the shared history buffer.
-    slot: usize,
     metrics: Metrics,
+    /// The ops this node recorded, in its own order; handed back at join.
+    ops: Vec<Op>,
+    /// Messages handed to the transport (protocol + control).
+    messages: u64,
     /// Pending timers (including injected unilateral aborts) and delayed
     /// / duplicated sends. Later direct sends on the same link can
     /// overtake a held message — in the threaded driver a delay spike
@@ -164,7 +157,7 @@ impl TimeSource for ThreadHost {
 impl Transport for ThreadHost {
     fn send(&mut self, from: u32, to: u32, msg: Message) {
         self.metrics.inc(message_kind(&msg));
-        self.shared.messages.fetch_add(1, Ordering::Relaxed);
+        self.messages += 1;
         let now_us = self.elapsed_us();
         if self.fault_plan.dropped(from, to, now_us) {
             self.metrics.inc("faults_dropped");
@@ -196,7 +189,7 @@ impl Transport for ThreadHost {
     }
 
     fn send_ctrl(&mut self, from: u32, to: u32, ctrl: CtrlMsg) {
-        self.shared.messages.fetch_add(1, Ordering::Relaxed);
+        self.messages += 1;
         self.deliver(to, NodeEvent::Ctrl { from, ctrl });
     }
 
@@ -208,7 +201,7 @@ impl Transport for ThreadHost {
 
 impl RuntimeHost for ThreadHost {
     fn record_op(&mut self, op: Op) {
-        self.shared.history.record(self.slot, op);
+        self.ops.push(op);
     }
 
     fn inc(&mut self, name: &'static str) {
@@ -291,8 +284,8 @@ impl NodePort for ThreadHost {
         Instant::now() >= self.deadline
     }
 
-    /// The threaded driver never drains: every thread shares the history
-    /// buffer and is joined instead.
+    /// The threaded driver never drains: each thread hands its ops back
+    /// when it is joined instead.
     fn report(&mut self) {}
 
     /// Crash-stop is leaving the loop; the [`ExitGuard`] tells the driver.
@@ -307,9 +300,14 @@ pub struct ThreadedRunner {
     panic_node: Option<u32>,
 }
 
-/// What joining a node thread yields: its metrics and, for a site, the
-/// agent's end-of-run statistics.
-type NodeResult = (Metrics, Option<AgentStats>);
+/// What joining a node thread yields: what its host collected and, for a
+/// site, the agent's end-of-run statistics.
+struct NodeResult {
+    metrics: Metrics,
+    ops: Vec<Op>,
+    messages: u64,
+    agent: Option<AgentStats>,
+}
 
 impl ThreadedRunner {
     /// Build a runner for the configuration. `cfg.crashes` is ignored
@@ -349,9 +347,8 @@ impl ThreadedRunner {
         let drawn = predraw(&spec);
         let mut locals = drawn.locals;
 
-        // Node order fixes the history slot layout: sites 0..S,
-        // coordinators S..S+C, central S+C, then acceptors (which never
-        // record ops, but each host owns a slot).
+        // Node order fixes the history merge order: sites, then
+        // coordinators, central and acceptors (which never record ops).
         let cgm = matches!(cfg.protocol, Protocol::Cgm);
         let mut node_ids: Vec<u32> = (0..spec.sites).collect();
         node_ids.extend((0..cfg.coordinators).map(|c| COORD_BASE + c));
@@ -371,8 +368,6 @@ impl ThreadedRunner {
             senders,
             notices: notice_tx,
             epoch: Instant::now(),
-            history: ShardedBuffer::new(node_ids.len()),
-            messages: AtomicU64::new(0),
         });
 
         let deadline = shared.epoch + Duration::from_secs_f64(cfg.time_limit.as_secs_f64());
@@ -382,12 +377,13 @@ impl ThreadedRunner {
         let scope_result = crossbeam::thread::scope(|scope| {
             let cfg = &cfg;
             let mut handles = Vec::new();
-            for (slot, &node) in node_ids.iter().enumerate() {
+            for &node in &node_ids {
                 let host = ThreadHost {
                     shared: Arc::clone(&shared),
                     rx: receivers[&node].clone(),
-                    slot,
                     metrics: Metrics::new(),
+                    ops: Vec::new(),
+                    messages: 0,
                     due: TimerHeap::default(),
                     injector: AbortInjector::new(
                         root.substream_n("inject", node as u64),
@@ -525,12 +521,20 @@ impl ThreadedRunner {
             for tx in shared.senders.values() {
                 let _ = tx.send(NodeEvent::Shutdown);
             }
+            // Joining in node order concatenates the per-node slices: each
+            // site's ops keep their own order, and conflicts are intra-site,
+            // so cross-node order is immaterial — the same merge the
+            // multi-process cluster driver performs.
+            let mut ops = Vec::new();
+            let mut messages = 0;
             let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
             for h in handles {
                 match h.join() {
-                    Ok((m, st)) => {
-                        metrics.merge(&m);
-                        site_stats.extend(st);
+                    Ok(mut node) => {
+                        metrics.merge(&node.metrics);
+                        ops.append(&mut node.ops);
+                        messages += node.messages;
+                        site_stats.extend(node.agent);
                     }
                     Err(p) => panics.push(p),
                 }
@@ -542,7 +546,7 @@ impl ThreadedRunner {
             metrics.add("global_committed", committed);
             metrics.add("global_aborted", aborted);
 
-            let history = mdbs_histories::History::from_ops(shared.history.drain());
+            let history = mdbs_histories::History::from_ops(ops);
             let checks = CorrectnessReport::analyze(&history, spec.sites);
             for st in &site_stats {
                 for (name, n) in st.certification_counters() {
@@ -557,7 +561,7 @@ impl ThreadedRunner {
                 aborted,
                 local_committed,
                 local_aborted,
-                messages: shared.messages.load(Ordering::Relaxed),
+                messages,
                 finished_at,
                 metrics,
             }
@@ -593,6 +597,11 @@ fn spawn_node<'scope, R: NodeRuntime + Send + 'scope>(
             panic!("injected test panic at node {node}");
         }
         run_node(&mut rt, &mut host);
-        (host.metrics, stats(&rt))
+        NodeResult {
+            metrics: host.metrics,
+            ops: host.ops,
+            messages: host.messages,
+            agent: stats(&rt),
+        }
     })
 }

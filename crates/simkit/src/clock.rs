@@ -17,12 +17,10 @@
 //! rate error in parts-per-million (may be negative). Both zero gives a
 //! perfect clock.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// A site-local clock with constant skew and linear drift.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteClock {
     /// Constant offset added to true time, in microseconds (may be negative).
     pub skew_us: i64,

@@ -117,11 +117,6 @@ impl<E: Eq> EventQueue<E> {
         self.popped += 1;
         Some(ev)
     }
-
-    /// Peek at the next event's fire time without advancing the clock.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
 }
 
 #[cfg(test)]
@@ -154,8 +149,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(2), ());
         assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.now(), SimTime::from_millis(2));
+        assert!(q.is_empty());
         assert_eq!(q.events_processed(), 1);
     }
 
@@ -176,15 +174,5 @@ mod tests {
         q.schedule_at(SimTime::from_millis(5), ());
         q.pop();
         q.schedule_at(SimTime::from_millis(1), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_micros(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

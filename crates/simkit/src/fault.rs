@@ -27,8 +27,6 @@
 //! same random draws as an unwrapped one, so fault-free golden digests are
 //! unchanged.
 
-use serde::{Deserialize, Serialize};
-
 use crate::net::{Network, NodeId};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -38,7 +36,7 @@ use crate::time::{SimDuration, SimTime};
 /// `src`/`dst` of `None` match any endpoint; times are microseconds of
 /// simulated (or elapsed wall-clock, for the threaded driver) time, with
 /// `from_us <= t < until_us` active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
     /// Add `extra_us` to the latency of matching sends (FIFO-preserving).
     DelaySpike {
@@ -142,7 +140,7 @@ fn link_matches(src: Option<NodeId>, dst: Option<NodeId>, s: NodeId, d: NodeId) 
 ///
 /// Serializable so a failing configuration (including its faults) can be
 /// embedded verbatim in a minimal reproducer.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The injected faults, in sampling order. Order is irrelevant to
     /// semantics (all active matches apply) but stable for shrinking.
@@ -396,20 +394,6 @@ impl FaultPlan {
             })
             .fold(0.0, f64::max)
     }
-
-    /// True if the plan can lose messages (drops or partitions).
-    pub fn may_lose(&self) -> bool {
-        self.actions
-            .iter()
-            .any(|a| matches!(a, FaultAction::Drop { .. } | FaultAction::Partition { .. }))
-    }
-
-    /// True if the plan can break per-link FIFO (reorder windows).
-    pub fn may_reorder(&self) -> bool {
-        self.actions
-            .iter()
-            .any(|a| matches!(a, FaultAction::Reorder { .. }))
-    }
 }
 
 /// Knob settings from which a [`FaultPlan`] is sampled.
@@ -417,7 +401,7 @@ impl FaultPlan {
 /// Counts say how many windows of each kind to place; ranges bound the
 /// sampled magnitudes. Each knob corresponds to one paper assumption — see
 /// DESIGN.md §"Fault model".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Display name, used in reports and test labels.
     pub name: String,
@@ -445,7 +429,6 @@ pub struct FaultProfile {
     pub crashes: u32,
     /// Number of coordinator crash points (Paxos Commit failover drills;
     /// crash instants share `crash_at_us`).
-    #[serde(default)]
     pub coord_crashes: u32,
     /// Crash-instant range `[lo, hi]`, µs.
     pub crash_at_us: (u64, u64),
@@ -514,19 +497,6 @@ pub enum AppliedFault {
     Reordered,
 }
 
-/// Counters of injected faults, for reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages discarded (drops + partitions).
-    pub dropped: u64,
-    /// Duplicate copies delivered.
-    pub duplicated: u64,
-    /// Messages that received a delay spike.
-    pub delayed: u64,
-    /// Messages delivered outside the FIFO clamp.
-    pub reordered: u64,
-}
-
 /// A [`Network`] wrapper that applies a [`FaultPlan`].
 ///
 /// Fault magnitudes (reorder jitter, duplicate gaps) draw from a dedicated
@@ -538,23 +508,12 @@ pub struct FaultyNetwork {
     inner: Network,
     plan: FaultPlan,
     rng: DetRng,
-    stats: FaultStats,
 }
 
 impl FaultyNetwork {
     /// Wrap `inner` with `plan`; `rng` drives fault magnitude draws.
     pub fn new(inner: Network, plan: FaultPlan, rng: DetRng) -> Self {
-        FaultyNetwork {
-            inner,
-            plan,
-            rng,
-            stats: FaultStats::default(),
-        }
-    }
-
-    /// Wrap `inner` with no faults (exact passthrough).
-    pub fn passthrough(inner: Network) -> Self {
-        FaultyNetwork::new(inner, FaultPlan::empty(), DetRng::new(0))
+        FaultyNetwork { inner, plan, rng }
     }
 
     /// The wrapped reliable network (e.g. for un-faulted control traffic).
@@ -565,11 +524,6 @@ impl FaultyNetwork {
     /// Shared read access to the wrapped network.
     pub fn inner(&self) -> &Network {
         &self.inner
-    }
-
-    /// Counters of faults injected so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
     }
 
     /// The active plan.
@@ -592,21 +546,18 @@ impl FaultyNetwork {
         self.inner.count_message();
         let now_us = now.as_micros();
         if self.plan.dropped(src, dst, now_us) {
-            self.stats.dropped += 1;
             return (Vec::new(), vec![AppliedFault::Dropped]);
         }
         let mut applied = Vec::new();
         let lat = self.inner.raw_latency(src, dst);
         let extra = self.plan.delay_extra_us(src, dst, now_us);
         if extra > 0 {
-            self.stats.delayed += 1;
             applied.push(AppliedFault::Delayed(extra));
         }
         let raw = now + lat + SimDuration::from_micros(extra);
         let reorder = self.plan.reorder_jitter_us(src, dst, now_us);
         let first = match reorder {
             Some(jitter_us) => {
-                self.stats.reordered += 1;
                 applied.push(AppliedFault::Reordered);
                 raw + SimDuration::from_micros(self.rng.uniform_u64_incl(0, jitter_us))
             }
@@ -614,7 +565,6 @@ impl FaultyNetwork {
         };
         let mut times = vec![first];
         if let Some(gap_us) = self.plan.duplicate_gap_us(src, dst, now_us) {
-            self.stats.duplicated += 1;
             applied.push(AppliedFault::Duplicated);
             let second_raw =
                 first + SimDuration::from_micros(self.rng.uniform_u64_incl(1, gap_us.max(1)));
@@ -658,7 +608,7 @@ mod tests {
     #[test]
     fn empty_plan_is_exact_passthrough() {
         let mut plain = base_net(42);
-        let mut faulty = FaultyNetwork::passthrough(base_net(42));
+        let mut faulty = FaultyNetwork::new(base_net(42), FaultPlan::empty(), DetRng::new(0));
         for i in 0..300u64 {
             let now = SimTime::from_micros(i * 37);
             let (src, dst) = ((i % 3) as NodeId, ((i + 1) % 3) as NodeId);
@@ -668,7 +618,6 @@ mod tests {
             assert!(applied.is_empty());
         }
         assert_eq!(plain.messages_sent(), faulty.inner().messages_sent());
-        assert_eq!(faulty.stats(), FaultStats::default());
     }
 
     #[test]
@@ -709,7 +658,6 @@ mod tests {
         let (times, applied) = f.deliver(0, 1, SimTime::from_micros(250));
         assert_eq!(times.len(), 1);
         assert!(applied.is_empty());
-        assert_eq!(f.stats().dropped, 1);
         // Both sends were handed to the network.
         assert_eq!(f.inner().messages_sent(), 2);
     }
@@ -802,8 +750,7 @@ mod tests {
         let (times, applied) = f.deliver(0, 1, SimTime::from_micros(10));
         assert_eq!(times.len(), 2);
         assert!(times[1] > times[0]);
-        assert!(applied.contains(&AppliedFault::Duplicated));
-        assert_eq!(f.stats().duplicated, 1);
+        assert_eq!(applied, vec![AppliedFault::Duplicated]);
         // One protocol send, even though two copies deliver.
         assert_eq!(f.inner().messages_sent(), 1);
     }
@@ -823,8 +770,6 @@ mod tests {
         assert_eq!(plan.site_crashes().collect::<Vec<_>>(), vec![(2, 77)]);
         assert_eq!(plan.abort_boost(150), 0.75);
         assert_eq!(plan.abort_boost(250), 0.0);
-        assert!(!plan.may_lose());
-        assert!(!plan.may_reorder());
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod time;
 
 pub use clock::SiteClock;
 pub use event::{EventQueue, ScheduledEvent};
-pub use fault::{AppliedFault, FaultAction, FaultPlan, FaultProfile, FaultStats, FaultyNetwork};
+pub use fault::{AppliedFault, FaultAction, FaultPlan, FaultProfile, FaultyNetwork};
 pub use metrics::{Counter, Metrics, SampleStats};
-pub use net::{LatencyModel, LinkSpec, Network};
+pub use net::{LatencyModel, Network};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

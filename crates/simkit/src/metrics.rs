@@ -9,10 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(pub u64);
 
 impl Counter {
@@ -33,7 +31,7 @@ impl Counter {
 }
 
 /// A sample set with exact quantiles.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleStats {
     samples: Vec<f64>,
 }
@@ -114,7 +112,7 @@ impl SampleStats {
 }
 
 /// A named bundle of counters and sample sets.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, Counter>,
     stats: BTreeMap<String, SampleStats>,

@@ -16,8 +16,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -25,7 +23,7 @@ use crate::time::{SimDuration, SimTime};
 pub type NodeId = u32;
 
 /// Latency model for a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),
@@ -56,17 +54,6 @@ impl LatencyModel {
     }
 }
 
-/// Per-link latency override.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkSpec {
-    /// Sending endpoint.
-    pub src: NodeId,
-    /// Receiving endpoint.
-    pub dst: NodeId,
-    /// Latency for this directed link.
-    pub latency: LatencyModel,
-}
-
 /// A reliable FIFO network between nodes.
 #[derive(Debug)]
 pub struct Network {
@@ -88,14 +75,6 @@ impl Network {
             rng,
             messages_sent: 0,
         }
-    }
-
-    /// Override the latency of specific directed links.
-    pub fn with_links(mut self, links: impl IntoIterator<Item = LinkSpec>) -> Self {
-        for l in links {
-            self.overrides.insert((l.src, l.dst), l.latency);
-        }
-        self
     }
 
     /// Set or replace one directed link's latency.

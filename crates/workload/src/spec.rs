@@ -3,7 +3,6 @@
 use mdbs_histories::SiteId;
 use mdbs_ldbs::{Command, KeySpec};
 use mdbs_simkit::DetRng;
-use serde::{Deserialize, Serialize};
 
 use crate::zipf::Zipf;
 
@@ -17,7 +16,7 @@ const RANGE_SPAN: u64 = 4;
 const LOCAL_ARRIVAL_MEAN_US: f64 = 2_000.0;
 
 /// How items are selected within a site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Every item equally likely.
     Uniform,
@@ -34,7 +33,7 @@ pub enum AccessPattern {
 
 /// A complete workload parameterization. All randomness derives from
 /// `seed`; identical specs generate identical programs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Master seed.
     pub seed: u64,

@@ -8,6 +8,7 @@
 //! serializability where computed).
 
 use rigorous_mdbs::dtm::CertifierMode;
+use rigorous_mdbs::histories::{Op, Txn};
 use rigorous_mdbs::sim::{Protocol, SimConfig, SimReport, ThreadedRunner};
 
 fn cfg(protocol: Protocol, abort_prob: f64) -> SimConfig {
@@ -216,4 +217,22 @@ fn threaded_runner_counts_messages() {
     let report = run_and_check(Protocol::TwoCm(CertifierMode::Full), 0.0);
     // Each 2-site committed transaction needs >= 12 protocol messages.
     assert!(report.messages >= 12 * 12, "messages: {}", report.messages);
+}
+
+/// Each node thread keeps its own slice of the history and the driver
+/// concatenates the slices in node order: every op a site recorded precedes
+/// every op of a higher-numbered site, and the coordinators' global commits
+/// and aborts (recorded by no site) follow all of them. Conflicts are
+/// intra-site, so the checkers must pass on the merged history.
+#[test]
+fn threaded_history_is_merged_in_node_order() {
+    let report = run_and_check(Protocol::TwoCm(CertifierMode::Full), 0.2);
+    let ops = report.history.ops();
+    assert!(ops.iter().any(|op| matches!(op.txn, Txn::Local(_))));
+    assert!(ops.iter().any(|op| op.site().is_none()));
+    let recorder = |op: &Op| op.site().map_or(u32::MAX, |s| s.0);
+    let first_out_of_order = ops
+        .windows(2)
+        .position(|w| recorder(&w[0]) > recorder(&w[1]));
+    assert_eq!(first_out_of_order, None, "history: {}", report.history);
 }
