@@ -23,8 +23,7 @@
 //!
 //! A *guard binding* is recognized conservatively: `let g = path.lock();`
 //! (optionally chained through `unwrap`/`expect`/`ok`, optionally behind
-//! `&`/`mut`/`*`, and the path may index into a shard table —
-//! `self.shards[slot].buf.lock()`), held to the end of the enclosing block;
+//! `&`/`mut`/`*`), held to the end of the enclosing block;
 //! likewise `let Ok(g) = path.try_lock() else { … };` (std) and
 //! `let Some(g) = … else { … };` (`parking_lot`), held from after the
 //! statement; and `if let` / `while let` over either, held for the body.

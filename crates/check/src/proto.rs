@@ -276,6 +276,7 @@ pub const PROTOCOL: &[HandlerSpec] = &[
                     ("CtrlMsg", "CgmVote"),
                     ("CtrlMsg", "CgmFinished"),
                     ("PaxosMsg", "Begin"),
+                    ("PaxosMsg", "ClearThenBegin"),
                 ],
                 // The grant takes the program out of the CGM entry: a
                 // re-delivered one must not begin the transaction twice.
@@ -327,9 +328,9 @@ pub const PROTOCOL: &[HandlerSpec] = &[
             ("CtrlMsg", "CgmVote"),
             ("CtrlMsg", "Paxos"),
             ("PaxosMsg", "Begin"),
+            ("PaxosMsg", "ClearThenBegin"),
             ("PaxosMsg", "Prepare1a"),
             ("PaxosMsg", "Propose2a"),
-            ("PaxosMsg", "Clear"),
         ],
     },
     // The CGM central scheduler (§5.3): admission locks + commit-graph

@@ -527,15 +527,10 @@ pub fn guard_scope(
         return None;
     }
     // The initializer is the bare lock path (`=` then only `&`, `mut`,
-    // `*`, path segments up to the acquisition). Indexing — the sharded
-    // idiom `self.shards[slot].buf.lock()` — still names a single lock, so
-    // `[`/`]` are allowed: such a guard is *held*, and skipping it here
-    // would exempt every sharded lock from the guard rules.
+    // `*`, path segments up to the acquisition).
     let eq = find_plain_eq(code, ss, at)?;
     if !code[eq + 1..at].bytes().all(|b| {
-        b.is_ascii_whitespace()
-            || is_ident_byte(b)
-            || matches!(b, b'&' | b'*' | b'.' | b':' | b'[' | b']')
+        b.is_ascii_whitespace() || is_ident_byte(b) || matches!(b, b'&' | b'*' | b'.' | b':')
     }) {
         return None;
     }

@@ -26,7 +26,7 @@ fn every_clean_preset_exhausts_at_its_pinned_schedule_count() {
         // F=1 Paxos Commit: a coordinator crash-stop in the READY window is
         // survivable on every schedule — the backup adopts the dead
         // coordinator's transactions through the acceptor quorum.
-        ("coord-failover", ExploreConfig::coord_failover(), 2_577),
+        ("coord-failover", ExploreConfig::coord_failover(), 2_541),
         ("mutation-interval", mutation_interval, 18_170),
     ] {
         match explore(&cfg) {

@@ -563,72 +563,6 @@ static FIXTURES: &[Fixture] = &[
             ("unreachable!()", "`unreachable!`"),
         ],
     ),
-    row(
-        "an indexed sharded guard is held like any other",
-        "conc-blocking-under-guard",
-        On::Conc(&["buf"]),
-        &[(
-            THREADED,
-            "struct Shard { buf: Mutex<Vec<u8>> }\n\
-             struct S { shards: Vec<Shard> }\n\
-             fn f(s: &S, i: usize, rx: &Receiver<u8>) {\n\
-                 let mut g = s.shards[i].buf.lock();\n\
-                 rx.recv();\n\
-             }\n",
-        )],
-        &[("rx.recv()", "`buf`")],
-    ),
-    row(
-        "an indexed sharded temporary still drops at the statement",
-        "conc-blocking-under-guard",
-        On::Conc(&["buf"]),
-        &[(
-            THREADED,
-            "struct Shard { buf: Mutex<Vec<u8>> }\n\
-             struct S { shards: Vec<Shard> }\n\
-             fn f(s: &S, i: usize, rx: &Receiver<u8>) {\n\
-                 s.shards[i].buf.lock().push(1);\n\
-                 rx.recv();\n\
-             }\n",
-        )],
-        &[],
-    ),
-    // Two shards of the same table are still the same declared lock: the
-    // order table has one entry per lock *name*, so holding one shard while
-    // taking another is flagged. The runner's drain releases each shard's
-    // guard before taking the next.
-    row(
-        "sharded guard reacquisition is a self-deadlock",
-        "conc-lock-order",
-        On::Conc(&["buf"]),
-        &[(
-            THREADED,
-            "struct Shard { buf: Mutex<Vec<u8>> }\n\
-             struct S { shards: Vec<Shard> }\n\
-             fn f(s: &S) {\n\
-                 let a = s.shards[0].buf.lock();\n\
-                 let b = s.shards[1].buf.lock();\n\
-             }\n",
-        )],
-        &[("let b", "self-deadlock")],
-    ),
-    // An index that *computes* has a `(` in the initializer and stays
-    // outside the conservative guard-binding shape.
-    row(
-        "an indexed guard with a call in the index is not a guard binding",
-        "conc-blocking-under-guard",
-        On::Conc(&["buf"]),
-        &[(
-            THREADED,
-            "struct Shard { buf: Mutex<Vec<u8>> }\n\
-             struct S { shards: Vec<Shard> }\n\
-             fn f(s: &S, i: usize, rx: &Receiver<u8>) {\n\
-                 let g = s.shards[pick(i)].buf.lock();\n\
-                 rx.recv();\n\
-             }\n",
-        )],
-        &[],
-    ),
     // `try_lock` binds a guard through a pattern: std's `Ok(..)` or
     // parking_lot's `Some(..)`, as `let … else` (held to the end of the
     // block) or `if let` (held for the body).

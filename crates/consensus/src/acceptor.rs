@@ -92,14 +92,18 @@ impl Acceptor {
                 gtxn,
                 coord,
                 participants,
+            } => self.register(gtxn, coord, participants),
+            PaxosMsg::ClearThenBegin {
+                cleared,
+                gtxn,
+                coord,
+                participants,
             } => {
-                // First registration wins; duplicates are retransmissions.
-                // The votes may have arrived first: then this completes
-                // the bundle.
-                self.registrations
-                    .entry(gtxn)
-                    .or_insert((coord, participants));
-                self.bundle(gtxn)
+                // Compaction is idempotent, so a retransmission is too.
+                for settled in cleared {
+                    self.compact(settled);
+                }
+                self.register(gtxn, coord, participants)
             }
             // The report goes to the registration's coordinator, which the
             // vote names too.
@@ -116,19 +120,40 @@ impl Acceptor {
                 votes,
             } => self.on_propose2a(ballot, gtxn, votes),
             PaxosMsg::Clear { gtxn } => {
-                self.registrations.remove(&gtxn);
-                let stale: Vec<(GlobalTxnId, SiteId)> = self
-                    .instances
-                    .range((gtxn, SiteId(0))..=(gtxn, SiteId(u32::MAX)))
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in stale {
-                    self.instances.remove(&k);
-                }
+                self.compact(gtxn);
                 Vec::new()
             }
             // Leader-bound traffic never legally lands here; ignore.
             PaxosMsg::Accepted { .. } | PaxosMsg::Promise1b { .. } => Vec::new(),
+        }
+    }
+
+    /// Register a transaction. The first registration wins; duplicates are
+    /// retransmissions. The votes may have arrived first: then this
+    /// completes the bundle.
+    fn register(
+        &mut self,
+        gtxn: GlobalTxnId,
+        coord: u32,
+        participants: BTreeSet<SiteId>,
+    ) -> Vec<(u32, PaxosMsg)> {
+        self.registrations
+            .entry(gtxn)
+            .or_insert((coord, participants));
+        self.bundle(gtxn)
+    }
+
+    /// Log compaction: drop a settled transaction's registration and
+    /// instances.
+    fn compact(&mut self, gtxn: GlobalTxnId) {
+        self.registrations.remove(&gtxn);
+        let stale: Vec<(GlobalTxnId, SiteId)> = self
+            .instances
+            .range((gtxn, SiteId(0))..=(gtxn, SiteId(u32::MAX)))
+            .map(|(k, _)| *k)
+            .collect();
+        for k in stale {
+            self.instances.remove(&k);
         }
     }
 
@@ -586,6 +611,8 @@ mod tests {
         assert_eq!(acc.accepted_vote(G, B), Some((b1, Vote::Abort)));
     }
 
+    /// An adopted transaction's standalone compaction: the whole of `G`
+    /// goes, and nothing else.
     #[test]
     fn clear_compacts_one_transaction() {
         let mut acc = acceptor_with_vote();
@@ -594,9 +621,51 @@ mod tests {
             coord: COORD,
             participants: BTreeSet::from([B]),
         });
-        acc.handle(PaxosMsg::Clear { gtxn: G });
+        assert!(acc.handle(PaxosMsg::Clear { gtxn: G }).is_empty());
         assert_eq!(acc.registered(), 1);
         assert_eq!(acc.accepted_vote(G, A), None);
+        assert!(acc.handle(PaxosMsg::Clear { gtxn: G }).is_empty());
+        assert_eq!(acc.registered(), 1, "a repeated Clear finds nothing");
+    }
+
+    /// A ballot-0 transaction's compaction rides the next registration:
+    /// the settled ones go before the new one is registered, and the
+    /// retransmitted message compacts nothing more and registers nothing
+    /// twice.
+    #[test]
+    fn a_registration_compacts_what_it_carries_first() {
+        let mut acc = acceptor_with_vote();
+        let g2 = GlobalTxnId(8);
+        acc.handle(PaxosMsg::Begin {
+            gtxn: g2,
+            coord: COORD,
+            participants: BTreeSet::from([B]),
+        });
+        let g3 = GlobalTxnId(9);
+        let next = PaxosMsg::ClearThenBegin {
+            cleared: vec![G, GlobalTxnId(99)],
+            gtxn: g3,
+            coord: COORD,
+            participants: BTreeSet::from([A]),
+        };
+        for _ in 0..2 {
+            assert!(acc.handle(next.clone()).is_empty());
+            assert_eq!(acc.registered(), 2, "g2 and g3, not G");
+            assert_eq!(acc.accepted_vote(G, A), None);
+        }
+        // The new registration is live: its vote completes its bundle.
+        let ready = PaxosMsg::Vote2a {
+            gtxn: g3,
+            site: A,
+            coord: COORD,
+            vote: Vote::Ready,
+        };
+        assert_eq!(acc.handle(ready.clone()).len(), 1);
+        // Where the vote came first, the registration answers the bundle,
+        // as a plain Begin does.
+        let mut late = Acceptor::new(ACC);
+        assert!(late.handle(ready).is_empty());
+        assert_eq!(late.handle(next).len(), 1);
     }
 
     #[test]

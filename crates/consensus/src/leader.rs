@@ -81,6 +81,10 @@ pub struct Leader {
     /// it (the fast path needs no phase 1).
     ballot: Ballot,
     txns: BTreeMap<GlobalTxnId, Tracker>,
+    /// Ballot-0 transactions settled since the last registration: their
+    /// compaction rides the next one. Every registration goes to the whole
+    /// ballot-0 set, so this holds at most what was in flight then.
+    uncleared: Vec<GlobalTxnId>,
     takeover: Option<Takeover>,
 }
 
@@ -93,6 +97,7 @@ impl Leader {
             acceptors,
             ballot: Ballot::ZERO,
             txns: BTreeMap::new(),
+            uncleared: Vec::new(),
             takeover: None,
         }
     }
@@ -108,39 +113,53 @@ impl Leader {
     }
 
     /// Register a beginning transaction: send its participant set to the
-    /// ballot-0 acceptors so a failover knows the full instance set.
+    /// ballot-0 acceptors so a failover knows the full instance set. The
+    /// registration carries the compaction of everything settled since the
+    /// previous one.
     pub fn register(
         &mut self,
         gtxn: GlobalTxnId,
         participants: BTreeSet<SiteId>,
     ) -> Vec<(u32, PaxosMsg)> {
         self.txns.insert(gtxn, Tracker::default());
-        send_to(
-            fast_path_acceptors(&self.acceptors),
+        let coord = self.node;
+        let msg = if self.uncleared.is_empty() {
             PaxosMsg::Begin {
                 gtxn,
-                coord: self.node,
+                coord,
                 participants,
-            },
-        )
+            }
+        } else {
+            PaxosMsg::ClearThenBegin {
+                cleared: std::mem::take(&mut self.uncleared),
+                gtxn,
+                coord,
+                participants,
+            }
+        };
+        send_to(fast_path_acceptors(&self.acceptors), msg)
     }
 
     /// A transaction settled: compact it out of the acceptor logs that
-    /// hold it — the ballot-0 set, or every acceptor for one adopted at
-    /// the takeover ballot.
+    /// hold it. One adopted at the takeover ballot is cleared at every
+    /// acceptor now; one of ours at ballot 0 waits for the next
+    /// registration, which reaches the same F+1 acceptors. Until then a
+    /// takeover may re-adopt it, and re-decides the outcome it settled
+    /// with: commit needed Ready from every participant at every ballot-0
+    /// acceptor, and any promise quorum includes one of them.
     pub fn finished(&mut self, gtxn: GlobalTxnId) -> Vec<(u32, PaxosMsg)> {
-        self.txns.remove(&gtxn);
         let adopted = self
             .takeover
             .as_mut()
             .and_then(|t| t.adopted.remove(&gtxn))
             .is_some();
-        let holders = if adopted {
-            self.acceptors.as_slice()
-        } else {
-            fast_path_acceptors(&self.acceptors)
-        };
-        send_to(holders, PaxosMsg::Clear { gtxn })
+        if adopted {
+            return send_to(&self.acceptors, PaxosMsg::Clear { gtxn });
+        }
+        if self.txns.remove(&gtxn).is_some() {
+            self.uncleared.push(gtxn);
+        }
+        Vec::new()
     }
 
     /// Assume leadership over other coordinators' in-flight transactions:
@@ -191,6 +210,7 @@ impl Leader {
             }
             // Acceptor-bound traffic never legally lands here; ignore.
             PaxosMsg::Begin { .. }
+            | PaxosMsg::ClearThenBegin { .. }
             | PaxosMsg::Vote2a { .. }
             | PaxosMsg::Prepare1a { .. }
             | PaxosMsg::Propose2a { .. }
@@ -479,15 +499,21 @@ mod tests {
     fn finished_compacts_where_the_transaction_lives() {
         let mut l = leader(COORD);
         l.register(G, BTreeSet::from([A]));
-        let out = l.finished(G);
-        let to: Vec<u32> = out.iter().map(|(to, _)| *to).collect();
-        assert_eq!(to, ACCS[..2], "a ballot-0 transaction lives at the F+1");
-        assert!(out
-            .iter()
-            .all(|(_, m)| matches!(m, PaxosMsg::Clear { gtxn } if *gtxn == G)));
+        assert!(l.finished(G).is_empty(), "compaction waits for a Begin");
         assert_eq!(l.tracked(), 0);
         // Acceptances for a settled transaction are inert.
         assert!(l.on_msg(accepted(ACCS[0])).1.is_empty());
+        // The next registration carries it to the F+1 that hold it, once.
+        let g2 = GlobalTxnId(2);
+        let out = l.register(g2, BTreeSet::from([B]));
+        let to: Vec<u32> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, ACCS[..2], "a ballot-0 transaction lives at the F+1");
+        assert!(out.iter().all(|(_, m)| matches!(
+            m,
+            PaxosMsg::ClearThenBegin { cleared, gtxn, .. } if *cleared == [G] && *gtxn == g2
+        )));
+        let out = l.register(GlobalTxnId(3), BTreeSet::from([B]));
+        assert!(out.iter().all(|(_, m)| matches!(m, PaxosMsg::Begin { .. })));
 
         // An adopted transaction was proposed to all 2F+1.
         let mut accs = acceptors();

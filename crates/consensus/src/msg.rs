@@ -104,13 +104,31 @@ pub enum PaxosMsg {
         /// The proposed vote per participant.
         votes: Vec<(SiteId, Vote)>,
     },
-    /// Leader → the acceptors that hold the transaction (the ballot-0 set,
-    /// or all of them for an adopted one): it settled everywhere; drop its
-    /// registration and instances (log compaction — a failover never
-    /// re-adopts a settled transaction).
+    /// Takeover leader → every acceptor: a transaction adopted at the
+    /// takeover ballot settled everywhere; drop its registration and
+    /// instances (log compaction). A ballot-0 transaction's compaction
+    /// rides its coordinator's next registration instead
+    /// ([`PaxosMsg::ClearThenBegin`]): the other F acceptors never hear of
+    /// it, and until then a takeover may re-adopt it, re-deciding the
+    /// outcome it settled with.
     Clear {
         /// The transaction.
         gtxn: GlobalTxnId,
+    },
+    /// Coordinator → ballot-0 acceptors: a [`PaxosMsg::Begin`] carrying
+    /// the compaction of the coordinator's ballot-0 transactions that
+    /// settled since its previous registration. The acceptor drops them
+    /// from its log, then registers `gtxn`. A coordinator with nothing
+    /// settled since then sends a plain `Begin`.
+    ClearThenBegin {
+        /// Settled transactions to compact out of the log first.
+        cleared: Vec<GlobalTxnId>,
+        /// The transaction.
+        gtxn: GlobalTxnId,
+        /// Its coordinator node.
+        coord: u32,
+        /// Its participant sites.
+        participants: BTreeSet<SiteId>,
     },
 }
 
@@ -163,6 +181,12 @@ impl PaxosMsg {
                 votes: vec![(SiteId(0), Vote::Abort), (SiteId(2), Vote::Ready)],
             },
             PaxosMsg::Clear { gtxn },
+            PaxosMsg::ClearThenBegin {
+                cleared: vec![GlobalTxnId(4), GlobalTxnId(7)],
+                gtxn,
+                coord: 1_000_001,
+                participants: BTreeSet::from([SiteId(1)]),
+            },
         ]
     }
 }

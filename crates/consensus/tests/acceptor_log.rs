@@ -64,6 +64,17 @@ fn arb_msg() -> impl Strategy<Value = PaxosMsg> {
         (1u32..5).prop_map(|g| PaxosMsg::Clear {
             gtxn: GlobalTxnId(g)
         }),
+        (1u32..16, 1u32..5, 0usize..2, 1u32..8).prop_map(|(cleared, g, c, mask)| {
+            PaxosMsg::ClearThenBegin {
+                cleared: (1..5)
+                    .filter(|b| cleared & (1 << (b - 1)) != 0)
+                    .map(GlobalTxnId)
+                    .collect(),
+                gtxn: GlobalTxnId(g),
+                coord: COORDS[c],
+                participants: sites_of(mask),
+            }
+        }),
     ]
 }
 
@@ -124,13 +135,18 @@ proptest! {
         let mut rec = Acceptor::recover(&acc.snapshot()).expect("snapshot must recover");
         prop_assert_eq!(rec.accepted_vote(gtxn, site), accepted_at_crash);
         for msg in suffix {
-            if matches!(msg, PaxosMsg::Clear { gtxn: cg } if cg == gtxn) {
-                continue; // Clear legitimately compacts the instance away
+            let compacts = match &msg {
+                PaxosMsg::Clear { gtxn: cg } => *cg == gtxn,
+                PaxosMsg::ClearThenBegin { cleared, .. } => cleared.contains(&gtxn),
+                _ => false,
+            };
+            if compacts {
+                continue; // a compaction legitimately drops the instance
             }
             rec.handle(msg);
         }
         let now = rec.accepted_vote(gtxn, site);
-        prop_assert!(now.is_some(), "accepted vote vanished without a Clear");
+        prop_assert!(now.is_some(), "accepted vote vanished without a compaction");
 
         // And the promise it hands a new leader must carry the instance.
         let high = Ballot { number: 1_000, node: COORDS[1] };
@@ -149,14 +165,14 @@ proptest! {
     /// sends a ballot-0 `Accepted` for a transaction exactly when, after
     /// the message, every registered participant's instance holds an
     /// unfenced ballot-0 Ready there — and then to the registered
-    /// coordinator. Only `Begin` and `Vote2a` can complete a bundle, and an
-    /// Abort vote or a fenced instance never sends one.
+    /// coordinator. Only a registration and `Vote2a` can complete a
+    /// bundle, and an Abort vote or a fenced instance never sends one.
     #[test]
     fn a_ballot_zero_accepted_leaves_only_when_every_participant_is_ready(
         msgs in proptest::collection::vec(arb_msg(), 0..80),
     ) {
         let mut acc = Acceptor::new(3_000_000);
-        // First registration wins; Clear drops it.
+        // First registration wins; a compaction drops it.
         let mut registered: BTreeMap<GlobalTxnId, (u32, BTreeSet<SiteId>)> = BTreeMap::new();
         for msg in msgs {
             let completes = match &msg {
@@ -166,6 +182,13 @@ proptest! {
                 }
                 // A vote on a fenced instance answers nothing at all.
                 PaxosMsg::Vote2a { gtxn, site, .. } => (!acc.fenced(*gtxn, *site)).then_some(*gtxn),
+                PaxosMsg::ClearThenBegin { cleared, gtxn, coord, participants } => {
+                    for settled in cleared {
+                        registered.remove(settled);
+                    }
+                    registered.entry(*gtxn).or_insert((*coord, participants.clone()));
+                    Some(*gtxn)
+                }
                 PaxosMsg::Clear { gtxn } => {
                     registered.remove(gtxn);
                     None

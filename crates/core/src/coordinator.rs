@@ -164,7 +164,8 @@ impl Coordinator {
     }
 
     /// The serial number assigned to a transaction, once drawn.
-    pub fn sn_of(&self, gtxn: GlobalTxnId) -> Option<SerialNumber> {
+    #[cfg(test)]
+    fn sn_of(&self, gtxn: GlobalTxnId) -> Option<SerialNumber> {
         self.txns.get(&gtxn).and_then(|t| t.sn)
     }
 

@@ -164,20 +164,6 @@ impl Message {
         }
     }
 
-    /// Whether this is a coordinator-to-agent message.
-    pub fn is_downstream(&self) -> bool {
-        matches!(
-            self,
-            Message::Begin { .. }
-                | Message::Dml { .. }
-                | Message::BeginDml { .. }
-                | Message::Prepare { .. }
-                | Message::Commit { .. }
-                | Message::Rollback { .. }
-                | Message::NewCoord { .. }
-        )
-    }
-
     /// One representative value per variant, in declaration order, with
     /// nontrivial field values so the codec tests exercise real payloads.
     /// rustc cannot see a variant missing from this list; `mdbs-net`'s
@@ -267,19 +253,5 @@ mod tests {
             site: SiteId(1),
         };
         assert_eq!(m.gtxn(), GlobalTxnId(3));
-    }
-
-    #[test]
-    fn direction_classification() {
-        assert!(Message::Begin {
-            gtxn: GlobalTxnId(1),
-            coord: 0
-        }
-        .is_downstream());
-        assert!(!Message::CommitAck {
-            gtxn: GlobalTxnId(1),
-            site: SiteId(0)
-        }
-        .is_downstream());
     }
 }

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use crate::history::History;
-use crate::ids::{Instance, Item, Txn};
+use crate::ids::{Instance, Item};
 use crate::index::{Index, Scope, NONE};
 use crate::op::OpKind;
 
@@ -121,17 +121,6 @@ impl Replay {
         self.views.get(&inst).map_or(&[], |v| v.as_slice())
     }
 
-    /// The view of an instance lifted to the transaction level: writers are
-    /// reported as transactions (all incarnations collapse), which is the
-    /// granularity at which the paper compares the views of the original
-    /// and resubmitted local subtransactions.
-    pub fn txn_view_of(&self, inst: Instance) -> Vec<(Item, Option<Txn>)> {
-        self.view_of(inst)
-            .iter()
-            .map(|&(it, w)| (it, w.map(|i| i.txn)))
-            .collect()
-    }
-
     /// Final committed writer per item.
     pub fn final_writers(&self) -> &BTreeMap<Item, Option<Instance>> {
         &self.final_writers
@@ -139,7 +128,8 @@ impl Replay {
 
     /// Final committed writer of one item (`None` = initial value survives
     /// or item unknown).
-    pub fn final_writer(&self, item: Item) -> Option<Instance> {
+    #[cfg(test)]
+    fn final_writer(&self, item: Item) -> Option<Instance> {
         self.final_writers.get(&item).copied().flatten()
     }
 }
@@ -252,8 +242,6 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v[0], (XA, Some(Instance::global(1, A, 0))));
         assert_eq!(v[1], (YA, None));
-        let tv = r.txn_view_of(Instance::local(A, 9));
-        assert_eq!(tv[0], (XA, Some(Txn::global(1))));
     }
 
     #[test]
@@ -276,9 +264,9 @@ mod tests {
             Op::read_g(1, 1, XA), // reads T2 — distorted view
         ]);
         let r = Replay::of(&h);
-        let v0 = r.txn_view_of(Instance::global(1, A, 0));
-        let v1 = r.txn_view_of(Instance::global(1, A, 1));
+        let v0 = r.view_of(Instance::global(1, A, 0));
+        let v1 = r.view_of(Instance::global(1, A, 1));
         assert_eq!(v0[0], (XA, None));
-        assert_eq!(v1[0], (XA, Some(Txn::global(2))));
+        assert_eq!(v1[0], (XA, Some(Instance::global(2, A, 0))));
     }
 }

@@ -157,16 +157,6 @@ impl Command {
         plan
     }
 
-    /// The keys this command *may* write (used for DLU bound-data checks
-    /// before execution).
-    pub fn write_keys(&self, state: &Store, profile: &SiteProfile) -> Vec<u64> {
-        self.decompose(state, profile)
-            .into_iter()
-            .filter(Elementary::is_write)
-            .map(|e| e.key())
-            .collect()
-    }
-
     /// Whether the command performs any writes (given the state).
     pub fn is_update(&self) -> bool {
         !matches!(self, Command::Select(_))
@@ -272,15 +262,6 @@ mod tests {
         let s = Store::with_rows(5, 2);
         let cmd = Command::Update(KeySpec::Range(1, 3), -1);
         assert_eq!(cmd.decompose(&s, &profile()), cmd.decompose(&s, &profile()));
-    }
-
-    #[test]
-    fn write_keys_extraction() {
-        let s = Store::with_rows(3, 0);
-        let ks = Command::Update(KeySpec::Range(0, 2), 1).write_keys(&s, &profile());
-        assert_eq!(ks, vec![0, 1, 2]);
-        let none = Command::Select(KeySpec::Range(0, 2)).write_keys(&s, &profile());
-        assert!(none.is_empty());
     }
 
     #[test]

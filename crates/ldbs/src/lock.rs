@@ -190,7 +190,8 @@ impl LockManager {
     }
 
     /// What `owner` is waiting for, if queued anywhere.
-    pub fn waiting_on(&self, owner: Instance) -> Option<(u64, LockMode, WaitKind)> {
+    #[cfg(test)]
+    fn waiting_on(&self, owner: Instance) -> Option<(u64, LockMode, WaitKind)> {
         for (k, e) in &self.entries {
             if let Some(w) = e.queue.iter().find(|w| w.owner == owner) {
                 return Some((*k, w.mode, w.kind));

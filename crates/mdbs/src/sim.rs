@@ -398,13 +398,26 @@ impl Simulation {
 
     /// Run to completion (or the time limit) and report.
     pub fn run(mut self) -> SimReport {
-        while let Some(ev) = self.host.queue.pop() {
-            if ev.at > self.cfg.time_limit {
-                break;
-            }
-            self.dispatch(ev.payload);
-            self.drain_finished();
+        while self.step() {}
+        self.report()
+    }
+
+    /// Handle the next event; false once none is left before the time
+    /// limit.
+    fn step(&mut self) -> bool {
+        let Some(ev) = self.host.queue.pop() else {
+            return false;
+        };
+        if ev.at > self.cfg.time_limit {
+            return false;
         }
+        self.dispatch(ev.payload);
+        self.drain_finished();
+        true
+    }
+
+    /// Check the recorded history and assemble the report.
+    fn report(self) -> SimReport {
         let history = mdbs_histories::History::from_ops(self.host.history.iter().copied());
         let checks = CorrectnessReport::analyze(&history, self.host.gen.spec().sites);
         let mut metrics = self.host.metrics;
@@ -496,7 +509,12 @@ impl Simulation {
         }
     }
 
+    /// A coordinator reported `gtxn` settled; a repeat counts nothing
+    /// ([`AdmissionWindow::settled`]).
     fn finish_global(&mut self, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        if !self.window.settled(gtxn) {
+            return;
+        }
         let at = self.host.queue.now();
         self.host.emit(TraceEvent::Finished {
             at,
@@ -522,7 +540,6 @@ impl Simulation {
                     .observe("committed_latency_ms", latency_ms);
             }
         }
-        self.window.settled();
         self.try_start_ready();
     }
 
@@ -829,9 +846,11 @@ mod tests {
     #[test]
     fn two_site_paxos_commit_message_complexity() {
         // The same transaction under Paxos Commit at F = 1 needs exactly
-        // 22: the 12 above, plus a registration Begin to each of the two
-        // ballot-0 acceptors, each participant's Vote2a to both (4), one
-        // bundled Accepted per ballot-0 acceptor, and Clear to both.
+        // 20: the 12 above, plus a registration Begin to each of the two
+        // ballot-0 acceptors, each participant's Vote2a to both (4), and
+        // one bundled Accepted per ballot-0 acceptor. Its compaction waits
+        // for the coordinator's next registration, which never comes in a
+        // one-global run.
         let mut cfg = SimConfig::default();
         cfg.workload.global_txns = 1;
         cfg.workload.local_txns_per_site = 0;
@@ -841,7 +860,53 @@ mod tests {
         cfg.consensus_f = 1;
         let report = Simulation::new(cfg).run();
         assert_eq!(report.committed, 1);
-        assert_eq!(report.messages, 12 + 2 + 4 + 2 + 2);
+        assert_eq!(report.messages, 12 + 2 + 4 + 2);
+    }
+
+    /// Under load, a settled transaction's compaction rides its
+    /// coordinator's next registration: the Paxos layer costs the 8
+    /// messages of the one-global twin and almost nothing for compaction.
+    /// No global aborts, so both runs execute the same pre-drawn programs
+    /// and send the same 2PC messages: the F = 1 count minus the F = 0
+    /// count is the Paxos layer's. The acceptor logs stay bounded after
+    /// every event: the transactions in flight plus at most `mpl` settled
+    /// ones per coordinator.
+    #[test]
+    fn paxos_commit_compaction_rides_the_next_registration() {
+        let run = |f: u32| {
+            let mut cfg = SimConfig::default();
+            cfg.workload.global_txns = 40;
+            cfg.workload.mpl = 4;
+            cfg.workload.local_txns_per_site = 0;
+            cfg.workload.sites_per_txn = (2, 2);
+            cfg.workload.items_per_site = 1_000;
+            cfg.workload.unilateral_abort_prob = 0.0;
+            cfg.coordinators = 2;
+            cfg.consensus_f = f;
+            let bound = (cfg.workload.mpl * cfg.coordinators) as usize;
+            let mut sim = Simulation::new(cfg);
+            sim.use_predrawn_workload();
+            let mut peak = 0;
+            while sim.step() {
+                let in_flight = sim.start_time.len();
+                for acc in sim.nodes.acceptors.values() {
+                    let registered = acc.inner().registered();
+                    assert!(
+                        registered <= in_flight + bound,
+                        "{registered} registrations, {in_flight} in flight"
+                    );
+                    peak = peak.max(registered);
+                }
+            }
+            let report = sim.report();
+            assert_eq!(report.committed, 40, "{}", report.metrics);
+            (report.messages, peak)
+        };
+        let (direct, _) = run(0);
+        let (paxos, peak) = run(1);
+        let per_global = (paxos - direct) as f64 / 40.0;
+        assert!(per_global <= 8.2, "{per_global} Paxos messages per global");
+        assert!(peak > 0, "the acceptor logs were used");
     }
 
     #[test]

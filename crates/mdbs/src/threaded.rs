@@ -43,6 +43,7 @@ use crate::sim::{acceptor_nodes, coordinator_runtime, site_runtime};
 /// What the driver hears back.
 enum Notice {
     GlobalFinished {
+        gtxn: GlobalTxnId,
         outcome: GlobalOutcome,
     },
     LocalSettled {
@@ -237,8 +238,11 @@ impl RuntimeHost for ThreadHost {
         let _ = self.shared.notices.send(Notice::LocalSettled { committed });
     }
 
-    fn global_finished(&mut self, _cnode: u32, _gtxn: GlobalTxnId, outcome: GlobalOutcome) {
-        let _ = self.shared.notices.send(Notice::GlobalFinished { outcome });
+    fn global_finished(&mut self, _cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome) {
+        let _ = self
+            .shared
+            .notices
+            .send(Notice::GlobalFinished { gtxn, outcome });
     }
 }
 
@@ -453,9 +457,11 @@ impl ThreadedRunner {
                     break; // wall-clock safety valve; report what settled
                 }
                 match notice_rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(Notice::GlobalFinished { outcome }) => {
+                    Ok(Notice::GlobalFinished { gtxn, outcome }) => {
+                        if !window.settled(gtxn) {
+                            continue; // a takeover's repeat
+                        }
                         settled_globals += 1;
-                        window.settled();
                         match outcome {
                             GlobalOutcome::Committed => committed += 1,
                             GlobalOutcome::Aborted => aborted += 1,

@@ -249,7 +249,7 @@ impl NodeHost {
             return;
         };
         if d.settled.insert(gtxn) {
-            d.window.settled();
+            d.window.settled(gtxn);
             match outcome {
                 GlobalOutcome::Committed => d.committed += 1,
                 GlobalOutcome::Aborted => d.aborted += 1,

@@ -428,6 +428,7 @@ wire_enum!(PaxosMsg {
     4 => Promise1b { ballot, acceptor, registrations, accepted },
     5 => Propose2a { ballot, gtxn, votes },
     6 => Clear { gtxn },
+    7 => ClearThenBegin { cleared, gtxn, coord, participants },
 });
 
 wire_enum!(CtrlMsg {

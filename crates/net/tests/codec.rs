@@ -200,12 +200,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// - the suite: `Message::BeginDml` (tag 12) joined it. Without its
 ///   specimen the suite still hashes to the previous pin,
 ///   `0xee5e_2ad2_7651_842a`, so no byte of another message moved.
+/// - the suite: `PaxosMsg::ClearThenBegin` (tag 7) joined it, the
+///   registration that carries the compaction of settled transactions.
+///   Without its specimen the suite still hashes to the previous pin,
+///   `0x10e3_6c6a_9da6_fffa`.
 #[test]
 fn the_data_format_is_pinned() {
     let specimens = fnv1a(&encode_batch(&WireMsg::specimens()));
     assert_eq!(specimens, 0x4db3_419a_bdde_aae5, "got {specimens:#018x}");
     let suite = fnv1a(&encode_batch(&all_wire_msgs()));
-    assert_eq!(suite, 0x10e3_6c6a_9da6_fffa, "got {suite:#018x}");
+    assert_eq!(suite, 0x4c59_deaf_4136_bd66, "got {suite:#018x}");
 }
 
 #[test]

@@ -259,7 +259,8 @@ impl CoordinatorRuntime {
                 }
                 CoordAction::Finished { gtxn, outcome } => {
                     // Compact the transaction out of the acceptor logs
-                    // before the driver reacts.
+                    // (for one adopted here) or queue its compaction on
+                    // the next registration, before the driver reacts.
                     self.lead(host, |leader| leader.finished(gtxn));
                     if self.central_scheduler {
                         // Drop the CGM bookkeeping and release the

@@ -238,7 +238,10 @@ pub trait RuntimeHost: Transport + TimeSource {
     /// locks. Drivers that react by re-entering a coordinator (admission
     /// of queued work) defer that until the current action batch has
     /// fully unwound — `Finished` is always the last action a coordinator
-    /// emits, so the deferral preserves event order.
+    /// emits, so the deferral preserves event order. Under Paxos Commit a
+    /// transaction can be reported twice, with the same outcome: a backup
+    /// re-adopts one that settled at the crashed coordinator before its
+    /// compaction left. A driver counts it once.
     fn global_finished(&mut self, cnode: u32, gtxn: GlobalTxnId, outcome: GlobalOutcome);
 }
 

@@ -362,7 +362,7 @@ pub fn lowest_live_coordinator(coordinators: u32, dead: &BTreeSet<u32>) -> Optio
 pub struct AdmissionWindow {
     mpl: u32,
     coordinators: u32,
-    in_flight: u32,
+    in_flight: BTreeSet<GlobalTxnId>,
     ready: VecDeque<(GlobalTxnId, Program)>,
 }
 
@@ -372,7 +372,7 @@ impl AdmissionWindow {
         AdmissionWindow {
             mpl,
             coordinators,
-            in_flight: 0,
+            in_flight: BTreeSet::new(),
             ready: VecDeque::new(),
         }
     }
@@ -382,26 +382,30 @@ impl AdmissionWindow {
         self.ready.push_back((gtxn, program));
     }
 
-    /// A transaction reached its terminal outcome.
-    pub fn settled(&mut self) {
-        self.in_flight = self.in_flight.saturating_sub(1);
+    /// A transaction reached its terminal outcome: true the first time it
+    /// is reported. Under Paxos Commit a backup can report it again (it
+    /// re-adopts a transaction that settled at the crashed coordinator
+    /// before its compaction left); the repeat frees no slot and answers
+    /// false, so a driver counts each transaction once.
+    pub fn settled(&mut self, gtxn: GlobalTxnId) -> bool {
+        self.in_flight.remove(&gtxn)
     }
 
     /// Nothing queued and nothing in flight.
     pub fn idle(&self) -> bool {
-        self.in_flight == 0 && self.ready.is_empty()
+        self.in_flight.is_empty() && self.ready.is_empty()
     }
 
     /// The next admission, as `(coordinator node, transaction, program)`;
     /// call until `None`. Nothing is admitted while every coordinator is
     /// dead.
     pub fn admit(&mut self, dead: &BTreeSet<u32>) -> Option<(u32, GlobalTxnId, Program)> {
-        if self.in_flight >= self.mpl {
+        if self.in_flight.len() >= self.mpl as usize {
             return None;
         }
         let backup = lowest_live_coordinator(self.coordinators, dead)?;
         let (gtxn, program) = self.ready.pop_front()?;
-        self.in_flight += 1;
+        self.in_flight.insert(gtxn);
         let home = COORD_BASE + gtxn.0 % self.coordinators;
         let cnode = if dead.contains(&home) { backup } else { home };
         Some((cnode, gtxn, program))

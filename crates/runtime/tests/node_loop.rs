@@ -326,14 +326,19 @@ fn admission_window_holds_the_mpl_and_reroutes_around_dead_coordinators() {
     assert_eq!(admit(&mut window, &dead), Some((COORD_BASE + 1, 1)));
     assert_eq!(admit(&mut window, &dead), Some((COORD_BASE, 2)));
     assert_eq!(admit(&mut window, &dead), None, "window full at mpl");
-    window.settled();
+    assert!(window.settled(GlobalTxnId(1)));
+    assert!(
+        !window.settled(GlobalTxnId(1)),
+        "a repeat is not a settlement"
+    );
     dead.insert(COORD_BASE + 1);
     assert_eq!(
         admit(&mut window, &dead),
         Some((COORD_BASE, 3)),
         "gtxn 3's home is dead: rerouted to the lowest live coordinator"
     );
-    window.settled();
+    assert_eq!(admit(&mut window, &dead), None, "the repeat freed no slot");
+    assert!(window.settled(GlobalTxnId(2)));
     dead.insert(COORD_BASE);
     assert_eq!(admit(&mut window, &dead), None, "nobody left to admit at");
     assert!(!window.idle());

@@ -66,12 +66,6 @@ impl SiteClock {
         let local = base + self.skew_us as i128 + drift;
         local.clamp(0, u64::MAX as i128) as u64
     }
-
-    /// Absolute clock error at true time `t`, in microseconds.
-    pub fn error_at(&self, t: SimTime) -> i64 {
-        let local = self.read(t) as i128;
-        (local - t.as_micros() as i128) as i64
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +84,6 @@ mod tests {
     fn positive_skew_shifts_forward() {
         let c = SiteClock::with_skew(500);
         assert_eq!(c.read(SimTime::from_micros(1_000)), 1_500);
-        assert_eq!(c.error_at(SimTime::from_micros(1_000)), 500);
     }
 
     #[test]
@@ -112,7 +105,6 @@ mod tests {
     fn negative_drift_lags() {
         let c = SiteClock::new(0, -50);
         assert_eq!(c.read(SimTime::from_secs(2)), 2_000_000 - 100);
-        assert_eq!(c.error_at(SimTime::from_secs(2)), -100);
     }
 
     #[test]

@@ -472,11 +472,6 @@ impl FaultProfile {
         self.reorders > 0
     }
 
-    /// True if plans from this profile can duplicate messages.
-    pub fn violates_exactly_once(&self) -> bool {
-        self.duplicates > 0
-    }
-
     /// True if plans from this profile can kill a coordinator mid-2PC (the
     /// §2 assumption that the decision-maker survives until the decision).
     pub fn violates_coord_liveness(&self) -> bool {
@@ -777,7 +772,6 @@ mod tests {
         let p = torture_profile();
         assert!(p.violates_no_loss());
         assert!(p.violates_fifo());
-        assert!(p.violates_exactly_once());
         let benign = FaultProfile {
             delay_spikes: 4,
             abort_bursts: 2,
@@ -785,7 +779,6 @@ mod tests {
         };
         assert!(!benign.violates_no_loss());
         assert!(!benign.violates_fifo());
-        assert!(!benign.violates_exactly_once());
     }
 
     #[test]

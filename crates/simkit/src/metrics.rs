@@ -97,18 +97,6 @@ impl SampleStats {
     pub fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
     }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn stddev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .samples
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
 }
 
 /// A named bundle of counters and sample sets.
@@ -226,7 +214,6 @@ mod tests {
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.p50(), None);
-        assert_eq!(s.stddev(), None);
     }
 
     #[test]
@@ -251,15 +238,6 @@ mod tests {
         assert_eq!(s.p99(), Some(99.0));
         assert_eq!(s.quantile(1.0), Some(100.0));
         assert_eq!(s.quantile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let mut s = SampleStats::new();
-        for _ in 0..10 {
-            s.record(4.2);
-        }
-        assert!(s.stddev().unwrap().abs() < 1e-12);
     }
 
     #[test]

@@ -236,3 +236,37 @@ fn threaded_history_is_merged_in_node_order() {
         .position(|w| recorder(&w[0]) > recorder(&w[1]));
     assert_eq!(first_out_of_order, None, "history: {}", report.history);
 }
+
+#[test]
+fn threaded_failover_counts_a_re_adopted_transaction_once() {
+    use std::collections::BTreeSet;
+
+    use rigorous_mdbs::histories::OpKind;
+    use rigorous_mdbs::simkit::SimTime;
+    // Coordinator 1 crash-stops at its 12th READY, after it settled
+    // transactions of its own. The last ones' compaction waited for a
+    // registration that never came, so the backup re-adopts them,
+    // re-decides them and reports them settled a second time. The driver
+    // must count each once, or it stops waiting while a transaction is
+    // still in flight and the history lacks its decision.
+    let mut c = cfg(Protocol::TwoCm(CertifierMode::Full), 0.0);
+    c.coordinators = 2;
+    c.consensus_f = 1;
+    c.coord_crash_after_ready = Some((1, 12));
+    c.time_limit = SimTime::from_secs(60);
+    let globals = c.workload.global_txns as u64;
+    let report = ThreadedRunner::new(c).run();
+    assert_eq!(report.metrics.counter("coord_takeovers"), 1);
+    assert_eq!(report.committed + report.aborted, globals);
+    let decided: BTreeSet<Txn> = (report.history.ops().iter())
+        .filter(|op| matches!(op.kind, OpKind::GlobalCommit | OpKind::GlobalAbort))
+        .map(|op| op.txn)
+        .collect();
+    assert_eq!(
+        decided.len() as u64,
+        globals,
+        "metrics:\n{}",
+        report.metrics
+    );
+    assert!(report.checks.passed(), "{:?}", report.checks);
+}
